@@ -23,12 +23,14 @@ from .exactmat import (
     gauss_step_sequence,
     gauss_steps,
     leading_principal_minor,
+    null_space_basis,
     rank,
     solve_linear,
 )
 from .framework import (
     Framework,
     GaleMatrix,
+    PatternViolation,
     StressMatrix,
     extended_config_matrix,
     frameworks_congruent,
@@ -216,8 +218,6 @@ def psd_stress_from_gale(fw: Framework, z: GaleMatrix) -> StressMatrix:
     must vanish, otherwise PatternViolation identifies a labeling bug. All
     stress clauses are re-verified exactly before returning.
     """
-    from .framework import PatternViolation  # local to keep import surface small
-
     zm = z.matrix
     s = zm * zm.transpose()
     n = fw.n
@@ -293,7 +293,6 @@ def hyperplane_through(dim: int, points: Sequence[Sequence[Fraction]],
     if pts:
         constraint = Matrix([list(p) + [Fraction(-1)] for p in pts],
                             shape=(len(pts), dim + 1))
-        from .exactmat import null_space_basis
         kernel = null_space_basis(constraint)
     else:
         kernel = Matrix.identity(dim + 1)

@@ -2,7 +2,8 @@
 
 Exit codes: 0 when a verdict was reached (any verdict), 1 when a
 mathematical hypothesis failed (for example a vanishing leading minor),
-2 for usage errors, 3 for malformed input files.
+2 for usage errors, 3 for malformed input files, 4 when a subset sweep
+would exceed its size cap (raise it with --cap-subsets).
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from .certify import (
     reflection_counterexample,
     unit_triangular_gale,
 )
-from .exactmat import ExactMatError
+from .exactmat import ExactMatError, SizeCapExceeded
 from .framework import (
     FrameworkError,
+    SizeCapExceededError,
     StressMatrix,
     gale_matrix,
     is_general_position,
@@ -57,6 +59,9 @@ from .svgplot import UnsupportedDimension, render_framework_svg
 
 EXIT_HYPOTHESIS = 1
 EXIT_INPUT = 3
+EXIT_LIMIT = 4
+
+_CAP_ERRORS = (SizeCapExceededError, SizeCapExceeded)
 
 
 def _input_error(exc) -> None:
@@ -67,6 +72,11 @@ def _input_error(exc) -> None:
 def _hypothesis_error(exc) -> None:
     click.echo(f"error: {exc}", err=True)
     sys.exit(EXIT_HYPOTHESIS)
+
+
+def _limit_error(exc) -> None:
+    click.echo(f"error: {exc}", err=True)
+    sys.exit(EXIT_LIMIT)
 
 
 def _load_framework(path: str):
@@ -108,6 +118,8 @@ def analyze(framework_file, output, fmt, cap_subsets):
         cert = certify_chordal(fw, cap=cap_subsets)
         gp, gp_witness = is_general_position(
             fw, **({} if cap_subsets is None else {"cap": cap_subsets}))
+    except _CAP_ERRORS as exc:
+        _limit_error(exc)
     except (CertifyError, FrameworkError, GraphError, ExactMatError) as exc:
         _hypothesis_error(exc)
     if output:
@@ -148,6 +160,8 @@ def certify(framework_file, output, cap_subsets):
     fw = _load_framework(framework_file)
     try:
         cert = certify_chordal(fw, cap=cap_subsets)
+    except _CAP_ERRORS as exc:
+        _limit_error(exc)
     except (CertifyError, FrameworkError, GraphError, ExactMatError) as exc:
         _hypothesis_error(exc)
     _emit(certificate_to_obj(cert), output)
@@ -168,6 +182,8 @@ def psdize(framework_file, stress_file, output, cap_subsets):
         click.echo(f"error: not generic rank profile: leading principal minor "
                    f"{exc.minor_index} is zero", err=True)
         sys.exit(EXIT_HYPOTHESIS)
+    except _CAP_ERRORS as exc:
+        _limit_error(exc)
     except (CertifyError, FrameworkError, ExactMatError) as exc:
         _hypothesis_error(exc)
     obj = stress_to_obj(result.stress)

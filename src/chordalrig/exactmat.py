@@ -228,16 +228,30 @@ def gauss_step_sequence(a: Matrix, t: int) -> Matrix:
     return result
 
 
-def determinant(a: Matrix) -> Fraction:
-    """Exact determinant via fraction-free (Bareiss) elimination with row swaps."""
-    if a.rows != a.cols:
-        raise DimensionMismatch("determinant needs a square matrix")
-    n = a.rows
+def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Scale rationals by the lcm ``l`` of their denominators.
+
+    Returns the integers ``l * x`` in order, and ``l``.
+    """
+    scale = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
+def _int_determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    Each step k replaces the trailing block by 2x2 minors against the
+    pivot divided by the previous pivot; by Sylvester's identity the
+    division is exact, so every intermediate stays an integer minor of the
+    input. A zero pivot is swapped with the first nonzero entry below it.
+    ``rows`` is not modified.
+    """
+    n = len(rows)
     if n == 0:
-        return Fraction(1)
-    m = a.to_lists()
+        return 1
+    m = [list(r) for r in rows]
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             for i in range(k + 1, n):
@@ -246,14 +260,34 @@ def determinant(a: Matrix) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
-        pivot = m[k][k]
+                return 0
+        pivot_row = m[k]
+        pivot = pivot_row[k]
         for i in range(k + 1, n):
+            row = m[i]
+            f = row[k]
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
+                row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
         prev = pivot
     return sign * m[n - 1][n - 1]
+
+
+def determinant(a: Matrix) -> Fraction:
+    """Exact determinant via integer Bareiss elimination with row swaps.
+
+    Each row is multiplied by the lcm of its denominators, so the scaled
+    matrix is integral; its determinant, divided by the product of those
+    multipliers, is the determinant of ``a``.
+    """
+    if a.rows != a.cols:
+        raise DimensionMismatch("determinant needs a square matrix")
+    rows = []
+    scale = 1
+    for row in a.data:
+        ints, l = _integer_row(row)
+        rows.append(ints)
+        scale *= l
+    return Fraction(_int_determinant(rows), scale)
 
 
 def leading_principal_minor(a: Matrix, k: int) -> Fraction:

@@ -21,6 +21,8 @@ from .exactmat import (
     DimensionMismatch,
     Matrix,
     SingularMatrix,
+    _int_determinant,
+    _integer_row,
     has_generic_rank_profile,
     inverse,
     null_space_basis,
@@ -154,17 +156,27 @@ def is_general_position(fw: Framework, cap: int = DEFAULT_POSITION_CAP
                         ) -> tuple[bool, tuple[int, ...] | None]:
     """Check that every dim+1 points are affinely independent.
 
+    Points p_1..p_k are affinely independent exactly when the k x k matrix
+    of columns (p_i, 1) is nonsingular. Each point is lifted once to the
+    integer column (l p, l), with l the lcm of its denominators; scaling a
+    column does not change whether the determinant vanishes, so every
+    subset is decided by one integer Bareiss determinant.
+
     Subsets are scanned lexicographically and the first violator is
-    returned. Raises SizeCapExceededError when there are more than ``cap``
-    subsets to examine.
+    returned as 1-based vertices. Raises SizeCapExceededError when there
+    are more than ``cap`` subsets to examine.
     """
     k = fw.dim + 1
     total = math.comb(fw.n, k)
     if total > cap:
         raise SizeCapExceededError(f"{total} subsets exceed the cap of {cap}")
-    for subset in itertools.combinations(range(1, fw.n + 1), k):
-        if not affinely_independent([fw.point(v) for v in subset]):
-            return False, subset
+    lifted = []
+    for p in fw.points:
+        ints, l = _integer_row(p)
+        lifted.append(ints + [l])
+    for subset in itertools.combinations(range(fw.n), k):
+        if _int_determinant([lifted[v] for v in subset]) == 0:
+            return False, tuple(v + 1 for v in subset)
     return True, None
 
 

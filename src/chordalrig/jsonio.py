@@ -37,7 +37,11 @@ def parse_rational(value, where: str) -> Fraction:
     if isinstance(value, str):
         if not _RATIONAL_RE.match(value):
             raise ParseError(f"malformed rational {value!r}", where)
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ValueError:  # beyond the interpreter's int-string digit limit
+            raise ParseError(f"rational too long to parse ({len(value)} characters)",
+                             where) from None
     raise ParseError(f"expected a rational, got {type(value).__name__}", where)
 
 
@@ -188,6 +192,8 @@ def read_json(path: str | Path):
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}",
                          f"{path}:{exc.lineno}:{exc.colno}") from exc
+    except ValueError:  # an integer literal beyond the int-string digit limit
+        raise ParseError("integer literal too long to parse", str(path)) from None
 
 
 def write_json(path: str | Path, obj) -> None:

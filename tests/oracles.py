@@ -29,6 +29,16 @@ def det_cofactor(rows):
     return total
 
 
+def first_affinely_dependent(points, k):
+    """First lexicographic k-subset of the points, as 1-based indices, whose
+    vectors (p, 1) have zero determinant; None when there is none."""
+    for subset in combinations(range(len(points)), k):
+        rows = [[Fraction(x) for x in points[i]] + [Fraction(1)] for i in subset]
+        if det_cofactor(rows) == 0:
+            return tuple(i + 1 for i in subset)
+    return None
+
+
 def principal_minors_nonneg(rows):
     """PSD test for a symmetric matrix: every nonempty principal minor >= 0."""
     n = len(rows)

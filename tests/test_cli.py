@@ -1,12 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from chordalrig.certify import unit_triangular_gale
-from chordalrig.cli import main
+from chordalrig.cli import EXIT_LIMIT, main
 from chordalrig.exactmat import Matrix
-from chordalrig.framework import StressMatrix, gale_matrix, stress_from_psi
+from chordalrig.framework import Framework, StressMatrix, gale_matrix, stress_from_psi
 from chordalrig.graphs import Graph, Ordering
 from chordalrig.jsonio import (
     framework_to_obj,
@@ -142,7 +143,6 @@ class TestPsdize:
 
     def test_vanishing_minor_is_hypothesis_failure(self, runner, tmp_path):
         pts = [(i, i * i) for i in range(1, 6)]
-        from chordalrig.framework import Framework
         fw = Framework(Graph.complete(5), 2, pts)
         z = unit_triangular_gale(fw, Ordering.identity(5))
         s = stress_from_psi(fw, z, Matrix([[0, 1], [1, 0]]))
@@ -336,3 +336,52 @@ class TestErrorHandling:
 
     def test_unknown_command(self, runner):
         assert runner.invoke(main, ["frobnicate"]).exit_code == 2
+
+    @pytest.mark.parametrize("where", ["coordinate", "bare integer", "stress entry"])
+    def test_huge_rational_is_malformed_input(self, runner, files, tmp_path, where):
+        digits = "7" * 4400  # past the interpreter's 4300-digit int-string limit
+        fw_text = Path(files["hexagon"]).read_text()
+        stress_text = Path(files["hexagon_stress"]).read_text()
+        # The first "-2" is point 1's x; the first "10" is the stress's (1,1).
+        if where == "coordinate":
+            fw_text = fw_text.replace('"-2"', f'"{digits}"', 1)
+        elif where == "bare integer":
+            fw_text = fw_text.replace('"-2"', digits, 1)
+        else:
+            stress_text = stress_text.replace('"10"', f'"{digits}"', 1)
+        fw_path, stress_path = tmp_path / "huge.json", tmp_path / "huge_stress.json"
+        fw_path.write_text(fw_text)
+        stress_path.write_text(stress_text)
+        result = runner.invoke(main, ["psdize", str(fw_path), "--stress", str(stress_path)])
+        assert result.exit_code == 3
+        assert "too long to parse" in result.stderr
+
+
+class TestSubsetCap:
+    @pytest.fixture()
+    def long_path(self, tmp_path):
+        """A 120-vertex path in R^2: C(120, 3) = 280,840 subsets exceed the
+        default cap of 200,000."""
+        fw = Framework(Graph.path(120), 2, [(i, i * i) for i in range(120)])
+        path = tmp_path / "path120.json"
+        write_json(path, framework_to_obj(fw))
+        stress = tmp_path / "zero120.json"
+        write_json(stress, stress_to_obj(StressMatrix(Matrix.zeros(120, 120))))
+        return str(path), str(stress)
+
+    @pytest.mark.parametrize("command", ["analyze", "certify", "psdize"])
+    def test_default_cap_exits_with_limit_code(self, runner, long_path, command):
+        fw_path, stress_path = long_path
+        args = [command, fw_path]
+        if command == "psdize":
+            args += ["--stress", stress_path]
+        result = runner.invoke(main, args)
+        assert result.exit_code == EXIT_LIMIT == 4
+        assert "280840 subsets exceed the cap of 200000" in result.stderr
+
+    def test_explicit_cap_boundary(self, runner, files):
+        # The hexagon has C(6, 3) = 20 subsets.
+        at_cap = runner.invoke(main, ["certify", files["hexagon"], "--cap-subsets", "20"])
+        assert at_cap.exit_code == 0
+        below = runner.invoke(main, ["certify", files["hexagon"], "--cap-subsets", "19"])
+        assert below.exit_code == EXIT_LIMIT

@@ -195,9 +195,39 @@ class TestDeterminant:
         assert determinant(Matrix([[0, 1], [1, 0]])) == -1
 
     @settings(max_examples=40, deadline=None)
-    @given(square_strategy(4))
+    @given(square_strategy(6))
     def test_matches_cofactor_oracle(self, m):
         assert determinant(m) == oracles.det_cofactor(m.to_lists())
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_zero_row_and_swaps_up_to_six(self, n):
+        rng = random.Random(f"det/{n}")
+        for case in range(12):
+            rows = [[F(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 7))
+                     for _ in range(n)] for _ in range(n)]
+            if case % 4 == 0:
+                rows[rng.randrange(n)] = [F(0)] * n
+            elif case % 4 == 1:
+                rows[0][0] = F(0)  # zero first pivot: swap at step 1
+            elif case % 4 == 2:
+                # Singular leading 2x2 block: zero pivot at step 2, swap there.
+                rows[1][:2] = [x * 3 for x in rows[0][:2]]
+            expected = oracles.det_cofactor(rows)
+            assert determinant(Matrix(rows)) == expected
+            if case % 4 == 0:
+                assert expected == 0
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_wide_entries_mixed_denominators(self, n):
+        rng = random.Random(f"det/wide/{n}")
+        for _ in range(4):
+            rows = [[F(rng.getrandbits(230) - 2 ** 229, rng.getrandbits(210) | 1)
+                     if rng.random() < 0.8 else F(rng.randint(-3, 3))
+                     for _ in range(n)] for _ in range(n)]
+            assert max(abs(x.numerator).bit_length() for row in rows for x in row) > 200
+            got = determinant(Matrix(rows))
+            assert got == oracles.det_cofactor(rows)
+            assert got == oracles.sym_det(rows)
 
     @settings(max_examples=25, deadline=None)
     @given(square_strategy(3), square_strategy(3))

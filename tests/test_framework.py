@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from chordalrig.exactmat import DimensionMismatch, Matrix, determinant, inverse, rank
 from chordalrig.framework import (
     DegenerateSpan,
@@ -124,6 +126,73 @@ class TestGeneralPosition:
     def test_cap(self, hexagon):
         with pytest.raises(SizeCapExceededError):
             is_general_position(hexagon.fw, cap=5)
+
+
+def _degenerate_points(rng, dim):
+    """Points with per-point denominators and, in most cases, one forced
+    affine dependency: a repeated point, a point on the affine hull of
+    earlier ones, or a prefix of dim+1 points on one hyperplane."""
+    n = rng.randint(dim + 2, dim + 5)
+    pts = []
+    for _ in range(n):
+        den = rng.randint(1, 9)
+        pts.append([F(rng.randint(-30, 30), den * rng.randint(1, 3)) for _ in range(dim)])
+    kind = rng.choice(["generic", "repeat", "hull", "prefix"])
+    if kind == "repeat":
+        i, j = sorted(rng.sample(range(n), 2))
+        pts[j] = list(pts[i])
+    elif kind == "hull":
+        j = rng.randint(dim, n - 1)
+        base = rng.sample(range(j), dim)
+        weights = [F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in base[1:]]
+        weights.insert(0, 1 - sum(weights))
+        pts[j] = [sum(w * pts[b][c] for w, b in zip(weights, base)) for c in range(dim)]
+    elif kind == "prefix":
+        c = rng.randrange(dim)
+        for i in range(1, dim + 1):
+            pts[i][c] = pts[0][c]
+    return pts
+
+
+class TestGeneralPositionProperty:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_matches_brute_force_oracle(self, dim):
+        rng = random.Random(f"general-position/{dim}")
+        seen = {True: 0, False: 0}
+        for _ in range(60):
+            pts = _degenerate_points(rng, dim)
+            try:
+                fw = Framework(Graph.path(len(pts)), dim, pts)
+            except DegenerateSpan:
+                continue
+            witness = oracles.first_affinely_dependent(fw.points, dim + 1)
+            assert is_general_position(fw) == (witness is None, witness)
+            seen[witness is None] += 1
+        assert seen[True] >= 5 and seen[False] >= 20
+
+    def test_large_mixed_denominators(self):
+        rng = random.Random("general-position/large")
+        for _ in range(20):
+            pts = [[F(rng.getrandbits(220) - 2 ** 219, rng.getrandbits(200) + 1)
+                    for _ in range(3)] for _ in range(6)]
+            if rng.random() < 0.5:
+                pts[5] = [(a + 2 * b) / 3 for a, b in zip(pts[1], pts[4])]
+            fw = Framework(Graph.path(6), 3, pts)
+            witness = oracles.first_affinely_dependent(fw.points, 4)
+            assert is_general_position(fw) == (witness is None, witness)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_cap_boundary(self, dim):
+        n = dim + 4
+        moment = [[F(t) ** e for e in range(1, dim + 1)] for t in range(1, n + 1)]
+        repeated = moment[:-1] + [moment[0]]
+        total = math.comb(n, dim + 1)
+        for pts, expected in ((moment, (True, None)),
+                              (repeated, (False, tuple(range(1, dim + 1)) + (n,)))):
+            fw = Framework(Graph.path(n), dim, pts)
+            assert is_general_position(fw, cap=total) == expected
+            with pytest.raises(SizeCapExceededError):
+                is_general_position(fw, cap=total - 1)
 
 
 class TestGaleMatrix:
