@@ -22,9 +22,7 @@ from .exactmat import (
     ZeroPivot,
     gauss_step_sequence,
     gauss_steps,
-    leading_principal_minor,
     null_space_basis,
-    rank,
     solve_linear,
 )
 from .framework import (
@@ -179,6 +177,12 @@ def unit_triangular_gale(fw: Framework, peo: Ordering, cap: int | None = None) -
     Rows are returned in the original vertex labels.
     """
     _check_gale_preconditions(fw, peo, cap)
+    return _build_unit_triangular_gale(fw, peo)
+
+
+def _build_unit_triangular_gale(fw: Framework, peo: Ordering) -> GaleMatrix:
+    """The construction of ``unit_triangular_gale`` without its precondition
+    checks, for callers that have already established them."""
     fw2 = _to_position_space(fw, peo)
     g2 = fw2.graph
     ident = Ordering.identity(fw.n)
@@ -255,7 +259,7 @@ def certify_chordal(fw: Framework, cap: int | None = None) -> Certificate:
         return Certificate(Verdict.INCONCLUSIVE, connectivity=kappa, peo=peo,
                            reason=Reason.SIMPLEX_CASE)
     if kappa >= fw.dim + 1:
-        z = unit_triangular_gale(fw, peo, cap=cap)
+        z = _build_unit_triangular_gale(fw, peo)
         stress = psd_stress_from_gale(fw, z)
         return Certificate(Verdict.UNIVERSALLY_RIGID, connectivity=kappa, peo=peo,
                            stress=stress)
@@ -387,17 +391,14 @@ def psdize_stress(fw: Framework, s: Matrix, cap: int | None = None) -> PsdizeRes
     report = validate_stress_matrix(fw, s)
     if not report.is_stress_matrix:
         raise PreconditionViolated(f"input is not a stress matrix: {report.failures()}")
+    if report.rank != fw.rbar:  # permuting rows and columns keeps the rank
+        raise PreconditionViolated(
+            f"stress rank {report.rank} differs from the maximal {fw.rbar}")
     s2 = _permute_square(s, peo)
     fw2 = _to_position_space(fw, peo)
-    k = rank(s2)
-    if k != fw.rbar:
-        raise PreconditionViolated(f"stress rank {k} differs from the maximal {fw.rbar}")
-    for idx in range(1, k + 1):
-        if leading_principal_minor(s2, idx) == 0:
-            raise NotGenericRankProfile(idx)
     try:
         eliminated = gauss_step_sequence(s2, fw.rbar)
-    except ZeroPivot as exc:  # unreachable after the minor scan; keep the contract
+    except ZeroPivot as exc:  # the first zero pivot is the first vanishing leading minor
         raise NotGenericRankProfile(exc.step) from exc
     z2 = Matrix([eliminated.row(i) for i in range(fw.rbar)],
                 shape=(fw.rbar, fw.n)).transpose()

@@ -309,6 +309,8 @@ def gen(n, r, seed, output):
     """Generate a seeded (r+1)-tree framework in general position."""
     try:
         fw = random_general_position_framework(n, r, seed)
+    except _CAP_ERRORS as exc:
+        _limit_error(exc)
     except (InvalidParameters, FrameworkError) as exc:
         raise click.UsageError(str(exc))
     _emit(framework_to_obj(fw), output)

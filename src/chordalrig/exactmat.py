@@ -141,8 +141,10 @@ class Matrix:
             if self.cols != other.rows:
                 raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
             bt = other.transpose()._data
-            return Matrix([[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self._data],
-                          shape=(self.rows, other.cols))
+            # Gale factors and stresses are mostly zeros; exact sums let the
+            # zero terms be skipped without changing any entry.
+            return Matrix([[sum(a * b for a, b in zip(row, col) if a and b) for col in bt]
+                           for row in self._data], shape=(self.rows, other.cols))
         if isinstance(other, (int, Fraction)):
             s = _coerce(other)
             return Matrix([[x * s for x in row] for row in self._data], shape=(self.rows, self.cols))
@@ -321,20 +323,61 @@ def rank(a: Matrix) -> int:
     return r
 
 
+def _leading_profile(a: Matrix) -> tuple[int, bool] | None:
+    """One exchange-free integer Bareiss pass over a square matrix.
+
+    Each row is first scaled by the lcm of its denominators, which scales
+    the j-th leading principal minor by a positive factor; the pivot at
+    step j is that scaled minor. At the first zero pivot, step k+1, the
+    trailing block holds k+1-order bordered minors, so it is all zero
+    exactly when the Schur complement of the leading k-block is.
+
+    Returns ``(k, positive)`` when the leading k-block is nonsingular and
+    its Schur complement is zero (or k = n): then k is the rank, the first
+    k leading minors are nonzero, and ``positive`` says whether all k
+    pivots are positive. For a symmetric matrix that decides PSD, since
+    the matrix is congruent to diag(leading block, 0). Returns None when a
+    zero pivot meets a nonzero trailing block: the rank exceeds k while
+    minor k+1 vanishes, so the rank profile is not generic.
+    """
+    n = a.rows
+    m = [_integer_row(row)[0] for row in a.data]
+    prev = 1
+    positive = True
+    for k in range(n):
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        if pivot == 0:
+            if any(m[i][j] for i in range(k, n) for j in range(k, n)):
+                return None
+            return k, positive
+        if pivot < 0:
+            positive = False
+        for i in range(k + 1, n):
+            row = m[i]
+            f = row[k]
+            m[i] = row[:k + 1] + [(x * pivot - f * y) // prev
+                                  for x, y in zip(row[k + 1:], pivot_row[k + 1:])]
+        prev = pivot
+    return n, positive
+
+
 def has_generic_rank_profile(a: Matrix) -> tuple[bool, int]:
     """Whether the first rank(a) leading principal minors are all nonzero.
 
-    Returns (decision, rank). The zero matrix vacuously qualifies with rank 0.
+    Returns (decision, rank). One exchange-free integer Bareiss pass
+    decides the profile and, when it is generic, yields the rank; only a
+    non-generic profile pays for a separate ``rank``. The zero matrix
+    vacuously qualifies with rank 0.
     """
     if a.rows != a.cols:
         raise DimensionMismatch("generic rank profile needs a square matrix")
     if not a.is_symmetric:
         raise NotSymmetric("generic rank profile is defined here for symmetric matrices")
-    k = rank(a)
-    for j in range(1, k + 1):
-        if leading_principal_minor(a, j) == 0:
-            return False, k
-    return True, k
+    profile = _leading_profile(a)
+    if profile is None:
+        return False, rank(a)
+    return True, profile[0]
 
 
 def _rref(a: Matrix) -> tuple[list[list[Fraction]], list[int]]:

@@ -23,7 +23,7 @@ from .exactmat import (
     SingularMatrix,
     _int_determinant,
     _integer_row,
-    has_generic_rank_profile,
+    _leading_profile,
     inverse,
     null_space_basis,
     psd_check,
@@ -329,7 +329,14 @@ class StressReport:
 
 
 def validate_stress_matrix(fw: Framework, s: Matrix) -> StressReport:
-    """Evaluate every stress-matrix clause on an arbitrary square matrix."""
+    """Evaluate every stress-matrix clause on an arbitrary square matrix.
+
+    For a symmetric matrix one exchange-free integer Bareiss pass yields
+    the rank, the generic rank profile and, through the signs of its
+    pivots, positive semidefiniteness; ``rank`` and ``psd_check`` run
+    only when that pass finds the profile not generic. A matrix that is
+    not symmetric gets its rank alone and fails both other clauses.
+    """
     n = fw.n
     if (s.rows, s.cols) != (n, n):
         raise DimensionMismatch(f"stress must be {n}x{n}, got {s.rows}x{s.cols}")
@@ -339,13 +346,13 @@ def validate_stress_matrix(fw: Framework, s: Matrix) -> StressReport:
         for i in range(1, n + 1) for j in range(i + 1, n + 1)
         if not fw.graph.has_edge(i, j))
     kernel_ok = (extended_config_matrix(fw) * s).is_zero
-    rk = rank(s)
-    if symmetric:
-        grp, _ = has_generic_rank_profile(s)
-        psd = psd_check(s).is_psd
+    profile = _leading_profile(s) if symmetric else None
+    if profile is not None:
+        rk, psd = profile
+        grp = True
     else:
-        grp = False
-        psd = False
+        rk, grp = rank(s), False
+        psd = symmetric and psd_check(s).is_psd
     return StressReport(symmetric, pattern_ok, kernel_ok, rk, grp, psd)
 
 

@@ -186,14 +186,18 @@ def certificate_to_obj(cert: Certificate) -> dict:
 
 
 def read_json(path: str | Path):
-    text = Path(path).read_text()
     try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: byte {exc.start} cannot be decoded",
+                         str(path)) from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}",
                          f"{path}:{exc.lineno}:{exc.colno}") from exc
     except ValueError:  # an integer literal beyond the int-string digit limit
         raise ParseError("integer literal too long to parse", str(path)) from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply to parse", str(path)) from None
 
 
 def write_json(path: str | Path, obj) -> None:

@@ -50,6 +50,14 @@ def principal_minors_nonneg(rows):
     return True
 
 
+def rank_and_generic_profile(rows):
+    """Rank of a square matrix by sympy, and whether its first rank leading
+    principal minors, each by cofactor expansion, are all nonzero."""
+    k = sym_rank(rows)
+    return k, all(det_cofactor([row[:j] for row in rows[:j]]) != 0
+                  for j in range(1, k + 1))
+
+
 def sym_matrix(rows):
     return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
                           if isinstance(x, Fraction) else sympy.Rational(x)

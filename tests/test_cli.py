@@ -337,6 +337,20 @@ class TestErrorHandling:
     def test_unknown_command(self, runner):
         assert runner.invoke(main, ["frobnicate"]).exit_code == 2
 
+    def test_non_utf8_file_is_malformed_input(self, runner, files, tmp_path):
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe" + Path(files["hexagon"]).read_bytes())
+        result = runner.invoke(main, ["certify", str(bad)])
+        assert result.exit_code == 3
+        assert "not UTF-8" in result.stderr
+
+    def test_deeply_nested_json_is_malformed_input(self, runner, tmp_path):
+        bad = tmp_path / "nested.json"
+        bad.write_text("[" * 100_000)
+        result = runner.invoke(main, ["certify", str(bad)])
+        assert result.exit_code == 3
+        assert "nested too deeply" in result.stderr
+
     @pytest.mark.parametrize("where", ["coordinate", "bare integer", "stress entry"])
     def test_huge_rational_is_malformed_input(self, runner, files, tmp_path, where):
         digits = "7" * 4400  # past the interpreter's 4300-digit int-string limit
@@ -377,6 +391,11 @@ class TestSubsetCap:
             args += ["--stress", stress_path]
         result = runner.invoke(main, args)
         assert result.exit_code == EXIT_LIMIT == 4
+        assert "280840 subsets exceed the cap of 200000" in result.stderr
+
+    def test_gen_reports_cap_as_limit(self, runner):
+        result = runner.invoke(main, ["gen", "--n", "120", "--r", "2"])
+        assert result.exit_code == EXIT_LIMIT
         assert "280840 subsets exceed the cap of 200000" in result.stderr
 
     def test_explicit_cap_boundary(self, runner, files):

@@ -102,6 +102,26 @@ class TestMatrix:
         assert a * 2 == Matrix([[2, 4], [6, 8]])
         assert 2 * a == a * 2
 
+    @pytest.mark.parametrize("a, b", [
+        ([[1, 0, 2], [0, 0, 0]], [[0, 3], [5, 0], [F(1, 2), 0]]),  # zero row of a
+        ([[1, 2], [3, 4]], [[0, 1], [0, 2]]),  # zero column of b
+        ([[1, 0], [2, 0]], [[0, 0], [7, 9]]),  # disjoint supports: all-zero product
+        ([[0, 0]], [[0], [0]]),
+        ([[F(-1, 3), 0, 4]], [[6], [F(5, 7)], [F(1, 4)]]),
+    ])
+    def test_product_matches_dense_formula(self, a, b):
+        am, bm = Matrix(a), Matrix(b)
+        dense = [[sum((Fraction(a[i][k]) * b[k][j] for k in range(len(b))), Fraction(0))
+                  for j in range(len(b[0]))] for i in range(len(a))]
+        product = am * bm
+        assert product.to_lists() == dense
+        assert all(type(x) is Fraction for row in product.data for x in row)
+
+    def test_product_with_empty_inner_dimension(self):
+        product = Matrix.zeros(2, 0) * Matrix.zeros(0, 3)
+        assert product == Matrix.zeros(2, 3)
+        assert all(type(x) is Fraction for row in product.data for x in row)
+
     def test_shape_mismatch_in_product(self):
         with pytest.raises(DimensionMismatch):
             Matrix([[1, 2]]) * Matrix([[1, 2]])

@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from chordalrig.exactmat import DimensionMismatch, Matrix, determinant, inverse, rank
+from chordalrig.exactmat import (
+    DimensionMismatch,
+    Matrix,
+    determinant,
+    has_generic_rank_profile,
+    inverse,
+    rank,
+)
 from chordalrig.framework import (
     DegenerateSpan,
     Framework,
@@ -320,6 +327,103 @@ class TestValidateStress:
             s = stress_from_psi(hexagon.fw, z, psi)
             rep = validate_stress_matrix(hexagon.fw, s.matrix)
             assert rep.kernel_ok and rep.is_stress_matrix
+
+
+def _line_framework(n):
+    return Framework(Graph.path(n), 1, [(i,) for i in range(n)])
+
+
+def _gram(rng, n, k, signs=None):
+    """B D B^T for an n-by-k integer B with many zeros and D = diag(signs)."""
+    b = [[rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(k)] for _ in range(n)]
+    d = signs or [1] * k
+    return [[sum(Fraction(b[i][t] * d[t] * b[j][t]) for t in range(k))
+             for j in range(n)] for i in range(n)]
+
+
+def _wide_congruence(rng, rows):
+    """D A D for a diagonal D of 200-bit rationals with distinct denominators;
+    it keeps the rank, every leading minor's zero-ness and sign, and PSD."""
+    d = [Fraction(rng.getrandbits(200) | 1, rng.getrandbits(64) | 1) * rng.choice((1, -1))
+         for _ in rows]
+    return [[d[i] * x * d[j] for j, x in enumerate(row)] for i, row in enumerate(rows)]
+
+
+def _profile_case(rng, n):
+    """A square matrix drawn to reach every branch of the one-pass profile."""
+    kind = rng.randrange(5)
+    if kind == 0:  # sparse symmetric: zero pivots over nonzero trailing blocks
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = Fraction(rng.choice((0, 0, rng.randint(-2, 2))))
+        return rows
+    if kind == 1:  # PSD of any rank, often without generic rank profile
+        return _gram(rng, n, rng.randint(0, n))
+    if kind in (2, 3):  # indefinite or semidefinite of any rank, kind 3 with wide entries
+        k = rng.randint(1, n)
+        rows = _gram(rng, n, k, [rng.choice((1, -1)) for _ in range(k)])
+        return rows if kind == 2 else _wide_congruence(rng, rows)
+    return [[Fraction(rng.choice((0, rng.randint(-3, 3))), rng.randint(1, 3))
+             for _ in range(n)] for _ in range(n)]
+
+
+class TestStressProfileAgainstOracle:
+    """``validate_stress_matrix`` and ``has_generic_rank_profile`` decide rank,
+    generic rank profile and PSD in one pass; each fact is checked against
+    sympy's rank, cofactor leading minors and the principal-minor PSD test."""
+
+    @staticmethod
+    def check(rows):
+        m = Matrix(rows)
+        n = len(rows)
+        symmetric = all(rows[i][j] == rows[j][i] for i in range(n) for j in range(n))
+        rk, grp = oracles.rank_and_generic_profile(rows)
+        psd = symmetric and oracles.principal_minors_nonneg(rows)
+        rep = validate_stress_matrix(_line_framework(n), m)
+        assert (rep.rank, rep.generic_rank_profile, rep.psd) == (rk, symmetric and grp, psd)
+        if symmetric:
+            assert has_generic_rank_profile(m) == (grp, rk)
+        return symmetric, rk, grp, psd
+
+    @pytest.mark.parametrize("rows, expected", [
+        ([[0, 0, 0]] * 3, (True, 0, True, True)),
+        ([[0, 1], [1, 0]], (True, 2, False, False)),
+        ([[1, 1, 0], [1, 1, 0], [0, 0, 0]], (True, 1, True, True)),
+        ([[2, 1, 1], [1, 1, 0], [1, 0, 1]], (True, 2, True, True)),
+        ([[-1, 0], [0, -2]], (True, 2, True, False)),
+        ([[1, 2], [2, 1]], (True, 2, True, False)),
+        ([[1, 1, 0], [1, 1, 0], [0, 0, -1]], (True, 2, False, False)),
+        ([[0, 0], [0, 1]], (True, 1, False, True)),
+        ([[1, 0, 0], [0, 0, 0], [0, 0, 1]], (True, 2, False, True)),
+        ([[1, 2], [3, 4]], (False, 2, True, False)),
+        ([[0, 1], [0, 0]], (False, 1, False, False)),
+    ])
+    def test_named_cases(self, rows, expected):
+        assert self.check([[Fraction(x) for x in row] for row in rows]) == expected
+
+    @pytest.mark.parametrize("base", [
+        [[1, 1, 2, 0], [1, 2, 3, 3], [2, 3, 5, 3], [0, 3, 3, 9]],  # PSD, rank 2, generic
+        [[1, 2, 0], [2, 1, 1], [0, 1, 3]],  # indefinite, full rank
+        [[0, 0, 0], [0, 2, 1], [0, 1, 1]],  # PSD, not generic
+    ])
+    def test_wide_mixed_denominators(self, base):
+        rows = _wide_congruence(random.Random(7), [[Fraction(x) for x in row] for row in base])
+        assert min(abs(x.numerator).bit_length() for row in rows for x in row if x) > 300
+        assert len({x.denominator for row in rows for x in row}) > len(rows)
+        self.check(rows)
+
+    def test_seeded_matrices(self):
+        seen = set()
+        for seed in range(150):
+            rng = random.Random(seed)
+            symmetric, rk, grp, psd = self.check(_profile_case(rng, rng.randint(2, 6)))
+            seen.add((symmetric, rk == 0, grp, psd))
+        # Every combination the pass can report was reached.
+        assert seen >= {(True, True, True, True), (True, False, True, True),
+                        (True, False, True, False), (True, False, False, True),
+                        (True, False, False, False), (False, False, True, False),
+                        (False, False, False, False)}
 
 
 class TestPsiFactorization:
