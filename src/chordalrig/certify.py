@@ -1,12 +1,18 @@
 """Rigidity certificates for chordal frameworks in general position.
 
-The positive branch builds a Gale matrix in unit-triangular shape from an
-elimination ordering, one column per position among the first n - dim - 1;
-its Gram product Z Z^T is then a positive semidefinite stress matrix of the
-maximal rank, which certifies universal (hence global) rigidity. The
-negative branch extracts a small separating set from the ordering and
-reflects one side of it across a hyperplane, producing a framework with the
-same edge lengths that is provably not congruent.
+The positive branch builds a Gale matrix in unit-triangular shape from a
+perfect elimination ordering (PEO), one column per position among the
+first n - dim - 1. Column j is nonzero only at the vertex in position j and
+at dim+1 of its later neighbours, a clique, so the columns are kept sparse,
+in the original vertex labels, and each is solved by Cramer's rule. The
+Gram product Z Z^T is summed one column at a time; it is a positive
+semidefinite stress matrix of the maximal rank, which certifies universal
+(hence global) rigidity. Its stress clauses are re-checked over its
+nonzero entries, and PSD and rank by sparse symmetric elimination along the
+PEO, which fills in nothing outside the graph. The negative branch
+extracts a small separating set from the ordering and reflects one side of
+it across a hyperplane, producing a framework with the same edge lengths
+that is provably not congruent.
 """
 
 from __future__ import annotations
@@ -19,10 +25,16 @@ from typing import Iterable, Sequence
 
 from .exactmat import (
     Matrix,
+    SparseRows,
     ZeroPivot,
+    _dense,
+    _int_determinant,
+    _sparse_profile,
+    _sparse_rows,
     gauss_step_sequence,
     gauss_steps,
     null_space_basis,
+    rank,
     solve_linear,
 )
 from .framework import (
@@ -30,21 +42,25 @@ from .framework import (
     GaleMatrix,
     PatternViolation,
     StressMatrix,
-    extended_config_matrix,
+    _clause_failures,
+    _first_non_edge,
+    _in_gale_space,
+    _lifted_points,
+    _stress_clauses,
+    _stress_rows,
+    _triangular_violation,
     frameworks_congruent,
     frameworks_equivalent,
     is_general_position,
-    is_unit_triangular_gale,
-    validate_stress_matrix,
 )
 from .graphs import (
     Graph,
     Ordering,
     chordal_connectivity,
     components_after_removal,
-    higher_neighbors,
     is_chordal,
     is_peo,
+    mcs_order,
     relabel_to_positions,
     vertex_cut_of_size_at_most,
 )
@@ -130,25 +146,17 @@ class Hyperplane:
         return tuple(x - t * a for x, a in zip(point, self.normal))
 
 
-def _to_position_space(fw: Framework, peo: Ordering) -> Framework:
-    g2 = relabel_to_positions(fw.graph, peo)
-    pts = [fw.point(peo.vertex_at(i)) for i in range(1, fw.n + 1)]
-    return Framework(g2, fw.dim, pts)
-
-
 def _permute_square(m: Matrix, peo: Ordering) -> Matrix:
     idx = [peo.vertex_at(i) - 1 for i in range(1, m.rows + 1)]
     return m.select(idx, idx)
 
 
-def _unpermute_square(m: Matrix, peo: Ordering) -> Matrix:
-    idx = [peo.position_of(v) - 1 for v in range(1, m.rows + 1)]
-    return m.select(idx, idx)
+GaleColumns = list[dict[int, Fraction]]
 
 
-def _unpermute_rows(m: Matrix, peo: Ordering) -> Matrix:
-    idx = [peo.position_of(v) - 1 for v in range(1, m.rows + 1)]
-    return m.select(idx, range(m.cols))
+def _gale_matrix(columns: GaleColumns, n: int) -> GaleMatrix:
+    return GaleMatrix(Matrix.from_columns(
+        [[col.get(v, Fraction(0)) for v in range(n)] for col in columns], rows=n))
 
 
 def _check_gale_preconditions(fw: Framework, peo: Ordering, cap: int | None) -> None:
@@ -171,48 +179,86 @@ def unit_triangular_gale(fw: Framework, peo: Ordering, cap: int | None = None) -
     """Gale matrix in unit-triangular shape, built column by column.
 
     Requires a chordal framework in general position with connectivity at
-    least dim+1. Working in position space, column j expresses the lifted
-    point of position j as a combination of the dim+1 lowest-positioned
-    later neighbors; general position makes each system uniquely solvable.
-    Rows are returned in the original vertex labels.
+    least dim+1. Column j expresses the lifted point of the vertex in
+    position j as a combination of its dim+1 lowest-positioned later
+    neighbors; general position makes each system uniquely solvable.
+    Rows are in the original vertex labels.
     """
     _check_gale_preconditions(fw, peo, cap)
-    return _build_unit_triangular_gale(fw, peo)
+    return _gale_matrix(_gale_columns(fw, peo), fw.n)
 
 
-def _build_unit_triangular_gale(fw: Framework, peo: Ordering) -> GaleMatrix:
-    """The construction of ``unit_triangular_gale`` without its precondition
-    checks, for callers that have already established them."""
-    fw2 = _to_position_space(fw, peo)
-    g2 = fw2.graph
-    ident = Ordering.identity(fw.n)
+def _gale_columns(fw: Framework, peo: Ordering) -> GaleColumns:
+    """The columns of ``unit_triangular_gale`` as {0-based vertex: entry},
+    without its precondition checks, for callers that have established them.
+
+    Column j is 1 at the vertex v in position j and x_k at its dim+1
+    earliest later neighbours u_k, where sum_k x_k (u_k, 1) = -(v, 1). With
+    each point lifted once to the integer vector L = l (p, 1), l the lcm of
+    its denominators, Cramer's rule gives x_k = l_k det(A_k) / (l_v det A),
+    where A has the rows L_{u_k} and A_k has row k replaced by -L_v. Each
+    column is checked to lie in the Gale space and to keep the triangular
+    shape before it is returned.
+    """
     r = fw.dim
-    lifted = [list(fw2.point(v)) + [Fraction(1)] for v in range(1, fw.n + 1)]
+    lifted = _lifted_points(fw)
+    pos = peo.position_of
     columns = []
     for j in range(1, fw.rbar + 1):
-        later = sorted(higher_neighbors(g2, ident, j))
+        v = peo.vertex_at(j)
+        later = sorted((u for u in fw.graph.neighbors(v) if pos(u) > j), key=pos)
         if len(later) < r + 1:
             raise PreconditionViolated(
                 f"position {j} has only {len(later)} later neighbors, need {r + 1}")
-        support = later[:r + 1]
-        system = Matrix.from_columns([lifted[v - 1] for v in support])
-        rhs = [-x for x in lifted[j - 1]]
-        sol = solve_linear(system, rhs)
-        if not sol.is_unique:
+        support = [u - 1 for u in later[:r + 1]]
+        system = [lifted[u] for u in support]
+        det = _int_determinant(system)
+        if det == 0:
             raise AssertionFailure(
                 f"support of column {j} is degenerate despite general position")
-        col = [Fraction(0)] * fw.n
-        col[j - 1] = Fraction(1)
-        for v, x in zip(support, sol.solution):
-            col[v - 1] = x
+        target = [-x for x in lifted[v - 1]]
+        scale = lifted[v - 1][-1] * det
+        col = {v - 1: Fraction(1)}
+        for k, u in enumerate(support):
+            minor = _int_determinant(system[:k] + [target] + system[k + 1:])
+            if minor:
+                col[u] = Fraction(lifted[u][-1] * minor, scale)
+        if not _in_gale_space(lifted, [col]):
+            raise AssertionFailure(f"column {j} does not lie in the Gale space")
         columns.append(col)
-    z2 = Matrix.from_columns(columns, rows=fw.n)
-    if not (extended_config_matrix(fw2) * z2).is_zero:
-        raise AssertionFailure("constructed matrix does not lie in the Gale space")
-    ok, violation = is_unit_triangular_gale(z2, g2, ident)
-    if not ok:
+    violation = _triangular_violation(columns, fw.graph, peo)
+    if violation is not None:
         raise AssertionFailure(f"unit-triangular shape violated at {violation}")
-    return GaleMatrix(_unpermute_rows(z2, peo))
+    return columns
+
+
+def _gram_stress(fw: Framework, columns: GaleColumns, order: Ordering) -> StressMatrix:
+    """The Gram stress Z Z^T of sparse Gale columns, summed one column's
+    outer product at a time, with every stress clause re-checked.
+
+    Symmetry, the non-edge zeros and the kernel are checked over the
+    stored nonzero entries; PSD and rank rbar by ``_sparse_profile`` along
+    ``order``, which along a PEO touches one clique per step. A nonzero
+    non-edge entry raises PatternViolation; any other failed clause is a
+    bug and raises AssertionFailure.
+    """
+    rows: SparseRows = {v: {} for v in range(fw.n)}
+    for col in columns:
+        entries = list(col.items())
+        for k, (u, a) in enumerate(entries):
+            for w, b in entries[k:]:
+                rows[u][w] = rows[w][u] = rows[u].get(w, 0) + a * b
+    symmetric, non_edge, kernel_ok = _stress_clauses(fw, rows)
+    if non_edge is not None:
+        raise PatternViolation(*non_edge)
+    if not (symmetric and kernel_ok):
+        raise AssertionFailure(
+            f"Gram stress failed validation: {_clause_failures(symmetric, True, kernel_ok)}")
+    profile = _sparse_profile(rows, [v - 1 for v in order])
+    if profile != (fw.rbar, True):
+        raise AssertionFailure(
+            f"Gram stress is not PSD of rank {fw.rbar}: elimination gave {profile}")
+    return StressMatrix(_dense(rows, fw.n))
 
 
 def psd_stress_from_gale(fw: Framework, z: GaleMatrix) -> StressMatrix:
@@ -220,19 +266,12 @@ def psd_stress_from_gale(fw: Framework, z: GaleMatrix) -> StressMatrix:
 
     The product is PSD of rank rbar by construction; its non-edge entries
     must vanish, otherwise PatternViolation identifies a labeling bug. All
-    stress clauses are re-verified exactly before returning.
+    stress clauses are re-verified exactly before returning, PSD and rank
+    by sparse elimination along a maximum cardinality search order (a PEO
+    when the graph is chordal).
     """
-    zm = z.matrix
-    s = zm * zm.transpose()
-    n = fw.n
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if not fw.graph.has_edge(i, j) and s[i - 1, j - 1] != 0:
-                raise PatternViolation(i, j)
-    report = validate_stress_matrix(fw, s)
-    if not (report.is_stress_matrix and report.psd and report.rank == fw.rbar):
-        raise AssertionFailure(f"Gram stress failed validation: {report}")
-    return StressMatrix(s)
+    columns = list(_sparse_rows(z.matrix.transpose()).values())
+    return _gram_stress(fw, columns, mcs_order(fw.graph))
 
 
 def certify_chordal(fw: Framework, cap: int | None = None) -> Certificate:
@@ -259,8 +298,7 @@ def certify_chordal(fw: Framework, cap: int | None = None) -> Certificate:
         return Certificate(Verdict.INCONCLUSIVE, connectivity=kappa, peo=peo,
                            reason=Reason.SIMPLEX_CASE)
     if kappa >= fw.dim + 1:
-        z = _build_unit_triangular_gale(fw, peo)
-        stress = psd_stress_from_gale(fw, z)
+        stress = _gram_stress(fw, _gale_columns(fw, peo), peo)
         return Certificate(Verdict.UNIVERSALLY_RIGID, connectivity=kappa, peo=peo,
                            stress=stress)
     cut = vertex_cut_of_size_at_most(fw.graph, peo, fw.dim)
@@ -374,8 +412,10 @@ def psdize_stress(fw: Framework, s: Matrix, cap: int | None = None) -> PsdizeRes
     it already qualifies), rbar elimination steps leave the transposed Gale
     matrix in the first rbar rows; chordality guarantees the non-edge zeros
     survive, so the Gram product of that factor is again a stress: PSD, of
-    the same maximal rank. A vanishing leading principal minor raises
-    NotGenericRankProfile with the failing index.
+    the same maximal rank. The input's rank comes from sparse symmetric
+    elimination along the ordering, and from ``rank`` only when that meets
+    a zero pivot over a nonzero row. A vanishing leading principal minor
+    raises NotGenericRankProfile with the failing index.
     """
     chord = is_chordal(fw.graph)
     if not chord.chordal:
@@ -388,28 +428,28 @@ def psdize_stress(fw: Framework, s: Matrix, cap: int | None = None) -> PsdizeRes
         raise PreconditionViolated(f"points not in general position, witness {witness}")
     if fw.rbar < 1:
         raise PreconditionViolated("simplex framework: no nonzero stress exists")
-    report = validate_stress_matrix(fw, s)
-    if not report.is_stress_matrix:
-        raise PreconditionViolated(f"input is not a stress matrix: {report.failures()}")
-    if report.rank != fw.rbar:  # permuting rows and columns keeps the rank
+    rows = _stress_rows(fw, s)
+    symmetric, non_edge, kernel_ok = _stress_clauses(fw, rows)
+    if not (symmetric and non_edge is None and kernel_ok):
+        raise PreconditionViolated("input is not a stress matrix: "
+                                   f"{_clause_failures(symmetric, non_edge is None, kernel_ok)}")
+    profile = _sparse_profile(rows, [v - 1 for v in peo])
+    stress_rank = rank(s) if profile is None else profile[0]
+    if stress_rank != fw.rbar:
         raise PreconditionViolated(
-            f"stress rank {report.rank} differs from the maximal {fw.rbar}")
-    s2 = _permute_square(s, peo)
-    fw2 = _to_position_space(fw, peo)
+            f"stress rank {stress_rank} differs from the maximal {fw.rbar}")
     try:
-        eliminated = gauss_step_sequence(s2, fw.rbar)
+        eliminated = gauss_step_sequence(_permute_square(s, peo), fw.rbar)
     except ZeroPivot as exc:  # the first zero pivot is the first vanishing leading minor
         raise NotGenericRankProfile(exc.step) from exc
-    z2 = Matrix([eliminated.row(i) for i in range(fw.rbar)],
-                shape=(fw.rbar, fw.n)).transpose()
-    ok, violation = is_unit_triangular_gale(z2, fw2.graph, ident)
-    if not ok:
+    columns = [{peo.vertex_at(i + 1) - 1: x for i, x in enumerate(eliminated.row(j)) if x}
+               for j in range(fw.rbar)]
+    violation = _triangular_violation(columns, fw.graph, peo)
+    if violation is not None:
         raise AssertionFailure(f"eliminated factor lost the triangular shape at {violation}")
-    gale2 = GaleMatrix(z2)
-    stress2 = psd_stress_from_gale(fw2, gale2)
     return PsdizeResult(
-        stress=StressMatrix(_unpermute_square(stress2.matrix, peo)),
-        gale=GaleMatrix(_unpermute_rows(z2, peo)),
+        stress=_gram_stress(fw, columns, peo),
+        gale=_gale_matrix(columns, fw.n),
         eliminated=eliminated,
         peo=peo,
     )
@@ -426,14 +466,6 @@ def elimination_preserves_zero_pattern(graph: Graph, peo: Ordering, a: Matrix,
     if (a.rows, a.cols) != (n, n):
         raise PreconditionViolated(f"matrix must be {n}x{n}")
     a2 = _permute_square(a, peo)
-    non_edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
-                 if not graph.has_edge(peo.vertex_at(i), peo.vertex_at(j))]
-    for pair in non_edges:
-        i, j = pair
-        if a2[i - 1, j - 1] != 0 or a2[j - 1, i - 1] != 0:
-            return False
-    for stage in gauss_steps(a2, k):
-        for i, j in non_edges:
-            if stage[i - 1, j - 1] != 0 or stage[j - 1, i - 1] != 0:
-                return False
-    return True
+    g2 = relabel_to_positions(graph, peo)
+    return all(_first_non_edge(g2, _sparse_rows(stage)) is None
+               for stage in itertools.chain([a2], gauss_steps(a2, k)))

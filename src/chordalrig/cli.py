@@ -3,7 +3,8 @@
 Exit codes: 0 when a verdict was reached (any verdict), 1 when a
 mathematical hypothesis failed (for example a vanishing leading minor),
 2 for usage errors, 3 for malformed input files, 4 when a subset sweep
-would exceed its size cap (raise it with --cap-subsets).
+would exceed its size cap (raise it with --cap-subsets) or an input graph
+or framework has more vertices than ``jsonio.MAX_VERTICES``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import click
 from .certify import (
     CertifyError,
     NotGenericRankProfile,
+    Reason,
     Verdict,
     certify_chordal,
     psdize_stress,
@@ -43,6 +45,7 @@ from .graphs import (
     vertex_cut_of_size_at_most,
 )
 from .jsonio import (
+    InputTooLarge,
     ParseError,
     certificate_to_obj,
     framework_from_obj,
@@ -82,6 +85,8 @@ def _limit_error(exc) -> None:
 def _load_framework(path: str):
     try:
         return load_framework(path)
+    except InputTooLarge as exc:
+        _limit_error(exc)
     except (ParseError, OSError) as exc:
         _input_error(exc)
 
@@ -116,8 +121,14 @@ def analyze(framework_file, output, fmt, cap_subsets):
     fw = _load_framework(framework_file)
     try:
         cert = certify_chordal(fw, cap=cap_subsets)
-        gp, gp_witness = is_general_position(
-            fw, **({} if cap_subsets is None else {"cap": cap_subsets}))
+        # certify_chordal sweeps for general position only on a chordal graph
+        if cert.peo is None:
+            gp, gp_witness = is_general_position(
+                fw, **({} if cap_subsets is None else {"cap": cap_subsets}))
+        elif cert.reason is Reason.NOT_GENERAL_POSITION:
+            gp, gp_witness = False, cert.detail
+        else:
+            gp, gp_witness = True, None
     except _CAP_ERRORS as exc:
         _limit_error(exc)
     except (CertifyError, FrameworkError, GraphError, ExactMatError) as exc:
@@ -289,6 +300,8 @@ def chordal(input_file):
             g = framework_from_obj(obj, where=str(input_file)).graph
         else:
             g = graph_from_obj(obj, where=str(input_file))
+    except InputTooLarge as exc:
+        _limit_error(exc)
     except (ParseError, OSError) as exc:
         _input_error(exc)
     result = is_chordal(g)

@@ -2,6 +2,11 @@
 
 Every entry is a Python Fraction, so all results are exact. Floats are
 rejected outright; there is no rounding anywhere in this module.
+Determinants and the one-pass rank profile run integer Bareiss
+elimination after clearing denominators. One kernel works on sparse rows
+instead (``SparseRows``, {row: {column: entry}}): symmetric exchange-free
+elimination in a given order, which decides PSD and rank touching only the
+entries that elimination changes.
 """
 
 from __future__ import annotations
@@ -195,14 +200,9 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
-def gauss_steps(a: Matrix, t: int) -> Iterator[Matrix]:
-    """Yield the matrix after each of the first ``t`` elimination steps.
-
-    Step s divides row s by its pivot, zeroes column s below the pivot and
-    applies the Schur update to the trailing block. No row exchanges are
-    performed: a zero pivot raises ZeroPivot(s). Rows above the pivot are
-    never touched again, so the processed staircase has unit pivots.
-    """
+def _gauss_rows(a: Matrix, t: int) -> Iterator[list[list[Fraction]]]:
+    """The working rows of ``gauss_steps``, yielded (and then mutated in
+    place) after each step."""
     if not 0 <= t <= min(a.rows, a.cols):
         raise DimensionMismatch(f"step count {t} out of range for {a.rows}x{a.cols}")
     g = a.to_lists()
@@ -219,15 +219,27 @@ def gauss_steps(a: Matrix, t: int) -> Iterator[Matrix]:
             if f:
                 for j in range(s, a.cols):
                     row[j] -= f * pivot_row[j] / p
+        yield g
+
+
+def gauss_steps(a: Matrix, t: int) -> Iterator[Matrix]:
+    """Yield the matrix after each of the first ``t`` elimination steps.
+
+    Step s divides row s by its pivot, zeroes column s below the pivot and
+    applies the Schur update to the trailing block. No row exchanges are
+    performed: a zero pivot raises ZeroPivot(s). Rows above the pivot are
+    never touched again, so the processed staircase has unit pivots.
+    """
+    for g in _gauss_rows(a, t):
         yield Matrix(g, shape=(a.rows, a.cols))
 
 
 def gauss_step_sequence(a: Matrix, t: int) -> Matrix:
     """Matrix after the first ``t`` exchange-free elimination steps (t=0 returns a)."""
-    result = a
-    for result in gauss_steps(a, t):
+    g = None
+    for g in _gauss_rows(a, t):
         pass
-    return result
+    return a if g is None else Matrix(g, shape=(a.rows, a.cols))
 
 
 def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -378,6 +390,67 @@ def has_generic_rank_profile(a: Matrix) -> tuple[bool, int]:
     if profile is None:
         return False, rank(a)
     return True, profile[0]
+
+
+SparseRows = dict[int, dict[int, Fraction]]
+
+
+def _sparse_rows(a: Matrix) -> SparseRows:
+    """The nonzero entries of ``a`` as {row: {column: value}}, 0-based."""
+    return {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(a.data)}
+
+
+def _dense(rows: SparseRows, n: int) -> Matrix:
+    """The n x n matrix whose entries absent from ``rows`` are zero."""
+    zero = Fraction(0)
+    return Matrix([[rows[i].get(j, zero) for j in range(n)] for i in range(n)],
+                  shape=(n, n))
+
+
+def _sparse_profile(rows: SparseRows, order: Sequence[int]) -> tuple[int, bool] | None:
+    """Symmetric exchange-free elimination over sparse rows, in ``order``.
+
+    ``rows`` holds the entries of a symmetric matrix by row, zeros omitted
+    or not; ``order`` lists every row index once. A nonzero pivot d at v is
+    eliminated: each entry (u, w) of v's remaining neighbours loses
+    a_uv a_vw / d, so only the clique they span changes, and along a
+    perfect elimination ordering of the matrix's pattern nothing fills in.
+    A zero pivot over an all-zero row removes v unchanged.
+
+    When every step is one of those two, the matrix is congruent to the
+    diagonal of its pivots: returns ``(rank, positive)``, with the rank the
+    number of nonzero pivots, and the matrix PSD exactly when ``positive``
+    (every nonzero pivot is positive). A zero pivot over a nonzero row
+    returns None: a congruent matrix then has a principal block
+    [[0, a], [a, d]] with a != 0, so the matrix is not PSD. The answer does
+    not depend on the order; the order only sets the fill, hence the work.
+    """
+    work = {v: {w: x for w, x in row.items() if x} for v, row in rows.items()}
+    if sorted(order) != sorted(work):
+        raise DimensionMismatch("the order must list every row index exactly once")
+    count = 0
+    positive = True
+    for v in order:
+        row = work.pop(v)
+        pivot = row.pop(v, 0)
+        if not pivot:
+            if row:
+                return None
+            continue
+        count += 1
+        positive = positive and pivot > 0
+        neighbours = list(row.items())
+        for u, a in neighbours:
+            urow = work[u]
+            del urow[v]
+            f = a / pivot
+            for w, b in neighbours:
+                x = urow.get(w, 0) - f * b
+                if x:
+                    urow[w] = x
+                else:
+                    urow.pop(w, None)
+    return count, positive
 
 
 def _rref(a: Matrix) -> tuple[list[list[Fraction]], list[int]]:

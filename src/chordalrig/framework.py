@@ -21,9 +21,11 @@ from .exactmat import (
     DimensionMismatch,
     Matrix,
     SingularMatrix,
+    SparseRows,
     _int_determinant,
     _integer_row,
     _leading_profile,
+    _sparse_rows,
     inverse,
     null_space_basis,
     psd_check,
@@ -170,10 +172,7 @@ def is_general_position(fw: Framework, cap: int = DEFAULT_POSITION_CAP
     total = math.comb(fw.n, k)
     if total > cap:
         raise SizeCapExceededError(f"{total} subsets exceed the cap of {cap}")
-    lifted = []
-    for p in fw.points:
-        ints, l = _integer_row(p)
-        lifted.append(ints + [l])
+    lifted = _lifted_points(fw)
     for subset in itertools.combinations(range(fw.n), k):
         if _int_determinant([lifted[v] for v in subset]) == 0:
             return False, tuple(v + 1 for v in subset)
@@ -318,34 +317,95 @@ class StressReport:
         return self.symmetric and self.pattern_ok and self.kernel_ok
 
     def failures(self) -> list[str]:
-        out = []
-        if not self.symmetric:
-            out.append("not symmetric")
-        if not self.pattern_ok:
-            out.append("nonzero on a non-edge")
-        if not self.kernel_ok:
-            out.append("does not kill the extended configuration")
-        return out
+        return _clause_failures(self.symmetric, self.pattern_ok, self.kernel_ok)
+
+
+def _clause_failures(symmetric: bool, pattern_ok: bool, kernel_ok: bool) -> list[str]:
+    out = []
+    if not symmetric:
+        out.append("not symmetric")
+    if not pattern_ok:
+        out.append("nonzero on a non-edge")
+    if not kernel_ok:
+        out.append("does not kill the extended configuration")
+    return out
+
+
+def _first_non_edge(graph: Graph, rows: SparseRows) -> tuple[int, int] | None:
+    """The lexicographically first 1-based non-edge (i, j), i < j, at which
+    either entry of the matrix held by ``rows`` (0-based, as in
+    ``exactmat``) is nonzero; None when the matrix vanishes off the edges."""
+    return min(((min(u, w) + 1, max(u, w) + 1)
+                for u, row in rows.items() for w, x in row.items()
+                if x and u != w and not graph.has_edge(u + 1, w + 1)), default=None)
+
+
+def _stress_clauses(fw: Framework, rows: SparseRows
+                    ) -> tuple[bool, tuple[int, int] | None, bool]:
+    """The stress clauses of a matrix held as sparse rows, over its stored
+    entries only: whether it is symmetric, its first non-edge nonzero
+    (``_first_non_edge``), and whether it kills the extended configuration,
+    i.e. whether each of its columns lies in the Gale space."""
+    symmetric = all(rows[w].get(u, 0) == x for u, row in rows.items() for w, x in row.items())
+    columns: SparseRows = {}
+    for u, row in rows.items():
+        for w, x in row.items():
+            columns.setdefault(w, {})[u] = x
+    kernel_ok = _in_gale_space(_lifted_points(fw), columns.values())
+    return symmetric, _first_non_edge(fw.graph, rows), kernel_ok
+
+
+def _lifted_points(fw: Framework) -> list[list[int]]:
+    """Each point p lifted to the integer vector l (p, 1), with l the lcm
+    of its denominators."""
+    lifted = []
+    for p in fw.points:
+        ints, l = _integer_row(p)
+        lifted.append(ints + [l])
+    return lifted
+
+
+def _in_gale_space(lifted: Sequence[Sequence[int]],
+                   vectors: Iterable[Mapping[int, Fraction]]) -> bool:
+    """Whether each vector {0-based vertex: x} has sum x (p_v, 1) = 0.
+
+    ``lifted`` holds the points as ``_lifted_points`` gives them, L_v =
+    l_v (p_v, 1); the sum is that of (x / l_v) L_v, checked in integers
+    after scaling by a common denominator of the x / l_v.
+    """
+    for vec in vectors:
+        dens = [x.denominator * lifted[v][-1] for v, x in vec.items()]
+        common = math.lcm(*dens)
+        total = [0] * len(lifted[0])
+        for (v, x), d in zip(vec.items(), dens):
+            m = x.numerator * (common // d)
+            total = [t + m * y for t, y in zip(total, lifted[v])]
+        if any(total):
+            return False
+    return True
+
+
+def _stress_rows(fw: Framework, s: Matrix) -> SparseRows:
+    """The sparse rows of a candidate stress, which must be n x n."""
+    n = fw.n
+    if (s.rows, s.cols) != (n, n):
+        raise DimensionMismatch(f"stress must be {n}x{n}, got {s.rows}x{s.cols}")
+    return _sparse_rows(s)
 
 
 def validate_stress_matrix(fw: Framework, s: Matrix) -> StressReport:
     """Evaluate every stress-matrix clause on an arbitrary square matrix.
 
-    For a symmetric matrix one exchange-free integer Bareiss pass yields
-    the rank, the generic rank profile and, through the signs of its
-    pivots, positive semidefiniteness; ``rank`` and ``psd_check`` run
-    only when that pass finds the profile not generic. A matrix that is
-    not symmetric gets its rank alone and fails both other clauses.
+    Symmetry, the non-edge zeros and the kernel are checked over the
+    nonzero entries. For a symmetric matrix one exchange-free integer
+    Bareiss pass yields the rank, the generic rank profile and, through
+    the signs of its pivots, positive semidefiniteness; ``rank`` and
+    ``psd_check`` run only when that pass finds the profile not generic.
+    A matrix that is not symmetric gets its rank alone and fails both
+    other clauses.
     """
-    n = fw.n
-    if (s.rows, s.cols) != (n, n):
-        raise DimensionMismatch(f"stress must be {n}x{n}, got {s.rows}x{s.cols}")
-    symmetric = s.is_symmetric
-    pattern_ok = all(
-        s[i - 1, j - 1] == 0 and s[j - 1, i - 1] == 0
-        for i in range(1, n + 1) for j in range(i + 1, n + 1)
-        if not fw.graph.has_edge(i, j))
-    kernel_ok = (extended_config_matrix(fw) * s).is_zero
+    symmetric, non_edge, kernel_ok = _stress_clauses(fw, _stress_rows(fw, s))
+    pattern_ok = non_edge is None
     profile = _leading_profile(s) if symmetric else None
     if profile is not None:
         rk, psd = profile
@@ -388,11 +448,9 @@ def stress_from_psi(fw: Framework, z: GaleMatrix, psi: Matrix) -> StressMatrix:
     if psi.rows != zm.cols:
         raise DimensionMismatch("Psi size does not match the Gale matrix")
     s = zm * psi * zm.transpose()
-    n = fw.n
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if not fw.graph.has_edge(i, j) and s[i - 1, j - 1] != 0:
-                raise PatternViolation(i, j)
+    non_edge = _first_non_edge(fw.graph, _sparse_rows(s))
+    if non_edge is not None:
+        raise PatternViolation(*non_edge)
     return StressMatrix(s)
 
 
@@ -410,21 +468,26 @@ def is_unit_triangular_gale(z: Matrix, graph: Graph, peo: Ordering
         raise DimensionMismatch(f"Gale matrix has {z.rows} rows for {n} vertices")
     if len(peo) != n:
         raise DimensionMismatch("ordering length does not match the graph")
-    for i in range(1, n + 1):
-        vi = peo.vertex_at(i)
-        for j in range(1, z.cols + 1):
-            e = z[vi - 1, j - 1]
-            if i == j:
-                if e != 1:
-                    return False, (i, j)
-            elif i < j:
-                if e != 0:
-                    return False, (i, j)
-            else:
-                vj = peo.vertex_at(j)
-                if not graph.has_edge(vi, vj) and e != 0:
-                    return False, (i, j)
-    return True, None
+    violation = _triangular_violation(list(_sparse_rows(z.transpose()).values()), graph, peo)
+    return violation is None, violation
+
+
+def _triangular_violation(columns: Sequence[Mapping[int, Fraction]], graph: Graph,
+                          peo: Ordering) -> tuple[int, int] | None:
+    """The first (row-major) position pair (i, j) at which the Gale matrix
+    with these sparse columns ({0-based vertex: entry}, in original labels)
+    leaves the unit-triangular shape of ``is_unit_triangular_gale``."""
+    pos = peo.position_of
+    bad = []
+    for j, col in enumerate(columns, 1):
+        v = peo.vertex_at(j) if j <= len(peo) else None
+        if v is not None and col.get(v - 1, 0) != 1:
+            bad.append((j, j))
+        for u, x in col.items():
+            i = pos(u + 1)
+            if x and i != j and (i < j or not graph.has_edge(v, u + 1)):
+                bad.append((i, j))
+    return min(bad, default=None)
 
 
 def _sq_dist(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:

@@ -20,11 +20,25 @@ from .graphs import Graph
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
+# Largest vertex count a graph or framework file may declare. A graph
+# allocates per vertex, so without a bound a file of a few bytes could ask
+# for any amount of memory.
+MAX_VERTICES = 10_000
+
 
 class ParseError(Exception):
     def __init__(self, message: str, where: str = ""):
         self.where = where
         super().__init__(f"{where}: {message}" if where else message)
+
+
+class InputTooLarge(Exception):
+    """A well-formed input declares more vertices than ``MAX_VERTICES``."""
+
+
+def _check_vertex_count(n: int, where: str) -> None:
+    if n > MAX_VERTICES:
+        raise InputTooLarge(f"{where}: {n} vertices exceed the bound of {MAX_VERTICES}")
 
 
 def parse_rational(value, where: str) -> Fraction:
@@ -95,6 +109,7 @@ def graph_from_obj(obj, where: str = "graph") -> Graph:
     n = _expect_int(obj["n"], f"{where}.n")
     if n < 1:
         raise ParseError("vertex count must be positive", f"{where}.n")
+    _check_vertex_count(n, f"{where}.n")
     edges = _parse_edges(obj.get("edges", []), n, f"{where}.edges")
     return Graph(n, edges)
 
@@ -119,6 +134,7 @@ def framework_from_obj(obj, where: str = "framework") -> Framework:
     raw_points = _expect_list(obj["points"], f"{where}.points")
     if not raw_points:
         raise ParseError("at least one point required", f"{where}.points")
+    _check_vertex_count(len(raw_points), f"{where}.points")
     points = []
     for i, rp in enumerate(raw_points):
         spot = f"{where}.points[{i}]"

@@ -128,3 +128,24 @@ def is_chordal_simplicial(n, edges):
         else:
             return False
     return True
+
+
+def unit_triangular_gale_by_solving(points, edges, order):
+    """The unit-triangular Gale matrix of a chordal framework, as n rows of
+    n-r-1 Fractions, each column solved by sympy: column j is 1 at the
+    vertex v in position j of ``order`` and, at the r+1 earliest-positioned
+    later neighbours u_k of v, the solution x of sum x_k (p_{u_k}, 1) =
+    -(p_v, 1)."""
+    n, r = len(points), len(points[0])
+    adj = _adjacency(n, edges)
+    pos = {v: i for i, v in enumerate(order, 1)}
+    z = [[Fraction(0)] * (n - r - 1) for _ in range(n)]
+    for j in range(1, n - r):
+        v = order[j - 1]
+        support = sorted((u for u in adj[v] if pos[u] > j), key=pos.get)[:r + 1]
+        a = sym_matrix([[*points[u - 1], 1] for u in support]).T
+        b = sym_matrix([[-x] for x in (*points[v - 1], 1)])
+        z[v - 1][j - 1] = Fraction(1)
+        for u, x in zip(support, a.LUsolve(b)):
+            z[u - 1][j - 1] = Fraction(int(x.p), int(x.q))
+    return z

@@ -1,15 +1,24 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from chordalrig import certify, cli
 from chordalrig.certify import unit_triangular_gale
 from chordalrig.cli import EXIT_LIMIT, main
 from chordalrig.exactmat import Matrix
-from chordalrig.framework import Framework, StressMatrix, gale_matrix, stress_from_psi
+from chordalrig.framework import (
+    Framework,
+    StressMatrix,
+    gale_matrix,
+    is_general_position,
+    stress_from_psi,
+)
 from chordalrig.graphs import Graph, Ordering
 from chordalrig.jsonio import (
+    MAX_VERTICES,
     framework_to_obj,
     graph_to_obj,
     matrix_to_lists,
@@ -105,6 +114,34 @@ class TestAnalyze:
         obj = json.loads(dest.read_text())
         assert obj["verdict"] == "UniversallyRigid"
         assert "verdict: UniversallyRigid" in lines_of(result)
+
+
+    @pytest.mark.parametrize("name, witness", [
+        ("hexagon", None), ("k5me", (1, 2, 3)), ("path3", None), ("prism", None)])
+    def test_one_sweep_per_run(self, runner, files, monkeypatch, name, witness):
+        calls = []
+
+        def counted(fw, **kwargs):
+            calls.append(fw.n)
+            return is_general_position(fw, **kwargs)
+
+        monkeypatch.setattr(certify, "is_general_position", counted)
+        monkeypatch.setattr(cli, "is_general_position", counted)
+        result = runner.invoke(main, ["analyze", files[name]])
+        assert result.exit_code == 0
+        assert len(calls) == 1
+        out = lines_of(result)
+        assert ("general position: yes" if witness is None else "general position: no") in out
+        if witness is not None:
+            assert "degenerate subset: " + " ".join(map(str, witness)) in out
+
+    @pytest.mark.parametrize("name", ["hexagon", "prism"])
+    def test_cap_hit_exits_with_limit_code(self, runner, files, name):
+        # Both have C(6, 3) = 20 subsets; the prism is swept by analyze
+        # itself, the chordal hexagon inside certify_chordal.
+        result = runner.invoke(main, ["analyze", files[name], "--cap-subsets", "19"])
+        assert result.exit_code == EXIT_LIMIT
+        assert "20 subsets exceed the cap of 19" in result.stderr
 
 
 class TestCertify:
@@ -369,6 +406,39 @@ class TestErrorHandling:
         result = runner.invoke(main, ["psdize", str(fw_path), "--stress", str(stress_path)])
         assert result.exit_code == 3
         assert "too long to parse" in result.stderr
+
+
+class TestVertexBound:
+    def test_tiny_file_with_huge_n_is_a_limit(self, runner, tmp_path):
+        path = tmp_path / "huge_n.json"
+        path.write_text('{"n": 1000000, "edges": []}')
+        assert path.stat().st_size == 27
+        start = time.perf_counter()
+        result = runner.invoke(main, ["chordal", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == EXIT_LIMIT
+        assert f"1000000 vertices exceed the bound of {MAX_VERTICES}" in result.stderr
+
+    def test_bound_is_inclusive(self, runner, tmp_path):
+        path = tmp_path / "at_bound.json"
+        write_json(path, {"n": MAX_VERTICES, "edges": []})
+        result = runner.invoke(main, ["chordal", str(path)])
+        assert result.exit_code == 0
+        assert lines_of(result)[0] == "chordal: yes"
+
+    @pytest.mark.parametrize("command", ["analyze", "certify", "psdize", "stress-check",
+                                         "gale", "reflect", "plot", "chordal"])
+    def test_framework_with_too_many_points_is_a_limit(self, runner, files, tmp_path,
+                                                       command):
+        path = tmp_path / "many_points.json"
+        path.write_text(json.dumps({"dim": 1, "points": [["0"]] * (MAX_VERTICES + 1),
+                                    "edges": []}))
+        args = [command, str(path)]
+        if command in ("psdize", "stress-check"):
+            args += ["--stress", files["hexagon_stress"]]
+        result = runner.invoke(main, args)
+        assert result.exit_code == EXIT_LIMIT
+        assert f"{MAX_VERTICES + 1} vertices exceed the bound" in result.stderr
 
 
 class TestSubsetCap:

@@ -495,6 +495,20 @@ class TestUnitTriangularShape:
         ok, spot = is_unit_triangular_gale(bad, hexagon.fw.graph, Ordering.identity(6))
         assert not ok and spot == (1, 2)
 
+    @pytest.mark.parametrize("changes, spot", [
+        ([(5, 0)], (6, 1)),  # vertex 6 is not adjacent to vertex 1
+        ([(5, 0), (4, 0)], (5, 1)),
+        ([(5, 0), (4, 0), (1, 2)], (2, 3)),  # above the diagonal
+        ([(5, 0), (2, 2)], (3, 3)),  # the unit diagonal
+    ])
+    def test_first_violation_in_row_major_order(self, hexagon, changes, spot):
+        rows = hexagon.gale.to_lists()
+        for i, j in changes:
+            rows[i][j] += 3
+        ok, found = is_unit_triangular_gale(Matrix(rows), hexagon.fw.graph,
+                                            Ordering.identity(6))
+        assert not ok and found == spot
+
     def test_rref_basis_fails(self, hexagon):
         z = gale_matrix(hexagon.fw)
         ok, _ = is_unit_triangular_gale(z.matrix, hexagon.fw.graph, Ordering.identity(6))

@@ -2,11 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from chordalrig import jsonio
 from chordalrig.certify import certify_chordal
 from chordalrig.exactmat import Matrix
 from chordalrig.framework import Framework, StressMatrix
 from chordalrig.graphs import Graph
 from chordalrig.jsonio import (
+    MAX_VERTICES,
+    InputTooLarge,
     ParseError,
     certificate_to_obj,
     framework_from_obj,
@@ -96,6 +99,22 @@ class TestGraphObj:
     def test_non_object_rejected(self):
         with pytest.raises(ParseError):
             graph_from_obj([1, 2])
+
+
+    @pytest.mark.parametrize("obj, where", [
+        ({"n": MAX_VERTICES + 1, "edges": []}, r"graph\.n"),
+        ({"dim": 1, "points": [["0"]] * (MAX_VERTICES + 1), "edges": []},
+         r"framework\.points"),
+    ])
+    def test_vertex_bound_checked_before_allocation(self, monkeypatch, obj, where):
+        def no_graph(*args, **kwargs):
+            pytest.fail("a graph was allocated")
+
+        monkeypatch.setattr(jsonio, "Graph", no_graph)
+        parse = graph_from_obj if "n" in obj else framework_from_obj
+        with pytest.raises(InputTooLarge, match=where) as err:
+            parse(obj)
+        assert not isinstance(err.value, ParseError)
 
 
 class TestFrameworkObj:

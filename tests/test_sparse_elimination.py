@@ -1,0 +1,348 @@
+"""The sparse symmetric elimination kernel and the sparse Gale/Gram path.
+
+``exactmat._sparse_profile`` decides PSD and rank by exchange-free
+symmetric elimination in any order. It is compared here with the dense
+one-pass profile ``_leading_profile``, with ``psd_check``, with sympy's
+rank and with the principal-minor PSD test, on chordal and non-chordal
+patterns, in perfect elimination orderings and in orders that are not,
+with zero pivots over zero and over nonzero rows, and on indefinite and
+rank-deficient matrices. The sparse unit-triangular Gale builder is
+compared with a sympy solve of the same column systems, and the
+certificate stress with the dense Gram product.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import helpers
+import oracles
+from chordalrig import certify
+from chordalrig.certify import (
+    AssertionFailure,
+    PreconditionViolated,
+    certify_chordal,
+    psd_stress_from_gale,
+    psdize_stress,
+    unit_triangular_gale,
+)
+from chordalrig.exactmat import (
+    DimensionMismatch,
+    Matrix,
+    _leading_profile,
+    _sparse_profile,
+    _sparse_rows,
+    gauss_step_sequence,
+    psd_check,
+    rank,
+)
+from chordalrig.framework import (
+    DegenerateSpan,
+    Framework,
+    GaleMatrix,
+    PatternViolation,
+    _first_non_edge,
+    gale_matrix,
+    is_general_position,
+    random_general_position_framework,
+    stress_from_psi,
+    validate_stress_matrix,
+)
+from chordalrig.graphs import Graph, gen_ktree, is_chordal, is_peo, mcs_order, Ordering
+
+F = Fraction
+
+
+def profile(rows, order):
+    return _sparse_profile(_sparse_rows(Matrix(rows)), order)
+
+
+def fractions(rows):
+    return [[F(x) for x in row] for row in rows]
+
+
+class TestNamedCases:
+    @pytest.mark.parametrize("rows, order, expected", [
+        ([[0, 0], [0, 0]], [0, 1], (0, True)),
+        ([[0, 1], [1, 0]], [0, 1], None),
+        ([[0, 1], [1, 0]], [1, 0], None),
+        # the second pivot is zero over a row that elimination zeroed
+        ([[1, 1], [1, 1]], [0, 1], (1, True)),
+        ([[0, 1], [1, 1]], [0, 1], None),
+        ([[0, 1], [1, 1]], [1, 0], (2, False)),
+        ([[1, 0, 0], [0, 0, 0], [0, 0, -1]], [0, 1, 2], (2, False)),
+        # a zero leading row is skipped where the dense profile gives up
+        ([[0, 0, 0], [0, 2, 1], [0, 1, 1]], [0, 1, 2], (2, True)),
+        ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], [0, 1, 2], None),
+        ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], [2, 1, 0], None),
+        ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [1, 0, 2], (3, True)),
+        ([[-2, 1], [1, -2]], [0, 1], (2, False)),
+    ])
+    def test_named(self, rows, order, expected):
+        rows = fractions(rows)
+        assert profile(rows, order) == expected
+        TestAgainstDensePaths.check(rows, order)
+
+    @pytest.mark.parametrize("order", [[0], [0, 1, 1], [1, 2], [0, 1, 2]])
+    def test_order_must_list_every_row_once(self, order):
+        with pytest.raises(DimensionMismatch):
+            profile(fractions([[1, 0], [0, 1]]), order)
+
+    def test_input_rows_are_not_modified(self):
+        rows = _sparse_rows(Matrix([[1, 1], [1, 2]]))
+        before = {v: dict(row) for v, row in rows.items()}
+        assert _sparse_profile(rows, [0, 1]) == (2, True)
+        assert rows == before
+
+
+def _chordal_graph(rng, n):
+    g = gen_ktree(n, rng.randint(1, min(3, n - 1)), rng.randrange(10_000))
+    if rng.random() < 0.4 and n > 2:
+        g = helpers.thin_to_low_connectivity(g, 1, rng)
+    return g
+
+
+def _non_chordal_graph(rng, n):
+    while True:
+        cycle = [(i, i % n + 1) for i in range(1, n + 1)]
+        extra = [(u, v) for u in range(1, n + 1) for v in range(u + 2, n + 1)
+                 if rng.random() < 0.3]
+        g = Graph(n, cycle + extra)
+        if not is_chordal(g).chordal:
+            return g
+
+
+def _on_pattern(rng, g):
+    """A symmetric matrix vanishing off the edges and diagonal of g: either
+    random entries, or a sum of weighted outer products of vectors on single
+    vertices and edges (PSD when every weight is positive, rank-deficient
+    when there are few terms, indefinite otherwise); sometimes with one
+    row and column zeroed."""
+    n = g.n
+    rows = [[F(0)] * n for _ in range(n)]
+    kind = rng.randrange(4)
+    if kind == 0:
+        for v in range(n):
+            rows[v][v] = F(rng.choice((0, rng.randint(-3, 3))), rng.randint(1, 3))
+        for u, v in g.edges:
+            rows[u - 1][v - 1] = rows[v - 1][u - 1] = F(rng.randint(-3, 3), rng.randint(1, 3))
+    else:
+        supports = [(v,) for v in range(1, n + 1)] + list(g.edges)
+        for _ in range(rng.randint(0, n + 1)):
+            support = rng.choice(supports)
+            vec = {u - 1: F(rng.choice((-2, -1, 1, 2, 3)), rng.randint(1, 2)) for u in support}
+            weight = rng.randint(1, 3) if kind < 3 else rng.choice((-2, -1, 1, 2))
+            for u, a in vec.items():
+                for w, b in vec.items():
+                    rows[u][w] += weight * a * b
+    if rng.random() < 0.3:
+        dead = rng.randrange(n)
+        for i in range(n):
+            rows[i][dead] = rows[dead][i] = F(0)
+    return rows
+
+
+class TestAgainstDensePaths:
+    @staticmethod
+    def check(rows, order):
+        """Compare the kernel along ``order`` with the oracles and dense
+        paths; return its result and whether the dense profile along the
+        same order found the profile not generic."""
+        n = len(rows)
+        got = profile(rows, order)
+        psd = oracles.principal_minors_nonneg(rows)
+        rk = oracles.sym_rank(rows)
+        assert (got is not None and got[1]) == psd
+        if got is not None:
+            assert got[0] == rk
+        dense = psd_check(Matrix(rows))
+        assert dense.is_psd == psd
+        if psd:
+            assert dense.rank == rk
+        permuted = Matrix([[rows[i][j] for j in order] for i in order], shape=(n, n))
+        leading = _leading_profile(permuted)
+        if leading is not None:
+            assert got == leading
+        return got, leading is None
+
+    def test_seeded_patterns_and_orders(self):
+        seen = set()
+        for seed in range(240):
+            rng = random.Random(seed)
+            chordal = seed % 2 == 0
+            n = rng.randint(2, 6) if chordal else rng.randint(4, 6)
+            g = _chordal_graph(rng, n) if chordal else _non_chordal_graph(rng, n)
+            rows = _on_pattern(rng, g)
+            mcs = [v - 1 for v in mcs_order(g)]
+            shuffled = rng.sample(range(n), n)
+            results = []
+            for order in (mcs, shuffled):
+                got, dense_gave_up = self.check(rows, order)
+                results.append(got)
+                peo = is_peo(g, Ordering([v + 1 for v in order]))[0]
+                outcome = ("none" if got is None else "psd" if got[1] else "indefinite")
+                seen.add((chordal, peo, outcome))
+                if got is not None and dense_gave_up:
+                    seen.add("zero pivot over a zero row skipped")
+                if got is not None and got[0] < n:
+                    seen.add(("rank-deficient", outcome))
+            if None not in results:  # rank and PSD do not depend on the order
+                assert results[0] == results[1]
+        assert seen >= {
+            (True, True, "psd"), (True, True, "indefinite"), (True, True, "none"),
+            (True, False, "psd"), (True, False, "indefinite"), (True, False, "none"),
+            (False, False, "psd"), (False, False, "indefinite"), (False, False, "none"),
+            ("rank-deficient", "psd"), ("rank-deficient", "indefinite"),
+            "zero pivot over a zero row skipped",
+        }
+
+    def test_certificate_stresses_in_any_order(self):
+        rng = random.Random(5)
+        for r in (1, 2, 3):
+            for _ in range(3):
+                n = rng.randint(r + 8, r + 16)
+                fw = random_general_position_framework(n, r, rng.randrange(10_000))
+                cert = certify_chordal(fw)
+                rows = cert.stress.matrix.to_lists()
+                assert rank(cert.stress.matrix) == fw.rbar
+                peo = [v - 1 for v in cert.peo]
+                shuffled = rng.sample(range(n), n)
+                for order in (peo, shuffled):
+                    assert profile(rows, order) == (fw.rbar, True)
+                    negated = [[-x for x in row] for row in rows]
+                    assert profile(negated, order) == (fw.rbar, False)
+                assert psd_check(cert.stress.matrix).rank == fw.rbar
+
+
+def _rational_points_framework(rng, n, r):
+    """A (r+1)-tree with rational points whose denominators differ from
+    point to point, so the integer lifts scale each point differently."""
+    g = gen_ktree(n, r + 1, rng.randrange(10_000))
+    while True:
+        pts = [[F(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(r)]
+               for _ in range(n)]
+        try:
+            fw = Framework(g, r, pts)
+        except DegenerateSpan:
+            continue
+        if is_general_position(fw)[0]:
+            return fw
+
+
+class TestSparseGale:
+    def test_matches_solving_each_column(self):
+        rng = random.Random(17)
+        for i in range(48):
+            r = i % 3 + 1
+            n = rng.randint(r + 2, r + 9)
+            if i % 2:
+                fw = _rational_points_framework(rng, n, r)
+            else:
+                fw = random_general_position_framework(n, r, rng.randrange(10_000))
+            g = fw.graph
+            orders = [is_chordal(g).peo]
+            ident = Ordering.identity(n)
+            if is_peo(g, ident)[0]:
+                orders.append(ident)
+            for peo in orders:
+                z = unit_triangular_gale(fw, peo).matrix
+                expected = oracles.unit_triangular_gale_by_solving(
+                    fw.points, g.edges, list(peo))
+                assert z.to_lists() == expected
+                if peo == orders[0]:
+                    cert = certify_chordal(fw)
+                    assert cert.peo == peo
+                    assert cert.stress.matrix == z * z.transpose()
+
+    def test_degenerate_support_is_an_assertion_failure(self, k5_minus_edge):
+        # without the general-position precondition, column 1's support is
+        # the collinear triple {1, 2, 3}
+        with pytest.raises(AssertionFailure, match="degenerate"):
+            certify._gale_columns(k5_minus_edge, is_chordal(k5_minus_edge.graph).peo)
+
+
+class TestGramSelfCheck:
+    def test_non_edge_entry_raises_first_pattern_violation(self, hexagon):
+        with pytest.raises(PatternViolation) as err:
+            psd_stress_from_gale(hexagon.fw, gale_matrix(hexagon.fw))
+        assert err.value.pair == (1, 5)
+
+    def test_rank_deficient_gram_is_an_assertion_failure(self, hexagon):
+        cols = [hexagon.gale.column(j) for j in (0, 1, 1)]
+        z = GaleMatrix(Matrix.from_columns(cols))
+        with pytest.raises(AssertionFailure, match="rank 3"):
+            psd_stress_from_gale(hexagon.fw, z)
+
+    def test_column_outside_the_gale_space_is_an_assertion_failure(self, hexagon):
+        rows = hexagon.gale.to_lists()
+        rows[2][1] += 1  # vertex 3 lies in the support clique of column 2
+        with pytest.raises(AssertionFailure, match="kill the extended configuration"):
+            psd_stress_from_gale(hexagon.fw, GaleMatrix(Matrix(rows)))
+
+    def test_psdize_rank_precedes_the_minor_check(self):
+        # On K6 the first diagonal entry is zero over a nonzero row, so the
+        # sparse pass gives up and the dense rank, 2, is reported before the
+        # vanishing leading minor 1
+        fw = Framework(Graph.complete(6), 2, [(i, i * i) for i in range(1, 7)])
+        z = unit_triangular_gale(fw, Ordering.identity(6))
+        s = stress_from_psi(fw, z, Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]])).matrix
+        assert s[0, 0] == 0 and any(s.row(0))
+        assert profile(s.to_lists(), range(6)) is None
+        with pytest.raises(PreconditionViolated, match="stress rank 2 differs"):
+            psdize_stress(fw, s)
+
+    @pytest.mark.parametrize("change, failure", [
+        ((0, 1, 1), "not symmetric"),
+        ((0, 4, 1), "nonzero on a non-edge"),
+        ((2, 2, 1), "does not kill the extended configuration"),
+    ])
+    def test_psdize_rejects_a_non_stress(self, hexagon, change, failure):
+        rows = hexagon.stress.to_lists()
+        i, j, delta = change
+        rows[i][j] += delta
+        if failure != "not symmetric":
+            rows[j][i] = rows[i][j]
+        with pytest.raises(PreconditionViolated, match=failure):
+            psdize_stress(hexagon.fw, Matrix(rows))
+
+
+class TestNonEdgeClause:
+    def test_either_triangle_counts(self):
+        # 0-based entries (1, 3) and (2, 0): the non-edges {2, 4} and {1, 3}
+        rows = {0: {}, 1: {3: F(1)}, 2: {0: F(2)}, 3: {}}
+        assert _first_non_edge(Graph(4, [(1, 2)]), rows) == (1, 3)
+        assert _first_non_edge(Graph(4, [(1, 3), (2, 4)]), rows) is None
+
+    def test_first_lexicographic_pair_in_every_caller(self, hexagon):
+        """The RREF basis with a random Psi puts nonzeros on non-edges;
+        every caller reports the smallest such pair."""
+        z = gale_matrix(hexagon.fw)
+        rng = random.Random(3)
+        for _ in range(10):
+            d = [rng.randint(-3, 3) for _ in range(3)]
+            psi = Matrix([[d[i] if i == j else 0 for j in range(3)] for i in range(3)])
+            s = z.matrix * psi * z.matrix.transpose()
+            bad = sorted(pair for pair in hexagon.non_edges
+                         if s[pair[0] - 1, pair[1] - 1] != 0)
+            assert validate_stress_matrix(hexagon.fw, s).pattern_ok == (not bad)
+            if bad:
+                with pytest.raises(PatternViolation) as err:
+                    stress_from_psi(hexagon.fw, z, psi)
+                assert err.value.pair == bad[0]
+            else:
+                assert stress_from_psi(hexagon.fw, z, psi).matrix == s
+
+
+class TestGaussStepSequence:
+    def test_builds_one_matrix(self, hexagon, monkeypatch):
+        built = []
+        init = Matrix.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Matrix, "__init__", counted)
+        gauss_step_sequence(hexagon.stress, 3)
+        assert len(built) == 1
