@@ -26,13 +26,11 @@ from typing import Iterable, Sequence
 from .exactmat import (
     Matrix,
     SparseRows,
-    ZeroPivot,
     _dense,
     _int_determinant,
+    _sparse_factor,
     _sparse_profile,
     _sparse_rows,
-    gauss_step_sequence,
-    gauss_steps,
     null_space_basis,
     rank,
     solve_linear,
@@ -43,7 +41,6 @@ from .framework import (
     PatternViolation,
     StressMatrix,
     _clause_failures,
-    _first_non_edge,
     _in_gale_space,
     _lifted_points,
     _stress_clauses,
@@ -61,7 +58,6 @@ from .graphs import (
     is_chordal,
     is_peo,
     mcs_order,
-    relabel_to_positions,
     vertex_cut_of_size_at_most,
 )
 
@@ -144,11 +140,6 @@ class Hyperplane:
         norm_sq = sum(a * a for a in self.normal)
         t = 2 * self.side(point) / norm_sq
         return tuple(x - t * a for x, a in zip(point, self.normal))
-
-
-def _permute_square(m: Matrix, peo: Ordering) -> Matrix:
-    idx = [peo.vertex_at(i) - 1 for i in range(1, m.rows + 1)]
-    return m.select(idx, idx)
 
 
 GaleColumns = list[dict[int, Fraction]]
@@ -395,8 +386,9 @@ class PsdizeResult:
     """Outcome of converting an indefinite stress into a PSD one.
 
     ``eliminated`` is the staircase matrix after rbar elimination steps and
-    ``peo`` the ordering it is expressed in; ``gale`` and ``stress`` are
-    mapped back to the original labels.
+    ``peo`` the ordering it is expressed in: row j is the unit column of
+    the j-th pivot in position order, and the rows below rbar are zero.
+    ``gale`` and ``stress`` are in the original labels.
     """
 
     stress: StressMatrix
@@ -405,23 +397,33 @@ class PsdizeResult:
     peo: Ordering
 
 
+def _elimination_order(graph: Graph) -> Ordering:
+    """The identity when it is a perfect elimination ordering of the graph,
+    else the maximum cardinality search one; PreconditionViolated when the
+    graph is not chordal."""
+    chord = is_chordal(graph)
+    if not chord.chordal:
+        raise PreconditionViolated("graph is not chordal")
+    ident = Ordering.identity(graph.n)
+    return ident if is_peo(graph, ident)[0] else chord.peo
+
+
 def psdize_stress(fw: Framework, s: Matrix, cap: int | None = None) -> PsdizeResult:
     """Turn a maximal-rank stress with generic rank profile into a PSD one.
 
-    After permuting to an elimination ordering (the identity is kept when
-    it already qualifies), rbar elimination steps leave the transposed Gale
-    matrix in the first rbar rows; chordality guarantees the non-edge zeros
-    survive, so the Gram product of that factor is again a stress: PSD, of
-    the same maximal rank. The input's rank comes from sparse symmetric
-    elimination along the ordering, and from ``rank`` only when that meets
-    a zero pivot over a nonzero row. A vanishing leading principal minor
-    raises NotGenericRankProfile with the failing index.
+    One sparse symmetric elimination along an elimination ordering (the
+    identity is kept when it already qualifies) factors the input as
+    L D L^T. Up to the first zero, its pivots are the ratios of successive
+    leading principal minors, so a zero among the first rbar pivots is the
+    first vanishing minor and raises NotGenericRankProfile with its index.
+    Otherwise the rbar unit columns of L are a Gale matrix in
+    unit-triangular shape; chordality keeps their non-edge zeros, so their
+    Gram product is again a stress: PSD, of the same maximal rank. The
+    input's rank is the number of nonzero pivots, computed by ``rank`` only
+    when the pass stops at a zero pivot over a nonzero row; a rank other
+    than rbar is reported before a vanishing minor.
     """
-    chord = is_chordal(fw.graph)
-    if not chord.chordal:
-        raise PreconditionViolated("graph is not chordal")
-    ident = Ordering.identity(fw.n)
-    peo = ident if is_peo(fw.graph, ident)[0] else chord.peo
+    peo = _elimination_order(fw.graph)
     kwargs = {} if cap is None else {"cap": cap}
     gp, witness = is_general_position(fw, **kwargs)
     if not gp:
@@ -433,39 +435,23 @@ def psdize_stress(fw: Framework, s: Matrix, cap: int | None = None) -> PsdizeRes
     if not (symmetric and non_edge is None and kernel_ok):
         raise PreconditionViolated("input is not a stress matrix: "
                                    f"{_clause_failures(symmetric, non_edge is None, kernel_ok)}")
-    profile = _sparse_profile(rows, [v - 1 for v in peo])
-    stress_rank = rank(s) if profile is None else profile[0]
+    order = [v - 1 for v in peo]
+    pivots, columns, complete = _sparse_factor(rows, order)
+    stress_rank = len(columns) if complete else rank(s)
     if stress_rank != fw.rbar:
         raise PreconditionViolated(
             f"stress rank {stress_rank} differs from the maximal {fw.rbar}")
-    try:
-        eliminated = gauss_step_sequence(_permute_square(s, peo), fw.rbar)
-    except ZeroPivot as exc:  # the first zero pivot is the first vanishing leading minor
-        raise NotGenericRankProfile(exc.step) from exc
-    columns = [{peo.vertex_at(i + 1) - 1: x for i, x in enumerate(eliminated.row(j)) if x}
-               for j in range(fw.rbar)]
+    if not all(pivots[:fw.rbar]):
+        raise NotGenericRankProfile(pivots.index(0) + 1)
     violation = _triangular_violation(columns, fw.graph, peo)
     if violation is not None:
         raise AssertionFailure(f"eliminated factor lost the triangular shape at {violation}")
+    zero = Fraction(0)
+    eliminated = Matrix([[col.get(v, zero) for v in order] for col in columns]
+                        + [[zero] * fw.n] * (fw.n - fw.rbar), shape=(fw.n, fw.n))
     return PsdizeResult(
         stress=_gram_stress(fw, columns, peo),
         gale=_gale_matrix(columns, fw.n),
         eliminated=eliminated,
         peo=peo,
     )
-
-
-def elimination_preserves_zero_pattern(graph: Graph, peo: Ordering, a: Matrix,
-                                       k: int) -> bool:
-    """Whether k elimination steps keep every non-edge entry at zero.
-
-    The matrix is taken in the labeling of ``peo`` (rows/columns follow
-    vertex labels); each intermediate stage is inspected on both triangles.
-    """
-    n = graph.n
-    if (a.rows, a.cols) != (n, n):
-        raise PreconditionViolated(f"matrix must be {n}x{n}")
-    a2 = _permute_square(a, peo)
-    g2 = relabel_to_positions(graph, peo)
-    return all(_first_non_edge(g2, _sparse_rows(stage)) is None
-               for stage in itertools.chain([a2], gauss_steps(a2, k)))

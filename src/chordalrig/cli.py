@@ -18,13 +18,13 @@ from .certify import (
     CertifyError,
     NotGenericRankProfile,
     Reason,
-    Verdict,
+    _elimination_order,
     certify_chordal,
     psdize_stress,
     reflection_counterexample,
     unit_triangular_gale,
 )
-from .exactmat import ExactMatError, SizeCapExceeded
+from .exactmat import ExactMatError
 from .framework import (
     FrameworkError,
     SizeCapExceededError,
@@ -38,10 +38,7 @@ from .framework import (
 from .graphs import (
     GraphError,
     InvalidParameters,
-    Ordering,
-    chordal_connectivity,
     is_chordal,
-    is_peo,
     vertex_cut_of_size_at_most,
 )
 from .jsonio import (
@@ -63,8 +60,6 @@ from .svgplot import UnsupportedDimension, render_framework_svg
 EXIT_HYPOTHESIS = 1
 EXIT_INPUT = 3
 EXIT_LIMIT = 4
-
-_CAP_ERRORS = (SizeCapExceededError, SizeCapExceeded)
 
 
 def _input_error(exc) -> None:
@@ -129,7 +124,7 @@ def analyze(framework_file, output, fmt, cap_subsets):
             gp, gp_witness = False, cert.detail
         else:
             gp, gp_witness = True, None
-    except _CAP_ERRORS as exc:
+    except SizeCapExceededError as exc:
         _limit_error(exc)
     except (CertifyError, FrameworkError, GraphError, ExactMatError) as exc:
         _hypothesis_error(exc)
@@ -171,7 +166,7 @@ def certify(framework_file, output, cap_subsets):
     fw = _load_framework(framework_file)
     try:
         cert = certify_chordal(fw, cap=cap_subsets)
-    except _CAP_ERRORS as exc:
+    except SizeCapExceededError as exc:
         _limit_error(exc)
     except (CertifyError, FrameworkError, GraphError, ExactMatError) as exc:
         _hypothesis_error(exc)
@@ -193,7 +188,7 @@ def psdize(framework_file, stress_file, output, cap_subsets):
         click.echo(f"error: not generic rank profile: leading principal minor "
                    f"{exc.minor_index} is zero", err=True)
         sys.exit(EXIT_HYPOTHESIS)
-    except _CAP_ERRORS as exc:
+    except SizeCapExceededError as exc:
         _limit_error(exc)
     except (CertifyError, FrameworkError, ExactMatError) as exc:
         _hypothesis_error(exc)
@@ -250,12 +245,7 @@ def gale(framework_file, triangular, output):
     fw = _load_framework(framework_file)
     try:
         if triangular:
-            chord = is_chordal(fw.graph)
-            if not chord.chordal:
-                raise CertifyError("graph is not chordal")
-            ident = Ordering.identity(fw.n)
-            peo = ident if is_peo(fw.graph, ident)[0] else chord.peo
-            z = unit_triangular_gale(fw, peo)
+            z = unit_triangular_gale(fw, _elimination_order(fw.graph))
         else:
             z = gale_matrix(fw)
     except (CertifyError, FrameworkError, GraphError, ExactMatError) as exc:
@@ -322,7 +312,7 @@ def gen(n, r, seed, output):
     """Generate a seeded (r+1)-tree framework in general position."""
     try:
         fw = random_general_position_framework(n, r, seed)
-    except _CAP_ERRORS as exc:
+    except SizeCapExceededError as exc:
         _limit_error(exc)
     except (InvalidParameters, FrameworkError) as exc:
         raise click.UsageError(str(exc))

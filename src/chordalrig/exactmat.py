@@ -5,22 +5,21 @@ rejected outright; there is no rounding anywhere in this module.
 Determinants and the one-pass rank profile run integer Bareiss
 elimination after clearing denominators. One kernel works on sparse rows
 instead (``SparseRows``, {row: {column: entry}}): symmetric exchange-free
-elimination in a given order, which decides PSD and rank touching only the
-entries that elimination changes.
+elimination in a given order, touching only the entries that elimination
+changes. Its pivots decide PSD and rank, and the unit columns it divides
+out are the factor L of L D L^T; for a maximal-rank stress with generic
+rank profile, eliminated along a perfect elimination ordering, L is a
+unit-triangular Gale matrix.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 Rational = Fraction
-
-# Guard for the combinatorial sweeps below; overridable per call.
-DEFAULT_SUBSET_CAP = 250_000
 
 
 class ExactMatError(Exception):
@@ -40,10 +39,6 @@ class NotSymmetric(ExactMatError):
 
 
 class DimensionMismatch(ExactMatError):
-    pass
-
-
-class SizeCapExceeded(ExactMatError):
     pass
 
 
@@ -304,16 +299,6 @@ def determinant(a: Matrix) -> Fraction:
     return Fraction(_int_determinant(rows), scale)
 
 
-def leading_principal_minor(a: Matrix, k: int) -> Fraction:
-    """Determinant of the top-left k-by-k block, 1 <= k <= n."""
-    if a.rows != a.cols:
-        raise DimensionMismatch("leading principal minors need a square matrix")
-    if not 1 <= k <= a.rows:
-        raise ValueError(f"minor size {k} out of range 1..{a.rows}")
-    idx = range(k)
-    return determinant(a.select(idx, idx))
-
-
 def rank(a: Matrix) -> int:
     """Rank by row-echelon elimination with row exchanges."""
     m = a.to_lists()
@@ -407,7 +392,8 @@ def _dense(rows: SparseRows, n: int) -> Matrix:
                   shape=(n, n))
 
 
-def _sparse_profile(rows: SparseRows, order: Sequence[int]) -> tuple[int, bool] | None:
+def _sparse_factor(rows: SparseRows, order: Sequence[int]
+                   ) -> tuple[list[Fraction], list[dict[int, Fraction]], bool]:
     """Symmetric exchange-free elimination over sparse rows, in ``order``.
 
     ``rows`` holds the entries of a symmetric matrix by row, zeros omitted
@@ -417,40 +403,57 @@ def _sparse_profile(rows: SparseRows, order: Sequence[int]) -> tuple[int, bool] 
     perfect elimination ordering of the matrix's pattern nothing fills in.
     A zero pivot over an all-zero row removes v unchanged.
 
-    When every step is one of those two, the matrix is congruent to the
-    diagonal of its pivots: returns ``(rank, positive)``, with the rank the
-    number of nonzero pivots, and the matrix PSD exactly when ``positive``
-    (every nonzero pivot is positive). A zero pivot over a nonzero row
-    returns None: a congruent matrix then has a principal block
-    [[0, a], [a, d]] with a != 0, so the matrix is not PSD. The answer does
-    not depend on the order; the order only sets the fill, hence the work.
+    Returns the pivots in step order, the unit column {v: 1, u: a_uv / d}
+    of each nonzero pivot d at v, and whether every step was one of those
+    two. When it was, the matrix is L D L^T with L the columns and D their
+    pivots. A zero pivot over a nonzero row stops the pass; it is the last
+    pivot returned, with False.
     """
     work = {v: {w: x for w, x in row.items() if x} for v, row in rows.items()}
     if sorted(order) != sorted(work):
         raise DimensionMismatch("the order must list every row index exactly once")
-    count = 0
-    positive = True
+    pivots = []
+    columns = []
     for v in order:
         row = work.pop(v)
         pivot = row.pop(v, 0)
+        pivots.append(pivot)
         if not pivot:
             if row:
-                return None
+                return pivots, columns, False
             continue
-        count += 1
-        positive = positive and pivot > 0
+        column = {v: Fraction(1)}
         neighbours = list(row.items())
         for u, a in neighbours:
             urow = work[u]
             del urow[v]
-            f = a / pivot
+            f = column[u] = a / pivot
             for w, b in neighbours:
                 x = urow.get(w, 0) - f * b
                 if x:
                     urow[w] = x
                 else:
                     urow.pop(w, None)
-    return count, positive
+        columns.append(column)
+    return pivots, columns, True
+
+
+def _sparse_profile(rows: SparseRows, order: Sequence[int]) -> tuple[int, bool] | None:
+    """Rank and PSD by ``_sparse_factor``.
+
+    When every step eliminates a nonzero pivot or skips a zero row, the
+    matrix is congruent to the diagonal of its pivots: returns
+    ``(rank, positive)``, with the rank the number of nonzero pivots, and
+    the matrix PSD exactly when ``positive`` (every nonzero pivot is
+    positive). A zero pivot over a nonzero row returns None: a congruent
+    matrix then has a principal block [[0, a], [a, d]] with a != 0, so the
+    matrix is not PSD. The answer does not depend on the order; the order
+    only sets the fill, hence the work.
+    """
+    pivots, columns, complete = _sparse_factor(rows, order)
+    if not complete:
+        return None
+    return len(columns), all(d > 0 for d in pivots if d)
 
 
 def _rref(a: Matrix) -> tuple[list[list[Fraction]], list[int]]:
@@ -607,24 +610,3 @@ def psd_check(a: Matrix) -> PsdResult:
         value = sum(witness[i] * a[i, j] * witness[j] for i in range(n) for j in range(n))
         assert value < 0
         return PsdResult(False, len(steps), witness)
-
-
-def all_square_submatrices_nonsingular(
-    a: Matrix, m: int, cap: int = DEFAULT_SUBSET_CAP
-) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
-    """Brute-force check that every m-by-m submatrix has nonzero determinant.
-
-    Subset pairs are scanned in lexicographic order; the first singular pair
-    is returned as 1-based (row subset, column subset). Raises
-    SizeCapExceeded when the number of pairs would exceed ``cap``.
-    """
-    if not 0 <= m <= min(a.rows, a.cols):
-        raise DimensionMismatch(f"submatrix size {m} out of range for {a.rows}x{a.cols}")
-    total = math.comb(a.rows, m) * math.comb(a.cols, m)
-    if total > cap:
-        raise SizeCapExceeded(f"{total} submatrices exceed the cap of {cap}")
-    for alpha in itertools.combinations(range(a.rows), m):
-        for beta in itertools.combinations(range(a.cols), m):
-            if determinant(a.select(alpha, beta)) == 0:
-                return False, (tuple(i + 1 for i in alpha), tuple(j + 1 for j in beta))
-    return True, None

@@ -154,6 +154,12 @@ def affinely_independent(points: Sequence[Sequence]) -> bool:
     return rank(stacked) == len(pts)
 
 
+def _check_subset_cap(n: int, k: int, cap: int) -> None:
+    total = math.comb(n, k)
+    if total > cap:
+        raise SizeCapExceededError(f"{total} subsets exceed the cap of {cap}")
+
+
 def is_general_position(fw: Framework, cap: int = DEFAULT_POSITION_CAP
                         ) -> tuple[bool, tuple[int, ...] | None]:
     """Check that every dim+1 points are affinely independent.
@@ -169,9 +175,7 @@ def is_general_position(fw: Framework, cap: int = DEFAULT_POSITION_CAP
     are more than ``cap`` subsets to examine.
     """
     k = fw.dim + 1
-    total = math.comb(fw.n, k)
-    if total > cap:
-        raise SizeCapExceededError(f"{total} subsets exceed the cap of {cap}")
+    _check_subset_cap(fw.n, k, cap)
     lifted = _lifted_points(fw)
     for subset in itertools.combinations(range(fw.n), k):
         if _int_determinant([lifted[v] for v in subset]) == 0:
@@ -517,8 +521,11 @@ def random_general_position_framework(n: int, dim: int, seed: int,
 
     Coordinates are drawn uniformly from a box and resampled until every
     dim+1 points are affinely independent; the box widens on each retry.
-    Deterministic for a fixed (n, dim, seed).
+    Deterministic for a fixed (n, dim, seed). The subset cap of the
+    general-position sweep is checked before anything is built.
     """
+    if n > dim >= 1:  # otherwise gen_ktree or Framework rejects the parameters
+        _check_subset_cap(n, dim + 1, DEFAULT_POSITION_CAP)
     g = gen_ktree(n, dim + 1, seed)
     rng = random.Random(f"{n}/{dim}/{seed}/points")
     base = coord_bound if coord_bound is not None else max(10, 4 * n)

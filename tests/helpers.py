@@ -1,10 +1,15 @@
-"""Shared generators for randomized tests.
+"""Shared generators and brute-force checks for tests.
 
-These build inputs with the library's own constructors (that part is not
-under test here); the properties asserted about the outputs are always
-checked against oracles or frozen values.
+The generators build inputs with the library's own constructors (that part
+is not under test here); the properties asserted about the outputs are
+always checked against oracles or frozen values. The brute-force checks at
+the end (leading minors, all square submatrices, the zero pattern through
+dense elimination) are used only by tests; they call the package's
+``determinant`` and ``gauss_steps``, which ``oracles`` does not.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
 from chordalrig import (
@@ -16,6 +21,23 @@ from chordalrig import (
     is_chordal,
     is_general_position,
 )
+from chordalrig.certify import PreconditionViolated
+from chordalrig.exactmat import (
+    DimensionMismatch,
+    ExactMatError,
+    _sparse_rows,
+    determinant,
+    gauss_steps,
+)
+from chordalrig.framework import _first_non_edge
+from chordalrig.graphs import Ordering, relabel_to_positions
+
+# Guard for the combinatorial sweep below; overridable per call.
+DEFAULT_SUBSET_CAP = 250_000
+
+
+class SizeCapExceeded(ExactMatError):
+    pass
 
 
 def rand_fraction(rng, lo=-5, hi=5, max_den=4):
@@ -93,3 +115,55 @@ def equivalent_by_hand(a, b):
 def congruent_by_hand(a, b):
     return all(sq_dist(a.point(u), a.point(v)) == sq_dist(b.point(u), b.point(v))
                for u in range(1, a.n + 1) for v in range(u + 1, a.n + 1))
+
+
+def leading_principal_minor(a: Matrix, k: int) -> Fraction:
+    """Determinant of the top-left k-by-k block, 1 <= k <= n."""
+    if a.rows != a.cols:
+        raise DimensionMismatch("leading principal minors need a square matrix")
+    if not 1 <= k <= a.rows:
+        raise ValueError(f"minor size {k} out of range 1..{a.rows}")
+    idx = range(k)
+    return determinant(a.select(idx, idx))
+
+
+def all_square_submatrices_nonsingular(
+    a: Matrix, m: int, cap: int = DEFAULT_SUBSET_CAP
+) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
+    """Brute-force check that every m-by-m submatrix has nonzero determinant.
+
+    Subset pairs are scanned in lexicographic order; the first singular pair
+    is returned as 1-based (row subset, column subset). Raises
+    SizeCapExceeded when the number of pairs would exceed ``cap``.
+    """
+    if not 0 <= m <= min(a.rows, a.cols):
+        raise DimensionMismatch(f"submatrix size {m} out of range for {a.rows}x{a.cols}")
+    total = math.comb(a.rows, m) * math.comb(a.cols, m)
+    if total > cap:
+        raise SizeCapExceeded(f"{total} submatrices exceed the cap of {cap}")
+    for alpha in itertools.combinations(range(a.rows), m):
+        for beta in itertools.combinations(range(a.cols), m):
+            if determinant(a.select(alpha, beta)) == 0:
+                return False, (tuple(i + 1 for i in alpha), tuple(j + 1 for j in beta))
+    return True, None
+
+
+def _permute_square(m: Matrix, peo: Ordering) -> Matrix:
+    idx = [peo.vertex_at(i) - 1 for i in range(1, m.rows + 1)]
+    return m.select(idx, idx)
+
+
+def elimination_preserves_zero_pattern(graph: Graph, peo: Ordering, a: Matrix,
+                                       k: int) -> bool:
+    """Whether k elimination steps keep every non-edge entry at zero.
+
+    The matrix is taken in the labeling of ``peo`` (rows/columns follow
+    vertex labels); each intermediate stage is inspected on both triangles.
+    """
+    n = graph.n
+    if (a.rows, a.cols) != (n, n):
+        raise PreconditionViolated(f"matrix must be {n}x{n}")
+    a2 = _permute_square(a, peo)
+    g2 = relabel_to_positions(graph, peo)
+    return all(_first_non_edge(g2, _sparse_rows(stage)) is None
+               for stage in itertools.chain([a2], gauss_steps(a2, k)))

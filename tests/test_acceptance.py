@@ -12,14 +12,13 @@ from fractions import Fraction
 
 import helpers
 import oracles
-from chordalrig.certify import certify_chordal, elimination_preserves_zero_pattern, psdize_stress
-from chordalrig.exactmat import (
-    Matrix,
+from helpers import (
     all_square_submatrices_nonsingular,
+    elimination_preserves_zero_pattern,
     leading_principal_minor,
-    psd_check,
-    rank,
 )
+from chordalrig.certify import certify_chordal, psdize_stress
+from chordalrig.exactmat import Matrix, psd_check, rank
 from chordalrig.framework import (
     is_general_position,
     gale_matrix,

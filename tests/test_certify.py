@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from helpers import elimination_preserves_zero_pattern
 from chordalrig.certify import (
     Hyperplane,
     Infeasible,
@@ -13,7 +14,6 @@ from chordalrig.certify import (
     Reason,
     Verdict,
     certify_chordal,
-    elimination_preserves_zero_pattern,
     hyperplane_through,
     psd_stress_from_gale,
     psdize_stress,

@@ -468,6 +468,13 @@ class TestSubsetCap:
         assert result.exit_code == EXIT_LIMIT
         assert "280840 subsets exceed the cap of 200000" in result.stderr
 
+    def test_gen_checks_the_cap_before_building(self, runner):
+        start = time.perf_counter()
+        result = runner.invoke(main, ["gen", "--n", "100000", "--r", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == EXIT_LIMIT
+        assert "4999950000 subsets exceed the cap of 200000" in result.stderr
+
     def test_explicit_cap_boundary(self, runner, files):
         # The hexagon has C(6, 3) = 20 subsets.
         at_cap = runner.invoke(main, ["certify", files["hexagon"], "--cap-subsets", "20"])

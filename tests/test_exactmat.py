@@ -6,23 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from helpers import (
+    SizeCapExceeded,
+    all_square_submatrices_nonsingular,
+    leading_principal_minor,
+)
 from chordalrig.exactmat import (
     DimensionMismatch,
     INCONSISTENT,
     Matrix,
     NotSymmetric,
     SingularMatrix,
-    SizeCapExceeded,
     UNDERDETERMINED,
     UNIQUE,
     ZeroPivot,
-    all_square_submatrices_nonsingular,
     determinant,
     gauss_step_sequence,
     gauss_steps,
     has_generic_rank_profile,
     inverse,
-    leading_principal_minor,
     null_space_basis,
     psd_check,
     rank,

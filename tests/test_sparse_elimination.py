@@ -6,9 +6,13 @@ one-pass profile ``_leading_profile``, with ``psd_check``, with sympy's
 rank and with the principal-minor PSD test, on chordal and non-chordal
 patterns, in perfect elimination orderings and in orders that are not,
 with zero pivots over zero and over nonzero rows, and on indefinite and
-rank-deficient matrices. The sparse unit-triangular Gale builder is
-compared with a sympy solve of the same column systems, and the
-certificate stress with the dense Gram product.
+rank-deficient matrices; whenever it runs to the end, its unit columns
+and pivots rebuild the input as L D L^T. The sparse unit-triangular Gale
+builder is compared with a sympy solve of the same column systems, and the
+certificate stress with the dense Gram product. ``psdize_stress`` takes its
+factor from the same kernel; it is compared with the dense
+``gauss_step_sequence`` and, on inputs with a vanishing leading minor, with
+cofactor determinants.
 """
 
 import random
@@ -18,9 +22,10 @@ import pytest
 
 import helpers
 import oracles
-from chordalrig import certify
+from chordalrig import certify, exactmat, framework
 from chordalrig.certify import (
     AssertionFailure,
+    NotGenericRankProfile,
     PreconditionViolated,
     certify_chordal,
     psd_stress_from_gale,
@@ -31,6 +36,7 @@ from chordalrig.exactmat import (
     DimensionMismatch,
     Matrix,
     _leading_profile,
+    _sparse_factor,
     _sparse_profile,
     _sparse_rows,
     gauss_step_sequence,
@@ -60,6 +66,16 @@ def profile(rows, order):
 
 def fractions(rows):
     return [[F(x) for x in row] for row in rows]
+
+
+def ldlt(pivots, columns, n):
+    """The sum of d c c^T over the nonzero pivots d and their unit columns c."""
+    rows = [[F(0)] * n for _ in range(n)]
+    for d, col in zip([d for d in pivots if d], columns):
+        for u, a in col.items():
+            for w, b in col.items():
+                rows[u][w] += d * a * b
+    return rows
 
 
 class TestNamedCases:
@@ -164,6 +180,14 @@ class TestAgainstDensePaths:
         leading = _leading_profile(permuted)
         if leading is not None:
             assert got == leading
+        pivots, columns, complete = _sparse_factor(_sparse_rows(Matrix(rows)), order)
+        assert complete == (got is not None)
+        position = {v: i for i, v in enumerate(order)}
+        steps = [v for v, d in zip(order, pivots) if d]
+        for v, col in zip(steps, columns, strict=True):
+            assert col[v] == 1 and min(col, key=position.get) == v
+        if complete:
+            assert ldlt(pivots, columns, n) == rows
         return got, leading is None
 
     def test_seeded_patterns_and_orders(self):
@@ -346,3 +370,150 @@ class TestGaussStepSequence:
         monkeypatch.setattr(Matrix, "__init__", counted)
         gauss_step_sequence(hexagon.stress, 3)
         assert len(built) == 1
+
+
+def _psdize_inputs(seed, count):
+    """Seeded chordal frameworks, r = 1..3, half with rational points, each
+    with psdize's own elimination ordering and a unit-triangular Gale
+    matrix built along either that ordering or another PEO: the reverse of
+    the k-tree's construction order."""
+    rng = random.Random(seed)
+    for i in range(count):
+        r = i % 3 + 1
+        n = rng.randint(r + 2, r + 6)
+        if i % 2:
+            fw = _rational_points_framework(rng, n, r)
+        else:
+            fw = random_general_position_framework(n, r, rng.randrange(10_000))
+        peo = certify._elimination_order(fw.graph)
+        other = Ordering(range(n, 0, -1))
+        assert is_peo(fw.graph, other)[0]
+        yield rng, fw, peo, unit_triangular_gale(fw, rng.choice((peo, other)))
+
+
+def _diagonal(d):
+    return Matrix([[x if i == j else 0 for j, x in enumerate(d)] for i in range(len(d))])
+
+
+def _weights(rng, count):
+    return [F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)) for _ in range(count)]
+
+
+def _vanishing_minor_input(rng, r):
+    """A framework on a chordal graph denser than a (r+1)-tree and a stress
+    Z Psi Z^T of maximal rank, Z the unit-triangular Gale matrix along
+    psdize's ordering, or None when no pair of its columns qualifies. Psi is
+    diagonal but for a block [[0, b], [b, c]] on columns k < m whose joint
+    support is a clique, so the stress keeps the non-edge zeros, Psi is
+    nonsingular, and its k-th leading minor, hence the stress's, vanishes."""
+    n = rng.randint(r + 3, r + 6)
+    g = gen_ktree(n, rng.randint(r + 2, n - 1), rng.randrange(10_000))
+    fw = helpers.sample_points(g, r, rng)
+    z = unit_triangular_gale(fw, certify._elimination_order(g))
+    cols = [[v + 1 for v, x in enumerate(z.matrix.column(j)) if x] for j in range(fw.rbar)]
+    pairs = [(k, m) for k in range(fw.rbar) for m in range(k + 1, fw.rbar)
+             if all(g.has_edge(u, w) for u in cols[k] for w in cols[m] if u != w)]
+    if not pairs:
+        return None
+    k, m = rng.choice(pairs)
+    psi = [[x if i == j else 0 for j in range(fw.rbar)]
+           for i, x in enumerate(_weights(rng, fw.rbar))]
+    psi[k][k] = 0
+    psi[k][m] = psi[m][k] = _weights(rng, 1)[0]
+    return fw, stress_from_psi(fw, z, Matrix(psi)).matrix
+
+
+class TestPsdizeFactor:
+    def test_matches_the_dense_elimination(self):
+        seen = set()
+        for rng, fw, peo, z in _psdize_inputs(7, 36):
+            s = stress_from_psi(fw, z, _diagonal(_weights(rng, fw.rbar))).matrix
+            try:
+                res = psdize_stress(fw, s)
+            except NotGenericRankProfile:
+                seen.add("not generic")
+                continue
+            order = [v - 1 for v in peo]
+            dense = gauss_step_sequence(s.select(order, order), fw.rbar)
+            assert res.peo == peo
+            assert res.eliminated == dense
+            gale = [[F(0)] * fw.rbar for _ in range(fw.n)]
+            for j in range(fw.rbar):
+                for i, v in enumerate(order):
+                    gale[v][j] = dense[j, i]
+            assert res.gale.matrix == Matrix(gale)
+            assert res.stress.matrix == res.gale.matrix * res.gale.matrix.transpose()
+            seen.add("same factor" if res.gale == z else "new factor")
+        assert {"same factor", "new factor"} <= seen
+
+    def test_factor_rebuilds_the_stress(self):
+        seen = set()
+        for rng, fw, peo, z in _psdize_inputs(8, 36):
+            s = stress_from_psi(fw, z, _diagonal(_weights(rng, fw.rbar))).matrix
+            rows = _sparse_rows(s)
+            for order in ([v - 1 for v in peo], rng.sample(range(fw.n), fw.n)):
+                pivots, columns, complete = _sparse_factor(rows, order)
+                if complete:
+                    assert len(columns) == fw.rbar
+                    assert ldlt(pivots, columns, fw.n) == s.to_lists()
+                seen.add((order[0] == peo.vertex_at(1) - 1, complete))
+        assert {(True, True), (False, True)} <= seen
+
+    def test_not_generic_index_is_the_first_vanishing_minor(self):
+        rng = random.Random(9)
+        seen = set()
+        for i in range(45):
+            made = _vanishing_minor_input(rng, i % 3 + 1)
+            if made is None:
+                continue
+            fw, s = made
+            assert rank(s) == fw.rbar
+            order = [v - 1 for v in certify._elimination_order(fw.graph)]
+            permuted = [[s[u, w] for w in order] for u in order]
+            first = next(k for k in range(1, fw.rbar + 1)
+                         if oracles.det_cofactor([row[:k] for row in permuted[:k]]) == 0)
+            with pytest.raises(NotGenericRankProfile) as err:
+                psdize_stress(fw, s)
+            assert err.value.minor_index == first
+            seen.add((fw.dim, first))
+        assert {(r, k) for r in (1, 2, 3) for k in (1, 2, 3)} <= seen
+
+    def test_one_sparse_pass_and_no_dense_path(self, hexagon, monkeypatch):
+        passes, ranks = [], []
+        factor = certify._sparse_factor
+
+        def counted_factor(rows, order):
+            passes.append(order)
+            return factor(rows, order)
+
+        def counted_rank(a):
+            ranks.append(a)
+            return rank(a)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense elimination called")
+
+        inputs = [(hexagon.fw, hexagon.stress)]
+        for rng, fw, peo, z in _psdize_inputs(10, 6):
+            inputs.append((fw, stress_from_psi(fw, z, _diagonal(_weights(rng, fw.rbar))).matrix))
+        # the K6 input whose pass stops on a zero pivot over a nonzero row
+        k6 = Framework(Graph.complete(6), 2, [(i, i * i) for i in range(1, 7)])
+        z = unit_triangular_gale(k6, Ordering.identity(6))
+        low = stress_from_psi(k6, z, Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]])).matrix
+        monkeypatch.setattr(certify, "_sparse_factor", counted_factor)
+        for module in (certify, exactmat, framework):
+            monkeypatch.setattr(module, "rank", counted_rank)
+        monkeypatch.setattr(certify, "gauss_step_sequence", forbidden, raising=False)
+        monkeypatch.setattr(exactmat, "gauss_step_sequence", forbidden)
+        monkeypatch.setattr(exactmat, "_gauss_rows", forbidden)
+        for fw, s in inputs:
+            passes.clear()
+            try:
+                psdize_stress(fw, s)
+            except NotGenericRankProfile:
+                pass
+            assert len(passes) == 1 and ranks == []
+        passes.clear()
+        with pytest.raises(PreconditionViolated, match="stress rank 2 differs"):
+            psdize_stress(k6, low)
+        assert len(passes) == 1 and ranks == [low]
