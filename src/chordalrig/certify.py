@@ -33,7 +33,6 @@ from .exactmat import (
     _sparse_rows,
     null_space_basis,
     rank,
-    solve_linear,
 )
 from .framework import (
     Framework,
@@ -41,6 +40,7 @@ from .framework import (
     PatternViolation,
     StressMatrix,
     _clause_failures,
+    _coerce_point,
     _in_gale_space,
     _lifted_points,
     _stress_clauses,
@@ -156,8 +156,7 @@ def _check_gale_preconditions(fw: Framework, peo: Ordering, cap: int | None) -> 
         raise PreconditionViolated("ordering is not a perfect elimination ordering")
     if fw.rbar < 1:
         raise PreconditionViolated("simplex framework: the Gale space is trivial")
-    kwargs = {} if cap is None else {"cap": cap}
-    gp, witness = is_general_position(fw, **kwargs)
+    gp, witness = is_general_position(fw, cap=cap)
     if not gp:
         raise PreconditionViolated(f"points not in general position, witness {witness}")
     kappa = chordal_connectivity(fw.graph, peo)
@@ -280,8 +279,7 @@ def certify_chordal(fw: Framework, cap: int | None = None) -> Certificate:
                            detail=chord.chordless_cycle)
     peo = chord.peo
     kappa = chordal_connectivity(fw.graph, peo)
-    kwargs = {} if cap is None else {"cap": cap}
-    gp, witness = is_general_position(fw, **kwargs)
+    gp, witness = is_general_position(fw, cap=cap)
     if not gp:
         return Certificate(Verdict.INCONCLUSIVE, connectivity=kappa, peo=peo,
                            reason=Reason.NOT_GENERAL_POSITION, detail=witness)
@@ -300,35 +298,28 @@ def certify_chordal(fw: Framework, cap: int | None = None) -> Certificate:
                        counterexample=counterexample)
 
 
-def _in_affine_hull(points: Sequence[Sequence[Fraction]], q: Sequence[Fraction]) -> bool:
-    if not points:
-        return False
-    system = Matrix.from_columns([list(p) + [Fraction(1)] for p in points])
-    return solve_linear(system, list(q) + [Fraction(1)]).status != "inconsistent"
-
-
 def hyperplane_through(dim: int, points: Sequence[Sequence[Fraction]],
                        avoid: Sequence[Sequence[Fraction]]) -> Hyperplane:
     """A hyperplane containing every point in ``points`` and missing every
     point in ``avoid``.
 
-    The solution space of (normal, offset) pairs is enumerated over integer
-    coefficient combinations of a kernel basis, ordered by growing max-norm
-    and lexicographically within each norm, so the result is deterministic.
-    Raises Infeasible when an avoid point lies in the affine hull of the
-    points, which forces it onto every candidate hyperplane.
+    The pairs y = (normal, offset) through the points form the kernel of
+    the rows (p, -1). A point lies in their affine hull exactly when it lies
+    on every such y, so Infeasible names the first avoid point on every
+    kernel column (any point, when there is none). Otherwise the kernel is
+    enumerated over integer coefficient combinations, ordered by growing
+    max-norm and lexicographically within each norm, so the result is
+    deterministic. Floats raise TypeError, and points without ``dim``
+    coordinates DimensionMismatch.
     """
-    pts = [tuple(Fraction(x) for x in p) for p in points]
-    avoid_pts = [tuple(Fraction(x) for x in q) for q in avoid]
+    pts = [_coerce_point(p, dim) for p in points]
+    avoid_pts = [_coerce_point(q, dim) for q in avoid]
+    kernel = null_space_basis(Matrix([list(p) + [Fraction(-1)] for p in pts],
+                                     shape=(len(pts), dim + 1)))
+    planes = [kernel.column(j) for j in range(kernel.cols)]
     for q in avoid_pts:
-        if _in_affine_hull(pts, q):
+        if all(sum(a * x for a, x in zip(y, q)) == y[dim] for y in planes):
             raise Infeasible(f"avoid point {q} lies in the affine hull of the points")
-    if pts:
-        constraint = Matrix([list(p) + [Fraction(-1)] for p in pts],
-                            shape=(len(pts), dim + 1))
-        kernel = null_space_basis(constraint)
-    else:
-        kernel = Matrix.identity(dim + 1)
     d = kernel.cols
     if d == 0:
         raise Infeasible("no hyperplane through the given points")
@@ -424,8 +415,7 @@ def psdize_stress(fw: Framework, s: Matrix, cap: int | None = None) -> PsdizeRes
     than rbar is reported before a vanishing minor.
     """
     peo = _elimination_order(fw.graph)
-    kwargs = {} if cap is None else {"cap": cap}
-    gp, witness = is_general_position(fw, **kwargs)
+    gp, witness = is_general_position(fw, cap=cap)
     if not gp:
         raise PreconditionViolated(f"points not in general position, witness {witness}")
     if fw.rbar < 1:

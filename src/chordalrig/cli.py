@@ -118,8 +118,7 @@ def analyze(framework_file, output, fmt, cap_subsets):
         cert = certify_chordal(fw, cap=cap_subsets)
         # certify_chordal sweeps for general position only on a chordal graph
         if cert.peo is None:
-            gp, gp_witness = is_general_position(
-                fw, **({} if cap_subsets is None else {"cap": cap_subsets}))
+            gp, gp_witness = is_general_position(fw, cap=cap_subsets)
         elif cert.reason is Reason.NOT_GENERAL_POSITION:
             gp, gp_witness = False, cert.detail
         else:

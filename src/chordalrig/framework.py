@@ -160,7 +160,7 @@ def _check_subset_cap(n: int, k: int, cap: int) -> None:
         raise SizeCapExceededError(f"{total} subsets exceed the cap of {cap}")
 
 
-def is_general_position(fw: Framework, cap: int = DEFAULT_POSITION_CAP
+def is_general_position(fw: Framework, cap: int | None = None
                         ) -> tuple[bool, tuple[int, ...] | None]:
     """Check that every dim+1 points are affinely independent.
 
@@ -172,10 +172,11 @@ def is_general_position(fw: Framework, cap: int = DEFAULT_POSITION_CAP
 
     Subsets are scanned lexicographically and the first violator is
     returned as 1-based vertices. Raises SizeCapExceededError when there
-    are more than ``cap`` subsets to examine.
+    are more than ``cap`` subsets to examine; None means
+    ``DEFAULT_POSITION_CAP``.
     """
     k = fw.dim + 1
-    _check_subset_cap(fw.n, k, cap)
+    _check_subset_cap(fw.n, k, DEFAULT_POSITION_CAP if cap is None else cap)
     lifted = _lifted_points(fw)
     for subset in itertools.combinations(range(fw.n), k):
         if _int_determinant([lifted[v] for v in subset]) == 0:
@@ -297,10 +298,16 @@ def stress_from_omega(fw: Framework, omega: StressWeights) -> StressMatrix:
 
 
 def omega_from_stress(fw: Framework, s: StressMatrix) -> StressWeights:
-    """Read the edge weights back off a valid stress matrix."""
-    report = validate_stress_matrix(fw, s.matrix)
-    if not report.is_stress_matrix:
-        raise InvalidStressMatrix(f"not a stress matrix: {report.failures()}")
+    """Read the edge weights back off a stress matrix.
+
+    Only the stress clauses are checked (symmetry, the non-edge zeros and
+    the kernel, over the nonzero entries; no rank or PSD); a failed clause
+    raises InvalidStressMatrix listing every failure.
+    """
+    symmetric, non_edge, kernel_ok = _stress_clauses(fw, _stress_rows(fw, s.matrix))
+    failures = _clause_failures(symmetric, non_edge is None, kernel_ok)
+    if failures:
+        raise InvalidStressMatrix(f"not a stress matrix: {failures}")
     return StressWeights({(u, v): -s.matrix[u - 1, v - 1] for u, v in fw.graph.edges})
 
 

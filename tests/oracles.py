@@ -73,6 +73,16 @@ def sym_det(rows):
     return Fraction(d.p, d.q)
 
 
+def in_affine_hull(points, q):
+    """Whether q is an affine combination of the points: the sympy rank of
+    the rows (p, 1) does not grow when (q, 1) is added. False for no
+    points."""
+    if not points:
+        return False
+    rows = [list(p) + [1] for p in points]
+    return sym_rank(rows) == sym_rank(rows + [list(q) + [1]])
+
+
 def sym_nullity(rows):
     m = sym_matrix(rows)
     return m.cols - m.rank()

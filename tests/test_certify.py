@@ -1,9 +1,12 @@
+import collections
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 import helpers
+import oracles
 from helpers import elimination_preserves_zero_pattern
 from chordalrig.certify import (
     Hyperplane,
@@ -20,7 +23,7 @@ from chordalrig.certify import (
     reflection_counterexample,
     unit_triangular_gale,
 )
-from chordalrig.exactmat import Matrix, psd_check, rank
+from chordalrig.exactmat import DimensionMismatch, Matrix, psd_check, rank
 from chordalrig.framework import (
     Framework,
     GaleMatrix,
@@ -178,6 +181,106 @@ class TestHyperplaneThrough:
         assert h.reflect((F(1),)) == (F(1),)
         assert h.reflect((F(0),)) == (F(2),)
         assert h.reflect(h.reflect((F(5),))) == (F(5),)
+
+
+def _hyperplane_cases(seed, count):
+    """Seeded (dim, points, avoid) inputs with dim = 1..4, 0..dim+2 points
+    and 0..4 avoid points. Coordinates have mixed denominators; points may
+    repeat an earlier one or be an affine combination of earlier ones, and
+    avoid points are random or affine combinations of the points."""
+    rng = random.Random(seed)
+
+    def point(dim):
+        return tuple(F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7))) for _ in range(dim))
+
+    def combination(pts):
+        base = pts[0]
+        weights = [F(rng.randint(-5, 5), rng.choice((1, 2, 5))) for _ in pts[1:]]
+        return tuple(base[c] + sum(w * (p[c] - base[c]) for w, p in zip(weights, pts[1:]))
+                     for c in range(len(base)))
+
+    for _ in range(count):
+        dim = rng.randint(1, 4)
+        pts = []
+        for _ in range(rng.randint(0, dim + 2)):
+            roll = rng.random()
+            if pts and roll < 0.2:
+                pts.append(rng.choice(pts))
+            elif len(pts) >= 2 and roll < 0.4:
+                pts.append(combination(pts))
+            else:
+                pts.append(point(dim))
+        avoid = [combination(pts) if pts and rng.random() < 0.3 else point(dim)
+                 for _ in range(rng.randint(0, 4))]
+        yield dim, pts, avoid
+
+
+def _hyperplane_outcome(dim, pts, avoid):
+    try:
+        return hyperplane_through(dim, pts, avoid)
+    except Infeasible as exc:
+        return str(exc)
+
+
+class TestHyperplaneAgainstOracle:
+    def test_seeded_against_affine_hull_oracle(self):
+        seen = collections.Counter()
+        for dim, pts, avoid in _hyperplane_cases(8, 400):
+            spans = bool(pts) and oracles.sym_rank([list(p) + [1] for p in pts]) == dim + 1
+            in_hull = [q for q in avoid if oracles.in_affine_hull(pts, q)]
+            outcome = _hyperplane_outcome(dim, pts, avoid)
+            if in_hull:
+                assert outcome == f"avoid point {in_hull[0]} lies in the affine hull of the points"
+                seen["spans, avoid in hull" if spans else "avoid in hull"] += 1
+            elif spans:
+                assert outcome == "no hyperplane through the given points"
+                seen["spans, no avoid"] += 1
+            else:
+                assert all(outcome.side(p) == 0 for p in pts)
+                assert all(outcome.side(q) != 0 for q in avoid)
+                seen["plane"] += 1
+            seen["no points"] += not pts
+            seen["repeated point"] += len(set(pts)) < len(pts)
+            seen[f"dim {dim}"] += 1
+        assert set(seen) == {"spans, avoid in hull", "avoid in hull", "spans, no avoid",
+                             "plane", "no points", "repeated point",
+                             "dim 1", "dim 2", "dim 3", "dim 4"}
+
+    def test_seeded_outcomes_frozen(self):
+        # sha256 of every plane and message on these inputs: a rewrite of the
+        # affine hull test must keep them bit-identical
+        text = repr([_hyperplane_outcome(*case) for case in _hyperplane_cases(9, 300)])
+        assert hashlib.sha256(text.encode()).hexdigest() == HYPERPLANE_DIGEST
+
+    def test_one_kernel_and_no_solve_per_call(self, monkeypatch):
+        from chordalrig import certify, exactmat
+        kernels, rrefs = [], []
+        real_kernel, real_rref = certify.null_space_basis, exactmat._rref
+        monkeypatch.setattr(certify, "null_space_basis",
+                            lambda a: kernels.append(a) or real_kernel(a))
+        monkeypatch.setattr(exactmat, "_rref", lambda a: rrefs.append(a) or real_rref(a))
+        monkeypatch.setattr(exactmat, "solve_linear", None)
+        assert not hasattr(certify, "solve_linear")
+        for dim, pts, avoid in _hyperplane_cases(10, 40):
+            kernels.clear()
+            rrefs.clear()
+            _hyperplane_outcome(dim, pts, avoid)
+            assert len(kernels) == len(rrefs) == 1
+
+    def test_float_rejected(self):
+        with pytest.raises(TypeError):
+            hyperplane_through(1, [(0.1,)], [(F(0),)])
+        with pytest.raises(TypeError):
+            hyperplane_through(1, [(F(1),)], [(0.0,)])
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            hyperplane_through(2, [(F(1),)], [])
+        with pytest.raises(DimensionMismatch):
+            hyperplane_through(2, [(F(1), F(2))], [(F(0), F(0), F(0))])
+
+
+HYPERPLANE_DIGEST = "ead4382413b2feb09c603288beed29623433f3f23e5df272acae357362131f95"
 
 
 class TestReflectionCounterexample:

@@ -308,6 +308,10 @@ class TestNullSpaceBasis:
     def test_one_free_variable(self):
         assert null_space_basis(Matrix([[1, 1]])) == Matrix([[-1], [1]])
 
+    @pytest.mark.parametrize("cols", [1, 2, 5])
+    def test_no_rows_gives_identity(self, cols):
+        assert null_space_basis(Matrix([], shape=(0, cols))) == Matrix.identity(cols)
+
     def test_hexagon_config_kernel(self, hexagon):
         from chordalrig.framework import extended_config_matrix
         p = extended_config_matrix(hexagon.fw)

@@ -134,6 +134,14 @@ class TestGeneralPosition:
         with pytest.raises(SizeCapExceededError):
             is_general_position(hexagon.fw, cap=5)
 
+    def test_none_cap_is_default(self, hexagon):
+        assert is_general_position(hexagon.fw, cap=None) == (True, None)
+        # C(633, 2) = 200,028 subsets, just above DEFAULT_POSITION_CAP
+        path = Framework(Graph(633, [(v, v + 1) for v in range(1, 633)]), 1,
+                         [(v,) for v in range(633)])
+        with pytest.raises(SizeCapExceededError, match="200028 subsets exceed the cap of 200000"):
+            is_general_position(path, cap=None)
+
 
 def _degenerate_points(rng, dim):
     """Points with per-point denominators and, in most cases, one forced
@@ -288,6 +296,66 @@ class TestStressConversions:
                           for j in range(6)] for i in range(6)])
         with pytest.raises(InvalidStressMatrix):
             omega_from_stress(hexagon.fw, StressMatrix(broken))
+
+
+def _outer(a, b):
+    return Matrix([[x * y for y in b] for x in a])
+
+
+def _unit(i):
+    return [F(int(k == i)) for k in range(6)]
+
+
+def _hexagon_clause_breakers(hexagon):
+    """Three perturbations of the hexagon stress, each failing exactly one
+    clause: a non-symmetric matrix whose columns are Gale vectors on edges,
+    the outer product of a Gale vector that is nonzero on the non-edges,
+    and a symmetric matrix on edge (1, 2) that misses the kernel."""
+    z = hexagon.gale
+    g1 = list(z.column(0))
+    g13 = [a + b for a, b in zip(z.column(0), z.column(2))]
+    return {"not symmetric": _outer(g1, _unit(2)),
+            "nonzero on a non-edge": _outer(g13, g13),
+            "does not kill the extended configuration":
+                _outer(_unit(0), _unit(1)) + _outer(_unit(1), _unit(0))}
+
+
+class TestOmegaFromStressClauses:
+    def _certificate_stresses(self):
+        from chordalrig.certify import certify_chordal
+        for n, dim, seed in [(8, 1, 0), (10, 2, 1), (9, 3, 2)]:
+            fw = random_general_position_framework(n, dim, seed)
+            yield fw, certify_chordal(fw).stress
+
+    def test_no_rank_profile_or_psd(self, hexagon, monkeypatch):
+        from chordalrig import framework
+        cases = [(hexagon.fw, StressMatrix(hexagon.stress))] + list(self._certificate_stresses())
+        expected = [StressWeights({(u, v): -s.matrix[u - 1, v - 1] for u, v in fw.graph.edges})
+                    for fw, s in cases]
+        assert [omega_from_stress(fw, s) for fw, s in cases] == expected
+
+        def forbidden(*args):
+            raise AssertionError("omega_from_stress ran a rank or PSD pass")
+        for name in ("_leading_profile", "rank", "psd_check"):
+            monkeypatch.setattr(framework, name, forbidden)
+        assert [omega_from_stress(fw, s) for fw, s in cases] == expected
+
+    def test_message_lists_each_failed_clause(self, hexagon):
+        breakers = _hexagon_clause_breakers(hexagon)
+        order = list(breakers)
+        for mask in range(1, 8):
+            failed = [name for k, name in enumerate(order) if mask >> k & 1]
+            m = hexagon.stress
+            for name in failed:
+                m = m + breakers[name]
+            with pytest.raises(InvalidStressMatrix) as info:
+                omega_from_stress(hexagon.fw, StressMatrix(m))
+            assert str(info.value) == f"not a stress matrix: {failed}"
+            assert validate_stress_matrix(hexagon.fw, m).failures() == failed
+
+    def test_wrong_size_rejected(self, hexagon):
+        with pytest.raises(DimensionMismatch, match="stress must be 6x6, got 5x5"):
+            omega_from_stress(hexagon.fw, StressMatrix(Matrix.zeros(5, 5)))
 
 
 class TestValidateStress:

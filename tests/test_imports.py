@@ -1,9 +1,11 @@
-"""Every name imported into a ``chordalrig`` module is used there.
+"""No dead code in ``chordalrig``: unused imports and unreferenced private
+definitions.
 
-A small ``ast`` scan stands in for a linter: a module fails when it binds a
-name by ``import`` or ``from ... import`` and never reads it. Names listed
-in the module's ``__all__`` count as used, so re-exports in ``__init__``
-pass.
+Two small ``ast`` scans stand in for a linter. A module fails when it binds
+a name by ``import`` or ``from ... import`` and never reads it; names
+listed in the module's ``__all__`` count as used, so re-exports in
+``__init__`` pass. The package fails when a top-level private (``_name``)
+function or class is referenced nowhere in it outside its own definition.
 """
 
 import ast
@@ -48,3 +50,39 @@ def test_no_unused_imports(path):
 ])
 def test_scan(source, expected):
     assert unused_imports(source) == expected
+
+
+def unreferenced_private(sources: list[str]) -> list[str]:
+    """Top-level ``_name`` functions and classes of the given modules that no
+    module reads, as a name or an attribute, outside their own definition."""
+    defined, referenced = set(), set()
+    for source in sources:
+        for node in ast.parse(source).body:
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.add(node.name)
+                names.discard(node.name)
+            referenced |= names
+    return sorted(defined - referenced)
+
+
+def test_no_unreferenced_private_definitions():
+    assert unreferenced_private([p.read_text() for p in sorted(SOURCE.glob("*.py"))]) == []
+
+
+@pytest.mark.parametrize("sources, expected", [
+    (["def _f():\n    pass\n"], ["_f"]),
+    (["def _f():\n    pass\n_f()\n"], []),
+    (["def _f():\n    return _f()\n"], ["_f"]),
+    (["class _C:\n    pass\n"], ["_C"]),
+    (["class _C:\n    pass\nx: _C\n"], []),
+    (["def f():\n    pass\n", "def __getattr__(name):\n    pass\n"], []),
+    (["def _f():\n    pass\n", "from a import _f\n_f()\n"], []),
+    (["def _f():\n    pass\n", "import a\na._f()\n"], []),
+    (["def _f():\n    pass\n", "from a import _f\n"], ["_f"]),
+    (["def _f():\n    pass\n", "def g():\n    return _f\n"], []),
+])
+def test_private_scan(sources, expected):
+    assert unreferenced_private(sources) == expected
