@@ -3,7 +3,10 @@
 Every entry is a Python Fraction, so all results are exact. Floats are
 rejected outright; there is no rounding anywhere in this module.
 Determinants and the one-pass rank profile run integer Bareiss
-elimination after clearing denominators. One kernel works on sparse rows
+elimination after clearing denominators; the Gale columns' Cramer systems
+call ``_int_determinant`` directly. The general-position sweep does not:
+it shares one fraction-free cofactor basis per prefix of its subsets
+(``framework._cofactor_step``). One kernel works on sparse rows
 instead (``SparseRows``, {row: {column: entry}}): symmetric exchange-free
 elimination in a given order, touching only the entries that elimination
 changes. Its pivots decide PSD and rank, and the unit columns it divides

@@ -6,6 +6,14 @@ must affinely span the ambient space. The extended configuration matrix
 stacks each point over a row of ones; its kernel (the Gale space) carries
 all stress matrices: S is a stress exactly when it is symmetric, kills the
 extended configuration, and vanishes on non-edges.
+
+Affine independence is decided on the points lifted to integer rows
+l (p, 1). A run of such rows carries a fraction-free cofactor basis
+(``_cofactor_step``): the vectors orthogonal to every row so far, one fewer
+per row, whose entries are minors of those rows. The span check keeps a
+row when the basis does not annihilate it, and the general-position sweep
+walks the (dim+1)-subsets depth first, so each prefix's basis is shared by
+all its extensions and each subset costs one integer dot product.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .exactmat import (
@@ -22,7 +31,6 @@ from .exactmat import (
     Matrix,
     SingularMatrix,
     SparseRows,
-    _int_determinant,
     _integer_row,
     _leading_profile,
     _sparse_rows,
@@ -108,7 +116,7 @@ class Framework:
             raise DegenerateSpan(f"{graph.n} points cannot affinely span dimension {dim}")
         if not graph.is_connected():
             raise FrameworkError("framework graph must be connected")
-        if rank(extended_config_matrix(self)) != dim + 1:
+        if not _spans(map(_lift, self.points), dim + 1):
             raise DegenerateSpan("points do not affinely span the ambient space")
 
     @property
@@ -160,28 +168,96 @@ def _check_subset_cap(n: int, k: int, cap: int) -> None:
         raise SizeCapExceededError(f"{total} subsets exceed the cap of {cap}")
 
 
+def _unit_rows(k: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(k)] for i in range(k)]
+
+
+def _cofactor_step(basis: list[list[int]], prev: int, v: Sequence[int]
+                   ) -> tuple[list[list[int]], int] | None:
+    """Extend a run of integer rows by the row ``v``, fraction-free.
+
+    ``basis`` spans the vectors orthogonal to every row of the run: the k
+    unit vectors, with ``prev`` = 1, for the empty run, and one vector fewer
+    per row. ``v`` depends on the run exactly when every y in the basis has
+    <v, y> = 0; then None is returned. Otherwise the first y_j with
+    p = <v, y_j> != 0 is the pivot, and every other y_i becomes
+    (p y_i - <v, y_i> y_j) / prev, with ``prev`` the previous pivot. This
+    is one step of Bareiss elimination on the columns of the rows stacked
+    over the identity, so by Sylvester's identity the division is exact
+    and every entry is a d x d minor of the d rows of the run, up to sign.
+    After k-1 rows the one vector left is the cofactor vector of a last
+    row, up to sign: its dot product with a row is the k x k determinant.
+    Returns the new basis and ``p``.
+    """
+    dots = [sum(map(mul, y, v)) for y in basis]
+    j = next((i for i, a in enumerate(dots) if a), None)
+    if j is None:
+        return None
+    p, pivot = dots[j], basis[j]
+    return [[(p * x - a * z) // prev for x, z in zip(y, pivot)]
+            for i, (a, y) in enumerate(zip(dots, basis)) if i != j], p
+
+
+def _spans(lifted: Iterable[Sequence[int]], k: int) -> bool:
+    """Whether the integer rows span Q^k: each row is kept when it is
+    independent of the rows kept so far, until k are kept."""
+    basis, prev = _unit_rows(k), 1
+    for v in lifted:
+        step = _cofactor_step(basis, prev, v)
+        if step is not None:
+            basis, prev = step
+            if not basis:
+                return True
+    return False
+
+
+def _first_dependent(lifted: Sequence[Sequence[int]], prefix: tuple[int, ...],
+                     basis: list[list[int]], prev: int) -> tuple[int, ...] | None:
+    """The lexicographically first dependent extension of ``prefix`` (rising
+    0-based indices into ``lifted``, with ``basis`` and ``prev`` as
+    ``_cofactor_step`` left them) by len(basis) later rows; None when every
+    extension is independent. A dependent prefix makes its first extension
+    dependent; with one basis vector left, each extension is decided by one
+    dot product with it."""
+    start = prefix[-1] + 1 if prefix else 0
+    if len(basis) == 1:
+        cofactors = basis[0]
+        dots = [sum(map(mul, cofactors, row)) for row in lifted[start:]]
+        return prefix + (start + dots.index(0),) if 0 in dots else None
+    for i in range(start, len(lifted) - len(basis) + 1):
+        step = _cofactor_step(basis, prev, lifted[i])
+        if step is None:
+            return prefix + tuple(range(i, i + len(basis)))
+        found = _first_dependent(lifted, prefix + (i,), *step)
+        if found is not None:
+            return found
+    return None
+
+
 def is_general_position(fw: Framework, cap: int | None = None
                         ) -> tuple[bool, tuple[int, ...] | None]:
     """Check that every dim+1 points are affinely independent.
 
     Points p_1..p_k are affinely independent exactly when the k x k matrix
-    of columns (p_i, 1) is nonsingular. Each point is lifted once to the
-    integer column (l p, l), with l the lcm of its denominators; scaling a
-    column does not change whether the determinant vanishes, so every
-    subset is decided by one integer Bareiss determinant.
+    of rows (p_i, 1) is nonsingular. Each point is lifted once to the
+    integer row (l p, l), with l the lcm of its denominators; scaling a row
+    does not change whether the determinant vanishes. The k-subsets are
+    walked depth first in lexicographic order, and each prefix extends its
+    parent's fraction-free cofactor basis by one row (``_cofactor_step``).
+    With k-1 rows chosen one vector is left, the cofactors of the last row,
+    so every subset is decided by one k-term integer dot product and no
+    subset pays for a determinant of its own.
 
-    Subsets are scanned lexicographically and the first violator is
-    returned as 1-based vertices. Raises SizeCapExceededError when there
-    are more than ``cap`` subsets to examine; None means
-    ``DEFAULT_POSITION_CAP``.
+    The first violator in lexicographic order is returned as 1-based
+    vertices. Raises SizeCapExceededError when there are more than ``cap``
+    subsets to examine; None means ``DEFAULT_POSITION_CAP``.
     """
     k = fw.dim + 1
     _check_subset_cap(fw.n, k, DEFAULT_POSITION_CAP if cap is None else cap)
-    lifted = _lifted_points(fw)
-    for subset in itertools.combinations(range(fw.n), k):
-        if _int_determinant([lifted[v] for v in subset]) == 0:
-            return False, tuple(v + 1 for v in subset)
-    return True, None
+    witness = _first_dependent(_lifted_points(fw), (), _unit_rows(k), 1)
+    if witness is None:
+        return True, None
+    return False, tuple(v + 1 for v in witness)
 
 
 @dataclass(frozen=True)
@@ -366,14 +442,15 @@ def _stress_clauses(fw: Framework, rows: SparseRows
     return symmetric, _first_non_edge(fw.graph, rows), kernel_ok
 
 
+def _lift(p: Sequence[Fraction]) -> list[int]:
+    """The point p lifted to the integer vector l (p, 1), with l the lcm of
+    its denominators."""
+    ints, l = _integer_row(p)
+    return ints + [l]
+
+
 def _lifted_points(fw: Framework) -> list[list[int]]:
-    """Each point p lifted to the integer vector l (p, 1), with l the lcm
-    of its denominators."""
-    lifted = []
-    for p in fw.points:
-        ints, l = _integer_row(p)
-        lifted.append(ints + [l])
-    return lifted
+    return [_lift(p) for p in fw.points]
 
 
 def _in_gale_space(lifted: Sequence[Sequence[int]],
@@ -505,21 +582,29 @@ def _sq_dist(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
     return sum((a - b) ** 2 for a, b in zip(p, q))
 
 
+def _same_sq_dists(a: Framework, b: Framework, pairs: Iterable[tuple[int, int]]) -> bool:
+    """Whether every 1-based pair is at the same squared distance in a and
+    b. A pair whose two ends keep their coordinates from a to b is skipped:
+    its distances agree."""
+    fixed = [p == q for p, q in zip(a.points, b.points)]
+    return all(fixed[u - 1] and fixed[v - 1]
+               or _sq_dist(a.point(u), a.point(v)) == _sq_dist(b.point(u), b.point(v))
+               for u, v in pairs)
+
+
 def frameworks_equivalent(a: Framework, b: Framework) -> bool:
     """Same squared length on every edge. The graphs must agree; ambient
     dimensions may differ."""
     if a.graph != b.graph:
         raise GraphMismatch("equivalence requires identical graphs")
-    return all(_sq_dist(a.point(u), a.point(v)) == _sq_dist(b.point(u), b.point(v))
-               for u, v in a.graph.edges)
+    return _same_sq_dists(a, b, a.graph.edges)
 
 
 def frameworks_congruent(a: Framework, b: Framework) -> bool:
     """Same squared distance on every vertex pair, adjacent or not."""
     if a.n != b.n:
         raise SizeMismatch("congruence requires the same vertex count")
-    return all(_sq_dist(a.point(u), a.point(v)) == _sq_dist(b.point(u), b.point(v))
-               for u in range(1, a.n + 1) for v in range(u + 1, a.n + 1))
+    return _same_sq_dists(a, b, itertools.combinations(range(1, a.n + 1), 2))
 
 
 def random_general_position_framework(n: int, dim: int, seed: int,

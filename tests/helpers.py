@@ -4,8 +4,9 @@ The generators build inputs with the library's own constructors (that part
 is not under test here); the properties asserted about the outputs are
 always checked against oracles or frozen values. The brute-force checks at
 the end (leading minors, all square submatrices, the zero pattern through
-dense elimination) are used only by tests; they call the package's
-``determinant`` and ``gauss_steps``, which ``oracles`` does not.
+dense elimination, the per-subset general-position sweep) are used only by
+tests; they call the package's ``determinant``, ``gauss_steps`` and
+integer Bareiss kernel, which ``oracles`` does not.
 """
 
 import itertools
@@ -25,11 +26,13 @@ from chordalrig.certify import PreconditionViolated
 from chordalrig.exactmat import (
     DimensionMismatch,
     ExactMatError,
+    _int_determinant,
+    _integer_row,
     _sparse_rows,
     determinant,
     gauss_steps,
 )
-from chordalrig.framework import _first_non_edge
+from chordalrig.framework import DEFAULT_POSITION_CAP, SizeCapExceededError, _first_non_edge
 from chordalrig.graphs import Ordering, relabel_to_positions
 
 # Guard for the combinatorial sweep below; overridable per call.
@@ -167,3 +170,28 @@ def elimination_preserves_zero_pattern(graph: Graph, peo: Ordering, a: Matrix,
     g2 = relabel_to_positions(graph, peo)
     return all(_first_non_edge(g2, _sparse_rows(stage)) is None
                for stage in itertools.chain([a2], gauss_steps(a2, k)))
+
+
+def general_position_by_determinants(fw: Framework, cap: int | None = None
+                                     ) -> tuple[bool, tuple[int, ...] | None]:
+    """The reference general-position sweep: every (dim+1)-subset of the
+    points, in lexicographic order, decided by its own integer Bareiss
+    determinant of the rows l (p, 1), l the lcm of p's denominators.
+
+    Same contract as ``is_general_position``: the first violator as 1-based
+    vertices, and SizeCapExceededError with the same message when there are
+    more than ``cap`` subsets (None means ``DEFAULT_POSITION_CAP``).
+    """
+    k = fw.dim + 1
+    cap = DEFAULT_POSITION_CAP if cap is None else cap
+    total = math.comb(fw.n, k)
+    if total > cap:
+        raise SizeCapExceededError(f"{total} subsets exceed the cap of {cap}")
+    lifted = []
+    for p in fw.points:
+        ints, l = _integer_row(p)
+        lifted.append(ints + [l])
+    for subset in itertools.combinations(range(fw.n), k):
+        if _int_determinant([lifted[v] for v in subset]) == 0:
+            return False, tuple(v + 1 for v in subset)
+    return True, None

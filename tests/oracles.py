@@ -39,6 +39,24 @@ def first_affinely_dependent(points, k):
     return None
 
 
+def cofactor_vector(rows):
+    """The cofactors of a last row below the k-1 rows of length k: entry t
+    is (-1)^(k-1+t) times the minor without column t, so its dot product
+    with a row x is the determinant of the rows stacked over x."""
+    k = len(rows) + 1
+    return [(-1) ** (k - 1 + t) * det_cofactor([row[:t] + row[t + 1:] for row in rows])
+            for t in range(k)]
+
+
+def equal_sq_distances(points_a, points_b, pairs):
+    """Whether every 1-based pair (u, v) is at the same squared distance in
+    both point lists, each distance summed in Fractions."""
+    def sq(points, u, v):
+        return sum((Fraction(x) - Fraction(y)) ** 2
+                   for x, y in zip(points[u - 1], points[v - 1]))
+    return all(sq(points_a, u, v) == sq(points_b, u, v) for u, v in pairs)
+
+
 def principal_minors_nonneg(rows):
     """PSD test for a symmetric matrix: every nonempty principal minor >= 0."""
     n = len(rows)
