@@ -9,7 +9,9 @@ Gram product Z Z^T is summed one column at a time; it is a positive
 semidefinite stress matrix of the maximal rank, which certifies universal
 (hence global) rigidity. Its stress clauses are re-checked over its
 nonzero entries, and PSD and rank by sparse symmetric elimination along the
-PEO, which fills in nothing outside the graph. The negative branch
+PEO, which fills in nothing outside the graph; the same one pass gives
+``psdize_stress`` its input's rank, first vanishing leading minor and Gale
+factor, with no dense elimination on any input. The negative branch
 extracts a small separating set from the ordering and reflects one side of
 it across a hyperplane, producing a framework with the same edge lengths
 that is provably not congruent.
@@ -29,10 +31,8 @@ from .exactmat import (
     _dense,
     _int_determinant,
     _sparse_factor,
-    _sparse_profile,
     _sparse_rows,
     null_space_basis,
-    rank,
 )
 from .framework import (
     Framework,
@@ -227,7 +227,7 @@ def _gram_stress(fw: Framework, columns: GaleColumns, order: Ordering) -> Stress
     outer product at a time, with every stress clause re-checked.
 
     Symmetry, the non-edge zeros and the kernel are checked over the
-    stored nonzero entries; PSD and rank rbar by ``_sparse_profile`` along
+    stored nonzero entries; PSD and rank rbar by ``_sparse_factor`` along
     ``order``, which along a PEO touches one clique per step. A nonzero
     non-edge entry raises PatternViolation; any other failed clause is a
     bug and raises AssertionFailure.
@@ -244,10 +244,10 @@ def _gram_stress(fw: Framework, columns: GaleColumns, order: Ordering) -> Stress
     if not (symmetric and kernel_ok):
         raise AssertionFailure(
             f"Gram stress failed validation: {_clause_failures(symmetric, True, kernel_ok)}")
-    profile = _sparse_profile(rows, [v - 1 for v in order])
-    if profile != (fw.rbar, True):
-        raise AssertionFailure(
-            f"Gram stress is not PSD of rank {fw.rbar}: elimination gave {profile}")
+    result = _sparse_factor(rows, [v - 1 for v in order])
+    if (result.rank, result.psd) != (fw.rbar, True):
+        raise AssertionFailure(f"Gram stress is not PSD of rank {fw.rbar}: "
+                               f"elimination gave {(result.rank, result.psd)}")
     return StressMatrix(_dense(rows, fw.n))
 
 
@@ -402,17 +402,16 @@ def _elimination_order(graph: Graph) -> Ordering:
 def psdize_stress(fw: Framework, s: Matrix, cap: int | None = None) -> PsdizeResult:
     """Turn a maximal-rank stress with generic rank profile into a PSD one.
 
-    One sparse symmetric elimination along an elimination ordering (the
-    identity is kept when it already qualifies) factors the input as
-    L D L^T. Up to the first zero, its pivots are the ratios of successive
-    leading principal minors, so a zero among the first rbar pivots is the
-    first vanishing minor and raises NotGenericRankProfile with its index.
-    Otherwise the rbar unit columns of L are a Gale matrix in
-    unit-triangular shape; chordality keeps their non-edge zeros, so their
-    Gram product is again a stress: PSD, of the same maximal rank. The
-    input's rank is the number of nonzero pivots, computed by ``rank`` only
-    when the pass stops at a zero pivot over a nonzero row; a rank other
-    than rbar is reported before a vanishing minor.
+    One sparse symmetric elimination (``_sparse_factor``) along an
+    elimination ordering (the identity is kept when it already qualifies)
+    gives the input's rank; a rank other than rbar is reported first. Up to
+    the first zero, its pivots are the ratios of successive leading
+    principal minors, so a zero among the first rbar pivots is the first
+    vanishing minor and raises NotGenericRankProfile with its index.
+    Otherwise the pass factors the input as L D L^T, and the rbar unit
+    columns of L are a Gale matrix in unit-triangular shape; chordality
+    keeps their non-edge zeros, so their Gram product is again a stress:
+    PSD, of the same maximal rank.
     """
     peo = _elimination_order(fw.graph)
     gp, witness = is_general_position(fw, cap=cap)
@@ -426,13 +425,13 @@ def psdize_stress(fw: Framework, s: Matrix, cap: int | None = None) -> PsdizeRes
         raise PreconditionViolated("input is not a stress matrix: "
                                    f"{_clause_failures(symmetric, non_edge is None, kernel_ok)}")
     order = [v - 1 for v in peo]
-    pivots, columns, complete = _sparse_factor(rows, order)
-    stress_rank = len(columns) if complete else rank(s)
-    if stress_rank != fw.rbar:
+    result = _sparse_factor(rows, order)
+    if result.rank != fw.rbar:
         raise PreconditionViolated(
-            f"stress rank {stress_rank} differs from the maximal {fw.rbar}")
-    if not all(pivots[:fw.rbar]):
-        raise NotGenericRankProfile(pivots.index(0) + 1)
+            f"stress rank {result.rank} differs from the maximal {fw.rbar}")
+    if not result.generic:
+        raise NotGenericRankProfile(result.first_zero)
+    columns = result.columns
     violation = _triangular_violation(columns, fw.graph, peo)
     if violation is not None:
         raise AssertionFailure(f"eliminated factor lost the triangular shape at {violation}")

@@ -247,6 +247,8 @@ def gale(framework_file, triangular, output):
             z = unit_triangular_gale(fw, _elimination_order(fw.graph))
         else:
             z = gale_matrix(fw)
+    except SizeCapExceededError as exc:
+        _limit_error(exc)
     except (CertifyError, FrameworkError, GraphError, ExactMatError) as exc:
         _hypothesis_error(exc)
     _emit(matrix_to_lists(z.matrix), output)

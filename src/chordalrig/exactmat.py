@@ -2,17 +2,18 @@
 
 Every entry is a Python Fraction, so all results are exact. Floats are
 rejected outright; there is no rounding anywhere in this module.
-Determinants and the one-pass rank profile run integer Bareiss
-elimination after clearing denominators; the Gale columns' Cramer systems
-call ``_int_determinant`` directly. The general-position sweep does not:
-it shares one fraction-free cofactor basis per prefix of its subsets
-(``framework._cofactor_step``). One kernel works on sparse rows
-instead (``SparseRows``, {row: {column: entry}}): symmetric exchange-free
+Determinants run integer Bareiss elimination after clearing denominators;
+the Gale columns' Cramer systems call ``_int_determinant`` directly. The
+general-position sweep does not: it shares one fraction-free cofactor
+basis per prefix of its subsets (``framework._cofactor_step``). The one
+elimination for symmetric matrices works on sparse rows instead
+(``SparseRows``, {row: {column: entry}}): symmetric exchange-free
 elimination in a given order, touching only the entries that elimination
-changes. Its pivots decide PSD and rank, and the unit columns it divides
-out are the factor L of L D L^T; for a maximal-rank stress with generic
-rank profile, eliminated along a perfect elimination ordering, L is a
-unit-triangular Gale matrix.
+changes, with a 2x2 block step at a zero pivot over a nonzero row, so it
+always completes. One pass decides rank, PSD and the generic rank profile
+in its order, and the unit columns it divides out are the factor L of
+L D L^T; for a maximal-rank stress with generic rank profile, eliminated
+along a perfect elimination ordering, L is a unit-triangular Gale matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 Rational = Fraction
 
@@ -323,61 +324,18 @@ def rank(a: Matrix) -> int:
     return r
 
 
-def _leading_profile(a: Matrix) -> tuple[int, bool] | None:
-    """One exchange-free integer Bareiss pass over a square matrix.
-
-    Each row is first scaled by the lcm of its denominators, which scales
-    the j-th leading principal minor by a positive factor; the pivot at
-    step j is that scaled minor. At the first zero pivot, step k+1, the
-    trailing block holds k+1-order bordered minors, so it is all zero
-    exactly when the Schur complement of the leading k-block is.
-
-    Returns ``(k, positive)`` when the leading k-block is nonsingular and
-    its Schur complement is zero (or k = n): then k is the rank, the first
-    k leading minors are nonzero, and ``positive`` says whether all k
-    pivots are positive. For a symmetric matrix that decides PSD, since
-    the matrix is congruent to diag(leading block, 0). Returns None when a
-    zero pivot meets a nonzero trailing block: the rank exceeds k while
-    minor k+1 vanishes, so the rank profile is not generic.
-    """
-    n = a.rows
-    m = [_integer_row(row)[0] for row in a.data]
-    prev = 1
-    positive = True
-    for k in range(n):
-        pivot_row = m[k]
-        pivot = pivot_row[k]
-        if pivot == 0:
-            if any(m[i][j] for i in range(k, n) for j in range(k, n)):
-                return None
-            return k, positive
-        if pivot < 0:
-            positive = False
-        for i in range(k + 1, n):
-            row = m[i]
-            f = row[k]
-            m[i] = row[:k + 1] + [(x * pivot - f * y) // prev
-                                  for x, y in zip(row[k + 1:], pivot_row[k + 1:])]
-        prev = pivot
-    return n, positive
-
-
 def has_generic_rank_profile(a: Matrix) -> tuple[bool, int]:
     """Whether the first rank(a) leading principal minors are all nonzero.
 
-    Returns (decision, rank). One exchange-free integer Bareiss pass
-    decides the profile and, when it is generic, yields the rank; only a
-    non-generic profile pays for a separate ``rank``. The zero matrix
-    vacuously qualifies with rank 0.
+    Returns (decision, rank), both read off one ``_sparse_factor`` pass in
+    label order. The zero matrix vacuously qualifies with rank 0.
     """
     if a.rows != a.cols:
         raise DimensionMismatch("generic rank profile needs a square matrix")
     if not a.is_symmetric:
         raise NotSymmetric("generic rank profile is defined here for symmetric matrices")
-    profile = _leading_profile(a)
-    if profile is None:
-        return False, rank(a)
-    return True, profile[0]
+    result = _sparse_factor(_sparse_rows(a), range(a.rows))
+    return result.generic, result.rank
 
 
 SparseRows = dict[int, dict[int, Fraction]]
@@ -395,8 +353,48 @@ def _dense(rows: SparseRows, n: int) -> Matrix:
                   shape=(n, n))
 
 
-def _sparse_factor(rows: SparseRows, order: Sequence[int]
-                   ) -> tuple[list[Fraction], list[dict[int, Fraction]], bool]:
+class Elimination(NamedTuple):
+    """What ``_sparse_factor`` finds along its order.
+
+    ``first_zero`` is the 1-based step of the first zero pivot, None when
+    there is none; ``pivots`` are the nonzero 1x1 pivots in step order and
+    ``columns`` their unit columns.
+    """
+
+    rank: int
+    psd: bool
+    first_zero: int | None
+    pivots: list[Fraction]
+    columns: list[dict[int, Fraction]]
+
+    @property
+    def generic(self) -> bool:
+        """Whether the first ``rank`` leading principal minors in the order
+        are nonzero."""
+        return self.first_zero is None or self.first_zero > self.rank
+
+
+def _schur_update(work: SparseRows, gone: Sequence[int], keys: Sequence[int],
+                  entry: Callable[[int, int], Fraction]) -> None:
+    """Drop the eliminated indices ``gone`` from the rows ``keys`` of the
+    symmetric ``work``, then subtract ``entry(i, k)``, k >= i, from its
+    entries (w_i, w_k) and (w_k, w_i), w = ``keys``: each symmetric pair is
+    computed once, and zeros are dropped."""
+    for i, w in enumerate(keys):
+        wrow = work[w]
+        for v in gone:
+            wrow.pop(v, None)
+        for k in range(i, len(keys)):
+            x = keys[k]
+            y = wrow.get(x, 0) - entry(i, k)
+            if y:
+                wrow[x] = work[x][w] = y
+            else:
+                wrow.pop(x, None)
+                work[x].pop(w, None)
+
+
+def _sparse_factor(rows: SparseRows, order: Sequence[int]) -> Elimination:
     """Symmetric exchange-free elimination over sparse rows, in ``order``.
 
     ``rows`` holds the entries of a symmetric matrix by row, zeros omitted
@@ -404,59 +402,56 @@ def _sparse_factor(rows: SparseRows, order: Sequence[int]
     eliminated: each entry (u, w) of v's remaining neighbours loses
     a_uv a_vw / d, so only the clique they span changes, and along a
     perfect elimination ordering of the matrix's pattern nothing fills in.
-    A zero pivot over an all-zero row removes v unchanged.
+    A zero pivot over an all-zero row removes v unchanged. A zero pivot
+    over a nonzero entry a = a_vu eliminates the block {v, u} instead
+    (Bunch & Parlett's 2x2 pivot): [[0, a], [a, a_uu]] has determinant
+    -a^2 < 0, so by Haynsworth's inertia additivity the step adds 2 to the
+    rank and one negative eigenvalue.
 
-    Returns the pivots in step order, the unit column {v: 1, u: a_uv / d}
-    of each nonzero pivot d at v, and whether every step was one of those
-    two. When it was, the matrix is L D L^T with L the columns and D their
-    pivots. A zero pivot over a nonzero row stops the pass; it is the last
-    pivot returned, with False.
+    So the pass always completes: the rank is the number of nonzero 1x1
+    pivots plus 2 per block, and the matrix is PSD exactly when there is no
+    block and every pivot is positive. Up to the first zero pivot, the
+    pivots are the ratios of successive leading principal minors in the
+    order, so the profile is generic exactly when that zero comes after
+    step ``rank``. With no block, the matrix is L D L^T with L the unit
+    columns and D their pivots.
     """
     work = {v: {w: x for w, x in row.items() if x} for v, row in rows.items()}
     if sorted(order) != sorted(work):
         raise DimensionMismatch("the order must list every row index exactly once")
     pivots = []
     columns = []
-    for v in order:
+    blocks = 0
+    first_zero = None
+    for step, v in enumerate(order, 1):
+        if v not in work:  # the partner of an earlier block
+            continue
         row = work.pop(v)
         pivot = row.pop(v, 0)
-        pivots.append(pivot)
-        if not pivot:
-            if row:
-                return pivots, columns, False
+        if pivot:
+            keys, values = list(row), list(row.values())
+            factors = [a / pivot for a in values]
+            _schur_update(work, [v], keys, lambda i, k: factors[i] * values[k])
+            pivots.append(pivot)
+            columns.append({v: Fraction(1), **dict(zip(keys, factors))})
             continue
-        column = {v: Fraction(1)}
-        neighbours = list(row.items())
-        for u, a in neighbours:
-            urow = work[u]
-            del urow[v]
-            f = column[u] = a / pivot
-            for w, b in neighbours:
-                x = urow.get(w, 0) - f * b
-                if x:
-                    urow[w] = x
-                else:
-                    urow.pop(w, None)
-        columns.append(column)
-    return pivots, columns, True
-
-
-def _sparse_profile(rows: SparseRows, order: Sequence[int]) -> tuple[int, bool] | None:
-    """Rank and PSD by ``_sparse_factor``.
-
-    When every step eliminates a nonzero pivot or skips a zero row, the
-    matrix is congruent to the diagonal of its pivots: returns
-    ``(rank, positive)``, with the rank the number of nonzero pivots, and
-    the matrix PSD exactly when ``positive`` (every nonzero pivot is
-    positive). A zero pivot over a nonzero row returns None: a congruent
-    matrix then has a principal block [[0, a], [a, d]] with a != 0, so the
-    matrix is not PSD. The answer does not depend on the order; the order
-    only sets the fill, hence the work.
-    """
-    pivots, columns, complete = _sparse_factor(rows, order)
-    if not complete:
-        return None
-    return len(columns), all(d > 0 for d in pivots if d)
+        if first_zero is None:
+            first_zero = step
+        if not row:
+            continue
+        u, a = next(iter(row.items()))
+        urow = work.pop(u)
+        d = urow.pop(u, 0)
+        del row[u], urow[v]
+        keys = list({**row, **urow})
+        # the update P B^-1 P^T, with P the columns at v and u and B the
+        # block, is s t^T + t s^T for s = P_v / a and t = P_u - d s / 2
+        s = [row.get(w, 0) / a for w in keys]
+        t = [urow.get(w, 0) - d * x / 2 for w, x in zip(keys, s)]
+        _schur_update(work, [v, u], keys, lambda i, k: s[i] * t[k] + t[i] * s[k])
+        blocks += 1
+    return Elimination(len(columns) + 2 * blocks, not blocks and all(d > 0 for d in pivots),
+                       first_zero, pivots, columns)
 
 
 def _rref(a: Matrix) -> tuple[list[list[Fraction]], list[int]]:

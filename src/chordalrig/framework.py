@@ -11,9 +11,10 @@ Affine independence is decided on the points lifted to integer rows
 l (p, 1). A run of such rows carries a fraction-free cofactor basis
 (``_cofactor_step``): the vectors orthogonal to every row so far, one fewer
 per row, whose entries are minors of those rows. The span check keeps a
-row when the basis does not annihilate it, and the general-position sweep
-walks the (dim+1)-subsets depth first, so each prefix's basis is shared by
-all its extensions and each subset costs one integer dot product.
+row when the basis does not annihilate it, ``affinely_independent`` needs
+every row kept, and the general-position sweep walks the (dim+1)-subsets
+depth first, so each prefix's basis is shared by all its extensions and
+each subset costs one integer dot product.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ from .exactmat import (
     SingularMatrix,
     SparseRows,
     _integer_row,
-    _leading_profile,
+    _sparse_factor,
     _sparse_rows,
     inverse,
     null_space_basis,
-    psd_check,
     rank,
 )
 from .graphs import Graph, Ordering, gen_ktree
@@ -149,17 +149,20 @@ def extended_config_matrix(fw: Framework) -> Matrix:
 
 
 def affinely_independent(points: Sequence[Sequence]) -> bool:
-    """Whether the points are affinely independent (no dimension assumed)."""
-    pts = [tuple(Fraction(x) if not isinstance(x, float) else _reject_float(x) for x in p)
-           for p in points]
+    """Whether the points are affinely independent (no dimension assumed):
+    each lifted point must extend the cofactor basis of those before it."""
+    pts = [_coerce_point(p, None) for p in points]
     if not pts:
         return True
-    d = len(pts[0])
+    if any(len(p) != len(pts[0]) for p in pts):
+        raise DimensionMismatch("points of differing dimension")
+    basis, prev = _unit_rows(len(pts[0]) + 1), 1
     for p in pts:
-        if len(p) != d:
-            raise DimensionMismatch("points of differing dimension")
-    stacked = Matrix.from_columns([list(p) + [Fraction(1)] for p in pts])
-    return rank(stacked) == len(pts)
+        step = _cofactor_step(basis, prev, _lift(p))
+        if step is None:
+            return False
+        basis, prev = step
+    return True
 
 
 def _check_subset_cap(n: int, k: int, cap: int) -> None:
@@ -485,23 +488,19 @@ def validate_stress_matrix(fw: Framework, s: Matrix) -> StressReport:
     """Evaluate every stress-matrix clause on an arbitrary square matrix.
 
     Symmetry, the non-edge zeros and the kernel are checked over the
-    nonzero entries. For a symmetric matrix one exchange-free integer
-    Bareiss pass yields the rank, the generic rank profile and, through
-    the signs of its pivots, positive semidefiniteness; ``rank`` and
-    ``psd_check`` run only when that pass finds the profile not generic.
-    A matrix that is not symmetric gets its rank alone and fails both
-    other clauses.
+    nonzero entries. For a symmetric matrix one ``_sparse_factor`` pass in
+    label order yields the rank, the generic rank profile and positive
+    semidefiniteness. A matrix that is not symmetric gets its rank alone,
+    by ``rank``, and fails both other clauses.
     """
-    symmetric, non_edge, kernel_ok = _stress_clauses(fw, _stress_rows(fw, s))
-    pattern_ok = non_edge is None
-    profile = _leading_profile(s) if symmetric else None
-    if profile is not None:
-        rk, psd = profile
-        grp = True
+    rows = _stress_rows(fw, s)
+    symmetric, non_edge, kernel_ok = _stress_clauses(fw, rows)
+    if symmetric:
+        result = _sparse_factor(rows, range(fw.n))
+        rk, grp, psd = result.rank, result.generic, result.psd
     else:
-        rk, grp = rank(s), False
-        psd = symmetric and psd_check(s).is_psd
-    return StressReport(symmetric, pattern_ok, kernel_ok, rk, grp, psd)
+        rk, grp, psd = rank(s), False, False
+    return StressReport(symmetric, non_edge is None, kernel_ok, rk, grp, psd)
 
 
 def psi_from_stress(fw: Framework, z: GaleMatrix, s: StressMatrix) -> Matrix:

@@ -4,9 +4,10 @@ The generators build inputs with the library's own constructors (that part
 is not under test here); the properties asserted about the outputs are
 always checked against oracles or frozen values. The brute-force checks at
 the end (leading minors, all square submatrices, the zero pattern through
-dense elimination, the per-subset general-position sweep) are used only by
-tests; they call the package's ``determinant``, ``gauss_steps`` and
-integer Bareiss kernel, which ``oracles`` does not.
+dense elimination, the per-subset general-position sweep, the dense
+one-pass rank profile) are used only by tests; they call the package's
+``determinant``, ``gauss_steps`` and integer Bareiss kernel, which
+``oracles`` does not.
 """
 
 import itertools
@@ -195,3 +196,42 @@ def general_position_by_determinants(fw: Framework, cap: int | None = None
         if _int_determinant([lifted[v] for v in subset]) == 0:
             return False, tuple(v + 1 for v in subset)
     return True, None
+
+
+def _leading_profile(a: Matrix) -> tuple[int, bool] | None:
+    """One exchange-free integer Bareiss pass over a square matrix.
+
+    Each row is first scaled by the lcm of its denominators, which scales
+    the j-th leading principal minor by a positive factor; the pivot at
+    step j is that scaled minor. At the first zero pivot, step k+1, the
+    trailing block holds k+1-order bordered minors, so it is all zero
+    exactly when the Schur complement of the leading k-block is.
+
+    Returns ``(k, positive)`` when the leading k-block is nonsingular and
+    its Schur complement is zero (or k = n): then k is the rank, the first
+    k leading minors are nonzero, and ``positive`` says whether all k
+    pivots are positive. For a symmetric matrix that decides PSD, since
+    the matrix is congruent to diag(leading block, 0). Returns None when a
+    zero pivot meets a nonzero trailing block: the rank exceeds k while
+    minor k+1 vanishes, so the rank profile is not generic.
+    """
+    n = a.rows
+    m = [_integer_row(row)[0] for row in a.data]
+    prev = 1
+    positive = True
+    for k in range(n):
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        if pivot == 0:
+            if any(m[i][j] for i in range(k, n) for j in range(k, n)):
+                return None
+            return k, positive
+        if pivot < 0:
+            positive = False
+        for i in range(k + 1, n):
+            row = m[i]
+            f = row[k]
+            m[i] = row[:k + 1] + [(x * pivot - f * y) // prev
+                                  for x, y in zip(row[k + 1:], pivot_row[k + 1:])]
+        prev = pivot
+    return n, positive

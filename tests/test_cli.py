@@ -453,12 +453,14 @@ class TestSubsetCap:
         write_json(stress, stress_to_obj(StressMatrix(Matrix.zeros(120, 120))))
         return str(path), str(stress)
 
-    @pytest.mark.parametrize("command", ["analyze", "certify", "psdize"])
+    @pytest.mark.parametrize("command", ["analyze", "certify", "psdize", "gale"])
     def test_default_cap_exits_with_limit_code(self, runner, long_path, command):
         fw_path, stress_path = long_path
         args = [command, fw_path]
         if command == "psdize":
             args += ["--stress", stress_path]
+        if command == "gale":
+            args.append("--triangular")
         result = runner.invoke(main, args)
         assert result.exit_code == EXIT_LIMIT == 4
         assert "280840 subsets exceed the cap of 200000" in result.stderr

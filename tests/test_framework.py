@@ -117,6 +117,10 @@ class TestAffinelyIndependent:
         with pytest.raises(DimensionMismatch):
             affinely_independent([(0, 1), (1,)])
 
+    def test_float_rejected(self):
+        with pytest.raises(TypeError):
+            affinely_independent([(0, 1), (Fraction(1, 2), 0.5)])
+
 
 class TestGeneralPosition:
     def test_hexagon(self, hexagon):
@@ -336,8 +340,8 @@ class TestOmegaFromStressClauses:
 
         def forbidden(*args):
             raise AssertionError("omega_from_stress ran a rank or PSD pass")
-        for name in ("_leading_profile", "rank", "psd_check"):
-            monkeypatch.setattr(framework, name, forbidden)
+        for name in ("_sparse_factor", "rank", "psd_check"):
+            monkeypatch.setattr(framework, name, forbidden, raising=False)
         assert [omega_from_stress(fw, s) for fw, s in cases] == expected
 
     def test_message_lists_each_failed_clause(self, hexagon):

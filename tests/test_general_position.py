@@ -234,6 +234,28 @@ class TestCofactorStep:
         assert is_general_position(fw) == (False, witness)
 
 
+class TestAffinelyIndependent:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_matches_sympy_rank(self, dim, monkeypatch):
+        """Prefixes of the seeded point lists, so repeats, collinear
+        openings, hull points and more than dim + 1 points all occur, with a
+        denominator per coordinate; no dense ``rank`` runs."""
+        def forbidden(*args):
+            raise AssertionError("dense rank")
+        monkeypatch.setattr(framework, "rank", forbidden)
+        rng = random.Random(f"affinely-independent/{dim}")
+        seen = set()
+        for _ in range(60):
+            kind, pts = _seeded_points(rng, dim, rng.randint(dim + 1, dim + 3))
+            pts = pts[:rng.randint(1, len(pts))]
+            expected = oracles.sym_rank([p + [1] for p in pts]) == len(pts)
+            assert framework.affinely_independent(pts) == expected
+            seen.add((expected, len(pts) > dim + 1))
+            if not expected and len(pts) <= dim + 1:
+                seen.add(kind)
+        assert seen >= {(True, False), (False, False), (False, True), "repeat-1-2"}
+
+
 class TestSweepCost:
     def test_no_determinant_calls(self, monkeypatch):
         def boom(rows):

@@ -1,12 +1,14 @@
 """The sparse symmetric elimination kernel and the sparse Gale/Gram path.
 
-``exactmat._sparse_profile`` decides PSD and rank by exchange-free
-symmetric elimination in any order. It is compared here with the dense
-one-pass profile ``_leading_profile``, with ``psd_check``, with sympy's
-rank and with the principal-minor PSD test, on chordal and non-chordal
-patterns, in perfect elimination orderings and in orders that are not,
+``exactmat._sparse_factor`` decides rank, PSD and the generic rank profile
+in its order by exchange-free symmetric elimination, with a 2x2 block step
+at a zero pivot over a nonzero row. It is compared here with sympy's rank,
+the principal-minor PSD test and cofactor leading minors, with
+``psd_check`` and with the dense one-pass profile
+``helpers._leading_profile``, on chordal and non-chordal patterns, in
+label order, in perfect elimination orderings and in orders that are not,
 with zero pivots over zero and over nonzero rows, and on indefinite and
-rank-deficient matrices; whenever it runs to the end, its unit columns
+rank-deficient matrices; whenever it takes no 2x2 step, its unit columns
 and pivots rebuild the input as L D L^T. The sparse unit-triangular Gale
 builder is compared with a sympy solve of the same column systems, and the
 certificate stress with the dense Gram product. ``psdize_stress`` takes its
@@ -16,6 +18,7 @@ cofactor determinants.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -35,10 +38,9 @@ from chordalrig.certify import (
 from chordalrig.exactmat import (
     DimensionMismatch,
     Matrix,
-    _leading_profile,
     _sparse_factor,
-    _sparse_profile,
     _sparse_rows,
+    determinant,
     gauss_step_sequence,
     psd_check,
     rank,
@@ -60,8 +62,13 @@ from chordalrig.graphs import Graph, gen_ktree, is_chordal, is_peo, mcs_order, O
 F = Fraction
 
 
+def factor(rows, order):
+    return _sparse_factor(_sparse_rows(Matrix(rows)), order)
+
+
 def profile(rows, order):
-    return _sparse_profile(_sparse_rows(Matrix(rows)), order)
+    """The kernel's rank and PSD along ``order``."""
+    return factor(rows, order)[:2]
 
 
 def fractions(rows):
@@ -69,9 +76,9 @@ def fractions(rows):
 
 
 def ldlt(pivots, columns, n):
-    """The sum of d c c^T over the nonzero pivots d and their unit columns c."""
+    """The sum of d c c^T over the pivots d and their unit columns c."""
     rows = [[F(0)] * n for _ in range(n)]
-    for d, col in zip([d for d in pivots if d], columns):
+    for d, col in zip(pivots, columns, strict=True):
         for u, a in col.items():
             for w, b in col.items():
                 rows[u][w] += d * a * b
@@ -79,6 +86,8 @@ def ldlt(pivots, columns, n):
 
 
 class TestNamedCases:
+    # None: the pass meets a zero pivot over a nonzero row and takes a 2x2
+    # step there; ``check`` compares its answer with the oracles
     @pytest.mark.parametrize("rows, order, expected", [
         ([[0, 0], [0, 0]], [0, 1], (0, True)),
         ([[0, 1], [1, 0]], [0, 1], None),
@@ -96,9 +105,25 @@ class TestNamedCases:
         ([[-2, 1], [1, -2]], [0, 1], (2, False)),
     ])
     def test_named(self, rows, order, expected):
-        rows = fractions(rows)
-        assert profile(rows, order) == expected
-        TestAgainstDensePaths.check(rows, order)
+        result, _ = TestAgainstDensePaths.check(fractions(rows), order)
+        block = result.rank > len(result.columns)
+        assert (None if block else (result.rank, result.psd)) == expected
+
+    @pytest.mark.parametrize("rows, order, expected", [
+        ([[0, 1], [1, 0]], [0, 1], (2, False, 1)),
+        ([[0, 1], [1, 0]], [1, 0], (2, False, 1)),
+        ([[0, 1], [1, 1]], [0, 1], (2, False, 1)),
+        # a 1x1 step, then a 2x2 step on the Schur complement [[0, 1], [1, 1]]
+        ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], [0, 1, 2], (3, False, 2)),
+        ([[1, 1, 0], [1, 1, 1], [0, 1, 1]], [2, 1, 0], (3, False, 2)),
+        # the block's partner, vertex 2, is not eliminated again
+        ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], [0, 1, 2], (3, False, 1)),
+    ])
+    def test_two_by_two_step(self, rows, order, expected):
+        """Rank, PSD and the first zero step where the pass takes a block."""
+        result, _ = TestAgainstDensePaths.check(fractions(rows), order)
+        assert (result.rank, result.psd, result.first_zero) == expected
+        assert result.rank > len(result.columns)
 
     @pytest.mark.parametrize("order", [[0], [0, 1, 1], [1, 2], [0, 1, 2]])
     def test_order_must_list_every_row_once(self, order):
@@ -106,10 +131,12 @@ class TestNamedCases:
             profile(fractions([[1, 0], [0, 1]]), order)
 
     def test_input_rows_are_not_modified(self):
-        rows = _sparse_rows(Matrix([[1, 1], [1, 2]]))
-        before = {v: dict(row) for v, row in rows.items()}
-        assert _sparse_profile(rows, [0, 1]) == (2, True)
-        assert rows == before
+        for matrix, expected in [([[1, 1], [1, 2]], (2, True)),
+                                 ([[0, 1, 1], [1, 1, 0], [1, 0, 2]], (3, False))]:  # 2x2 step
+            rows = _sparse_rows(Matrix(matrix))
+            before = {v: dict(row) for v, row in rows.items()}
+            assert _sparse_factor(rows, range(len(matrix)))[:2] == expected
+            assert rows == before
 
 
 def _chordal_graph(rng, n):
@@ -164,31 +191,32 @@ class TestAgainstDensePaths:
     def check(rows, order):
         """Compare the kernel along ``order`` with the oracles and dense
         paths; return its result and whether the dense profile along the
-        same order found the profile not generic."""
+        same order gave up on a zero pivot over a nonzero trailing block."""
         n = len(rows)
-        got = profile(rows, order)
+        result = factor(rows, order)
         psd = oracles.principal_minors_nonneg(rows)
         rk = oracles.sym_rank(rows)
-        assert (got is not None and got[1]) == psd
-        if got is not None:
-            assert got[0] == rk
+        assert (result.rank, result.psd) == (rk, psd)
         dense = psd_check(Matrix(rows))
         assert dense.is_psd == psd
         if psd:
             assert dense.rank == rk
-        permuted = Matrix([[rows[i][j] for j in order] for i in order], shape=(n, n))
-        leading = _leading_profile(permuted)
+        permuted = [[rows[i][j] for j in order] for i in order]
+        assert (result.rank, result.generic) == oracles.rank_and_generic_profile(permuted)
+        if result.first_zero is not None:
+            k = result.first_zero
+            assert oracles.det_cofactor([row[:k] for row in permuted[:k]]) == 0
+        leading = helpers._leading_profile(Matrix(permuted, shape=(n, n)))
         if leading is not None:
-            assert got == leading
-        pivots, columns, complete = _sparse_factor(_sparse_rows(Matrix(rows)), order)
-        assert complete == (got is not None)
+            assert result.generic and result[:2] == leading
         position = {v: i for i, v in enumerate(order)}
-        steps = [v for v, d in zip(order, pivots) if d]
-        for v, col in zip(steps, columns, strict=True):
-            assert col[v] == 1 and min(col, key=position.get) == v
-        if complete:
-            assert ldlt(pivots, columns, n) == rows
-        return got, leading is None
+        heads = [min(col, key=position.get) for col in result.columns]
+        assert all(col[v] == 1 for v, col in zip(heads, result.columns))
+        assert heads == sorted(set(heads), key=position.get)
+        assert len(result.pivots) == len(result.columns) and all(result.pivots)
+        if result.rank == len(result.columns):  # no 2x2 step
+            assert ldlt(result.pivots, result.columns, n) == rows
+        return result, leading is None
 
     def test_seeded_patterns_and_orders(self):
         seen = set()
@@ -201,23 +229,26 @@ class TestAgainstDensePaths:
             mcs = [v - 1 for v in mcs_order(g)]
             shuffled = rng.sample(range(n), n)
             results = []
-            for order in (mcs, shuffled):
-                got, dense_gave_up = self.check(rows, order)
-                results.append(got)
+            for order in (list(range(n)), mcs, shuffled):
+                result, dense_gave_up = self.check(rows, order)
+                results.append(result[:2])
+                block = result.rank > len(result.columns)
                 peo = is_peo(g, Ordering([v + 1 for v in order]))[0]
-                outcome = ("none" if got is None else "psd" if got[1] else "indefinite")
+                outcome = ("2x2 step" if block else "psd" if result.psd else "indefinite")
                 seen.add((chordal, peo, outcome))
-                if got is not None and dense_gave_up:
+                seen.add(("generic", result.generic))
+                if not block and dense_gave_up:
                     seen.add("zero pivot over a zero row skipped")
-                if got is not None and got[0] < n:
+                if result.rank < n:
                     seen.add(("rank-deficient", outcome))
-            if None not in results:  # rank and PSD do not depend on the order
-                assert results[0] == results[1]
+            # rank and PSD do not depend on the order
+            assert results[0] == results[1] == results[2]
         assert seen >= {
-            (True, True, "psd"), (True, True, "indefinite"), (True, True, "none"),
-            (True, False, "psd"), (True, False, "indefinite"), (True, False, "none"),
-            (False, False, "psd"), (False, False, "indefinite"), (False, False, "none"),
+            (True, True, "psd"), (True, True, "indefinite"), (True, True, "2x2 step"),
+            (True, False, "psd"), (True, False, "indefinite"), (True, False, "2x2 step"),
+            (False, False, "psd"), (False, False, "indefinite"), (False, False, "2x2 step"),
             ("rank-deficient", "psd"), ("rank-deficient", "indefinite"),
+            ("rank-deficient", "2x2 step"), ("generic", True), ("generic", False),
             "zero pivot over a zero row skipped",
         }
 
@@ -306,13 +337,15 @@ class TestGramSelfCheck:
 
     def test_psdize_rank_precedes_the_minor_check(self):
         # On K6 the first diagonal entry is zero over a nonzero row, so the
-        # sparse pass gives up and the dense rank, 2, is reported before the
-        # vanishing leading minor 1
+        # sparse pass takes a 2x2 step there; the rank it finds, 2, is
+        # reported before the vanishing leading minor 1
         fw = Framework(Graph.complete(6), 2, [(i, i * i) for i in range(1, 7)])
         z = unit_triangular_gale(fw, Ordering.identity(6))
         s = stress_from_psi(fw, z, Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]])).matrix
         assert s[0, 0] == 0 and any(s.row(0))
-        assert profile(s.to_lists(), range(6)) is None
+        result = factor(s.to_lists(), range(6))
+        assert (result.rank, result.psd, result.first_zero) == (2, False, 1)
+        assert result.columns == []
         with pytest.raises(PreconditionViolated, match="stress rank 2 differs"):
             psdize_stress(fw, s)
 
@@ -452,11 +485,12 @@ class TestPsdizeFactor:
             s = stress_from_psi(fw, z, _diagonal(_weights(rng, fw.rbar))).matrix
             rows = _sparse_rows(s)
             for order in ([v - 1 for v in peo], rng.sample(range(fw.n), fw.n)):
-                pivots, columns, complete = _sparse_factor(rows, order)
-                if complete:
-                    assert len(columns) == fw.rbar
-                    assert ldlt(pivots, columns, fw.n) == s.to_lists()
-                seen.add((order[0] == peo.vertex_at(1) - 1, complete))
+                result = _sparse_factor(rows, order)
+                assert result.rank == fw.rbar
+                no_block = len(result.columns) == fw.rbar
+                if no_block:
+                    assert ldlt(result.pivots, result.columns, fw.n) == s.to_lists()
+                seen.add((order[0] == peo.vertex_at(1) - 1, no_block))
         assert {(True, True), (False, True)} <= seen
 
     def test_not_generic_index_is_the_first_vanishing_minor(self):
@@ -478,12 +512,46 @@ class TestPsdizeFactor:
             seen.add((fw.dim, first))
         assert {(r, k) for r in (1, 2, 3) for k in (1, 2, 3)} <= seen
 
+    def test_non_generic_input_pays_for_no_dense_pass(self, monkeypatch):
+        """A 4-tree in R^2 on 50 vertices and a stress Z Psi Z^T of maximal
+        rank whose leading minor 1 vanishes (the ``_vanishing_minor_input``
+        recipe with k = 1): the one sparse pass reports the minor, with
+        ``rank`` and ``psd_check`` forbidden, in well under a second."""
+        points = random_general_position_framework(50, 2, 0).points
+        for seed in range(100):
+            fw = Framework(gen_ktree(50, 4, seed), 2, points)
+            z = unit_triangular_gale(fw, certify._elimination_order(fw.graph)).matrix
+            cols = [[v + 1 for v, x in enumerate(z.column(j)) if x] for j in range(fw.rbar)]
+            partners = [m for m in range(1, fw.rbar)
+                        if all(fw.graph.has_edge(u, w) for u in cols[0] for w in cols[m]
+                               if u != w)]
+            if partners:
+                break
+        psi = [[x if i == j else 0 for j in range(fw.rbar)]
+               for i, x in enumerate(_weights(random.Random(seed), fw.rbar))]
+        m = partners[0]
+        psi[0][0] = 0
+        psi[0][m] = psi[m][0] = 3
+        assert determinant(Matrix(psi)) != 0  # so the stress has rank rbar
+        s = stress_from_psi(fw, GaleMatrix(z), Matrix(psi)).matrix
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense rank or PSD pass")
+        for module in (certify, exactmat, framework):
+            for name in ("rank", "psd_check"):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
+        start = time.perf_counter()
+        with pytest.raises(NotGenericRankProfile) as err:
+            psdize_stress(fw, s)
+        assert time.perf_counter() - start < 0.5
+        assert err.value.minor_index == 1
+
     def test_one_sparse_pass_and_no_dense_path(self, hexagon, monkeypatch):
         passes, ranks = [], []
         factor = certify._sparse_factor
 
         def counted_factor(rows, order):
-            passes.append(order)
+            passes.append(rows)
             return factor(rows, order)
 
         def counted_rank(a):
@@ -496,13 +564,13 @@ class TestPsdizeFactor:
         inputs = [(hexagon.fw, hexagon.stress)]
         for rng, fw, peo, z in _psdize_inputs(10, 6):
             inputs.append((fw, stress_from_psi(fw, z, _diagonal(_weights(rng, fw.rbar))).matrix))
-        # the K6 input whose pass stops on a zero pivot over a nonzero row
+        # the K6 input whose pass takes a 2x2 step at a zero pivot
         k6 = Framework(Graph.complete(6), 2, [(i, i * i) for i in range(1, 7)])
         z = unit_triangular_gale(k6, Ordering.identity(6))
         low = stress_from_psi(k6, z, Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]])).matrix
         monkeypatch.setattr(certify, "_sparse_factor", counted_factor)
         for module in (certify, exactmat, framework):
-            monkeypatch.setattr(module, "rank", counted_rank)
+            monkeypatch.setattr(module, "rank", counted_rank, raising=False)
         monkeypatch.setattr(certify, "gauss_step_sequence", forbidden, raising=False)
         monkeypatch.setattr(exactmat, "gauss_step_sequence", forbidden)
         monkeypatch.setattr(exactmat, "_gauss_rows", forbidden)
@@ -510,10 +578,12 @@ class TestPsdizeFactor:
             passes.clear()
             try:
                 psdize_stress(fw, s)
+                expected = 2  # the input's pass, then the output's self-check
             except NotGenericRankProfile:
-                pass
-            assert len(passes) == 1 and ranks == []
+                expected = 1
+            assert len(passes) == expected and ranks == []
+            assert passes[0] == _sparse_rows(s)
         passes.clear()
         with pytest.raises(PreconditionViolated, match="stress rank 2 differs"):
             psdize_stress(k6, low)
-        assert len(passes) == 1 and ranks == [low]
+        assert passes == [_sparse_rows(low)] and ranks == []
