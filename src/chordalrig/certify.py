@@ -411,15 +411,16 @@ def psdize_stress(fw: Framework, s: Matrix, cap: int | None = None) -> PsdizeRes
     Otherwise the pass factors the input as L D L^T, and the rbar unit
     columns of L are a Gale matrix in unit-triangular shape; chordality
     keeps their non-edge zeros, so their Gram product is again a stress:
-    PSD, of the same maximal rank.
+    PSD, of the same maximal rank. A stress whose size is not the
+    framework's raises DimensionMismatch before any hypothesis is checked.
     """
+    rows = _stress_rows(fw, s)
     peo = _elimination_order(fw.graph)
     gp, witness = is_general_position(fw, cap=cap)
     if not gp:
         raise PreconditionViolated(f"points not in general position, witness {witness}")
     if fw.rbar < 1:
         raise PreconditionViolated("simplex framework: no nonzero stress exists")
-    rows = _stress_rows(fw, s)
     symmetric, non_edge, kernel_ok = _stress_clauses(fw, rows)
     if not (symmetric and non_edge is None and kernel_ok):
         raise PreconditionViolated("input is not a stress matrix: "

@@ -24,7 +24,7 @@ from .certify import (
     reflection_counterexample,
     unit_triangular_gale,
 )
-from .exactmat import ExactMatError
+from .exactmat import DimensionMismatch, ExactMatError
 from .framework import (
     FrameworkError,
     SizeCapExceededError,
@@ -189,6 +189,8 @@ def psdize(framework_file, stress_file, output, cap_subsets):
         sys.exit(EXIT_HYPOTHESIS)
     except SizeCapExceededError as exc:
         _limit_error(exc)
+    except DimensionMismatch as exc:  # a stress whose size is not the framework's
+        _input_error(exc)
     except (CertifyError, FrameworkError, ExactMatError) as exc:
         _hypothesis_error(exc)
     obj = stress_to_obj(result.stress)
@@ -333,6 +335,8 @@ def plot(framework_file, stress_file, output):
         s = _load_stress(stress_file)
         try:
             omega = omega_from_stress(fw, StressMatrix(s))
+        except DimensionMismatch as exc:
+            _input_error(exc)
         except (FrameworkError, ExactMatError) as exc:
             _hypothesis_error(exc)
     try:

@@ -1,45 +1,36 @@
-"""Exact rational linear algebra on small dense matrices.
+"""Exact rational linear algebra: the three kernels the library runs.
 
 Every entry is a Python Fraction, so all results are exact. Floats are
 rejected outright; there is no rounding anywhere in this module.
-Determinants run integer Bareiss elimination after clearing denominators;
-the Gale columns' Cramer systems call ``_int_determinant`` directly. The
-general-position sweep does not: it shares one fraction-free cofactor
-basis per prefix of its subsets (``framework._cofactor_step``). The one
-elimination for symmetric matrices works on sparse rows instead
-(``SparseRows``, {row: {column: entry}}): symmetric exchange-free
-elimination in a given order, touching only the entries that elimination
-changes, with a 2x2 block step at a zero pivot over a nonzero row, so it
-always completes. One pass decides rank, PSD and the generic rank profile
-in its order, and the unit columns it divides out are the factor L of
-L D L^T; for a maximal-rank stress with generic rank profile, eliminated
-along a perfect elimination ordering, L is a unit-triangular Gale matrix.
+
+- ``_sparse_factor`` eliminates a symmetric matrix held as sparse rows
+  (``SparseRows``, {row: {column: entry}}) without exchanges, in a given
+  order, touching only the entries that elimination changes, with a 2x2
+  block step at a zero pivot over a nonzero row, so it always completes.
+  One pass decides rank, PSD and the generic rank profile in its order,
+  and the unit columns it divides out are the factor L of L D L^T; for a
+  maximal-rank stress with generic rank profile, eliminated along a
+  perfect elimination ordering, L is a unit-triangular Gale matrix.
+- ``_int_determinant`` is integer Bareiss elimination; the Gale columns'
+  Cramer systems run it on rows cleared of denominators
+  (``_integer_row``). The general-position sweep does not: it shares one
+  fraction-free cofactor basis per prefix of its subsets
+  (``framework._cofactor_step``).
+- ``_rref``, reduced row echelon form with row exchanges, is the one dense
+  echelon routine. It gives ``null_space_basis`` (the reflecting
+  hyperplane, the Gale matrix), ``inverse`` (Psi in S = Z Psi Z^T) and
+  ``rank`` (a matrix that is not symmetric).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Sequence
-
-Rational = Fraction
+from typing import Callable, NamedTuple, Sequence
 
 
 class ExactMatError(Exception):
     """Base class for errors raised by this module."""
-
-
-class ZeroPivot(ExactMatError):
-    """Exchange-free elimination hit a zero pivot at 1-based step ``step``."""
-
-    def __init__(self, step: int):
-        super().__init__(f"zero pivot at elimination step {step}")
-        self.step = step
-
-
-class NotSymmetric(ExactMatError):
-    pass
 
 
 class DimensionMismatch(ExactMatError):
@@ -199,48 +190,6 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
-def _gauss_rows(a: Matrix, t: int) -> Iterator[list[list[Fraction]]]:
-    """The working rows of ``gauss_steps``, yielded (and then mutated in
-    place) after each step."""
-    if not 0 <= t <= min(a.rows, a.cols):
-        raise DimensionMismatch(f"step count {t} out of range for {a.rows}x{a.cols}")
-    g = a.to_lists()
-    for s in range(1, t + 1):
-        p = g[s - 1][s - 1]
-        if p == 0:
-            raise ZeroPivot(s)
-        pivot_row = g[s - 1]  # pre-division values feed the Schur update
-        g[s - 1] = [x / p for x in pivot_row]
-        for i in range(s, a.rows):
-            row = g[i]
-            f = row[s - 1]
-            row[s - 1] = Fraction(0)
-            if f:
-                for j in range(s, a.cols):
-                    row[j] -= f * pivot_row[j] / p
-        yield g
-
-
-def gauss_steps(a: Matrix, t: int) -> Iterator[Matrix]:
-    """Yield the matrix after each of the first ``t`` elimination steps.
-
-    Step s divides row s by its pivot, zeroes column s below the pivot and
-    applies the Schur update to the trailing block. No row exchanges are
-    performed: a zero pivot raises ZeroPivot(s). Rows above the pivot are
-    never touched again, so the processed staircase has unit pivots.
-    """
-    for g in _gauss_rows(a, t):
-        yield Matrix(g, shape=(a.rows, a.cols))
-
-
-def gauss_step_sequence(a: Matrix, t: int) -> Matrix:
-    """Matrix after the first ``t`` exchange-free elimination steps (t=0 returns a)."""
-    g = None
-    for g in _gauss_rows(a, t):
-        pass
-    return a if g is None else Matrix(g, shape=(a.rows, a.cols))
-
-
 def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Scale rationals by the lcm ``l`` of their denominators.
 
@@ -283,59 +232,6 @@ def _int_determinant(rows: Sequence[Sequence[int]]) -> int:
                 row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
         prev = pivot
     return sign * m[n - 1][n - 1]
-
-
-def determinant(a: Matrix) -> Fraction:
-    """Exact determinant via integer Bareiss elimination with row swaps.
-
-    Each row is multiplied by the lcm of its denominators, so the scaled
-    matrix is integral; its determinant, divided by the product of those
-    multipliers, is the determinant of ``a``.
-    """
-    if a.rows != a.cols:
-        raise DimensionMismatch("determinant needs a square matrix")
-    rows = []
-    scale = 1
-    for row in a.data:
-        ints, l = _integer_row(row)
-        rows.append(ints)
-        scale *= l
-    return Fraction(_int_determinant(rows), scale)
-
-
-def rank(a: Matrix) -> int:
-    """Rank by row-echelon elimination with row exchanges."""
-    m = a.to_lists()
-    r = 0
-    for c in range(a.cols):
-        piv = next((i for i in range(r, a.rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        lead = m[r][c]
-        for i in range(r + 1, a.rows):
-            f = m[i][c]
-            if f:
-                for j in range(c, a.cols):
-                    m[i][j] -= f * m[r][j] / lead
-        r += 1
-        if r == a.rows:
-            break
-    return r
-
-
-def has_generic_rank_profile(a: Matrix) -> tuple[bool, int]:
-    """Whether the first rank(a) leading principal minors are all nonzero.
-
-    Returns (decision, rank), both read off one ``_sparse_factor`` pass in
-    label order. The zero matrix vacuously qualifies with rank 0.
-    """
-    if a.rows != a.cols:
-        raise DimensionMismatch("generic rank profile needs a square matrix")
-    if not a.is_symmetric:
-        raise NotSymmetric("generic rank profile is defined here for symmetric matrices")
-    result = _sparse_factor(_sparse_rows(a), range(a.rows))
-    return result.generic, result.rank
 
 
 SparseRows = dict[int, dict[int, Fraction]]
@@ -455,6 +351,7 @@ def _sparse_factor(rows: SparseRows, order: Sequence[int]) -> Elimination:
 
 
 def _rref(a: Matrix) -> tuple[list[list[Fraction]], list[int]]:
+    """The reduced row echelon form of ``a`` and its pivot columns, 0-based."""
     m = a.to_lists()
     pivots: list[int] = []
     r = 0
@@ -474,6 +371,11 @@ def _rref(a: Matrix) -> tuple[list[list[Fraction]], list[int]]:
         if r == a.rows:
             break
     return m, pivots
+
+
+def rank(a: Matrix) -> int:
+    """Rank: the number of pivot columns of the reduced row echelon form."""
+    return len(_rref(a)[1])
 
 
 def null_space_basis(a: Matrix) -> Matrix:
@@ -497,43 +399,6 @@ def null_space_basis(a: Matrix) -> Matrix:
     return Matrix.from_columns(columns, rows=a.cols)
 
 
-UNIQUE = "unique"
-INCONSISTENT = "inconsistent"
-UNDERDETERMINED = "underdetermined"
-
-
-@dataclass(frozen=True)
-class LinearSolution:
-    """Classification of A x = b with an explicit witness for each case."""
-
-    status: str
-    solution: tuple[Fraction, ...] | None = None
-    kernel: Matrix | None = None
-
-    @property
-    def is_unique(self) -> bool:
-        return self.status == UNIQUE
-
-
-def solve_linear(a: Matrix, b: Sequence) -> LinearSolution:
-    """Solve A x = b exactly, reporting unique/inconsistent/underdetermined."""
-    rhs = [_coerce(x) for x in b]
-    if len(rhs) != a.rows:
-        raise DimensionMismatch(f"rhs of length {len(rhs)} against {a.rows} rows")
-    aug = Matrix([list(row) + [rhs[i]] for i, row in enumerate(a.data)],
-                 shape=(a.rows, a.cols + 1))
-    m, pivots = _rref(aug)
-    if a.cols in pivots:
-        return LinearSolution(INCONSISTENT)
-    particular = [Fraction(0)] * a.cols
-    for row_idx, p in enumerate(pivots):
-        particular[p] = m[row_idx][a.cols]
-    kernel = null_space_basis(a)
-    if kernel.cols == 0:
-        return LinearSolution(UNIQUE, solution=tuple(particular))
-    return LinearSolution(UNDERDETERMINED, solution=tuple(particular), kernel=kernel)
-
-
 def inverse(a: Matrix) -> Matrix:
     """Exact inverse; raises SingularMatrix when none exists."""
     if a.rows != a.cols:
@@ -545,66 +410,3 @@ def inverse(a: Matrix) -> Matrix:
     if pivots != list(range(n)):
         raise SingularMatrix("matrix is singular")
     return Matrix([row[n:] for row in m], shape=(n, n))
-
-
-@dataclass(frozen=True)
-class PsdResult:
-    """Outcome of the exact PSD test.
-
-    ``rank`` counts the pivots consumed; it equals the matrix rank exactly
-    when ``is_psd`` holds. ``witness`` satisfies x^T A x < 0 when not PSD.
-    """
-
-    is_psd: bool
-    rank: int
-    witness: tuple[Fraction, ...] | None
-
-
-def psd_check(a: Matrix) -> PsdResult:
-    """Decide positive semidefiniteness by symmetric elimination.
-
-    Pivots on the greatest remaining diagonal entry (ties to the lowest
-    index). A residual that is all zero certifies PSD; a nonpositive
-    greatest diagonal with a nonzero residual yields an explicit witness
-    vector, lifted back through the pivot stack so that x^T A x < 0 holds
-    for the original matrix.
-    """
-    if a.rows != a.cols:
-        raise DimensionMismatch("psd_check needs a square matrix")
-    if not a.is_symmetric:
-        raise NotSymmetric("psd_check needs a symmetric matrix")
-    n = a.rows
-    work = a.to_lists()
-    active = list(range(n))
-    steps: list[tuple[int, Fraction, dict[int, Fraction]]] = []
-    while True:
-        if all(work[i][j] == 0 for i in active for j in active):
-            return PsdResult(True, len(steps), None)
-        dmax, p = max(((work[i][i], i) for i in active), key=lambda t: (t[0], -t[1]))
-        if dmax > 0:
-            col = {q: work[q][p] for q in active if q != p}
-            steps.append((p, dmax, col))
-            active.remove(p)
-            for i in active:
-                f = work[i][p]
-                if f:
-                    for j in active:
-                        work[i][j] -= f * work[p][j] / dmax
-            continue
-        # Not PSD: build a witness on the residual, then lift it.
-        x: dict[int, Fraction] = {}
-        neg = next((i for i in active if work[i][i] < 0), None)
-        if neg is not None:
-            x[neg] = Fraction(1)
-        else:
-            # All residual diagonals are zero, so some off-diagonal is not.
-            i0, j0 = next((i, j) for i in active for j in active
-                          if i < j and work[i][j] != 0)
-            x[i0] = Fraction(1)
-            x[j0] = Fraction(-1 if work[i0][j0] > 0 else 1)
-        for p, d, col in reversed(steps):
-            x[p] = -sum(col[q] * xv for q, xv in x.items()) / d
-        witness = tuple(x.get(i, Fraction(0)) for i in range(n))
-        value = sum(witness[i] * a[i, j] * witness[j] for i in range(n) for j in range(n))
-        assert value < 0
-        return PsdResult(False, len(steps), witness)

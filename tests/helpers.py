@@ -1,25 +1,31 @@
-"""Shared generators and brute-force checks for tests.
+"""Shared generators, brute-force checks and dense reference routines for
+tests.
 
 The generators build inputs with the library's own constructors (that part
 is not under test here); the properties asserted about the outputs are
-always checked against oracles or frozen values. The brute-force checks at
-the end (leading minors, all square submatrices, the zero pattern through
-dense elimination, the per-subset general-position sweep, the dense
-one-pass rank profile) are used only by tests; they call the package's
-``determinant``, ``gauss_steps`` and integer Bareiss kernel, which
-``oracles`` does not.
+always checked against oracles or frozen values. The brute-force checks
+(leading minors, all square submatrices, the zero pattern through dense
+elimination, the per-subset general-position sweep, the dense one-pass
+rank profile) are used only by tests. The dense routines at the end are
+the references that tests compare the library's sparse elimination with;
+no library path runs them: exchange-free Gaussian steps (``gauss_steps``,
+``gauss_step_sequence``), ``determinant`` (the package's integer Bareiss
+kernel after clearing denominators) and ``psd_check`` (greatest-diagonal
+pivoting, with a witness x^T A x < 0 when not PSD). Unlike ``oracles``,
+all of this runs on the package's ``Matrix`` and integer kernels.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from chordalrig import (
     Framework,
     Graph,
     Matrix,
     chordal_connectivity,
-    has_generic_rank_profile,
     is_chordal,
     is_general_position,
 )
@@ -29,9 +35,8 @@ from chordalrig.exactmat import (
     ExactMatError,
     _int_determinant,
     _integer_row,
+    _sparse_factor,
     _sparse_rows,
-    determinant,
-    gauss_steps,
 )
 from chordalrig.framework import DEFAULT_POSITION_CAP, SizeCapExceededError, _first_non_edge
 from chordalrig.graphs import Ordering, relabel_to_positions
@@ -69,8 +74,7 @@ def chordal_pattern_matrix(rng, g):
             x = rand_fraction(rng)
             rows[u - 1][v - 1] = rows[v - 1][u - 1] = x
         m = Matrix(rows)
-        ok, _ = has_generic_rank_profile(m)
-        if ok:
+        if _sparse_factor(_sparse_rows(m), range(n)).generic:
             return m
 
 
@@ -235,3 +239,138 @@ def _leading_profile(a: Matrix) -> tuple[int, bool] | None:
                                   for x, y in zip(row[k + 1:], pivot_row[k + 1:])]
         prev = pivot
     return n, positive
+
+
+class ZeroPivot(ExactMatError):
+    """Exchange-free elimination hit a zero pivot at 1-based step ``step``."""
+
+    def __init__(self, step: int):
+        super().__init__(f"zero pivot at elimination step {step}")
+        self.step = step
+
+
+class NotSymmetric(ExactMatError):
+    pass
+
+
+def _gauss_rows(a: Matrix, t: int) -> Iterator[list[list[Fraction]]]:
+    """The working rows of ``gauss_steps``, yielded (and then mutated in
+    place) after each step."""
+    if not 0 <= t <= min(a.rows, a.cols):
+        raise DimensionMismatch(f"step count {t} out of range for {a.rows}x{a.cols}")
+    g = a.to_lists()
+    for s in range(1, t + 1):
+        p = g[s - 1][s - 1]
+        if p == 0:
+            raise ZeroPivot(s)
+        pivot_row = g[s - 1]  # pre-division values feed the Schur update
+        g[s - 1] = [x / p for x in pivot_row]
+        for i in range(s, a.rows):
+            row = g[i]
+            f = row[s - 1]
+            row[s - 1] = Fraction(0)
+            if f:
+                for j in range(s, a.cols):
+                    row[j] -= f * pivot_row[j] / p
+        yield g
+
+
+def gauss_steps(a: Matrix, t: int) -> Iterator[Matrix]:
+    """Yield the matrix after each of the first ``t`` elimination steps.
+
+    Step s divides row s by its pivot, zeroes column s below the pivot and
+    applies the Schur update to the trailing block. No row exchanges are
+    performed: a zero pivot raises ZeroPivot(s). Rows above the pivot are
+    never touched again, so the processed staircase has unit pivots.
+    """
+    for g in _gauss_rows(a, t):
+        yield Matrix(g, shape=(a.rows, a.cols))
+
+
+def gauss_step_sequence(a: Matrix, t: int) -> Matrix:
+    """Matrix after the first ``t`` exchange-free elimination steps (t=0 returns a)."""
+    g = None
+    for g in _gauss_rows(a, t):
+        pass
+    return a if g is None else Matrix(g, shape=(a.rows, a.cols))
+
+
+def determinant(a: Matrix) -> Fraction:
+    """Exact determinant via integer Bareiss elimination with row swaps.
+
+    Each row is multiplied by the lcm of its denominators, so the scaled
+    matrix is integral; its determinant, divided by the product of those
+    multipliers, is the determinant of ``a``.
+    """
+    if a.rows != a.cols:
+        raise DimensionMismatch("determinant needs a square matrix")
+    rows = []
+    scale = 1
+    for row in a.data:
+        ints, l = _integer_row(row)
+        rows.append(ints)
+        scale *= l
+    return Fraction(_int_determinant(rows), scale)
+
+
+@dataclass(frozen=True)
+class PsdResult:
+    """Outcome of the exact PSD test.
+
+    ``rank`` counts the pivots consumed; it equals the matrix rank exactly
+    when ``is_psd`` holds. ``witness`` satisfies x^T A x < 0 when not PSD.
+    """
+
+    is_psd: bool
+    rank: int
+    witness: tuple[Fraction, ...] | None
+
+
+def psd_check(a: Matrix) -> PsdResult:
+    """Decide positive semidefiniteness by symmetric elimination.
+
+    Pivots on the greatest remaining diagonal entry (ties to the lowest
+    index). A residual that is all zero certifies PSD; a nonpositive
+    greatest diagonal with a nonzero residual yields an explicit witness
+    vector, lifted back through the pivot stack so that x^T A x < 0 holds
+    for the original matrix.
+    """
+    if a.rows != a.cols:
+        raise DimensionMismatch("psd_check needs a square matrix")
+    if not a.is_symmetric:
+        raise NotSymmetric("psd_check needs a symmetric matrix")
+    n = a.rows
+    work = a.to_lists()
+    active = list(range(n))
+    steps: list[tuple[int, Fraction, dict[int, Fraction]]] = []
+    while True:
+        if all(work[i][j] == 0 for i in active for j in active):
+            return PsdResult(True, len(steps), None)
+        dmax, p = max(((work[i][i], i) for i in active), key=lambda t: (t[0], -t[1]))
+        if dmax > 0:
+            col = {q: work[q][p] for q in active if q != p}
+            steps.append((p, dmax, col))
+            active.remove(p)
+            for i in active:
+                f = work[i][p]
+                if f:
+                    for j in active:
+                        work[i][j] -= f * work[p][j] / dmax
+            continue
+        # Not PSD: build a witness on the residual, then lift it.
+        x: dict[int, Fraction] = {}
+        neg = next((i for i in active if work[i][i] < 0), None)
+        if neg is not None:
+            x[neg] = Fraction(1)
+        else:
+            # All residual diagonals are zero, so some off-diagonal is not.
+            i0, j0 = next((i, j) for i in active for j in active
+                          if i < j and work[i][j] != 0)
+            x[i0] = Fraction(1)
+            x[j0] = Fraction(-1 if work[i0][j0] > 0 else 1)
+        for p, d, col in reversed(steps):
+            x[p] = -sum(col[q] * xv for q, xv in x.items()) / d
+        witness = tuple(x.get(i, Fraction(0)) for i in range(n))
+        value = sum(witness[i] * a[i, j] * witness[j] for i in range(n) for j in range(n))
+        assert value < 0
+        return PsdResult(False, len(steps), witness)

@@ -16,9 +16,10 @@ from helpers import (
     all_square_submatrices_nonsingular,
     elimination_preserves_zero_pattern,
     leading_principal_minor,
+    psd_check,
 )
 from chordalrig.certify import certify_chordal, psdize_stress
-from chordalrig.exactmat import Matrix, psd_check, rank
+from chordalrig.exactmat import Matrix, _sparse_factor, _sparse_rows, rank
 from chordalrig.framework import (
     is_general_position,
     gale_matrix,
@@ -179,6 +180,8 @@ def test_7_psd_check_matches_principal_minor_oracle(capsys):
             else:
                 m = Matrix.zeros(n, n)
             expected = oracles.principal_minors_nonneg(m.data)
+            result = _sparse_factor(_sparse_rows(m), range(n))
+            assert (result.psd, result.rank) == (expected, oracles.sym_rank(m.data)), (i, m)
             got = psd_check(m)
             assert got.is_psd == expected, (i, m)
             if got.is_psd:

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from chordalrig import certify, cli
-from chordalrig.certify import unit_triangular_gale
+from chordalrig.certify import certify_chordal, unit_triangular_gale
 from chordalrig.cli import EXIT_LIMIT, main
 from chordalrig.exactmat import Matrix
 from chordalrig.framework import (
@@ -14,6 +14,7 @@ from chordalrig.framework import (
     StressMatrix,
     gale_matrix,
     is_general_position,
+    random_general_position_framework,
     stress_from_psi,
 )
 from chordalrig.graphs import Graph, Ordering
@@ -406,6 +407,19 @@ class TestErrorHandling:
         result = runner.invoke(main, ["psdize", str(fw_path), "--stress", str(stress_path)])
         assert result.exit_code == 3
         assert "too long to parse" in result.stderr
+
+    @pytest.mark.parametrize("command", ["psdize", "plot", "stress-check"])
+    @pytest.mark.parametrize("name, n", [("hexagon", 6), ("k5me", 5), ("prism", 6)])
+    def test_stress_of_another_size_is_malformed_input(self, runner, files, tmp_path,
+                                                       command, name, n):
+        """Also before the hypotheses: k5me is not in general position and
+        the prism is not chordal."""
+        other = certify_chordal(random_general_position_framework(7, 2, 0)).stress
+        path = tmp_path / "stress7.json"
+        write_json(path, stress_to_obj(other))
+        result = runner.invoke(main, [command, files[name], "--stress", str(path)])
+        assert result.exit_code == 3
+        assert f"error: stress must be {n}x{n}, got 7x7" in result.stderr
 
 
 class TestVertexBound:

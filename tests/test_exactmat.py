@@ -1,3 +1,7 @@
+"""Tests of ``chordalrig.exactmat``, and of the dense reference routines in
+``helpers`` (``gauss_steps``, ``determinant``, ``psd_check``) that other
+tests compare the library's sparse elimination with."""
+
 import random
 from fractions import Fraction
 
@@ -7,28 +11,25 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import (
-    SizeCapExceeded,
-    all_square_submatrices_nonsingular,
-    leading_principal_minor,
-)
-from chordalrig.exactmat import (
-    DimensionMismatch,
-    INCONSISTENT,
-    Matrix,
     NotSymmetric,
-    SingularMatrix,
-    UNDERDETERMINED,
-    UNIQUE,
+    SizeCapExceeded,
     ZeroPivot,
+    all_square_submatrices_nonsingular,
     determinant,
     gauss_step_sequence,
     gauss_steps,
-    has_generic_rank_profile,
+    leading_principal_minor,
+    psd_check,
+)
+from chordalrig.exactmat import (
+    DimensionMismatch,
+    Matrix,
+    SingularMatrix,
+    _sparse_factor,
+    _sparse_rows,
     inverse,
     null_space_basis,
-    psd_check,
     rank,
-    solve_linear,
 )
 
 F = Fraction
@@ -194,8 +195,9 @@ class TestGaussSteps:
             w = Matrix([[F(rng.randint(-4, 4), rng.randint(1, 3))
                          for _ in range(k)] for _ in range(n)])
             a = w * w.transpose()
-            ok, r = has_generic_rank_profile(a)
-            if not ok or r != k:
+            result = _sparse_factor(_sparse_rows(a), range(n))
+            r = result.rank
+            if not result.generic or r != k:
                 continue
             after = gauss_step_sequence(a, r)
             assert all(after[i, j] == 0
@@ -333,36 +335,6 @@ class TestNullSpaceBasis:
         assert rank(b) == b.cols
 
 
-class TestSolveLinear:
-    def test_unique(self):
-        sol = solve_linear(Matrix.identity(2), [5, 7])
-        assert sol.status == UNIQUE and sol.is_unique
-        assert sol.solution == (5, 7)
-
-    def test_inconsistent(self):
-        sol = solve_linear(Matrix([[1, 1], [1, 1]]), [1, 2])
-        assert sol.status == INCONSISTENT
-        assert sol.solution is None
-
-    def test_affine_combination_on_a_line(self):
-        # x2*(1,1) + x3*(2,1) = -(0,1) has the unique solution (-2, 1)
-        sol = solve_linear(Matrix([[1, 2], [1, 1]]), [0, -1])
-        assert sol.status == UNIQUE
-        assert sol.solution == (-2, 1)
-
-    def test_underdetermined_parametrization(self):
-        sol = solve_linear(Matrix([[1, 1]]), [3])
-        assert sol.status == UNDERDETERMINED
-        a = Matrix([[1, 1]])
-        assert a.mul_vector(sol.solution) == (3,)
-        shifted = [x + k for x, k in zip(sol.solution, sol.kernel.column(0))]
-        assert a.mul_vector(shifted) == (3,)
-
-    def test_rhs_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            solve_linear(Matrix.identity(2), [1, 2, 3])
-
-
 class TestInverse:
     def test_round_trip(self):
         rng = random.Random(3)
@@ -381,19 +353,23 @@ class TestInverse:
 
 
 class TestGenericRankProfile:
+    """The generic rank profile as the library decides it: one
+    ``_sparse_factor`` pass in label order."""
+
+    @staticmethod
+    def profile(a):
+        result = _sparse_factor(_sparse_rows(a), range(a.rows))
+        return result.generic, result.rank
+
     def test_hexagon_stress(self, hexagon):
-        assert has_generic_rank_profile(hexagon.stress) == (True, 3)
+        assert self.profile(hexagon.stress) == (True, 3)
 
     def test_zero_leading_entry(self):
-        ok, k = has_generic_rank_profile(Matrix([[0, 1], [1, 0]]))
+        ok, k = self.profile(Matrix([[0, 1], [1, 0]]))
         assert (ok, k) == (False, 2)
 
     def test_zero_matrix_vacuous(self):
-        assert has_generic_rank_profile(Matrix.zeros(3, 3)) == (True, 0)
-
-    def test_requires_symmetry(self):
-        with pytest.raises(NotSymmetric):
-            has_generic_rank_profile(Matrix([[1, 2], [3, 4]]))
+        assert self.profile(Matrix.zeros(3, 3)) == (True, 0)
 
 
 class TestPsdCheck:

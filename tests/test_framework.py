@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from helpers import determinant
 from chordalrig.exactmat import (
     DimensionMismatch,
     Matrix,
-    determinant,
-    has_generic_rank_profile,
+    _sparse_factor,
+    _sparse_rows,
     inverse,
     rank,
 )
@@ -332,7 +333,7 @@ class TestOmegaFromStressClauses:
             yield fw, certify_chordal(fw).stress
 
     def test_no_rank_profile_or_psd(self, hexagon, monkeypatch):
-        from chordalrig import framework
+        from chordalrig import exactmat, framework
         cases = [(hexagon.fw, StressMatrix(hexagon.stress))] + list(self._certificate_stresses())
         expected = [StressWeights({(u, v): -s.matrix[u - 1, v - 1] for u, v in fw.graph.edges})
                     for fw, s in cases]
@@ -340,8 +341,9 @@ class TestOmegaFromStressClauses:
 
         def forbidden(*args):
             raise AssertionError("omega_from_stress ran a rank or PSD pass")
-        for name in ("_sparse_factor", "rank", "psd_check"):
-            monkeypatch.setattr(framework, name, forbidden, raising=False)
+        for name in ("_sparse_factor", "rank"):
+            monkeypatch.setattr(framework, name, forbidden)
+        monkeypatch.setattr(exactmat, "_rref", forbidden)
         assert [omega_from_stress(fw, s) for fw, s in cases] == expected
 
     def test_message_lists_each_failed_clause(self, hexagon):
@@ -441,9 +443,10 @@ def _profile_case(rng, n):
 
 
 class TestStressProfileAgainstOracle:
-    """``validate_stress_matrix`` and ``has_generic_rank_profile`` decide rank,
-    generic rank profile and PSD in one pass; each fact is checked against
-    sympy's rank, cofactor leading minors and the principal-minor PSD test."""
+    """``validate_stress_matrix`` and one ``_sparse_factor`` pass in label
+    order decide rank, generic rank profile and PSD; each fact is checked
+    against sympy's rank, cofactor leading minors and the principal-minor
+    PSD test."""
 
     @staticmethod
     def check(rows):
@@ -455,7 +458,8 @@ class TestStressProfileAgainstOracle:
         rep = validate_stress_matrix(_line_framework(n), m)
         assert (rep.rank, rep.generic_rank_profile, rep.psd) == (rk, symmetric and grp, psd)
         if symmetric:
-            assert has_generic_rank_profile(m) == (grp, rk)
+            result = _sparse_factor(_sparse_rows(m), range(n))
+            assert (result.generic, result.rank) == (grp, rk)
         return symmetric, rk, grp, psd
 
     @pytest.mark.parametrize("rows, expected", [

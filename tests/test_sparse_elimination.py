@@ -3,8 +3,8 @@
 ``exactmat._sparse_factor`` decides rank, PSD and the generic rank profile
 in its order by exchange-free symmetric elimination, with a 2x2 block step
 at a zero pivot over a nonzero row. It is compared here with sympy's rank,
-the principal-minor PSD test and cofactor leading minors, with
-``psd_check`` and with the dense one-pass profile
+the principal-minor PSD test and cofactor leading minors, with the dense
+``helpers.psd_check`` and with the dense one-pass profile
 ``helpers._leading_profile``, on chordal and non-chordal patterns, in
 label order, in perfect elimination orderings and in orders that are not,
 with zero pivots over zero and over nonzero rows, and on indefinite and
@@ -13,8 +13,8 @@ and pivots rebuild the input as L D L^T. The sparse unit-triangular Gale
 builder is compared with a sympy solve of the same column systems, and the
 certificate stress with the dense Gram product. ``psdize_stress`` takes its
 factor from the same kernel; it is compared with the dense
-``gauss_step_sequence`` and, on inputs with a vanishing leading minor, with
-cofactor determinants.
+``helpers.gauss_step_sequence`` and, on inputs with a vanishing leading
+minor, with cofactor determinants.
 """
 
 import random
@@ -25,6 +25,7 @@ import pytest
 
 import helpers
 import oracles
+from helpers import determinant, gauss_step_sequence, psd_check
 from chordalrig import certify, exactmat, framework
 from chordalrig.certify import (
     AssertionFailure,
@@ -40,9 +41,6 @@ from chordalrig.exactmat import (
     Matrix,
     _sparse_factor,
     _sparse_rows,
-    determinant,
-    gauss_step_sequence,
-    psd_check,
     rank,
 )
 from chordalrig.framework import (
@@ -516,7 +514,7 @@ class TestPsdizeFactor:
         """A 4-tree in R^2 on 50 vertices and a stress Z Psi Z^T of maximal
         rank whose leading minor 1 vanishes (the ``_vanishing_minor_input``
         recipe with k = 1): the one sparse pass reports the minor, with
-        ``rank`` and ``psd_check`` forbidden, in well under a second."""
+        ``rank`` and ``_rref`` forbidden, in well under a second."""
         points = random_general_position_framework(50, 2, 0).points
         for seed in range(100):
             fw = Framework(gen_ktree(50, 4, seed), 2, points)
@@ -538,7 +536,7 @@ class TestPsdizeFactor:
         def forbidden(*args, **kwargs):
             raise AssertionError("dense rank or PSD pass")
         for module in (certify, exactmat, framework):
-            for name in ("rank", "psd_check"):
+            for name in ("rank", "_rref"):
                 monkeypatch.setattr(module, name, forbidden, raising=False)
         start = time.perf_counter()
         with pytest.raises(NotGenericRankProfile) as err:
@@ -571,9 +569,7 @@ class TestPsdizeFactor:
         monkeypatch.setattr(certify, "_sparse_factor", counted_factor)
         for module in (certify, exactmat, framework):
             monkeypatch.setattr(module, "rank", counted_rank, raising=False)
-        monkeypatch.setattr(certify, "gauss_step_sequence", forbidden, raising=False)
-        monkeypatch.setattr(exactmat, "gauss_step_sequence", forbidden)
-        monkeypatch.setattr(exactmat, "_gauss_rows", forbidden)
+        monkeypatch.setattr(exactmat, "_rref", forbidden)
         for fw, s in inputs:
             passes.clear()
             try:
