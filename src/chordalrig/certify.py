@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -136,9 +137,12 @@ class Hyperplane:
     def side(self, point: Sequence[Fraction]) -> Fraction:
         return sum(a * x for a, x in zip(self.normal, point)) - self.offset
 
+    @cached_property
+    def _norm_sq(self) -> Fraction:
+        return sum(a * a for a in self.normal)
+
     def reflect(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        norm_sq = sum(a * a for a in self.normal)
-        t = 2 * self.side(point) / norm_sq
+        t = 2 * self.side(point) / self._norm_sq
         return tuple(x - t * a for x, a in zip(point, self.normal))
 
 

@@ -26,6 +26,7 @@ from .certify import (
 )
 from .exactmat import DimensionMismatch, ExactMatError
 from .framework import (
+    DEFAULT_POSITION_CAP,
     FrameworkError,
     SizeCapExceededError,
     StressMatrix,
@@ -100,6 +101,12 @@ def _emit(obj, output: str | None) -> None:
         click.echo(json.dumps(obj, indent=2))
 
 
+_cap_subsets = click.option(
+    "--cap-subsets", type=int, default=None,
+    help="Abort the general-position sweep beyond this many (r+1)-point subsets "
+         f"(default {DEFAULT_POSITION_CAP:,}).")
+
+
 @click.group()
 def main():
     """Exact rigidity certificates for chordal bar frameworks."""
@@ -109,8 +116,7 @@ def main():
 @click.argument("framework_file")
 @click.option("--output", default=None, help="Write the certificate JSON here.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.option("--cap-subsets", type=int, default=None,
-              help="Abort general-position sweeps beyond this many subsets.")
+@_cap_subsets
 def analyze(framework_file, output, fmt, cap_subsets):
     """Report chordality, connectivity, general position and the verdict."""
     fw = _load_framework(framework_file)
@@ -159,7 +165,7 @@ def analyze(framework_file, output, fmt, cap_subsets):
 @main.command()
 @click.argument("framework_file")
 @click.option("--output", default=None, help="Write the certificate JSON here.")
-@click.option("--cap-subsets", type=int, default=None)
+@_cap_subsets
 def certify(framework_file, output, cap_subsets):
     """Emit the certificate as JSON."""
     fw = _load_framework(framework_file)
@@ -176,7 +182,7 @@ def certify(framework_file, output, cap_subsets):
 @click.argument("framework_file")
 @click.option("--stress", "stress_file", required=True, help="Stress matrix JSON.")
 @click.option("--output", default=None, help="Write the PSD stress JSON here.")
-@click.option("--cap-subsets", type=int, default=None)
+@_cap_subsets
 def psdize(framework_file, stress_file, output, cap_subsets):
     """Convert a maximal-rank stress with generic rank profile into a PSD one."""
     fw = _load_framework(framework_file)

@@ -12,9 +12,12 @@ l (p, 1). A run of such rows carries a fraction-free cofactor basis
 (``_cofactor_step``): the vectors orthogonal to every row so far, one fewer
 per row, whose entries are minors of those rows. The span check keeps a
 row when the basis does not annihilate it, ``affinely_independent`` needs
-every row kept, and the general-position sweep walks the (dim+1)-subsets
-depth first, so each prefix's basis is shared by all its extensions and
-each subset costs one integer dot product.
+every row kept, and the general-position sweep walks the prefixes of the
+(dim+1)-subsets depth first, so each prefix's basis is shared by all its
+extensions. A prefix of dim-1 rows has two basis vectors left; it costs
+one projection onto them per later point, and its dependent pairs are
+found by bucketing the projections by direction, not by one dot product
+per subset.
 """
 
 from __future__ import annotations
@@ -218,15 +221,14 @@ def _first_dependent(lifted: Sequence[Sequence[int]], prefix: tuple[int, ...],
                      basis: list[list[int]], prev: int) -> tuple[int, ...] | None:
     """The lexicographically first dependent extension of ``prefix`` (rising
     0-based indices into ``lifted``, with ``basis`` and ``prev`` as
-    ``_cofactor_step`` left them) by len(basis) later rows; None when every
-    extension is independent. A dependent prefix makes its first extension
-    dependent; with one basis vector left, each extension is decided by one
-    dot product with it."""
+    ``_cofactor_step`` left them) by len(basis) >= 2 later rows; None when
+    every extension is independent. A dependent prefix makes its first
+    extension dependent; with two basis vectors left, the extensions by a
+    pair are decided by ``_first_dependent_pair``."""
     start = prefix[-1] + 1 if prefix else 0
-    if len(basis) == 1:
-        cofactors = basis[0]
-        dots = [sum(map(mul, cofactors, row)) for row in lifted[start:]]
-        return prefix + (start + dots.index(0),) if 0 in dots else None
+    if len(basis) == 2:
+        pair = _first_dependent_pair(lifted, start, *basis)
+        return None if pair is None else prefix + pair
     for i in range(start, len(lifted) - len(basis) + 1):
         step = _cofactor_step(basis, prev, lifted[i])
         if step is None:
@@ -237,6 +239,44 @@ def _first_dependent(lifted: Sequence[Sequence[int]], prefix: tuple[int, ...],
     return None
 
 
+def _first_dependent_pair(lifted: Sequence[Sequence[int]], start: int,
+                          a: Sequence[int], b: Sequence[int]) -> tuple[int, int] | None:
+    """The lexicographically first pair i < j of indices from ``start`` on
+    whose rows extend a run to a dependent one, where a and b span the
+    vectors orthogonal to the run; None when there is none.
+
+    The run is independent, so projecting a row q to (a.q, b.q) in Z^2 has
+    the span of the run as its kernel: the run plus q, q' is dependent
+    exactly when one projection is zero or the two are parallel. Each
+    nonzero projection is divided by its gcd, signed so that its first
+    nonzero entry is positive, and keyed by that direction. Scanning
+    backwards, each i is paired with the smallest later index of the same
+    direction or of a zero projection (any later index when its own is
+    zero); the last i paired is the first in lexicographic order.
+    """
+    first_along: dict[tuple[int, int], int] = {}
+    first_zero = None
+    found = None
+    for i in range(len(lifted) - 1, start - 1, -1):
+        q = lifted[i]
+        x, y = sum(map(mul, a, q)), sum(map(mul, b, q))
+        if x or y:
+            g = math.gcd(x, y)
+            if x < 0 or x == 0 and y < 0:
+                g = -g
+            key = (x // g, y // g)
+            j = first_along.get(key)
+            first_along[key] = i
+            if first_zero is not None and (j is None or first_zero < j):
+                j = first_zero
+        else:
+            j = i + 1 if i + 1 < len(lifted) else None
+            first_zero = i
+        if j is not None:
+            found = (i, j)
+    return found
+
+
 def is_general_position(fw: Framework, cap: int | None = None
                         ) -> tuple[bool, tuple[int, ...] | None]:
     """Check that every dim+1 points are affinely independent.
@@ -244,16 +284,20 @@ def is_general_position(fw: Framework, cap: int | None = None
     Points p_1..p_k are affinely independent exactly when the k x k matrix
     of rows (p_i, 1) is nonsingular. Each point is lifted once to the
     integer row (l p, l), with l the lcm of its denominators; scaling a row
-    does not change whether the determinant vanishes. The k-subsets are
-    walked depth first in lexicographic order, and each prefix extends its
-    parent's fraction-free cofactor basis by one row (``_cofactor_step``).
-    With k-1 rows chosen one vector is left, the cofactors of the last row,
-    so every subset is decided by one k-term integer dot product and no
-    subset pays for a determinant of its own.
+    does not change whether the determinant vanishes. The prefixes of the
+    k-subsets are walked depth first in lexicographic order, and each
+    extends its parent's fraction-free cofactor basis by one row
+    (``_cofactor_step``). With k-2 rows chosen two vectors are left; each
+    later point costs one projection onto them, and the dependent pairs
+    among those points are found by bucketing the projections by direction
+    (``_first_dependent_pair``). So each (k-2)-prefix costs one projection
+    per later point, not one dot product per subset, and no subset pays for
+    a determinant of its own.
 
     The first violator in lexicographic order is returned as 1-based
     vertices. Raises SizeCapExceededError when there are more than ``cap``
-    subsets to examine; None means ``DEFAULT_POSITION_CAP``.
+    k-subsets, C(n, k); None means ``DEFAULT_POSITION_CAP``. The cap counts
+    the subsets decided, not the projections made.
     """
     k = fw.dim + 1
     _check_subset_cap(fw.n, k, DEFAULT_POSITION_CAP if cap is None else cap)
@@ -577,17 +621,22 @@ def _triangular_violation(columns: Sequence[Mapping[int, Fraction]], graph: Grap
     return min(bad, default=None)
 
 
-def _sq_dist(p: Sequence[Fraction], q: Sequence[Fraction]) -> Fraction:
+def _sq_dist(p: Sequence[int], q: Sequence[int]) -> int:
     return sum((a - b) ** 2 for a, b in zip(p, q))
 
 
 def _same_sq_dists(a: Framework, b: Framework, pairs: Iterable[tuple[int, int]]) -> bool:
     """Whether every 1-based pair is at the same squared distance in a and
     b. A pair whose two ends keep their coordinates from a to b is skipped:
-    its distances agree."""
+    its distances agree. The others are compared in integers, with both
+    frameworks scaled by one common denominator L of all their coordinates,
+    which scales every squared distance by the same L^2."""
     fixed = [p == q for p, q in zip(a.points, b.points)]
+    scale = math.lcm(*(x.denominator for p in a.points + b.points for x in p))
+    ia, ib = ([[x.numerator * (scale // x.denominator) for x in p] for p in fw.points]
+              for fw in (a, b))
     return all(fixed[u - 1] and fixed[v - 1]
-               or _sq_dist(a.point(u), a.point(v)) == _sq_dist(b.point(u), b.point(v))
+               or _sq_dist(ia[u - 1], ia[v - 1]) == _sq_dist(ib[u - 1], ib[v - 1])
                for u, v in pairs)
 
 

@@ -5,20 +5,22 @@ The generators build inputs with the library's own constructors (that part
 is not under test here); the properties asserted about the outputs are
 always checked against oracles or frozen values. The brute-force checks
 (leading minors, all square submatrices, the zero pattern through dense
-elimination, the per-subset general-position sweep, the dense one-pass
-rank profile) are used only by tests. The dense routines at the end are
-the references that tests compare the library's sparse elimination with;
-no library path runs them: exchange-free Gaussian steps (``gauss_steps``,
-``gauss_step_sequence``), ``determinant`` (the package's integer Bareiss
-kernel after clearing denominators) and ``psd_check`` (greatest-diagonal
-pivoting, with a witness x^T A x < 0 when not PSD). Unlike ``oracles``,
-all of this runs on the package's ``Matrix`` and integer kernels.
+elimination, the per-subset general-position sweep, the unbucketed prefix
+sweep, the dense one-pass rank profile) are used only by tests. The dense
+routines at the end are the references that tests compare the library's
+sparse elimination with; no library path runs them: exchange-free
+Gaussian steps (``gauss_steps``, ``gauss_step_sequence``),
+``determinant`` (the package's integer Bareiss kernel after clearing
+denominators) and ``psd_check`` (greatest-diagonal pivoting, with a
+witness x^T A x < 0 when not PSD). Unlike ``oracles``, all of this runs on
+the package's ``Matrix`` and integer kernels.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterator
 
 from chordalrig import (
@@ -38,7 +40,13 @@ from chordalrig.exactmat import (
     _sparse_factor,
     _sparse_rows,
 )
-from chordalrig.framework import DEFAULT_POSITION_CAP, SizeCapExceededError, _first_non_edge
+from chordalrig.framework import (
+    DEFAULT_POSITION_CAP,
+    SizeCapExceededError,
+    _cofactor_step,
+    _first_non_edge,
+    _unit_rows,
+)
 from chordalrig.graphs import Ordering, relabel_to_positions
 
 # Guard for the combinatorial sweep below; overridable per call.
@@ -177,6 +185,22 @@ def elimination_preserves_zero_pattern(graph: Graph, peo: Ordering, a: Matrix,
                for stage in itertools.chain([a2], gauss_steps(a2, k)))
 
 
+def _lifted_within_cap(fw: Framework, cap: int | None) -> list[list[int]]:
+    """The points as integer rows l (p, 1), l the lcm of p's denominators,
+    after raising SizeCapExceededError, with the library's message, when
+    there are more than ``cap`` (dim+1)-subsets (None means
+    ``DEFAULT_POSITION_CAP``)."""
+    cap = DEFAULT_POSITION_CAP if cap is None else cap
+    total = math.comb(fw.n, fw.dim + 1)
+    if total > cap:
+        raise SizeCapExceededError(f"{total} subsets exceed the cap of {cap}")
+    lifted = []
+    for p in fw.points:
+        ints, l = _integer_row(p)
+        lifted.append(ints + [l])
+    return lifted
+
+
 def general_position_by_determinants(fw: Framework, cap: int | None = None
                                      ) -> tuple[bool, tuple[int, ...] | None]:
     """The reference general-position sweep: every (dim+1)-subset of the
@@ -187,19 +211,44 @@ def general_position_by_determinants(fw: Framework, cap: int | None = None
     vertices, and SizeCapExceededError with the same message when there are
     more than ``cap`` subsets (None means ``DEFAULT_POSITION_CAP``).
     """
-    k = fw.dim + 1
-    cap = DEFAULT_POSITION_CAP if cap is None else cap
-    total = math.comb(fw.n, k)
-    if total > cap:
-        raise SizeCapExceededError(f"{total} subsets exceed the cap of {cap}")
-    lifted = []
-    for p in fw.points:
-        ints, l = _integer_row(p)
-        lifted.append(ints + [l])
-    for subset in itertools.combinations(range(fw.n), k):
+    lifted = _lifted_within_cap(fw, cap)
+    for subset in itertools.combinations(range(fw.n), fw.dim + 1):
         if _int_determinant([lifted[v] for v in subset]) == 0:
             return False, tuple(v + 1 for v in subset)
     return True, None
+
+
+def _first_dependent_by_prefixes(lifted, prefix, basis, prev):
+    """The prefix sweep without bucketing: the lexicographically first
+    dependent extension of ``prefix`` by len(basis) later rows, each
+    extension with one basis vector left decided by one dot product with
+    it."""
+    start = prefix[-1] + 1 if prefix else 0
+    if len(basis) == 1:
+        cofactors = basis[0]
+        dots = [sum(map(mul, cofactors, row)) for row in lifted[start:]]
+        return prefix + (start + dots.index(0),) if 0 in dots else None
+    for i in range(start, len(lifted) - len(basis) + 1):
+        step = _cofactor_step(basis, prev, lifted[i])
+        if step is None:
+            return prefix + tuple(range(i, i + len(basis)))
+        found = _first_dependent_by_prefixes(lifted, prefix + (i,), *step)
+        if found is not None:
+            return found
+    return None
+
+
+def general_position_by_prefixes(fw: Framework, cap: int | None = None
+                                 ) -> tuple[bool, tuple[int, ...] | None]:
+    """The second reference general-position sweep: shared prefix cofactor
+    bases down to one vector, then one dot product per (dim+1)-subset
+    (``_first_dependent_by_prefixes``). Same contract and cap as
+    ``general_position_by_determinants``."""
+    witness = _first_dependent_by_prefixes(_lifted_within_cap(fw, cap), (),
+                                           _unit_rows(fw.dim + 1), 1)
+    if witness is None:
+        return True, None
+    return False, tuple(v + 1 for v in witness)
 
 
 def _leading_profile(a: Matrix) -> tuple[int, bool] | None:

@@ -1,11 +1,15 @@
 """The general-position sweep and the span check on shared prefix
 cofactors, cross-checked against the per-subset determinant sweep
-(``helpers.general_position_by_determinants``) and the cofactor-expansion
-oracle; and the fixed-pair skip of the exact distance re-checks."""
+(``helpers.general_position_by_determinants``), the unbucketed prefix
+sweep (``helpers.general_position_by_prefixes``) and the
+cofactor-expansion oracle; and the fixed-pair skip and the integer
+distances of the exact distance re-checks."""
 
 import hashlib
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -30,7 +34,7 @@ from chordalrig.framework import (
 )
 from chordalrig.graphs import Graph, gen_ktree
 from chordalrig.jsonio import framework_to_obj, write_json
-from helpers import general_position_by_determinants
+from helpers import general_position_by_determinants, general_position_by_prefixes, sq_dist
 
 
 def _outcome(sweep, fw, cap=None):
@@ -380,3 +384,180 @@ class TestFixedPairSkip:
         moved = Framework(fw.graph, 2, [(x + 1, y) for x, y in fw.points])
         assert frameworks_congruent(fw, moved) and frameworks_equivalent(fw, moved)
         assert len(calls) == 2 * (math.comb(9, 2) + len(fw.graph.edges))
+
+
+BUCKET_KINDS = ("generic", "prefix-hull", "late-pair", "late-repeat")
+
+
+def _bucket_case(rng, dim, n, kind):
+    """n points with a denominator per coordinate and, unless generic, one
+    forced dependency aimed at the bucketed last two levels: a later point
+    in the affine hull of some of the first dim-1 points (a zero
+    projection), a last point in the hull of those points and the one
+    before it (a parallel pair at the end of the order), or a last point
+    repeating another late one."""
+    pts = [[F(rng.randint(-30, 30), rng.choice([1, 2, 3, 5, 7, 10 ** 6])) for _ in range(dim)]
+           for _ in range(n)]
+    prefix = list(range(dim - 1))
+    if kind == "prefix-hull":
+        j = rng.randrange(dim - 1, n)
+        pts[j] = _affine_combination(rng, pts, rng.sample(prefix, rng.randint(1, dim - 1)))
+    elif kind == "late-pair":
+        pts[n - 1] = _affine_combination(rng, pts, prefix + [n - 2])
+    elif kind == "late-repeat":
+        pts[n - 1] = list(pts[rng.randrange(n - 3, n - 1)])
+    return pts
+
+
+class TestBucketedSweep:
+    @pytest.mark.parametrize("dim, count, extra", [
+        (1, 80, 8), (2, 80, 6), (3, 60, 5), (4, 40, 4), (5, 30, 3)])
+    def test_matches_both_references_and_oracle(self, dim, count, extra):
+        rng = random.Random(f"bucketed/{dim}")
+        kinds = BUCKET_KINDS if dim >= 2 else ("generic", "late-repeat")
+        seen, capped = Counter(), 0
+        while sum(seen.values()) + capped < count:
+            kind = rng.choice(kinds)
+            n = rng.randint(dim + 3, dim + extra)
+            try:
+                fw = Framework(Graph.path(n), dim, _bucket_case(rng, dim, n, kind))
+            except DegenerateSpan:
+                continue
+            total = math.comb(n, dim + 1)
+            cap = rng.choice([None, total, total - 1])
+            got = _outcome(is_general_position, fw, cap)
+            assert got == _outcome(general_position_by_prefixes, fw, cap)
+            assert got == _outcome(general_position_by_determinants, fw, cap)
+            if cap == total - 1:
+                assert got == ("cap", f"{total} subsets exceed the cap of {total - 1}")
+                capped += 1
+                continue
+            witness = oracles.first_affinely_dependent(fw.points, dim + 1)
+            assert got == (witness is None, witness)
+            seen[kind, got[0]] += 1
+        assert capped >= 3
+        assert seen["generic", True] >= 3
+        assert all(seen[kind, False] >= 3 for kind in kinds if kind != "generic")
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_zero_projection_on_the_prefix_hull(self, dim):
+        # The last point repeats the first one (for dim >= 3, it lies on the
+        # line through the first two): the first subset holding it and the
+        # prefix is the first violator, decided by its zero projection.
+        rng = random.Random(f"zero-projection/{dim}")
+        while True:
+            pts = [[F(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(dim)]
+                   for _ in range(dim + 4)]
+            if dim >= 3:
+                pts[-1] = _affine_combination(rng, pts, [0, 1])
+            else:
+                pts[-1] = list(pts[0])
+            fw = Framework(Graph.path(len(pts)), dim, pts)
+            witness = oracles.first_affinely_dependent(fw.points, dim + 1)
+            if witness == tuple(range(1, dim + 1)) + (len(pts),):
+                break
+        assert is_general_position(fw) == (False, witness)
+        assert general_position_by_prefixes(fw) == (False, witness)
+
+    def test_parallel_pair_of_opposite_signs_late(self):
+        # Two late points on opposite sides of the first one, collinear with
+        # it: their projections are parallel with opposite signs.
+        pts = [(0, 0), (5, 2), (3, 7), (-4, 9), (8, -3), (F(1, 2), F(1, 3)), (-1, F(-2, 3))]
+        fw = Framework(Graph.path(7), 2, pts)
+        expected = (False, (1, 6, 7))
+        assert oracles.first_affinely_dependent(fw.points, 3) == expected[1]
+        assert is_general_position(fw) == general_position_by_prefixes(fw) == expected
+
+    def test_r1_buckets_the_empty_prefix(self):
+        # In R^1 the pairs are bucketed directly: a repeat at the end of the
+        # order, and equal points given with different denominators.
+        pts = [(F(k * k, 3),) for k in range(1, 9)] + [(F(49, 3),)]
+        fw = Framework(Graph.path(9), 1, pts)
+        assert is_general_position(fw) == general_position_by_prefixes(fw) == (False, (7, 9))
+        fw = Framework(Graph.path(4), 1, [(F(2, 4),), (3,), (F(1, 2),), (7,)])
+        assert is_general_position(fw) == general_position_by_prefixes(fw) == (False, (1, 3))
+
+
+class TestBucketedSweepCost:
+    @pytest.mark.parametrize("n, dim", [(12, 1), (12, 2), (11, 3), (10, 4), (10, 5)])
+    def test_cofactor_steps_only_on_short_prefixes(self, n, dim, monkeypatch):
+        """On a generic input, one cofactor step per prefix of at most dim-1
+        rows that the sweep can extend, and none with dim rows."""
+        fw = random_general_position_framework(n, dim, 0)
+        depths = []
+        step = framework._cofactor_step
+
+        def counted(basis, prev, v):
+            depths.append(dim + 2 - len(basis))  # rows in the prefix it makes
+            return step(basis, prev, v)
+
+        monkeypatch.setattr(framework, "_cofactor_step", counted)
+        assert is_general_position(fw) == (True, None)
+        prefixes = {subset[:rows] for subset in itertools.combinations(range(n), dim + 1)
+                    for rows in range(1, dim)}
+        assert Counter(depths) == Counter(len(p) for p in prefixes)
+        assert max(depths, default=0) <= dim - 1
+
+
+def _rational_points(rng, dim, n):
+    return [tuple(F(rng.randint(-50, 50), rng.choice([1, 2, 3, 4, 6, 9, 11, 10 ** 9]))
+                  for _ in range(dim)) for _ in range(n)]
+
+
+class TestIntegerDistances:
+    def test_matches_oracle_on_mixed_denominators_and_reflections(self):
+        rng = random.Random("integer-distances")
+        seen = Counter()
+        for i in range(60):
+            dim = rng.randint(1, 3)
+            n = rng.randint(dim + 2, 9)
+            try:
+                fw = Framework(gen_ktree(n, dim, i), dim, _rational_points(rng, dim, n))
+                variants = [("reflected", _reflect_subset(rng, fw)),
+                            ("other", _rational_points(rng, dim, n))]
+                pts = list(fw.points)
+                v = rng.randrange(n)
+                pts[v] = tuple(x + F(1, 10 ** 12) for x in pts[v])
+                variants.append(("perturbed", pts))
+                others = [(c, Framework(fw.graph, dim, p)) for c, p in variants]
+            except DegenerateSpan:
+                continue
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            for category, other in others:
+                for chosen in (fw.graph.edges, pairs):
+                    got = framework._same_sq_dists(fw, other, chosen)
+                    assert got == oracles.equal_sq_distances(fw.points, other.points, chosen)
+                    seen[category, got] += 1
+        assert seen["reflected", True] and seen["reflected", False]
+        assert seen["perturbed", False] and seen["other", False]
+
+    def test_equivalent_across_ambient_dimensions(self):
+        # A path in R^2 and one in R^3 whose last bar is turned out of the
+        # plane: equivalent, not congruent; tilting that bar breaks both.
+        flat = [(0, 0), (F(3, 2), F(1, 3)), (F(-2, 5), 4), (F(7, 3), F(5, 7))]
+        dx, dy = (a - b for a, b in zip(flat[3], flat[2]))
+        lifted = [p + (0,) for p in flat[:3]]
+        for last, equivalent in (((flat[2][0] + dx, flat[2][1], dy), True),
+                                 ((flat[2][0] + dx, flat[2][1] + F(1, 10 ** 6), dy), False)):
+            a = Framework(Graph.path(4), 2, flat)
+            b = Framework(Graph.path(4), 3, lifted + [last])
+            assert frameworks_equivalent(a, b) is equivalent
+            assert frameworks_equivalent(a, b) == oracles.equal_sq_distances(
+                a.points, b.points, a.graph.edges)
+            assert not frameworks_congruent(a, b)
+            assert not oracles.equal_sq_distances(
+                a.points, b.points, itertools.combinations(range(1, 5), 2))
+
+    def test_tells_apart_a_difference_of_one_in_ten_to_the_forty(self):
+        # |p2 - p1|^2 is 1 in a and 1 + 10^-40 in b; in c it is 1 again,
+        # written with other denominators.
+        a = Framework(Graph.path(3), 2, [(0, 0), (1, 0), (F(1, 3), F(5, 7))])
+        b = Framework(Graph.path(3), 2, [(0, 0), (1, F(1, 10 ** 20)), (F(1, 3), F(5, 7))])
+        c = Framework(Graph.path(3), 2, [(0, 0), (F(3, 5), F(4, 5)), (F(1, 3), F(5, 7))])
+        pairs = [(1, 2)]
+        assert sq_dist(*b.points[:2]) - sq_dist(*a.points[:2]) == F(1, 10 ** 40)
+        assert not framework._same_sq_dists(a, b, pairs)
+        assert not oracles.equal_sq_distances(a.points, b.points, pairs)
+        assert framework._same_sq_dists(a, c, pairs)
+        assert oracles.equal_sq_distances(a.points, c.points, pairs)
+        assert not frameworks_equivalent(a, b) and not frameworks_congruent(a, b)
