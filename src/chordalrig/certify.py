@@ -5,13 +5,16 @@ perfect elimination ordering (PEO), one column per position among the
 first n - dim - 1. Column j is nonzero only at the vertex in position j and
 at dim+1 of its later neighbours, a clique, so the columns are kept sparse,
 in the original vertex labels, and each is solved by Cramer's rule. The
-Gram product Z Z^T is summed one column at a time; it is a positive
+Gram product Z Z^T is summed one column at a time, in integers over the
+square of each column's common denominator; it is a positive
 semidefinite stress matrix of the maximal rank, which certifies universal
 (hence global) rigidity. Its stress clauses are re-checked over its
 nonzero entries, and PSD and rank by sparse symmetric elimination along the
 PEO, which fills in nothing outside the graph; the same one pass gives
 ``psdize_stress`` its input's rank, first vanishing leading minor and Gale
-factor, with no dense elimination on any input. The negative branch
+factor, with no dense elimination on any input. Its result keeps the
+factor's sparse columns and builds the dense Gale and eliminated matrices
+only when they are first read. The negative branch
 extracts a small separating set from the ordering and reflects one side of
 it across a hyperplane, producing a framework with the same edge lengths
 that is provably not congruent.
@@ -20,7 +23,8 @@ that is provably not congruent.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
@@ -226,22 +230,49 @@ def _gale_columns(fw: Framework, peo: Ordering) -> GaleColumns:
     return columns
 
 
+def _gram_rows(columns: GaleColumns, n: int) -> SparseRows:
+    """The sparse rows of the Gram product Z Z^T of sparse columns, summed in
+    integers.
+
+    Each column is scaled by the lcm d of its denominators, so its outer
+    product holds integers over d^2. Each entry gathers these as one
+    numerator over the lcm of the d^2 seen so far, and becomes one Fraction
+    at the end. An entry whose terms cancel is kept, as zero.
+    """
+    sums: dict[tuple[int, int], list[int]] = {}
+    for col in columns:
+        d = math.lcm(*[a.denominator for a in col.values()])
+        d2 = d * d
+        ints = [(v, a.numerator * (d // a.denominator)) for v, a in col.items()]
+        for k, (u, a) in enumerate(ints):
+            for w, b in ints[k:]:
+                key = (u, w) if u < w else (w, u)
+                acc = sums.get(key)
+                if acc is None:
+                    sums[key] = [a * b, d2]
+                elif acc[1] == d2:
+                    acc[0] += a * b
+                else:
+                    common = math.lcm(acc[1], d2)
+                    acc[0] = acc[0] * (common // acc[1]) + a * b * (common // d2)
+                    acc[1] = common
+    rows: SparseRows = {v: {} for v in range(n)}
+    for (u, w), (num, den) in sums.items():
+        rows[u][w] = rows[w][u] = Fraction(num, den)
+    return rows
+
+
 def _gram_stress(fw: Framework, columns: GaleColumns, order: Ordering) -> StressMatrix:
-    """The Gram stress Z Z^T of sparse Gale columns, summed one column's
-    outer product at a time, with every stress clause re-checked.
+    """The Gram stress Z Z^T of sparse Gale columns (``_gram_rows``), with
+    every stress clause re-checked.
 
     Symmetry, the non-edge zeros and the kernel are checked over the
-    stored nonzero entries; PSD and rank rbar by ``_sparse_factor`` along
+    stored entries; PSD and rank rbar by ``_sparse_factor`` along
     ``order``, which along a PEO touches one clique per step. A nonzero
     non-edge entry raises PatternViolation; any other failed clause is a
     bug and raises AssertionFailure.
     """
-    rows: SparseRows = {v: {} for v in range(fw.n)}
-    for col in columns:
-        entries = list(col.items())
-        for k, (u, a) in enumerate(entries):
-            for w, b in entries[k:]:
-                rows[u][w] = rows[w][u] = rows[u].get(w, 0) + a * b
+    rows = _gram_rows(columns, fw.n)
     symmetric, non_edge, kernel_ok = _stress_clauses(fw, rows)
     if non_edge is not None:
         raise PatternViolation(*non_edge)
@@ -380,16 +411,31 @@ def reflection_counterexample(fw: Framework, cut: Iterable[int]) -> Framework:
 class PsdizeResult:
     """Outcome of converting an indefinite stress into a PSD one.
 
-    ``eliminated`` is the staircase matrix after rbar elimination steps and
-    ``peo`` the ordering it is expressed in: row j is the unit column of
-    the j-th pivot in position order, and the rows below rbar are zero.
-    ``gale`` and ``stress`` are in the original labels.
+    ``stress`` is in the original labels; ``columns`` holds the rbar unit
+    columns of the input's L D L^T factor, sparse ({0-based vertex:
+    entry}), and ``peo`` the ordering they were eliminated along. The dense
+    views are built on first read and then kept: ``gale`` is the Gale
+    matrix with these columns, in the original labels, and ``eliminated``
+    the staircase matrix after rbar elimination steps, expressed in
+    ``peo``: row j is the unit column of the j-th pivot in position order,
+    and the rows below rbar are zero. The stress and the ordering determine
+    the factor, so results compare by those two alone.
     """
 
     stress: StressMatrix
-    gale: GaleMatrix
-    eliminated: Matrix
     peo: Ordering
+    columns: GaleColumns = field(compare=False, repr=False)
+
+    @cached_property
+    def gale(self) -> GaleMatrix:
+        return _gale_matrix(self.columns, len(self.peo))
+
+    @cached_property
+    def eliminated(self) -> Matrix:
+        n, zero = len(self.peo), Fraction(0)
+        order = [v - 1 for v in self.peo]
+        return Matrix([[col.get(v, zero) for v in order] for col in self.columns]
+                      + [[zero] * n] * (n - len(self.columns)), shape=(n, n))
 
 
 def _elimination_order(graph: Graph) -> Ordering:
@@ -417,6 +463,8 @@ def psdize_stress(fw: Framework, s: Matrix, cap: int | None = None) -> PsdizeRes
     keeps their non-edge zeros, so their Gram product is again a stress:
     PSD, of the same maximal rank. A stress whose size is not the
     framework's raises DimensionMismatch before any hypothesis is checked.
+    The result holds the Gram stress, the ordering and the sparse unit
+    columns; its dense ``gale`` and ``eliminated`` are built on first read.
     """
     rows = _stress_rows(fw, s)
     peo = _elimination_order(fw.graph)
@@ -440,12 +488,4 @@ def psdize_stress(fw: Framework, s: Matrix, cap: int | None = None) -> PsdizeRes
     violation = _triangular_violation(columns, fw.graph, peo)
     if violation is not None:
         raise AssertionFailure(f"eliminated factor lost the triangular shape at {violation}")
-    zero = Fraction(0)
-    eliminated = Matrix([[col.get(v, zero) for v in order] for col in columns]
-                        + [[zero] * fw.n] * (fw.n - fw.rbar), shape=(fw.n, fw.n))
-    return PsdizeResult(
-        stress=_gram_stress(fw, columns, peo),
-        gale=_gale_matrix(columns, fw.n),
-        eliminated=eliminated,
-        peo=peo,
-    )
+    return PsdizeResult(stress=_gram_stress(fw, columns, peo), peo=peo, columns=columns)

@@ -1,9 +1,9 @@
 """JSON serialization for graphs, frameworks, stresses and certificates.
 
 Rationals travel as strings ("p/q" in lowest terms, or a plain decimal
-integer; bare JSON integers are accepted as shorthand) so nothing ever
-round-trips through floating point. Parsers report the position of the
-offending element.
+integer, in ASCII digits; bare JSON integers are accepted as shorthand) so
+nothing ever round-trips through floating point. Parsers report the
+position of the offending element.
 """
 
 from __future__ import annotations
@@ -18,7 +18,13 @@ from .exactmat import Matrix
 from .framework import Framework, StressMatrix
 from .graphs import Graph
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+# Matched against the whole string: a signed numerator, then an optional
+# denominator without leading zeros, both in ASCII digits.
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
+
+# Shared by every "0" entry, the bulk of a chordal stress; Fractions are
+# immutable.
+_ZERO = Fraction(0)
 
 # Largest vertex count a graph or framework file may declare. A graph
 # allocates per vertex, so without a bound a file of a few bytes could ask
@@ -49,10 +55,14 @@ def parse_rational(value, where: str) -> Fraction:
     if isinstance(value, float):
         raise ParseError("floating-point numbers are not accepted; use a string", where)
     if isinstance(value, str):
-        if not _RATIONAL_RE.match(value):
+        if value == "0":
+            return _ZERO
+        match = _RATIONAL_RE.fullmatch(value)
+        if match is None:
             raise ParseError(f"malformed rational {value!r}", where)
+        num, den = match.groups()
         try:
-            return Fraction(value)
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
         except ValueError:  # beyond the interpreter's int-string digit limit
             raise ParseError(f"rational too long to parse ({len(value)} characters)",
                              where) from None
@@ -166,7 +176,9 @@ def matrix_from_obj(obj, where: str = "matrix") -> Matrix:
             width = len(entries)
         elif len(entries) != width:
             raise ParseError(f"row has {len(entries)} entries, expected {width}", spot)
-        parsed.append([parse_rational(x, f"{spot}[{k}]") for k, x in enumerate(entries)])
+        # a zero entry skips the call and the location string it needs
+        parsed.append([_ZERO if x == "0" else parse_rational(x, f"{spot}[{k}]")
+                       for k, x in enumerate(entries)])
     if width == 0:
         raise ParseError("matrix rows must be nonempty", where)
     return Matrix(parsed)

@@ -336,6 +336,14 @@ class TestPsdizeStress:
         assert res.eliminated == hexagon.eliminated
         assert res.peo == Ordering.identity(6)
 
+    def test_dense_views_are_built_on_first_read(self, hexagon):
+        res = psdize_stress(hexagon.fw, hexagon.stress)
+        assert res.stress.matrix == hexagon.psd
+        assert "gale" not in vars(res) and "eliminated" not in vars(res)
+        assert res.gale.matrix == hexagon.gale
+        assert res.eliminated == hexagon.eliminated
+        assert res.gale is res.gale and res.eliminated is res.eliminated
+
     def test_idempotent(self, hexagon):
         first = psdize_stress(hexagon.fw, hexagon.stress)
         second = psdize_stress(hexagon.fw, first.stress.matrix)

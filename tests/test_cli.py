@@ -179,6 +179,23 @@ class TestPsdize:
         assert lines_of(result) == ["rank: 3", "psd: yes", "minors checked: 3"]
         assert json.loads(dest.read_text()) == stress_to_obj(StressMatrix(hexagon.psd))
 
+    def test_builds_no_dense_view(self, runner, files, tmp_path, hexagon, monkeypatch):
+        results = []
+
+        def recorded(*args, **kwargs):
+            results.append(certify.psdize_stress(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "psdize_stress", recorded)
+        result = runner.invoke(main, ["psdize", files["hexagon"],
+                                      "--stress", files["hexagon_stress"],
+                                      "--output", str(tmp_path / "psd.json")])
+        assert result.exit_code == 0
+        res, = results
+        assert "gale" not in vars(res) and "eliminated" not in vars(res)
+        assert res.gale.matrix == hexagon.gale
+        assert res.eliminated == hexagon.eliminated
+
     def test_vanishing_minor_is_hypothesis_failure(self, runner, tmp_path):
         pts = [(i, i * i) for i in range(1, 6)]
         fw = Framework(Graph.complete(5), 2, pts)
@@ -407,6 +424,28 @@ class TestErrorHandling:
         result = runner.invoke(main, ["psdize", str(fw_path), "--stress", str(stress_path)])
         assert result.exit_code == 3
         assert "too long to parse" in result.stderr
+
+    @pytest.mark.parametrize("raw", ["5\n", "3/4\n", "\u0663", "\uff17"],
+                             ids=["newline", "fraction newline", "arabic-indic", "full-width"])
+    @pytest.mark.parametrize("command", ["psdize", "certify"])
+    def test_rational_outside_the_ascii_grammar_is_malformed_input(
+            self, runner, files, tmp_path, raw, command):
+        """psdize reads it as the stress's (1,1) entry, certify as point 1's x."""
+        if command == "psdize":
+            fw_path = files["hexagon"]
+            obj = json.loads(Path(files["hexagon_stress"]).read_text())
+            obj["matrix"][0][0] = raw
+            path = tmp_path / "odd_stress.json"
+            args = [fw_path, "--stress", str(path)]
+        else:
+            obj = json.loads(Path(files["hexagon"]).read_text())
+            obj["points"][0][0] = raw
+            path = tmp_path / "odd_framework.json"
+            args = [str(path)]
+        write_json(path, obj)
+        result = runner.invoke(main, [command, *args])
+        assert result.exit_code == 3
+        assert f"malformed rational {raw!r}" in result.stderr
 
     @pytest.mark.parametrize("command", ["psdize", "plot", "stress-check"])
     @pytest.mark.parametrize("name, n", [("hexagon", 6), ("k5me", 5), ("prism", 6)])

@@ -1,6 +1,9 @@
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from chordalrig import jsonio
 from chordalrig.certify import certify_chordal
@@ -30,6 +33,35 @@ from chordalrig.jsonio import (
 
 F = Fraction
 
+# The interpreter's int-string digit limit; a numerator or denominator of
+# this many digits parses, one more digit does not.
+_LIMIT = sys.get_int_max_str_digits()
+
+_NAMED = ["-0", "+0", "0", "00", "0/7", "-0/3", "2/4", "-6/4", "+10/15", "007",
+          "-007/21", "1/1", "9" * _LIMIT, "-" + "0" * (_LIMIT - 1) + "1",
+          "3" * _LIMIT + "/" + "6" * _LIMIT]
+
+
+@st.composite
+def _digit_run(draw, first="0123456789"):
+    """A short run of ASCII digits or one of exactly the digit limit's
+    length, repeated from a short pattern."""
+    head = draw(st.sampled_from(first))
+    tail = draw(st.text("0123456789", max_size=8))
+    size = draw(st.one_of(st.integers(1, 9), st.integers(_LIMIT - 2, _LIMIT)))
+    return (head + (tail or head) * size)[:size]
+
+
+# The accepted grammar: an optional sign, a numerator (leading zeros
+# allowed), and an optional denominator without leading zeros.
+_GRAMMAR = st.builds(
+    lambda sign, zeros, num, den: sign + "0" * zeros + num + (f"/{den}" if den else ""),
+    st.sampled_from(["", "+", "-"]),
+    st.integers(0, 3),
+    _digit_run(),
+    st.one_of(st.none(), _digit_run("123456789")),
+).filter(lambda s: len(s.split("/")[0].lstrip("+-")) <= _LIMIT)
+
 
 class TestParseRational:
     @pytest.mark.parametrize("raw, expected", [
@@ -45,9 +77,31 @@ class TestParseRational:
         assert parse_rational(raw, "x") == expected
 
     @pytest.mark.parametrize("raw", [1.5, "1.5", True, False, "4/0", "4/-7",
-                                     " 1", "1 ", "", "a", None, [1]])
+                                     " 1", "1 ", "", "a", None, [1],
+                                     "5\n", "3/4\n", "\u0663", "\uff17"])
     def test_rejected(self, raw):
+        # the last two are an Arabic-Indic three and a full-width seven
         with pytest.raises(ParseError):
+            parse_rational(raw, "x")
+
+    def test_named_forms_match_fraction(self):
+        for raw in _NAMED:
+            assert parse_rational(raw, "x") == Fraction(raw)
+
+    @seed(13)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_GRAMMAR)
+    def test_matches_fraction_over_the_grammar(self, raw):
+        assert parse_rational(raw, "x") == Fraction(raw)
+
+    @pytest.mark.parametrize("raw", [
+        "7" * (_LIMIT + 1),
+        "-" + "0" * (_LIMIT + 1),
+        "1/" + "3" * (_LIMIT + 1),
+        "+" + "9" * (_LIMIT + 1) + "/2",
+    ], ids=["numerator", "signed zeros", "denominator", "signed numerator"])
+    def test_past_the_digit_limit(self, raw):
+        with pytest.raises(ParseError, match=rf"rational too long to parse \({len(raw)} "):
             parse_rational(raw, "x")
 
     def test_error_carries_location(self):

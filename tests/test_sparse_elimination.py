@@ -17,6 +17,7 @@ factor from the same kernel; it is compared with the dense
 minor, with cofactor determinants.
 """
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -360,6 +361,103 @@ class TestGramSelfCheck:
             rows[j][i] = rows[i][j]
         with pytest.raises(PreconditionViolated, match=failure):
             psdize_stress(hexagon.fw, Matrix(rows))
+
+
+def dense_gram(columns, n):
+    """Z Z^T by the dense matrix product, Z holding the sparse columns."""
+    z = Matrix.from_columns([[col.get(v, F(0)) for v in range(n)] for col in columns],
+                            rows=n)
+    return z * z.transpose()
+
+
+def mixes_scales(columns):
+    """Whether some entry of the Gram product gathers terms from columns
+    whose denominators have different lcms."""
+    scales = {}
+    for col in columns:
+        d = math.lcm(*(x.denominator for x in col.values()))
+        for u in col:
+            for w in col:
+                scales.setdefault((u, w), set()).add(d)
+    return any(len(found) > 1 for found in scales.values())
+
+
+def hexagon_columns(hexagon):
+    return [{v: x for v, x in enumerate(hexagon.gale.column(j)) if x} for j in range(3)]
+
+
+def combine(a, b, t):
+    """The sparse column a + t b."""
+    out = {v: a.get(v, 0) + t * b.get(v, 0) for v in a.keys() | b.keys()}
+    return {v: F(x) for v, x in out.items() if x}
+
+
+class TestGramSum:
+    """``certify._gram_rows`` sums in integers; its entries must be those of
+    the dense product Z Z^T."""
+
+    def test_gale_columns_match_the_dense_product(self):
+        rng = random.Random(21)
+        seen = set()
+        for i in range(32):
+            r = i % 4 + 1
+            n = rng.randint(r + 3, r + 10)
+            if i % 8 < 4:
+                fw = random_general_position_framework(n, r, rng.randrange(10_000))
+            else:
+                fw = _rational_points_framework(rng, n, r)
+            peo = is_chordal(fw.graph).peo
+            columns = certify._gale_columns(fw, peo)
+            assert certify._gram_stress(fw, columns, peo).matrix == dense_gram(columns, n)
+            seen.add((r, mixes_scales(columns)))
+        assert {(r, True) for r in (1, 2, 3, 4)} <= seen
+
+    def test_psdize_factor_columns_match_the_dense_product(self):
+        seen = set()
+        for rng, fw, peo, z in _psdize_inputs(11, 24):
+            s = stress_from_psi(fw, z, _diagonal(_weights(rng, fw.rbar))).matrix
+            try:
+                res = psdize_stress(fw, s)
+            except NotGenericRankProfile:
+                continue
+            expected = dense_gram(res.columns, fw.n)
+            assert res.stress.matrix == expected
+            assert certify._gram_stress(fw, res.columns, peo).matrix == expected
+            seen.add(("non-unit", any(x.denominator > 1
+                                      for col in res.columns for x in col.values())))
+            seen.add(("mixed", mixes_scales(res.columns)))
+        assert {("non-unit", True), ("mixed", True)} <= seen
+
+    def test_cancelled_entries_are_zero(self, hexagon):
+        z = hexagon_columns(hexagon)
+        # (z0 + z2)(z0 + z2)^T + (z0 - z2)(z0 - z2)^T = 2 z0 z0^T + 2 z2 z2^T:
+        # the cross terms at vertices {1, 2} x {5, 6} cancel, and z1 is
+        # zero on the non-edges {1,5}, {1,6}, {2,6}
+        columns = [combine(z[0], z[2], 1), z[1], combine(z[0], z[2], -1)]
+        expected = dense_gram(columns, 6)
+        rows = certify._gram_rows(columns, 6)
+        for u, w in ((0, 4), (0, 5), (1, 5)):
+            assert columns[0][u] * columns[0][w] != 0
+            assert expected[u, w] == 0
+            assert rows[u].get(w, 0) == 0 == rows[w].get(u, 0)
+        stress = certify._gram_stress(hexagon.fw, columns, Ordering.identity(6))
+        assert stress.matrix == expected
+
+    @pytest.mark.parametrize("t, extra, pair", [
+        (-1, {1: F(1), 5: F(1)}, (2, 6)),  # {1,5} and {1,6} cancel, {2,6} does not
+        (-2, None, (1, 5)),  # nothing cancels
+    ])
+    def test_first_nonzero_non_edge_still_raises(self, hexagon, t, extra, pair):
+        z = hexagon_columns(hexagon)
+        columns = [combine(z[0], z[2], 1), z[1], combine(z[0], z[2], t)]
+        if extra is not None:
+            columns.append(extra)
+        dense = dense_gram(columns, 6)
+        bad = sorted(p for p in hexagon.non_edges if dense[p[0] - 1, p[1] - 1])
+        assert bad[0] == pair
+        with pytest.raises(PatternViolation) as err:
+            certify._gram_stress(hexagon.fw, columns, Ordering.identity(6))
+        assert err.value.pair == pair
 
 
 class TestNonEdgeClause:
