@@ -33,8 +33,8 @@ from typing import Iterable, Sequence
 from .exactmat import (
     Matrix,
     SparseRows,
+    _cofactor_basis,
     _dense,
-    _int_determinant,
     _sparse_factor,
     _sparse_rows,
     null_space_basis,
@@ -47,7 +47,6 @@ from .framework import (
     _clause_failures,
     _coerce_point,
     _in_gale_space,
-    _lifted_points,
     _stress_clauses,
     _stress_rows,
     _triangular_violation,
@@ -191,15 +190,19 @@ def _gale_columns(fw: Framework, peo: Ordering) -> GaleColumns:
     without its precondition checks, for callers that have established them.
 
     Column j is 1 at the vertex v in position j and x_k at its dim+1
-    earliest later neighbours u_k, where sum_k x_k (u_k, 1) = -(v, 1). With
-    each point lifted once to the integer vector L = l (p, 1), l the lcm of
-    its denominators, Cramer's rule gives x_k = l_k det(A_k) / (l_v det A),
-    where A has the rows L_{u_k} and A_k has row k replaced by -L_v. Each
-    column is checked to lie in the Gale space and to keep the triangular
-    shape before it is returned.
+    earliest later neighbours u_k, where sum_k x_k (u_k, 1) = -(v, 1). The
+    framework keeps each point lifted to the integer vector L = l (p, 1), l
+    the lcm of its denominators. The dim+1 coordinate rows of the matrix
+    [L_v | L_{u_0} ... L_{u_dim}] go through ``_cofactor_basis``; when they
+    are independent, the one vector y left spans its kernel, so
+    y_v L_v + sum_k y_k L_{u_k} = 0 and x_k = l_{u_k} y_k / (l_v y_v). The
+    entries of y are the maximal minors of that matrix up to sign, so this
+    is Cramer's rule. A dependent row or y_v = 0 means the L_{u_k} are
+    dependent. Each column is checked to lie in the Gale space and to keep
+    the triangular shape before it is returned.
     """
     r = fw.dim
-    lifted = _lifted_points(fw)
+    lifted = fw._lifted
     pos = peo.position_of
     columns = []
     for j in range(1, fw.rbar + 1):
@@ -209,18 +212,17 @@ def _gale_columns(fw: Framework, peo: Ordering) -> GaleColumns:
             raise PreconditionViolated(
                 f"position {j} has only {len(later)} later neighbors, need {r + 1}")
         support = [u - 1 for u in later[:r + 1]]
-        system = [lifted[u] for u in support]
-        det = _int_determinant(system)
-        if det == 0:
+        points = [lifted[v - 1]] + [lifted[u] for u in support]
+        basis, _, rank = _cofactor_basis(zip(*points), r + 2)
+        if rank < r + 1 or basis[0][0] == 0:
             raise AssertionFailure(
                 f"support of column {j} is degenerate despite general position")
-        target = [-x for x in lifted[v - 1]]
-        scale = lifted[v - 1][-1] * det
+        y = basis[0]
+        scale = lifted[v - 1][-1] * y[0]
         col = {v - 1: Fraction(1)}
-        for k, u in enumerate(support):
-            minor = _int_determinant(system[:k] + [target] + system[k + 1:])
-            if minor:
-                col[u] = Fraction(lifted[u][-1] * minor, scale)
+        for u, x in zip(support, y[1:]):
+            if x:
+                col[u] = Fraction(lifted[u][-1] * x, scale)
         if not _in_gale_space(lifted, [col]):
             raise AssertionFailure(f"column {j} does not lie in the Gale space")
         columns.append(col)

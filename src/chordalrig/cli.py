@@ -2,7 +2,8 @@
 
 Exit codes: 0 when a verdict was reached (any verdict), 1 when a
 mathematical hypothesis failed (for example a vanishing leading minor),
-2 for usage errors, 3 for malformed input files, 4 when a subset sweep
+2 for usage errors (an --output path that cannot be written among them),
+3 for malformed input files, 4 when a subset sweep
 would exceed its size cap (raise it with --cap-subsets) or an input graph
 or framework has more vertices than ``jsonio.MAX_VERTICES``.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import json
 import sys
+from pathlib import Path
 
 import click
 
@@ -59,6 +61,7 @@ from .jsonio import (
 from .svgplot import UnsupportedDimension, render_framework_svg
 
 EXIT_HYPOTHESIS = 1
+EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_LIMIT = 4
 
@@ -94,15 +97,25 @@ def _load_stress(path: str):
         _input_error(exc)
 
 
+def _write(write, path, content) -> None:
+    """Every output file is written here, by ``write(path, content)``; a
+    path that cannot be written is a usage error."""
+    try:
+        write(path, content)
+    except OSError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_USAGE)
+
+
 def _emit(obj, output: str | None) -> None:
     if output:
-        write_json(output, obj)
+        _write(write_json, output, obj)
     else:
         click.echo(json.dumps(obj, indent=2))
 
 
 _cap_subsets = click.option(
-    "--cap-subsets", type=int, default=None,
+    "--cap-subsets", type=click.IntRange(min=0), default=None,
     help="Abort the general-position sweep beyond this many (r+1)-point subsets "
          f"(default {DEFAULT_POSITION_CAP:,}).")
 
@@ -134,7 +147,7 @@ def analyze(framework_file, output, fmt, cap_subsets):
     except (CertifyError, FrameworkError, GraphError, ExactMatError) as exc:
         _hypothesis_error(exc)
     if output:
-        write_json(output, certificate_to_obj(cert))
+        _emit(certificate_to_obj(cert), output)
     if fmt == "json":
         click.echo(json.dumps(certificate_to_obj(cert), indent=2))
         return
@@ -199,14 +212,11 @@ def psdize(framework_file, stress_file, output, cap_subsets):
         _input_error(exc)
     except (CertifyError, FrameworkError, ExactMatError) as exc:
         _hypothesis_error(exc)
-    obj = stress_to_obj(result.stress)
+    _emit(stress_to_obj(result.stress), output)
     if output:
-        write_json(output, obj)
         click.echo(f"rank: {fw.rbar}")
         click.echo("psd: yes")
         click.echo(f"minors checked: {fw.rbar}")
-    else:
-        click.echo(json.dumps(obj, indent=2))
 
 
 @main.command("stress-check")
@@ -350,8 +360,7 @@ def plot(framework_file, stress_file, output):
     except UnsupportedDimension as exc:
         _hypothesis_error(exc)
     if output:
-        with open(output, "w") as fh:
-            fh.write(svg)
+        _write(Path.write_text, Path(output), svg)
     else:
         click.echo(svg, nl=False)
 

@@ -11,22 +11,26 @@ rejected outright; there is no rounding anywhere in this module.
   and the unit columns it divides out are the factor L of L D L^T; for a
   maximal-rank stress with generic rank profile, eliminated along a
   perfect elimination ordering, L is a unit-triangular Gale matrix.
-- ``_int_determinant`` is integer Bareiss elimination; the Gale columns'
-  Cramer systems run it on rows cleared of denominators
-  (``_integer_row``). The general-position sweep does not: it shares one
-  fraction-free cofactor basis per prefix of its subsets
-  (``framework._cofactor_step``).
-- ``_rref``, reduced row echelon form with row exchanges, is the one dense
-  echelon routine. It gives ``null_space_basis`` (the reflecting
-  hyperplane, the Gale matrix), ``inverse`` (Psi in S = Z Psi Z^T) and
-  ``rank`` (a matrix that is not symmetric).
+- ``_cofactor_step`` is the one integer elimination: a fraction-free
+  Bareiss step that extends a run of integer rows (cleared of
+  denominators by ``_integer_row``) and keeps the basis of the vectors
+  orthogonal to it. ``_cofactor_basis`` pushes whole rows through it, for
+  the rank of a matrix that is not symmetric (``rank``), the framework's
+  span check and affine independence, and the one dependency that gives
+  a Gale column. The general-position sweep shares one basis per prefix
+  of its subsets instead.
+- ``_rref``, reduced row echelon form with row exchanges, stays behind
+  ``null_space_basis`` (the reflecting hyperplane, the Gale matrix) and
+  ``inverse`` (Psi in S = Z Psi Z^T) only: on a wide matrix the cofactor
+  basis costs O(rows * cols^2) where the echelon form is cheaper.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from operator import mul
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 
 class ExactMatError(Exception):
@@ -199,39 +203,54 @@ def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (scale // x.denominator) for x in values], scale
 
 
-def _int_determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination.
+def _unit_rows(k: int) -> list[list[int]]:
+    return [[0] * i + [1] + [0] * (k - 1 - i) for i in range(k)]
 
-    Each step k replaces the trailing block by 2x2 minors against the
-    pivot divided by the previous pivot; by Sylvester's identity the
-    division is exact, so every intermediate stays an integer minor of the
-    input. A zero pivot is swapped with the first nonzero entry below it.
-    ``rows`` is not modified.
+
+def _cofactor_step(basis: list[list[int]], prev: int, v: Sequence[int]
+                   ) -> tuple[list[list[int]], int] | None:
+    """Extend a run of integer rows by the row ``v``, fraction-free.
+
+    ``basis`` spans the vectors orthogonal to every row of the run: the k
+    unit vectors, with ``prev`` = 1, for the empty run, and one vector fewer
+    per row. ``v`` depends on the run exactly when every y in the basis has
+    <v, y> = 0; then None is returned. Otherwise the first y_j with
+    p = <v, y_j> != 0 is the pivot, and every other y_i becomes
+    (p y_i - <v, y_i> y_j) / prev, with ``prev`` the previous pivot. This
+    is one step of Bareiss elimination on the columns of the rows stacked
+    over the identity, so by Sylvester's identity the division is exact
+    and every entry is a d x d minor of the d rows of the run, up to sign.
+    After k-1 rows the one vector left is the cofactor vector of a last
+    row, up to sign: its dot product with a row is the k x k determinant.
+    Returns the new basis and ``p``.
     """
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot_row = m[k]
-        pivot = pivot_row[k]
-        for i in range(k + 1, n):
-            row = m[i]
-            f = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+    dots = [sum(map(mul, y, v)) for y in basis]
+    j = next((i for i, a in enumerate(dots) if a), None)
+    if j is None:
+        return None
+    p, pivot = dots[j], basis[j]
+    return [[(p * x - a * z) // prev for x, z in zip(y, pivot)]
+            for i, (a, y) in enumerate(zip(dots, basis)) if i != j], p
+
+
+def _cofactor_basis(rows: Iterable[Sequence[int]], k: int
+                    ) -> tuple[list[list[int]], int, int]:
+    """Push integer rows of length k through ``_cofactor_step`` from the
+    empty run, skipping each row that depends on the rows kept, until k are
+    kept.
+
+    Returns the basis left, which spans the vectors orthogonal to every
+    row, the last pivot (1 when no row was kept) and the rank of the rows.
+    """
+    basis, prev, kept = _unit_rows(k), 1, 0
+    for v in rows:
+        if not basis:
+            break
+        step = _cofactor_step(basis, prev, v)
+        if step is not None:
+            basis, prev = step
+            kept += 1
+    return basis, prev, kept
 
 
 SparseRows = dict[int, dict[int, Fraction]]
@@ -374,8 +393,13 @@ def _rref(a: Matrix) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def rank(a: Matrix) -> int:
-    """Rank: the number of pivot columns of the reduced row echelon form."""
-    return len(_rref(a)[1])
+    """Rank, by ``_cofactor_basis`` over the rows cleared of denominators
+    (``_integer_row``), or over their columns when there are more columns
+    than rows: the basis then starts with min(rows, cols) vectors."""
+    rows = [_integer_row(row)[0] for row in a.data]
+    if a.cols > a.rows:
+        rows = list(zip(*rows))
+    return _cofactor_basis(rows, min(a.rows, a.cols))[2]
 
 
 def null_space_basis(a: Matrix) -> Matrix:

@@ -8,11 +8,14 @@ all stress matrices: S is a stress exactly when it is symmetric, kills the
 extended configuration, and vanishes on non-edges.
 
 Affine independence is decided on the points lifted to integer rows
-l (p, 1). A run of such rows carries a fraction-free cofactor basis
-(``_cofactor_step``): the vectors orthogonal to every row so far, one fewer
-per row, whose entries are minors of those rows. The span check keeps a
-row when the basis does not annihilate it, ``affinely_independent`` needs
-every row kept, and the general-position sweep walks the prefixes of the
+l (p, 1), which a ``Framework`` computes once and keeps for every integer
+check on its points. A run of such rows carries a fraction-free cofactor
+basis (``exactmat._cofactor_step``, the library's one integer
+elimination): the vectors orthogonal to every row so far, one fewer per
+row, whose entries are minors of those rows. The span check and
+``affinely_independent`` read the rank of the lifted rows off one pass
+(``exactmat._cofactor_basis``): dim+1 for the span, one per point for
+independence. The general-position sweep walks the prefixes of the
 (dim+1)-subsets depth first, so each prefix's basis is shared by all its
 extensions. A prefix of dim-1 rows has two basis vectors left; it costs
 one projection onto them per later point, and its dependent pairs are
@@ -35,9 +38,12 @@ from .exactmat import (
     Matrix,
     SingularMatrix,
     SparseRows,
+    _cofactor_basis,
+    _cofactor_step,
     _integer_row,
     _sparse_factor,
     _sparse_rows,
+    _unit_rows,
     inverse,
     null_space_basis,
     rank,
@@ -105,7 +111,7 @@ def _reject_float(x):
 class Framework:
     """A connected graph together with one rational point per vertex."""
 
-    __slots__ = ("graph", "dim", "points")
+    __slots__ = ("graph", "dim", "points", "_lifted")
 
     def __init__(self, graph: Graph, dim: int, points: Sequence[Sequence]):
         if dim < 1:
@@ -119,7 +125,9 @@ class Framework:
             raise DegenerateSpan(f"{graph.n} points cannot affinely span dimension {dim}")
         if not graph.is_connected():
             raise FrameworkError("framework graph must be connected")
-        if not _spans(map(_lift, self.points), dim + 1):
+        # each point lifted once, for every integer check that reads them
+        self._lifted = tuple(map(_lift, self.points))
+        if _cofactor_basis(self._lifted, dim + 1)[2] != dim + 1:
             raise DegenerateSpan("points do not affinely span the ambient space")
 
     @property
@@ -153,68 +161,19 @@ def extended_config_matrix(fw: Framework) -> Matrix:
 
 def affinely_independent(points: Sequence[Sequence]) -> bool:
     """Whether the points are affinely independent (no dimension assumed):
-    each lifted point must extend the cofactor basis of those before it."""
+    the lifted points must have rank equal to their number."""
     pts = [_coerce_point(p, None) for p in points]
     if not pts:
         return True
     if any(len(p) != len(pts[0]) for p in pts):
         raise DimensionMismatch("points of differing dimension")
-    basis, prev = _unit_rows(len(pts[0]) + 1), 1
-    for p in pts:
-        step = _cofactor_step(basis, prev, _lift(p))
-        if step is None:
-            return False
-        basis, prev = step
-    return True
+    return _cofactor_basis(map(_lift, pts), len(pts[0]) + 1)[2] == len(pts)
 
 
 def _check_subset_cap(n: int, k: int, cap: int) -> None:
     total = math.comb(n, k)
     if total > cap:
         raise SizeCapExceededError(f"{total} subsets exceed the cap of {cap}")
-
-
-def _unit_rows(k: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(k)] for i in range(k)]
-
-
-def _cofactor_step(basis: list[list[int]], prev: int, v: Sequence[int]
-                   ) -> tuple[list[list[int]], int] | None:
-    """Extend a run of integer rows by the row ``v``, fraction-free.
-
-    ``basis`` spans the vectors orthogonal to every row of the run: the k
-    unit vectors, with ``prev`` = 1, for the empty run, and one vector fewer
-    per row. ``v`` depends on the run exactly when every y in the basis has
-    <v, y> = 0; then None is returned. Otherwise the first y_j with
-    p = <v, y_j> != 0 is the pivot, and every other y_i becomes
-    (p y_i - <v, y_i> y_j) / prev, with ``prev`` the previous pivot. This
-    is one step of Bareiss elimination on the columns of the rows stacked
-    over the identity, so by Sylvester's identity the division is exact
-    and every entry is a d x d minor of the d rows of the run, up to sign.
-    After k-1 rows the one vector left is the cofactor vector of a last
-    row, up to sign: its dot product with a row is the k x k determinant.
-    Returns the new basis and ``p``.
-    """
-    dots = [sum(map(mul, y, v)) for y in basis]
-    j = next((i for i, a in enumerate(dots) if a), None)
-    if j is None:
-        return None
-    p, pivot = dots[j], basis[j]
-    return [[(p * x - a * z) // prev for x, z in zip(y, pivot)]
-            for i, (a, y) in enumerate(zip(dots, basis)) if i != j], p
-
-
-def _spans(lifted: Iterable[Sequence[int]], k: int) -> bool:
-    """Whether the integer rows span Q^k: each row is kept when it is
-    independent of the rows kept so far, until k are kept."""
-    basis, prev = _unit_rows(k), 1
-    for v in lifted:
-        step = _cofactor_step(basis, prev, v)
-        if step is not None:
-            basis, prev = step
-            if not basis:
-                return True
-    return False
 
 
 def _first_dependent(lifted: Sequence[Sequence[int]], prefix: tuple[int, ...],
@@ -282,17 +241,17 @@ def is_general_position(fw: Framework, cap: int | None = None
     """Check that every dim+1 points are affinely independent.
 
     Points p_1..p_k are affinely independent exactly when the k x k matrix
-    of rows (p_i, 1) is nonsingular. Each point is lifted once to the
-    integer row (l p, l), with l the lcm of its denominators; scaling a row
-    does not change whether the determinant vanishes. The prefixes of the
-    k-subsets are walked depth first in lexicographic order, and each
-    extends its parent's fraction-free cofactor basis by one row
-    (``_cofactor_step``). With k-2 rows chosen two vectors are left; each
-    later point costs one projection onto them, and the dependent pairs
-    among those points are found by bucketing the projections by direction
-    (``_first_dependent_pair``). So each (k-2)-prefix costs one projection
-    per later point, not one dot product per subset, and no subset pays for
-    a determinant of its own.
+    of rows (p_i, 1) is nonsingular. The sweep reads the integer rows
+    (l p, l) that the framework lifted once, with l the lcm of each point's
+    denominators; scaling a row does not change whether the determinant
+    vanishes. The prefixes of the k-subsets are walked depth first in
+    lexicographic order, and each extends its parent's fraction-free
+    cofactor basis by one row (``_cofactor_step``). With k-2 rows chosen
+    two vectors are left; each later point costs one projection onto them,
+    and the dependent pairs among those points are found by bucketing the
+    projections by direction (``_first_dependent_pair``). So each
+    (k-2)-prefix costs one projection per later point, not one dot product
+    per subset, and no subset pays for a determinant of its own.
 
     The first violator in lexicographic order is returned as 1-based
     vertices. Raises SizeCapExceededError when there are more than ``cap``
@@ -301,7 +260,7 @@ def is_general_position(fw: Framework, cap: int | None = None
     """
     k = fw.dim + 1
     _check_subset_cap(fw.n, k, DEFAULT_POSITION_CAP if cap is None else cap)
-    witness = _first_dependent(_lifted_points(fw), (), _unit_rows(k), 1)
+    witness = _first_dependent(fw._lifted, (), _unit_rows(k), 1)
     if witness is None:
         return True, None
     return False, tuple(v + 1 for v in witness)
@@ -485,26 +444,22 @@ def _stress_clauses(fw: Framework, rows: SparseRows
     for u, row in rows.items():
         for w, x in row.items():
             columns.setdefault(w, {})[u] = x
-    kernel_ok = _in_gale_space(_lifted_points(fw), columns.values())
+    kernel_ok = _in_gale_space(fw._lifted, columns.values())
     return symmetric, _first_non_edge(fw.graph, rows), kernel_ok
 
 
-def _lift(p: Sequence[Fraction]) -> list[int]:
+def _lift(p: Sequence[Fraction]) -> tuple[int, ...]:
     """The point p lifted to the integer vector l (p, 1), with l the lcm of
     its denominators."""
     ints, l = _integer_row(p)
-    return ints + [l]
-
-
-def _lifted_points(fw: Framework) -> list[list[int]]:
-    return [_lift(p) for p in fw.points]
+    return (*ints, l)
 
 
 def _in_gale_space(lifted: Sequence[Sequence[int]],
                    vectors: Iterable[Mapping[int, Fraction]]) -> bool:
     """Whether each vector {0-based vertex: x} has sum x (p_v, 1) = 0.
 
-    ``lifted`` holds the points as ``_lifted_points`` gives them, L_v =
+    ``lifted`` holds the points as ``Framework`` lifts them, L_v =
     l_v (p_v, 1); the sum is that of (x / l_v) L_v, checked in integers
     after scaling by a common denominator of the x / l_v.
     """
@@ -655,8 +610,7 @@ def frameworks_congruent(a: Framework, b: Framework) -> bool:
     return _same_sq_dists(a, b, itertools.combinations(range(1, a.n + 1), 2))
 
 
-def random_general_position_framework(n: int, dim: int, seed: int,
-                                      coord_bound: int | None = None) -> Framework:
+def random_general_position_framework(n: int, dim: int, seed: int) -> Framework:
     """Seeded (dim+1)-tree framework with integer points in general position.
 
     Coordinates are drawn uniformly from a box and resampled until every
@@ -668,7 +622,7 @@ def random_general_position_framework(n: int, dim: int, seed: int,
         _check_subset_cap(n, dim + 1, DEFAULT_POSITION_CAP)
     g = gen_ktree(n, dim + 1, seed)
     rng = random.Random(f"{n}/{dim}/{seed}/points")
-    base = coord_bound if coord_bound is not None else max(10, 4 * n)
+    base = max(10, 4 * n)
     for attempt in range(500):
         bound = base + attempt * base
         pts = [[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(n)]

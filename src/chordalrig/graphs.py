@@ -366,10 +366,3 @@ def gen_ktree(n: int, k: int, seed: int) -> Graph:
             cliques.append(tuple(sorted(sub + (v,))))
     return Graph(n, edges)
 
-
-def relabel_to_positions(g: Graph, order: Ordering) -> Graph:
-    """Rename each vertex to its position, so the ordering becomes 1..n."""
-    if len(order) != g.n:
-        raise GraphError("ordering length does not match the graph")
-    pos = order.position_of
-    return Graph(g.n, ((pos(u), pos(v)) for u, v in g.edges))

@@ -5,15 +5,17 @@ The generators build inputs with the library's own constructors (that part
 is not under test here); the properties asserted about the outputs are
 always checked against oracles or frozen values. The brute-force checks
 (leading minors, all square submatrices, the zero pattern through dense
-elimination, the per-subset general-position sweep, the unbucketed prefix
-sweep, the dense one-pass rank profile) are used only by tests. The dense
-routines at the end are the references that tests compare the library's
-sparse elimination with; no library path runs them: exchange-free
-Gaussian steps (``gauss_steps``, ``gauss_step_sequence``),
-``determinant`` (the package's integer Bareiss kernel after clearing
-denominators) and ``psd_check`` (greatest-diagonal pivoting, with a
-witness x^T A x < 0 when not PSD). Unlike ``oracles``, all of this runs on
-the package's ``Matrix`` and integer kernels.
+elimination on a graph relabelled to positions, the per-subset
+general-position sweep, the unbucketed prefix sweep, the dense one-pass
+rank profile) are used only by tests. The dense routines at the end are
+the references that tests compare the library's elimination with; no
+library path runs them: exchange-free Gaussian steps (``gauss_steps``,
+``gauss_step_sequence``), integer Bareiss elimination with row exchanges
+(``_int_determinant``), which gives ``determinant`` after clearing
+denominators, the per-subset sweep and the Cramer Gale columns
+(``gale_columns_by_cramer``), and ``psd_check`` (greatest-diagonal
+pivoting, with a witness x^T A x < 0 when not PSD). Unlike ``oracles``,
+all of this runs on the package's ``Matrix`` and integer kernels.
 """
 
 import itertools
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from chordalrig import (
     Framework,
@@ -35,19 +37,18 @@ from chordalrig.certify import PreconditionViolated
 from chordalrig.exactmat import (
     DimensionMismatch,
     ExactMatError,
-    _int_determinant,
+    _cofactor_step,
     _integer_row,
     _sparse_factor,
     _sparse_rows,
+    _unit_rows,
 )
 from chordalrig.framework import (
     DEFAULT_POSITION_CAP,
     SizeCapExceededError,
-    _cofactor_step,
     _first_non_edge,
-    _unit_rows,
 )
-from chordalrig.graphs import Ordering, relabel_to_positions
+from chordalrig.graphs import GraphError, Ordering
 
 # Guard for the combinatorial sweep below; overridable per call.
 DEFAULT_SUBSET_CAP = 250_000
@@ -167,6 +168,14 @@ def all_square_submatrices_nonsingular(
 def _permute_square(m: Matrix, peo: Ordering) -> Matrix:
     idx = [peo.vertex_at(i) - 1 for i in range(1, m.rows + 1)]
     return m.select(idx, idx)
+
+
+def relabel_to_positions(g: Graph, order: Ordering) -> Graph:
+    """Rename each vertex to its position, so the ordering becomes 1..n."""
+    if len(order) != g.n:
+        raise GraphError("ordering length does not match the graph")
+    pos = order.position_of
+    return Graph(g.n, ((pos(u), pos(v)) for u, v in g.edges))
 
 
 def elimination_preserves_zero_pattern(graph: Graph, peo: Ordering, a: Matrix,
@@ -342,6 +351,71 @@ def gauss_step_sequence(a: Matrix, t: int) -> Matrix:
     for g in _gauss_rows(a, t):
         pass
     return a if g is None else Matrix(g, shape=(a.rows, a.cols))
+
+
+def _int_determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    Each step k replaces the trailing block by 2x2 minors against the
+    pivot divided by the previous pivot; by Sylvester's identity the
+    division is exact, so every intermediate stays an integer minor of the
+    input. A zero pivot is swapped with the first nonzero entry below it.
+    ``rows`` is not modified.
+    """
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for i in range(k + 1, n):
+            row = m[i]
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
+def gale_columns_by_cramer(fw: Framework, peo: Ordering) -> list[dict[int, Fraction]]:
+    """The sparse unit-triangular Gale columns of ``certify._gale_columns``
+    by Cramer's rule, each entry a ratio of ``_int_determinant`` minors.
+
+    With L_u = l_u (p_u, 1), l_u the lcm of p_u's denominators, column j is
+    1 at the vertex v in position j and x_k = l_k det(A_k) / (l_v det A) at
+    its dim+1 earliest later neighbours u_k, where A has the rows L_{u_k}
+    and A_k has row k replaced by -L_v. Columns are {0-based vertex: entry}
+    in the library's order, zero entries left out; the input must be in
+    general position.
+    """
+    r = fw.dim
+    lifted = [ints + [l] for ints, l in map(_integer_row, fw.points)]
+    pos = peo.position_of
+    columns = []
+    for j in range(1, fw.rbar + 1):
+        v = peo.vertex_at(j)
+        support = sorted((u for u in fw.graph.neighbors(v) if pos(u) > j), key=pos)[:r + 1]
+        system = [lifted[u - 1] for u in support]
+        target = [-x for x in lifted[v - 1]]
+        scale = lifted[v - 1][-1] * _int_determinant(system)
+        col = {v - 1: Fraction(1)}
+        for k, u in enumerate(support):
+            minor = _int_determinant(system[:k] + [target] + system[k + 1:])
+            if minor:
+                col[u - 1] = Fraction(lifted[u - 1][-1] * minor, scale)
+        columns.append(col)
+    return columns
 
 
 def determinant(a: Matrix) -> Fraction:

@@ -17,6 +17,7 @@ from helpers import (
     elimination_preserves_zero_pattern,
     leading_principal_minor,
     psd_check,
+    relabel_to_positions,
 )
 from chordalrig.certify import certify_chordal, psdize_stress
 from chordalrig.exactmat import Matrix, _sparse_factor, _sparse_rows, rank
@@ -32,7 +33,6 @@ from chordalrig.graphs import (
     gen_ktree,
     is_chordal,
     mcs_order,
-    relabel_to_positions,
 )
 from chordalrig.certify import Verdict
 

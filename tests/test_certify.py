@@ -7,7 +7,7 @@ import pytest
 
 import helpers
 import oracles
-from helpers import elimination_preserves_zero_pattern, psd_check
+from helpers import elimination_preserves_zero_pattern, psd_check, relabel_to_positions
 from chordalrig.certify import (
     Hyperplane,
     Infeasible,
@@ -43,7 +43,6 @@ from chordalrig.graphs import (
     higher_neighbors,
     is_chordal,
     mcs_order,
-    relabel_to_positions,
     vertex_cut_of_size_at_most,
 )
 

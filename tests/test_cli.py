@@ -392,6 +392,25 @@ class TestErrorHandling:
     def test_unknown_command(self, runner):
         assert runner.invoke(main, ["frobnicate"]).exit_code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["analyze", "{hexagon}"],
+        ["certify", "{hexagon}"],
+        ["psdize", "{hexagon}", "--stress", "{hexagon_stress}"],
+        ["gale", "{hexagon}", "--triangular"],
+        ["reflect", "{path3}"],
+        ["gen", "--n", "6"],
+        ["plot", "{hexagon}"],
+    ], ids=lambda args: args[0])
+    def test_unwritable_output_is_a_usage_error(self, runner, files, tmp_path, args):
+        dest = tmp_path / "absent" / "out"
+        result = runner.invoke(main, [a.format(**files) for a in args]
+                               + ["--output", str(dest)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: ") and str(dest) in line
+        assert not dest.parent.exists()
+
     def test_non_utf8_file_is_malformed_input(self, runner, files, tmp_path):
         bad = tmp_path / "utf16.json"
         bad.write_bytes(b"\xff\xfe" + Path(files["hexagon"]).read_bytes())
@@ -529,6 +548,19 @@ class TestSubsetCap:
         assert time.perf_counter() - start < 1.0
         assert result.exit_code == EXIT_LIMIT
         assert "4999950000 subsets exceed the cap of 200000" in result.stderr
+
+    @pytest.mark.parametrize("command", ["analyze", "certify", "psdize"])
+    @pytest.mark.parametrize("cap, code", [("-1", 2), ("0", EXIT_LIMIT)])
+    def test_negative_cap_is_a_usage_error(self, runner, files, command, cap, code):
+        args = [command, files["hexagon"], f"--cap-subsets={cap}"]
+        if command == "psdize":
+            args += ["--stress", files["hexagon_stress"]]
+        result = runner.invoke(main, args)
+        assert result.exit_code == code
+        if code == 2:
+            assert "--cap-subsets" in result.stderr and "exceed" not in result.stderr
+        else:
+            assert "20 subsets exceed the cap of 0" in result.stderr
 
     def test_explicit_cap_boundary(self, runner, files):
         # The hexagon has C(6, 3) = 20 subsets.

@@ -25,6 +25,8 @@ from chordalrig.exactmat import (
     DimensionMismatch,
     Matrix,
     SingularMatrix,
+    _cofactor_basis,
+    _rref,
     _sparse_factor,
     _sparse_rows,
     inverse,
@@ -300,6 +302,58 @@ class TestRank:
     @given(square_strategy(4))
     def test_matches_sympy(self, m):
         assert rank(m) == oracles.sym_rank(m.to_lists())
+
+    @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (2, 5), (5, 2),
+                                            (1, 6), (6, 1), (4, 4), (7, 7)])
+    def test_cofactor_rank_matches_sympy_and_rref(self, rows, cols):
+        """Wide, tall and square rational matrices of every rank, from
+        products of random factors, some with a zero row."""
+        rng = random.Random(f"rank/{rows}x{cols}")
+        for _ in range(25):
+            t = rng.randint(0, min(rows, cols))
+            left = [[F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(t)]
+                    for _ in range(rows)]
+            right = [[F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(cols)]
+                     for _ in range(t)]
+            data = [[sum((a * right[k][c] for k, a in enumerate(row)), F(0))
+                     for c in range(cols)] for row in left]
+            if rows and rng.random() < 0.3:
+                data[rng.randrange(rows)] = [F(0)] * cols
+            m = Matrix(data, shape=(rows, cols))
+            expected = oracles.sym_rank(data) if rows and cols else 0
+            assert rank(m) == expected == len(_rref(m)[1])
+
+
+class TestCofactorBasis:
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
+    def test_rank_matches_sympy(self, k):
+        """Independent, dependent and zero rows, none at all, and more rows
+        than k: the rank is sympy's, and the basis left has k - rank
+        independent vectors orthogonal to every row."""
+        rng = random.Random(f"cofactor-basis/{k}")
+        seen = set()
+        for _ in range(40):
+            rows = []
+            for _ in range(rng.randint(0, k + 3)):
+                kind = rng.random()
+                if kind < 0.2:
+                    rows.append([0] * k)
+                elif kind < 0.45 and rows:
+                    coeffs = [rng.randint(-3, 3) for _ in rows]
+                    rows.append([sum(c * r[t] for c, r in zip(coeffs, rows))
+                                 for t in range(k)])
+                else:
+                    rows.append([rng.randint(-2 ** 20, 2 ** 20) for _ in range(k)])
+            basis, prev, rk = _cofactor_basis(iter(rows), k)
+            assert rk == (oracles.sym_rank(rows) if rows and k else 0)
+            assert len(basis) == k - rk
+            assert all(sum(a * b for a, b in zip(y, w)) == 0 for y in basis for w in rows)
+            if basis:
+                assert oracles.sym_rank(basis) == len(basis)
+            if rk == 0:
+                assert prev == 1
+            seen.add((rk < len(rows), len(rows) > k))
+        assert (True, True) in seen and (False, False) in seen
 
 
 class TestNullSpaceBasis:

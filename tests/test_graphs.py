@@ -5,6 +5,7 @@ import time
 import pytest
 
 import oracles
+from helpers import relabel_to_positions
 from chordalrig.graphs import (
     Graph,
     GraphError,
@@ -19,7 +20,6 @@ from chordalrig.graphs import (
     is_chordal,
     is_peo,
     mcs_order,
-    relabel_to_positions,
     vertex_cut_of_size_at_most,
 )
 

@@ -309,6 +309,37 @@ class TestSparseGale:
                     assert cert.peo == peo
                     assert cert.stress.matrix == z * z.transpose()
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+    def test_columns_match_solving_and_bareiss_cramer(self, r):
+        """The one cofactor pass per column against the Cramer minors of the
+        Bareiss determinant and a sympy solve, entry by entry and in the
+        same order, on integer and rational points."""
+        rng = random.Random(f"gale-columns/{r}")
+        for i in range(8):
+            n = rng.randint(r + 2, r + 7)
+            if i % 2:
+                fw = _rational_points_framework(rng, n, r)
+            else:
+                fw = random_general_position_framework(n, r, rng.randrange(10_000))
+            peo = is_chordal(fw.graph).peo
+            columns = certify._gale_columns(fw, peo)
+            cramer = helpers.gale_columns_by_cramer(fw, peo)
+            assert [list(col.items()) for col in columns] == [list(col.items()) for col in cramer]
+            expected = oracles.unit_triangular_gale_by_solving(fw.points, fw.graph.edges,
+                                                               list(peo))
+            assert [[col.get(v, 0) for col in columns] for v in range(n)] == expected
+
+    @pytest.mark.parametrize("first", [(0, 0), (0, 1)], ids=["on-the-line", "off-the-line"])
+    def test_collinear_support_is_an_assertion_failure(self, first):
+        """Column 1 of K5 in R^2 leans on the collinear points 2, 3 and 4:
+        with point 1 on their line the coordinate rows are dependent, and
+        off it the one dependency left has y_v = 0."""
+        pts = [first, (1, 0), (2, 0), (3, 0), (0, 2)]
+        fw = Framework(Graph.complete(5), 2, pts)
+        with pytest.raises(AssertionFailure,
+                           match="^support of column 1 is degenerate despite general position$"):
+            certify._gale_columns(fw, Ordering.identity(5))
+
     def test_degenerate_support_is_an_assertion_failure(self, k5_minus_edge):
         # without the general-position precondition, column 1's support is
         # the collinear triple {1, 2, 3}
