@@ -1,4 +1,4 @@
-"""Rigidity certificates for chordal frameworks in general position.
+"""Rigidity certificates for chordal frameworks.
 
 The positive branch builds a Gale matrix in unit-triangular shape from a
 perfect elimination ordering (PEO), one column per position among the
@@ -18,6 +18,14 @@ only when they are first read. The negative branch
 extracts a small separating set from the ordering and reflects one side of
 it across a hyperplane, producing a framework with the same edge lengths
 that is provably not congruent.
+
+The paper proves the dichotomy for points in general position, but each
+piece of evidence is checked on its own: a PSD stress of maximal rank with
+edge directions on no conic at infinity proves universal rigidity
+(Connelly's super stability), and a re-checked reflection disproves global
+rigidity. So ``certify_chordal`` sweeps for general position only when the
+evidence fails, to name the failed hypothesis, and ``psdize_stress`` never
+does.
 """
 
 from __future__ import annotations
@@ -34,9 +42,12 @@ from .exactmat import (
     Matrix,
     SparseRows,
     _cofactor_basis,
+    _cofactor_step,
     _dense,
+    _integer_row,
     _sparse_factor,
     _sparse_rows,
+    _unit_rows,
     null_space_basis,
 )
 from .framework import (
@@ -57,12 +68,13 @@ from .framework import (
 from .graphs import (
     Graph,
     Ordering,
-    chordal_connectivity,
+    _connectivity,
+    _later_neighbors,
+    _small_cut,
     components_after_removal,
     is_chordal,
     is_peo,
     mcs_order,
-    vertex_cut_of_size_at_most,
 )
 
 # Bound on the coefficient search for hyperplanes; unreachable in practice.
@@ -83,6 +95,12 @@ class NotACut(CertifyError):
 
 class AssertionFailure(CertifyError):
     """An exactness check that the theory guarantees has failed; a bug."""
+
+
+class DegenerateEvidence(AssertionFailure):
+    """A step that general position guarantees has failed: a Gale column
+    found no affinely independent support, or the reflected configuration
+    does not span. It is a bug only once general position is known."""
 
 
 class Infeasible(CertifyError):
@@ -157,7 +175,10 @@ def _gale_matrix(columns: GaleColumns, n: int) -> GaleMatrix:
         [[col.get(v, Fraction(0)) for v in range(n)] for col in columns], rows=n))
 
 
-def _check_gale_preconditions(fw: Framework, peo: Ordering, cap: int | None) -> None:
+def _check_gale_preconditions(fw: Framework, peo: Ordering, cap: int | None
+                              ) -> list[list[int]]:
+    """Raise PreconditionViolated unless ``unit_triangular_gale`` applies;
+    returns the later-neighbour lists that the connectivity was read from."""
     ok, _ = is_peo(fw.graph, peo)
     if not ok:
         raise PreconditionViolated("ordering is not a perfect elimination ordering")
@@ -166,10 +187,12 @@ def _check_gale_preconditions(fw: Framework, peo: Ordering, cap: int | None) -> 
     gp, witness = is_general_position(fw, cap=cap)
     if not gp:
         raise PreconditionViolated(f"points not in general position, witness {witness}")
-    kappa = chordal_connectivity(fw.graph, peo)
+    later = _later_neighbors(fw.graph, peo)
+    kappa = _connectivity(later)
     if kappa < fw.dim + 1:
         raise PreconditionViolated(
             f"connectivity {kappa} is below the required {fw.dim + 1}")
+    return later
 
 
 def unit_triangular_gale(fw: Framework, peo: Ordering, cap: int | None = None) -> GaleMatrix:
@@ -181,16 +204,19 @@ def unit_triangular_gale(fw: Framework, peo: Ordering, cap: int | None = None) -
     neighbors; general position makes each system uniquely solvable.
     Rows are in the original vertex labels.
     """
-    _check_gale_preconditions(fw, peo, cap)
-    return _gale_matrix(_gale_columns(fw, peo), fw.n)
+    later = _check_gale_preconditions(fw, peo, cap)
+    return _gale_matrix(_gale_columns(fw, peo, later), fw.n)
 
 
-def _gale_columns(fw: Framework, peo: Ordering) -> GaleColumns:
+def _gale_columns(fw: Framework, peo: Ordering,
+                  later: Sequence[Sequence[int]] | None = None) -> GaleColumns:
     """The columns of ``unit_triangular_gale`` as {0-based vertex: entry},
     without its precondition checks, for callers that have established them.
+    ``later`` holds the later-neighbour lists of ``peo``
+    (``graphs._later_neighbors``); they are built when it is None.
 
-    Column j is 1 at the vertex v in position j and x_k at its dim+1
-    earliest later neighbours u_k, where sum_k x_k (u_k, 1) = -(v, 1). The
+    Column j is 1 at the vertex v in position j and x_k at dim+1 of its
+    later neighbours u_k, where sum_k x_k (u_k, 1) = -(v, 1). The
     framework keeps each point lifted to the integer vector L = l (p, 1), l
     the lcm of its denominators. The dim+1 coordinate rows of the matrix
     [L_v | L_{u_0} ... L_{u_dim}] go through ``_cofactor_basis``; when they
@@ -198,26 +224,34 @@ def _gale_columns(fw: Framework, peo: Ordering) -> GaleColumns:
     y_v L_v + sum_k y_k L_{u_k} = 0 and x_k = l_{u_k} y_k / (l_v y_v). The
     entries of y are the maximal minors of that matrix up to sign, so this
     is Cramer's rule. A dependent row or y_v = 0 means the L_{u_k} are
-    dependent. Each column is checked to lie in the Gale space and to keep
-    the triangular shape before it is returned.
+    dependent.
+
+    The support is first the dim+1 earliest later neighbours, which in
+    general position are affinely independent. Only when they are not, one
+    greedy pass over all the later neighbours in position order keeps the
+    first dim+1 that are (``_independent_support``); if there are none,
+    DegenerateEvidence is raised. Each column is checked to lie in the Gale
+    space and to keep the triangular shape before it is returned.
     """
     r = fw.dim
     lifted = fw._lifted
-    pos = peo.position_of
+    if later is None:
+        later = _later_neighbors(fw.graph, peo)
     columns = []
     for j in range(1, fw.rbar + 1):
         v = peo.vertex_at(j)
-        later = sorted((u for u in fw.graph.neighbors(v) if pos(u) > j), key=pos)
-        if len(later) < r + 1:
+        nbrs = [u - 1 for u in later[j - 1]]
+        if len(nbrs) < r + 1:
             raise PreconditionViolated(
-                f"position {j} has only {len(later)} later neighbors, need {r + 1}")
-        support = [u - 1 for u in later[:r + 1]]
-        points = [lifted[v - 1]] + [lifted[u] for u in support]
-        basis, _, rank = _cofactor_basis(zip(*points), r + 2)
-        if rank < r + 1 or basis[0][0] == 0:
-            raise AssertionFailure(
-                f"support of column {j} is degenerate despite general position")
-        y = basis[0]
+                f"position {j} has only {len(nbrs)} later neighbors, need {r + 1}")
+        support = nbrs[:r + 1]
+        y = _kernel_vector(lifted, v - 1, support)
+        if y is None:
+            support = _independent_support(lifted, nbrs, r + 1)
+            y = None if support is None else _kernel_vector(lifted, v - 1, support)
+            if y is None:
+                raise DegenerateEvidence(
+                    f"support of column {j} is degenerate despite general position")
         scale = lifted[v - 1][-1] * y[0]
         col = {v - 1: Fraction(1)}
         for u, x in zip(support, y[1:]):
@@ -230,6 +264,35 @@ def _gale_columns(fw: Framework, peo: Ordering) -> GaleColumns:
     if violation is not None:
         raise AssertionFailure(f"unit-triangular shape violated at {violation}")
     return columns
+
+
+def _kernel_vector(lifted: Sequence[Sequence[int]], v: int, support: Sequence[int]
+                   ) -> list[int] | None:
+    """The integer y with y_v L_v + sum_k y_k L_{u_k} = 0 over the lifted
+    points of v and the support (0-based), by one ``_cofactor_basis`` pass
+    over their coordinate rows; None when the support's points are
+    affinely dependent (a dependent row, or y_v = 0)."""
+    points = [lifted[v]] + [lifted[u] for u in support]
+    basis, _, rank = _cofactor_basis(zip(*points), len(points))
+    if rank < len(points) - 1 or basis[0][0] == 0:
+        return None
+    return basis[0]
+
+
+def _independent_support(lifted: Sequence[Sequence[int]], candidates: Sequence[int],
+                         k: int) -> list[int] | None:
+    """The first k of the candidates (0-based, in order) whose lifted points
+    are independent, kept greedily by ``_cofactor_step``; None when fewer
+    than k are."""
+    basis, prev, support = _unit_rows(len(lifted[0])), 1, []
+    for u in candidates:
+        step = _cofactor_step(basis, prev, lifted[u])
+        if step is not None:
+            basis, prev = step
+            support.append(u)
+            if len(support) == k:
+                return support
+    return None
 
 
 def _gram_rows(columns: GaleColumns, n: int) -> SparseRows:
@@ -301,38 +364,94 @@ def psd_stress_from_gale(fw: Framework, z: GaleMatrix) -> StressMatrix:
     return _gram_stress(fw, columns, mcs_order(fw.graph))
 
 
+def _no_conic_at_infinity(fw: Framework) -> bool:
+    """Whether the edge directions lie on no conic at infinity: no nonzero
+    symmetric Q has d^T Q d = 0 for every edge direction d = p_i - p_j.
+
+    d^T Q d is linear in the entries Q_ab, a <= b, with coefficients the
+    products d_a d_b, so such a Q exists exactly when the |E| x r(r+1)/2
+    matrix of these products has a kernel. The points are scaled by one
+    common denominator, which scales every row alike, and the rank of the
+    integer rows is read off one ``_cofactor_basis`` pass.
+
+    The edges of an r-simplex alone have full rank: Q vanishing on e_i and
+    on e_i - e_j for a basis e vanishes on every product. So once a Gale
+    column is built, its support clique passes this check; it is kept as
+    the theorem's own hypothesis, checked on the framework.
+    """
+    r = fw.dim
+    flat, _ = _integer_row([x for p in fw.points for x in p])
+    ints = [flat[i:i + r] for i in range(0, len(flat), r)]
+    pairs = [(a, b) for a in range(r) for b in range(a, r)]
+    rows = ([d[a] * d[b] for a, b in pairs]
+            for d in ([x - y for x, y in zip(ints[u - 1], ints[w - 1])]
+                      for u, w in fw.graph.edges))
+    return _cofactor_basis(rows, len(pairs))[2] == len(pairs)
+
+
 def certify_chordal(fw: Framework, cap: int | None = None) -> Certificate:
-    """Full pipeline: chordality, general position, then the connectivity
-    dichotomy.
+    """Full pipeline: chordality, then the connectivity dichotomy, with the
+    general-position sweep only where the evidence fails.
 
     Connectivity at least dim+1 yields UniversallyRigid with a maximal-rank
     PSD stress; lower connectivity yields NotGloballyRigid with a reflected
-    counterexample. Non-chordal or degenerate inputs and simplices come
-    back Inconclusive with the reason and a concrete witness.
+    counterexample. Non-chordal inputs and simplices come back Inconclusive
+    with the reason and, for the former, a chordless cycle.
+
+    Neither verdict needs general position once its evidence is checked.
+    The stress's every clause is re-checked (``_gram_stress``), and with
+    edge directions on no conic at infinity (``_no_conic_at_infinity``) a
+    PSD stress of rank n-dim-1 proves universal rigidity by Connelly's
+    super-stability theorem (R. Connelly, "Rigidity and energy", Invent.
+    Math. 66, 1982). The reflection's equal edge lengths and
+    non-congruence are re-checked exactly, which disproves global rigidity
+    by itself. So the sweep runs only on a failure path: a Gale column with
+    no independent support, a failed conic check, an infeasible reflecting
+    hyperplane or a reflected configuration that does not span. A witness
+    then gives Inconclusive NotGeneralPosition. Without one the input is in
+    general position, where the paper's theorem needs no conic check and
+    the other failures are bugs; the verdict is taken again that way, so
+    such inputs keep every output and every AssertionFailure. ``cap``
+    bounds that sweep as in ``is_general_position``.
     """
     chord = is_chordal(fw.graph)
     if not chord.chordal:
         return Certificate(Verdict.INCONCLUSIVE, reason=Reason.NOT_CHORDAL,
                            detail=chord.chordless_cycle)
     peo = chord.peo
-    kappa = chordal_connectivity(fw.graph, peo)
+    later = _later_neighbors(fw.graph, peo)
+    kappa = _connectivity(later)
+    if fw.rbar == 0:  # n = dim+1 points that span are in general position
+        return Certificate(Verdict.INCONCLUSIVE, connectivity=kappa, peo=peo,
+                           reason=Reason.SIMPLEX_CASE)
+    build = _stress_certificate if kappa >= fw.dim + 1 else _reflection_certificate
+    try:
+        cert = build(fw, peo, later, kappa)
+    except (DegenerateEvidence, Infeasible):
+        cert = None
+    if cert is not None and (cert.verdict is Verdict.NOT_GLOBALLY_RIGID
+                             or _no_conic_at_infinity(fw)):
+        return cert
     gp, witness = is_general_position(fw, cap=cap)
     if not gp:
         return Certificate(Verdict.INCONCLUSIVE, connectivity=kappa, peo=peo,
                            reason=Reason.NOT_GENERAL_POSITION, detail=witness)
-    if fw.rbar == 0:
-        return Certificate(Verdict.INCONCLUSIVE, connectivity=kappa, peo=peo,
-                           reason=Reason.SIMPLEX_CASE)
-    if kappa >= fw.dim + 1:
-        stress = _gram_stress(fw, _gale_columns(fw, peo), peo)
-        return Certificate(Verdict.UNIVERSALLY_RIGID, connectivity=kappa, peo=peo,
-                           stress=stress)
-    cut = vertex_cut_of_size_at_most(fw.graph, peo, fw.dim)
+    return cert or build(fw, peo, later, kappa)
+
+
+def _stress_certificate(fw: Framework, peo: Ordering, later: Sequence[Sequence[int]],
+                        kappa: int) -> Certificate:
+    stress = _gram_stress(fw, _gale_columns(fw, peo, later), peo)
+    return Certificate(Verdict.UNIVERSALLY_RIGID, connectivity=kappa, peo=peo, stress=stress)
+
+
+def _reflection_certificate(fw: Framework, peo: Ordering, later: Sequence[Sequence[int]],
+                            kappa: int) -> Certificate:
+    cut = _small_cut(fw.graph, later, fw.dim)
     if cut is None:
         raise AssertionFailure("low connectivity but no separating neighborhood found")
-    counterexample = reflection_counterexample(fw, cut)
     return Certificate(Verdict.NOT_GLOBALLY_RIGID, connectivity=kappa, peo=peo,
-                       counterexample=counterexample)
+                       counterexample=reflection_counterexample(fw, cut))
 
 
 def hyperplane_through(dim: int, points: Sequence[Sequence[Fraction]],
@@ -401,7 +520,7 @@ def reflection_counterexample(fw: Framework, cut: Iterable[int]) -> Framework:
     try:
         result = Framework(fw.graph, fw.dim, new_points)
     except Exception as exc:
-        raise AssertionFailure(f"reflected configuration is degenerate: {exc}") from exc
+        raise DegenerateEvidence(f"reflected configuration is degenerate: {exc}") from exc
     if not frameworks_equivalent(fw, result):
         raise AssertionFailure("reflection changed an edge length")
     if frameworks_congruent(fw, result):
@@ -451,7 +570,7 @@ def _elimination_order(graph: Graph) -> Ordering:
     return ident if is_peo(graph, ident)[0] else chord.peo
 
 
-def psdize_stress(fw: Framework, s: Matrix, cap: int | None = None) -> PsdizeResult:
+def psdize_stress(fw: Framework, s: Matrix) -> PsdizeResult:
     """Turn a maximal-rank stress with generic rank profile into a PSD one.
 
     One sparse symmetric elimination (``_sparse_factor``) along an
@@ -463,16 +582,15 @@ def psdize_stress(fw: Framework, s: Matrix, cap: int | None = None) -> PsdizeRes
     Otherwise the pass factors the input as L D L^T, and the rbar unit
     columns of L are a Gale matrix in unit-triangular shape; chordality
     keeps their non-edge zeros, so their Gram product is again a stress:
-    PSD, of the same maximal rank. A stress whose size is not the
-    framework's raises DimensionMismatch before any hypothesis is checked.
-    The result holds the Gram stress, the ordering and the sparse unit
-    columns; its dense ``gale`` and ``eliminated`` are built on first read.
+    PSD, of the same maximal rank. None of this uses general position, and
+    the Gram stress is re-checked in full (``_gram_stress``), so the points
+    are not swept. A stress whose size is not the framework's raises
+    DimensionMismatch before any hypothesis is checked. The result holds
+    the Gram stress, the ordering and the sparse unit columns; its dense
+    ``gale`` and ``eliminated`` are built on first read.
     """
     rows = _stress_rows(fw, s)
     peo = _elimination_order(fw.graph)
-    gp, witness = is_general_position(fw, cap=cap)
-    if not gp:
-        raise PreconditionViolated(f"points not in general position, witness {witness}")
     if fw.rbar < 1:
         raise PreconditionViolated("simplex framework: no nonzero stress exists")
     symmetric, non_edge, kernel_ok = _stress_clauses(fw, rows)

@@ -5,7 +5,9 @@ mathematical hypothesis failed (for example a vanishing leading minor),
 2 for usage errors (an --output path that cannot be written among them),
 3 for malformed input files, 4 when a subset sweep
 would exceed its size cap (raise it with --cap-subsets) or an input graph
-or framework has more vertices than ``jsonio.MAX_VERTICES``.
+or framework has more vertices than ``jsonio.MAX_VERTICES``. ``certify``
+sweeps only when its evidence fails, so it exits 4 only then; ``psdize``
+never sweeps.
 """
 
 from __future__ import annotations
@@ -117,7 +119,8 @@ def _emit(obj, output: str | None) -> None:
 _cap_subsets = click.option(
     "--cap-subsets", type=click.IntRange(min=0), default=None,
     help="Abort the general-position sweep beyond this many (r+1)-point subsets "
-         f"(default {DEFAULT_POSITION_CAP:,}).")
+         f"(default {DEFAULT_POSITION_CAP:,}). analyze always sweeps; certify sweeps "
+         "only when its evidence fails, to name the failed hypothesis.")
 
 
 @click.group()
@@ -135,13 +138,11 @@ def analyze(framework_file, output, fmt, cap_subsets):
     fw = _load_framework(framework_file)
     try:
         cert = certify_chordal(fw, cap=cap_subsets)
-        # certify_chordal sweeps for general position only on a chordal graph
-        if cert.peo is None:
-            gp, gp_witness = is_general_position(fw, cap=cap_subsets)
-        elif cert.reason is Reason.NOT_GENERAL_POSITION:
+        # certify_chordal sweeps only on a failure path; reuse its witness
+        if cert.reason is Reason.NOT_GENERAL_POSITION:
             gp, gp_witness = False, cert.detail
         else:
-            gp, gp_witness = True, None
+            gp, gp_witness = is_general_position(fw, cap=cap_subsets)
     except SizeCapExceededError as exc:
         _limit_error(exc)
     except (CertifyError, FrameworkError, GraphError, ExactMatError) as exc:
@@ -195,19 +196,16 @@ def certify(framework_file, output, cap_subsets):
 @click.argument("framework_file")
 @click.option("--stress", "stress_file", required=True, help="Stress matrix JSON.")
 @click.option("--output", default=None, help="Write the PSD stress JSON here.")
-@_cap_subsets
-def psdize(framework_file, stress_file, output, cap_subsets):
+def psdize(framework_file, stress_file, output):
     """Convert a maximal-rank stress with generic rank profile into a PSD one."""
     fw = _load_framework(framework_file)
     s = _load_stress(stress_file)
     try:
-        result = psdize_stress(fw, s, cap=cap_subsets)
+        result = psdize_stress(fw, s)
     except NotGenericRankProfile as exc:
         click.echo(f"error: not generic rank profile: leading principal minor "
                    f"{exc.minor_index} is zero", err=True)
         sys.exit(EXIT_HYPOTHESIS)
-    except SizeCapExceededError as exc:
-        _limit_error(exc)
     except DimensionMismatch as exc:  # a stress whose size is not the framework's
         _input_error(exc)
     except (CertifyError, FrameworkError, ExactMatError) as exc:

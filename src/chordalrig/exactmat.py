@@ -239,10 +239,24 @@ def _cofactor_basis(rows: Iterable[Sequence[int]], k: int
     empty run, skipping each row that depends on the rows kept, until k are
     kept.
 
+    The step that keeps the first nonzero row v, with its first nonzero
+    entry v_j as pivot, turns the unit vectors e_i, i != j, into
+    v_j e_i - v_i e_j, so that basis is written down directly.
+
     Returns the basis left, which spans the vectors orthogonal to every
     row, the last pivot (1 when no row was kept) and the rank of the rows.
     """
-    basis, prev, kept = _unit_rows(k), 1, 0
+    rows = iter(rows)
+    for v in rows:
+        j = next((i for i, a in enumerate(v) if a), None)
+        if j is not None:
+            break
+    else:
+        return _unit_rows(k), 1, 0
+    p = v[j]
+    basis = [[p if t == i else -v[i] if t == j else 0 for t in range(k)]
+             for i in range(k) if i != j]
+    prev, kept = p, 1
     for v in rows:
         if not basis:
             break

@@ -274,6 +274,23 @@ def higher_neighbors(g: Graph, order: Ordering, j: int) -> frozenset[int]:
     return frozenset(u for u in g.neighbors(v) if pos(u) > j)
 
 
+def _later_neighbors(g: Graph, order: Ordering) -> list[list[int]]:
+    """For each position j, the later neighbours of the vertex there, in
+    position order: entry j-1 holds ``higher_neighbors(g, order, j)``
+    sorted by position. Connectivity, the cut and the Gale columns all read
+    these lists, so a caller that has checked the ordering builds them once.
+    """
+    pos = order.position_of
+    return [sorted((u for u in g.neighbors(v) if pos(u) > j), key=pos)
+            for j, v in enumerate(order, 1)]
+
+
+def _check_peo(g: Graph, peo: Ordering) -> None:
+    ok, _ = is_peo(g, peo)
+    if not ok:
+        raise NotAPeo("ordering is not a perfect elimination ordering")
+
+
 def chordal_connectivity(g: Graph, peo: Ordering) -> int:
     """Vertex connectivity of a chordal graph, read off a PEO.
 
@@ -281,11 +298,14 @@ def chordal_connectivity(g: Graph, peo: Ordering) -> int:
     least k later neighbors; the largest such k (capped at n-1) is returned.
     Raises NotAPeo when the ordering fails the elimination-order check.
     """
-    ok, _ = is_peo(g, peo)
-    if not ok:
-        raise NotAPeo("ordering is not a perfect elimination ordering")
-    n = g.n
-    h = [len(higher_neighbors(g, peo, j)) for j in range(1, n + 1)]
+    _check_peo(g, peo)
+    return _connectivity(_later_neighbors(g, peo))
+
+
+def _connectivity(later: Sequence[Sequence[int]]) -> int:
+    """``chordal_connectivity`` from the later-neighbour lists of a PEO."""
+    n = len(later)
+    h = [len(nbrs) for nbrs in later]
     best = 0
     for k in range(1, n):
         if all(h[j - 1] >= k for j in range(1, n - k + 1)):
@@ -331,13 +351,17 @@ def vertex_cut_of_size_at_most(g: Graph, peo: Ordering, r: int) -> frozenset[int
     returned. Returns None when no position qualifies (connectivity >= r+1,
     or the graph is too small or complete to have such a cut).
     """
-    ok, _ = is_peo(g, peo)
-    if not ok:
-        raise NotAPeo("ordering is not a perfect elimination ordering")
+    _check_peo(g, peo)
     if r < 0:
         raise InvalidParameters("cut size bound must be nonnegative")
+    return _small_cut(g, _later_neighbors(g, peo), r)
+
+
+def _small_cut(g: Graph, later: Sequence[Sequence[int]], r: int) -> frozenset[int] | None:
+    """``vertex_cut_of_size_at_most`` from the later-neighbour lists of a
+    PEO."""
     for j in range(1, g.n - r):
-        cut = higher_neighbors(g, peo, j)
+        cut = frozenset(later[j - 1])
         if len(cut) <= r:
             if len(components_after_removal(g, cut)) < 2:
                 raise InternalSeparationFailure(

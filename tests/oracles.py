@@ -177,3 +177,24 @@ def unit_triangular_gale_by_solving(points, edges, order):
         for u, x in zip(support, a.LUsolve(b)):
             z[u - 1][j - 1] = Fraction(int(x.p), int(x.q))
     return z
+
+
+def conic_at_infinity(fw):
+    """A nonzero symmetric Q, as r rows of Fractions, with d^T Q d = 0 for
+    every edge direction d = p_i - p_j, from the first vector of sympy's
+    null space of the |E| x r(r+1)/2 matrix of the products d_a d_b,
+    a <= b; None when the null space is trivial. Reads only the framework's
+    points and edge list."""
+    r = len(fw.points[0])
+    pairs = [(a, b) for a in range(r) for b in range(a, r)]
+    rows = []
+    for u, v in fw.graph.edges:
+        d = [Fraction(x) - Fraction(y) for x, y in zip(fw.points[u - 1], fw.points[v - 1])]
+        rows.append([d[a] * d[b] for a, b in pairs])
+    null = sym_matrix(rows).nullspace()
+    if not null:
+        return None
+    q = [[Fraction(0)] * r for _ in range(r)]
+    for (a, b), x in zip(pairs, null[0]):
+        q[a][b] = q[b][a] = Fraction(int(x.p), int(x.q)) / (1 if a == b else 2)
+    return q

@@ -138,8 +138,8 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("name", ["hexagon", "prism"])
     def test_cap_hit_exits_with_limit_code(self, runner, files, name):
-        # Both have C(6, 3) = 20 subsets; the prism is swept by analyze
-        # itself, the chordal hexagon inside certify_chordal.
+        # Both have C(6, 3) = 20 subsets. analyze sweeps both itself:
+        # certify_chordal proves the hexagon rigid without a sweep.
         result = runner.invoke(main, ["analyze", files[name], "--cap-subsets", "19"])
         assert result.exit_code == EXIT_LIMIT
         assert "20 subsets exceed the cap of 19" in result.stderr
@@ -517,25 +517,49 @@ class TestSubsetCap:
     @pytest.fixture()
     def long_path(self, tmp_path):
         """A 120-vertex path in R^2: C(120, 3) = 280,840 subsets exceed the
-        default cap of 200,000."""
-        fw = Framework(Graph.path(120), 2, [(i, i * i) for i in range(120)])
-        path = tmp_path / "path120.json"
-        write_json(path, framework_to_obj(fw))
+        default cap of 200,000. The second file repeats point 2 as point
+        120, so certify's reflection through the cut vertex 2 is
+        infeasible and it sweeps."""
+        points = [(i, i * i) for i in range(120)]
+        paths = []
+        for name, pts in (("path120", points), ("repeat120", points[:-1] + [points[1]])):
+            path = tmp_path / f"{name}.json"
+            write_json(path, framework_to_obj(Framework(Graph.path(120), 2, pts)))
+            paths.append(str(path))
         stress = tmp_path / "zero120.json"
         write_json(stress, stress_to_obj(StressMatrix(Matrix.zeros(120, 120))))
-        return str(path), str(stress)
+        return (*paths, str(stress))
 
-    @pytest.mark.parametrize("command", ["analyze", "certify", "psdize", "gale"])
+    @pytest.mark.parametrize("command", ["analyze", "certify", "gale"])
     def test_default_cap_exits_with_limit_code(self, runner, long_path, command):
-        fw_path, stress_path = long_path
-        args = [command, fw_path]
-        if command == "psdize":
-            args += ["--stress", stress_path]
+        fw_path, repeat_path, _ = long_path
+        args = [command, repeat_path if command == "certify" else fw_path]
         if command == "gale":
             args.append("--triangular")
         result = runner.invoke(main, args)
         assert result.exit_code == EXIT_LIMIT == 4
         assert "280840 subsets exceed the cap of 200000" in result.stderr
+
+    def test_certify_sweeps_only_on_a_failure_path(self, runner, long_path, files):
+        """Below the cap, a verdict whose evidence holds by itself exits 0
+        with the output of an uncapped run."""
+        fw_path, _, _ = long_path
+        for path in (fw_path, files["hexagon"], files["path3"]):
+            capped = runner.invoke(main, ["certify", path, "--cap-subsets", "0"])
+            assert capped.exit_code == 0
+            assert capped.output == runner.invoke(main, ["certify", path]).output
+
+    def test_psdize_takes_no_cap(self, runner, long_path):
+        """psdize never sweeps: past the default cap it reaches the stress's
+        rank, and --cap-subsets is no option of it."""
+        fw_path, _, stress_path = long_path
+        result = runner.invoke(main, ["psdize", fw_path, "--stress", stress_path])
+        assert result.exit_code == 1
+        assert "stress rank 0 differs from the maximal 117" in result.stderr
+        result = runner.invoke(main, ["psdize", fw_path, "--stress", stress_path,
+                                      "--cap-subsets", "0"])
+        assert result.exit_code == 2
+        assert "No such option" in result.stderr and "--cap-subsets" in result.stderr
 
     def test_gen_reports_cap_as_limit(self, runner):
         result = runner.invoke(main, ["gen", "--n", "120", "--r", "2"])
@@ -549,22 +573,23 @@ class TestSubsetCap:
         assert result.exit_code == EXIT_LIMIT
         assert "4999950000 subsets exceed the cap of 200000" in result.stderr
 
-    @pytest.mark.parametrize("command", ["analyze", "certify", "psdize"])
+    @pytest.mark.parametrize("command", ["analyze", "certify"])
     @pytest.mark.parametrize("cap, code", [("-1", 2), ("0", EXIT_LIMIT)])
     def test_negative_cap_is_a_usage_error(self, runner, files, command, cap, code):
-        args = [command, files["hexagon"], f"--cap-subsets={cap}"]
-        if command == "psdize":
-            args += ["--stress", files["hexagon_stress"]]
-        result = runner.invoke(main, args)
+        # analyze sweeps the hexagon, C(6, 3) = 20 subsets; certify sweeps
+        # only on a failure path, such as k5me's, C(5, 3) = 10 subsets.
+        name, subsets = ("hexagon", 20) if command == "analyze" else ("k5me", 10)
+        result = runner.invoke(main, [command, files[name], f"--cap-subsets={cap}"])
         assert result.exit_code == code
         if code == 2:
             assert "--cap-subsets" in result.stderr and "exceed" not in result.stderr
         else:
-            assert "20 subsets exceed the cap of 0" in result.stderr
+            assert f"{subsets} subsets exceed the cap of 0" in result.stderr
 
     def test_explicit_cap_boundary(self, runner, files):
-        # The hexagon has C(6, 3) = 20 subsets.
-        at_cap = runner.invoke(main, ["certify", files["hexagon"], "--cap-subsets", "20"])
+        # k5me has C(5, 3) = 10 subsets, and certify sweeps them.
+        at_cap = runner.invoke(main, ["certify", files["k5me"], "--cap-subsets", "10"])
         assert at_cap.exit_code == 0
-        below = runner.invoke(main, ["certify", files["hexagon"], "--cap-subsets", "19"])
+        assert json.loads(at_cap.output)["reason"] == "NotGeneralPosition"
+        below = runner.invoke(main, ["certify", files["k5me"], "--cap-subsets", "9"])
         assert below.exit_code == EXIT_LIMIT

@@ -198,6 +198,42 @@ class TestCofactorStep:
                     assert basis[0] in (cof, [-c for c in cof])
             assert _cofactor_basis(rows, k)[2] == oracles.sym_rank(rows)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_direct_start_matches_the_two_step_start(self, k):
+        """``_cofactor_basis`` writes down the basis after its first kept
+        row; it must equal the one ``_cofactor_step`` makes from the unit
+        rows, on runs with zero rows, repeats and more rows than k."""
+        def two_step(rows):
+            basis, prev, kept = _unit_rows(k), 1, 0
+            for v in rows:
+                if not basis:
+                    break
+                step = _cofactor_step(basis, prev, v)
+                if step is not None:
+                    basis, prev = step
+                    kept += 1
+            return basis, prev, kept
+
+        rng = random.Random(f"direct-start/{k}")
+        seen = set()
+        for _ in range(60):
+            rows = []
+            for _ in range(rng.randint(0, k + 3)):
+                roll = rng.random()
+                if roll < 0.25:
+                    rows.append([0] * k)
+                elif rows and roll < 0.4:
+                    rows.append([-x for x in rng.choice(rows)])
+                else:
+                    rows.append([rng.choice([0, rng.randint(-2 ** 20, 2 ** 20)])
+                                 for _ in range(k)])
+            got = _cofactor_basis(rows, k)
+            assert got == two_step(rows)
+            assert got == _cofactor_basis(iter(rows), k)
+            seen.add((got[2], len(rows) > k, any(not any(v) for v in rows[:1])))
+        assert {0, k} <= {kept for kept, _, _ in seen}
+        assert any(more for _, more, _ in seen) and any(zero for _, _, zero in seen)
+
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_span_check_matches_rank(self, dim):
         rng = random.Random(f"span/{dim}")
@@ -272,7 +308,10 @@ class TestSweepCost:
                 verdicts.add(got[0])
         assert verdicts == {True, False}
 
-    def test_one_sweep_per_certify_and_analyze(self, monkeypatch, tmp_path, k5_minus_edge):
+    def test_sweeps_only_on_failure_paths_and_once_per_analyze(self, monkeypatch, tmp_path,
+                                                              k5_minus_edge):
+        """certify_chordal sweeps zero times on a UR or NGR input in general
+        position and once on each failure path; analyze sweeps once."""
         calls = []
 
         def counted(fw, **kwargs):
@@ -283,17 +322,55 @@ class TestSweepCost:
         monkeypatch.setattr(cli, "is_general_position", counted)
         ur = random_general_position_framework(14, 2, 1)
         ngr = Framework(gen_ktree(10, 2, 3), 2, random_general_position_framework(10, 2, 3).points)
+        # column 1 of k5me has no affinely independent support
+        no_support = k5_minus_edge
+        # point 3 repeats the cut vertex 2: no line through it avoids 3
+        infeasible = Framework(Graph.path(3), 1, [(0,), (1,), (1,)])
+        # reflecting point 1 across x + y = 0 puts it on the line of 2, 3, 4
+        degenerate = Framework(Graph.path(4), 2, [(0, 1), (0, 0), (1, 0), (2, 0)])
         runner = CliRunner()
-        for fw, verdict in ((ur, Verdict.UNIVERSALLY_RIGID), (ngr, Verdict.NOT_GLOBALLY_RIGID),
-                            (k5_minus_edge, Verdict.INCONCLUSIVE)):
+        for fw, sweeps, outcome in (
+                (ur, 0, (Verdict.UNIVERSALLY_RIGID, None)),
+                (ngr, 0, (Verdict.NOT_GLOBALLY_RIGID, None)),
+                (no_support, 1, (Verdict.INCONCLUSIVE, (1, 2, 3))),
+                (infeasible, 1, (Verdict.INCONCLUSIVE, (2, 3))),
+                (degenerate, 1, (Verdict.INCONCLUSIVE, (2, 3, 4)))):
             calls.clear()
-            assert certify_chordal(fw).verdict is verdict
-            assert calls == [fw.n]
+            cert = certify_chordal(fw)
+            assert (cert.verdict, cert.detail) == outcome
+            assert calls == [fw.n] * sweeps
             path = tmp_path / "fw.json"
             write_json(path, framework_to_obj(fw))
             calls.clear()
             assert runner.invoke(main, ["analyze", str(path)]).exit_code == 0
             assert calls == [fw.n]
+
+    def test_failed_conic_check_sweeps_once(self, monkeypatch, k5_minus_edge):
+        """A failed conic check sends the verdict through the sweep: in
+        general position it stands, with the stress of the check that
+        passed; otherwise the witness is returned."""
+        calls = []
+
+        def counted(fw, **kwargs):
+            calls.append(fw.n)
+            return is_general_position(fw, **kwargs)
+
+        monkeypatch.setattr(certify, "is_general_position", counted)
+        fw = random_general_position_framework(12, 3, 2)
+        pts = list(fw.points)
+        pts[-1] = pts[0]
+        moved = Framework(fw.graph, 3, pts)
+        expected = certify_chordal(fw)
+        # the repeated point leaves every column an independent support
+        assert certify_chordal(moved).verdict is Verdict.UNIVERSALLY_RIGID
+        assert calls == []
+        monkeypatch.setattr(certify, "_no_conic_at_infinity", lambda fw: False)
+        assert certify_chordal(fw) == expected
+        assert calls == [fw.n]
+        calls.clear()
+        cert = certify_chordal(moved)
+        assert cert.verdict is Verdict.INCONCLUSIVE and calls == [fw.n]
+        assert cert.detail == oracles.first_affinely_dependent(moved.points, 4)
 
 
 class TestCapEdge:

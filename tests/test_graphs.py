@@ -6,6 +6,8 @@ import pytest
 
 import oracles
 from helpers import relabel_to_positions
+from chordalrig import certify, graphs
+from chordalrig.framework import Framework, random_general_position_framework
 from chordalrig.graphs import (
     Graph,
     GraphError,
@@ -346,3 +348,37 @@ class TestRelabel:
         h = relabel_to_positions(g, peo)
         assert h.edge_count == g.edge_count
         assert is_peo(h, Ordering.identity(8)) == (True, None)
+
+
+class TestPeoFactsOnce:
+    def test_later_neighbour_lists_match_higher_neighbors(self):
+        rng = random.Random("later-lists")
+        for i in range(20):
+            g = gen_ktree(rng.randint(2, 12), rng.randint(1, 4), i) if i % 2 else Graph.path(5)
+            peo = is_chordal(g).peo
+            later = graphs._later_neighbors(g, peo)
+            for j, nbrs in enumerate(later, 1):
+                assert frozenset(nbrs) == higher_neighbors(g, peo, j)
+                assert [peo.position_of(u) for u in nbrs] == sorted(
+                    peo.position_of(u) for u in nbrs)
+            assert graphs._connectivity(later) == chordal_connectivity(g, peo)
+            for r in range(4):
+                assert graphs._small_cut(g, later, r) == vertex_cut_of_size_at_most(g, peo, r)
+
+    def test_certify_checks_the_peo_once_and_lists_it_once(self, monkeypatch):
+        """is_chordal's check is the one is_peo call of certify_chordal, and
+        its later-neighbour lists are built once, on UR and NGR inputs."""
+        checks, lists = [], []
+        real_peo, real_lists = graphs.is_peo, certify._later_neighbors
+        monkeypatch.setattr(graphs, "is_peo", lambda *a: checks.append(1) or real_peo(*a))
+        monkeypatch.setattr(certify, "is_peo", graphs.is_peo)
+        monkeypatch.setattr(certify, "_later_neighbors",
+                            lambda *a: lists.append(1) or real_lists(*a))
+        ur = random_general_position_framework(12, 2, 5)
+        ngr = Framework(gen_ktree(12, 2, 5), 2, ur.points)
+        for fw, verdict in ((ur, certify.Verdict.UNIVERSALLY_RIGID),
+                            (ngr, certify.Verdict.NOT_GLOBALLY_RIGID)):
+            checks.clear()
+            lists.clear()
+            assert certify.certify_chordal(fw).verdict is verdict
+            assert checks == lists == [1]

@@ -30,8 +30,10 @@ from helpers import determinant, gauss_step_sequence, psd_check
 from chordalrig import certify, exactmat, framework
 from chordalrig.certify import (
     AssertionFailure,
+    DegenerateEvidence,
     NotGenericRankProfile,
     PreconditionViolated,
+    Verdict,
     certify_chordal,
     psd_stress_from_gale,
     psdize_stress,
@@ -331,14 +333,45 @@ class TestSparseGale:
 
     @pytest.mark.parametrize("first", [(0, 0), (0, 1)], ids=["on-the-line", "off-the-line"])
     def test_collinear_support_is_an_assertion_failure(self, first):
-        """Column 1 of K5 in R^2 leans on the collinear points 2, 3 and 4:
-        with point 1 on their line the coordinate rows are dependent, and
-        off it the one dependency left has y_v = 0."""
+        """Column 1 of K5 minus the edge {1, 5} in R^2 leans on the
+        collinear points 2, 3 and 4, its only later neighbours: with point 1
+        on their line the coordinate rows are dependent, and off it the one
+        dependency left has y_v = 0. The greedy pass finds no other
+        support."""
         pts = [first, (1, 0), (2, 0), (3, 0), (0, 2)]
-        fw = Framework(Graph.complete(5), 2, pts)
-        with pytest.raises(AssertionFailure,
+        g = Graph(5, [e for e in Graph.complete(5).edges if e != (1, 5)])
+        fw = Framework(g, 2, pts)
+        with pytest.raises(DegenerateEvidence,
                            match="^support of column 1 is degenerate despite general position$"):
             certify._gale_columns(fw, Ordering.identity(5))
+
+    @pytest.mark.parametrize("first", [(0, 0), (0, 1)], ids=["on-the-line", "off-the-line"])
+    def test_greedy_support_skips_a_dependent_neighbour(self, first):
+        """In K5, column 1's earliest later neighbours 2, 3 and 4 are
+        collinear; the greedy pass keeps 2 and 3, skips 4 and keeps 5, and
+        the column is the sympy solve on that support."""
+        pts = [first, (1, 0), (2, 0), (3, 0), (0, 2)]
+        fw = Framework(Graph.complete(5), 2, pts)
+        columns = certify._gale_columns(fw, Ordering.identity(5))
+        a = oracles.sym_matrix([[*pts[u - 1], 1] for u in (2, 3, 5)]).T
+        b = oracles.sym_matrix([[-x] for x in (*pts[0], 1)])
+        x = a.LUsolve(b)
+        expected = {0: F(1)} | {u - 1: F(int(c.p), int(c.q))
+                                for u, c in zip((2, 3, 5), x) if c}
+        assert columns[0] == expected
+        assert certify._gram_stress(fw, columns, Ordering.identity(5)).n == 5
+
+    def test_general_position_pays_for_no_greedy_pass(self, monkeypatch):
+        calls = []
+        real = certify._independent_support
+        monkeypatch.setattr(certify, "_independent_support",
+                            lambda *args: calls.append(args) or real(*args))
+        rng = random.Random(29)
+        for i in range(12):
+            r = i % 4 + 1
+            fw = random_general_position_framework(rng.randint(r + 2, r + 8), r, i)
+            assert certify_chordal(fw).verdict is Verdict.UNIVERSALLY_RIGID
+        assert calls == []
 
     def test_degenerate_support_is_an_assertion_failure(self, k5_minus_edge):
         # without the general-position precondition, column 1's support is
