@@ -549,13 +549,18 @@ class TestSubsetCap:
             assert capped.exit_code == 0
             assert capped.output == runner.invoke(main, ["certify", path]).output
 
-    def test_psdize_takes_no_cap(self, runner, long_path):
+    def test_psdize_passes_the_default_cap(self, runner, long_path):
         """psdize never sweeps: past the default cap it reaches the stress's
-        rank, and --cap-subsets is no option of it."""
+        rank."""
         fw_path, _, stress_path = long_path
         result = runner.invoke(main, ["psdize", fw_path, "--stress", stress_path])
         assert result.exit_code == 1
         assert "stress rank 0 differs from the maximal 117" in result.stderr
+
+    def test_psdize_takes_no_cap(self, runner, long_path):
+        """--cap-subsets is no option of psdize, so even a cap of 0 is a
+        usage error rather than a hit cap."""
+        fw_path, _, stress_path = long_path
         result = runner.invoke(main, ["psdize", fw_path, "--stress", stress_path,
                                       "--cap-subsets", "0"])
         assert result.exit_code == 2
@@ -573,13 +578,19 @@ class TestSubsetCap:
         assert result.exit_code == EXIT_LIMIT
         assert "4999950000 subsets exceed the cap of 200000" in result.stderr
 
-    @pytest.mark.parametrize("command", ["analyze", "certify"])
-    @pytest.mark.parametrize("cap, code", [("-1", 2), ("0", EXIT_LIMIT)])
+    @pytest.mark.parametrize("cap, code, command", [
+        ("-1", 2, "analyze"), ("-1", 2, "certify"), ("-1", 2, "psdize"),
+        ("0", EXIT_LIMIT, "analyze"), ("0", EXIT_LIMIT, "certify"),
+    ])
     def test_negative_cap_is_a_usage_error(self, runner, files, command, cap, code):
         # analyze sweeps the hexagon, C(6, 3) = 20 subsets; certify sweeps
         # only on a failure path, such as k5me's, C(5, 3) = 10 subsets.
-        name, subsets = ("hexagon", 20) if command == "analyze" else ("k5me", 10)
-        result = runner.invoke(main, [command, files[name], f"--cap-subsets={cap}"])
+        # psdize takes no cap, so any cap is a usage error there.
+        name, subsets = ("k5me", 10) if command == "certify" else ("hexagon", 20)
+        args = [command, files[name], f"--cap-subsets={cap}"]
+        if command == "psdize":
+            args += ["--stress", files["hexagon_stress"]]
+        result = runner.invoke(main, args)
         assert result.exit_code == code
         if code == 2:
             assert "--cap-subsets" in result.stderr and "exceed" not in result.stderr
