@@ -5,16 +5,18 @@ perfect elimination ordering (PEO), one column per position among the
 first n - dim - 1. Column j is nonzero only at the vertex in position j and
 at dim+1 of its later neighbours, a clique, so the columns are kept sparse,
 in the original vertex labels, and each is solved by Cramer's rule. The
-Gram product Z Z^T is summed one column at a time, in integers over the
-square of each column's common denominator; it is a positive
-semidefinite stress matrix of the maximal rank, which certifies universal
-(hence global) rigidity. Its stress clauses are re-checked over its
+Gram product Z Z^T is a positive semidefinite stress matrix of the
+maximal rank, which certifies universal (hence global) rigidity. It is
+summed one column at a time in integers, as the congruent matrix C Z Z^T C
+for a positive integer diagonal C, and kept that way: the dense stress is
+built only when it is read. Its stress clauses are re-checked over its
 nonzero entries, and PSD and rank by sparse symmetric elimination along the
-PEO, which fills in nothing outside the graph; the same one pass gives
-``psdize_stress`` its input's rank, first vanishing leading minor and Gale
-factor, with no dense elimination on any input. Its result keeps the
-factor's sparse columns and builds the dense Gale and eliminated matrices
-only when they are first read. The negative branch
+PEO, which fills in nothing outside the graph and, on these integers,
+divides only exactly; the same one pass gives ``psdize_stress`` its
+input's rank, first vanishing leading minor and Gale factor, with no dense
+elimination on any input. Its result keeps the factor's sparse columns and
+builds the dense Gale and eliminated matrices only when they are first
+read. The negative branch
 extracts a small separating set from the ordering and reflects one side of
 it across a hyperplane, producing a framework with the same edge lengths
 that is provably not congruent.
@@ -43,8 +45,8 @@ from .exactmat import (
     SparseRows,
     _cofactor_basis,
     _cofactor_step,
-    _dense,
     _integer_row,
+    _quotient,
     _sparse_factor,
     _sparse_rows,
     _unit_rows,
@@ -167,7 +169,7 @@ class Hyperplane:
         return tuple(x - t * a for x, a in zip(point, self.normal))
 
 
-GaleColumns = list[dict[int, Fraction]]
+GaleColumns = list[dict[int, int | Fraction]]
 
 
 def _gale_matrix(columns: GaleColumns, n: int) -> GaleMatrix:
@@ -257,7 +259,10 @@ def _gale_columns(fw: Framework, peo: Ordering,
         for u, x in zip(support, y[1:]):
             if x:
                 col[u] = Fraction(lifted[u][-1] * x, scale)
-        if not _in_gale_space(lifted, [col]):
+        # the coefficient of L_u is x / l_u, and l_u = 1 at integer points
+        coefficients = {u: x if lifted[u][-1] == 1 else _quotient(x, lifted[u][-1])
+                        for u, x in col.items()}
+        if not _in_gale_space(lifted, [coefficients]):
             raise AssertionFailure(f"column {j} does not lie in the Gale space")
         columns.append(col)
     violation = _triangular_violation(columns, fw.graph, peo)
@@ -295,60 +300,64 @@ def _independent_support(lifted: Sequence[Sequence[int]], candidates: Sequence[i
     return None
 
 
-def _gram_rows(columns: GaleColumns, n: int) -> SparseRows:
-    """The sparse rows of the Gram product Z Z^T of sparse columns, summed in
-    integers.
+def _gram_rows(columns: GaleColumns, n: int) -> tuple[SparseRows, list[int]]:
+    """The Gram product S = Z Z^T of sparse columns, as the integer sparse
+    rows of the congruent matrix M = C S C and the diagonal c of C.
 
-    Each column is scaled by the lcm d of its denominators, so its outer
-    product holds integers over d^2. Each entry gathers these as one
-    numerator over the lcm of the d^2 seen so far, and becomes one Fraction
-    at the end. An entry whose terms cancel is kept, as zero.
+    With d_j the lcm of the denominators of column j, c_u is the lcm of the
+    d_j of the columns that hold u, so W = C Z is integral and M = W W^T
+    is summed in integers, one column's outer product at a time; no
+    Fraction is made. An entry whose terms cancel is kept, as zero.
+
+    When the columns are unit-triangular along an ordering, as the Gale
+    columns along the PEO that built them are, elimination of M along that
+    ordering (``exactmat._sparse_factor``) stays in integers: column j is
+    zero at the vertices v_1, ..., v_{j-1} of the earlier positions, so at
+    step k the entries left are those of the sum of w_j w_j^T over j >= k,
+    row v_k holds W_{v_k k} w_k, and every quotient M_ik M_kj / M_kk is
+    the integer W_ik W_jk.
     """
-    sums: dict[tuple[int, int], list[int]] = {}
-    for col in columns:
-        d = math.lcm(*[a.denominator for a in col.values()])
-        d2 = d * d
-        ints = [(v, a.numerator * (d // a.denominator)) for v, a in col.items()]
-        for k, (u, a) in enumerate(ints):
-            for w, b in ints[k:]:
-                key = (u, w) if u < w else (w, u)
-                acc = sums.get(key)
-                if acc is None:
-                    sums[key] = [a * b, d2]
-                elif acc[1] == d2:
-                    acc[0] += a * b
-                else:
-                    common = math.lcm(acc[1], d2)
-                    acc[0] = acc[0] * (common // acc[1]) + a * b * (common // d2)
-                    acc[1] = common
+    denominators = [math.lcm(*[a.denominator for a in col.values()]) for col in columns]
+    scale = [1] * n
+    for col, d in zip(columns, denominators):
+        for u in col:
+            scale[u] = math.lcm(scale[u], d)
     rows: SparseRows = {v: {} for v in range(n)}
-    for (u, w), (num, den) in sums.items():
-        rows[u][w] = rows[w][u] = Fraction(num, den)
-    return rows
+    for col in columns:
+        ints = [(u, a.numerator * (scale[u] // a.denominator)) for u, a in col.items()]
+        for k, (u, a) in enumerate(ints):
+            urow = rows[u]
+            for w, b in ints[k:]:
+                x = urow.get(w, 0) + a * b
+                urow[w] = rows[w][u] = x
+    return rows, scale
 
 
 def _gram_stress(fw: Framework, columns: GaleColumns, order: Ordering) -> StressMatrix:
-    """The Gram stress Z Z^T of sparse Gale columns (``_gram_rows``), with
-    every stress clause re-checked.
+    """The Gram stress Z Z^T of sparse Gale columns, held as the integer
+    rows of a congruent matrix (``_gram_rows``), with every stress clause
+    re-checked on them.
 
     Symmetry, the non-edge zeros and the kernel are checked over the
-    stored entries; PSD and rank rbar by ``_sparse_factor`` along
-    ``order``, which along a PEO touches one clique per step. A nonzero
-    non-edge entry raises PatternViolation; any other failed clause is a
-    bug and raises AssertionFailure.
+    stored entries (``_stress_clauses``); PSD and rank rbar, which the
+    congruence keeps, by ``_sparse_factor`` along ``order``, which along
+    a PEO touches one clique per step and, along the PEO the columns were
+    built in, divides only exactly. A nonzero non-edge entry raises
+    PatternViolation; any other failed clause is a bug and raises
+    AssertionFailure. The dense stress is built only when it is read.
     """
-    rows = _gram_rows(columns, fw.n)
-    symmetric, non_edge, kernel_ok = _stress_clauses(fw, rows)
+    rows, scale = _gram_rows(columns, fw.n)
+    symmetric, non_edge, kernel_ok = _stress_clauses(fw, rows, scale)
     if non_edge is not None:
         raise PatternViolation(*non_edge)
     if not (symmetric and kernel_ok):
         raise AssertionFailure(
             f"Gram stress failed validation: {_clause_failures(symmetric, True, kernel_ok)}")
-    result = _sparse_factor(rows, [v - 1 for v in order])
+    result = _sparse_factor(rows, [v - 1 for v in order], scale)
     if (result.rank, result.psd) != (fw.rbar, True):
         raise AssertionFailure(f"Gram stress is not PSD of rank {fw.rbar}: "
                                f"elimination gave {(result.rank, result.psd)}")
-    return StressMatrix(_dense(rows, fw.n))
+    return StressMatrix.from_congruent(rows, scale)
 
 
 def psd_stress_from_gale(fw: Framework, z: GaleMatrix) -> StressMatrix:
@@ -589,16 +598,16 @@ def psdize_stress(fw: Framework, s: Matrix) -> PsdizeResult:
     the Gram stress, the ordering and the sparse unit columns; its dense
     ``gale`` and ``eliminated`` are built on first read.
     """
-    rows = _stress_rows(fw, s)
+    rows, scale = _stress_rows(fw, s)
     peo = _elimination_order(fw.graph)
     if fw.rbar < 1:
         raise PreconditionViolated("simplex framework: no nonzero stress exists")
-    symmetric, non_edge, kernel_ok = _stress_clauses(fw, rows)
+    symmetric, non_edge, kernel_ok = _stress_clauses(fw, rows, scale)
     if not (symmetric and non_edge is None and kernel_ok):
         raise PreconditionViolated("input is not a stress matrix: "
                                    f"{_clause_failures(symmetric, non_edge is None, kernel_ok)}")
     order = [v - 1 for v in peo]
-    result = _sparse_factor(rows, order)
+    result = _sparse_factor(rows, order, scale)
     if result.rank != fw.rbar:
         raise PreconditionViolated(
             f"stress rank {result.rank} differs from the maximal {fw.rbar}")

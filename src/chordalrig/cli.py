@@ -12,7 +12,6 @@ never sweeps.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -57,6 +56,7 @@ from .jsonio import (
     load_stress,
     matrix_to_lists,
     read_json,
+    render_json,
     stress_to_obj,
     write_json,
 )
@@ -113,7 +113,7 @@ def _emit(obj, output: str | None) -> None:
     if output:
         _write(write_json, output, obj)
     else:
-        click.echo(json.dumps(obj, indent=2))
+        click.echo(render_json(obj))
 
 
 _cap_subsets = click.option(
@@ -150,7 +150,7 @@ def analyze(framework_file, output, fmt, cap_subsets):
     if output:
         _emit(certificate_to_obj(cert), output)
     if fmt == "json":
-        click.echo(json.dumps(certificate_to_obj(cert), indent=2))
+        click.echo(render_json(certificate_to_obj(cert)))
         return
     click.echo(f"vertices: {fw.n}")
     click.echo(f"edges: {fw.graph.edge_count}")
@@ -230,7 +230,7 @@ def stress_check(framework_file, stress_file, fmt):
     except (FrameworkError, ExactMatError) as exc:
         _input_error(exc)
     if fmt == "json":
-        click.echo(json.dumps({
+        click.echo(render_json({
             "symmetric": report.symmetric,
             "pattern_ok": report.pattern_ok,
             "kernel_ok": report.kernel_ok,
@@ -238,7 +238,7 @@ def stress_check(framework_file, stress_file, fmt):
             "generic_rank_profile": report.generic_rank_profile,
             "psd": report.psd,
             "stress_matrix": report.is_stress_matrix,
-        }, indent=2))
+        }))
         return
     yn = lambda b: "yes" if b else "no"
     click.echo(f"symmetric: {yn(report.symmetric)}")

@@ -1,16 +1,23 @@
 """Exact rational linear algebra: the three kernels the library runs.
 
-Every entry is a Python Fraction, so all results are exact. Floats are
-rejected outright; there is no rounding anywhere in this module.
+Every entry is an int or a Python Fraction, so all results are exact.
+Floats are rejected outright; there is no rounding anywhere in this
+module. ``Matrix`` holds Fractions; the kernels below run on ints where
+they can.
 
 - ``_sparse_factor`` eliminates a symmetric matrix held as sparse rows
   (``SparseRows``, {row: {column: entry}}) without exchanges, in a given
   order, touching only the entries that elimination changes, with a 2x2
   block step at a zero pivot over a nonzero row, so it always completes.
-  One pass decides rank, PSD and the generic rank profile in its order,
-  and the unit columns it divides out are the factor L of L D L^T; for a
-  maximal-rank stress with generic rank profile, eliminated along a
-  perfect elimination ordering, L is a unit-triangular Gale matrix.
+  The library hands it a stress S as the integer rows of a congruent
+  matrix M = C S C, C a positive integer diagonal (``_congruent_rows``, or
+  ``certify._gram_rows`` for a Gram stress); every division goes through
+  ``_quotient``, which keeps an exact quotient an int. One pass decides
+  rank, PSD and the generic rank profile in its order, which the
+  congruence keeps, and the unit columns it divides out, read in S's
+  scale, are the factor L of S = L D L^T; for a maximal-rank stress with
+  generic rank profile, eliminated along a perfect elimination ordering,
+  L is a unit-triangular Gale matrix.
 - ``_cofactor_step`` is the one integer elimination: a fraction-free
   Bareiss step that extends a run of integer rows (cleared of
   denominators by ``_integer_row``) and keeps the basis of the vectors
@@ -275,26 +282,50 @@ def _sparse_rows(a: Matrix) -> SparseRows:
     return {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(a.data)}
 
 
-def _dense(rows: SparseRows, n: int) -> Matrix:
-    """The n x n matrix whose entries absent from ``rows`` are zero."""
-    zero = Fraction(0)
-    return Matrix([[rows[i].get(j, zero) for j in range(n)] for i in range(n)],
-                  shape=(n, n))
+def _congruent_rows(a: Matrix) -> tuple[SparseRows, list[int]]:
+    """The square ``a`` as the integer sparse rows of the congruent matrix
+    C a C, C = diag(c) with c_u the lcm of the denominators of row u, and c.
+
+    c_u a_uw is an integer, so every entry c_u a_uw c_w is one; each c_u is
+    positive, so C a C has the rank, the inertia and the zero pattern of
+    ``a``, and it is symmetric exactly when ``a`` is.
+    """
+    nonzero = _sparse_rows(a)
+    scale = [math.lcm(*[x.denominator for x in row.values()]) for row in nonzero.values()]
+    return {u: {w: x.numerator * (cu // x.denominator) * scale[w] for w, x in row.items()}
+            for (u, row), cu in zip(nonzero.items(), scale)}, scale
+
+
+def _quotient(a, b):
+    """a / b for rationals a and b != 0, ints or Fractions: an int when the
+    quotient is one, else a Fraction. Two ints cost one ``divmod`` and, when
+    it leaves a remainder, one Fraction; any other pair is divided as
+    Fractions. Every division of ``_sparse_factor`` and of the Gale-space
+    checks (``framework._in_gale_space``) goes through here, and no ``/``
+    is applied to two ints."""
+    if type(a) is int and type(b) is int:
+        q, rem = divmod(a, b)
+        return Fraction(a, b) if rem else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
 
 
 class Elimination(NamedTuple):
     """What ``_sparse_factor`` finds along its order.
 
     ``first_zero`` is the 1-based step of the first zero pivot, None when
-    there is none; ``pivots`` are the nonzero 1x1 pivots in step order and
-    ``columns`` their unit columns.
+    there is none. ``steps`` holds each nonzero 1x1 step as (v, p, row), p
+    the pivot and row v's other entries when it was eliminated, in the
+    scale of the matrix eliminated, M = C S C; ``scale`` holds C's
+    diagonal c, None for C = I. ``pivots`` and ``columns`` give them in the
+    scale of S, built on each read.
     """
 
     rank: int
     psd: bool
     first_zero: int | None
-    pivots: list[Fraction]
-    columns: list[dict[int, Fraction]]
+    steps: list[tuple[int, int | Fraction, dict[int, int | Fraction]]]
+    scale: Sequence[int] | None
 
     @property
     def generic(self) -> bool:
@@ -302,9 +333,24 @@ class Elimination(NamedTuple):
         are nonzero."""
         return self.first_zero is None or self.first_zero > self.rank
 
+    @property
+    def pivots(self) -> list[int | Fraction]:
+        """The nonzero 1x1 pivots of S in step order: p / c_v^2."""
+        c = self.scale
+        return [p if c is None else _quotient(p, c[v] * c[v]) for v, p, _ in self.steps]
+
+    @property
+    def columns(self) -> list[dict[int, int | Fraction]]:
+        """The unit columns of S's pivots, {0-based index: entry}: 1 at v
+        and S_wv / S_vv = a_w c_v / (p c_w) at each other w of the row."""
+        c = self.scale
+        return [{v: 1, **{w: _quotient(a, p) if c is None else _quotient(a * c[v], p * c[w])
+                          for w, a in row.items()}}
+                for v, p, row in self.steps]
+
 
 def _schur_update(work: SparseRows, gone: Sequence[int], keys: Sequence[int],
-                  entry: Callable[[int, int], Fraction]) -> None:
+                  entry: Callable[[int, int], int | Fraction]) -> None:
     """Drop the eliminated indices ``gone`` from the rows ``keys`` of the
     symmetric ``work``, then subtract ``entry(i, k)``, k >= i, from its
     entries (w_i, w_k) and (w_k, w_i), w = ``keys``: each symmetric pair is
@@ -323,33 +369,51 @@ def _schur_update(work: SparseRows, gone: Sequence[int], keys: Sequence[int],
                 work[x].pop(w, None)
 
 
-def _sparse_factor(rows: SparseRows, order: Sequence[int]) -> Elimination:
+def _sparse_factor(rows: SparseRows, order: Sequence[int],
+                   scale: Sequence[int] | None = None) -> Elimination:
     """Symmetric exchange-free elimination over sparse rows, in ``order``.
 
-    ``rows`` holds the entries of a symmetric matrix by row, zeros omitted
-    or not; ``order`` lists every row index once. A nonzero pivot d at v is
-    eliminated: each entry (u, w) of v's remaining neighbours loses
-    a_uv a_vw / d, so only the clique they span changes, and along a
-    perfect elimination ordering of the matrix's pattern nothing fills in.
-    A zero pivot over an all-zero row removes v unchanged. A zero pivot
-    over a nonzero entry a = a_vu eliminates the block {v, u} instead
-    (Bunch & Parlett's 2x2 pivot): [[0, a], [a, a_uu]] has determinant
-    -a^2 < 0, so by Haynsworth's inertia additivity the step adds 2 to the
-    rank and one negative eigenvalue.
+    ``rows`` holds the entries of a symmetric matrix M by row, zeros
+    omitted or not, as ints where it can: the library passes M = C S C for
+    a stress S and C = diag(``scale``) of positive integers (None for
+    C = I), which has S's rank and inertia by Sylvester's law, and whose
+    leading principal minors in any order are S's times a product of c_v^2
+    > 0. ``order`` lists every row index once.
+
+    A nonzero pivot p at v is eliminated: each entry (u, w) of v's
+    remaining neighbours loses f_u a_vw, f_u = a_uv / p, so only the clique
+    they span changes, and along a perfect elimination ordering of the
+    matrix's pattern nothing fills in. A zero pivot over an all-zero row
+    removes v unchanged. A zero pivot over a nonzero entry a = a_vu
+    eliminates the block {v, u} instead (Bunch & Parlett's 2x2 pivot):
+    [[0, a], [a, d]] has determinant -a^2 < 0, so by Haynsworth's inertia
+    additivity the step adds 2 to the rank and one negative eigenvalue;
+    entry (i, k) loses (a (x_i y_k + y_i x_k) - d x_i x_k) / a^2, x and y
+    the entries at v and u.
+
+    Every division is one ``_quotient``: an int when it is exact, else a
+    Fraction, so the pass is exact either way. On a row of ints, with g
+    the gcd of p and the row, f_u a_vw = (a_uv / g)(a_vw / g) t for
+    t = g / (p / g), one quotient per step. When t is an int no update
+    divides at all: on a Gram stress W W^T along the ordering its factor
+    W was built in (``certify._gram_rows``), row v holds W_vk w_k at step
+    k, so g = |W_vk| h and t = h^2, h the gcd of the column w_k.
+    Otherwise each update is the quotient of (a_uv / g)(a_vw / g) t_num by
+    t_den, an int whenever it is exact. On a row that holds a Fraction,
+    each f_u is one quotient and each update the product f_u a_vw.
 
     So the pass always completes: the rank is the number of nonzero 1x1
     pivots plus 2 per block, and the matrix is PSD exactly when there is no
     block and every pivot is positive. Up to the first zero pivot, the
     pivots are the ratios of successive leading principal minors in the
     order, so the profile is generic exactly when that zero comes after
-    step ``rank``. With no block, the matrix is L D L^T with L the unit
-    columns and D their pivots.
+    step ``rank``. With no block, S is L D L^T with L the unit columns and
+    D their pivots, which the result gives in S's scale when read.
     """
     work = {v: {w: x for w, x in row.items() if x} for v, row in rows.items()}
     if sorted(order) != sorted(work):
         raise DimensionMismatch("the order must list every row index exactly once")
-    pivots = []
-    columns = []
+    steps = []
     blocks = 0
     first_zero = None
     for step, v in enumerate(order, 1):
@@ -359,10 +423,20 @@ def _sparse_factor(rows: SparseRows, order: Sequence[int]) -> Elimination:
         pivot = row.pop(v, 0)
         if pivot:
             keys, values = list(row), list(row.values())
-            factors = [a / pivot for a in values]
-            _schur_update(work, [v], keys, lambda i, k: factors[i] * values[k])
-            pivots.append(pivot)
-            columns.append({v: Fraction(1), **dict(zip(keys, factors))})
+            if type(pivot) is int and all(type(a) is int for a in values):
+                g = math.gcd(pivot, *values)
+                parts = [a // g for a in values]
+                ratio = _quotient(g, pivot // g)
+                if type(ratio) is int:
+                    entry = lambda i, k: parts[i] * parts[k] * ratio
+                else:
+                    num, den = ratio.numerator, ratio.denominator
+                    entry = lambda i, k: _quotient(parts[i] * parts[k] * num, den)
+            else:
+                factors = [_quotient(a, pivot) for a in values]
+                entry = lambda i, k: factors[i] * values[k]
+            _schur_update(work, [v], keys, entry)
+            steps.append((v, pivot, row))
             continue
         if first_zero is None:
             first_zero = step
@@ -373,14 +447,15 @@ def _sparse_factor(rows: SparseRows, order: Sequence[int]) -> Elimination:
         d = urow.pop(u, 0)
         del row[u], urow[v]
         keys = list({**row, **urow})
-        # the update P B^-1 P^T, with P the columns at v and u and B the
-        # block, is s t^T + t s^T for s = P_v / a and t = P_u - d s / 2
-        s = [row.get(w, 0) / a for w in keys]
-        t = [urow.get(w, 0) - d * x / 2 for w, x in zip(keys, s)]
-        _schur_update(work, [v, u], keys, lambda i, k: s[i] * t[k] + t[i] * s[k])
+        x = [row.get(w, 0) for w in keys]
+        y = [urow.get(w, 0) for w in keys]
+        a2 = a * a
+        _schur_update(work, [v, u], keys, lambda i, k: _quotient(
+            a * (x[i] * y[k] + y[i] * x[k]) - d * x[i] * x[k], a2))
         blocks += 1
-    return Elimination(len(columns) + 2 * blocks, not blocks and all(d > 0 for d in pivots),
-                       first_zero, pivots, columns)
+    return Elimination(len(steps) + 2 * blocks,
+                       not blocks and all(p > 0 for _, p, _ in steps),
+                       first_zero, steps, scale)
 
 
 def _rref(a: Matrix) -> tuple[list[list[Fraction]], list[int]]:

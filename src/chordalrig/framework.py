@@ -40,7 +40,9 @@ from .exactmat import (
     SparseRows,
     _cofactor_basis,
     _cofactor_step,
+    _congruent_rows,
     _integer_row,
+    _quotient,
     _sparse_factor,
     _sparse_rows,
     _unit_rows,
@@ -347,16 +349,86 @@ def verify_equilibrium_stress(fw: Framework, omega: StressWeights
     return True, None
 
 
-@dataclass(frozen=True)
 class StressMatrix:
     """Symmetric n x n matrix that kills the extended configuration and
-    vanishes on non-edges; diagonal entries are the incident weight sums."""
+    vanishes on non-edges; diagonal entries are the incident weight sums.
 
-    matrix: Matrix
+    A stress S is held as the dense ``matrix``, as ``congruent``, the
+    integer sparse rows of M = C S C with C = diag(c) of positive integers
+    and c, or as both; whichever is missing is built on first read and
+    kept. ``StressMatrix(matrix)`` starts from S, and ``congruent`` then
+    takes c_u as the lcm of the denominators of row u
+    (``exactmat._congruent_rows``); ``from_congruent(rows, scale)`` starts
+    from M, and ``matrix`` then holds S_uw = M_uw / (c_u c_w). Stresses
+    compare by value: stored zeros and the choice of C do not count.
+    """
+
+    __slots__ = ("n", "_matrix", "_congruent")
+
+    def __init__(self, matrix: Matrix):
+        self.n = matrix.rows
+        self._matrix = matrix
+        self._congruent = None
+
+    @classmethod
+    def from_congruent(cls, rows: SparseRows, scale: Sequence[int]) -> "StressMatrix":
+        """The stress S with C S C = M held by the integer sparse rows
+        ``rows`` (0-based, every index from 0 to n-1 present), C =
+        diag(``scale``)."""
+        s = cls.__new__(cls)
+        s.n = len(scale)
+        s._matrix = None
+        s._congruent = (rows, scale)
+        return s
 
     @property
-    def n(self) -> int:
-        return self.matrix.rows
+    def matrix(self) -> Matrix:
+        if self._matrix is None:
+            zero = Fraction(0)
+            dense = [[zero] * self.n for _ in range(self.n)]
+            for u, row in self.nonzero_rows().items():
+                out = dense[u]
+                for w, x in row.items():
+                    out[w] = x
+            self._matrix = Matrix(dense, shape=(self.n, self.n))
+        return self._matrix
+
+    def nonzero_rows(self) -> SparseRows:
+        """The nonzero entries of S as {row: {column: value}}, 0-based: read
+        off the dense matrix when it is held, else S_uw = M_uw / (c_u c_w)."""
+        if self._matrix is not None:
+            return _sparse_rows(self._matrix)
+        rows, scale = self._congruent
+        return {u: {w: Fraction(x, scale[u] * scale[w]) for w, x in row.items() if x}
+                for u, row in rows.items()}
+
+    @property
+    def congruent(self) -> tuple[SparseRows, Sequence[int]]:
+        if self._congruent is None:
+            self._congruent = _congruent_rows(self._matrix)
+        return self._congruent
+
+    def __eq__(self, other):
+        if not isinstance(other, StressMatrix):
+            return NotImplemented
+        if self._congruent is None or other._congruent is None:
+            return self.matrix == other.matrix
+        (a, c), (b, d) = self._congruent, other._congruent
+        if len(c) != len(d):
+            return False
+        for u in range(len(c)):
+            ra = {w: x for w, x in a[u].items() if x}
+            rb = {w: x for w, x in b[u].items() if x}
+            if ra.keys() != rb.keys() or any(x * d[u] * d[w] != rb[w] * c[u] * c[w]
+                                             for w, x in ra.items()):
+                return False
+        return True
+
+    def __hash__(self):
+        return hash(self.matrix)
+
+    def __repr__(self):
+        return f"StressMatrix({self.matrix!r})"
 
 
 def stress_from_omega(fw: Framework, omega: StressWeights) -> StressMatrix:
@@ -386,11 +458,18 @@ def omega_from_stress(fw: Framework, s: StressMatrix) -> StressWeights:
     the kernel, over the nonzero entries; no rank or PSD); a failed clause
     raises InvalidStressMatrix listing every failure.
     """
-    symmetric, non_edge, kernel_ok = _stress_clauses(fw, _stress_rows(fw, s.matrix))
+    if s._matrix is not None:
+        _check_stress_size(fw, s._matrix)
+    elif s.n != fw.n:
+        raise DimensionMismatch(f"stress must be {fw.n}x{fw.n}, got {s.n}x{s.n}")
+    rows, scale = s.congruent
+    symmetric, non_edge, kernel_ok = _stress_clauses(fw, rows, scale)
     failures = _clause_failures(symmetric, non_edge is None, kernel_ok)
     if failures:
         raise InvalidStressMatrix(f"not a stress matrix: {failures}")
-    return StressWeights({(u, v): -s.matrix[u - 1, v - 1] for u, v in fw.graph.edges})
+    return StressWeights({(u, v): Fraction(-rows[u - 1].get(v - 1, 0),
+                                           scale[u - 1] * scale[v - 1])
+                          for u, v in fw.graph.edges})
 
 
 @dataclass(frozen=True)
@@ -433,18 +512,36 @@ def _first_non_edge(graph: Graph, rows: SparseRows) -> tuple[int, int] | None:
                 if x and u != w and not graph.has_edge(u + 1, w + 1)), default=None)
 
 
-def _stress_clauses(fw: Framework, rows: SparseRows
+def _stress_clauses(fw: Framework, rows: SparseRows, scale: Sequence[int]
                     ) -> tuple[bool, tuple[int, int] | None, bool]:
-    """The stress clauses of a matrix held as sparse rows, over its stored
-    entries only: whether it is symmetric, its first non-edge nonzero
-    (``_first_non_edge``), and whether it kills the extended configuration,
-    i.e. whether each of its columns lies in the Gale space."""
+    """The stress clauses of a matrix S held as the integer sparse rows of
+    M = C S C, C = diag(``scale``) of positive integers, over M's stored
+    entries only: whether S is symmetric, its first non-edge nonzero
+    (``_first_non_edge``), and whether it kills the extended
+    configuration, i.e. whether each of its columns lies in the Gale space.
+
+    M_uw = c_u S_uw c_w, so S is symmetric and zero where M is. With the
+    lifted points L_u = l_u (p_u, 1), column w of S lies in the Gale space
+    exactly when sum_u (M_uw c_w / (c_u l_u)) L_u = 0 (``_in_gale_space``),
+    the sum of S_uw (p_u, 1) times c_w^2. Each coefficient is one
+    ``_quotient``, an int whenever c_u l_u divides M_uw c_w. At integer
+    points (l_u = 1) it does on a Gram stress (``certify._gram_rows``: c_u
+    and c_w carry every d_j of a column holding both u and w) and on the
+    congruent rows of a symmetric matrix (``exactmat._congruent_rows``:
+    c_w S_wu is an integer). A symmetric M's columns are its rows."""
     symmetric = all(rows[w].get(u, 0) == x for u, row in rows.items() for w, x in row.items())
-    columns: SparseRows = {}
-    for u, row in rows.items():
-        for w, x in row.items():
-            columns.setdefault(w, {})[u] = x
-    kernel_ok = _in_gale_space(fw._lifted, columns.values())
+    if symmetric:
+        columns = rows
+    else:
+        columns: SparseRows = {}
+        for u, row in rows.items():
+            for w, x in row.items():
+                columns.setdefault(w, {})[u] = x
+    lifted = fw._lifted
+    weights = [c * point[-1] for c, point in zip(scale, lifted)]
+    kernel_ok = _in_gale_space(lifted, ({u: _quotient(x * scale[w], weights[u])
+                                         for u, x in col.items()}
+                                        for w, col in columns.items()))
     return symmetric, _first_non_edge(fw.graph, rows), kernel_ok
 
 
@@ -456,46 +553,51 @@ def _lift(p: Sequence[Fraction]) -> tuple[int, ...]:
 
 
 def _in_gale_space(lifted: Sequence[Sequence[int]],
-                   vectors: Iterable[Mapping[int, Fraction]]) -> bool:
-    """Whether each vector {0-based vertex: x} has sum x (p_v, 1) = 0.
-
-    ``lifted`` holds the points as ``Framework`` lifts them, L_v =
-    l_v (p_v, 1); the sum is that of (x / l_v) L_v, checked in integers
-    after scaling by a common denominator of the x / l_v.
+                   vectors: Iterable[Mapping[int, int | Fraction]]) -> bool:
+    """Whether each vector {0-based vertex: y}, y an int or a Fraction, has
+    sum y_v L_v = 0 over the points as ``Framework`` lifts them, L_v =
+    l_v (p_v, 1); for the coefficients x of the points (p_v, 1) themselves,
+    y_v = x_v / l_v. The sum is taken in integers, after scaling by the
+    lcm of the denominators of the y, one per vector.
     """
     for vec in vectors:
-        dens = [x.denominator * lifted[v][-1] for v, x in vec.items()]
-        common = math.lcm(*dens)
-        total = [0] * len(lifted[0])
-        for (v, x), d in zip(vec.items(), dens):
-            m = x.numerator * (common // d)
-            total = [t + m * y for t, y in zip(total, lifted[v])]
-        if any(total):
+        ys = list(vec.values())
+        common = math.lcm(*[y.denominator for y in ys])
+        coeffs = [y.numerator * (common // y.denominator) for y in ys]
+        if any(sum(map(mul, coeffs, coord)) for coord in zip(*[lifted[v] for v in vec])):
             return False
     return True
 
 
-def _stress_rows(fw: Framework, s: Matrix) -> SparseRows:
-    """The sparse rows of a candidate stress, which must be n x n."""
+def _check_stress_size(fw: Framework, s: Matrix) -> None:
     n = fw.n
     if (s.rows, s.cols) != (n, n):
         raise DimensionMismatch(f"stress must be {n}x{n}, got {s.rows}x{s.cols}")
-    return _sparse_rows(s)
+
+
+def _stress_rows(fw: Framework, s: Matrix) -> tuple[SparseRows, list[int]]:
+    """A candidate stress S, which must be n x n, as the integer sparse rows
+    of C S C and the diagonal of C (``exactmat._congruent_rows``)."""
+    _check_stress_size(fw, s)
+    return _congruent_rows(s)
 
 
 def validate_stress_matrix(fw: Framework, s: Matrix) -> StressReport:
     """Evaluate every stress-matrix clause on an arbitrary square matrix.
 
     Symmetry, the non-edge zeros and the kernel are checked over the
-    nonzero entries. For a symmetric matrix one ``_sparse_factor`` pass in
-    label order yields the rank, the generic rank profile and positive
-    semidefiniteness. A matrix that is not symmetric gets its rank alone,
-    by ``rank``, and fails both other clauses.
+    nonzero entries of the integer rows of a congruent matrix
+    (``_stress_rows``). For a symmetric matrix one ``_sparse_factor`` pass
+    in label order yields the rank, the generic rank profile and positive
+    semidefiniteness. That pass runs on the matrix's own entries: in label
+    order it fills in, and each filled entry of C S C would also carry the
+    factor c_u c_w. A matrix that is not symmetric gets its rank alone, by
+    ``rank``, and fails both other clauses.
     """
-    rows = _stress_rows(fw, s)
-    symmetric, non_edge, kernel_ok = _stress_clauses(fw, rows)
+    rows, scale = _stress_rows(fw, s)
+    symmetric, non_edge, kernel_ok = _stress_clauses(fw, rows, scale)
     if symmetric:
-        result = _sparse_factor(rows, range(fw.n))
+        result = _sparse_factor(_sparse_rows(s), range(fw.n))
         rk, grp, psd = result.rank, result.generic, result.psd
     else:
         rk, grp, psd = rank(s), False, False

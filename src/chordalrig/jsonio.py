@@ -8,6 +8,7 @@ position of the offending element.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from fractions import Fraction
@@ -185,7 +186,16 @@ def matrix_from_obj(obj, where: str = "matrix") -> Matrix:
 
 
 def stress_to_obj(s: StressMatrix) -> dict:
-    return {"n": s.n, "matrix": matrix_to_lists(s.matrix)}
+    """The stress as {"n": n, "matrix": rows of rational strings}, written
+    from its nonzero entries (``StressMatrix.nonzero_rows``) with "0"
+    elsewhere, so a stress held sparse is written without its dense
+    matrix."""
+    out = [["0"] * s.n for _ in range(s.n)]
+    for u, row in s.nonzero_rows().items():
+        line = out[u]
+        for w, x in row.items():
+            line[w] = rational_str(x)
+    return {"n": s.n, "matrix": out}
 
 
 def stress_matrix_from_obj(obj, where: str = "stress") -> Matrix:
@@ -228,8 +238,82 @@ def read_json(path: str | Path):
         raise ParseError("JSON nested too deeply to parse", str(path)) from None
 
 
+# The types json encodes as scalars; a subclass takes the general path.
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.lru_cache(maxsize=16)
+def _scalar_list_encoder(inner: str) -> json.JSONEncoder:
+    """The C encoder of a list of scalars whose items start at ``inner``:
+    its item separator carries the line break and the indent."""
+    return json.JSONEncoder(separators=("," + inner, ": "))
+
+
+def _unescaped(text: str) -> bool:
+    """Whether json writes ``text`` as it is: printable ASCII without
+    quotes or backslashes, the characters that ``ensure_ascii`` leaves."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
+def _scalar_items(items: list, types: set, inner: str) -> str:
+    """The scalars ``items``, of the ``types``, as ``json.dumps`` writes
+    them one per line at ``inner``, without the brackets. Strings that need
+    no escaping, such as rational strings, are quoted and joined as they
+    are; anything else goes to the C encoder."""
+    if types == {str} and _unescaped("".join(items)):
+        return '"' + ('",' + inner + '"').join(items) + '"'
+    return _scalar_list_encoder(inner).encode(items)[1:-1]
+
+
+def _render(obj, newline: str, out: list[str]) -> None:
+    """Append to ``out`` the text of ``json.dumps(obj, indent=2)`` for a
+    value whose first line is already written and whose lines continue at
+    ``newline``. A list of scalars, such as a row of rational strings, is
+    written in one piece (``_scalar_items``); only dicts and nested lists
+    are walked here."""
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        sep = "{"
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                if type(key) not in _SCALAR_TYPES:
+                    raise TypeError(f"keys must be str, int, float, bool or None, "
+                                    f"not {type(key).__name__}")
+                key = json.dumps(key)
+            out.append(f"{sep}{inner}{json.dumps(key)}: ")
+            _render(value, inner, out)
+            sep = ","
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+        elif (types := set(map(type, obj))) <= _SCALAR_TYPES:
+            out.append(f"[{inner}{_scalar_items(obj, types, inner)}{newline}]")
+        else:
+            sep = "["
+            for value in obj:
+                out.append(sep + inner)
+                _render(value, inner, out)
+                sep = ","
+            out.append(newline + "]")
+    else:
+        out.append(json.dumps(obj))
+
+
+def render_json(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, without the pure-Python
+    encoder that an indent selects: each row of a matrix is written in one
+    piece (``_render``)."""
+    out: list[str] = []
+    _render(obj, "\n", out)
+    return "".join(out)
+
+
 def write_json(path: str | Path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    Path(path).write_text(render_json(obj) + "\n")
 
 
 def load_framework(path: str | Path) -> Framework:

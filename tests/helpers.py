@@ -14,8 +14,12 @@ library path runs them: exchange-free Gaussian steps (``gauss_steps``,
 (``_int_determinant``), which gives ``determinant`` after clearing
 denominators, the per-subset sweep and the Cramer Gale columns
 (``gale_columns_by_cramer``), and ``psd_check`` (greatest-diagonal
-pivoting, with a witness x^T A x < 0 when not PSD). Unlike ``oracles``,
-all of this runs on the package's ``Matrix`` and integer kernels.
+pivoting, with a witness x^T A x < 0 when not PSD). Last comes
+``reference_sparse_factor``, the symmetric sparse elimination over
+Fractions that ``exactmat._sparse_factor`` was before it ran on the
+integer rows of a congruent matrix; the kernel is compared with it. Unlike
+``oracles``, all of this runs on the package's ``Matrix`` and integer
+kernels.
 """
 
 import itertools
@@ -23,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from chordalrig import (
     Framework,
@@ -37,8 +41,10 @@ from chordalrig.certify import PreconditionViolated
 from chordalrig.exactmat import (
     DimensionMismatch,
     ExactMatError,
+    SparseRows,
     _cofactor_step,
     _integer_row,
+    _schur_update,
     _sparse_factor,
     _sparse_rows,
     _unit_rows,
@@ -497,3 +503,86 @@ def psd_check(a: Matrix) -> PsdResult:
         value = sum(witness[i] * a[i, j] * witness[j] for i in range(n) for j in range(n))
         assert value < 0
         return PsdResult(False, len(steps), witness)
+
+
+class ReferenceElimination(NamedTuple):
+    """What ``reference_sparse_factor`` finds along its order.
+
+    ``first_zero`` is the 1-based step of the first zero pivot, None when
+    there is none; ``pivots`` are the nonzero 1x1 pivots in step order and
+    ``columns`` their unit columns.
+    """
+
+    rank: int
+    psd: bool
+    first_zero: int | None
+    pivots: list[Fraction]
+    columns: list[dict[int, Fraction]]
+
+    @property
+    def generic(self) -> bool:
+        """Whether the first ``rank`` leading principal minors in the order
+        are nonzero."""
+        return self.first_zero is None or self.first_zero > self.rank
+
+
+def reference_sparse_factor(rows: SparseRows, order: Sequence[int]
+                            ) -> ReferenceElimination:
+    """Symmetric exchange-free elimination over sparse rows, in ``order``.
+
+    ``rows`` holds the entries of a symmetric matrix by row, zeros omitted
+    or not; ``order`` lists every row index once. A nonzero pivot d at v is
+    eliminated: each entry (u, w) of v's remaining neighbours loses
+    a_uv a_vw / d, so only the clique they span changes, and along a
+    perfect elimination ordering of the matrix's pattern nothing fills in.
+    A zero pivot over an all-zero row removes v unchanged. A zero pivot
+    over a nonzero entry a = a_vu eliminates the block {v, u} instead
+    (Bunch & Parlett's 2x2 pivot): [[0, a], [a, a_uu]] has determinant
+    -a^2 < 0, so by Haynsworth's inertia additivity the step adds 2 to the
+    rank and one negative eigenvalue.
+
+    So the pass always completes: the rank is the number of nonzero 1x1
+    pivots plus 2 per block, and the matrix is PSD exactly when there is no
+    block and every pivot is positive. Up to the first zero pivot, the
+    pivots are the ratios of successive leading principal minors in the
+    order, so the profile is generic exactly when that zero comes after
+    step ``rank``. With no block, the matrix is L D L^T with L the unit
+    columns and D their pivots.
+    """
+    work = {v: {w: x for w, x in row.items() if x} for v, row in rows.items()}
+    if sorted(order) != sorted(work):
+        raise DimensionMismatch("the order must list every row index exactly once")
+    pivots = []
+    columns = []
+    blocks = 0
+    first_zero = None
+    for step, v in enumerate(order, 1):
+        if v not in work:  # the partner of an earlier block
+            continue
+        row = work.pop(v)
+        pivot = row.pop(v, 0)
+        if pivot:
+            keys, values = list(row), list(row.values())
+            factors = [a / pivot for a in values]
+            _schur_update(work, [v], keys, lambda i, k: factors[i] * values[k])
+            pivots.append(pivot)
+            columns.append({v: Fraction(1), **dict(zip(keys, factors))})
+            continue
+        if first_zero is None:
+            first_zero = step
+        if not row:
+            continue
+        u, a = next(iter(row.items()))
+        urow = work.pop(u)
+        d = urow.pop(u, 0)
+        del row[u], urow[v]
+        keys = list({**row, **urow})
+        # the update P B^-1 P^T, with P the columns at v and u and B the
+        # block, is s t^T + t s^T for s = P_v / a and t = P_u - d s / 2
+        s = [row.get(w, 0) / a for w in keys]
+        t = [urow.get(w, 0) - d * x / 2 for w, x in zip(keys, s)]
+        _schur_update(work, [v, u], keys, lambda i, k: s[i] * t[k] + t[i] * s[k])
+        blocks += 1
+    return ReferenceElimination(len(columns) + 2 * blocks,
+                                not blocks and all(d > 0 for d in pivots),
+                                first_zero, pivots, columns)

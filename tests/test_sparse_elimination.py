@@ -42,6 +42,7 @@ from chordalrig.certify import (
 from chordalrig.exactmat import (
     DimensionMismatch,
     Matrix,
+    _congruent_rows,
     _sparse_factor,
     _sparse_rows,
     rank,
@@ -499,7 +500,7 @@ class TestGramSum:
         # zero on the non-edges {1,5}, {1,6}, {2,6}
         columns = [combine(z[0], z[2], 1), z[1], combine(z[0], z[2], -1)]
         expected = dense_gram(columns, 6)
-        rows = certify._gram_rows(columns, 6)
+        rows, _ = certify._gram_rows(columns, 6)
         for u, w in ((0, 4), (0, 5), (1, 5)):
             assert columns[0][u] * columns[0][w] != 0
             assert expected[u, w] == 0
@@ -710,9 +711,9 @@ class TestPsdizeFactor:
         passes, ranks = [], []
         factor = certify._sparse_factor
 
-        def counted_factor(rows, order):
-            passes.append(rows)
-            return factor(rows, order)
+        def counted_factor(rows, order, scale):
+            passes.append((rows, scale))
+            return factor(rows, order, scale)
 
         def counted_rank(a):
             ranks.append(a)
@@ -740,8 +741,8 @@ class TestPsdizeFactor:
             except NotGenericRankProfile:
                 expected = 1
             assert len(passes) == expected and ranks == []
-            assert passes[0] == _sparse_rows(s)
+            assert passes[0] == _congruent_rows(s)
         passes.clear()
         with pytest.raises(PreconditionViolated, match="stress rank 2 differs"):
             psdize_stress(k6, low)
-        assert passes == [_sparse_rows(low)] and ranks == []
+        assert passes == [_congruent_rows(low)] and ranks == []
