@@ -60,8 +60,8 @@ from .framework import (
     _clause_failures,
     _coerce_point,
     _in_gale_space,
+    _sized_congruent,
     _stress_clauses,
-    _stress_rows,
     _triangular_violation,
     frameworks_congruent,
     frameworks_equivalent,
@@ -579,7 +579,7 @@ def _elimination_order(graph: Graph) -> Ordering:
     return ident if is_peo(graph, ident)[0] else chord.peo
 
 
-def psdize_stress(fw: Framework, s: Matrix) -> PsdizeResult:
+def psdize_stress(fw: Framework, s: StressMatrix) -> PsdizeResult:
     """Turn a maximal-rank stress with generic rank profile into a PSD one.
 
     One sparse symmetric elimination (``_sparse_factor``) along an
@@ -593,12 +593,14 @@ def psdize_stress(fw: Framework, s: Matrix) -> PsdizeResult:
     keeps their non-edge zeros, so their Gram product is again a stress:
     PSD, of the same maximal rank. None of this uses general position, and
     the Gram stress is re-checked in full (``_gram_stress``), so the points
-    are not swept. A stress whose size is not the framework's raises
-    DimensionMismatch before any hypothesis is checked. The result holds
-    the Gram stress, the ordering and the sparse unit columns; its dense
-    ``gale`` and ``eliminated`` are built on first read.
+    are not swept. The input is read through its congruent integer rows
+    (``StressMatrix.congruent``) alone; no dense matrix is built. A stress
+    whose size is not the framework's raises DimensionMismatch before any
+    hypothesis is checked. The result holds the Gram stress, the ordering
+    and the sparse unit columns; its dense ``gale`` and ``eliminated`` are
+    built on first read.
     """
-    rows, scale = _stress_rows(fw, s)
+    rows, scale = _sized_congruent(fw, s)
     peo = _elimination_order(fw.graph)
     if fw.rbar < 1:
         raise PreconditionViolated("simplex framework: no nonzero stress exists")

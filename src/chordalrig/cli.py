@@ -32,7 +32,6 @@ from .framework import (
     DEFAULT_POSITION_CAP,
     FrameworkError,
     SizeCapExceededError,
-    StressMatrix,
     gale_matrix,
     is_general_position,
     omega_from_stress,
@@ -348,7 +347,7 @@ def plot(framework_file, stress_file, output):
     if stress_file is not None:
         s = _load_stress(stress_file)
         try:
-            omega = omega_from_stress(fw, StressMatrix(s))
+            omega = omega_from_stress(fw, s)
         except DimensionMismatch as exc:
             _input_error(exc)
         except (FrameworkError, ExactMatError) as exc:

@@ -282,18 +282,19 @@ def _sparse_rows(a: Matrix) -> SparseRows:
     return {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(a.data)}
 
 
-def _congruent_rows(a: Matrix) -> tuple[SparseRows, list[int]]:
-    """The square ``a`` as the integer sparse rows of the congruent matrix
-    C a C, C = diag(c) with c_u the lcm of the denominators of row u, and c.
+def _congruent_rows(rows: SparseRows) -> tuple[SparseRows, list[int]]:
+    """The square matrix a held by the sparse ``rows`` (rationals, 0-based,
+    every row index from 0 to n-1 present in order) as the integer sparse
+    rows of the congruent matrix C a C, C = diag(c) with c_u the lcm of the
+    denominators of row u, and c.
 
     c_u a_uw is an integer, so every entry c_u a_uw c_w is one; each c_u is
     positive, so C a C has the rank, the inertia and the zero pattern of
     ``a``, and it is symmetric exactly when ``a`` is.
     """
-    nonzero = _sparse_rows(a)
-    scale = [math.lcm(*[x.denominator for x in row.values()]) for row in nonzero.values()]
+    scale = [math.lcm(*[x.denominator for x in row.values()]) for row in rows.values()]
     return {u: {w: x.numerator * (cu // x.denominator) * scale[w] for w, x in row.items()}
-            for (u, row), cu in zip(nonzero.items(), scale)}, scale
+            for (u, row), cu in zip(rows.items(), scale)}, scale
 
 
 def _quotient(a, b):

@@ -353,22 +353,34 @@ class StressMatrix:
     """Symmetric n x n matrix that kills the extended configuration and
     vanishes on non-edges; diagonal entries are the incident weight sums.
 
-    A stress S is held as the dense ``matrix``, as ``congruent``, the
-    integer sparse rows of M = C S C with C = diag(c) of positive integers
-    and c, or as both; whichever is missing is built on first read and
-    kept. ``StressMatrix(matrix)`` starts from S, and ``congruent`` then
-    takes c_u as the lcm of the denominators of row u
-    (``exactmat._congruent_rows``); ``from_congruent(rows, scale)`` starts
-    from M, and ``matrix`` then holds S_uw = M_uw / (c_u c_w). Stresses
-    compare by value: stored zeros and the choice of C do not count.
+    A stress S is held by one source of truth, ``congruent``: the integer
+    sparse rows of M = C S C (0-based, every index from 0 to n-1 present)
+    and the diagonal c of C, positive integers. Two read-only views are
+    built from it on first read and then kept: ``nonzero_rows()``, the
+    nonzero entries S_uw = M_uw / (c_u c_w), and the dense ``matrix``. A
+    constructor seeds a view with entries it already holds:
+    ``StressMatrix(matrix)`` keeps ``matrix`` and its nonzero entries, and
+    ``from_rows`` its sparse rows; both take c_u as the lcm of the
+    denominators of row u (``exactmat._congruent_rows``).
+    ``from_congruent(rows, scale)`` starts from M. Stresses compare and
+    hash by value: stored zeros and the choice of C do not count.
     """
 
-    __slots__ = ("n", "_matrix", "_congruent")
+    __slots__ = ("n", "congruent", "_rows", "_matrix")
 
     def __init__(self, matrix: Matrix):
-        self.n = matrix.rows
-        self._matrix = matrix
-        self._congruent = None
+        if matrix.rows != matrix.cols:
+            raise DimensionMismatch(f"stress must be square, got {matrix.rows}x{matrix.cols}")
+        rows = _sparse_rows(matrix)
+        self._hold(_congruent_rows(rows), rows, matrix)
+
+    @classmethod
+    def from_rows(cls, rows: SparseRows) -> "StressMatrix":
+        """The stress with these nonzero entries, {row: {column: rational}},
+        0-based, every row index from 0 to n-1 present in order."""
+        s = cls.__new__(cls)
+        s._hold(_congruent_rows(rows), rows, None)
+        return s
 
     @classmethod
     def from_congruent(cls, rows: SparseRows, scale: Sequence[int]) -> "StressMatrix":
@@ -376,10 +388,13 @@ class StressMatrix:
         ``rows`` (0-based, every index from 0 to n-1 present), C =
         diag(``scale``)."""
         s = cls.__new__(cls)
-        s.n = len(scale)
-        s._matrix = None
-        s._congruent = (rows, scale)
+        s._hold((rows, scale), None, None)
         return s
+
+    def _hold(self, congruent: tuple[SparseRows, Sequence[int]], rows: SparseRows | None,
+              matrix: Matrix | None) -> None:
+        self.n = len(congruent[1])
+        self.congruent, self._rows, self._matrix = congruent, rows, matrix
 
     @property
     def matrix(self) -> Matrix:
@@ -394,26 +409,17 @@ class StressMatrix:
         return self._matrix
 
     def nonzero_rows(self) -> SparseRows:
-        """The nonzero entries of S as {row: {column: value}}, 0-based: read
-        off the dense matrix when it is held, else S_uw = M_uw / (c_u c_w)."""
-        if self._matrix is not None:
-            return _sparse_rows(self._matrix)
-        rows, scale = self._congruent
-        return {u: {w: Fraction(x, scale[u] * scale[w]) for w, x in row.items() if x}
-                for u, row in rows.items()}
-
-    @property
-    def congruent(self) -> tuple[SparseRows, Sequence[int]]:
-        if self._congruent is None:
-            self._congruent = _congruent_rows(self._matrix)
-        return self._congruent
+        """The nonzero entries of S as {row: {column: value}}, 0-based."""
+        if self._rows is None:
+            rows, scale = self.congruent
+            self._rows = {u: {w: Fraction(x, scale[u] * scale[w]) for w, x in row.items() if x}
+                          for u, row in rows.items()}
+        return self._rows
 
     def __eq__(self, other):
         if not isinstance(other, StressMatrix):
             return NotImplemented
-        if self._congruent is None or other._congruent is None:
-            return self.matrix == other.matrix
-        (a, c), (b, d) = self._congruent, other._congruent
+        (a, c), (b, d) = self.congruent, other.congruent
         if len(c) != len(d):
             return False
         for u in range(len(c)):
@@ -425,7 +431,8 @@ class StressMatrix:
         return True
 
     def __hash__(self):
-        return hash(self.matrix)
+        return hash((self.n, frozenset((u, w, x) for u, row in self.nonzero_rows().items()
+                                       for w, x in row.items())))
 
     def __repr__(self):
         return f"StressMatrix({self.matrix!r})"
@@ -458,11 +465,7 @@ def omega_from_stress(fw: Framework, s: StressMatrix) -> StressWeights:
     the kernel, over the nonzero entries; no rank or PSD); a failed clause
     raises InvalidStressMatrix listing every failure.
     """
-    if s._matrix is not None:
-        _check_stress_size(fw, s._matrix)
-    elif s.n != fw.n:
-        raise DimensionMismatch(f"stress must be {fw.n}x{fw.n}, got {s.n}x{s.n}")
-    rows, scale = s.congruent
+    rows, scale = _sized_congruent(fw, s)
     symmetric, non_edge, kernel_ok = _stress_clauses(fw, rows, scale)
     failures = _clause_failures(symmetric, non_edge is None, kernel_ok)
     if failures:
@@ -569,38 +572,34 @@ def _in_gale_space(lifted: Sequence[Sequence[int]],
     return True
 
 
-def _check_stress_size(fw: Framework, s: Matrix) -> None:
-    n = fw.n
-    if (s.rows, s.cols) != (n, n):
-        raise DimensionMismatch(f"stress must be {n}x{n}, got {s.rows}x{s.cols}")
+def _sized_congruent(fw: Framework, s: StressMatrix) -> tuple[SparseRows, Sequence[int]]:
+    """``s.congruent``, once s is checked to be n x n for the framework's n."""
+    if s.n != fw.n:
+        raise DimensionMismatch(f"stress must be {fw.n}x{fw.n}, got {s.n}x{s.n}")
+    return s.congruent
 
 
-def _stress_rows(fw: Framework, s: Matrix) -> tuple[SparseRows, list[int]]:
-    """A candidate stress S, which must be n x n, as the integer sparse rows
-    of C S C and the diagonal of C (``exactmat._congruent_rows``)."""
-    _check_stress_size(fw, s)
-    return _congruent_rows(s)
-
-
-def validate_stress_matrix(fw: Framework, s: Matrix) -> StressReport:
-    """Evaluate every stress-matrix clause on an arbitrary square matrix.
+def validate_stress_matrix(fw: Framework, s: StressMatrix) -> StressReport:
+    """Evaluate every stress-matrix clause on a square matrix held as a
+    ``StressMatrix``, which need not be a stress; one whose size is not the
+    framework's raises DimensionMismatch.
 
     Symmetry, the non-edge zeros and the kernel are checked over the
-    nonzero entries of the integer rows of a congruent matrix
-    (``_stress_rows``). For a symmetric matrix one ``_sparse_factor`` pass
-    in label order yields the rank, the generic rank profile and positive
-    semidefiniteness. That pass runs on the matrix's own entries: in label
-    order it fills in, and each filled entry of C S C would also carry the
-    factor c_u c_w. A matrix that is not symmetric gets its rank alone, by
-    ``rank``, and fails both other clauses.
+    nonzero entries of its congruent integer rows (``s.congruent``). For a
+    symmetric matrix one ``_sparse_factor`` pass in label order yields the
+    rank, the generic rank profile and positive semidefiniteness. That pass
+    runs on the matrix's own nonzero entries (``s.nonzero_rows()``): in
+    label order it fills in, and each filled entry of C S C would also
+    carry the factor c_u c_w. A matrix that is not symmetric gets its rank
+    alone, by ``rank`` on the dense view, and fails both other clauses.
     """
-    rows, scale = _stress_rows(fw, s)
+    rows, scale = _sized_congruent(fw, s)
     symmetric, non_edge, kernel_ok = _stress_clauses(fw, rows, scale)
     if symmetric:
-        result = _sparse_factor(_sparse_rows(s), range(fw.n))
+        result = _sparse_factor(s.nonzero_rows(), range(fw.n))
         rk, grp, psd = result.rank, result.generic, result.psd
     else:
-        rk, grp, psd = rank(s), False, False
+        rk, grp, psd = rank(s.matrix), False, False
     return StressReport(symmetric, non_edge is None, kernel_ok, rk, grp, psd)
 
 
@@ -611,7 +610,7 @@ def psi_from_stress(fw: Framework, z: GaleMatrix, s: StressMatrix) -> Matrix:
     exactly and ReconstructionFailure is raised when it does not hold.
     """
     zm = z.matrix
-    if zm.rows != fw.n or s.matrix.rows != fw.n:
+    if zm.rows != fw.n or s.n != fw.n:
         raise DimensionMismatch("Gale matrix and stress must match the framework size")
     gram = zm.transpose() * zm
     try:

@@ -23,10 +23,6 @@ from .graphs import Graph
 # denominator without leading zeros, both in ASCII digits.
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
 
-# Shared by every "0" entry, the bulk of a chordal stress; Fractions are
-# immutable.
-_ZERO = Fraction(0)
-
 # Largest vertex count a graph or framework file may declare. A graph
 # allocates per vertex, so without a bound a file of a few bytes could ask
 # for any amount of memory.
@@ -56,8 +52,6 @@ def parse_rational(value, where: str) -> Fraction:
     if isinstance(value, float):
         raise ParseError("floating-point numbers are not accepted; use a string", where)
     if isinstance(value, str):
-        if value == "0":
-            return _ZERO
         match = _RATIONAL_RE.fullmatch(value)
         if match is None:
             raise ParseError(f"malformed rational {value!r}", where)
@@ -164,27 +158,6 @@ def matrix_to_lists(m: Matrix) -> list[list[str]]:
     return [[rational_str(x) for x in row] for row in m.data]
 
 
-def matrix_from_obj(obj, where: str = "matrix") -> Matrix:
-    rows = _expect_list(obj, where)
-    if not rows:
-        raise ParseError("matrix must have at least one row", where)
-    parsed = []
-    width = None
-    for i, row in enumerate(rows):
-        spot = f"{where}[{i}]"
-        entries = _expect_list(row, spot)
-        if width is None:
-            width = len(entries)
-        elif len(entries) != width:
-            raise ParseError(f"row has {len(entries)} entries, expected {width}", spot)
-        # a zero entry skips the call and the location string it needs
-        parsed.append([_ZERO if x == "0" else parse_rational(x, f"{spot}[{k}]")
-                       for k, x in enumerate(entries)])
-    if width == 0:
-        raise ParseError("matrix rows must be nonempty", where)
-    return Matrix(parsed)
-
-
 def stress_to_obj(s: StressMatrix) -> dict:
     """The stress as {"n": n, "matrix": rows of rational strings}, written
     from its nonzero entries (``StressMatrix.nonzero_rows``) with "0"
@@ -198,17 +171,41 @@ def stress_to_obj(s: StressMatrix) -> dict:
     return {"n": s.n, "matrix": out}
 
 
-def stress_matrix_from_obj(obj, where: str = "stress") -> Matrix:
+def stress_matrix_from_obj(obj, where: str = "stress") -> StressMatrix:
+    """The stress of {"n": n, "matrix": n rows of n rationals}, parsed
+    straight into its nonzero entries (``StressMatrix.from_rows``): no
+    dense matrix is built. The rows are read in order, each checked to be
+    a list as wide as the first before its entries are parsed, so the
+    first malformed element is the one reported; "0" entries are skipped
+    unparsed, and any other zero is dropped once parsed."""
     if not isinstance(obj, dict):
         raise ParseError("expected an object", where)
     for key in ("n", "matrix"):
         if key not in obj:
             raise ParseError(f"missing key '{key}'", where)
     n = _expect_int(obj["n"], f"{where}.n")
-    m = matrix_from_obj(obj["matrix"], f"{where}.matrix")
-    if (m.rows, m.cols) != (n, n):
-        raise ParseError(f"matrix is {m.rows}x{m.cols}, expected {n}x{n}", f"{where}.matrix")
-    return m
+    where = f"{where}.matrix"
+    raw = _expect_list(obj["matrix"], where)
+    if not raw:
+        raise ParseError("matrix must have at least one row", where)
+    width = None
+    rows = {}
+    for i, entries in enumerate(raw):
+        spot = f"{where}[{i}]"
+        entries = _expect_list(entries, spot)
+        if width is None:
+            width = len(entries)
+        elif len(entries) != width:
+            raise ParseError(f"row has {len(entries)} entries, expected {width}", spot)
+        row = rows[i] = {}
+        for k, x in enumerate(entries):
+            if x != "0" and (q := parse_rational(x, f"{spot}[{k}]")):
+                row[k] = q
+    if width == 0:
+        raise ParseError("matrix rows must be nonempty", where)
+    if (len(raw), width) != (n, n):
+        raise ParseError(f"matrix is {len(raw)}x{width}, expected {n}x{n}", where)
+    return StressMatrix.from_rows(rows)
 
 
 def certificate_to_obj(cert: Certificate) -> dict:
@@ -320,5 +317,6 @@ def load_framework(path: str | Path) -> Framework:
     return framework_from_obj(read_json(path), where=str(path))
 
 
-def load_stress(path: str | Path) -> Matrix:
+def load_stress(path: str | Path) -> StressMatrix:
+    """The stress held in a JSON file (``stress_matrix_from_obj``)."""
     return stress_matrix_from_obj(read_json(path), where=str(path))

@@ -22,6 +22,7 @@ from helpers import (
 from chordalrig.certify import certify_chordal, psdize_stress
 from chordalrig.exactmat import Matrix, _sparse_factor, _sparse_rows, rank
 from chordalrig.framework import (
+    StressMatrix,
     is_general_position,
     gale_matrix,
     random_general_position_framework,
@@ -57,7 +58,7 @@ def criterion(number, capsys, budget_seconds):
 
 def test_1_psdize_reproduces_reference_factorization(capsys, hexagon):
     with criterion(1, capsys, 1.0):
-        res = psdize_stress(hexagon.fw, hexagon.stress)
+        res = psdize_stress(hexagon.fw, StressMatrix(hexagon.stress))
         assert res.eliminated == hexagon.eliminated
         assert res.gale.matrix == hexagon.gale
         assert res.stress.matrix == hexagon.psd
@@ -65,7 +66,7 @@ def test_1_psdize_reproduces_reference_factorization(capsys, hexagon):
 
 def test_2_stress_validation_reports_exact_profile(capsys, hexagon):
     with criterion(2, capsys, 1.0):
-        rep = validate_stress_matrix(hexagon.fw, hexagon.stress)
+        rep = validate_stress_matrix(hexagon.fw, StressMatrix(hexagon.stress))
         assert rep.is_stress_matrix
         assert rep.rank == 3
         assert rep.generic_rank_profile
@@ -76,7 +77,7 @@ def test_2_stress_validation_reports_exact_profile(capsys, hexagon):
         assert third == -10
         corner = [[hexagon.stress[i, j] for j in range(3)] for i in range(3)]
         assert oracles.det_cofactor(corner) == third
-        gram = validate_stress_matrix(hexagon.fw, hexagon.psd)
+        gram = validate_stress_matrix(hexagon.fw, StressMatrix(hexagon.psd))
         assert gram.is_stress_matrix and gram.psd and gram.rank == 3
 
 
@@ -110,7 +111,7 @@ def test_4_certification_property_suite(capsys):
             fw = random_general_position_framework(n, r, 10_000 + i)
             cert = certify_chordal(fw)
             assert cert.verdict is Verdict.UNIVERSALLY_RIGID, (r, n, i)
-            rep = validate_stress_matrix(fw, cert.stress.matrix)
+            rep = validate_stress_matrix(fw, cert.stress)
             assert rep.symmetric and rep.pattern_ok and rep.kernel_ok
             assert rep.psd and rep.rank == fw.rbar
 

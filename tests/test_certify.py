@@ -27,6 +27,7 @@ from chordalrig.exactmat import DimensionMismatch, Matrix, rank
 from chordalrig.framework import (
     Framework,
     GaleMatrix,
+    StressMatrix,
     extended_config_matrix,
     frameworks_congruent,
     frameworks_equivalent,
@@ -111,7 +112,7 @@ class TestCertifyChordal:
         assert cert.connectivity == 3
         assert cert.peo == mcs_order(hexagon.fw.graph)
         assert cert.counterexample is None and cert.reason is None
-        rep = validate_stress_matrix(hexagon.fw, cert.stress.matrix)
+        rep = validate_stress_matrix(hexagon.fw, cert.stress)
         assert rep.is_stress_matrix and rep.psd and rep.rank == 3
 
     def test_degenerate_points_inconclusive(self, k5_minus_edge):
@@ -329,14 +330,14 @@ def k_complete_framework(n):
 
 class TestPsdizeStress:
     def test_hexagon_frozen_pipeline(self, hexagon):
-        res = psdize_stress(hexagon.fw, hexagon.stress)
+        res = psdize_stress(hexagon.fw, StressMatrix(hexagon.stress))
         assert res.stress.matrix == hexagon.psd
         assert res.gale.matrix == hexagon.gale
         assert res.eliminated == hexagon.eliminated
         assert res.peo == Ordering.identity(6)
 
     def test_dense_views_are_built_on_first_read(self, hexagon):
-        res = psdize_stress(hexagon.fw, hexagon.stress)
+        res = psdize_stress(hexagon.fw, StressMatrix(hexagon.stress))
         assert res.stress.matrix == hexagon.psd
         assert "gale" not in vars(res) and "eliminated" not in vars(res)
         assert res.gale.matrix == hexagon.gale
@@ -344,23 +345,23 @@ class TestPsdizeStress:
         assert res.gale is res.gale and res.eliminated is res.eliminated
 
     def test_idempotent(self, hexagon):
-        first = psdize_stress(hexagon.fw, hexagon.stress)
-        second = psdize_stress(hexagon.fw, first.stress.matrix)
+        first = psdize_stress(hexagon.fw, StressMatrix(hexagon.stress))
+        second = psdize_stress(hexagon.fw, first.stress)
         assert second.stress.matrix == first.stress.matrix
 
     def test_k3_already_psd(self, k3_line):
         s = Matrix([[1, -2, 1], [-2, 4, -2], [1, -2, 1]])
-        res = psdize_stress(k3_line, s)
+        res = psdize_stress(k3_line, StressMatrix(s))
         assert res.stress.matrix == s
         assert res.gale.matrix == Matrix([[1], [-2], [1]])
 
     def test_zero_stress_rejected(self, hexagon):
         with pytest.raises(PreconditionViolated):
-            psdize_stress(hexagon.fw, Matrix.zeros(6, 6))
+            psdize_stress(hexagon.fw, StressMatrix(Matrix.zeros(6, 6)))
 
     def test_not_chordal_rejected(self, prism):
         with pytest.raises(PreconditionViolated):
-            psdize_stress(prism, Matrix.zeros(6, 6))
+            psdize_stress(prism, StressMatrix(Matrix.zeros(6, 6)))
 
     def test_first_minor_zero_detected(self):
         fw = k_complete_framework(5)
@@ -368,7 +369,7 @@ class TestPsdizeStress:
         psi = Matrix([[0, 1], [1, 0]])
         s = stress_from_psi(fw, z, psi)
         with pytest.raises(NotGenericRankProfile) as err:
-            psdize_stress(fw, s.matrix)
+            psdize_stress(fw, s)
         assert err.value.minor_index == 1
 
     def test_second_minor_zero_detected(self):
@@ -378,7 +379,7 @@ class TestPsdizeStress:
         s = stress_from_psi(fw, z, psi)
         assert rank(s.matrix) == 3
         with pytest.raises(NotGenericRankProfile) as err:
-            psdize_stress(fw, s.matrix)
+            psdize_stress(fw, s)
         assert err.value.minor_index == 2
 
     def test_rank_deficient_rejected(self, hexagon):
@@ -386,7 +387,7 @@ class TestPsdizeStress:
         low = stress_from_psi(hexagon.fw, z,
                               Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 0]]))
         with pytest.raises(PreconditionViolated):
-            psdize_stress(hexagon.fw, low.matrix)
+            psdize_stress(hexagon.fw, low)
 
     def test_output_always_psd_of_full_kernel_rank(self):
         rng = random.Random(23)
@@ -397,7 +398,7 @@ class TestPsdizeStress:
             d = Matrix([[rng.randint(1, 4) if i == j else 0
                          for j in range(fw.rbar)] for i in range(fw.rbar)])
             s = stress_from_psi(fw, z, d)
-            res = psdize_stress(fw, s.matrix)
+            res = psdize_stress(fw, s)
             ok = psd_check(res.stress.matrix)
             assert ok.is_psd and ok.rank == fw.rbar
 
@@ -440,7 +441,7 @@ class TestCertifyProperties:
             fw = random_general_position_framework(n, r, rng.randrange(10_000))
             cert = certify_chordal(fw)
             assert cert.verdict is Verdict.UNIVERSALLY_RIGID
-            rep = validate_stress_matrix(fw, cert.stress.matrix)
+            rep = validate_stress_matrix(fw, cert.stress)
             assert rep.is_stress_matrix and rep.psd
             assert rep.rank == fw.rbar
 

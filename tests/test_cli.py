@@ -1,5 +1,9 @@
+import hashlib
+import itertools
 import json
+import random
 import time
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -56,6 +60,89 @@ def files(tmp_path, hexagon, k5_minus_edge, prism, path3_line):
 
 def lines_of(result):
     return result.output.splitlines()
+
+
+def _diagonal(d):
+    return Matrix([[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))])
+
+
+def stress_command_inputs():
+    """Seeded (framework, dense stress) pairs for the stress commands, 38
+    in all: indefinite stresses Z D Z^T of generic rank profile at integer
+    and rational points in R^1..R^3, stresses of complete graphs whose first
+    or second leading minor vanishes, rank-deficient, zero and certificate
+    stresses, symmetric matrices that break the pattern or the kernel,
+    non-symmetric matrices and stresses of the wrong size."""
+    rng = random.Random("stress digests")
+    out = []
+    for k in range(12):
+        r = k % 3 + 1
+        fw = random_general_position_framework(rng.randint(r + 3, r + 8), r, rng.randrange(10**4))
+        if k % 2:  # rational points: an axis scaling keeps general position
+            axes = [rng.randint(2, 9) for _ in range(r)]
+            fw = Framework(fw.graph, r, [[F(x, a) for x, a in zip(p, axes)] for p in fw.points])
+        z = unit_triangular_gale(fw, certify._elimination_order(fw.graph)).matrix
+        d = [rng.choice((-1, 1)) * F(rng.randint(1, 9), rng.randint(1, 4))
+             for _ in range(fw.rbar)]
+        s = z * _diagonal(d) * z.transpose()
+        out.append((fw, s))
+        if k % 3 == 0:  # rank-deficient
+            d[rng.randrange(len(d))] = 0
+            out.append((fw, z * _diagonal(d) * z.transpose()))
+        if k % 4 == 1:  # non-symmetric
+            rows = s.to_lists()
+            u, w = rng.sample(range(fw.n), 2)
+            rows[u][w] += 1
+            out.append((fw, Matrix(rows)))
+        if k % 4 == 2:  # wrong size
+            out.append((fw, Matrix.zeros(fw.n + 1, fw.n + 1)))
+            out.append((fw, s.select(range(fw.n - 1), range(fw.n - 1))))
+        if k % 4 == 3:  # symmetric out of the kernel, a certificate stress, zero
+            rows = s.to_lists()
+            rows[0][0] += 1
+            out.append((fw, Matrix(rows)))
+            cert = certify_chordal(fw)
+            out.append((fw, cert.stress.matrix))
+            out.append((fw, Matrix.zeros(fw.n, fw.n)))
+    for n, psi in ((5, [[0, 1], [1, 0]]), (6, [[1, 1, 0], [1, 1, 1], [0, 1, 1]]),
+                   (6, [[2, 0, 0], [0, 0, 3], [0, 3, 1]])):
+        base = random_general_position_framework(n, 2, n)
+        fw = Framework(Graph.complete(n), 2, base.points)
+        z = unit_triangular_gale(fw, Ordering.identity(n)).matrix
+        out.append((fw, z * Matrix(psi) * z.transpose()))
+    fw = random_general_position_framework(8, 2, 5)  # symmetric, nonzero on a non-edge
+    rows = Matrix.zeros(8, 8).to_lists()
+    u, w = next(e for e in itertools.combinations(range(1, 9), 2) if not fw.graph.has_edge(*e))
+    rows[u - 1][w - 1] = rows[w - 1][u - 1] = F(1, 3)
+    out.append((fw, Matrix(rows)))
+    return out
+
+
+STRESS_COMMANDS = [["psdize"], ["psdize", "--output"], ["stress-check"],
+                   ["stress-check", "--format", "json"], ["plot"], ["plot", "--output"]]
+
+
+def stress_command_digest(runner, tmp_path):
+    """The sha256 of the stdout, the stderr, the exit code and the --output
+    bytes of every stress command on every input, and the psdize exit codes."""
+    record, codes = [], []
+    fw_path, s_path, out_path = (tmp_path / name for name in ("fw.json", "s.json", "out"))
+    for fw, s in stress_command_inputs():
+        write_json(fw_path, framework_to_obj(fw))
+        write_json(s_path, stress_to_obj(StressMatrix(s)))
+        for command, *options in STRESS_COMMANDS:
+            if out_path.exists():
+                out_path.unlink()
+            if options == ["--output"]:
+                options = ["--output", str(out_path)]
+            result = runner.invoke(main, [command, str(fw_path), "--stress", str(s_path),
+                                          *options])
+            written = out_path.read_bytes().decode() if out_path.exists() else None
+            record.append([command, *options[:1], result.exit_code, result.stdout,
+                           result.stderr.replace(str(tmp_path), "<tmp>"), written])
+            if command == "psdize":
+                codes.append(result.exit_code)
+    return hashlib.sha256(json.dumps(record).encode()).hexdigest(), codes
 
 
 class TestAnalyze:
@@ -217,6 +304,38 @@ class TestPsdize:
     def test_stress_required(self, runner, files):
         result = runner.invoke(main, ["psdize", files["hexagon"]])
         assert result.exit_code == 2
+
+
+class TestStressCommands:
+    def test_frozen_digest(self, runner, tmp_path):
+        """psdize, stress-check and plot --stress on seeded inputs, with
+        the digest recorded when stresses were parsed into a dense matrix."""
+        digest, codes = stress_command_digest(runner, tmp_path)
+        assert sorted(set(codes)) == [0, 1, 3]
+        assert digest == "3c0906be1cefb43f062819341a19428834c4d5c9eab9df0a4844f10e4664b4a6"
+
+    def test_build_no_dense_stress(self, runner, tmp_path, monkeypatch):
+        fw = random_general_position_framework(40, 2, 3)
+        z = unit_triangular_gale(fw, certify._elimination_order(fw.graph)).matrix
+        d = [(-1) ** k * (k % 5 + 1) for k in range(fw.rbar)]
+        fw_path, s_path = tmp_path / "fw.json", tmp_path / "s.json"
+        write_json(fw_path, framework_to_obj(fw))
+        write_json(s_path, stress_to_obj(StressMatrix(z * _diagonal(d) * z.transpose())))
+        shapes = []
+        init = Matrix.__init__
+
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            shapes.append((self.rows, self.cols))
+        monkeypatch.setattr(Matrix, "__init__", counted)
+        for command, *options in (["psdize", "--output", str(tmp_path / "psd.json")],
+                                  ["stress-check"], ["plot"]):
+            result = runner.invoke(main, [command, str(fw_path), "--stress", str(s_path),
+                                          *options])
+            assert result.exit_code == 0, result.stderr
+            if command == "stress-check":
+                assert "symmetric: yes" in lines_of(result) and "psd: no" in lines_of(result)
+        assert (40, 40) not in shapes
 
 
 class TestStressCheck:

@@ -31,7 +31,13 @@ from chordalrig.certify import (
     psdize_stress,
     unit_triangular_gale,
 )
-from chordalrig.exactmat import Matrix, _congruent_rows, _sparse_factor, _sparse_rows
+from chordalrig.exactmat import (
+    DimensionMismatch,
+    Matrix,
+    _congruent_rows,
+    _sparse_factor,
+    _sparse_rows,
+)
 from chordalrig.framework import (
     DegenerateSpan,
     Framework,
@@ -175,7 +181,7 @@ class TestAgainstTheFractionKernel:
 
     def test_congruent_rows_of_a_matrix(self):
         m = Matrix([[F(1, 2), F(-1, 3), 0], [F(-1, 3), 2, 0], [0, 0, 0]])
-        rows, scale = _congruent_rows(m)
+        rows, scale = _congruent_rows(_sparse_rows(m))
         assert scale == [6, 3, 1]
         assert rows == {0: {0: 18, 1: -6}, 1: {0: -6, 1: 18}, 2: {}}
 
@@ -234,7 +240,7 @@ class TestGramStress:
             z = unit_triangular_gale(fw, other)
             stress = psd_stress_from_gale(fw, z)
             assert stress.matrix == z.matrix * z.matrix.transpose()
-            assert validate_stress_matrix(fw, stress.matrix).psd
+            assert validate_stress_matrix(fw, stress).psd
         assert any(type(x) is Fraction for x in entries)
 
 
@@ -297,8 +303,54 @@ class TestLazyStress:
         assert StressMatrix.from_congruent({0: {}}, [1]) != b
         assert hash(a) == hash(b) == hash(d)
 
+    def test_a_non_square_matrix_is_rejected_when_built(self):
+        with pytest.raises(DimensionMismatch, match="2x3"):
+            StressMatrix(Matrix([[1, 2, 3], [4, 5, 6]]))
+
+    def test_equal_stresses_hash_alike(self, hexagon, tmp_path):
+        """a == b implies hash(a) == hash(b) across every route a stress is
+        built by: from a dense matrix, from congruent rows under two
+        different C, with stored zeros, and loaded from a file."""
+        rng = random.Random(8)
+        stresses = [hexagon.stress * F(1, 6), hexagon.psd]
+        for r in (1, 2, 3):
+            fw = rational_framework(rng, rng.randint(r + 3, r + 8), r)
+            stresses.append(certify_chordal(fw).stress.matrix)
+        path = tmp_path / "s.json"
+        for dense in stresses:
+            rows = dense.to_lists()
+            first, second = scaled(rows, rng), scaled(rows, rng)
+            padded = {u: {**{w: 0 for w in range(len(rows))}, **row}
+                      for u, row in first[0].items()}
+            jsonio.write_json(path, jsonio.stress_to_obj(StressMatrix(dense)))
+            routes = [StressMatrix(dense), StressMatrix.from_congruent(*first),
+                      StressMatrix.from_congruent(*second),
+                      StressMatrix.from_congruent(padded, first[1]), jsonio.load_stress(path)]
+            for a in routes:
+                for b in routes:
+                    assert a == b and hash(a) == hash(b)
+            assert StressMatrix(dense * 2) != routes[1]
+
+    def test_hash_builds_no_dense_matrix(self, monkeypatch):
+        rng = random.Random(300)
+        g = gen_ktree(300, 3, 1)
+        fw = Framework(g, 2, [(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
+                              for _ in range(g.n)])
+        cert = certify_chordal(fw)
+        assert cert.verdict is Verdict.UNIVERSALLY_RIGID
+        shapes = []
+        init = Matrix.__init__
+
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            shapes.append((self.rows, self.cols))
+        monkeypatch.setattr(Matrix, "__init__", counted)
+        assert hash(cert.stress) == hash(cert.stress)
+        assert cert.stress == StressMatrix.from_congruent(*cert.stress.congruent)
+        assert shapes == []
+
     def test_psdize_reads_the_unit_columns_in_the_input_scale(self, hexagon):
-        res = psdize_stress(hexagon.fw, hexagon.stress * F(1, 6))
+        res = psdize_stress(hexagon.fw, StressMatrix(hexagon.stress * F(1, 6)))
         assert res.stress.matrix == hexagon.psd
         assert res.eliminated == hexagon.eliminated
         assert res.gale.matrix == hexagon.gale

@@ -357,7 +357,7 @@ class TestOmegaFromStressClauses:
             with pytest.raises(InvalidStressMatrix) as info:
                 omega_from_stress(hexagon.fw, StressMatrix(m))
             assert str(info.value) == f"not a stress matrix: {failed}"
-            assert validate_stress_matrix(hexagon.fw, m).failures() == failed
+            assert validate_stress_matrix(hexagon.fw, StressMatrix(m)).failures() == failed
 
     def test_wrong_size_rejected(self, hexagon):
         with pytest.raises(DimensionMismatch, match="stress must be 6x6, got 5x5"):
@@ -366,7 +366,7 @@ class TestOmegaFromStressClauses:
 
 class TestValidateStress:
     def test_hexagon_indefinite(self, hexagon):
-        rep = validate_stress_matrix(hexagon.fw, hexagon.stress)
+        rep = validate_stress_matrix(hexagon.fw, StressMatrix(hexagon.stress))
         assert rep.symmetric and rep.pattern_ok and rep.kernel_ok
         assert rep.rank == 3 and rep.generic_rank_profile
         assert not rep.psd
@@ -374,23 +374,23 @@ class TestValidateStress:
         assert rep.failures() == []
 
     def test_hexagon_psd(self, hexagon):
-        rep = validate_stress_matrix(hexagon.fw, hexagon.psd)
+        rep = validate_stress_matrix(hexagon.fw, StressMatrix(hexagon.psd))
         assert rep.is_stress_matrix and rep.psd and rep.rank == 3
 
     def test_zero_matrix(self, hexagon):
-        rep = validate_stress_matrix(hexagon.fw, Matrix.zeros(6, 6))
+        rep = validate_stress_matrix(hexagon.fw, StressMatrix(Matrix.zeros(6, 6)))
         assert rep.is_stress_matrix and rep.psd and rep.rank == 0
 
     def test_no_short_circuit(self, hexagon):
         asym = Matrix([[1 if (i, j) == (0, 1) else 0
                         for j in range(6)] for i in range(6)])
-        rep = validate_stress_matrix(hexagon.fw, asym)
+        rep = validate_stress_matrix(hexagon.fw, StressMatrix(asym))
         assert not rep.symmetric and not rep.is_stress_matrix
         assert "not symmetric" in rep.failures()
 
     def test_size_checked(self, hexagon):
         with pytest.raises(DimensionMismatch):
-            validate_stress_matrix(hexagon.fw, Matrix.zeros(5, 5))
+            validate_stress_matrix(hexagon.fw, StressMatrix(Matrix.zeros(5, 5)))
 
     def test_kernel_holds_for_random_equilibrium_stresses(self, hexagon):
         rng = random.Random(2)
@@ -399,7 +399,7 @@ class TestValidateStress:
             psi = Matrix([[rng.randint(-5, 5) if i == j else 0 for j in range(3)]
                           for i in range(3)])
             s = stress_from_psi(hexagon.fw, z, psi)
-            rep = validate_stress_matrix(hexagon.fw, s.matrix)
+            rep = validate_stress_matrix(hexagon.fw, s)
             assert rep.kernel_ok and rep.is_stress_matrix
 
 
@@ -455,7 +455,7 @@ class TestStressProfileAgainstOracle:
         symmetric = all(rows[i][j] == rows[j][i] for i in range(n) for j in range(n))
         rk, grp = oracles.rank_and_generic_profile(rows)
         psd = symmetric and oracles.principal_minors_nonneg(rows)
-        rep = validate_stress_matrix(_line_framework(n), m)
+        rep = validate_stress_matrix(_line_framework(n), StressMatrix(m))
         assert (rep.rank, rep.generic_rank_profile, rep.psd) == (rk, symmetric and grp, psd)
         if symmetric:
             result = _sparse_factor(_sparse_rows(m), range(n))

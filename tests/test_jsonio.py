@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction
 
@@ -21,7 +22,6 @@ from chordalrig.jsonio import (
     graph_to_obj,
     load_framework,
     load_stress,
-    matrix_from_obj,
     matrix_to_lists,
     parse_rational,
     rational_str,
@@ -211,31 +211,32 @@ class TestFrameworkObj:
 
 class TestMatrixObj:
     def test_round_trip(self, hexagon):
-        lists = matrix_to_lists(hexagon.gale)
-        assert matrix_from_obj(lists) == hexagon.gale
+        lists = matrix_to_lists(hexagon.stress)
+        assert stress_matrix_from_obj({"n": 6, "matrix": lists}) == StressMatrix(hexagon.stress)
         assert all(isinstance(x, str) for row in lists for x in row)
 
     def test_bare_ints_accepted(self):
-        assert matrix_from_obj([[1, 2], [3, 4]]) == Matrix([[1, 2], [3, 4]])
+        assert stress_matrix_from_obj({"n": 2, "matrix": [[1, 2], [3, 4]]}) \
+            == StressMatrix(Matrix([[1, 2], [3, 4]]))
 
     def test_ragged_rejected(self):
         with pytest.raises(ParseError, match=r"matrix\[1\]"):
-            matrix_from_obj([[1, 2], [3]])
+            stress_matrix_from_obj({"n": 2, "matrix": [[1, 2], [3]]})
 
     def test_empty_rejected(self):
         with pytest.raises(ParseError):
-            matrix_from_obj([])
+            stress_matrix_from_obj({"n": 0, "matrix": []})
 
     def test_non_list_rejected(self):
         with pytest.raises(ParseError):
-            matrix_from_obj("nope")
+            stress_matrix_from_obj({"n": 1, "matrix": "nope"})
 
 
 class TestStressObj:
     def test_round_trip(self, hexagon):
         obj = stress_to_obj(StressMatrix(hexagon.stress))
         assert obj["n"] == 6
-        assert stress_matrix_from_obj(obj) == hexagon.stress
+        assert stress_matrix_from_obj(obj) == StressMatrix(hexagon.stress)
 
     def test_size_mismatch(self):
         with pytest.raises(ParseError, match="2x2"):
@@ -244,6 +245,91 @@ class TestStressObj:
     def test_missing_matrix(self):
         with pytest.raises(ParseError, match="matrix"):
             stress_matrix_from_obj({"n": 2})
+
+
+def seeded_stress_objects():
+    """Stress objects of n = 1..30 whose entries mix denominators, bare
+    ints and every spelling of zero."""
+    rng = random.Random("sparse parse")
+    zeros = [0, "0", "0/7", "-0", "+0", "-0/3"]
+    for n in range(1, 31):
+        def entry():
+            if rng.random() < 0.5:
+                return rng.choice(zeros)
+            q = F(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 7, 12, 35)))
+            return int(q) if q.denominator == 1 and rng.random() < 0.3 else str(q)
+        yield {"n": n, "matrix": [[entry() for _ in range(n)] for _ in range(n)]}
+
+
+# Malformed stress objects and the message each raised when stresses were
+# parsed into a dense matrix first; the sparse parse keeps them byte for byte.
+MALFORMED_STRESSES = [
+    ([], "stress: expected an object"),
+    ({"matrix": [[0]]}, "stress: missing key 'n'"),
+    ({"n": 1}, "stress: missing key 'matrix'"),
+    ({"n": "2", "matrix": [[0, 0], [0, 0]]}, "stress.n: expected an integer, got str"),
+    ({"n": True, "matrix": [[0]]}, "stress.n: expected an integer, got bool"),
+    ({"n": 3, "matrix": [[0, 0], [0, 0]]}, "stress.matrix: matrix is 2x2, expected 3x3"),
+    ({"n": -1, "matrix": [[0]]}, "stress.matrix: matrix is 1x1, expected -1x-1"),
+    ({"n": 2, "matrix": [["0", "0"], ["0", "0"], ["0", "0"]]},
+     "stress.matrix: matrix is 3x2, expected 2x2"),
+    ({"n": 2, "matrix": [["0", "0", "0"], ["0", "0", "0"]]},
+     "stress.matrix: matrix is 2x3, expected 2x2"),
+    ({"n": 1, "matrix": "nope"}, "stress.matrix: expected a list, got str"),
+    ({"n": 1, "matrix": {"a": 1}}, "stress.matrix: expected a list, got dict"),
+    ({"n": 0, "matrix": []}, "stress.matrix: matrix must have at least one row"),
+    ({"n": 2, "matrix": [[], []]}, "stress.matrix: matrix rows must be nonempty"),
+    ({"n": 2, "matrix": [["1"], "x"]}, "stress.matrix[1]: expected a list, got str"),
+    ({"n": 1, "matrix": [5]}, "stress.matrix[0]: expected a list, got int"),
+    ({"n": 2, "matrix": [["1", "2"], ["3"]]}, "stress.matrix[1]: row has 1 entries, expected 2"),
+    ({"n": 2, "matrix": [["1"], ["2", "3"]]}, "stress.matrix[1]: row has 2 entries, expected 1"),
+    ({"n": 1, "matrix": [[False]]}, "stress.matrix[0][0]: expected a rational, got a boolean"),
+    ({"n": 2, "matrix": [["1", False], ["0", "0"]]},
+     "stress.matrix[0][1]: expected a rational, got a boolean"),
+    ({"n": 1, "matrix": [[0.0]]},
+     "stress.matrix[0][0]: floating-point numbers are not accepted; use a string"),
+    ({"n": 2, "matrix": [["0", "0"], ["0", 0.0]]},
+     "stress.matrix[1][1]: floating-point numbers are not accepted; use a string"),
+    ({"n": 1, "matrix": [["5\n"]]}, "stress.matrix[0][0]: malformed rational '5\\n'"),
+    # a bad entry in row 0 is reported ahead of a ragged row 1
+    ({"n": 2, "matrix": [["1", "x"], ["2"]]}, "stress.matrix[0][1]: malformed rational 'x'"),
+    ({"n": 2, "matrix": [["0", False], ["2"]]},
+     "stress.matrix[0][1]: expected a rational, got a boolean"),
+    ({"n": 3, "matrix": [["1", "2"], ["3"], ["x", "y"]]},
+     "stress.matrix[1]: row has 1 entries, expected 2"),
+    ({"n": 3, "matrix": [["x"], [], ["y"]]}, "stress.matrix[0][0]: malformed rational 'x'"),
+    ({"n": 2, "matrix": [["0", "0"], ["0", "1/0"]]},
+     "stress.matrix[1][1]: malformed rational '1/0'"),
+    ({"n": 1, "matrix": [[None]]}, "stress.matrix[0][0]: expected a rational, got NoneType"),
+    ({"n": 1, "matrix": [[[1]]]}, "stress.matrix[0][0]: expected a rational, got list"),
+    ({"n": 1, "matrix": [["7" * 4400]]},
+     "stress.matrix[0][0]: rational too long to parse (4400 characters)"),
+    ({"n": 1, "matrix": [["0 "]]}, "stress.matrix[0][0]: malformed rational '0 '"),
+    ({"n": 1, "matrix": [["1/-2"]]}, "stress.matrix[0][0]: malformed rational '1/-2'"),
+    ({"n": 1, "matrix": [["\u0663"]]}, "stress.matrix[0][0]: malformed rational '\u0663'"),
+    ({"n": 1, "matrix": [["1.5"]]}, "stress.matrix[0][0]: malformed rational '1.5'"),
+]
+
+
+class TestSparseStressParse:
+    @pytest.mark.parametrize("obj", list(seeded_stress_objects()), ids=lambda o: str(o["n"]))
+    def test_equals_the_dense_parse(self, obj):
+        dense = Matrix([[F(x) for x in row] for row in obj["matrix"]])
+        got = stress_matrix_from_obj(obj)
+        want = StressMatrix(dense)
+        assert got == want and got.matrix == dense
+        assert got.nonzero_rows() == want.nonzero_rows()
+        assert got.congruent == want.congruent
+
+    @pytest.mark.parametrize("obj, message", MALFORMED_STRESSES,
+                             ids=range(len(MALFORMED_STRESSES)))
+    def test_parse_error_messages(self, obj, message):
+        with pytest.raises(ParseError) as err:
+            stress_matrix_from_obj(obj)
+        assert str(err.value) == message
+        with pytest.raises(ParseError) as err:
+            stress_matrix_from_obj(obj, where="s.json")
+        assert str(err.value) == "s.json" + message.removeprefix("stress")
 
 
 CERT_KEYS = {"verdict", "connectivity", "peo", "stress", "counterexample", "reason"}
@@ -290,7 +376,7 @@ class TestFiles:
     def test_stress_file_round_trip(self, tmp_path, hexagon):
         path = tmp_path / "s.json"
         write_json(path, stress_to_obj(StressMatrix(hexagon.psd)))
-        assert load_stress(path) == hexagon.psd
+        assert load_stress(path) == StressMatrix(hexagon.psd)
 
     def test_invalid_json_located(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -52,6 +52,7 @@ from chordalrig.framework import (
     Framework,
     GaleMatrix,
     PatternViolation,
+    StressMatrix,
     _first_non_edge,
     gale_matrix,
     is_general_position,
@@ -411,7 +412,7 @@ class TestGramSelfCheck:
         assert (result.rank, result.psd, result.first_zero) == (2, False, 1)
         assert result.columns == []
         with pytest.raises(PreconditionViolated, match="stress rank 2 differs"):
-            psdize_stress(fw, s)
+            psdize_stress(fw, StressMatrix(s))
 
     @pytest.mark.parametrize("change, failure", [
         ((0, 1, 1), "not symmetric"),
@@ -425,7 +426,7 @@ class TestGramSelfCheck:
         if failure != "not symmetric":
             rows[j][i] = rows[i][j]
         with pytest.raises(PreconditionViolated, match=failure):
-            psdize_stress(hexagon.fw, Matrix(rows))
+            psdize_stress(hexagon.fw, StressMatrix(Matrix(rows)))
 
 
 def dense_gram(columns, n):
@@ -482,7 +483,7 @@ class TestGramSum:
         for rng, fw, peo, z in _psdize_inputs(11, 24):
             s = stress_from_psi(fw, z, _diagonal(_weights(rng, fw.rbar))).matrix
             try:
-                res = psdize_stress(fw, s)
+                res = psdize_stress(fw, StressMatrix(s))
             except NotGenericRankProfile:
                 continue
             expected = dense_gram(res.columns, fw.n)
@@ -543,7 +544,7 @@ class TestNonEdgeClause:
             s = z.matrix * psi * z.matrix.transpose()
             bad = sorted(pair for pair in hexagon.non_edges
                          if s[pair[0] - 1, pair[1] - 1] != 0)
-            assert validate_stress_matrix(hexagon.fw, s).pattern_ok == (not bad)
+            assert validate_stress_matrix(hexagon.fw, StressMatrix(s)).pattern_ok == (not bad)
             if bad:
                 with pytest.raises(PatternViolation) as err:
                     stress_from_psi(hexagon.fw, z, psi)
@@ -623,7 +624,7 @@ class TestPsdizeFactor:
         for rng, fw, peo, z in _psdize_inputs(7, 36):
             s = stress_from_psi(fw, z, _diagonal(_weights(rng, fw.rbar))).matrix
             try:
-                res = psdize_stress(fw, s)
+                res = psdize_stress(fw, StressMatrix(s))
             except NotGenericRankProfile:
                 seen.add("not generic")
                 continue
@@ -668,7 +669,7 @@ class TestPsdizeFactor:
             first = next(k for k in range(1, fw.rbar + 1)
                          if oracles.det_cofactor([row[:k] for row in permuted[:k]]) == 0)
             with pytest.raises(NotGenericRankProfile) as err:
-                psdize_stress(fw, s)
+                psdize_stress(fw, StressMatrix(s))
             assert err.value.minor_index == first
             seen.add((fw.dim, first))
         assert {(r, k) for r in (1, 2, 3) for k in (1, 2, 3)} <= seen
@@ -703,7 +704,7 @@ class TestPsdizeFactor:
                 monkeypatch.setattr(module, name, forbidden, raising=False)
         start = time.perf_counter()
         with pytest.raises(NotGenericRankProfile) as err:
-            psdize_stress(fw, s)
+            psdize_stress(fw, StressMatrix(s))
         assert time.perf_counter() - start < 0.5
         assert err.value.minor_index == 1
 
@@ -736,13 +737,13 @@ class TestPsdizeFactor:
         for fw, s in inputs:
             passes.clear()
             try:
-                psdize_stress(fw, s)
+                psdize_stress(fw, StressMatrix(s))
                 expected = 2  # the input's pass, then the output's self-check
             except NotGenericRankProfile:
                 expected = 1
             assert len(passes) == expected and ranks == []
-            assert passes[0] == _congruent_rows(s)
+            assert passes[0] == _congruent_rows(_sparse_rows(s))
         passes.clear()
         with pytest.raises(PreconditionViolated, match="stress rank 2 differs"):
-            psdize_stress(k6, low)
-        assert passes == [_congruent_rows(low)] and ranks == []
+            psdize_stress(k6, StressMatrix(low))
+        assert passes == [_congruent_rows(_sparse_rows(low))] and ranks == []

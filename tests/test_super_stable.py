@@ -27,7 +27,6 @@ from chordalrig.exactmat import Matrix
 from chordalrig.framework import (
     DegenerateSpan,
     Framework,
-    StressMatrix,
     is_general_position,
     random_general_position_framework,
     stress_from_psi,
@@ -194,7 +193,7 @@ class TestNotInGeneralPosition:
                 continue
             assert cert.verdict is Verdict.UNIVERSALLY_RIGID
             s = cert.stress.matrix
-            rep = validate_stress_matrix(fw, s)
+            rep = validate_stress_matrix(fw, cert.stress)
             assert rep.is_stress_matrix and rep.psd and rep.rank == fw.rbar
             assert oracles.rank_and_generic_profile(s.to_lists()) == (
                 fw.rbar, rep.generic_rank_profile)
@@ -268,7 +267,7 @@ class TestPsdizeWithoutGeneralPosition:
             d[0], d[-1] = abs(d[0]), -abs(d[-1])
             s = stress_from_psi(fw, z, Matrix([[d[i] if i == j else 0 for j in range(fw.rbar)]
                                                for i in range(fw.rbar)]))
-            assert not validate_stress_matrix(fw, s.matrix).psd
+            assert not validate_stress_matrix(fw, s).psd
             paths = [tmp_path / f"{name}.json" for name in ("fw", "s", "out")]
             write_json(paths[0], framework_to_obj(fw))
             write_json(paths[1], stress_to_obj(s))
@@ -279,6 +278,6 @@ class TestPsdizeWithoutGeneralPosition:
             out = load_stress(paths[2])
             rep = validate_stress_matrix(fw, out)
             assert rep.is_stress_matrix and rep.psd and rep.rank == fw.rbar
-            assert json.loads(paths[2].read_text()) == stress_to_obj(StressMatrix(out))
+            assert json.loads(paths[2].read_text()) == stress_to_obj(out)
             done += 1
         assert seed < 90
