@@ -16,18 +16,18 @@ divides only exactly; the same one pass gives ``psdize_stress`` its
 input's rank, first vanishing leading minor and Gale factor, with no dense
 elimination on any input. Its result keeps the factor's sparse columns and
 builds the dense Gale and eliminated matrices only when they are first
-read. The negative branch
-extracts a small separating set from the ordering and reflects one side of
-it across a hyperplane, producing a framework with the same edge lengths
-that is provably not congruent.
+read. The negative branch extracts a small separating set from the
+ordering and reflects one side of it across a hyperplane, producing a
+framework with the same edge lengths that is provably not congruent.
 
 The paper proves the dichotomy for points in general position, but each
 piece of evidence is checked on its own: a PSD stress of maximal rank with
 edge directions on no conic at infinity proves universal rigidity
 (Connelly's super stability), and a re-checked reflection disproves global
 rigidity. So ``certify_chordal`` sweeps for general position only when the
-evidence fails, to name the failed hypothesis, and ``psdize_stress`` never
-does.
+evidence fails, to name the failed hypothesis. ``unit_triangular_gale``
+never sweeps, since each Gale column checks its own later neighbours, and
+nor does ``psdize_stress``, whose Gram stress is re-checked in full.
 """
 
 from __future__ import annotations
@@ -102,7 +102,13 @@ class AssertionFailure(CertifyError):
 class DegenerateEvidence(AssertionFailure):
     """A step that general position guarantees has failed: a Gale column
     found no affinely independent support, or the reflected configuration
-    does not span. It is a bug only once general position is known."""
+    does not span. It is a bug only once general position is known.
+    ``witness``, when set, holds dim+1 affinely dependent vertices, sorted
+    and 1-based."""
+
+    def __init__(self, message: str, witness: tuple[int, ...] | None = None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class Infeasible(CertifyError):
@@ -177,45 +183,35 @@ def _gale_matrix(columns: GaleColumns, n: int) -> GaleMatrix:
         [[col.get(v, Fraction(0)) for v in range(n)] for col in columns], rows=n))
 
 
-def _check_gale_preconditions(fw: Framework, peo: Ordering, cap: int | None
-                              ) -> list[list[int]]:
-    """Raise PreconditionViolated unless ``unit_triangular_gale`` applies;
-    returns the later-neighbour lists that the connectivity was read from."""
+def unit_triangular_gale(fw: Framework, peo: Ordering) -> GaleMatrix:
+    """Gale matrix in unit-triangular shape, built column by column along a
+    perfect elimination ordering; rows are in the original vertex labels.
+
+    The framework must not be a simplex. General position is never swept:
+    each column checks its own later neighbours (``_gale_columns``). Fewer
+    than dim+1 of them, which along a PEO means connectivity below dim+1,
+    raises PreconditionViolated, and so do later neighbours no dim+1 of
+    which are affinely independent, with the first dim+1 as the witness.
+    """
     ok, _ = is_peo(fw.graph, peo)
     if not ok:
         raise PreconditionViolated("ordering is not a perfect elimination ordering")
     if fw.rbar < 1:
         raise PreconditionViolated("simplex framework: the Gale space is trivial")
-    gp, witness = is_general_position(fw, cap=cap)
-    if not gp:
-        raise PreconditionViolated(f"points not in general position, witness {witness}")
-    later = _later_neighbors(fw.graph, peo)
-    kappa = _connectivity(later)
-    if kappa < fw.dim + 1:
+    try:
+        columns = _gale_columns(fw, peo)
+    except DegenerateEvidence as exc:
         raise PreconditionViolated(
-            f"connectivity {kappa} is below the required {fw.dim + 1}")
-    return later
-
-
-def unit_triangular_gale(fw: Framework, peo: Ordering, cap: int | None = None) -> GaleMatrix:
-    """Gale matrix in unit-triangular shape, built column by column.
-
-    Requires a chordal framework in general position with connectivity at
-    least dim+1. Column j expresses the lifted point of the vertex in
-    position j as a combination of its dim+1 lowest-positioned later
-    neighbors; general position makes each system uniquely solvable.
-    Rows are in the original vertex labels.
-    """
-    later = _check_gale_preconditions(fw, peo, cap)
-    return _gale_matrix(_gale_columns(fw, peo, later), fw.n)
+            f"points not in general position, witness {exc.witness}") from exc
+    return _gale_matrix(columns, fw.n)
 
 
 def _gale_columns(fw: Framework, peo: Ordering,
                   later: Sequence[Sequence[int]] | None = None) -> GaleColumns:
     """The columns of ``unit_triangular_gale`` as {0-based vertex: entry},
-    without its precondition checks, for callers that have established them.
-    ``later`` holds the later-neighbour lists of ``peo``
-    (``graphs._later_neighbors``); they are built when it is None.
+    for a PEO of a framework that is not a simplex. ``later`` holds the
+    later-neighbour lists of ``peo`` (``graphs._later_neighbors``); they are
+    built when it is None.
 
     Column j is 1 at the vertex v in position j and x_k at dim+1 of its
     later neighbours u_k, where sum_k x_k (u_k, 1) = -(v, 1). The
@@ -228,12 +224,15 @@ def _gale_columns(fw: Framework, peo: Ordering,
     is Cramer's rule. A dependent row or y_v = 0 means the L_{u_k} are
     dependent.
 
-    The support is first the dim+1 earliest later neighbours, which in
-    general position are affinely independent. Only when they are not, one
-    greedy pass over all the later neighbours in position order keeps the
-    first dim+1 that are (``_independent_support``); if there are none,
-    DegenerateEvidence is raised. Each column is checked to lie in the Gale
-    space and to keep the triangular shape before it is returned.
+    A position with fewer than dim+1 later neighbours raises
+    PreconditionViolated. The support is first the dim+1 earliest later
+    neighbours, which in general position are affinely independent. Only
+    when they are not, one greedy pass over all the later neighbours in
+    position order keeps the first dim+1 that are
+    (``_independent_support``); if there are none, every dim+1 of them are
+    dependent, and DegenerateEvidence names the first dim+1. Each column is
+    checked to lie in the Gale space and to keep the triangular shape
+    before it is returned.
     """
     r = fw.dim
     lifted = fw._lifted
@@ -252,8 +251,10 @@ def _gale_columns(fw: Framework, peo: Ordering,
             support = _independent_support(lifted, nbrs, r + 1)
             y = None if support is None else _kernel_vector(lifted, v - 1, support)
             if y is None:
+                witness = tuple(sorted(u + 1 for u in nbrs[:r + 1]))
                 raise DegenerateEvidence(
-                    f"support of column {j} is degenerate despite general position")
+                    f"support of column {j} is degenerate: no {r + 1} of its "
+                    f"later neighbours are affinely independent", witness)
         scale = lifted[v - 1][-1] * y[0]
         col = {v - 1: Fraction(1)}
         for u, x in zip(support, y[1:]):

@@ -6,8 +6,8 @@ mathematical hypothesis failed (for example a vanishing leading minor),
 3 for malformed input files, 4 when a subset sweep
 would exceed its size cap (raise it with --cap-subsets) or an input graph
 or framework has more vertices than ``jsonio.MAX_VERTICES``. ``certify``
-sweeps only when its evidence fails, so it exits 4 only then; ``psdize``
-never sweeps.
+sweeps only when its evidence fails, so it exits 4 only then; ``gale`` and
+``psdize`` never sweep.
 """
 
 from __future__ import annotations
@@ -262,8 +262,6 @@ def gale(framework_file, triangular, output):
             z = unit_triangular_gale(fw, _elimination_order(fw.graph))
         else:
             z = gale_matrix(fw)
-    except SizeCapExceededError as exc:
-        _limit_error(exc)
     except (CertifyError, FrameworkError, GraphError, ExactMatError) as exc:
         _hypothesis_error(exc)
     _emit(matrix_to_lists(z.matrix), output)
@@ -283,6 +281,8 @@ def reflect(framework_file, cut_spec, output):
                 cut = frozenset(int(tok.strip()) for tok in cut_spec.split(","))
             except ValueError:
                 raise click.UsageError(f"malformed --cut {cut_spec!r}")
+            if not all(1 <= v <= fw.n for v in cut):
+                raise click.UsageError(f"--cut {cut_spec!r} names a vertex outside 1..{fw.n}")
         else:
             chord = is_chordal(fw.graph)
             if not chord.chordal:

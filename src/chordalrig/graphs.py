@@ -244,8 +244,11 @@ def find_chordless_cycle(g: Graph) -> tuple[int, ...] | None:
 
     For each vertex v with nonadjacent neighbors a, b, a shortest a-b path
     avoiding the rest of N[v] closes into a cycle whose only chords could
-    shortcut the path, which shortestness rules out. The result is rotated
-    to start at its smallest vertex, oriented toward the smaller neighbor.
+    shortcut the path, which shortestness rules out. The cycle (v, a, ...,
+    b) starts at its smallest vertex, oriented toward the smaller neighbor:
+    a smaller vertex u on it has nonadjacent cycle neighbours joined by the
+    rest of the cycle, which avoids the rest of N[u], so the search would
+    have returned at u; and the pairs are taken with a < b.
     """
     for v in range(1, g.n + 1):
         nbrs = sorted(g.neighbors(v))
@@ -256,12 +259,7 @@ def find_chordless_cycle(g: Graph) -> tuple[int, ...] | None:
             path = _bfs_path(g, a, b, blocked)
             if path is None:
                 continue
-            cycle = [v] + path
-            k = cycle.index(min(cycle))
-            cycle = cycle[k:] + cycle[:k]
-            if cycle[-1] < cycle[1]:
-                cycle = [cycle[0]] + cycle[:0:-1]
-            return tuple(cycle)
+            return (v, *path)
     return None
 
 

@@ -9,6 +9,7 @@ import helpers
 import oracles
 from helpers import elimination_preserves_zero_pattern, psd_check, relabel_to_positions
 from chordalrig.certify import (
+    DegenerateEvidence,
     Hyperplane,
     Infeasible,
     NotACut,
@@ -28,6 +29,7 @@ from chordalrig.framework import (
     Framework,
     GaleMatrix,
     StressMatrix,
+    affinely_independent,
     extended_config_matrix,
     frameworks_congruent,
     frameworks_equivalent,
@@ -77,6 +79,27 @@ class TestUnitTriangularGale:
         peo = is_chordal(k5_minus_edge.graph).peo
         with pytest.raises(PreconditionViolated):
             unit_triangular_gale(k5_minus_edge, peo)
+
+    def test_degenerate_witness_comes_from_a_column(self, k5_minus_edge):
+        """No general-position sweep: the witness is the first three later
+        neighbours of the column that has no independent support."""
+        peo = is_chordal(k5_minus_edge.graph).peo
+        with pytest.raises(PreconditionViolated,
+                           match=r"^points not in general position, witness \(2, 4, 5\)$") as err:
+            unit_triangular_gale(k5_minus_edge, peo)
+        assert isinstance(err.value.__cause__, DegenerateEvidence)
+        assert not affinely_independent([k5_minus_edge.point(v) for v in (2, 4, 5)])
+
+    def test_non_peo_rejected(self, path3_line):
+        with pytest.raises(PreconditionViolated,
+                           match="^ordering is not a perfect elimination ordering$"):
+            unit_triangular_gale(path3_line, Ordering([2, 1, 3]))
+
+    def test_simplex_rejected(self):
+        fw = Framework(Graph.complete(3), 2, [(0, 0), (1, 0), (0, 1)])
+        with pytest.raises(PreconditionViolated,
+                           match="^simplex framework: the Gale space is trivial$"):
+            unit_triangular_gale(fw, Ordering.identity(3))
 
     def test_column_supports_are_cliques(self):
         rng = random.Random(7)
@@ -362,6 +385,12 @@ class TestPsdizeStress:
     def test_not_chordal_rejected(self, prism):
         with pytest.raises(PreconditionViolated):
             psdize_stress(prism, StressMatrix(Matrix.zeros(6, 6)))
+
+    def test_simplex_rejected(self):
+        fw = Framework(Graph.complete(3), 2, [(0, 0), (1, 0), (0, 1)])
+        with pytest.raises(PreconditionViolated,
+                           match="^simplex framework: no nonzero stress exists$"):
+            psdize_stress(fw, StressMatrix(Matrix.zeros(3, 3)))
 
     def test_first_minor_zero_detected(self):
         fw = k_complete_framework(5)

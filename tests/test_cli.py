@@ -16,12 +16,13 @@ from chordalrig.exactmat import Matrix
 from chordalrig.framework import (
     Framework,
     StressMatrix,
+    extended_config_matrix,
     gale_matrix,
     is_general_position,
     random_general_position_framework,
     stress_from_psi,
 )
-from chordalrig.graphs import Graph, Ordering
+from chordalrig.graphs import Graph, Ordering, gen_ktree
 from chordalrig.jsonio import (
     MAX_VERTICES,
     framework_to_obj,
@@ -401,6 +402,22 @@ class TestReflect:
         assert result.exit_code == 1
         assert "no separating set" in result.stderr
 
+    @pytest.mark.parametrize("cut", ["99", "0", "2,4"])
+    def test_cut_vertex_out_of_range_is_a_usage_error(self, runner, files, cut):
+        result = runner.invoke(main, ["reflect", files["path3"], "--cut", cut])
+        assert result.exit_code == 2
+        assert f"--cut '{cut}' names a vertex outside 1..3" in result.stderr
+
+    def test_non_separating_cut(self, runner, files):
+        result = runner.invoke(main, ["reflect", files["path3"], "--cut", "1"])
+        assert result.exit_code == 1
+        assert "error: removing [1] leaves the graph connected" in result.stderr
+
+    def test_default_cut_needs_chordal(self, runner, files):
+        result = runner.invoke(main, ["reflect", files["prism"]])
+        assert result.exit_code == 1
+        assert "error: graph is not chordal; supply --cut explicitly" in result.stderr
+
 
 class TestChordal:
     def test_graph_file(self, runner, files):
@@ -416,6 +433,18 @@ class TestChordal:
         out = lines_of(result)
         assert "chordal: yes" in out
         assert "peo: 1 2 5 4 3 6" in out
+
+    def test_missing_file(self, runner, tmp_path):
+        result = runner.invoke(main, ["chordal", str(tmp_path / "absent.json")])
+        assert result.exit_code == 3
+        assert result.stderr.startswith("error: ") and "absent.json" in result.stderr
+
+    def test_malformed_file(self, runner, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n": 3,\n"edges": [[1, 2]\n')
+        result = runner.invoke(main, ["chordal", str(bad)])
+        assert result.exit_code == 3
+        assert result.stderr.startswith(f"error: {bad}:")
 
 
 class TestGen:
@@ -504,6 +533,21 @@ class TestErrorHandling:
         result = runner.invoke(main, ["certify", str(bad)])
         assert result.exit_code == 3
         assert "edges[0]" in result.stderr
+
+    @pytest.mark.parametrize("command, obj, message", [
+        ("chordal", {"n": 0, "edges": []}, ".n: vertex count must be positive"),
+        ("certify", [["0", "0"]], ": expected an object"),
+        ("certify", {"dim": 0, "points": [["0"]], "edges": []},
+         ".dim: dimension must be positive"),
+        ("certify", {"dim": 2, "points": [], "edges": []},
+         ".points: at least one point required"),
+    ], ids=["n", "framework-not-an-object", "dim", "no-points"])
+    def test_rejected_field_is_malformed_input(self, runner, tmp_path, command, obj, message):
+        bad = tmp_path / "bad.json"
+        write_json(bad, obj)
+        result = runner.invoke(main, [command, str(bad)])
+        assert result.exit_code == 3
+        assert result.stderr == f"error: {bad}{message}\n"
 
     def test_no_arguments(self, runner):
         assert runner.invoke(main, []).exit_code == 2
@@ -649,15 +693,31 @@ class TestSubsetCap:
         write_json(stress, stress_to_obj(StressMatrix(Matrix.zeros(120, 120))))
         return (*paths, str(stress))
 
-    @pytest.mark.parametrize("command", ["analyze", "certify", "gale"])
+    @pytest.mark.parametrize("command", ["analyze", "certify"])
     def test_default_cap_exits_with_limit_code(self, runner, long_path, command):
         fw_path, repeat_path, _ = long_path
         args = [command, repeat_path if command == "certify" else fw_path]
-        if command == "gale":
-            args.append("--triangular")
         result = runner.invoke(main, args)
         assert result.exit_code == EXIT_LIMIT == 4
         assert "280840 subsets exceed the cap of 200000" in result.stderr
+
+    def test_triangular_gale_passes_the_default_cap(self, runner, long_path, tmp_path):
+        """gale --triangular never sweeps: past the default cap it builds the
+        Gale matrix of a 3-tree and names the first short position of the
+        path."""
+        fw_path, _, _ = long_path
+        points = [(i, i * i) for i in range(120)]
+        fw = Framework(gen_ktree(120, 3, 5), 2, points)
+        tree_path = tmp_path / "tree120.json"
+        write_json(tree_path, framework_to_obj(fw))
+        result = runner.invoke(main, ["gale", str(tree_path), "--triangular"])
+        assert result.exit_code == 0
+        z = Matrix([[F(x) for x in row] for row in json.loads(result.output)])
+        assert (z.rows, z.cols) == (120, fw.rbar)
+        assert (extended_config_matrix(fw) * z).is_zero
+        result = runner.invoke(main, ["gale", fw_path, "--triangular"])
+        assert result.exit_code == 1
+        assert result.stderr == "error: position 1 has only 1 later neighbors, need 3\n"
 
     def test_certify_sweeps_only_on_a_failure_path(self, runner, long_path, files):
         """Below the cap, a verdict whose evidence holds by itself exits 0

@@ -344,7 +344,8 @@ class TestSparseGale:
         g = Graph(5, [e for e in Graph.complete(5).edges if e != (1, 5)])
         fw = Framework(g, 2, pts)
         with pytest.raises(DegenerateEvidence,
-                           match="^support of column 1 is degenerate despite general position$"):
+                           match="^support of column 1 is degenerate: no 3 of its later "
+                                 "neighbours are affinely independent$"):
             certify._gale_columns(fw, Ordering.identity(5))
 
     @pytest.mark.parametrize("first", [(0, 0), (0, 1)], ids=["on-the-line", "off-the-line"])

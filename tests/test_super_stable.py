@@ -17,17 +17,28 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 
+import pytest
 from click.testing import CliRunner
 
 import oracles
 from chordalrig import certify
-from chordalrig.certify import Reason, Verdict, certify_chordal
+from chordalrig.certify import (
+    PreconditionViolated,
+    Reason,
+    Verdict,
+    certify_chordal,
+    psd_stress_from_gale,
+    unit_triangular_gale,
+)
 from chordalrig.cli import main
 from chordalrig.exactmat import Matrix
 from chordalrig.framework import (
     DegenerateSpan,
     Framework,
+    affinely_independent,
+    extended_config_matrix,
     is_general_position,
+    is_unit_triangular_gale,
     random_general_position_framework,
     stress_from_psi,
     validate_stress_matrix,
@@ -200,6 +211,28 @@ class TestNotInGeneralPosition:
             assert _check_conic(fw) is None
         assert seen == {(Verdict.UNIVERSALLY_RIGID, False): 51,
                         (Verdict.INCONCLUSIVE, False): 9}
+
+    def test_gale_factors_of_moved_r_plus_one_trees(self):
+        """``unit_triangular_gale`` sweeps no more than ``certify_chordal``:
+        on each moved (r+1)-tree that gets a stress it builds the Gale
+        factor of that stress, and on the others a column names r+1
+        dependent points."""
+        seen = Counter()
+        for fw in _ur_suite(60):
+            cert = certify_chordal(fw)
+            seen[cert.verdict] += 1
+            if cert.verdict is Verdict.INCONCLUSIVE:
+                with pytest.raises(PreconditionViolated, match="witness") as err:
+                    unit_triangular_gale(fw, cert.peo)
+                witness = err.value.__cause__.witness
+                assert len(witness) == fw.dim + 1
+                assert not affinely_independent([fw.point(v) for v in witness])
+                continue
+            z = unit_triangular_gale(fw, cert.peo)
+            assert is_unit_triangular_gale(z.matrix, fw.graph, cert.peo) == (True, None)
+            assert (extended_config_matrix(fw) * z.matrix).is_zero
+            assert psd_stress_from_gale(fw, z) == cert.stress
+        assert seen == {Verdict.UNIVERSALLY_RIGID: 51, Verdict.INCONCLUSIVE: 9}
 
     def test_counterexamples_of_moved_r_trees(self):
         """Seeded r-trees in R^2 and R^3, connectivity r, one point moved."""
