@@ -18,7 +18,11 @@ elimination on any input. Its result keeps the factor's sparse columns and
 builds the dense Gale and eliminated matrices only when they are first
 read. The negative branch extracts a small separating set from the
 ordering and reflects one side of it across a hyperplane, producing a
-framework with the same edge lengths that is provably not congruent.
+framework with the same edge lengths that is provably not congruent. The
+hyperplane's side tests and the reflection run on the points the
+framework lifted to integers, with one Fraction per reflected
+coordinate, and the equal lengths and the non-congruence are re-checked
+in integers on one common scaling of the two frameworks.
 
 The paper proves the dichotomy for points in general position, but each
 piece of evidence is checked on its own: a PSD stress of maximal rank with
@@ -38,6 +42,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .exactmat import (
@@ -60,11 +65,12 @@ from .framework import (
     _clause_failures,
     _coerce_point,
     _in_gale_space,
+    _lift,
+    _same_sq_dists,
+    _scaled_pair,
     _sized_congruent,
     _stress_clauses,
     _triangular_violation,
-    frameworks_congruent,
-    frameworks_equivalent,
     is_general_position,
 )
 from .graphs import (
@@ -167,12 +173,28 @@ class Hyperplane:
         return sum(a * x for a, x in zip(self.normal, point)) - self.offset
 
     @cached_property
-    def _norm_sq(self) -> Fraction:
-        return sum(a * a for a in self.normal)
+    def _integer_form(self) -> tuple[list[int], int, int]:
+        """The normal and offset scaled to integers N and O by the lcm of
+        their denominators, and N.N; the hyperplane is N . x = O."""
+        ints, _ = _integer_row((*self.normal, self.offset))
+        normal = ints[:-1]
+        return normal, ints[-1], sum(a * a for a in normal)
 
     def reflect(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        t = 2 * self.side(point) / self._norm_sq
-        return tuple(x - t * a for x, a in zip(point, self.normal))
+        """The mirror image of ``point``; floats raise TypeError and a point
+        without one coordinate per normal entry DimensionMismatch."""
+        return self._reflect_lifted(_lift(_coerce_point(point, len(self.normal))))
+
+    def _reflect_lifted(self, lifted: Sequence[int]) -> tuple[Fraction, ...]:
+        """The mirror image of the point p lifted to L = l (p, 1)
+        (``framework._lift``). With N and O from ``_integer_form``, p' =
+        p - 2 (N.p - O) / (N.N) N, so coordinate k is
+        (L_k N.N - 2 (N.L - O l) N_k) / (l N.N): one Fraction each."""
+        normal, offset, nn = self._integer_form
+        *coords, l = lifted
+        t = 2 * (sum(map(mul, normal, coords)) - offset * l)
+        den = l * nn
+        return tuple(Fraction(x * nn - t * a, den) for x, a in zip(coords, normal))
 
 
 GaleColumns = list[dict[int, int | Fraction]]
@@ -476,29 +498,50 @@ def hyperplane_through(dim: int, points: Sequence[Sequence[Fraction]],
     enumerated over integer coefficient combinations, ordered by growing
     max-norm and lexicographically within each norm, so the result is
     deterministic. Floats raise TypeError, and points without ``dim``
-    coordinates DimensionMismatch.
+    coordinates DimensionMismatch. The points are lifted to integers
+    (``framework._lift``) and the search runs on them
+    (``_hyperplane_through``).
     """
-    pts = [_coerce_point(p, dim) for p in points]
-    avoid_pts = [_coerce_point(q, dim) for q in avoid]
-    kernel = null_space_basis(Matrix([list(p) + [Fraction(-1)] for p in pts],
-                                     shape=(len(pts), dim + 1)))
-    planes = [kernel.column(j) for j in range(kernel.cols)]
-    for q in avoid_pts:
-        if all(sum(a * x for a, x in zip(y, q)) == y[dim] for y in planes):
-            raise Infeasible(f"avoid point {q} lies in the affine hull of the points")
+    return _hyperplane_through(dim, [_lift(_coerce_point(p, dim)) for p in points],
+                               [_lift(_coerce_point(q, dim)) for q in avoid])
+
+
+def _hyperplane_through(dim: int, lifted: Sequence[Sequence[int]],
+                        avoid: Sequence[Sequence[int]]) -> Hyperplane:
+    """``hyperplane_through`` on points lifted to L = l (p, 1).
+
+    The rows (l p, -l) = l (p, -1) span the same row space as the rows
+    (p, -1), so ``null_space_basis``, which reads the reduced row echelon
+    form, gives the same kernel. Its columns y_j = (n_j, o_j) are scaled by
+    one common denominator D to integers Y_j = (N_j, O_j), so that for an
+    avoid point q lifted to (l q, l), y_j's side n_j.q - o_j is
+    (N_j.(l q) - O_j l) / (D l). These d kernel sides are taken once per
+    avoid point. The point lies in the affine hull when all of them
+    vanish, and a combination sum c_j y_j misses it when the same
+    combination of its sides does not; only a combination that misses
+    every avoid point is built, as ``kernel.mul_vector``, and kept when its
+    normal is nonzero.
+    """
+    kernel = null_space_basis(Matrix([[*p[:dim], -p[dim]] for p in lifted],
+                                     shape=(len(lifted), dim + 1)))
     d = kernel.cols
+    flat, _ = _integer_row([x for j in range(d) for x in kernel.column(j)])
+    ints = [flat[i:i + dim + 1] for i in range(0, len(flat), dim + 1)]
+    sides = [[sum(map(mul, y, q[:dim])) - y[dim] * q[dim] for y in ints] for q in avoid]
+    for q, side in zip(avoid, sides):
+        if not any(side):
+            point = tuple(Fraction(x, q[dim]) for x in q[:dim])
+            raise Infeasible(f"avoid point {point} lies in the affine hull of the points")
     if d == 0:
         raise Infeasible("no hyperplane through the given points")
     for norm in range(1, _MAX_HYPERPLANE_COEFF + 1):
         for coeffs in itertools.product(range(-norm, norm + 1), repeat=d):
             if max(abs(c) for c in coeffs) != norm:
                 continue
-            y = kernel.mul_vector(coeffs)
-            normal, offset = y[:dim], y[dim]
-            if all(c == 0 for c in normal):
-                continue
-            if all(sum(a * x for a, x in zip(normal, q)) != offset for q in avoid_pts):
-                return Hyperplane(normal, offset)
+            if all(sum(map(mul, coeffs, side)) for side in sides):
+                y = kernel.mul_vector(coeffs)
+                if any(y[:dim]):
+                    return Hyperplane(y[:dim], y[dim])
     raise Infeasible("coefficient search exhausted")  # pragma: no cover
 
 
@@ -509,7 +552,10 @@ def reflection_counterexample(fw: Framework, cut: Iterable[int]) -> Framework:
     avoiding it; the reflected component is the one holding the smallest
     non-cut label. Cross edges end on the (fixed) cut, so all edge lengths
     are preserved, while any reflected-to-unreflected pair across the
-    hyperplane changes distance; both facts are re-checked exactly.
+    hyperplane changes distance; both facts are re-checked exactly, on one
+    common-denominator scaling of the two frameworks (``_scaled_pair``).
+    The hyperplane search and the reflection run on the framework's lifted
+    integer points.
     """
     cut_set = frozenset(cut)
     for v in cut_set:
@@ -521,19 +567,20 @@ def reflection_counterexample(fw: Framework, cut: Iterable[int]) -> Framework:
     if len(cut_set) > fw.dim:
         raise PreconditionViolated(
             f"cut of size {len(cut_set)} cannot lie in a hyperplane of dimension {fw.dim}")
-    cut_points = [fw.point(v) for v in sorted(cut_set)]
-    other_points = [fw.point(v) for v in range(1, fw.n + 1) if v not in cut_set]
-    plane = hyperplane_through(fw.dim, cut_points, other_points)
+    lifted = fw._lifted
+    plane = _hyperplane_through(fw.dim, [lifted[v - 1] for v in sorted(cut_set)],
+                                [lifted[v - 1] for v in range(1, fw.n + 1) if v not in cut_set])
     flipped = set(comps[0])
-    new_points = [plane.reflect(fw.point(v)) if v in flipped else fw.point(v)
+    new_points = [plane._reflect_lifted(lifted[v - 1]) if v in flipped else fw.point(v)
                   for v in range(1, fw.n + 1)]
     try:
         result = Framework(fw.graph, fw.dim, new_points)
     except Exception as exc:
         raise DegenerateEvidence(f"reflected configuration is degenerate: {exc}") from exc
-    if not frameworks_equivalent(fw, result):
+    scaled = _scaled_pair(fw, result)
+    if not _same_sq_dists(scaled, fw.graph.edges):
         raise AssertionFailure("reflection changed an edge length")
-    if frameworks_congruent(fw, result):
+    if _same_sq_dists(scaled, itertools.combinations(range(1, fw.n + 1), 2)):
         raise AssertionFailure("reflection produced a congruent configuration")
     return result
 
@@ -571,13 +618,15 @@ class PsdizeResult:
 
 def _elimination_order(graph: Graph) -> Ordering:
     """The identity when it is a perfect elimination ordering of the graph,
-    else the maximum cardinality search one; PreconditionViolated when the
-    graph is not chordal."""
+    which proves the graph chordal, else the maximum cardinality search
+    one; PreconditionViolated when the graph is not chordal."""
+    ident = Ordering.identity(graph.n)
+    if is_peo(graph, ident)[0]:
+        return ident
     chord = is_chordal(graph)
     if not chord.chordal:
         raise PreconditionViolated("graph is not chordal")
-    ident = Ordering.identity(graph.n)
-    return ident if is_peo(graph, ident)[0] else chord.peo
+    return chord.peo
 
 
 def psdize_stress(fw: Framework, s: StressMatrix) -> PsdizeResult:

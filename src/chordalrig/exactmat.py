@@ -29,7 +29,9 @@ they can.
 - ``_rref``, reduced row echelon form with row exchanges, stays behind
   ``null_space_basis`` (the reflecting hyperplane, the Gale matrix) and
   ``inverse`` (Psi in S = Z Psi Z^T) only: on a wide matrix the cofactor
-  basis costs O(rows * cols^2) where the echelon form is cheaper.
+  basis costs O(rows * cols^2) where the echelon form is cheaper. It too
+  eliminates in integers, on rows cleared of denominators, and makes
+  Fractions only when it normalises the pivot rows.
 """
 
 from __future__ import annotations
@@ -460,26 +462,38 @@ def _sparse_factor(rows: SparseRows, order: Sequence[int],
 
 
 def _rref(a: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """The reduced row echelon form of ``a`` and its pivot columns, 0-based."""
-    m = a.to_lists()
+    """The reduced row echelon form of ``a`` and its pivot columns, 0-based.
+
+    The echelon form depends on the row space alone, so the rows are first
+    cleared of denominators (``_integer_row``) and eliminated fraction-free
+    in integers: each step replaces every other row r_i by p r_i - f r_piv,
+    p the pivot and f the entry of r_i in its column, divided by the gcd of
+    its entries when that is above 1. Only at the end is each pivot row
+    divided by its pivot, one Fraction per entry.
+    """
+    m = [_integer_row(row)[0] for row in a.data]
     pivots: list[int] = []
     r = 0
     for c in range(a.cols):
-        piv = next((i for i in range(r, a.rows) if m[i][c] != 0), None)
+        piv = next((i for i in range(r, a.rows) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        p = m[r][c]
-        m[r] = [x / p for x in m[r]]
+        top = m[r]
+        p = top[c]
         for i in range(a.rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                row = [p * x - f * y for x, y in zip(m[i], top)]
+                g = math.gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == a.rows:
             break
-    return m, pivots
+    zero = Fraction(0)
+    return ([[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+            + [[zero] * a.cols for _ in range(a.rows - r)]), pivots
 
 
 def rank(a: Matrix) -> int:

@@ -30,7 +30,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .exactmat import (
@@ -100,7 +100,9 @@ class SizeCapExceededError(FrameworkError):
 
 
 def _coerce_point(p, dim: int | None) -> tuple[Fraction, ...]:
-    pt = tuple(Fraction(x) if not isinstance(x, float) else _reject_float(x) for x in p)
+    # Fractions are immutable, so one is kept as it is, not copied
+    pt = tuple(x if type(x) is Fraction else Fraction(x) if not isinstance(x, float)
+               else _reject_float(x) for x in p)
     if dim is not None and len(pt) != dim:
         raise DimensionMismatch(f"point {pt} has {len(pt)} coordinates, expected {dim}")
     return pt
@@ -678,19 +680,32 @@ def _triangular_violation(columns: Sequence[Mapping[int, Fraction]], graph: Grap
 
 
 def _sq_dist(p: Sequence[int], q: Sequence[int]) -> int:
-    return sum((a - b) ** 2 for a, b in zip(p, q))
+    d = list(map(sub, p, q))
+    return sum(map(mul, d, d))
 
 
-def _same_sq_dists(a: Framework, b: Framework, pairs: Iterable[tuple[int, int]]) -> bool:
-    """Whether every 1-based pair is at the same squared distance in a and
-    b. A pair whose two ends keep their coordinates from a to b is skipped:
-    its distances agree. The others are compared in integers, with both
-    frameworks scaled by one common denominator L of all their coordinates,
-    which scales every squared distance by the same L^2."""
-    fixed = [p == q for p, q in zip(a.points, b.points)]
-    scale = math.lcm(*(x.denominator for p in a.points + b.points for x in p))
-    ia, ib = ([[x.numerator * (scale // x.denominator) for x in p] for p in fw.points]
-              for fw in (a, b))
+ScaledPair = tuple[list[bool], list[list[int]], list[list[int]]]
+
+
+def _scaled_pair(a: Framework, b: Framework) -> ScaledPair:
+    """Which points keep their coordinates from a to b, and the points of
+    both scaled to integers by one common denominator L of all their
+    coordinates, the lcm of the factors l of their lifted points; this
+    scales every squared distance by the same L^2. Lifting is canonical, so
+    a point keeps its coordinates exactly when it keeps its lift."""
+    la, lb = a._lifted, b._lifted
+    scale = math.lcm(*[p[-1] for p in la + lb])
+    fixed = [p == q for p, q in zip(la, lb)]
+    ia, ib = ([[x * (scale // p[-1]) for x in p[:-1]] for p in lifted] for lifted in (la, lb))
+    return fixed, ia, ib
+
+
+def _same_sq_dists(scaled: ScaledPair, pairs: Iterable[tuple[int, int]]) -> bool:
+    """Whether every 1-based pair is at the same squared distance in the two
+    frameworks of ``scaled`` (``_scaled_pair``), compared in integers. A
+    pair whose two ends keep their coordinates is skipped: its distances
+    agree."""
+    fixed, ia, ib = scaled
     return all(fixed[u - 1] and fixed[v - 1]
                or _sq_dist(ia[u - 1], ia[v - 1]) == _sq_dist(ib[u - 1], ib[v - 1])
                for u, v in pairs)
@@ -701,14 +716,14 @@ def frameworks_equivalent(a: Framework, b: Framework) -> bool:
     dimensions may differ."""
     if a.graph != b.graph:
         raise GraphMismatch("equivalence requires identical graphs")
-    return _same_sq_dists(a, b, a.graph.edges)
+    return _same_sq_dists(_scaled_pair(a, b), a.graph.edges)
 
 
 def frameworks_congruent(a: Framework, b: Framework) -> bool:
     """Same squared distance on every vertex pair, adjacent or not."""
     if a.n != b.n:
         raise SizeMismatch("congruence requires the same vertex count")
-    return _same_sq_dists(a, b, itertools.combinations(range(1, a.n + 1), 2))
+    return _same_sq_dists(_scaled_pair(a, b), itertools.combinations(range(1, a.n + 1), 2))
 
 
 def random_general_position_framework(n: int, dim: int, seed: int) -> Framework:

@@ -22,6 +22,7 @@ integer rows of a congruent matrix; the kernel is compared with it. Unlike
 kernels.
 """
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -124,6 +125,23 @@ def thin_to_low_connectivity(g, r, rng):
         assert candidates, "no chordality-preserving deletion available"
         u, v = candidates[rng.randrange(len(candidates))]
         g = Graph(g.n, [f for f in g.edges if f != (u, v)])
+
+
+def spy_order_calls(monkeypatch) -> "collections.Counter[str]":
+    """Count the calls of ``is_peo`` and ``mcs_order`` from ``certify`` and
+    from ``graphs`` itself (``is_chordal`` runs both), by name."""
+    from chordalrig import certify, graphs
+    calls: collections.Counter[str] = collections.Counter()
+    for name in ("is_peo", "mcs_order"):
+        real = getattr(graphs, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in (certify, graphs):
+            monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def sq_dist(p, q):

@@ -57,6 +57,14 @@ def equal_sq_distances(points_a, points_b, pairs):
     return all(sq(points_a, u, v) == sq(points_b, u, v) for u, v in pairs)
 
 
+def reflect_point(normal, offset, p):
+    """The mirror image of p in the hyperplane normal . x = offset, by the
+    plain formula p - 2 (n.p - o) / |n|^2 n in Fractions."""
+    n = [Fraction(a) for a in normal]
+    t = 2 * (sum(a * Fraction(x) for a, x in zip(n, p)) - Fraction(offset)) / sum(a * a for a in n)
+    return tuple(Fraction(x) - t * a for x, a in zip(p, n))
+
+
 def principal_minors_nonneg(rows):
     """PSD test for a symmetric matrix: every nonempty principal minor >= 0."""
     n = len(rows)
@@ -89,6 +97,14 @@ def sym_rank(rows):
 def sym_det(rows):
     d = sym_matrix(rows).det()
     return Fraction(d.p, d.q)
+
+
+def sym_rref(rows):
+    """sympy's reduced row echelon form, as rows of Fractions, and its
+    pivot columns."""
+    m, pivots = sym_matrix(rows).rref()
+    return ([[Fraction(int(x.p), int(x.q)) for x in m.row(i)] for i in range(m.rows)],
+            list(pivots))
 
 
 def in_affine_hull(points, q):

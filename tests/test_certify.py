@@ -9,6 +9,7 @@ import helpers
 import oracles
 from helpers import elimination_preserves_zero_pattern, psd_check, relabel_to_positions
 from chordalrig.certify import (
+    CertifyError,
     DegenerateEvidence,
     Hyperplane,
     Infeasible,
@@ -26,6 +27,7 @@ from chordalrig.certify import (
 )
 from chordalrig.exactmat import DimensionMismatch, Matrix, rank
 from chordalrig.framework import (
+    DegenerateSpan,
     Framework,
     GaleMatrix,
     StressMatrix,
@@ -206,6 +208,46 @@ class TestHyperplaneThrough:
         assert h.reflect(h.reflect((F(5),))) == (F(5),)
 
 
+class TestReflectAgainstOracle:
+    def test_seeded_reflections(self):
+        """Random hyperplanes and points in dims 1-4 with denominators 1, 2,
+        3 and 7: the reflection is the oracle's, fixes points on the plane
+        and is an involution."""
+        rng = random.Random(13)
+        seen = collections.Counter()
+
+        def rational():
+            return F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+
+        for _ in range(300):
+            dim = rng.randint(1, 4)
+            normal = [rational() for _ in range(dim)]
+            if not any(normal):
+                normal[rng.randrange(dim)] = F(rng.choice((-1, 1)), rng.choice((1, 2, 3, 7)))
+            plane = Hyperplane(tuple(normal), rational())
+            p = tuple(rational() for _ in range(dim))
+            image = plane.reflect(p)
+            assert image == oracles.reflect_point(plane.normal, plane.offset, p)
+            assert plane.reflect(image) == p
+            assert plane.side(image) == -plane.side(p)
+            # the foot of the perpendicular from p lies on the plane
+            foot = tuple((x + y) / 2 for x, y in zip(p, image))
+            assert plane.side(foot) == 0 and plane.reflect(foot) == foot
+            side = plane.side(p)
+            seen["positive" if side > 0 else "negative" if side < 0 else "on"] += 1
+            seen[f"dim {dim}"] += 1
+            seen["fractional"] += any(x.denominator > 1 for x in image)
+        assert {"positive", "negative", "fractional",
+                "dim 1", "dim 2", "dim 3", "dim 4"} <= set(seen)
+
+    def test_rejects_floats_and_wrong_lengths(self):
+        plane = Hyperplane((F(1), F(2)), F(3))
+        with pytest.raises(TypeError):
+            plane.reflect((0.5, F(1)))
+        with pytest.raises(DimensionMismatch):
+            plane.reflect((F(1),))
+
+
 def _hyperplane_cases(seed, count):
     """Seeded (dim, points, avoid) inputs with dim = 1..4, 0..dim+2 points
     and 0..4 avoid points. Coordinates have mixed denominators; points may
@@ -305,6 +347,56 @@ class TestHyperplaneAgainstOracle:
 HYPERPLANE_DIGEST = "ead4382413b2feb09c603288beed29623433f3f23e5df272acae357362131f95"
 
 
+def _reflection_cases(seed, count):
+    """Seeded (framework, cut) pairs for ``reflection_counterexample``: a
+    k-tree with k <= dim, dim = 1..3, so its connectivity is at most dim,
+    on points whose coordinates have denominators 1, 2, 3 and 7, drawn
+    from a small box so that some cut hulls hold other points. The cut is
+    the first small neighbourhood along the PEO."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        dim = rng.randint(1, 3)
+        n = rng.randint(dim + 2, 8)
+        g = gen_ktree(n, rng.randint(1, dim), rng.randrange(10_000))
+        pts = [tuple(F(rng.randint(-6, 6), rng.choice((1, 2, 3, 7))) for _ in range(dim))
+               for _ in range(n)]
+        try:
+            fw = Framework(g, dim, pts)
+        except DegenerateSpan:
+            continue
+        made += 1
+        yield fw, vertex_cut_of_size_at_most(g, is_chordal(g).peo, dim)
+
+
+def _reflection_outcome(fw, cut):
+    try:
+        return reflection_counterexample(fw, cut).points
+    except CertifyError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestReflectionFrozen:
+    def test_seeded_outcomes_frozen(self):
+        # sha256 of every reflected configuration and error on rational
+        # points: a rewrite of the reflection must keep them bit-identical
+        seen = collections.Counter()
+        outcomes = []
+        for fw, cut in _reflection_cases(12, 200):
+            outcome = _reflection_outcome(fw, cut)
+            outcomes.append(outcome)
+            seen[outcome[0] if isinstance(outcome[0], str) else "reflected"] += 1
+            seen[f"dim {fw.dim}"] += 1
+            seen["lifted denominator"] += any(p[-1] > 1 for p in fw._lifted)
+        assert {"reflected", "Infeasible", "dim 1", "dim 2", "dim 3",
+                "lifted denominator"} <= set(seen)
+        text = repr(outcomes)
+        assert hashlib.sha256(text.encode()).hexdigest() == REFLECTION_DIGEST
+
+
+REFLECTION_DIGEST = "c1b3fe022535e04c79065c34c43a40631b441aa53022484955cf6dcbed907d83"
+
+
 class TestReflectionCounterexample:
     def test_folded_path(self, path3_line):
         other = reflection_counterexample(path3_line, (2,))
@@ -366,6 +458,13 @@ class TestPsdizeStress:
         assert res.gale.matrix == hexagon.gale
         assert res.eliminated == hexagon.eliminated
         assert res.gale is res.gale and res.eliminated is res.eliminated
+
+    def test_identity_order_needs_no_search(self, hexagon, monkeypatch):
+        # the identity is a PEO of the hexagon, which proves it chordal
+        calls = helpers.spy_order_calls(monkeypatch)
+        res = psdize_stress(hexagon.fw, StressMatrix(hexagon.stress))
+        assert res.peo == Ordering.identity(6)
+        assert calls["is_peo"] == 1 and calls["mcs_order"] == 0
 
     def test_idempotent(self, hexagon):
         first = psdize_stress(hexagon.fw, StressMatrix(hexagon.stress))

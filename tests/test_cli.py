@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import helpers
 from chordalrig import certify, cli
 from chordalrig.certify import certify_chordal, unit_triangular_gale
 from chordalrig.cli import EXIT_LIMIT, main
@@ -22,7 +23,7 @@ from chordalrig.framework import (
     random_general_position_framework,
     stress_from_psi,
 )
-from chordalrig.graphs import Graph, Ordering, gen_ktree
+from chordalrig.graphs import Graph, Ordering, gen_ktree, is_chordal
 from chordalrig.jsonio import (
     MAX_VERTICES,
     framework_to_obj,
@@ -379,6 +380,31 @@ class TestGale:
     def test_triangular_needs_chordal(self, runner, files):
         result = runner.invoke(main, ["gale", files["prism"], "--triangular"])
         assert result.exit_code == 1
+
+    def test_triangular_checks_the_ordering_once(self, runner, files, hexagon, tmp_path,
+                                                 monkeypatch):
+        """An identity that is a PEO proves the graph chordal: no search
+        runs, and the Gale construction re-checks it once. Otherwise the
+        search's PEO is used, as before."""
+        # swapping labels 1 and 3 makes vertex 1 adjacent to the non-edge {3, 5}
+        swap = {1: 3, 3: 1}
+        graph = Graph(6, [(swap.get(u, u), swap.get(v, v)) for u, v in hexagon.fw.graph.edges])
+        points = [hexagon.fw.point(swap.get(v, v)) for v in range(1, 7)]
+        relabelled = Framework(graph, 2, points)
+        path = tmp_path / "relabelled.json"
+        write_json(path, framework_to_obj(relabelled))
+        expected = matrix_to_lists(
+            unit_triangular_gale(relabelled, is_chordal(graph).peo).matrix)
+        calls = helpers.spy_order_calls(monkeypatch)
+        results = {}
+        for name, exit_code, is_peo_calls, mcs_calls in (
+                (files["hexagon"], 0, 2, 0), (str(path), 0, 3, 1), (files["prism"], 1, 2, 1)):
+            calls.clear()
+            results[name] = runner.invoke(main, ["gale", name, "--triangular"])
+            assert results[name].exit_code == exit_code
+            assert calls["is_peo"] == is_peo_calls and calls["mcs_order"] == mcs_calls
+        assert json.loads(results[str(path)].output) == expected
+        assert results[files["prism"]].stderr == "error: graph is not chordal\n"
 
 
 class TestReflect:

@@ -288,6 +288,23 @@ class TestLeadingPrincipalMinor:
             assert leading_principal_minor(m, n) == oracles.det_cofactor(m.to_lists())
 
 
+RANKED_SHAPES = [(0, 0), (0, 3), (3, 0), (2, 5), (5, 2), (1, 6), (6, 1), (4, 4), (7, 7)]
+
+
+def _ranked_rows(rng, rows, cols):
+    """A rows x cols rational matrix of random rank, the product of random
+    factors, sometimes with a zero row."""
+    t = rng.randint(0, min(rows, cols))
+    left = [[F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(t)] for _ in range(rows)]
+    right = [[F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(cols)]
+             for _ in range(t)]
+    data = [[sum((a * right[k][c] for k, a in enumerate(row)), F(0)) for c in range(cols)]
+            for row in left]
+    if rows and rng.random() < 0.3:
+        data[rng.randrange(rows)] = [F(0)] * cols
+    return data
+
+
 class TestRank:
     def test_zero_matrix(self):
         assert rank(Matrix.zeros(4, 4)) == 0
@@ -303,25 +320,32 @@ class TestRank:
     def test_matches_sympy(self, m):
         assert rank(m) == oracles.sym_rank(m.to_lists())
 
-    @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (2, 5), (5, 2),
-                                            (1, 6), (6, 1), (4, 4), (7, 7)])
+    @pytest.mark.parametrize("rows, cols", RANKED_SHAPES)
     def test_cofactor_rank_matches_sympy_and_rref(self, rows, cols):
         """Wide, tall and square rational matrices of every rank, from
         products of random factors, some with a zero row."""
         rng = random.Random(f"rank/{rows}x{cols}")
         for _ in range(25):
-            t = rng.randint(0, min(rows, cols))
-            left = [[F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(t)]
-                    for _ in range(rows)]
-            right = [[F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(cols)]
-                     for _ in range(t)]
-            data = [[sum((a * right[k][c] for k, a in enumerate(row)), F(0))
-                     for c in range(cols)] for row in left]
-            if rows and rng.random() < 0.3:
-                data[rng.randrange(rows)] = [F(0)] * cols
+            data = _ranked_rows(rng, rows, cols)
             m = Matrix(data, shape=(rows, cols))
             expected = oracles.sym_rank(data) if rows and cols else 0
             assert rank(m) == expected == len(_rref(m)[1])
+
+
+class TestRref:
+    @pytest.mark.parametrize("rows, cols", RANKED_SHAPES)
+    def test_matches_sympy(self, rows, cols):
+        """The integer elimination gives sympy's reduced row echelon form
+        and pivots on rational matrices of every rank."""
+        rng = random.Random(f"rref/{rows}x{cols}")
+        for _ in range(25):
+            data = _ranked_rows(rng, rows, cols)
+            m, pivots = _rref(Matrix(data, shape=(rows, cols)))
+            if rows and cols:
+                assert (m, pivots) == oracles.sym_rref(data)
+            else:
+                assert (m, pivots) == ([[]] * rows, [])
+            assert all(isinstance(x, F) for row in m for x in row)
 
 
 class TestCofactorBasis:

@@ -599,7 +599,7 @@ class TestIntegerDistances:
             pairs = list(itertools.combinations(range(1, n + 1), 2))
             for category, other in others:
                 for chosen in (fw.graph.edges, pairs):
-                    got = framework._same_sq_dists(fw, other, chosen)
+                    got = framework._same_sq_dists(framework._scaled_pair(fw, other), chosen)
                     assert got == oracles.equal_sq_distances(fw.points, other.points, chosen)
                     seen[category, got] += 1
         assert seen["reflected", True] and seen["reflected", False]
@@ -630,8 +630,8 @@ class TestIntegerDistances:
         c = Framework(Graph.path(3), 2, [(0, 0), (F(3, 5), F(4, 5)), (F(1, 3), F(5, 7))])
         pairs = [(1, 2)]
         assert sq_dist(*b.points[:2]) - sq_dist(*a.points[:2]) == F(1, 10 ** 40)
-        assert not framework._same_sq_dists(a, b, pairs)
+        assert not framework._same_sq_dists(framework._scaled_pair(a, b), pairs)
         assert not oracles.equal_sq_distances(a.points, b.points, pairs)
-        assert framework._same_sq_dists(a, c, pairs)
+        assert framework._same_sq_dists(framework._scaled_pair(a, c), pairs)
         assert oracles.equal_sq_distances(a.points, c.points, pairs)
         assert not frameworks_equivalent(a, b) and not frameworks_congruent(a, b)

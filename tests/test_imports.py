@@ -5,9 +5,10 @@ Three small ``ast`` scans stand in for a linter. A module fails when it
 binds a name by ``import`` or ``from ... import`` and never reads it; names
 listed in the module's ``__all__`` count as used, so re-exports in
 ``__init__`` pass. The package fails when a top-level private (``_name``)
-function or class is referenced nowhere in it outside its own definition,
-and when a top-level public function of ``exactmat`` is read by no other
-module but ``__init__``, whose re-exports are not uses.
+function or class, or a private method or cached property of a top-level
+class, is referenced nowhere in it outside its own definition, and when a
+top-level public function of ``exactmat`` is read by no other module but
+``__init__``, whose re-exports are not uses.
 """
 
 import ast
@@ -54,24 +55,53 @@ def test_scan(source, expected):
     assert unused_imports(source) == expected
 
 
+def _definition_units(tree: ast.Module):
+    """(name or None, node, names its references to skip) for each
+    top-level statement, with each class split into its header
+    (decorators, bases and keywords) and one unit per statement of its
+    body. A definition's references to its own name, and a class's to its
+    class name, are skipped; a method's name is ``Class._name``."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            name = getattr(node, "name", None)
+            yield name, node, {name}
+            continue
+        header = ast.Module(body=[ast.Expr(e) for e in
+                                  [*node.decorator_list, *node.bases,
+                                   *(k.value for k in node.keywords)]], type_ignores=[])
+        yield node.name, header, {node.name}
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield f"{node.name}.{item.name}", item, {node.name, item.name}
+            else:
+                yield None, item, {node.name}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def unreferenced_private(sources: list[str]) -> list[str]:
-    """Top-level ``_name`` functions and classes of the given modules that no
-    module reads, as a name or an attribute, outside their own definition."""
-    defined, referenced = set(), set()
+    """Private (``_name``) functions and classes at the top level of the
+    given modules, and private methods (cached properties too) of their
+    top-level classes, as ``Class._name``, that no module reads, as a name
+    or an attribute, outside their own definition."""
+    defined, referenced = {}, set()
     for source in sources:
-        for node in ast.parse(source).body:
+        for name, node, own in _definition_units(ast.parse(source)):
+            if name is not None and _private(name.rsplit(".", 1)[-1]):
+                defined[name] = name.rsplit(".", 1)[-1]
             names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
             names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if node.name.startswith("_") and not node.name.startswith("__"):
-                    defined.add(node.name)
-                names.discard(node.name)
-            referenced |= names
-    return sorted(defined - referenced)
+            referenced |= names - own
+    return sorted(name for name, bare in defined.items() if bare not in referenced)
 
 
 def test_no_unreferenced_private_definitions():
     assert unreferenced_private([p.read_text() for p in sorted(SOURCE.glob("*.py"))]) == []
+
+
+CLASS_C = "class C:\n"
 
 
 @pytest.mark.parametrize("sources, expected", [
@@ -85,6 +115,19 @@ def test_no_unreferenced_private_definitions():
     (["def _f():\n    pass\n", "import a\na._f()\n"], []),
     (["def _f():\n    pass\n", "from a import _f\n"], ["_f"]),
     (["def _f():\n    pass\n", "def g():\n    return _f\n"], []),
+    ([CLASS_C + "    def _m(self):\n        pass\n"], ["C._m"]),
+    ([CLASS_C + "    def _m(self):\n        return self._m()\n"], ["C._m"]),
+    ([CLASS_C + "    def _m(self):\n        pass\n    def f(self):\n        return self._m()\n"],
+     []),
+    ([CLASS_C + "    @cached_property\n    def _p(self):\n        return 1\n"], ["C._p"]),
+    ([CLASS_C + "    @cached_property\n    def _p(self):\n        return 1\n",
+      "def g(c):\n    return c._p\n"], []),
+    ([CLASS_C + "    def __init__(self):\n        pass\n    def f(self):\n        pass\n"], []),
+    ([CLASS_C + "    def _m(self):\n        pass\n", "x = C()._m\n"], []),
+    (["class _C(Base):\n    pass\nclass D(_C):\n    pass\n"], []),
+    (["class _C:\n    pass\n@_C\nclass D:\n    pass\n"], []),
+    ([CLASS_C + "    x = 1\n    def _m(self):\n        pass\n"], ["C._m"]),
+    (["class _C:\n    def f(self):\n        return _C()\n"], ["_C"]),
 ])
 def test_private_scan(sources, expected):
     assert unreferenced_private(sources) == expected
