@@ -1,37 +1,27 @@
 """Rigidity certificates for chordal frameworks.
 
-The positive branch builds a Gale matrix in unit-triangular shape from a
-perfect elimination ordering (PEO), one column per position among the
-first n - dim - 1. Column j is nonzero only at the vertex in position j and
-at dim+1 of its later neighbours, a clique, so the columns are kept sparse,
-in the original vertex labels, and each is solved by Cramer's rule. The
-Gram product Z Z^T is a positive semidefinite stress matrix of the
-maximal rank, which certifies universal (hence global) rigidity. It is
-summed one column at a time in integers, as the congruent matrix C Z Z^T C
-for a positive integer diagonal C, and kept that way: the dense stress is
-built only when it is read. Its stress clauses are re-checked over its
-nonzero entries, and PSD and rank by sparse symmetric elimination along the
-PEO, which fills in nothing outside the graph and, on these integers,
-divides only exactly; the same one pass gives ``psdize_stress`` its
-input's rank, first vanishing leading minor and Gale factor, with no dense
-elimination on any input. Its result keeps the factor's sparse columns and
-builds the dense Gale and eliminated matrices only when they are first
-read. The negative branch extracts a small separating set from the
-ordering and reflects one side of it across a hyperplane, producing a
-framework with the same edge lengths that is provably not congruent. The
-hyperplane's side tests and the reflection run on the points the
-framework lifted to integers, with one Fraction per reflected
-coordinate, and the equal lengths and the non-congruence are re-checked
-in integers on one common scaling of the two frameworks.
+The positive branch builds a Gale matrix in unit-triangular shape along a
+perfect elimination ordering (PEO): column j is nonzero only at the vertex
+in position j and at dim+1 of its later neighbours, a clique, so columns
+are kept sparse, in the original labels, and solved by Cramer's rule. The
+Gram product Z Z^T is a PSD stress of maximal rank, which certifies
+universal (hence global) rigidity. It is summed in integers as the
+congruent matrix C Z Z^T C for a positive integer diagonal C, re-checked
+over its nonzero entries, and eliminated sparsely along the PEO for PSD
+and rank; the dense stress is built only when read. The same elimination
+gives ``psdize_stress`` its input's rank, first vanishing leading minor
+and Gale factor. The negative branch reflects one side of a small
+separating set across a hyperplane through it, on the framework's lifted
+integer points, giving a framework with the same edge lengths that is
+provably not congruent; both facts are re-checked in integers.
 
 The paper proves the dichotomy for points in general position, but each
 piece of evidence is checked on its own: a PSD stress of maximal rank with
 edge directions on no conic at infinity proves universal rigidity
 (Connelly's super stability), and a re-checked reflection disproves global
-rigidity. So ``certify_chordal`` sweeps for general position only when the
-evidence fails, to name the failed hypothesis. ``unit_triangular_gale``
-never sweeps, since each Gale column checks its own later neighbours, and
-nor does ``psdize_stress``, whose Gram stress is re-checked in full.
+rigidity. So nothing here sweeps for general position: where the evidence
+fails, the failure names dim+1 affinely dependent points, which
+``certify_chordal`` returns as an Inconclusive NotGeneralPosition witness.
 """
 
 from __future__ import annotations
@@ -43,7 +33,7 @@ from enum import Enum
 from functools import cached_property
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exactmat import (
     Matrix,
@@ -58,6 +48,7 @@ from .exactmat import (
     null_space_basis,
 )
 from .framework import (
+    DegenerateSpan,
     Framework,
     GaleMatrix,
     PatternViolation,
@@ -71,7 +62,6 @@ from .framework import (
     _sized_congruent,
     _stress_clauses,
     _triangular_violation,
-    is_general_position,
 )
 from .graphs import (
     Graph,
@@ -107,10 +97,10 @@ class AssertionFailure(CertifyError):
 
 class DegenerateEvidence(AssertionFailure):
     """A step that general position guarantees has failed: a Gale column
-    found no affinely independent support, or the reflected configuration
-    does not span. It is a bug only once general position is known.
+    found no affinely independent support (``_gale_columns``), or the
+    reflected configuration does not span (``reflection_counterexample``).
     ``witness``, when set, holds dim+1 affinely dependent vertices, sorted
-    and 1-based."""
+    and 1-based; every failure ``certify_chordal`` can reach sets it."""
 
     def __init__(self, message: str, witness: tuple[int, ...] | None = None):
         super().__init__(message)
@@ -118,7 +108,14 @@ class DegenerateEvidence(AssertionFailure):
 
 
 class Infeasible(CertifyError):
-    pass
+    """No hyperplane through the points misses every avoid point.
+    ``avoid_index`` is the 0-based index of an avoid point in their affine
+    hull, if one is; ``witness`` as in DegenerateEvidence."""
+
+    def __init__(self, message: str, avoid_index: int | None = None):
+        super().__init__(message)
+        self.avoid_index = avoid_index
+        self.witness: tuple[int, ...] | None = None
 
 
 class NotGenericRankProfile(CertifyError):
@@ -421,30 +418,40 @@ def _no_conic_at_infinity(fw: Framework) -> bool:
     return _cofactor_basis(rows, len(pairs))[2] == len(pairs)
 
 
-def certify_chordal(fw: Framework, cap: int | None = None) -> Certificate:
-    """Full pipeline: chordality, then the connectivity dichotomy, with the
-    general-position sweep only where the evidence fails.
+def certify_chordal(fw: Framework) -> Certificate:
+    """Full pipeline: chordality, then the connectivity dichotomy.
 
     Connectivity at least dim+1 yields UniversallyRigid with a maximal-rank
-    PSD stress; lower connectivity yields NotGloballyRigid with a reflected
-    counterexample. Non-chordal inputs and simplices come back Inconclusive
-    with the reason and, for the former, a chordless cycle.
+    PSD stress, lower connectivity NotGloballyRigid with a reflected
+    counterexample; non-chordal inputs and simplices come back Inconclusive
+    with the reason and, for the former, a chordless cycle. Neither verdict
+    needs general position: the stress is re-checked (``_gram_stress``)
+    and, with edge directions on no conic at infinity, proves universal
+    rigidity by Connelly's super stability (R. Connelly, "Rigidity and
+    energy", Invent. Math. 66, 1982); the reflection's equal edge lengths
+    and non-congruence are re-checked exactly.
 
-    Neither verdict needs general position once its evidence is checked.
-    The stress's every clause is re-checked (``_gram_stress``), and with
-    edge directions on no conic at infinity (``_no_conic_at_infinity``) a
-    PSD stress of rank n-dim-1 proves universal rigidity by Connelly's
-    super-stability theorem (R. Connelly, "Rigidity and energy", Invent.
-    Math. 66, 1982). The reflection's equal edge lengths and
-    non-congruence are re-checked exactly, which disproves global rigidity
-    by itself. So the sweep runs only on a failure path: a Gale column with
-    no independent support, a failed conic check, an infeasible reflecting
-    hyperplane or a reflected configuration that does not span. A witness
-    then gives Inconclusive NotGeneralPosition. Without one the input is in
-    general position, where the paper's theorem needs no conic check and
-    the other failures are bugs; the verdict is taken again that way, so
-    such inputs keep every output and every AssertionFailure. ``cap``
-    bounds that sweep as in ``is_general_position``.
+    Where the evidence fails, the failure itself names dim+1 affinely
+    dependent points, returned as the ``detail`` of Inconclusive
+    NotGeneralPosition; nothing sweeps. A Gale column with no independent
+    support names its first dim+1 later neighbours. An infeasible
+    hyperplane names the cut and a point q in its affine hull, padded with
+    the smallest other labels. A reflected configuration that does not
+    span names dim+1 points of cut + flipped side or cut + fixed side,
+    whichever has more than dim: the reflection fixes the cut, so if
+    either spanned the reflection would too. ``_small_cut``'s cut is the
+    later neighbours of the first position j with at most dim of them. For
+    j > 1, position 1's vertex and its dim+1 or more later neighbours are
+    a clique of dim+2 or more, which lies in the cut plus one side. For
+    j = 1, cut + fixed side has n-1 > dim points when position 1's vertex
+    is flipped; when another component is (a five-vertex tree in R^3), no
+    side may be large enough, and the next hyperplane of the search is
+    tried instead (``reflection_counterexample``).
+
+    The conic check cannot fail once a stress is built (a built column's
+    support clique spans a dim-simplex, whose edges meet no conic at
+    infinity); its failure and a failure naming no witness raise
+    AssertionFailure.
     """
     chord = is_chordal(fw.graph)
     if not chord.chordal:
@@ -456,71 +463,55 @@ def certify_chordal(fw: Framework, cap: int | None = None) -> Certificate:
     if fw.rbar == 0:  # n = dim+1 points that span are in general position
         return Certificate(Verdict.INCONCLUSIVE, connectivity=kappa, peo=peo,
                            reason=Reason.SIMPLEX_CASE)
-    build = _stress_certificate if kappa >= fw.dim + 1 else _reflection_certificate
     try:
-        cert = build(fw, peo, later, kappa)
-    except (DegenerateEvidence, Infeasible):
-        cert = None
-    if cert is not None and (cert.verdict is Verdict.NOT_GLOBALLY_RIGID
-                             or _no_conic_at_infinity(fw)):
-        return cert
-    gp, witness = is_general_position(fw, cap=cap)
-    if not gp:
+        if kappa >= fw.dim + 1:
+            stress = _gram_stress(fw, _gale_columns(fw, peo, later), peo)
+            if not _no_conic_at_infinity(fw):
+                raise AssertionFailure("edge directions lie on a conic at infinity")
+            return Certificate(Verdict.UNIVERSALLY_RIGID, connectivity=kappa, peo=peo,
+                               stress=stress)
+        cut = _small_cut(fw.graph, later, fw.dim)
+        if cut is None:
+            raise AssertionFailure("low connectivity but no separating neighborhood found")
+        return Certificate(Verdict.NOT_GLOBALLY_RIGID, connectivity=kappa, peo=peo,
+                           counterexample=reflection_counterexample(fw, cut))
+    except (DegenerateEvidence, Infeasible) as exc:
+        if exc.witness is None:
+            raise AssertionFailure(f"failed evidence names no witness: {exc}") from exc
         return Certificate(Verdict.INCONCLUSIVE, connectivity=kappa, peo=peo,
-                           reason=Reason.NOT_GENERAL_POSITION, detail=witness)
-    return cert or build(fw, peo, later, kappa)
-
-
-def _stress_certificate(fw: Framework, peo: Ordering, later: Sequence[Sequence[int]],
-                        kappa: int) -> Certificate:
-    stress = _gram_stress(fw, _gale_columns(fw, peo, later), peo)
-    return Certificate(Verdict.UNIVERSALLY_RIGID, connectivity=kappa, peo=peo, stress=stress)
-
-
-def _reflection_certificate(fw: Framework, peo: Ordering, later: Sequence[Sequence[int]],
-                            kappa: int) -> Certificate:
-    cut = _small_cut(fw.graph, later, fw.dim)
-    if cut is None:
-        raise AssertionFailure("low connectivity but no separating neighborhood found")
-    return Certificate(Verdict.NOT_GLOBALLY_RIGID, connectivity=kappa, peo=peo,
-                       counterexample=reflection_counterexample(fw, cut))
+                           reason=Reason.NOT_GENERAL_POSITION, detail=exc.witness)
 
 
 def hyperplane_through(dim: int, points: Sequence[Sequence[Fraction]],
                        avoid: Sequence[Sequence[Fraction]]) -> Hyperplane:
     """A hyperplane containing every point in ``points`` and missing every
-    point in ``avoid``.
-
-    The pairs y = (normal, offset) through the points form the kernel of
-    the rows (p, -1). A point lies in their affine hull exactly when it lies
-    on every such y, so Infeasible names the first avoid point on every
-    kernel column (any point, when there is none). Otherwise the kernel is
-    enumerated over integer coefficient combinations, ordered by growing
-    max-norm and lexicographically within each norm, so the result is
-    deterministic. Floats raise TypeError, and points without ``dim``
-    coordinates DimensionMismatch. The points are lifted to integers
-    (``framework._lift``) and the search runs on them
-    (``_hyperplane_through``).
+    point in ``avoid``: the first one ``_hyperplanes_through`` finds on the
+    points lifted to integers (``framework._lift``). Floats raise
+    TypeError, and points without ``dim`` coordinates DimensionMismatch.
     """
-    return _hyperplane_through(dim, [_lift(_coerce_point(p, dim)) for p in points],
-                               [_lift(_coerce_point(q, dim)) for q in avoid])
+    return next(_hyperplanes_through(dim, [_lift(_coerce_point(p, dim)) for p in points],
+                                     [_lift(_coerce_point(q, dim)) for q in avoid]))
 
 
-def _hyperplane_through(dim: int, lifted: Sequence[Sequence[int]],
-                        avoid: Sequence[Sequence[int]]) -> Hyperplane:
-    """``hyperplane_through`` on points lifted to L = l (p, 1).
+def _hyperplanes_through(dim: int, lifted: Sequence[Sequence[int]],
+                         avoid: Sequence[Sequence[int]]) -> Iterator[Hyperplane]:
+    """The hyperplanes through the points and missing every avoid point, on
+    points lifted to L = l (p, 1), in a deterministic order: the kernel of
+    the rows (p, -1), the pairs y = (normal, offset) through the points, is
+    enumerated over integer coefficient combinations by growing max-norm,
+    lexicographically within each norm. An avoid point lies in the points'
+    affine hull exactly when it lies on every kernel column; the first such
+    (the first of all, when the kernel is empty) raises Infeasible, with its
+    index as ``avoid_index``, on the first request.
 
-    The rows (l p, -l) = l (p, -1) span the same row space as the rows
-    (p, -1), so ``null_space_basis``, which reads the reduced row echelon
-    form, gives the same kernel. Its columns y_j = (n_j, o_j) are scaled by
-    one common denominator D to integers Y_j = (N_j, O_j), so that for an
-    avoid point q lifted to (l q, l), y_j's side n_j.q - o_j is
-    (N_j.(l q) - O_j l) / (D l). These d kernel sides are taken once per
-    avoid point. The point lies in the affine hull when all of them
-    vanish, and a combination sum c_j y_j misses it when the same
-    combination of its sides does not; only a combination that misses
-    every avoid point is built, as ``kernel.mul_vector``, and kept when its
-    normal is nonzero.
+    The rows (l p, -l) span the row space of the rows (p, -1), so
+    ``null_space_basis`` gives the same kernel. Its columns y_j = (n_j, o_j)
+    are scaled by one common denominator D to integers (N_j, O_j), so for q
+    lifted to (l q, l), y_j's side n_j.q - o_j is (N_j.(l q) - O_j l) / (D l).
+    These d sides are taken once per avoid point; a combination sum c_j y_j
+    misses q when the same combination of its sides is nonzero. Only a
+    combination missing every avoid point is built (``kernel.mul_vector``),
+    and kept when its normal is nonzero.
     """
     kernel = null_space_basis(Matrix([[*p[:dim], -p[dim]] for p in lifted],
                                      shape=(len(lifted), dim + 1)))
@@ -528,10 +519,10 @@ def _hyperplane_through(dim: int, lifted: Sequence[Sequence[int]],
     flat, _ = _integer_row([x for j in range(d) for x in kernel.column(j)])
     ints = [flat[i:i + dim + 1] for i in range(0, len(flat), dim + 1)]
     sides = [[sum(map(mul, y, q[:dim])) - y[dim] * q[dim] for y in ints] for q in avoid]
-    for q, side in zip(avoid, sides):
+    for i, (q, side) in enumerate(zip(avoid, sides)):
         if not any(side):
             point = tuple(Fraction(x, q[dim]) for x in q[:dim])
-            raise Infeasible(f"avoid point {point} lies in the affine hull of the points")
+            raise Infeasible(f"avoid point {point} lies in the affine hull of the points", i)
     if d == 0:
         raise Infeasible("no hyperplane through the given points")
     for norm in range(1, _MAX_HYPERPLANE_COEFF + 1):
@@ -541,7 +532,7 @@ def _hyperplane_through(dim: int, lifted: Sequence[Sequence[int]],
             if all(sum(map(mul, coeffs, side)) for side in sides):
                 y = kernel.mul_vector(coeffs)
                 if any(y[:dim]):
-                    return Hyperplane(y[:dim], y[dim])
+                    yield Hyperplane(y[:dim], y[dim])
     raise Infeasible("coefficient search exhausted")  # pragma: no cover
 
 
@@ -555,7 +546,9 @@ def reflection_counterexample(fw: Framework, cut: Iterable[int]) -> Framework:
     hyperplane changes distance; both facts are re-checked exactly, on one
     common-denominator scaling of the two frameworks (``_scaled_pair``).
     The hyperplane search and the reflection run on the framework's lifted
-    integer points.
+    integer points. Infeasible and DegenerateEvidence carry the witnesses
+    that ``certify_chordal`` describes; when a reflection does not span and
+    no side has more than dim points, the search's next hyperplane is tried.
     """
     cut_set = frozenset(cut)
     for v in cut_set:
@@ -567,16 +560,31 @@ def reflection_counterexample(fw: Framework, cut: Iterable[int]) -> Framework:
     if len(cut_set) > fw.dim:
         raise PreconditionViolated(
             f"cut of size {len(cut_set)} cannot lie in a hyperplane of dimension {fw.dim}")
-    lifted = fw._lifted
-    plane = _hyperplane_through(fw.dim, [lifted[v - 1] for v in sorted(cut_set)],
-                                [lifted[v - 1] for v in range(1, fw.n + 1) if v not in cut_set])
+    lifted, r = fw._lifted, fw.dim
+    others = [v for v in range(1, fw.n + 1) if v not in cut_set]
+    planes = _hyperplanes_through(r, [lifted[v - 1] for v in sorted(cut_set)],
+                                  [lifted[v - 1] for v in others])
     flipped = set(comps[0])
-    new_points = [plane._reflect_lifted(lifted[v - 1]) if v in flipped else fw.point(v)
-                  for v in range(1, fw.n + 1)]
     try:
-        result = Framework(fw.graph, fw.dim, new_points)
-    except Exception as exc:
-        raise DegenerateEvidence(f"reflected configuration is degenerate: {exc}") from exc
+        for plane in planes:
+            new_points = [plane._reflect_lifted(lifted[v - 1]) if v in flipped else fw.point(v)
+                          for v in range(1, fw.n + 1)]
+            try:
+                result = Framework(fw.graph, r, new_points)
+                break
+            except DegenerateSpan as exc:
+                side = sorted(cut_set | flipped)
+                if len(side) <= r:
+                    side = [v for v in range(1, fw.n + 1) if v not in flipped]
+                if len(side) > r:
+                    raise DegenerateEvidence(f"reflected configuration is degenerate: {exc}",
+                                             tuple(side[:r + 1])) from exc
+    except Infeasible as exc:
+        if exc.avoid_index is not None:
+            dependent = cut_set | {others[exc.avoid_index]}
+            padding = [v for v in others if v not in dependent][:r + 1 - len(dependent)]
+            exc.witness = tuple(sorted([*dependent, *padding]))
+        raise
     scaled = _scaled_pair(fw, result)
     if not _same_sq_dists(scaled, fw.graph.edges):
         raise AssertionFailure("reflection changed an edge length")

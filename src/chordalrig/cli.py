@@ -3,15 +3,15 @@
 Exit codes: 0 when a verdict was reached (any verdict), 1 when a
 mathematical hypothesis failed (for example a vanishing leading minor),
 2 for usage errors (an --output path that cannot be written among them),
-3 for malformed input files, 4 when a subset sweep
-would exceed its size cap (raise it with --cap-subsets) or an input graph
-or framework has more vertices than ``jsonio.MAX_VERTICES``. ``certify``
-sweeps only when its evidence fails, so it exits 4 only then; ``gale`` and
-``psdize`` never sweep.
+3 for malformed input files, 4 when a limit is hit: an input with more
+vertices than ``jsonio.MAX_VERTICES``, an output entry with more digits
+than ``sys.get_int_max_str_digits()``, or a general-position sweep past
+its cap. Only ``analyze`` (see --cap-subsets) and ``gen`` sweep.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -20,7 +20,6 @@ import click
 from .certify import (
     CertifyError,
     NotGenericRankProfile,
-    Reason,
     _elimination_order,
     certify_chordal,
     psdize_stress,
@@ -54,6 +53,7 @@ from .jsonio import (
     load_framework,
     load_stress,
     matrix_to_lists,
+    rational_str,
     read_json,
     render_json,
     stress_to_obj,
@@ -67,35 +67,25 @@ EXIT_INPUT = 3
 EXIT_LIMIT = 4
 
 
-def _input_error(exc) -> None:
+def _fail(exc, code: int) -> None:
     click.echo(f"error: {exc}", err=True)
-    sys.exit(EXIT_INPUT)
-
-
-def _hypothesis_error(exc) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(EXIT_HYPOTHESIS)
-
-
-def _limit_error(exc) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(EXIT_LIMIT)
+    sys.exit(code)
 
 
 def _load_framework(path: str):
     try:
         return load_framework(path)
     except InputTooLarge as exc:
-        _limit_error(exc)
+        _fail(exc, EXIT_LIMIT)
     except (ParseError, OSError) as exc:
-        _input_error(exc)
+        _fail(exc, EXIT_INPUT)
 
 
 def _load_stress(path: str):
     try:
         return load_stress(path)
     except (ParseError, OSError) as exc:
-        _input_error(exc)
+        _fail(exc, EXIT_INPUT)
 
 
 def _write(write, path, content) -> None:
@@ -104,22 +94,35 @@ def _write(write, path, content) -> None:
     try:
         write(path, content)
     except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_USAGE)
+        _fail(exc, EXIT_USAGE)
 
 
-def _emit(obj, output: str | None) -> None:
+def _digits(x: int) -> int:
+    """The decimal digits of x > 0, counted without writing it as a string."""
+    k = int(math.log10(x)) + 1
+    return k + (x >= 10 ** k) - (10 ** (k - 1) > x)
+
+
+def _emit(to_obj, value, output: str | None) -> None:
+    """Write ``to_obj(value)`` as JSON to ``output``, or to stdout when it
+    is None; an entry that ``jsonio.rational_str`` cannot write as a string
+    is a limit, reported with its digit count before anything is written."""
+    try:
+        obj = to_obj(value)
+    except ValueError as exc:
+        tb = exc.__traceback__
+        while tb is not None and tb.tb_frame.f_code is not rational_str.__code__:
+            tb = tb.tb_next
+        if tb is None:
+            raise
+        q = tb.tb_frame.f_locals["q"]
+        digits = _digits(max(abs(q.numerator), q.denominator))
+        _fail(f"an output entry has {digits} digits, more than the "
+              f"{sys.get_int_max_str_digits()} this interpreter writes as a string", EXIT_LIMIT)
     if output:
         _write(write_json, output, obj)
     else:
         click.echo(render_json(obj))
-
-
-_cap_subsets = click.option(
-    "--cap-subsets", type=click.IntRange(min=0), default=None,
-    help="Abort the general-position sweep beyond this many (r+1)-point subsets "
-         f"(default {DEFAULT_POSITION_CAP:,}). analyze always sweeps; certify sweeps "
-         "only when its evidence fails, to name the failed hypothesis.")
 
 
 @click.group()
@@ -131,25 +134,23 @@ def main():
 @click.argument("framework_file")
 @click.option("--output", default=None, help="Write the certificate JSON here.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@_cap_subsets
+@click.option("--cap-subsets", type=click.IntRange(min=0), default=None,
+              help="Abort the general-position sweep beyond this many (r+1)-point "
+                   f"subsets (default {DEFAULT_POSITION_CAP:,}).")
 def analyze(framework_file, output, fmt, cap_subsets):
     """Report chordality, connectivity, general position and the verdict."""
     fw = _load_framework(framework_file)
     try:
-        cert = certify_chordal(fw, cap=cap_subsets)
-        # certify_chordal sweeps only on a failure path; reuse its witness
-        if cert.reason is Reason.NOT_GENERAL_POSITION:
-            gp, gp_witness = False, cert.detail
-        else:
-            gp, gp_witness = is_general_position(fw, cap=cap_subsets)
+        cert = certify_chordal(fw)
+        gp, gp_witness = is_general_position(fw, cap=cap_subsets)
     except SizeCapExceededError as exc:
-        _limit_error(exc)
+        _fail(exc, EXIT_LIMIT)
     except (CertifyError, FrameworkError, GraphError, ExactMatError) as exc:
-        _hypothesis_error(exc)
+        _fail(exc, EXIT_HYPOTHESIS)
     if output:
-        _emit(certificate_to_obj(cert), output)
+        _emit(certificate_to_obj, cert, output)
     if fmt == "json":
-        click.echo(render_json(certificate_to_obj(cert)))
+        _emit(certificate_to_obj, cert, None)
         return
     click.echo(f"vertices: {fw.n}")
     click.echo(f"edges: {fw.graph.edge_count}")
@@ -178,17 +179,14 @@ def analyze(framework_file, output, fmt, cap_subsets):
 @main.command()
 @click.argument("framework_file")
 @click.option("--output", default=None, help="Write the certificate JSON here.")
-@_cap_subsets
-def certify(framework_file, output, cap_subsets):
+def certify(framework_file, output):
     """Emit the certificate as JSON."""
     fw = _load_framework(framework_file)
     try:
-        cert = certify_chordal(fw, cap=cap_subsets)
-    except SizeCapExceededError as exc:
-        _limit_error(exc)
+        cert = certify_chordal(fw)
     except (CertifyError, FrameworkError, GraphError, ExactMatError) as exc:
-        _hypothesis_error(exc)
-    _emit(certificate_to_obj(cert), output)
+        _fail(exc, EXIT_HYPOTHESIS)
+    _emit(certificate_to_obj, cert, output)
 
 
 @main.command()
@@ -202,14 +200,13 @@ def psdize(framework_file, stress_file, output):
     try:
         result = psdize_stress(fw, s)
     except NotGenericRankProfile as exc:
-        click.echo(f"error: not generic rank profile: leading principal minor "
-                   f"{exc.minor_index} is zero", err=True)
-        sys.exit(EXIT_HYPOTHESIS)
+        _fail(f"not generic rank profile: leading principal minor {exc.minor_index} is zero",
+              EXIT_HYPOTHESIS)
     except DimensionMismatch as exc:  # a stress whose size is not the framework's
-        _input_error(exc)
+        _fail(exc, EXIT_INPUT)
     except (CertifyError, FrameworkError, ExactMatError) as exc:
-        _hypothesis_error(exc)
-    _emit(stress_to_obj(result.stress), output)
+        _fail(exc, EXIT_HYPOTHESIS)
+    _emit(stress_to_obj, result.stress, output)
     if output:
         click.echo(f"rank: {fw.rbar}")
         click.echo("psd: yes")
@@ -227,26 +224,20 @@ def stress_check(framework_file, stress_file, fmt):
     try:
         report = validate_stress_matrix(fw, s)
     except (FrameworkError, ExactMatError) as exc:
-        _input_error(exc)
+        _fail(exc, EXIT_INPUT)
+    clauses = [("symmetric", "symmetric", report.symmetric),
+               ("pattern_ok", "pattern", report.pattern_ok),
+               ("kernel_ok", "kernel", report.kernel_ok),
+               ("rank", "rank", report.rank),
+               ("generic_rank_profile", "generic rank profile", report.generic_rank_profile),
+               ("psd", "psd", report.psd),
+               ("stress_matrix", "stress matrix", report.is_stress_matrix)]
     if fmt == "json":
-        click.echo(render_json({
-            "symmetric": report.symmetric,
-            "pattern_ok": report.pattern_ok,
-            "kernel_ok": report.kernel_ok,
-            "rank": report.rank,
-            "generic_rank_profile": report.generic_rank_profile,
-            "psd": report.psd,
-            "stress_matrix": report.is_stress_matrix,
-        }))
+        click.echo(render_json({key: value for key, _, value in clauses}))
         return
-    yn = lambda b: "yes" if b else "no"
-    click.echo(f"symmetric: {yn(report.symmetric)}")
-    click.echo(f"pattern: {yn(report.pattern_ok)}")
-    click.echo(f"kernel: {yn(report.kernel_ok)}")
-    click.echo(f"rank: {report.rank}")
-    click.echo(f"generic rank profile: {yn(report.generic_rank_profile)}")
-    click.echo(f"psd: {yn(report.psd)}")
-    click.echo(f"stress matrix: {yn(report.is_stress_matrix)}")
+    for _, label, value in clauses:
+        text = ("yes" if value else "no") if isinstance(value, bool) else value
+        click.echo(f"{label}: {text}")
 
 
 @main.command()
@@ -263,8 +254,8 @@ def gale(framework_file, triangular, output):
         else:
             z = gale_matrix(fw)
     except (CertifyError, FrameworkError, GraphError, ExactMatError) as exc:
-        _hypothesis_error(exc)
-    _emit(matrix_to_lists(z.matrix), output)
+        _fail(exc, EXIT_HYPOTHESIS)
+    _emit(matrix_to_lists, z.matrix, output)
 
 
 @main.command()
@@ -292,8 +283,8 @@ def reflect(framework_file, cut_spec, output):
                 raise CertifyError(f"no separating set of size at most {fw.dim} exists")
         result = reflection_counterexample(fw, cut)
     except (CertifyError, FrameworkError, GraphError, ExactMatError) as exc:
-        _hypothesis_error(exc)
-    _emit(framework_to_obj(result), output)
+        _fail(exc, EXIT_HYPOTHESIS)
+    _emit(framework_to_obj, result, output)
 
 
 @main.command()
@@ -307,9 +298,9 @@ def chordal(input_file):
         else:
             g = graph_from_obj(obj, where=str(input_file))
     except InputTooLarge as exc:
-        _limit_error(exc)
+        _fail(exc, EXIT_LIMIT)
     except (ParseError, OSError) as exc:
-        _input_error(exc)
+        _fail(exc, EXIT_INPUT)
     result = is_chordal(g)
     if result.chordal:
         click.echo("chordal: yes")
@@ -329,10 +320,10 @@ def gen(n, r, seed, output):
     try:
         fw = random_general_position_framework(n, r, seed)
     except SizeCapExceededError as exc:
-        _limit_error(exc)
+        _fail(exc, EXIT_LIMIT)
     except (InvalidParameters, FrameworkError) as exc:
         raise click.UsageError(str(exc))
-    _emit(framework_to_obj(fw), output)
+    _emit(framework_to_obj, fw, output)
 
 
 @main.command()
@@ -349,13 +340,13 @@ def plot(framework_file, stress_file, output):
         try:
             omega = omega_from_stress(fw, s)
         except DimensionMismatch as exc:
-            _input_error(exc)
+            _fail(exc, EXIT_INPUT)
         except (FrameworkError, ExactMatError) as exc:
-            _hypothesis_error(exc)
+            _fail(exc, EXIT_HYPOTHESIS)
     try:
         svg = render_framework_svg(fw, omega)
     except UnsupportedDimension as exc:
-        _hypothesis_error(exc)
+        _fail(exc, EXIT_HYPOTHESIS)
     if output:
         _write(Path.write_text, Path(output), svg)
     else:

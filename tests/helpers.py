@@ -25,6 +25,7 @@ kernels.
 import collections
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -37,6 +38,7 @@ from chordalrig import (
     chordal_connectivity,
     is_chordal,
     is_general_position,
+    random_general_position_framework,
 )
 from chordalrig.certify import PreconditionViolated
 from chordalrig.exactmat import (
@@ -52,10 +54,11 @@ from chordalrig.exactmat import (
 )
 from chordalrig.framework import (
     DEFAULT_POSITION_CAP,
+    DegenerateSpan,
     SizeCapExceededError,
     _first_non_edge,
 )
-from chordalrig.graphs import GraphError, Ordering
+from chordalrig.graphs import GraphError, Ordering, gen_ktree
 
 # Guard for the combinatorial sweep below; overridable per call.
 DEFAULT_SUBSET_CAP = 250_000
@@ -125,6 +128,42 @@ def thin_to_low_connectivity(g, r, rng):
         assert candidates, "no chordality-preserving deletion available"
         u, v = candidates[rng.randrange(len(candidates))]
         g = Graph(g.n, [f for f in g.edges if f != (u, v)])
+
+
+def moved_framework(rng, graph, base):
+    """``base``'s points on ``graph``, one of them moved onto the line
+    through two others; None when the result does not span."""
+    pts = [list(p) for p in base.points]
+    j, a, b = rng.sample(range(base.n), 3)
+    t = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    pts[j] = [x + t * (y - x) for x, y in zip(pts[a], pts[b])]
+    try:
+        return Framework(graph, base.dim, pts)
+    except DegenerateSpan:
+        return None
+
+
+def ur_moved_suite(count):
+    """Seeded (r+1)-trees in R^2 and R^3, n = 10, one point moved."""
+    for i in range(count):
+        rng = random.Random(f"ur-moved/{i}")
+        r = rng.choice((2, 3))
+        base = random_general_position_framework(10, r, i)
+        fw = moved_framework(rng, base.graph, base)
+        if fw is not None:
+            yield fw
+
+
+def ngr_moved_suite(count):
+    """Seeded r-trees in R^2 and R^3, connectivity r, one point moved."""
+    for i in range(count):
+        rng = random.Random(f"ngr-moved/{i}")
+        r = rng.choice((2, 3))
+        n = rng.randint(r + 3, 12)
+        fw = moved_framework(rng, gen_ktree(n, r, i),
+                             random_general_position_framework(n, r, i))
+        if fw is not None:
+            yield fw
 
 
 def spy_order_calls(monkeypatch) -> "collections.Counter[str]":

@@ -8,7 +8,9 @@ import pytest
 import helpers
 import oracles
 from helpers import elimination_preserves_zero_pattern, psd_check, relabel_to_positions
+from chordalrig import certify
 from chordalrig.certify import (
+    AssertionFailure,
     CertifyError,
     DegenerateEvidence,
     Hyperplane,
@@ -35,6 +37,7 @@ from chordalrig.framework import (
     extended_config_matrix,
     frameworks_congruent,
     frameworks_equivalent,
+    is_general_position,
     is_unit_triangular_gale,
     random_general_position_framework,
     stress_from_psi,
@@ -141,11 +144,35 @@ class TestCertifyChordal:
         assert rep.is_stress_matrix and rep.psd and rep.rank == 3
 
     def test_degenerate_points_inconclusive(self, k5_minus_edge):
+        # the witness is the Gale column's, as gale --triangular names it
         cert = certify_chordal(k5_minus_edge)
         assert cert.verdict is Verdict.INCONCLUSIVE
         assert cert.reason is Reason.NOT_GENERAL_POSITION
-        assert cert.detail == (1, 2, 3)
+        assert cert.detail == (2, 4, 5)
+        assert not affinely_independent([k5_minus_edge.point(v) for v in cert.detail])
         assert cert.stress is None and cert.counterexample is None
+
+    @pytest.mark.parametrize("points, witness", [
+        # point 3 repeats the cut vertex 2: no point of the line misses it
+        ([(0,), (1,), (1,)], (2, 3)),
+        # reflecting point 1 across x + y = 0 puts it on the line of 2, 3, 4
+        ([(0, 1), (0, 0), (1, 0), (2, 0)], (2, 3, 4)),
+    ])
+    def test_failed_reflection_names_its_witness(self, points, witness):
+        fw = Framework(Graph.path(len(points)), len(points[0]), points)
+        cert = certify_chordal(fw)
+        assert (cert.verdict, cert.reason, cert.detail) == (
+            Verdict.INCONCLUSIVE, Reason.NOT_GENERAL_POSITION, witness)
+        assert oracles.sym_rank([list(fw.point(v)) + [1] for v in witness]) <= fw.dim
+
+    def test_failure_without_witness_is_an_assertion_failure(self, monkeypatch, path3_line):
+        def exhausted(*args):
+            raise Infeasible("coefficient search exhausted")
+            yield
+
+        monkeypatch.setattr(certify, "_hyperplanes_through", exhausted)
+        with pytest.raises(AssertionFailure, match="names no witness"):
+            certify_chordal(path3_line)
 
     def test_prism_inconclusive(self, prism):
         cert = certify_chordal(prism)
@@ -435,6 +462,56 @@ class TestReflectionCounterexample:
             assert frameworks_equivalent(fw, other)
             assert not frameworks_congruent(fw, other)
             produced += 1
+
+    def test_infeasible_names_the_cut_and_the_point(self):
+        """Point 5 repeats cut vertex 3 and point 4 lies on the line of
+        cut vertices 2 and 3; the witness is padded with the smallest
+        other labels."""
+        pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, -1, 0), (0, 1, 0), (0, 0, 1)]
+        g = Graph(6, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5), (2, 6), (3, 6)])
+        fw = Framework(g, 3, pts)
+        for cut, witness in (((2, 3), (1, 2, 3, 4)), ((3,), (1, 2, 3, 5))):
+            with pytest.raises(Infeasible, match="lies in the affine hull") as err:
+                reflection_counterexample(fw, cut)
+            assert err.value.witness == witness
+            assert oracles.sym_rank([list(fw.point(v)) + [1] for v in witness]) <= 3
+        with pytest.raises(Infeasible) as err:
+            hyperplane_through(1, [(F(1),)], [(F(0),), (F(1),)])
+        assert (err.value.avoid_index, err.value.witness) == (1, None)
+
+    def test_degenerate_reflection_names_a_larger_side(self):
+        # cut {2}: point 1 is flipped onto the line of 2, 3, 4, the fixed side
+        fw = Framework(Graph.path(4), 2, [(0, 1), (0, 0), (1, 0), (2, 0)])
+        with pytest.raises(DegenerateEvidence, match="reflected configuration is degenerate") as err:
+            reflection_counterexample(fw, (2,))
+        assert err.value.witness == (2, 3, 4)
+
+    @pytest.mark.parametrize("points, general_position", [
+        ([(1, 0, 2), (0, 2, 4), (1, 0, 0), (0, 1, 0), (0, 0, 0)], True),
+        ([(1, 0, 2), (0, 1, 2), (1, 0, 0), (0, 1, 0), (0, 0, 0)], False),
+    ])
+    def test_unlucky_hyperplane_is_skipped(self, points, general_position):
+        """A tree in R^3 whose cut {5} leaves sides {1, 2} and {3, 4} of at
+        most three points with it. The first plane of the search, x + y + z
+        = 0, maps the plane of 1, 2, 5 onto z = 0, the plane of 3, 4, 5, so
+        that reflection does not span and no side names a witness; the next
+        plane gives a counterexample, whether or not the points are in
+        general position."""
+        g = Graph(5, [(1, 2), (1, 5), (3, 5), (4, 5)])
+        fw = Framework(g, 3, points)
+        assert is_general_position(fw)[0] is general_position
+        lifted = fw._lifted
+        first = next(certify._hyperplanes_through(3, [lifted[4]], lifted[:4]))
+        assert first == Hyperplane((F(-1), F(-1), F(-1)), F(0))
+        flipped = [first.reflect(p) if v in (1, 2) else p for v, p in enumerate(points, 1)]
+        with pytest.raises(DegenerateSpan):
+            Framework(g, 3, flipped)
+        cert = certify_chordal(fw)
+        assert cert.verdict is Verdict.NOT_GLOBALLY_RIGID
+        other = cert.counterexample.points
+        assert oracles.equal_sq_distances(fw.points, other, g.edges)
+        assert not oracles.equal_sq_distances(
+            fw.points, other, [(u, v) for u in range(1, 6) for v in range(u + 1, 6)])
 
 
 def k_complete_framework(n):

@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import json
+import math
 import random
+import sys
 import time
 from fractions import Fraction as F
 from pathlib import Path
@@ -28,6 +30,7 @@ from chordalrig.jsonio import (
     MAX_VERTICES,
     framework_to_obj,
     graph_to_obj,
+    load_framework,
     matrix_to_lists,
     stress_to_obj,
     write_json,
@@ -215,7 +218,6 @@ class TestAnalyze:
             calls.append(fw.n)
             return is_general_position(fw, **kwargs)
 
-        monkeypatch.setattr(certify, "is_general_position", counted)
         monkeypatch.setattr(cli, "is_general_position", counted)
         result = runner.invoke(main, ["analyze", files[name]])
         assert result.exit_code == 0
@@ -708,7 +710,7 @@ class TestSubsetCap:
         """A 120-vertex path in R^2: C(120, 3) = 280,840 subsets exceed the
         default cap of 200,000. The second file repeats point 2 as point
         120, so certify's reflection through the cut vertex 2 is
-        infeasible and it sweeps."""
+        infeasible."""
         points = [(i, i * i) for i in range(120)]
         paths = []
         for name, pts in (("path120", points), ("repeat120", points[:-1] + [points[1]])):
@@ -719,13 +721,22 @@ class TestSubsetCap:
         write_json(stress, stress_to_obj(StressMatrix(Matrix.zeros(120, 120))))
         return (*paths, str(stress))
 
-    @pytest.mark.parametrize("command", ["analyze", "certify"])
-    def test_default_cap_exits_with_limit_code(self, runner, long_path, command):
-        fw_path, repeat_path, _ = long_path
-        args = [command, repeat_path if command == "certify" else fw_path]
-        result = runner.invoke(main, args)
+    def test_default_cap_exits_with_limit_code(self, runner, long_path):
+        fw_path, _, _ = long_path
+        result = runner.invoke(main, ["analyze", fw_path])
         assert result.exit_code == EXIT_LIMIT == 4
         assert "280840 subsets exceed the cap of 200000" in result.stderr
+
+    def test_certify_names_the_repeated_point_past_the_default_cap(self, runner, long_path):
+        """certify never sweeps: the infeasible reflection names the cut
+        vertex 2, the point 120 that repeats it and vertex 1 as padding."""
+        _, repeat_path, _ = long_path
+        result = runner.invoke(main, ["certify", repeat_path])
+        assert result.exit_code == 0
+        obj = json.loads(result.output)
+        assert (obj["verdict"], obj["reason"]) == ("Inconclusive", "NotGeneralPosition")
+        cert = certify_chordal(load_framework(repeat_path))
+        assert cert.detail == (1, 2, 120)
 
     def test_triangular_gale_passes_the_default_cap(self, runner, long_path, tmp_path):
         """gale --triangular never sweeps: past the default cap it builds the
@@ -745,14 +756,14 @@ class TestSubsetCap:
         assert result.exit_code == 1
         assert result.stderr == "error: position 1 has only 1 later neighbors, need 3\n"
 
-    def test_certify_sweeps_only_on_a_failure_path(self, runner, long_path, files):
-        """Below the cap, a verdict whose evidence holds by itself exits 0
-        with the output of an uncapped run."""
+    def test_certify_takes_no_cap(self, runner, long_path, files):
+        """--cap-subsets is no option of certify, so even a cap of 0 is a
+        usage error rather than a hit cap, on any verdict."""
         fw_path, _, _ = long_path
-        for path in (fw_path, files["hexagon"], files["path3"]):
-            capped = runner.invoke(main, ["certify", path, "--cap-subsets", "0"])
-            assert capped.exit_code == 0
-            assert capped.output == runner.invoke(main, ["certify", path]).output
+        for path in (fw_path, files["hexagon"], files["path3"], files["k5me"]):
+            result = runner.invoke(main, ["certify", path, "--cap-subsets", "0"])
+            assert result.exit_code == 2
+            assert "No such option" in result.stderr and "--cap-subsets" in result.stderr
 
     def test_psdize_passes_the_default_cap(self, runner, long_path):
         """psdize never sweeps: past the default cap it reaches the stress's
@@ -785,13 +796,12 @@ class TestSubsetCap:
 
     @pytest.mark.parametrize("cap, code, command", [
         ("-1", 2, "analyze"), ("-1", 2, "certify"), ("-1", 2, "psdize"),
-        ("0", EXIT_LIMIT, "analyze"), ("0", EXIT_LIMIT, "certify"),
+        ("0", EXIT_LIMIT, "analyze"), ("0", 2, "certify"),
     ])
     def test_negative_cap_is_a_usage_error(self, runner, files, command, cap, code):
-        # analyze sweeps the hexagon, C(6, 3) = 20 subsets; certify sweeps
-        # only on a failure path, such as k5me's, C(5, 3) = 10 subsets.
-        # psdize takes no cap, so any cap is a usage error there.
-        name, subsets = ("k5me", 10) if command == "certify" else ("hexagon", 20)
+        # analyze sweeps the hexagon, C(6, 3) = 20 subsets. certify and
+        # psdize take no cap, so any cap is a usage error there.
+        name = "k5me" if command == "certify" else "hexagon"
         args = [command, files[name], f"--cap-subsets={cap}"]
         if command == "psdize":
             args += ["--stress", files["hexagon_stress"]]
@@ -800,12 +810,101 @@ class TestSubsetCap:
         if code == 2:
             assert "--cap-subsets" in result.stderr and "exceed" not in result.stderr
         else:
-            assert f"{subsets} subsets exceed the cap of 0" in result.stderr
+            assert "20 subsets exceed the cap of 0" in result.stderr
 
     def test_explicit_cap_boundary(self, runner, files):
-        # k5me has C(5, 3) = 10 subsets, and certify sweeps them.
-        at_cap = runner.invoke(main, ["certify", files["k5me"], "--cap-subsets", "10"])
+        # k5me has C(5, 3) = 10 subsets, and analyze sweeps them.
+        at_cap = runner.invoke(main, ["analyze", files["k5me"], "--cap-subsets", "10"])
         assert at_cap.exit_code == 0
-        assert json.loads(at_cap.output)["reason"] == "NotGeneralPosition"
-        below = runner.invoke(main, ["certify", files["k5me"], "--cap-subsets", "9"])
+        assert "reason: NotGeneralPosition" in lines_of(at_cap)
+        below = runner.invoke(main, ["analyze", files["k5me"], "--cap-subsets", "9"])
         assert below.exit_code == EXIT_LIMIT
+
+
+class TestIntStringLimit:
+    """CPython converts no integer of more than ``sys.get_int_max_str_digits()``
+    digits to a string. A certificate that would write one is a limit: exit
+    4 with the entry's digit count, and no file."""
+
+    @pytest.fixture()
+    def big(self, tmp_path):
+        """A seeded 3-tree in R^2 on 100 vertices whose certificate stress
+        has a 724-digit entry, and an integer stress S = sum_j d_j^2 z_j
+        z_j^T of its Gale columns z_j (d_j the lcm of column j's
+        denominators), whose entries have at most 26 digits and which
+        psdize turns back into that stress."""
+        rng = random.Random(0)
+        g = gen_ktree(100, 3, 0)
+        fw = Framework(g, 2, [(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
+                              for _ in range(g.n)])
+        rows = {v: {} for v in range(g.n)}
+        for col in certify._gale_columns(fw, certify._elimination_order(g)):
+            d = math.lcm(*[x.denominator for x in col.values()])
+            for u, a in col.items():
+                for w, b in col.items():
+                    rows[u][w] = rows[u].get(w, 0) + d * d * a * b
+        paths = {"fw": tmp_path / "fw.json", "stress": tmp_path / "s.json",
+                 "out": tmp_path / "out.json"}
+        write_json(paths["fw"], framework_to_obj(fw))
+        write_json(paths["stress"], stress_to_obj(StressMatrix.from_rows(rows)))
+        return {name: str(path) for name, path in paths.items()}
+
+    @pytest.fixture()
+    def low_limit(self):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)  # the least limit CPython accepts
+        yield
+        sys.set_int_max_str_digits(old)
+
+    def _commands(self, big):
+        return [["certify", big["fw"]], ["certify", big["fw"], "--output", big["out"]],
+                ["analyze", big["fw"], "--output", big["out"]],
+                ["analyze", big["fw"], "--format", "json"],
+                ["psdize", big["fw"], "--stress", big["stress"]],
+                ["psdize", big["fw"], "--stress", big["stress"], "--output", big["out"]]]
+
+    def test_entries_past_the_limit_are_a_limit(self, runner, big, low_limit):
+        for args in self._commands(big):
+            result = runner.invoke(main, args)
+            assert result.exit_code == EXIT_LIMIT, args
+            assert result.stdout == ""
+            assert result.stderr == ("error: an output entry has 724 digits, more than "
+                                     "the 640 this interpreter writes as a string\n")
+            assert not Path(big["out"]).exists()
+
+    def test_the_same_commands_succeed_under_the_default_limit(self, runner, big):
+        for args in self._commands(big):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, args
+        out = json.loads(Path(big["out"]).read_text())
+        assert max(len(x) for row in out["matrix"] for x in row) > 724
+
+
+# sha256 of the exit codes and output of analyze and certify below, recorded
+# while certify still swept for general position on its failure paths
+CLI_DIGEST = "8f41d008cc1e3337d0a8985e180bdc64b50eda7463784b421b50145e2eb2afb4"
+
+
+class TestFrozenBytes:
+    def test_analyze_and_certify_bytes_frozen(self, runner, tmp_path, hexagon, k5_minus_edge,
+                                              prism, path3_line):
+        """Exit code, stdout and stderr of analyze (text, json and
+        --cap-subsets 5) and certify on four fixtures and on the moved
+        suites, 264 frameworks in and out of general position: certify's
+        witnesses live only in ``Certificate.detail``, which no command
+        writes, and analyze sweeps itself."""
+        named = [("hexagon", hexagon.fw), ("k5me", k5_minus_edge), ("prism", prism),
+                 ("path3", path3_line)]
+        named += [(f"ur{i}", fw) for i, fw in enumerate(helpers.ur_moved_suite(60))]
+        named += [(f"ngr{i}", fw) for i, fw in enumerate(helpers.ngr_moved_suite(200))]
+        assert len(named) == 264
+        path = tmp_path / "fw.json"
+        digest = hashlib.sha256()
+        for name, fw in named:
+            write_json(path, framework_to_obj(fw))
+            for command, *extra in (["analyze"], ["analyze", "--format", "json"],
+                                    ["analyze", "--cap-subsets", "5"], ["certify"]):
+                result = runner.invoke(main, [command, str(path), *extra])
+                digest.update(repr((name, command, extra, result.exit_code, result.stdout,
+                                    result.stderr)).encode())
+        assert digest.hexdigest() == CLI_DIGEST

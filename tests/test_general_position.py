@@ -308,17 +308,17 @@ class TestSweepCost:
                 verdicts.add(got[0])
         assert verdicts == {True, False}
 
-    def test_sweeps_only_on_failure_paths_and_once_per_analyze(self, monkeypatch, tmp_path,
-                                                              k5_minus_edge):
-        """certify_chordal sweeps zero times on a UR or NGR input in general
-        position and once on each failure path; analyze sweeps once."""
+    def test_certify_never_sweeps_and_analyze_sweeps_once(self, monkeypatch, tmp_path,
+                                                          k5_minus_edge):
+        """certify_chordal sweeps on no input, whether its evidence holds
+        or names a witness; analyze sweeps once."""
         calls = []
 
         def counted(fw, **kwargs):
             calls.append(fw.n)
             return is_general_position(fw, **kwargs)
 
-        monkeypatch.setattr(certify, "is_general_position", counted)
+        monkeypatch.setattr(framework, "is_general_position", counted)
         monkeypatch.setattr(cli, "is_general_position", counted)
         ur = random_general_position_framework(14, 2, 1)
         ngr = Framework(gen_ktree(10, 2, 3), 2, random_general_position_framework(10, 2, 3).points)
@@ -329,48 +329,34 @@ class TestSweepCost:
         # reflecting point 1 across x + y = 0 puts it on the line of 2, 3, 4
         degenerate = Framework(Graph.path(4), 2, [(0, 1), (0, 0), (1, 0), (2, 0)])
         runner = CliRunner()
-        for fw, sweeps, outcome in (
-                (ur, 0, (Verdict.UNIVERSALLY_RIGID, None)),
-                (ngr, 0, (Verdict.NOT_GLOBALLY_RIGID, None)),
-                (no_support, 1, (Verdict.INCONCLUSIVE, (1, 2, 3))),
-                (infeasible, 1, (Verdict.INCONCLUSIVE, (2, 3))),
-                (degenerate, 1, (Verdict.INCONCLUSIVE, (2, 3, 4)))):
+        for fw, outcome in (
+                (ur, (Verdict.UNIVERSALLY_RIGID, None)),
+                (ngr, (Verdict.NOT_GLOBALLY_RIGID, None)),
+                (no_support, (Verdict.INCONCLUSIVE, (2, 4, 5))),
+                (infeasible, (Verdict.INCONCLUSIVE, (2, 3))),
+                (degenerate, (Verdict.INCONCLUSIVE, (2, 3, 4)))):
             calls.clear()
             cert = certify_chordal(fw)
             assert (cert.verdict, cert.detail) == outcome
-            assert calls == [fw.n] * sweeps
+            assert calls == []
             path = tmp_path / "fw.json"
             write_json(path, framework_to_obj(fw))
-            calls.clear()
             assert runner.invoke(main, ["analyze", str(path)]).exit_code == 0
             assert calls == [fw.n]
 
-    def test_failed_conic_check_sweeps_once(self, monkeypatch, k5_minus_edge):
-        """A failed conic check sends the verdict through the sweep: in
-        general position it stands, with the stress of the check that
-        passed; otherwise the witness is returned."""
-        calls = []
-
-        def counted(fw, **kwargs):
-            calls.append(fw.n)
-            return is_general_position(fw, **kwargs)
-
-        monkeypatch.setattr(certify, "is_general_position", counted)
+    def test_failed_conic_check_is_an_assertion_failure(self, monkeypatch):
+        """Once a stress is built the conic check cannot fail, so a failure
+        is a bug, in general position or not; no sweep runs."""
         fw = random_general_position_framework(12, 3, 2)
         pts = list(fw.points)
         pts[-1] = pts[0]
         moved = Framework(fw.graph, 3, pts)
-        expected = certify_chordal(fw)
         # the repeated point leaves every column an independent support
         assert certify_chordal(moved).verdict is Verdict.UNIVERSALLY_RIGID
-        assert calls == []
         monkeypatch.setattr(certify, "_no_conic_at_infinity", lambda fw: False)
-        assert certify_chordal(fw) == expected
-        assert calls == [fw.n]
-        calls.clear()
-        cert = certify_chordal(moved)
-        assert cert.verdict is Verdict.INCONCLUSIVE and calls == [fw.n]
-        assert cert.detail == oracles.first_affinely_dependent(moved.points, 4)
+        for target in (fw, moved):
+            with pytest.raises(certify.AssertionFailure, match="conic at infinity"):
+                certify_chordal(target)
 
 
 class TestCapEdge:

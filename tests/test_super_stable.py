@@ -2,27 +2,32 @@
 
 A PSD stress of rank n-r-1 whose edge directions lie on no conic at
 infinity proves universal rigidity (Connelly's super stability), and a
-re-checked reflection disproves global rigidity, so ``certify_chordal``
-sweeps only on a failure path and ``psdize_stress`` not at all. The conic
-check is compared with sympy's null space (``oracles.conic_at_infinity``)
-on seeded and crafted inputs; frameworks moved out of general position are
-certified, each stress re-checked by ``validate_stress_matrix`` and the
-sympy oracle and each counterexample by independent distances; and
-``chordalrig psdize`` turns indefinite stresses of such frameworks into PSD
-ones.
+re-checked reflection disproves global rigidity, so neither
+``certify_chordal`` nor ``psdize_stress`` sweeps: where the evidence fails,
+the failure names r+1 affinely dependent points. The conic check is
+compared with sympy's null space (``oracles.conic_at_infinity``) on seeded
+and crafted inputs, and shown to hold wherever a Gale column is built;
+frameworks moved out of general position are certified, each stress
+re-checked by ``validate_stress_matrix`` and the sympy oracle, each
+counterexample by independent distances and each witness by sympy's rank;
+and ``chordalrig psdize`` turns indefinite stresses of such frameworks
+into PSD ones.
 """
 
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from click.testing import CliRunner
 
+import helpers
 import oracles
-from chordalrig import certify
+from chordalrig import certify, framework
 from chordalrig.certify import (
+    DegenerateEvidence,
     PreconditionViolated,
     Reason,
     Verdict,
@@ -167,40 +172,51 @@ class TestConicAtInfinity:
             fw = Framework(Graph.complete(r + 1), r, pts)
             assert _check_conic(fw) is None
 
+    def test_no_conic_wherever_a_gale_column_is_built(self):
+        """The support clique of a built column spans an r-simplex, so the
+        conic check holds on every framework where ``_gale_columns`` builds
+        all its columns or fails after the first, in general position or
+        not; ``certify_chordal`` relies on it."""
+        seen = Counter()
+        for r in (1, 2, 3, 4):
+            rng = random.Random(f"conic-built/{r}")
+            for i in range(40):
+                n = rng.randint(r + 2, r + 7)
+                pts = [[F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(r)]
+                       for _ in range(n)]
+                try:
+                    fw = Framework(gen_ktree(n, r + 1, i), r, pts)
+                except DegenerateSpan:
+                    continue
+                try:
+                    certify._gale_columns(fw, certify._elimination_order(fw.graph))
+                except DegenerateEvidence as exc:
+                    if re.search(r"column (\d+)", str(exc)).group(1) == "1":
+                        continue
+                    seen["later column fails"] += 1
+                assert _check_conic(fw) is None
+                seen[r, is_general_position(fw)[0]] += 1
+        assert all(seen[r, gp] for r in (1, 2, 3, 4) for gp in (True, False))
+        assert seen["later column fails"]
 
-def _moved_framework(rng, graph, base):
-    """``base``'s points on ``graph``, one of them moved onto the line
-    through two others; None when the result does not span."""
-    pts = [list(p) for p in base.points]
-    j, a, b = rng.sample(range(base.n), 3)
-    t = F(rng.randint(-5, 5), rng.randint(1, 4))
-    pts[j] = [x + t * (y - x) for x, y in zip(pts[a], pts[b])]
-    try:
-        return Framework(graph, base.dim, pts)
-    except DegenerateSpan:
-        return None
 
-
-def _ur_suite(count):
-    """Seeded (r+1)-trees in R^2 and R^3, n = 10, one point moved."""
-    for i in range(count):
-        rng = random.Random(f"ur-moved/{i}")
-        r = rng.choice((2, 3))
-        base = random_general_position_framework(10, r, i)
-        fw = _moved_framework(rng, base.graph, base)
-        if fw is not None:
-            yield fw
+def _check_witness(fw, cert):
+    """An Inconclusive verdict names r+1 points that sympy finds affinely
+    dependent."""
+    assert (cert.verdict, cert.reason) == (Verdict.INCONCLUSIVE, Reason.NOT_GENERAL_POSITION)
+    witness = cert.detail
+    assert len(witness) == fw.dim + 1 and list(witness) == sorted(set(witness))
+    assert oracles.sym_rank([list(fw.point(v)) + [1] for v in witness]) <= fw.dim
 
 
 class TestNotInGeneralPosition:
     def test_stresses_of_moved_r_plus_one_trees(self):
         seen = Counter()
-        for fw in _ur_suite(60):
+        for fw in helpers.ur_moved_suite(60):
             cert = certify_chordal(fw)
-            gp, witness = is_general_position(fw)
-            seen[cert.verdict, gp] += 1
+            seen[cert.verdict, is_general_position(fw)[0]] += 1
             if cert.verdict is Verdict.INCONCLUSIVE:
-                assert (cert.reason, cert.detail) == (Reason.NOT_GENERAL_POSITION, witness)
+                _check_witness(fw, cert)
                 continue
             assert cert.verdict is Verdict.UNIVERSALLY_RIGID
             s = cert.stress.matrix
@@ -218,7 +234,7 @@ class TestNotInGeneralPosition:
         factor of that stress, and on the others a column names r+1
         dependent points."""
         seen = Counter()
-        for fw in _ur_suite(60):
+        for fw in helpers.ur_moved_suite(60):
             cert = certify_chordal(fw)
             seen[cert.verdict] += 1
             if cert.verdict is Verdict.INCONCLUSIVE:
@@ -235,45 +251,55 @@ class TestNotInGeneralPosition:
         assert seen == {Verdict.UNIVERSALLY_RIGID: 51, Verdict.INCONCLUSIVE: 9}
 
     def test_counterexamples_of_moved_r_trees(self):
-        """Seeded r-trees in R^2 and R^3, connectivity r, one point moved."""
         seen = Counter()
-        for i in range(200):
-            rng = random.Random(f"ngr-moved/{i}")
-            r = rng.choice((2, 3))
-            n = rng.randint(r + 3, 12)
-            fw = _moved_framework(rng, gen_ktree(n, r, i),
-                                  random_general_position_framework(n, r, i))
-            if fw is None:
-                continue
+        for fw in helpers.ngr_moved_suite(200):
             cert = certify_chordal(fw)
-            gp, witness = is_general_position(fw)
-            seen[cert.verdict, gp] += 1
+            seen[cert.verdict, is_general_position(fw)[0]] += 1
             if cert.verdict is Verdict.INCONCLUSIVE:
-                assert (cert.reason, cert.detail) == (Reason.NOT_GENERAL_POSITION, witness)
+                _check_witness(fw, cert)
                 continue
             assert cert.verdict is Verdict.NOT_GLOBALLY_RIGID
             other = cert.counterexample.points
             assert oracles.equal_sq_distances(fw.points, other, fw.graph.edges)
-            pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+            pairs = [(u, v) for u in range(1, fw.n + 1) for v in range(u + 1, fw.n + 1)]
             assert not oracles.equal_sq_distances(fw.points, other, pairs)
         assert seen == {(Verdict.NOT_GLOBALLY_RIGID, False): 152,
                         (Verdict.INCONCLUSIVE, False): 48}
 
+    def test_certify_never_sweeps_on_the_moved_suites(self, monkeypatch):
+        """A spy on the sweep, under every name it is reachable by, sees
+        no call from ``certify_chordal`` on either suite."""
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("certify_chordal swept")
+
+        # generating the suites sweeps
+        suites = [*helpers.ur_moved_suite(60), *helpers.ngr_moved_suite(200)]
+        assert not hasattr(certify, "is_general_position")
+        monkeypatch.setattr(framework, "is_general_position", spy)
+        monkeypatch.setattr(framework, "_first_dependent", spy)
+        verdicts = Counter(certify_chordal(fw).verdict for fw in suites)
+        assert calls == [] and verdicts[Verdict.INCONCLUSIVE] == 9 + 48
+
     def test_k5_minus_edge_stays_inconclusive(self, k5_minus_edge):
         cert = certify_chordal(k5_minus_edge)
         assert (cert.verdict, cert.reason, cert.detail) == (
-            Verdict.INCONCLUSIVE, Reason.NOT_GENERAL_POSITION, (1, 2, 3))
+            Verdict.INCONCLUSIVE, Reason.NOT_GENERAL_POSITION, (2, 4, 5))
+        _check_witness(k5_minus_edge, cert)
 
     def test_crafted_conic_with_high_connectivity(self):
         """A 4-tree in R^3 whose edges all have dx = 0 or dy = 0 (the conic
         xy = 0): its K5 has four collinear points, so a column has no
-        independent support, and the sweep names four coplanar ones."""
+        independent support and names four of them."""
         g = Graph(6, [e for e in Graph.complete(5).edges] + [(v, 6) for v in (2, 3, 4, 5)])
         pts = [(0, 0, 0), (0, 1, 0), (0, 1, 1), (0, 1, 2), (0, 1, 3), (1, 1, 0)]
         fw = Framework(g, 3, pts)
         assert _check_conic(fw) is not None
         cert = certify_chordal(fw)
-        assert (cert.verdict, cert.detail) == (Verdict.INCONCLUSIVE, (1, 2, 3, 4))
+        assert (cert.verdict, cert.detail) == (Verdict.INCONCLUSIVE, (2, 3, 4, 5))
+        _check_witness(fw, cert)
 
 
 class TestPsdizeWithoutGeneralPosition:
@@ -288,7 +314,7 @@ class TestPsdizeWithoutGeneralPosition:
             rng = random.Random(f"psdize-moved/{seed}")
             r = rng.choice((2, 3))
             base = random_general_position_framework(10, r, seed)
-            fw = _moved_framework(rng, base.graph, base)
+            fw = helpers.moved_framework(rng, base.graph, base)
             if fw is None or is_general_position(fw)[0]:
                 continue
             peo = certify._elimination_order(fw.graph)
