@@ -3,12 +3,14 @@
 The positive branch builds a Gale matrix in unit-triangular shape along a
 perfect elimination ordering (PEO): column j is nonzero only at the vertex
 in position j and at dim+1 of its later neighbours, a clique, so columns
-are kept sparse, in the original labels, and solved by Cramer's rule. The
-Gram product Z Z^T is a PSD stress of maximal rank, which certifies
-universal (hence global) rigidity. It is summed in integers as the
-congruent matrix C Z Z^T C for a positive integer diagonal C, re-checked
-over its nonzero entries, and eliminated sparsely along the PEO for PSD
-and rank; the dense stress is built only when read. The same elimination
+are kept sparse, in the original labels, and solved by Cramer's rule, in
+integers: each is held as the primitive integer vector whose pivot entry
+divides it to the column. The Gram product Z Z^T is a PSD stress of
+maximal rank, which certifies universal (hence global) rigidity. It is
+summed in integers as the congruent matrix C Z Z^T C for a positive
+integer diagonal C, re-checked over its nonzero entries, and eliminated
+sparsely along the PEO for PSD and rank; no Fraction is made until the
+stress or the Gale matrix is read. The same elimination
 gives ``psdize_stress`` its input's rank, first vanishing leading minor
 and Gale factor. The negative branch reflects one side of a small
 separating set across a hyperplane through it, on the framework's lifted
@@ -36,12 +38,12 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .exactmat import (
+    _ZERO,
     Matrix,
     SparseRows,
     _cofactor_basis,
     _cofactor_step,
     _integer_row,
-    _quotient,
     _sparse_factor,
     _sparse_rows,
     _unit_rows,
@@ -59,6 +61,7 @@ from .framework import (
     _lift,
     _same_sq_dists,
     _scaled_pair,
+    _scaled_points,
     _sized_congruent,
     _stress_clauses,
     _triangular_violation,
@@ -194,12 +197,34 @@ class Hyperplane:
         return tuple(Fraction(x * nn - t * a, den) for x, a in zip(coords, normal))
 
 
-GaleColumns = list[dict[int, int | Fraction]]
+# Integer Gale columns {0-based vertex: int}: nonzero entries only, the
+# pivot vertex first with a positive entry, and gcd 1. The column of Z is
+# the column divided by its pivot entry, which is therefore the lcm of the
+# denominators of that column of Z.
+GaleColumns = list[dict[int, int]]
+
+
+def _unit_entries(col: dict[int, int], vertices: Iterable[int]) -> tuple[Fraction, ...]:
+    """The entries of the column of Z held by the integer column ``col``
+    at ``vertices``: one Fraction per nonzero entry, the shared zero
+    elsewhere."""
+    d = next(iter(col.values()))
+    return tuple(Fraction(col[v], d) if v in col else _ZERO for v in vertices)
 
 
 def _gale_matrix(columns: GaleColumns, n: int) -> GaleMatrix:
-    return GaleMatrix(Matrix.from_columns(
-        [[col.get(v, Fraction(0)) for v in range(n)] for col in columns], rows=n))
+    return GaleMatrix(Matrix._of(tuple(_unit_entries(col, range(n)) for col in columns),
+                                 len(columns), n).transpose())
+
+
+def _integer_column(col: dict[int, int | Fraction]) -> dict[int, int]:
+    """The integer form (``GaleColumns``) of a column with entry 1 at its
+    first key, {0-based vertex: int or Fraction}, zeros left out: the
+    column times the lcm d of its denominators. The pivot entry is then d,
+    and the gcd is 1: each prime power dividing d exactly divides some
+    entry's denominator exactly, and that entry times d is prime to it."""
+    d = math.lcm(*[x.denominator for x in col.values()])
+    return {u: x.numerator * (d // x.denominator) for u, x in col.items()}
 
 
 def unit_triangular_gale(fw: Framework, peo: Ordering) -> GaleMatrix:
@@ -232,8 +257,8 @@ def _gale_columns(fw: Framework, peo: Ordering,
     later-neighbour lists of ``peo`` (``graphs._later_neighbors``); they are
     built when it is None.
 
-    Column j is 1 at the vertex v in position j and x_k at dim+1 of its
-    later neighbours u_k, where sum_k x_k (u_k, 1) = -(v, 1). The
+    Column j of Z is 1 at the vertex v in position j and x_k at dim+1 of
+    its later neighbours u_k, where sum_k x_k (u_k, 1) = -(v, 1). The
     framework keeps each point lifted to the integer vector L = l (p, 1), l
     the lcm of its denominators. The dim+1 coordinate rows of the matrix
     [L_v | L_{u_0} ... L_{u_dim}] go through ``_cofactor_basis``; when they
@@ -241,7 +266,9 @@ def _gale_columns(fw: Framework, peo: Ordering,
     y_v L_v + sum_k y_k L_{u_k} = 0 and x_k = l_{u_k} y_k / (l_v y_v). The
     entries of y are the maximal minors of that matrix up to sign, so this
     is Cramer's rule. A dependent row or y_v = 0 means the L_{u_k} are
-    dependent.
+    dependent. The column is returned in integers (``GaleColumns``): w_u =
+    l_u y_u over v and the support, divided by its gcd and signed so that
+    w_v > 0, so x_k = w_{u_k} / w_v.
 
     A position with fewer than dim+1 later neighbours raises
     PreconditionViolated. The support is first the dim+1 earliest later
@@ -249,9 +276,11 @@ def _gale_columns(fw: Framework, peo: Ordering,
     when they are not, one greedy pass over all the later neighbours in
     position order keeps the first dim+1 that are
     (``_independent_support``); if there are none, every dim+1 of them are
-    dependent, and DegenerateEvidence names the first dim+1. Each column is
-    checked to lie in the Gale space and to keep the triangular shape
-    before it is returned.
+    dependent, and DegenerateEvidence names the first dim+1. Each y is
+    checked to be a dependency of the lifted points, sum_k y_k L_k = 0 in
+    integers (the Gale-space equation of the column times l_v y_v), and
+    the columns to keep the triangular shape with a positive pivot entry,
+    before they are returned.
     """
     r = fw.dim
     lifted = fw._lifted
@@ -274,17 +303,12 @@ def _gale_columns(fw: Framework, peo: Ordering,
                 raise DegenerateEvidence(
                     f"support of column {j} is degenerate: no {r + 1} of its "
                     f"later neighbours are affinely independent", witness)
-        scale = lifted[v - 1][-1] * y[0]
-        col = {v - 1: Fraction(1)}
-        for u, x in zip(support, y[1:]):
-            if x:
-                col[u] = Fraction(lifted[u][-1] * x, scale)
-        # the coefficient of L_u is x / l_u, and l_u = 1 at integer points
-        coefficients = {u: x if lifted[u][-1] == 1 else _quotient(x, lifted[u][-1])
-                        for u, x in col.items()}
-        if not _in_gale_space(lifted, [coefficients]):
+        keys = [v - 1, *support]
+        if not _in_gale_space(lifted, [dict(zip(keys, y))]):
             raise AssertionFailure(f"column {j} does not lie in the Gale space")
-        columns.append(col)
+        w = [lifted[u][-1] * x for u, x in zip(keys, y)]
+        g = math.gcd(*w) if w[0] > 0 else -math.gcd(*w)
+        columns.append({u: x // g for u, x in zip(keys, w) if x})
     violation = _triangular_violation(columns, fw.graph, peo)
     if violation is not None:
         raise AssertionFailure(f"unit-triangular shape violated at {violation}")
@@ -321,13 +345,15 @@ def _independent_support(lifted: Sequence[Sequence[int]], candidates: Sequence[i
 
 
 def _gram_rows(columns: GaleColumns, n: int) -> tuple[SparseRows, list[int]]:
-    """The Gram product S = Z Z^T of sparse columns, as the integer sparse
-    rows of the congruent matrix M = C S C and the diagonal c of C.
+    """The Gram product S = Z Z^T of integer columns (``GaleColumns``), as
+    the integer sparse rows of the congruent matrix M = C S C and the
+    diagonal c of C.
 
-    With d_j the lcm of the denominators of column j, c_u is the lcm of the
-    d_j of the columns that hold u, so W = C Z is integral and M = W W^T
-    is summed in integers, one column's outer product at a time; no
-    Fraction is made. An entry whose terms cancel is kept, as zero.
+    Column j of Z is w_j / d_j, d_j its pivot entry, the lcm of the
+    denominators of that column of Z. c_u is the lcm of the d_j of the
+    columns that hold u, so W = C Z, W_uj = w_u c_u / d_j, is integral and
+    M = W W^T is summed in integers, one column's outer product at a time;
+    no Fraction is made. An entry whose terms cancel is kept, as zero.
 
     When the columns are unit-triangular along an ordering, as the Gale
     columns along the PEO that built them are, elimination of M along that
@@ -337,14 +363,14 @@ def _gram_rows(columns: GaleColumns, n: int) -> tuple[SparseRows, list[int]]:
     row v_k holds W_{v_k k} w_k, and every quotient M_ik M_kj / M_kk is
     the integer W_ik W_jk.
     """
-    denominators = [math.lcm(*[a.denominator for a in col.values()]) for col in columns]
+    denominators = [next(iter(col.values())) for col in columns]
     scale = [1] * n
     for col, d in zip(columns, denominators):
         for u in col:
             scale[u] = math.lcm(scale[u], d)
     rows: SparseRows = {v: {} for v in range(n)}
-    for col in columns:
-        ints = [(u, a.numerator * (scale[u] // a.denominator)) for u, a in col.items()]
+    for col, d in zip(columns, denominators):
+        ints = [(u, a * (scale[u] // d)) for u, a in col.items()]
         for k, (u, a) in enumerate(ints):
             urow = rows[u]
             for w, b in ints[k:]:
@@ -354,7 +380,7 @@ def _gram_rows(columns: GaleColumns, n: int) -> tuple[SparseRows, list[int]]:
 
 
 def _gram_stress(fw: Framework, columns: GaleColumns, order: Ordering) -> StressMatrix:
-    """The Gram stress Z Z^T of sparse Gale columns, held as the integer
+    """The Gram stress Z Z^T of integer Gale columns, held as the integer
     rows of a congruent matrix (``_gram_rows``), with every stress clause
     re-checked on them.
 
@@ -387,9 +413,17 @@ def psd_stress_from_gale(fw: Framework, z: GaleMatrix) -> StressMatrix:
     must vanish, otherwise PatternViolation identifies a labeling bug. All
     stress clauses are re-verified exactly before returning, PSD and rank
     by sparse elimination along a maximum cardinality search order (a PEO
-    when the graph is chordal).
+    when the graph is chordal). The sum runs on the columns' integer form
+    (``_integer_column``), cleared at an entry 1 of each, which a
+    unit-triangular column has at its pivot; a column without one raises
+    PreconditionViolated.
     """
-    columns = list(_sparse_rows(z.matrix.transpose()).values())
+    columns = []
+    for j, col in enumerate(_sparse_rows(z.matrix.transpose()).values(), 1):
+        unit = next((u for u, x in col.items() if x == 1), None)
+        if unit is None:
+            raise PreconditionViolated(f"column {j} of the Gale matrix has no entry 1")
+        columns.append(_integer_column({unit: 1, **col}))  # the entry 1 first, as pivot
     return _gram_stress(fw, columns, mcs_order(fw.graph))
 
 
@@ -399,18 +433,18 @@ def _no_conic_at_infinity(fw: Framework) -> bool:
 
     d^T Q d is linear in the entries Q_ab, a <= b, with coefficients the
     products d_a d_b, so such a Q exists exactly when the |E| x r(r+1)/2
-    matrix of these products has a kernel. The points are scaled by one
-    common denominator, which scales every row alike, and the rank of the
-    integer rows is read off one ``_cofactor_basis`` pass.
+    matrix of these products has a kernel. The lifted points are scaled to
+    integers by one common denominator, the lcm of their factors l, which
+    scales every row alike, and the rank of the integer rows is read off
+    one ``_cofactor_basis`` pass.
 
     The edges of an r-simplex alone have full rank: Q vanishing on e_i and
     on e_i - e_j for a basis e vanishes on every product. So once a Gale
     column is built, its support clique passes this check; it is kept as
     the theorem's own hypothesis, checked on the framework.
     """
-    r = fw.dim
-    flat, _ = _integer_row([x for p in fw.points for x in p])
-    ints = [flat[i:i + r] for i in range(0, len(flat), r)]
+    r, lifted = fw.dim, fw._lifted
+    ints = _scaled_points(lifted, math.lcm(*[p[-1] for p in lifted]))
     pairs = [(a, b) for a in range(r) for b in range(a, r)]
     rows = ([d[a] * d[b] for a, b in pairs]
             for d in ([x - y for x, y in zip(ints[u - 1], ints[w - 1])]
@@ -598,10 +632,10 @@ class PsdizeResult:
     """Outcome of converting an indefinite stress into a PSD one.
 
     ``stress`` is in the original labels; ``columns`` holds the rbar unit
-    columns of the input's L D L^T factor, sparse ({0-based vertex:
-    entry}), and ``peo`` the ordering they were eliminated along. The dense
-    views are built on first read and then kept: ``gale`` is the Gale
-    matrix with these columns, in the original labels, and ``eliminated``
+    columns of the input's L D L^T factor in the integer form of
+    ``GaleColumns``, and ``peo`` the ordering they were eliminated along.
+    The dense views are built on first read and then kept: ``gale`` is the
+    Gale matrix with these columns, in the original labels, and ``eliminated``
     the staircase matrix after rbar elimination steps, expressed in
     ``peo``: row j is the unit column of the j-th pivot in position order,
     and the rows below rbar are zero. The stress and the ordering determine
@@ -618,10 +652,10 @@ class PsdizeResult:
 
     @cached_property
     def eliminated(self) -> Matrix:
-        n, zero = len(self.peo), Fraction(0)
+        n = len(self.peo)
         order = [v - 1 for v in self.peo]
-        return Matrix([[col.get(v, zero) for v in order] for col in self.columns]
-                      + [[zero] * n] * (n - len(self.columns)), shape=(n, n))
+        return Matrix._of(tuple(_unit_entries(col, order) for col in self.columns)
+                          + ((_ZERO,) * n,) * (n - len(self.columns)), n, n)
 
 
 def _elimination_order(graph: Graph) -> Ordering:
@@ -647,8 +681,9 @@ def psdize_stress(fw: Framework, s: StressMatrix) -> PsdizeResult:
     principal minors, so a zero among the first rbar pivots is the first
     vanishing minor and raises NotGenericRankProfile with its index.
     Otherwise the pass factors the input as L D L^T, and the rbar unit
-    columns of L are a Gale matrix in unit-triangular shape; chordality
-    keeps their non-edge zeros, so their Gram product is again a stress:
+    columns of L, cleared once to their integer form (``_integer_column``),
+    are a Gale matrix in unit-triangular shape; chordality keeps their
+    non-edge zeros, so their Gram product is again a stress:
     PSD, of the same maximal rank. None of this uses general position, and
     the Gram stress is re-checked in full (``_gram_stress``), so the points
     are not swept. The input is read through its congruent integer rows
@@ -673,7 +708,7 @@ def psdize_stress(fw: Framework, s: StressMatrix) -> PsdizeResult:
             f"stress rank {result.rank} differs from the maximal {fw.rbar}")
     if not result.generic:
         raise NotGenericRankProfile(result.first_zero)
-    columns = result.columns
+    columns = [_integer_column(col) for col in result.columns]
     violation = _triangular_violation(columns, fw.graph, peo)
     if violation is not None:
         raise AssertionFailure(f"eliminated factor lost the triangular shape at {violation}")

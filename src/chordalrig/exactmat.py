@@ -1,10 +1,15 @@
-"""Exact rational linear algebra: the three kernels the library runs.
+"""Exact rational linear algebra: the four kernels the library runs.
 
 Every entry is an int or a Python Fraction, so all results are exact.
 Floats are rejected outright; there is no rounding anywhere in this
 module. ``Matrix`` holds Fractions; the kernels below run on ints where
 they can.
 
+- ``Matrix.__mul__`` is the dense product, summed fraction-free: each row
+  of the left factor and each column of the right one is scaled by the
+  lcm of its denominators, the integer products are summed over nonzero
+  pairs only, and each nonzero sum becomes one Fraction; every zero of
+  the result is one shared ``Fraction(0)``.
 - ``_sparse_factor`` eliminates a symmetric matrix held as sparse rows
   (``SparseRows``, {row: {column: entry}}) without exchanges, in a given
   order, touching only the entries that elimination changes, with a 2x2
@@ -54,13 +59,17 @@ class SingularMatrix(ExactMatError):
     pass
 
 
+# The one zero the dense kernels hand out; Fractions are immutable.
+_ZERO = Fraction(0)
+
+
 def _coerce(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError("matrix entries must be rational, got bool")
     if isinstance(value, int):
-        return Fraction(value)
+        return Fraction(value) if value else _ZERO
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"matrix entries must be rational, got {type(value).__name__}")
@@ -73,6 +82,12 @@ class Matrix:
     using 0-based indices. Diagnostics reported by the functions in this
     module (pivot steps, minor sizes, row/column subsets) are 1-based to
     line up with vertex labels elsewhere in the package.
+
+    The constructors coerce every entry to a Fraction (ints, Fractions and
+    strings; floats and bools raise TypeError). Results the library builds
+    from Fractions it already holds, the product, the transpose and the
+    Gale matrices of ``certify``, go through ``_of``, which takes its rows
+    as they are.
     """
 
     __slots__ = ("rows", "cols", "_data")
@@ -93,6 +108,15 @@ class Matrix:
         self.rows = nrows
         self.cols = ncols
         self._data = rows
+
+    @classmethod
+    def _of(cls, data: tuple[tuple[Fraction, ...], ...], rows: int, cols: int) -> "Matrix":
+        """The rows x cols matrix over ``data``, a tuple of ``rows`` tuples
+        of ``cols`` Fractions, kept as it is: nothing is coerced or
+        checked."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._data = rows, cols, data
+        return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
@@ -130,8 +154,8 @@ class Matrix:
         return [list(r) for r in self._data]
 
     def transpose(self) -> "Matrix":
-        return Matrix([[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-                      shape=(self.cols, self.rows))
+        data = tuple(zip(*self._data)) if self.rows else ((),) * self.cols
+        return Matrix._of(data, self.cols, self.rows)
 
     def select(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         """Submatrix from 0-based row/column index sequences, in the given order."""
@@ -148,11 +172,8 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-            bt = other.transpose()._data
-            # Gale factors and stresses are mostly zeros; exact sums let the
-            # zero terms be skipped without changing any entry.
-            return Matrix([[sum(a * b for a, b in zip(row, col) if a and b) for col in bt]
-                           for row in self._data], shape=(self.rows, other.cols))
+            return Matrix._of(_product(self._data, other._data, other.cols),
+                              self.rows, other.cols)
         if isinstance(other, (int, Fraction)):
             s = _coerce(other)
             return Matrix([[x * s for x in row] for row in self._data], shape=(self.rows, self.cols))
@@ -210,6 +231,40 @@ def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """
     scale = math.lcm(*(x.denominator for x in values))
     return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
+def _product(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]], cols: int
+             ) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows of the product of the rows ``a`` and ``b`` (``cols``
+    columns), fraction-free.
+
+    Column j of b is scaled to integers by the lcm m_j of its denominators
+    and kept as the nonzero entries of each scaled row; row i of a is
+    scaled by the lcm l_i of its own. Entry (i, j) is then s_ij /
+    (l_i m_j), s_ij the sum over t of the scaled a_it b_tj, and summing
+    each nonzero a_it against row t's nonzero entries skips only zero
+    terms. Gale factors and stresses are mostly zeros, so this is far
+    fewer terms than the rows x cols x inner products. Each nonzero sum
+    is one Fraction; every other entry is the shared zero, so an empty
+    inner dimension gives the zero matrix.
+    """
+    right = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+    scale = [1] * cols
+    for row in right:
+        for j, x in row:
+            scale[j] = math.lcm(scale[j], x.denominator)
+    right = [[(j, x.numerator * (scale[j] // x.denominator)) for j, x in row] for row in right]
+    out = []
+    for row in a:
+        nonzero = [(t, x) for t, x in enumerate(row) if x]
+        l = math.lcm(*[x.denominator for _, x in nonzero])
+        sums = [0] * cols
+        for t, x in nonzero:
+            x = x.numerator * (l // x.denominator)
+            for j, y in right[t]:
+                sums[j] += x * y
+        out.append(tuple(Fraction(s, l * m) if s else _ZERO for s, m in zip(sums, scale)))
+    return tuple(out)
 
 
 def _unit_rows(k: int) -> list[list[int]]:

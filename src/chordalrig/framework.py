@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .exactmat import (
     DimensionMismatch,
@@ -355,33 +355,33 @@ class StressMatrix:
     """Symmetric n x n matrix that kills the extended configuration and
     vanishes on non-edges; diagonal entries are the incident weight sums.
 
-    A stress S is held by one source of truth, ``congruent``: the integer
-    sparse rows of M = C S C (0-based, every index from 0 to n-1 present)
-    and the diagonal c of C, positive integers. Two read-only views are
-    built from it on first read and then kept: ``nonzero_rows()``, the
-    nonzero entries S_uw = M_uw / (c_u c_w), and the dense ``matrix``. A
-    constructor seeds a view with entries it already holds:
-    ``StressMatrix(matrix)`` keeps ``matrix`` and its nonzero entries, and
-    ``from_rows`` its sparse rows; both take c_u as the lcm of the
-    denominators of row u (``exactmat._congruent_rows``).
-    ``from_congruent(rows, scale)`` starts from M. Stresses compare and
-    hash by value: stored zeros and the choice of C do not count.
+    A stress S is held by its ``congruent`` form: the integer sparse rows
+    of M = C S C (0-based, every index from 0 to n-1 present) and the
+    diagonal c of C, positive integers. Two read-only views come from it:
+    ``nonzero_rows()``, the nonzero entries S_uw = M_uw / (c_u c_w), and
+    the dense ``matrix``. Each of the three is built on first read and
+    then kept, and a constructor seeds those it already holds:
+    ``from_congruent(rows, scale)`` starts from M; ``StressMatrix(matrix)``
+    keeps ``matrix`` and its nonzero entries, and ``from_rows`` its sparse
+    rows, and for both ``congruent`` takes c_u as the lcm of the
+    denominators of row u (``exactmat._congruent_rows``) when first read.
+    Stresses compare and hash by value: stored zeros and the choice of C
+    do not count.
     """
 
-    __slots__ = ("n", "congruent", "_rows", "_matrix")
+    __slots__ = ("n", "_congruent", "_rows", "_matrix")
 
     def __init__(self, matrix: Matrix):
         if matrix.rows != matrix.cols:
             raise DimensionMismatch(f"stress must be square, got {matrix.rows}x{matrix.cols}")
-        rows = _sparse_rows(matrix)
-        self._hold(_congruent_rows(rows), rows, matrix)
+        self._hold(matrix.rows, None, _sparse_rows(matrix), matrix)
 
     @classmethod
     def from_rows(cls, rows: SparseRows) -> "StressMatrix":
         """The stress with these nonzero entries, {row: {column: rational}},
         0-based, every row index from 0 to n-1 present in order."""
         s = cls.__new__(cls)
-        s._hold(_congruent_rows(rows), rows, None)
+        s._hold(len(rows), None, rows, None)
         return s
 
     @classmethod
@@ -390,13 +390,19 @@ class StressMatrix:
         ``rows`` (0-based, every index from 0 to n-1 present), C =
         diag(``scale``)."""
         s = cls.__new__(cls)
-        s._hold((rows, scale), None, None)
+        s._hold(len(scale), (rows, scale), None, None)
         return s
 
-    def _hold(self, congruent: tuple[SparseRows, Sequence[int]], rows: SparseRows | None,
-              matrix: Matrix | None) -> None:
-        self.n = len(congruent[1])
-        self.congruent, self._rows, self._matrix = congruent, rows, matrix
+    def _hold(self, n: int, congruent: tuple[SparseRows, Sequence[int]] | None,
+              rows: SparseRows | None, matrix: Matrix | None) -> None:
+        self.n = n
+        self._congruent, self._rows, self._matrix = congruent, rows, matrix
+
+    @property
+    def congruent(self) -> tuple[SparseRows, Sequence[int]]:
+        if self._congruent is None:
+            self._congruent = _congruent_rows(self._rows)
+        return self._congruent
 
     @property
     def matrix(self) -> Matrix:
@@ -529,11 +535,13 @@ def _stress_clauses(fw: Framework, rows: SparseRows, scale: Sequence[int]
     lifted points L_u = l_u (p_u, 1), column w of S lies in the Gale space
     exactly when sum_u (M_uw c_w / (c_u l_u)) L_u = 0 (``_in_gale_space``),
     the sum of S_uw (p_u, 1) times c_w^2. Each coefficient is one
-    ``_quotient``, an int whenever c_u l_u divides M_uw c_w. At integer
-    points (l_u = 1) it does on a Gram stress (``certify._gram_rows``: c_u
+    ``divmod`` (``_kernel_coefficients``); c_u l_u divides M_uw c_w at
+    integer points (l_u = 1) on a Gram stress (``certify._gram_rows``: c_u
     and c_w carry every d_j of a column holding both u and w) and on the
     congruent rows of a symmetric matrix (``exactmat._congruent_rows``:
-    c_w S_wu is an integer). A symmetric M's columns are its rows."""
+    c_w S_wu is an integer), so there the sum is taken in integers as it
+    stands. Only a column with a remainder is divided again, each
+    coefficient by ``_quotient``. A symmetric M's columns are its rows."""
     symmetric = all(rows[w].get(u, 0) == x for u, row in rows.items() for w, x in row.items())
     if symmetric:
         columns = rows
@@ -544,10 +552,24 @@ def _stress_clauses(fw: Framework, rows: SparseRows, scale: Sequence[int]
                 columns.setdefault(w, {})[u] = x
     lifted = fw._lifted
     weights = [c * point[-1] for c, point in zip(scale, lifted)]
-    kernel_ok = _in_gale_space(lifted, ({u: _quotient(x * scale[w], weights[u])
-                                         for u, x in col.items()}
+    kernel_ok = _in_gale_space(lifted, (_kernel_coefficients(col, scale[w], weights)
                                         for w, col in columns.items()))
     return symmetric, _first_non_edge(fw.graph, rows), kernel_ok
+
+
+def _kernel_coefficients(col: Mapping[int, int], cw: int, weights: Sequence[int]
+                         ) -> dict[int, int | Fraction]:
+    """The coefficients M_uw c_w / (c_u l_u) of column w of M, held as
+    {u: M_uw} with cw = c_w and weights[u] = c_u l_u: ints, one ``divmod``
+    each, when every division is exact; otherwise every coefficient is
+    one ``_quotient``."""
+    out = {}
+    for u, x in col.items():
+        q, rem = divmod(x * cw, weights[u])
+        if rem:
+            return {u: _quotient(x * cw, weights[u]) for u, x in col.items()}
+        out[u] = q
+    return out
 
 
 def _lift(p: Sequence[Fraction]) -> tuple[int, ...]:
@@ -657,20 +679,28 @@ def is_unit_triangular_gale(z: Matrix, graph: Graph, peo: Ordering
         raise DimensionMismatch(f"Gale matrix has {z.rows} rows for {n} vertices")
     if len(peo) != n:
         raise DimensionMismatch("ordering length does not match the graph")
-    violation = _triangular_violation(list(_sparse_rows(z.transpose()).values()), graph, peo)
+    violation = _triangular_violation(list(_sparse_rows(z.transpose()).values()), graph, peo,
+                                      lambda x: x == 1)
     return violation is None, violation
 
 
-def _triangular_violation(columns: Sequence[Mapping[int, Fraction]], graph: Graph,
-                          peo: Ordering) -> tuple[int, int] | None:
-    """The first (row-major) position pair (i, j) at which the Gale matrix
-    with these sparse columns ({0-based vertex: entry}, in original labels)
-    leaves the unit-triangular shape of ``is_unit_triangular_gale``."""
+def _triangular_violation(columns: Sequence[Mapping[int, int | Fraction]], graph: Graph,
+                          peo: Ordering,
+                          pivot_ok: Callable[[int | Fraction], bool] = lambda x: x > 0
+                          ) -> tuple[int, int] | None:
+    """The first (row-major) position pair (i, j) at which the sparse
+    columns ({0-based vertex: entry}, in original labels) leave the
+    triangular shape of ``is_unit_triangular_gale``: column j nonzero only
+    at the vertex v in position j and at later neighbours of v, with
+    ``pivot_ok`` of its entry at v. The default, a positive entry, is the
+    shape of ``certify._gale_columns``'s integer columns, whose column of
+    Z is the column divided by that entry; the unit shape itself asks for
+    an entry 1."""
     pos = peo.position_of
     bad = []
     for j, col in enumerate(columns, 1):
         v = peo.vertex_at(j) if j <= len(peo) else None
-        if v is not None and col.get(v - 1, 0) != 1:
+        if v is not None and not pivot_ok(col.get(v - 1, 0)):
             bad.append((j, j))
         for u, x in col.items():
             i = pos(u + 1)
@@ -696,8 +726,13 @@ def _scaled_pair(a: Framework, b: Framework) -> ScaledPair:
     la, lb = a._lifted, b._lifted
     scale = math.lcm(*[p[-1] for p in la + lb])
     fixed = [p == q for p, q in zip(la, lb)]
-    ia, ib = ([[x * (scale // p[-1]) for x in p[:-1]] for p in lifted] for lifted in (la, lb))
-    return fixed, ia, ib
+    return fixed, _scaled_points(la, scale), _scaled_points(lb, scale)
+
+
+def _scaled_points(lifted: Sequence[Sequence[int]], scale: int) -> list[list[int]]:
+    """The points p of the lifted L = l (p, 1) as the integers scale * p,
+    for a common multiple ``scale`` of their factors l."""
+    return [[x * (scale // p[-1]) for x in p[:-1]] for p in lifted]
 
 
 def _same_sq_dists(scaled: ScaledPair, pairs: Iterable[tuple[int, int]]) -> bool:

@@ -183,6 +183,23 @@ def spy_order_calls(monkeypatch) -> "collections.Counter[str]":
     return calls
 
 
+def spy_matrix_shapes(monkeypatch) -> list[tuple[int, int]]:
+    """The shapes of the ``Matrix`` objects built from now on, in order,
+    through the public constructors (``__init__``) or through ``_of``,
+    which the product, the transpose and the Gale matrices use."""
+    shapes = []
+    init, of = Matrix.__init__, Matrix._of
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        shapes.append((self.rows, self.cols))
+
+    monkeypatch.setattr(Matrix, "__init__", counted)
+    monkeypatch.setattr(Matrix, "_of", classmethod(
+        lambda cls, data, rows, cols: shapes.append((rows, cols)) or of(data, rows, cols)))
+    return shapes
+
+
 def sq_dist(p, q):
     return sum((a - b) ** 2 for a, b in zip(p, q))
 
@@ -451,9 +468,18 @@ def _int_determinant(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def gale_fractions(columns: Sequence[dict[int, int]]) -> list[dict[int, Fraction]]:
+    """The columns of Z held by integer Gale columns (``certify._gale_columns``,
+    ``PsdizeResult.columns``) as {0-based vertex: Fraction}, in the same
+    order: each entry divided by the column's pivot entry, its first."""
+    return [{u: Fraction(x, next(iter(col.values()))) for u, x in col.items()}
+            for col in columns]
+
+
 def gale_columns_by_cramer(fw: Framework, peo: Ordering) -> list[dict[int, Fraction]]:
-    """The sparse unit-triangular Gale columns of ``certify._gale_columns``
-    by Cramer's rule, each entry a ratio of ``_int_determinant`` minors.
+    """The sparse unit-triangular Gale columns of ``certify._gale_columns``,
+    read through ``gale_fractions``, by Cramer's rule, each entry a ratio of
+    ``_int_determinant`` minors.
 
     With L_u = l_u (p_u, 1), l_u the lcm of p_u's denominators, column j is
     1 at the vertex v in position j and x_k = l_k det(A_k) / (l_v det A) at

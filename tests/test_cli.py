@@ -325,13 +325,7 @@ class TestStressCommands:
         fw_path, s_path = tmp_path / "fw.json", tmp_path / "s.json"
         write_json(fw_path, framework_to_obj(fw))
         write_json(s_path, stress_to_obj(StressMatrix(z * _diagonal(d) * z.transpose())))
-        shapes = []
-        init = Matrix.__init__
-
-        def counted(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            shapes.append((self.rows, self.cols))
-        monkeypatch.setattr(Matrix, "__init__", counted)
+        shapes = helpers.spy_matrix_shapes(monkeypatch)
         for command, *options in (["psdize", "--output", str(tmp_path / "psd.json")],
                                   ["stress-check"], ["plot"]):
             result = runner.invoke(main, [command, str(fw_path), "--stress", str(s_path),
@@ -838,7 +832,8 @@ class TestIntStringLimit:
         fw = Framework(g, 2, [(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
                               for _ in range(g.n)])
         rows = {v: {} for v in range(g.n)}
-        for col in certify._gale_columns(fw, certify._elimination_order(g)):
+        for col in helpers.gale_fractions(
+                certify._gale_columns(fw, certify._elimination_order(g))):
             d = math.lcm(*[x.denominator for x in col.values()])
             for u, a in col.items():
                 for w, b in col.items():

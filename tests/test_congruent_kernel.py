@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import reference_sparse_factor
+from helpers import gale_fractions, reference_sparse_factor, spy_matrix_shapes
 from chordalrig import certify, exactmat, jsonio
 from chordalrig.certify import (
     Certificate,
@@ -218,7 +218,7 @@ class TestGramStress:
         assert cert.verdict is Verdict.UNIVERSALLY_RIGID
         assert entries and all(type(x) is int for x in entries)
         assert len(divisions) == fw.rbar
-        columns = certify._gale_columns(fw, cert.peo)
+        columns = gale_fractions(certify._gale_columns(fw, cert.peo))
         assert cert.stress.matrix == dense_gram(columns, fw.n)
         rows, scale = cert.stress.congruent
         assert all(type(x) is int for row in rows.values() for x in row.values())
@@ -247,13 +247,7 @@ class TestGramStress:
 class TestLazyStress:
     def test_certify_builds_no_dense_stress(self, monkeypatch):
         fw = random_general_position_framework(40, 2, 4)
-        shapes = []
-        init = Matrix.__init__
-
-        def counted(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            shapes.append((self.rows, self.cols))
-        monkeypatch.setattr(Matrix, "__init__", counted)
+        shapes = spy_matrix_shapes(monkeypatch)
         cert = certify_chordal(fw)
         assert cert.verdict is Verdict.UNIVERSALLY_RIGID
         assert (fw.n, fw.n) not in shapes
@@ -263,19 +257,13 @@ class TestLazyStress:
     def test_matrix_is_built_once_on_first_read(self, monkeypatch):
         fw = random_general_position_framework(16, 3, 2)
         cert = certify_chordal(fw)
-        built = []
-        init = Matrix.__init__
-
-        def counted(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            built.append((self.rows, self.cols))
-        monkeypatch.setattr(Matrix, "__init__", counted)
+        built = spy_matrix_shapes(monkeypatch)
         first = cert.stress.matrix
         assert built == [(16, 16)]
         assert cert.stress.matrix is first
         assert built == [(16, 16)]
         monkeypatch.undo()
-        assert first == dense_gram(certify._gale_columns(fw, cert.peo), fw.n)
+        assert first == dense_gram(gale_fractions(certify._gale_columns(fw, cert.peo)), fw.n)
 
     def test_sparse_built_equals_dense_built(self):
         rng = random.Random(5)
@@ -338,13 +326,7 @@ class TestLazyStress:
                               for _ in range(g.n)])
         cert = certify_chordal(fw)
         assert cert.verdict is Verdict.UNIVERSALLY_RIGID
-        shapes = []
-        init = Matrix.__init__
-
-        def counted(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            shapes.append((self.rows, self.cols))
-        monkeypatch.setattr(Matrix, "__init__", counted)
+        shapes = spy_matrix_shapes(monkeypatch)
         assert hash(cert.stress) == hash(cert.stress)
         assert cert.stress == StressMatrix.from_congruent(*cert.stress.congruent)
         assert shapes == []

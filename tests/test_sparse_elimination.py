@@ -326,7 +326,7 @@ class TestSparseGale:
             else:
                 fw = random_general_position_framework(n, r, rng.randrange(10_000))
             peo = is_chordal(fw.graph).peo
-            columns = certify._gale_columns(fw, peo)
+            columns = helpers.gale_fractions(certify._gale_columns(fw, peo))
             cramer = helpers.gale_columns_by_cramer(fw, peo)
             assert [list(col.items()) for col in columns] == [list(col.items()) for col in cramer]
             expected = oracles.unit_triangular_gale_by_solving(fw.points, fw.graph.edges,
@@ -361,7 +361,7 @@ class TestSparseGale:
         x = a.LUsolve(b)
         expected = {0: F(1)} | {u - 1: F(int(c.p), int(c.q))
                                 for u, c in zip((2, 3, 5), x) if c}
-        assert columns[0] == expected
+        assert helpers.gale_fractions(columns)[0] == expected
         assert certify._gram_stress(fw, columns, Ordering.identity(5)).n == 5
 
     def test_general_position_pays_for_no_greedy_pass(self, monkeypatch):
@@ -449,6 +449,12 @@ def mixes_scales(columns):
     return any(len(found) > 1 for found in scales.values())
 
 
+def integer_columns(columns):
+    """The integer form the Gram sum reads (``certify.GaleColumns``) of
+    sparse Fraction columns, each with entry 1 at its least vertex."""
+    return [certify._integer_column(dict(sorted(col.items()))) for col in columns]
+
+
 def hexagon_columns(hexagon):
     return [{v: x for v, x in enumerate(hexagon.gale.column(j)) if x} for j in range(3)]
 
@@ -475,8 +481,9 @@ class TestGramSum:
                 fw = _rational_points_framework(rng, n, r)
             peo = is_chordal(fw.graph).peo
             columns = certify._gale_columns(fw, peo)
-            assert certify._gram_stress(fw, columns, peo).matrix == dense_gram(columns, n)
-            seen.add((r, mixes_scales(columns)))
+            fractions = helpers.gale_fractions(columns)
+            assert certify._gram_stress(fw, columns, peo).matrix == dense_gram(fractions, n)
+            seen.add((r, mixes_scales(fractions)))
         assert {(r, True) for r in (1, 2, 3, 4)} <= seen
 
     def test_psdize_factor_columns_match_the_dense_product(self):
@@ -487,12 +494,13 @@ class TestGramSum:
                 res = psdize_stress(fw, StressMatrix(s))
             except NotGenericRankProfile:
                 continue
-            expected = dense_gram(res.columns, fw.n)
+            fractions = helpers.gale_fractions(res.columns)
+            expected = dense_gram(fractions, fw.n)
             assert res.stress.matrix == expected
             assert certify._gram_stress(fw, res.columns, peo).matrix == expected
             seen.add(("non-unit", any(x.denominator > 1
-                                      for col in res.columns for x in col.values())))
-            seen.add(("mixed", mixes_scales(res.columns)))
+                                      for col in fractions for x in col.values())))
+            seen.add(("mixed", mixes_scales(fractions)))
         assert {("non-unit", True), ("mixed", True)} <= seen
 
     def test_cancelled_entries_are_zero(self, hexagon):
@@ -502,12 +510,12 @@ class TestGramSum:
         # zero on the non-edges {1,5}, {1,6}, {2,6}
         columns = [combine(z[0], z[2], 1), z[1], combine(z[0], z[2], -1)]
         expected = dense_gram(columns, 6)
-        rows, _ = certify._gram_rows(columns, 6)
+        rows, _ = certify._gram_rows(integer_columns(columns), 6)
         for u, w in ((0, 4), (0, 5), (1, 5)):
             assert columns[0][u] * columns[0][w] != 0
             assert expected[u, w] == 0
             assert rows[u].get(w, 0) == 0 == rows[w].get(u, 0)
-        stress = certify._gram_stress(hexagon.fw, columns, Ordering.identity(6))
+        stress = certify._gram_stress(hexagon.fw, integer_columns(columns), Ordering.identity(6))
         assert stress.matrix == expected
 
     @pytest.mark.parametrize("t, extra, pair", [
@@ -523,7 +531,7 @@ class TestGramSum:
         bad = sorted(p for p in hexagon.non_edges if dense[p[0] - 1, p[1] - 1])
         assert bad[0] == pair
         with pytest.raises(PatternViolation) as err:
-            certify._gram_stress(hexagon.fw, columns, Ordering.identity(6))
+            certify._gram_stress(hexagon.fw, integer_columns(columns), Ordering.identity(6))
         assert err.value.pair == pair
 
 
@@ -556,14 +564,7 @@ class TestNonEdgeClause:
 
 class TestGaussStepSequence:
     def test_builds_one_matrix(self, hexagon, monkeypatch):
-        built = []
-        init = Matrix.__init__
-
-        def counted(self, *args, **kwargs):
-            built.append(1)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(Matrix, "__init__", counted)
+        built = helpers.spy_matrix_shapes(monkeypatch)
         gauss_step_sequence(hexagon.stress, 3)
         assert len(built) == 1
 
