@@ -44,6 +44,7 @@ from .exactmat import (
     _cofactor_basis,
     _cofactor_step,
     _integer_row,
+    _quotient,
     _sparse_factor,
     _sparse_rows,
     _unit_rows,
@@ -218,11 +219,11 @@ def _gale_matrix(columns: GaleColumns, n: int) -> GaleMatrix:
 
 
 def _integer_column(col: dict[int, int | Fraction]) -> dict[int, int]:
-    """The integer form (``GaleColumns``) of a column with entry 1 at its
-    first key, {0-based vertex: int or Fraction}, zeros left out: the
-    column times the lcm d of its denominators. The pivot entry is then d,
-    and the gcd is 1: each prime power dividing d exactly divides some
-    entry's denominator exactly, and that entry times d is prime to it."""
+    """A column {0-based vertex: int or Fraction}, zeros left out, times
+    the lcm d of its denominators. When its first entry is 1 this is its
+    integer form (``GaleColumns``): the pivot entry is then d, and the gcd
+    is 1, since each prime power dividing d exactly divides some entry's
+    denominator exactly, and that entry times d is prime to it."""
     d = math.lcm(*[x.denominator for x in col.values()])
     return {u: x.numerator * (d // x.denominator) for u, x in col.items()}
 
@@ -276,11 +277,11 @@ def _gale_columns(fw: Framework, peo: Ordering,
     when they are not, one greedy pass over all the later neighbours in
     position order keeps the first dim+1 that are
     (``_independent_support``); if there are none, every dim+1 of them are
-    dependent, and DegenerateEvidence names the first dim+1. Each y is
-    checked to be a dependency of the lifted points, sum_k y_k L_k = 0 in
-    integers (the Gale-space equation of the column times l_v y_v), and
-    the columns to keep the triangular shape with a positive pivot entry,
-    before they are returned.
+    dependent, and DegenerateEvidence names the first dim+1. Each stored
+    column w is checked to lie in the Gale space, sum_u w_u (p_u, 1) = 0,
+    summed as sum_u (w_u / l_u) L_u in integers, and the columns to keep
+    the triangular shape with a positive pivot entry, before they are
+    returned.
     """
     r = fw.dim
     lifted = fw._lifted
@@ -304,11 +305,13 @@ def _gale_columns(fw: Framework, peo: Ordering,
                     f"support of column {j} is degenerate: no {r + 1} of its "
                     f"later neighbours are affinely independent", witness)
         keys = [v - 1, *support]
-        if not _in_gale_space(lifted, [dict(zip(keys, y))]):
-            raise AssertionFailure(f"column {j} does not lie in the Gale space")
         w = [lifted[u][-1] * x for u, x in zip(keys, y)]
         g = math.gcd(*w) if w[0] > 0 else -math.gcd(*w)
-        columns.append({u: x // g for u, x in zip(keys, w) if x})
+        col = {u: x // g for u, x in zip(keys, w) if x}
+        # the coefficient of L_u is w_u / l_u, and l_u = 1 at integer points
+        if not _in_gale_space(lifted, [{u: _quotient(x, lifted[u][-1]) for u, x in col.items()}]):
+            raise AssertionFailure(f"column {j} does not lie in the Gale space")
+        columns.append(col)
     violation = _triangular_violation(columns, fw.graph, peo)
     if violation is not None:
         raise AssertionFailure(f"unit-triangular shape violated at {violation}")
@@ -344,14 +347,16 @@ def _independent_support(lifted: Sequence[Sequence[int]], candidates: Sequence[i
     return None
 
 
-def _gram_rows(columns: GaleColumns, n: int) -> tuple[SparseRows, list[int]]:
-    """The Gram product S = Z Z^T of integer columns (``GaleColumns``), as
-    the integer sparse rows of the congruent matrix M = C S C and the
-    diagonal c of C.
+def _gram_rows(columns: Sequence[dict[int, int]], n: int,
+               divisors: Sequence[int] | None = None) -> tuple[SparseRows, list[int]]:
+    """The Gram product S = Z Z^T of integer columns, as the integer
+    sparse rows of the congruent matrix M = C S C and the diagonal c of C.
 
-    Column j of Z is w_j / d_j, d_j its pivot entry, the lcm of the
-    denominators of that column of Z. c_u is the lcm of the d_j of the
-    columns that hold u, so W = C Z, W_uj = w_u c_u / d_j, is integral and
+    Column j of Z is w_j / d_j, with d_j = ``divisors[j]``, the lcm of the
+    denominators of that column of Z; when ``divisors`` is None the
+    columns are ``GaleColumns`` and d_j is the pivot entry of w_j. c_u is
+    the lcm of the d_j of the columns that hold u, so W = C Z,
+    W_uj = w_u c_u / d_j, is integral and
     M = W W^T is summed in integers, one column's outer product at a time;
     no Fraction is made. An entry whose terms cancel is kept, as zero.
 
@@ -363,13 +368,14 @@ def _gram_rows(columns: GaleColumns, n: int) -> tuple[SparseRows, list[int]]:
     row v_k holds W_{v_k k} w_k, and every quotient M_ik M_kj / M_kk is
     the integer W_ik W_jk.
     """
-    denominators = [next(iter(col.values())) for col in columns]
+    if divisors is None:
+        divisors = [next(iter(col.values())) for col in columns]
     scale = [1] * n
-    for col, d in zip(columns, denominators):
+    for col, d in zip(columns, divisors):
         for u in col:
             scale[u] = math.lcm(scale[u], d)
     rows: SparseRows = {v: {} for v in range(n)}
-    for col, d in zip(columns, denominators):
+    for col, d in zip(columns, divisors):
         ints = [(u, a * (scale[u] // d)) for u, a in col.items()]
         for k, (u, a) in enumerate(ints):
             urow = rows[u]
@@ -379,10 +385,11 @@ def _gram_rows(columns: GaleColumns, n: int) -> tuple[SparseRows, list[int]]:
     return rows, scale
 
 
-def _gram_stress(fw: Framework, columns: GaleColumns, order: Ordering) -> StressMatrix:
-    """The Gram stress Z Z^T of integer Gale columns, held as the integer
-    rows of a congruent matrix (``_gram_rows``), with every stress clause
-    re-checked on them.
+def _gram_stress(fw: Framework, columns: Sequence[dict[int, int]], order: Ordering,
+                 divisors: Sequence[int] | None = None) -> StressMatrix:
+    """The Gram stress Z Z^T of integer Gale columns, with ``divisors`` as
+    in ``_gram_rows``, held as the integer rows of a congruent matrix, with
+    every stress clause re-checked on them.
 
     Symmetry, the non-edge zeros and the kernel are checked over the
     stored entries (``_stress_clauses``); PSD and rank rbar, which the
@@ -392,7 +399,7 @@ def _gram_stress(fw: Framework, columns: GaleColumns, order: Ordering) -> Stress
     PatternViolation; any other failed clause is a bug and raises
     AssertionFailure. The dense stress is built only when it is read.
     """
-    rows, scale = _gram_rows(columns, fw.n)
+    rows, scale = _gram_rows(columns, fw.n, divisors)
     symmetric, non_edge, kernel_ok = _stress_clauses(fw, rows, scale)
     if non_edge is not None:
         raise PatternViolation(*non_edge)
@@ -413,18 +420,13 @@ def psd_stress_from_gale(fw: Framework, z: GaleMatrix) -> StressMatrix:
     must vanish, otherwise PatternViolation identifies a labeling bug. All
     stress clauses are re-verified exactly before returning, PSD and rank
     by sparse elimination along a maximum cardinality search order (a PEO
-    when the graph is chordal). The sum runs on the columns' integer form
-    (``_integer_column``), cleared at an entry 1 of each, which a
-    unit-triangular column has at its pivot; a column without one raises
-    PreconditionViolated.
+    when the graph is chordal). The sum runs in integers, on each column
+    times the lcm of its denominators (``_integer_column``).
     """
-    columns = []
-    for j, col in enumerate(_sparse_rows(z.matrix.transpose()).values(), 1):
-        unit = next((u for u, x in col.items() if x == 1), None)
-        if unit is None:
-            raise PreconditionViolated(f"column {j} of the Gale matrix has no entry 1")
-        columns.append(_integer_column({unit: 1, **col}))  # the entry 1 first, as pivot
-    return _gram_stress(fw, columns, mcs_order(fw.graph))
+    columns = list(_sparse_rows(z.matrix.transpose()).values())
+    divisors = [math.lcm(*[x.denominator for x in col.values()]) for col in columns]
+    return _gram_stress(fw, [_integer_column(col) for col in columns], mcs_order(fw.graph),
+                        divisors)
 
 
 def _no_conic_at_infinity(fw: Framework) -> bool:

@@ -535,13 +535,11 @@ def _stress_clauses(fw: Framework, rows: SparseRows, scale: Sequence[int]
     lifted points L_u = l_u (p_u, 1), column w of S lies in the Gale space
     exactly when sum_u (M_uw c_w / (c_u l_u)) L_u = 0 (``_in_gale_space``),
     the sum of S_uw (p_u, 1) times c_w^2. Each coefficient is one
-    ``divmod`` (``_kernel_coefficients``); c_u l_u divides M_uw c_w at
-    integer points (l_u = 1) on a Gram stress (``certify._gram_rows``: c_u
+    ``_quotient``, an int whenever c_u l_u divides M_uw c_w. At integer
+    points (l_u = 1) it does on a Gram stress (``certify._gram_rows``: c_u
     and c_w carry every d_j of a column holding both u and w) and on the
     congruent rows of a symmetric matrix (``exactmat._congruent_rows``:
-    c_w S_wu is an integer), so there the sum is taken in integers as it
-    stands. Only a column with a remainder is divided again, each
-    coefficient by ``_quotient``. A symmetric M's columns are its rows."""
+    c_w S_wu is an integer). A symmetric M's columns are its rows."""
     symmetric = all(rows[w].get(u, 0) == x for u, row in rows.items() for w, x in row.items())
     if symmetric:
         columns = rows
@@ -552,24 +550,10 @@ def _stress_clauses(fw: Framework, rows: SparseRows, scale: Sequence[int]
                 columns.setdefault(w, {})[u] = x
     lifted = fw._lifted
     weights = [c * point[-1] for c, point in zip(scale, lifted)]
-    kernel_ok = _in_gale_space(lifted, (_kernel_coefficients(col, scale[w], weights)
+    kernel_ok = _in_gale_space(lifted, ({u: _quotient(x * scale[w], weights[u])
+                                         for u, x in col.items()}
                                         for w, col in columns.items()))
     return symmetric, _first_non_edge(fw.graph, rows), kernel_ok
-
-
-def _kernel_coefficients(col: Mapping[int, int], cw: int, weights: Sequence[int]
-                         ) -> dict[int, int | Fraction]:
-    """The coefficients M_uw c_w / (c_u l_u) of column w of M, held as
-    {u: M_uw} with cw = c_w and weights[u] = c_u l_u: ints, one ``divmod``
-    each, when every division is exact; otherwise every coefficient is
-    one ``_quotient``."""
-    out = {}
-    for u, x in col.items():
-        q, rem = divmod(x * cw, weights[u])
-        if rem:
-            return {u: _quotient(x * cw, weights[u]) for u, x in col.items()}
-        out[u] = q
-    return out
 
 
 def _lift(p: Sequence[Fraction]) -> tuple[int, ...]:

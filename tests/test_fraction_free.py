@@ -123,17 +123,43 @@ class TestIntegerColumns:
                 seen.add("solved")
         assert seen == {True, False, "solved"}
 
+    def test_gale_space_check_reads_the_stored_column(self, monkeypatch):
+        """The Gale-space check of ``_gale_columns`` runs on each column as
+        it is returned, sum_u (w_u / l_u) L_u = 0, so a slip between the
+        Cramer vector and the stored integers is caught; a column that
+        fails raises AssertionFailure."""
+        checked = []
+        real = certify._in_gale_space
+        monkeypatch.setattr(certify, "_in_gale_space",
+                            lambda lifted, vecs: checked.extend(vecs) or real(lifted, vecs))
+        rational = [fw for fw in _gale_inputs() if any(p[-1] > 1 for p in fw._lifted)][:6]
+        for fw in rational:
+            checked.clear()
+            try:
+                columns = certify._gale_columns(fw, is_chordal(fw.graph).peo)
+            except certify.DegenerateEvidence:
+                continue
+            assert checked == [{u: F(x, fw._lifted[u][-1]) for u, x in col.items()}
+                               for col in columns]
+        monkeypatch.setattr(certify, "_in_gale_space", lambda lifted, vecs: False)
+        with pytest.raises(certify.AssertionFailure, match="column 1 does not lie"):
+            certify._gale_columns(rational[0], is_chordal(rational[0].graph).peo)
+
     def test_psdize_columns_are_the_integer_form_of_its_factor(self, hexagon):
         res = certify.psdize_stress(hexagon.fw, StressMatrix(hexagon.stress))
         assert res.columns == [{0: 2, 1: -2, 2: -1, 3: 1}, {1: 1, 2: -1, 3: -1, 4: 1},
                                {2: 1, 3: -1, 4: -2, 5: 2}]
         assert res.gale.matrix == hexagon.gale
 
-    def test_gram_of_a_column_without_an_entry_one_is_rejected(self, hexagon):
-        z = framework.GaleMatrix(hexagon.gale * 3)
-        with pytest.raises(PreconditionViolated,
-                           match="column 1 of the Gale matrix has no entry 1"):
-            certify.psd_stress_from_gale(hexagon.fw, z)
+    @pytest.mark.parametrize("weights", [(3, 3, 3), (F(2, 7), 1, -5), (F(-1, 2), F(5, 6), 4)])
+    def test_gram_of_scaled_columns_is_their_dense_product(self, hexagon, weights):
+        """``psd_stress_from_gale`` takes any Gale matrix: columns scaled so
+        that no entry is 1, with or without denominators, are cleared by
+        the lcm of their own denominators, and the stress is Z D Z^T."""
+        d = Matrix([[w if i == j else 0 for j in range(3)] for i, w in enumerate(weights)])
+        z = hexagon.gale * d
+        s = certify.psd_stress_from_gale(hexagon.fw, framework.GaleMatrix(z))
+        assert s.matrix == z * z.transpose()
 
 
 class TestNoFractionOnThePositiveBranch:
