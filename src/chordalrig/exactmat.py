@@ -1,15 +1,10 @@
-"""Exact rational linear algebra: the four kernels the library runs.
+"""Exact rational linear algebra: the three kernels the library runs.
 
 Every entry is an int or a Python Fraction, so all results are exact.
 Floats are rejected outright; there is no rounding anywhere in this
 module. ``Matrix`` holds Fractions; the kernels below run on ints where
 they can.
 
-- ``Matrix.__mul__`` is the dense product, summed fraction-free: each row
-  of the left factor and each column of the right one is scaled by the
-  lcm of its denominators, the integer products are summed over nonzero
-  pairs only, and each nonzero sum becomes one Fraction; every zero of
-  the result is one shared ``Fraction(0)``.
 - ``_sparse_factor`` eliminates a symmetric matrix held as sparse rows
   (``SparseRows``, {row: {column: entry}}) without exchanges, in a given
   order, touching only the entries that elimination changes, with a 2x2
@@ -32,11 +27,16 @@ they can.
   a Gale column. The general-position sweep shares one basis per prefix
   of its subsets instead.
 - ``_rref``, reduced row echelon form with row exchanges, stays behind
-  ``null_space_basis`` (the reflecting hyperplane, the Gale matrix) and
-  ``inverse`` (Psi in S = Z Psi Z^T) only: on a wide matrix the cofactor
-  basis costs O(rows * cols^2) where the echelon form is cheaper. It too
-  eliminates in integers, on rows cleared of denominators, and makes
-  Fractions only when it normalises the pivot rows.
+  ``null_space_basis`` (the reflecting hyperplane, the Gale matrix) only:
+  on a wide matrix the cofactor basis costs O(rows * cols^2) where the
+  echelon form is cheaper. It too eliminates in integers, on rows cleared
+  of denominators, and makes Fractions only when it normalises the pivot
+  rows.
+
+``Matrix.__mul__``, the dense product, is kept for callers that build
+stresses such as Z D Z^T; no command runs it. It is summed fraction-free
+(``_product``): each nonzero sum becomes one Fraction, and every zero of
+the result is one shared ``Fraction(0)``.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ class ExactMatError(Exception):
 
 
 class DimensionMismatch(ExactMatError):
-    pass
-
-
-class SingularMatrix(ExactMatError):
     pass
 
 
@@ -76,7 +72,10 @@ def _coerce(value) -> Fraction:
 
 
 class Matrix:
-    """Immutable dense matrix of Fractions.
+    """Immutable dense matrix of Fractions. The library reads it by entry,
+    by row (``data``) and by column, and applies it to a vector
+    (``mul_vector``, in the reflecting-hyperplane search); its one other
+    arithmetic, the product, serves callers that build stresses.
 
     ``rows`` and ``cols`` are counts; entries are read with ``A[i, j]``
     using 0-based indices. Diagnostics reported by the functions in this
@@ -144,9 +143,6 @@ class Matrix:
         i, j = key
         return self._data[i][j]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._data[i]
-
     def column(self, j: int) -> tuple[Fraction, ...]:
         return tuple(r[j] for r in self._data)
 
@@ -157,11 +153,6 @@ class Matrix:
         data = tuple(zip(*self._data)) if self.rows else ((),) * self.cols
         return Matrix._of(data, self.cols, self.rows)
 
-    def select(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        """Submatrix from 0-based row/column index sequences, in the given order."""
-        return Matrix([[self._data[i][j] for j in col_idx] for i in row_idx],
-                      shape=(len(row_idx), len(col_idx)))
-
     def mul_vector(self, vec: Sequence) -> tuple[Fraction, ...]:
         v = [_coerce(x) for x in vec]
         if len(v) != self.cols:
@@ -169,36 +160,11 @@ class Matrix:
         return tuple(sum(r[j] * v[j] for j in range(self.cols)) for r in self._data)
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-            return Matrix._of(_product(self._data, other._data, other.cols),
-                              self.rows, other.cols)
-        if isinstance(other, (int, Fraction)):
-            s = _coerce(other)
-            return Matrix([[x * s for x in row] for row in self._data], shape=(self.rows, self.cols))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix addition shape mismatch")
-        return Matrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._data, other._data)],
-                      shape=(self.rows, self.cols))
-
-    def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self + (-1) * other
-
-    def __neg__(self):
-        return (-1) * self
+        if self.cols != other.rows:
+            raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
+        return Matrix._of(_product(self._data, other._data, other.cols), self.rows, other.cols)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix)
@@ -207,17 +173,6 @@ class Matrix:
 
     def __hash__(self):
         return hash((self.rows, self.cols, self._data))
-
-    @property
-    def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        d = self._data
-        return all(d[i][j] == d[j][i] for i in range(self.rows) for j in range(i + 1, self.cols))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self._data for x in row)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self._data)
@@ -581,15 +536,3 @@ def null_space_basis(a: Matrix) -> Matrix:
         columns.append(v)
     return Matrix.from_columns(columns, rows=a.cols)
 
-
-def inverse(a: Matrix) -> Matrix:
-    """Exact inverse; raises SingularMatrix when none exists."""
-    if a.rows != a.cols:
-        raise DimensionMismatch("inverse needs a square matrix")
-    n = a.rows
-    aug = Matrix([list(row) + [1 if i == j else 0 for j in range(n)]
-                  for i, row in enumerate(a.data)], shape=(n, 2 * n))
-    m, pivots = _rref(aug)
-    if pivots != list(range(n)):
-        raise SingularMatrix("matrix is singular")
-    return Matrix([row[n:] for row in m], shape=(n, n))

@@ -36,7 +36,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .exactmat import (
     DimensionMismatch,
     Matrix,
-    SingularMatrix,
     SparseRows,
     _cofactor_basis,
     _cofactor_step,
@@ -46,7 +45,6 @@ from .exactmat import (
     _sparse_factor,
     _sparse_rows,
     _unit_rows,
-    inverse,
     null_space_basis,
     rank,
 )
@@ -72,10 +70,6 @@ class NotEquilibrium(FrameworkError):
 
 
 class InvalidStressMatrix(FrameworkError):
-    pass
-
-
-class ReconstructionFailure(FrameworkError):
     pass
 
 
@@ -609,44 +603,6 @@ def validate_stress_matrix(fw: Framework, s: StressMatrix) -> StressReport:
     else:
         rk, grp, psd = rank(s.matrix), False, False
     return StressReport(symmetric, non_edge is None, kernel_ok, rk, grp, psd)
-
-
-def psi_from_stress(fw: Framework, z: GaleMatrix, s: StressMatrix) -> Matrix:
-    """The rbar x rbar matrix Psi with S = Z Psi Z^T.
-
-    Computed through the Gram inverse of Z; the factorization is verified
-    exactly and ReconstructionFailure is raised when it does not hold.
-    """
-    zm = z.matrix
-    if zm.rows != fw.n or s.n != fw.n:
-        raise DimensionMismatch("Gale matrix and stress must match the framework size")
-    gram = zm.transpose() * zm
-    try:
-        ginv = inverse(gram)
-    except SingularMatrix:
-        raise ReconstructionFailure("Gale matrix does not have full column rank") from None
-    psi = ginv * (zm.transpose() * s.matrix * zm) * ginv
-    if zm * psi * zm.transpose() != s.matrix:
-        raise ReconstructionFailure("stress does not factor through this Gale matrix")
-    return psi
-
-
-def stress_from_psi(fw: Framework, z: GaleMatrix, psi: Matrix) -> StressMatrix:
-    """Build Z Psi Z^T and accept it only if it vanishes on non-edges.
-
-    The first (lexicographic) nonzero non-edge entry raises
-    PatternViolation(i, j).
-    """
-    zm = z.matrix
-    if not psi.is_symmetric:
-        raise InvalidStressMatrix("Psi must be symmetric")
-    if psi.rows != zm.cols:
-        raise DimensionMismatch("Psi size does not match the Gale matrix")
-    s = zm * psi * zm.transpose()
-    non_edge = _first_non_edge(fw.graph, _sparse_rows(s))
-    if non_edge is not None:
-        raise PatternViolation(*non_edge)
-    return StressMatrix(s)
 
 
 def is_unit_triangular_gale(z: Matrix, graph: Graph, peo: Ordering

@@ -3,8 +3,11 @@ tests.
 
 The generators build inputs with the library's own constructors (that part
 is not under test here); the properties asserted about the outputs are
-always checked against oracles or frozen values. The brute-force checks
-(leading minors, all square submatrices, the zero pattern through dense
+always checked against oracles or frozen values. ``gale_stress`` builds
+the stress Z Psi Z^T of a chosen Psi. The small dense helpers
+``submatrix`` and ``scaled_matrix`` serve the tests and the reference
+routines; the library needs neither. The brute-force checks (leading
+minors, all square submatrices, the zero pattern through dense
 elimination on a graph relabelled to positions, the per-subset
 general-position sweep, the unbucketed prefix sweep, the dense one-pass
 rank profile) are used only by tests. The dense routines at the end are
@@ -33,8 +36,10 @@ from typing import Iterator, NamedTuple, Sequence
 
 from chordalrig import (
     Framework,
+    GaleMatrix,
     Graph,
     Matrix,
+    StressMatrix,
     chordal_connectivity,
     is_chordal,
     is_general_position,
@@ -109,6 +114,15 @@ def sample_points(g, dim, rng, base_bound=40):
         if is_general_position(fw)[0]:
             return fw
     raise RuntimeError("sampling failed to reach general position")
+
+
+def gale_stress(fw: Framework, z: GaleMatrix, psi: Matrix) -> StressMatrix:
+    """The stress Z Psi Z^T of a chosen Psi through the Gale matrix z, the
+    paper's factorization read forwards; asserts that it vanishes on the
+    non-edges, so every input built this way is a stress."""
+    s = z.matrix * psi * z.matrix.transpose()
+    assert _first_non_edge(fw.graph, _sparse_rows(s)) is None
+    return StressMatrix(s)
 
 
 def thin_to_low_connectivity(g, r, rng):
@@ -214,6 +228,17 @@ def congruent_by_hand(a, b):
                for u in range(1, a.n + 1) for v in range(u + 1, a.n + 1))
 
 
+def submatrix(a: Matrix, row_idx: Sequence[int], col_idx: Sequence[int]) -> Matrix:
+    """The rows and columns of ``a`` at the 0-based indices, in that order."""
+    return Matrix([[a[i, j] for j in col_idx] for i in row_idx],
+                  shape=(len(row_idx), len(col_idx)))
+
+
+def scaled_matrix(a: Matrix, c) -> Matrix:
+    """The matrix c a, for a rational c."""
+    return Matrix([[c * x for x in row] for row in a.data], shape=(a.rows, a.cols))
+
+
 def leading_principal_minor(a: Matrix, k: int) -> Fraction:
     """Determinant of the top-left k-by-k block, 1 <= k <= n."""
     if a.rows != a.cols:
@@ -221,7 +246,7 @@ def leading_principal_minor(a: Matrix, k: int) -> Fraction:
     if not 1 <= k <= a.rows:
         raise ValueError(f"minor size {k} out of range 1..{a.rows}")
     idx = range(k)
-    return determinant(a.select(idx, idx))
+    return determinant(submatrix(a, idx, idx))
 
 
 def all_square_submatrices_nonsingular(
@@ -240,14 +265,14 @@ def all_square_submatrices_nonsingular(
         raise SizeCapExceeded(f"{total} submatrices exceed the cap of {cap}")
     for alpha in itertools.combinations(range(a.rows), m):
         for beta in itertools.combinations(range(a.cols), m):
-            if determinant(a.select(alpha, beta)) == 0:
+            if determinant(submatrix(a, alpha, beta)) == 0:
                 return False, (tuple(i + 1 for i in alpha), tuple(j + 1 for j in beta))
     return True, None
 
 
 def _permute_square(m: Matrix, peo: Ordering) -> Matrix:
     idx = [peo.vertex_at(i) - 1 for i in range(1, m.rows + 1)]
-    return m.select(idx, idx)
+    return submatrix(m, idx, idx)
 
 
 def relabel_to_positions(g: Graph, order: Ordering) -> Graph:
@@ -549,7 +574,7 @@ def psd_check(a: Matrix) -> PsdResult:
     """
     if a.rows != a.cols:
         raise DimensionMismatch("psd_check needs a square matrix")
-    if not a.is_symmetric:
+    if a != a.transpose():
         raise NotSymmetric("psd_check needs a symmetric matrix")
     n = a.rows
     work = a.to_lists()

@@ -107,6 +107,27 @@ def sym_rref(rows):
             list(pivots))
 
 
+def sym_solve(a_rows, b_rows):
+    """The X with A X = B for an A of full column rank, solved by sympy, as
+    rows of Fractions; None when there is none."""
+    a = sym_matrix(a_rows)
+    assert a.rank() == a.cols
+    try:
+        x, _ = a.gauss_jordan_solve(sym_matrix(b_rows))
+    except ValueError:
+        return None
+    return [[Fraction(int(v.p), int(v.q)) for v in x.row(i)] for i in range(x.rows)]
+
+
+def psi_by_solving(z_rows, s_rows):
+    """The Psi with S = Z Psi Z^T for a Z of full column rank, by two sympy
+    solves: Z X = S for X = Psi Z^T, then Z Psi^T = X^T. Rows of Fractions;
+    None when S does not factor through Z."""
+    x = sym_solve(z_rows, s_rows)
+    psi_t = None if x is None else sym_solve(z_rows, [list(c) for c in zip(*x)])
+    return None if psi_t is None else [list(c) for c in zip(*psi_t)]
+
+
 def in_affine_hull(points, q):
     """Whether q is an affine combination of the points: the sympy rank of
     the rows (p, 1) does not grow when (q, 1) is added. False for no

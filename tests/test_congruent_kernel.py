@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import gale_fractions, reference_sparse_factor, spy_matrix_shapes
+from helpers import gale_fractions, reference_sparse_factor, scaled_matrix, spy_matrix_shapes
 from chordalrig import certify, exactmat, jsonio
 from chordalrig.certify import (
     Certificate,
@@ -278,7 +278,7 @@ class TestLazyStress:
             other = certify_chordal(fw)  # a new sparse stress: compared sparse
             assert other.stress == cert.stress
             assert other == cert
-            assert cert.stress != StressMatrix(cert.stress.matrix * 2)
+            assert cert.stress != StressMatrix(scaled_matrix(cert.stress.matrix, 2))
             assert omega_from_stress(fw, cert.stress) == omega_from_stress(fw, dense)
 
     def test_equality_ignores_stored_zeros_and_the_scale(self):
@@ -300,7 +300,7 @@ class TestLazyStress:
         built by: from a dense matrix, from congruent rows under two
         different C, with stored zeros, and loaded from a file."""
         rng = random.Random(8)
-        stresses = [hexagon.stress * F(1, 6), hexagon.psd]
+        stresses = [scaled_matrix(hexagon.stress, F(1, 6)), hexagon.psd]
         for r in (1, 2, 3):
             fw = rational_framework(rng, rng.randint(r + 3, r + 8), r)
             stresses.append(certify_chordal(fw).stress.matrix)
@@ -317,7 +317,7 @@ class TestLazyStress:
             for a in routes:
                 for b in routes:
                     assert a == b and hash(a) == hash(b)
-            assert StressMatrix(dense * 2) != routes[1]
+            assert StressMatrix(scaled_matrix(dense, 2)) != routes[1]
 
     def test_hash_builds_no_dense_matrix(self, monkeypatch):
         rng = random.Random(300)
@@ -332,7 +332,7 @@ class TestLazyStress:
         assert shapes == []
 
     def test_psdize_reads_the_unit_columns_in_the_input_scale(self, hexagon):
-        res = psdize_stress(hexagon.fw, StressMatrix(hexagon.stress * F(1, 6)))
+        res = psdize_stress(hexagon.fw, StressMatrix(scaled_matrix(hexagon.stress, F(1, 6))))
         assert res.stress.matrix == hexagon.psd
         assert res.eliminated == hexagon.eliminated
         assert res.gale.matrix == hexagon.gale

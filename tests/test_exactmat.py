@@ -24,12 +24,10 @@ from helpers import (
 from chordalrig.exactmat import (
     DimensionMismatch,
     Matrix,
-    SingularMatrix,
     _cofactor_basis,
     _rref,
     _sparse_factor,
     _sparse_rows,
-    inverse,
     null_space_basis,
     rank,
 )
@@ -104,8 +102,6 @@ class TestMatrix:
         a = Matrix([[1, 2], [3, 4]])
         b = Matrix([[0, 1], [1, 0]])
         assert a * b == Matrix([[2, 1], [4, 3]])
-        assert a * 2 == Matrix([[2, 4], [6, 8]])
-        assert 2 * a == a * 2
 
     @pytest.mark.parametrize("a, b", [
         ([[1, 0, 2], [0, 0, 0]], [[0, 3], [5, 0], [F(1, 2), 0]]),  # zero row of a
@@ -131,26 +127,11 @@ class TestMatrix:
         with pytest.raises(DimensionMismatch):
             Matrix([[1, 2]]) * Matrix([[1, 2]])
 
-    def test_add_sub_neg(self):
-        a = Matrix([[1, 2], [3, 4]])
-        assert a + (-a) == Matrix.zeros(2, 2)
-        assert a - a == Matrix.zeros(2, 2)
-
-    def test_select(self):
-        m = Matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        assert m.select([0, 2], [1]) == Matrix([[2], [8]])
-
     def test_mul_vector(self):
         m = Matrix([[1, 2], [3, 4]])
         assert m.mul_vector([1, 1]) == (3, 7)
         with pytest.raises(DimensionMismatch):
             m.mul_vector([1])
-
-    def test_symmetry_and_zero_flags(self):
-        assert Matrix([[1, 2], [2, 1]]).is_symmetric
-        assert not Matrix([[1, 2], [3, 1]]).is_symmetric
-        assert not Matrix([[1, 2, 3]]).is_symmetric
-        assert Matrix.zeros(2, 3).is_zero
 
     def test_hash_consistent_with_eq(self):
         a = Matrix([[1, "1/2"]])
@@ -397,7 +378,7 @@ class TestNullSpaceBasis:
         p = extended_config_matrix(hexagon.fw)
         b = null_space_basis(p)
         assert (b.rows, b.cols) == (6, 3)
-        assert (p * b).is_zero
+        assert p * b == Matrix.zeros(3, 3)
         assert rank(b) == 3
 
     @settings(max_examples=40, deadline=None)
@@ -408,26 +389,9 @@ class TestNullSpaceBasis:
         it = iter(xs)
         m = Matrix([[next(it) for _ in range(ncols)] for _ in range(nrows)])
         b = null_space_basis(m)
-        assert (m * b).is_zero
+        assert m * b == Matrix.zeros(nrows, b.cols)
         assert b.cols == oracles.sym_nullity(m.to_lists())
         assert rank(b) == b.cols
-
-
-class TestInverse:
-    def test_round_trip(self):
-        rng = random.Random(3)
-        for _ in range(10):
-            n = rng.randint(1, 4)
-            while True:
-                m = Matrix([[F(rng.randint(-5, 5), rng.randint(1, 3))
-                             for _ in range(n)] for _ in range(n)])
-                if determinant(m) != 0:
-                    break
-            assert m * inverse(m) == Matrix.identity(n)
-
-    def test_singular_rejected(self):
-        with pytest.raises(SingularMatrix):
-            inverse(Matrix([[1, 2], [2, 4]]))
 
 
 class TestGenericRankProfile:

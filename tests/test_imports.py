@@ -1,14 +1,18 @@
 """No dead code in ``chordalrig``: unused imports, unreferenced private
-definitions and ``exactmat`` kernels that only tests run.
+definitions, and ``exactmat`` kernels and ``Matrix`` members that only
+tests run.
 
-Three small ``ast`` scans stand in for a linter. A module fails when it
+Four small ``ast`` scans stand in for a linter. A module fails when it
 binds a name by ``import`` or ``from ... import`` and never reads it; names
 listed in the module's ``__all__`` count as used, so re-exports in
 ``__init__`` pass. The package fails when a top-level private (``_name``)
 function or class, or a private method or cached property of a top-level
-class, is referenced nowhere in it outside its own definition, and when a
+class, is referenced nowhere in it outside its own definition; when a
 top-level public function of ``exactmat`` is read by no other module but
-``__init__``, whose re-exports are not uses.
+``__init__``, whose re-exports are not uses; and when a public method or
+property of ``exactmat.Matrix`` is read, as an attribute, nowhere in the
+package outside its own definition and nowhere in the bench harness
+(``bench/``).
 """
 
 import ast
@@ -16,7 +20,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "chordalrig"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "chordalrig"
+BENCH = ROOT / "bench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -190,3 +196,48 @@ DEF_F = "def f():\n    pass\n"
 ])
 def test_public_function_scan(sources, expected):
     assert unread_public_functions("m", sources) == expected
+
+
+def unread_public_members(cls: str, sources: list[str], outside: list[str]) -> list[str]:
+    """Public methods (properties and class methods too) of the top-level
+    classes named ``cls`` in ``sources``, as ``Class.name``, whose name no
+    module of ``sources`` reads as an attribute outside the member's own
+    definition and no module of ``outside`` reads as an attribute at all.
+    Dunders are skipped: Python calls them."""
+    defined, read = set(), set()
+    for source in sources:
+        for name, node, own in _definition_units(ast.parse(source)):
+            if name is not None and name.startswith(f"{cls}.") and not name.startswith(
+                    f"{cls}._"):
+                defined.add(name)
+            read |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)} - own
+    for source in outside:
+        read |= {n.attr for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Attribute)}
+    return sorted(name for name in defined if name.split(".")[1] not in read)
+
+
+def test_matrix_keeps_only_what_the_package_or_bench_reads():
+    assert unread_public_members("Matrix", [p.read_text() for p in sorted(SOURCE.glob("*.py"))],
+                                 [p.read_text() for p in sorted(BENCH.glob("*.py"))]) == []
+
+
+CLASS_M = "class Matrix:\n    def f(self):\n        pass\n"
+
+
+@pytest.mark.parametrize("sources, outside, expected", [
+    ([CLASS_M], [], ["Matrix.f"]),
+    ([CLASS_M, "def g(m):\n    return m.f()\n"], [], []),
+    ([CLASS_M], ["m.f()\n"], []),
+    ([CLASS_M, "f()\n"], [], ["Matrix.f"]),
+    ([CLASS_M], ["f = 1\n"], ["Matrix.f"]),
+    (["class Matrix:\n    def f(self):\n        return self.f()\n"], [], ["Matrix.f"]),
+    ([CLASS_M + "    def g(self):\n        return self.f()\n"], [], ["Matrix.g"]),
+    (["class Matrix:\n    @property\n    def p(self):\n        return 1\n"], [], ["Matrix.p"]),
+    (["class Matrix:\n    @classmethod\n    def z(cls):\n        pass\n",
+      "x = Matrix.z()\n"], [], []),
+    (["class Matrix:\n    def __add__(self, other):\n        pass\n"], [], []),
+    (["class Matrix:\n    def _m(self):\n        pass\n"], [], []),
+    (["class Other:\n    def f(self):\n        pass\n"], [], []),
+])
+def test_member_scan(sources, outside, expected):
+    assert unread_public_members("Matrix", sources, outside) == expected

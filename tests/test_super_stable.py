@@ -45,7 +45,6 @@ from chordalrig.framework import (
     is_general_position,
     is_unit_triangular_gale,
     random_general_position_framework,
-    stress_from_psi,
     validate_stress_matrix,
 )
 from chordalrig.graphs import Graph, gen_ktree
@@ -246,7 +245,7 @@ class TestNotInGeneralPosition:
                 continue
             z = unit_triangular_gale(fw, cert.peo)
             assert is_unit_triangular_gale(z.matrix, fw.graph, cert.peo) == (True, None)
-            assert (extended_config_matrix(fw) * z.matrix).is_zero
+            assert extended_config_matrix(fw) * z.matrix == Matrix.zeros(fw.dim + 1, fw.rbar)
             assert psd_stress_from_gale(fw, z) == cert.stress
         assert seen == {Verdict.UNIVERSALLY_RIGID: 51, Verdict.INCONCLUSIVE: 9}
 
@@ -324,7 +323,7 @@ class TestPsdizeWithoutGeneralPosition:
                 continue
             d = [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(fw.rbar)]
             d[0], d[-1] = abs(d[0]), -abs(d[-1])
-            s = stress_from_psi(fw, z, Matrix([[d[i] if i == j else 0 for j in range(fw.rbar)]
+            s = helpers.gale_stress(fw, z, Matrix([[d[i] if i == j else 0 for j in range(fw.rbar)]
                                                for i in range(fw.rbar)]))
             assert not validate_stress_matrix(fw, s).psd
             paths = [tmp_path / f"{name}.json" for name in ("fw", "s", "out")]
