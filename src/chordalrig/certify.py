@@ -43,12 +43,12 @@ from .exactmat import (
     SparseRows,
     _cofactor_basis,
     _cofactor_step,
+    _integer_kernel,
     _integer_row,
     _quotient,
     _sparse_factor,
     _sparse_rows,
     _unit_rows,
-    null_space_basis,
 )
 from .framework import (
     DegenerateSpan,
@@ -216,16 +216,6 @@ def _unit_entries(col: dict[int, int], vertices: Iterable[int]) -> tuple[Fractio
 def _gale_matrix(columns: GaleColumns, n: int) -> GaleMatrix:
     return GaleMatrix(Matrix._of(tuple(_unit_entries(col, range(n)) for col in columns),
                                  len(columns), n).transpose())
-
-
-def _integer_column(col: dict[int, int | Fraction]) -> dict[int, int]:
-    """A column {0-based vertex: int or Fraction}, zeros left out, times
-    the lcm d of its denominators. When its first entry is 1 this is its
-    integer form (``GaleColumns``): the pivot entry is then d, and the gcd
-    is 1, since each prime power dividing d exactly divides some entry's
-    denominator exactly, and that entry times d is prime to it."""
-    d = math.lcm(*[x.denominator for x in col.values()])
-    return {u: x.numerator * (d // x.denominator) for u, x in col.items()}
 
 
 def unit_triangular_gale(fw: Framework, peo: Ordering) -> GaleMatrix:
@@ -421,12 +411,14 @@ def psd_stress_from_gale(fw: Framework, z: GaleMatrix) -> StressMatrix:
     stress clauses are re-verified exactly before returning, PSD and rank
     by sparse elimination along a maximum cardinality search order (a PEO
     when the graph is chordal). The sum runs in integers, on each column
-    times the lcm of its denominators (``_integer_column``).
+    times the lcm of its denominators (``_integer_row``).
     """
-    columns = list(_sparse_rows(z.matrix.transpose()).values())
-    divisors = [math.lcm(*[x.denominator for x in col.values()]) for col in columns]
-    return _gram_stress(fw, [_integer_column(col) for col in columns], mcs_order(fw.graph),
-                        divisors)
+    columns, divisors = [], []
+    for col in _sparse_rows(z.matrix.transpose()).values():
+        ints, d = _integer_row(col.values())
+        columns.append(dict(zip(col, ints)))
+        divisors.append(d)
+    return _gram_stress(fw, columns, mcs_order(fw.graph), divisors)
 
 
 def _no_conic_at_infinity(fw: Framework) -> bool:
@@ -541,19 +533,20 @@ def _hyperplanes_through(dim: int, lifted: Sequence[Sequence[int]],
     index as ``avoid_index``, on the first request.
 
     The rows (l p, -l) span the row space of the rows (p, -1), so
-    ``null_space_basis`` gives the same kernel. Its columns y_j = (n_j, o_j)
-    are scaled by one common denominator D to integers (N_j, O_j), so for q
-    lifted to (l q, l), y_j's side n_j.q - o_j is (N_j.(l q) - O_j l) / (D l).
-    These d sides are taken once per avoid point; a combination sum c_j y_j
-    misses q when the same combination of its sides is nonzero. Only a
-    combination missing every avoid point is built (``kernel.mul_vector``),
-    and kept when its normal is nonzero.
+    ``_integer_kernel`` on them gives the kernel's echelon-form basis in
+    integers: column y_j = (n_j, o_j) is Y_j / Y_j[f_j], f_j its free
+    column. Scaled by D, the lcm of the Y_j[f_j], the columns are integers
+    (N_j, O_j) = D y_j, so for q lifted to (l q, l), y_j's side n_j.q - o_j
+    is (N_j.(l q) - O_j l) / (D l). These d sides are taken once per avoid
+    point; a combination sum c_j y_j misses q when the same combination of
+    its sides is nonzero. Only a combination missing every avoid point is
+    built, in integers, and kept when its normal is nonzero; its dim+1
+    entries over D are the only Fractions the search makes.
     """
-    kernel = null_space_basis(Matrix([[*p[:dim], -p[dim]] for p in lifted],
-                                     shape=(len(lifted), dim + 1)))
-    d = kernel.cols
-    flat, _ = _integer_row([x for j in range(d) for x in kernel.column(j)])
-    ints = [flat[i:i + dim + 1] for i in range(0, len(flat), dim + 1)]
+    kernel = _integer_kernel([[*p[:dim], -p[dim]] for p in lifted], dim + 1)
+    scale = math.lcm(*[y[f] for f, y in kernel])
+    ints = [[x * (scale // y[f]) for x in y] for f, y in kernel]
+    d = len(ints)
     sides = [[sum(map(mul, y, q[:dim])) - y[dim] * q[dim] for y in ints] for q in avoid]
     for i, (q, side) in enumerate(zip(avoid, sides)):
         if not any(side):
@@ -566,9 +559,10 @@ def _hyperplanes_through(dim: int, lifted: Sequence[Sequence[int]],
             if max(abs(c) for c in coeffs) != norm:
                 continue
             if all(sum(map(mul, coeffs, side)) for side in sides):
-                y = kernel.mul_vector(coeffs)
+                y = [sum(map(mul, coeffs, entries)) for entries in zip(*ints)]
                 if any(y[:dim]):
-                    yield Hyperplane(y[:dim], y[dim])
+                    yield Hyperplane(tuple(Fraction(x, scale) for x in y[:dim]),
+                                     Fraction(y[dim], scale))
     raise Infeasible("coefficient search exhausted")  # pragma: no cover
 
 
@@ -683,7 +677,7 @@ def psdize_stress(fw: Framework, s: StressMatrix) -> PsdizeResult:
     principal minors, so a zero among the first rbar pivots is the first
     vanishing minor and raises NotGenericRankProfile with its index.
     Otherwise the pass factors the input as L D L^T, and the rbar unit
-    columns of L, cleared once to their integer form (``_integer_column``),
+    columns of L, cleared once to their integer form (``_integer_row``),
     are a Gale matrix in unit-triangular shape; chordality keeps their
     non-edge zeros, so their Gram product is again a stress:
     PSD, of the same maximal rank. None of this uses general position, and
@@ -710,7 +704,11 @@ def psdize_stress(fw: Framework, s: StressMatrix) -> PsdizeResult:
             f"stress rank {result.rank} differs from the maximal {fw.rbar}")
     if not result.generic:
         raise NotGenericRankProfile(result.first_zero)
-    columns = [_integer_column(col) for col in result.columns]
+    # Each unit column times the lcm d of its denominators is its integer
+    # form (``GaleColumns``): the pivot entry 1 becomes d > 0, and the gcd
+    # is 1, since each prime power dividing d exactly divides some entry's
+    # denominator exactly, and that entry times d is prime to it.
+    columns = [dict(zip(col, _integer_row(col.values())[0])) for col in result.columns]
     violation = _triangular_violation(columns, fw.graph, peo)
     if violation is not None:
         raise AssertionFailure(f"eliminated factor lost the triangular shape at {violation}")

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: the three kernels the library runs.
+"""Exact rational linear algebra: the two kernels the library runs.
 
 Every entry is an int or a Python Fraction, so all results are exact.
 Floats are rejected outright; there is no rounding anywhere in this
@@ -25,13 +25,11 @@ they can.
   the rank of a matrix that is not symmetric (``rank``), the framework's
   span check and affine independence, and the one dependency that gives
   a Gale column. The general-position sweep shares one basis per prefix
-  of its subsets instead.
-- ``_rref``, reduced row echelon form with row exchanges, stays behind
-  ``null_space_basis`` (the reflecting hyperplane, the Gale matrix) only:
-  on a wide matrix the cofactor basis costs O(rows * cols^2) where the
-  echelon form is cheaper. It too eliminates in integers, on rows cleared
-  of denominators, and makes Fractions only when it normalises the pivot
-  rows.
+  of its subsets instead. ``_integer_kernel`` pushes columns through it
+  for the pivot columns of the reduced row echelon form, and one
+  ``_cofactor_basis`` per free column for its kernel column, all in
+  integers: the reflecting-hyperplane search reads it as it is, and
+  ``null_space_basis`` (the Gale matrix) as Fractions.
 
 ``Matrix.__mul__``, the dense product, is kept for callers that build
 stresses such as Z D Z^T; no command runs it. It is summed fraction-free
@@ -44,7 +42,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
 
 class ExactMatError(Exception):
@@ -72,10 +70,9 @@ def _coerce(value) -> Fraction:
 
 
 class Matrix:
-    """Immutable dense matrix of Fractions. The library reads it by entry,
-    by row (``data``) and by column, and applies it to a vector
-    (``mul_vector``, in the reflecting-hyperplane search); its one other
-    arithmetic, the product, serves callers that build stresses.
+    """Immutable dense matrix of Fractions. The library reads it by entry
+    and by row (``data``) and transposes it; its one arithmetic, the
+    product, serves callers that build stresses.
 
     ``rows`` and ``cols`` are counts; entries are read with ``A[i, j]``
     using 0-based indices. Diagnostics reported by the functions in this
@@ -143,21 +140,12 @@ class Matrix:
         i, j = key
         return self._data[i][j]
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self._data)
-
     def to_lists(self) -> list[list[Fraction]]:
         return [list(r) for r in self._data]
 
     def transpose(self) -> "Matrix":
         data = tuple(zip(*self._data)) if self.rows else ((),) * self.cols
         return Matrix._of(data, self.cols, self.rows)
-
-    def mul_vector(self, vec: Sequence) -> tuple[Fraction, ...]:
-        v = [_coerce(x) for x in vec]
-        if len(v) != self.cols:
-            raise DimensionMismatch(f"vector of length {len(v)} against {self.cols} columns")
-        return tuple(sum(r[j] * v[j] for j in range(self.cols)) for r in self._data)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -179,7 +167,7 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
-def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
+def _integer_row(values: Collection[Fraction]) -> tuple[list[int], int]:
     """Scale rationals by the lcm ``l`` of their denominators.
 
     Returns the integers ``l * x`` in order, and ``l``.
@@ -284,6 +272,39 @@ def _cofactor_basis(rows: Iterable[Sequence[int]], k: int
             basis, prev = step
             kept += 1
     return basis, prev, kept
+
+
+def _integer_kernel(rows: Sequence[Sequence[int]], k: int) -> list[tuple[int, list[int]]]:
+    """The kernel of integer rows of length k as their reduced row echelon
+    form gives it, in integers.
+
+    The columns go through ``_cofactor_step`` in order, and the ones it
+    keeps, each independent of those before it, are the echelon form's
+    pivot columns. A free column f depends on the pivots before it, which
+    are independent, so ``_cofactor_basis`` over the rows restricted to
+    those pivots and f leaves one vector y, with y_f != 0. Signed so that
+    y_f > 0, y / y_f is the basis column of f: 1 at f, the negated echelon
+    entry at each pivot and 0 elsewhere, since it is the one kernel vector
+    that is 1 at f and 0 at the other free columns.
+
+    Returns the pairs (f, y), y of length k, in increasing order of the
+    free column f; the other columns are the pivots.
+    """
+    basis, prev, pivots, kernel = _unit_rows(len(rows)), 1, [], []
+    for f in range(k):
+        step = _cofactor_step(basis, prev, [row[f] for row in rows])
+        if step is not None:
+            basis, prev = step
+            pivots.append(f)
+            continue
+        keep = pivots + [f]
+        (y,), _, _ = _cofactor_basis(([row[i] for i in keep] for row in rows), len(keep))
+        sign = 1 if y[-1] > 0 else -1
+        column = [0] * k
+        for i, x in zip(keep, y):
+            column[i] = sign * x
+        kernel.append((f, column))
+    return kernel
 
 
 SparseRows = dict[int, dict[int, Fraction]]
@@ -471,41 +492,6 @@ def _sparse_factor(rows: SparseRows, order: Sequence[int],
                        first_zero, steps, scale)
 
 
-def _rref(a: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """The reduced row echelon form of ``a`` and its pivot columns, 0-based.
-
-    The echelon form depends on the row space alone, so the rows are first
-    cleared of denominators (``_integer_row``) and eliminated fraction-free
-    in integers: each step replaces every other row r_i by p r_i - f r_piv,
-    p the pivot and f the entry of r_i in its column, divided by the gcd of
-    its entries when that is above 1. Only at the end is each pivot row
-    divided by its pivot, one Fraction per entry.
-    """
-    m = [_integer_row(row)[0] for row in a.data]
-    pivots: list[int] = []
-    r = 0
-    for c in range(a.cols):
-        piv = next((i for i in range(r, a.rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        top = m[r]
-        p = top[c]
-        for i in range(a.rows):
-            f = m[i][c]
-            if i != r and f:
-                row = [p * x - f * y for x, y in zip(m[i], top)]
-                g = math.gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-        if r == a.rows:
-            break
-    zero = Fraction(0)
-    return ([[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
-            + [[zero] * a.cols for _ in range(a.rows - r)]), pivots
-
-
 def rank(a: Matrix) -> int:
     """Rank, by ``_cofactor_basis`` over the rows cleared of denominators
     (``_integer_row``), or over their columns when there are more columns
@@ -517,22 +503,14 @@ def rank(a: Matrix) -> int:
 
 
 def null_space_basis(a: Matrix) -> Matrix:
-    """Kernel basis from the reduced row echelon form.
+    """Kernel basis as the reduced row echelon form gives it, from
+    ``_integer_kernel`` on the rows cleared of denominators
+    (``_integer_row``), which keeps the row space.
 
-    One basis column per free column of the RREF, in increasing free-column
-    order: the free variable is set to 1 and each pivot variable to the
-    negated RREF entry. Deterministic for a given input.
+    One basis column per free column of the echelon form, in increasing
+    free-column order: 1 at the free column, the negated echelon entry at
+    each pivot column and 0 elsewhere. Deterministic for a given input.
     """
-    m, pivots = _rref(a)
-    pivot_set = set(pivots)
-    columns = []
-    for f in range(a.cols):
-        if f in pivot_set:
-            continue
-        v = [Fraction(0)] * a.cols
-        v[f] = Fraction(1)
-        for row_idx, p in enumerate(pivots):
-            v[p] = -m[row_idx][f]
-        columns.append(v)
-    return Matrix.from_columns(columns, rows=a.cols)
-
+    kernel = _integer_kernel([_integer_row(row)[0] for row in a.data], a.cols)
+    columns = tuple(tuple(Fraction(x, y[f]) if x else _ZERO for x in y) for f, y in kernel)
+    return Matrix._of(columns, len(columns), a.cols).transpose()

@@ -344,18 +344,41 @@ class TestHyperplaneAgainstOracle:
         assert hashlib.sha256(text.encode()).hexdigest() == HYPERPLANE_DIGEST
 
     def test_one_kernel_and_no_solve_per_call(self, monkeypatch):
-        from chordalrig import certify, exactmat
-        kernels, rrefs = [], []
-        real_kernel, real_rref = certify.null_space_basis, exactmat._rref
-        monkeypatch.setattr(certify, "null_space_basis",
-                            lambda a: kernels.append(a) or real_kernel(a))
-        monkeypatch.setattr(exactmat, "_rref", lambda a: rrefs.append(a) or real_rref(a))
+        from chordalrig import exactmat
+        kernels = []
+        real_kernel = exactmat._integer_kernel
+
+        def counted_kernel(rows, k):
+            kernels.append(rows)
+            return real_kernel(rows, k)
+        for module in (certify, exactmat):
+            monkeypatch.setattr(module, "_integer_kernel", counted_kernel)
         assert not hasattr(exactmat, "solve_linear")
         for dim, pts, avoid in _hyperplane_cases(10, 40):
             kernels.clear()
-            rrefs.clear()
             _hyperplane_outcome(dim, pts, avoid)
-            assert len(kernels) == len(rrefs) == 1
+            assert len(kernels) == 1
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_first_plane_makes_only_its_own_fractions(self, r, monkeypatch):
+        """On the lifted points of seeded integer frameworks, the search
+        runs in integers up to the first plane: the only Fractions it makes
+        are that plane's dim+1 entries."""
+        made = []
+        real_new = Fraction.__new__
+
+        def counted_new(cls, *args, **kwargs):
+            made.append(args)
+            return real_new(cls, *args, **kwargs)
+        for seed in range(4):
+            lifted = random_general_position_framework(r + 5, r, seed)._lifted
+            for size in range(1, r + 1):
+                made.clear()
+                monkeypatch.setattr(Fraction, "__new__", counted_new)
+                plane = next(certify._hyperplanes_through(r, lifted[:size], lifted[size:]))
+                monkeypatch.undo()
+                assert len(made) == r + 1
+                assert list(plane.normal) + [plane.offset] == [F(*args) for args in made]
 
     def test_float_rejected(self):
         with pytest.raises(TypeError):

@@ -25,7 +25,8 @@ from chordalrig.exactmat import (
     DimensionMismatch,
     Matrix,
     _cofactor_basis,
-    _rref,
+    _integer_kernel,
+    _integer_row,
     _sparse_factor,
     _sparse_rows,
     null_space_basis,
@@ -89,7 +90,7 @@ class TestMatrix:
     def test_from_columns(self):
         m = Matrix.from_columns([[1, 2], [3, 4], [5, 6]])
         assert (m.rows, m.cols) == (2, 3)
-        assert m.column(2) == (5, 6)
+        assert [row[2] for row in m.data] == [5, 6]
         empty = Matrix.from_columns([], rows=4)
         assert (empty.rows, empty.cols) == (4, 0)
 
@@ -126,12 +127,6 @@ class TestMatrix:
     def test_shape_mismatch_in_product(self):
         with pytest.raises(DimensionMismatch):
             Matrix([[1, 2]]) * Matrix([[1, 2]])
-
-    def test_mul_vector(self):
-        m = Matrix([[1, 2], [3, 4]])
-        assert m.mul_vector([1, 1]) == (3, 7)
-        with pytest.raises(DimensionMismatch):
-            m.mul_vector([1])
 
     def test_hash_consistent_with_eq(self):
         a = Matrix([[1, "1/2"]])
@@ -310,23 +305,35 @@ class TestRank:
             data = _ranked_rows(rng, rows, cols)
             m = Matrix(data, shape=(rows, cols))
             expected = oracles.sym_rank(data) if rows and cols else 0
-            assert rank(m) == expected == len(_rref(m)[1])
+            kernel = _integer_kernel([_integer_row(row)[0] for row in data], cols)
+            assert rank(m) == expected == cols - len(kernel)
 
 
-class TestRref:
+class TestIntegerKernel:
     @pytest.mark.parametrize("rows, cols", RANKED_SHAPES)
     def test_matches_sympy(self, rows, cols):
-        """The integer elimination gives sympy's reduced row echelon form
-        and pivots on rational matrices of every rank."""
-        rng = random.Random(f"rref/{rows}x{cols}")
-        for _ in range(25):
+        """On rational matrices of every rank, zero rows, rank 0 and full
+        rank among them, the integer kernel's free columns, and so its
+        pivots, are those of sympy's reduced row echelon form, with a
+        positive entry at each free column, and ``null_space_basis`` is the
+        kernel read off that form: for each free column f, 1 at f, minus
+        entry (i, f) at the i-th pivot and 0 elsewhere."""
+        rng = random.Random(f"kernel/{rows}x{cols}")
+        ranks = set()
+        for _ in range(40):
             data = _ranked_rows(rng, rows, cols)
-            m, pivots = _rref(Matrix(data, shape=(rows, cols)))
-            if rows and cols:
-                assert (m, pivots) == oracles.sym_rref(data)
-            else:
-                assert (m, pivots) == ([[]] * rows, [])
-            assert all(isinstance(x, F) for row in m for x in row)
+            echelon, pivots = oracles.sym_rref(data) if rows and cols else ([], [])
+            free = [f for f in range(cols) if f not in pivots]
+            expected = [[F(int(c == f)) for c in range(cols)] for f in free]
+            for column, f in zip(expected, free):
+                for row, p in zip(echelon, pivots):
+                    column[p] = -row[f]
+            assert null_space_basis(Matrix(data, shape=(rows, cols))) == Matrix.from_columns(
+                expected, rows=cols)
+            kernel = _integer_kernel([_integer_row(row)[0] for row in data], cols)
+            assert [f for f, _ in kernel] == free and all(y[f] > 0 for f, y in kernel)
+            ranks.add(len(pivots))
+        assert {0, min(rows, cols)} <= ranks
 
 
 class TestCofactorBasis:

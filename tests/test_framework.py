@@ -316,8 +316,8 @@ def _hexagon_clause_breakers(hexagon):
     the outer product of a Gale vector that is nonzero on the non-edges,
     and a symmetric matrix on edge (1, 2) that misses the kernel."""
     z = hexagon.gale
-    g1 = list(z.column(0))
-    g13 = [a + b for a, b in zip(z.column(0), z.column(2))]
+    g1 = [row[0] for row in z.data]
+    g13 = [row[0] + row[2] for row in z.data]
     return {"not symmetric": _outer(g1, _unit(2)),
             "nonzero on a non-edge": _outer(g13, g13),
             "does not kill the extended configuration":
@@ -342,7 +342,7 @@ class TestOmegaFromStressClauses:
             raise AssertionError("omega_from_stress ran a rank or PSD pass")
         for name in ("_sparse_factor", "rank"):
             monkeypatch.setattr(framework, name, forbidden)
-        monkeypatch.setattr(exactmat, "_rref", forbidden)
+        monkeypatch.setattr(exactmat, "_integer_kernel", forbidden)
         assert [omega_from_stress(fw, s) for fw, s in cases] == expected
 
     def test_message_lists_each_failed_clause(self, hexagon):

@@ -43,6 +43,7 @@ from chordalrig.exactmat import (
     DimensionMismatch,
     Matrix,
     _congruent_rows,
+    _integer_row,
     _sparse_factor,
     _sparse_rows,
     rank,
@@ -389,7 +390,7 @@ class TestGramSelfCheck:
         assert err.value.pair == (1, 5)
 
     def test_rank_deficient_gram_is_an_assertion_failure(self, hexagon):
-        cols = [hexagon.gale.column(j) for j in (0, 1, 1)]
+        cols = [[row[j] for row in hexagon.gale.data] for j in (0, 1, 1)]
         z = GaleMatrix(Matrix.from_columns(cols))
         with pytest.raises(AssertionFailure, match="rank 3"):
             psd_stress_from_gale(hexagon.fw, z)
@@ -451,11 +452,13 @@ def mixes_scales(columns):
 def integer_columns(columns):
     """The integer form the Gram sum reads (``certify.GaleColumns``) of
     sparse Fraction columns, each with entry 1 at its least vertex."""
-    return [certify._integer_column(dict(sorted(col.items()))) for col in columns]
+    columns = [dict(sorted(col.items())) for col in columns]
+    return [dict(zip(col, _integer_row(col.values())[0])) for col in columns]
 
 
 def hexagon_columns(hexagon):
-    return [{v: x for v, x in enumerate(hexagon.gale.column(j)) if x} for j in range(3)]
+    return [{v: row[j] for v, row in enumerate(hexagon.gale.data) if row[j]}
+            for j in range(3)]
 
 
 def combine(a, b, t):
@@ -604,7 +607,7 @@ def _vanishing_minor_input(rng, r):
     g = gen_ktree(n, rng.randint(r + 2, n - 1), rng.randrange(10_000))
     fw = helpers.sample_points(g, r, rng)
     z = unit_triangular_gale(fw, certify._elimination_order(g))
-    cols = [[v + 1 for v, x in enumerate(z.matrix.column(j)) if x] for j in range(fw.rbar)]
+    cols = [[v + 1 for v, row in enumerate(z.matrix.data) if row[j]] for j in range(fw.rbar)]
     pairs = [(k, m) for k in range(fw.rbar) for m in range(k + 1, fw.rbar)
              if all(g.has_edge(u, w) for u in cols[k] for w in cols[m] if u != w)]
     if not pairs:
@@ -677,12 +680,12 @@ class TestPsdizeFactor:
         """A 4-tree in R^2 on 50 vertices and a stress Z Psi Z^T of maximal
         rank whose leading minor 1 vanishes (the ``_vanishing_minor_input``
         recipe with k = 1): the one sparse pass reports the minor, with
-        ``rank`` and ``_rref`` forbidden, in well under a second."""
+        ``rank`` and ``_integer_kernel`` forbidden, in well under a second."""
         points = random_general_position_framework(50, 2, 0).points
         for seed in range(100):
             fw = Framework(gen_ktree(50, 4, seed), 2, points)
             z = unit_triangular_gale(fw, certify._elimination_order(fw.graph)).matrix
-            cols = [[v + 1 for v, x in enumerate(z.column(j)) if x] for j in range(fw.rbar)]
+            cols = [[v + 1 for v, row in enumerate(z.data) if row[j]] for j in range(fw.rbar)]
             partners = [m for m in range(1, fw.rbar)
                         if all(fw.graph.has_edge(u, w) for u in cols[0] for w in cols[m]
                                if u != w)]
@@ -699,7 +702,7 @@ class TestPsdizeFactor:
         def forbidden(*args, **kwargs):
             raise AssertionError("dense rank or PSD pass")
         for module in (certify, exactmat, framework):
-            for name in ("rank", "_rref"):
+            for name in ("rank", "_integer_kernel"):
                 monkeypatch.setattr(module, name, forbidden, raising=False)
         start = time.perf_counter()
         with pytest.raises(NotGenericRankProfile) as err:
@@ -733,7 +736,7 @@ class TestPsdizeFactor:
         monkeypatch.setattr(certify, "_sparse_factor", counted_factor)
         for module in (certify, exactmat, framework):
             monkeypatch.setattr(module, "rank", counted_rank, raising=False)
-        monkeypatch.setattr(exactmat, "_rref", forbidden)
+        monkeypatch.setattr(exactmat, "_integer_kernel", forbidden)
         for fw, s in inputs:
             passes.clear()
             try:
