@@ -6,16 +6,18 @@ in position j and at dim+1 of its later neighbours, a clique, so columns
 are kept sparse, in the original labels, and solved by Cramer's rule, in
 integers: each is held as the primitive integer vector whose pivot entry
 divides it to the column. The Gram product Z Z^T is a PSD stress of
-maximal rank, which certifies universal (hence global) rigidity. It is
+maximal rank, which certifies universal (hence global) rigidity. Every
+stress clause follows from checks made on each column
+(``_check_gale_columns``), so the product is not checked again: it is
 summed in integers as the congruent matrix C Z Z^T C for a positive
-integer diagonal C, re-checked over its nonzero entries, and eliminated
-sparsely along the PEO for PSD and rank; no Fraction is made until the
-stress or the Gale matrix is read. The same elimination
-gives ``psdize_stress`` its input's rank, first vanishing leading minor
-and Gale factor. The negative branch reflects one side of a small
-separating set across a hyperplane through it, on the framework's lifted
-integer points, giving a framework with the same edge lengths that is
-provably not congruent; both facts are re-checked in integers.
+integer diagonal C when the stress is first read, and no Fraction is made
+until the stress or the Gale matrix is read. One sparse elimination
+(``exactmat._sparse_factor``) gives ``psdize_stress`` its input's rank,
+first vanishing leading minor and Gale factor. The negative branch
+reflects one side of a small separating set across a hyperplane through
+it, on the framework's lifted integer points, giving a framework with the
+same edge lengths that is provably not congruent; both facts are
+re-checked in integers.
 
 The paper proves the dichotomy for points in general position, but each
 piece of evidence is checked on its own: a PSD stress of maximal rank with
@@ -40,21 +42,19 @@ from typing import Iterable, Iterator, Sequence
 from .exactmat import (
     _ZERO,
     Matrix,
-    SparseRows,
     _cofactor_basis,
     _cofactor_step,
     _integer_kernel,
     _integer_row,
     _quotient,
     _sparse_factor,
-    _sparse_rows,
     _unit_rows,
 )
 from .framework import (
     DegenerateSpan,
     Framework,
+    GaleColumns,
     GaleMatrix,
-    PatternViolation,
     StressMatrix,
     _clause_failures,
     _coerce_point,
@@ -76,7 +76,6 @@ from .graphs import (
     components_after_removal,
     is_chordal,
     is_peo,
-    mcs_order,
 )
 
 # Bound on the coefficient search for hyperplanes; unreachable in practice.
@@ -198,13 +197,6 @@ class Hyperplane:
         return tuple(Fraction(x * nn - t * a, den) for x, a in zip(coords, normal))
 
 
-# Integer Gale columns {0-based vertex: int}: nonzero entries only, the
-# pivot vertex first with a positive entry, and gcd 1. The column of Z is
-# the column divided by its pivot entry, which is therefore the lcm of the
-# denominators of that column of Z.
-GaleColumns = list[dict[int, int]]
-
-
 def _unit_entries(col: dict[int, int], vertices: Iterable[int]) -> tuple[Fraction, ...]:
     """The entries of the column of Z held by the integer column ``col``
     at ``vertices``: one Fraction per nonzero entry, the shared zero
@@ -267,11 +259,8 @@ def _gale_columns(fw: Framework, peo: Ordering,
     when they are not, one greedy pass over all the later neighbours in
     position order keeps the first dim+1 that are
     (``_independent_support``); if there are none, every dim+1 of them are
-    dependent, and DegenerateEvidence names the first dim+1. Each stored
-    column w is checked to lie in the Gale space, sum_u w_u (p_u, 1) = 0,
-    summed as sum_u (w_u / l_u) L_u in integers, and the columns to keep
-    the triangular shape with a positive pivot entry, before they are
-    returned.
+    dependent, and DegenerateEvidence names the first dim+1. The columns
+    are checked (``_check_gale_columns``) before they are returned.
     """
     r = fw.dim
     lifted = fw._lifted
@@ -297,15 +286,41 @@ def _gale_columns(fw: Framework, peo: Ordering,
         keys = [v - 1, *support]
         w = [lifted[u][-1] * x for u, x in zip(keys, y)]
         g = math.gcd(*w) if w[0] > 0 else -math.gcd(*w)
-        col = {u: x // g for u, x in zip(keys, w) if x}
+        columns.append({u: x // g for u, x in zip(keys, w) if x})
+    _check_gale_columns(fw, columns, peo)
+    return columns
+
+
+def _check_gale_columns(fw: Framework, columns: GaleColumns, peo: Ordering) -> None:
+    """Check that the Gram product Z Z^T of the integer Gale columns
+    (``GaleColumns``) along the PEO ``peo`` is a PSD stress of rank rbar,
+    on the columns alone; a failure is a bug and raises AssertionFailure.
+
+    Each column w is checked to lie in the Gale space, sum_u w_u (p_u, 1) =
+    0, summed as sum_u (w_u / l_u) L_u in integers over the lifted points
+    L_u = l_u (p_u, 1); and the rbar columns to keep the triangular shape
+    (``framework._triangular_violation``): column j nonzero only at the
+    vertex v_j in position j, where it is positive, and at later
+    neighbours of v_j. These give every clause of S = Z Z^T:
+
+    - S is symmetric by construction.
+    - The support of column j is v_j and later neighbours of v_j, a clique
+      along the PEO, so each term z_j z_j^T, and S, vanishes off the edges.
+    - Each column kills the extended configuration, so S does too.
+    - Z has rbar columns, each with a nonzero entry at its own position and
+      zeros at the earlier positions, so Z has rank rbar. A Gram matrix of
+      rank rbar is PSD of rank rbar.
+    """
+    lifted = fw._lifted
+    for j, col in enumerate(columns, 1):
         # the coefficient of L_u is w_u / l_u, and l_u = 1 at integer points
         if not _in_gale_space(lifted, [{u: _quotient(x, lifted[u][-1]) for u, x in col.items()}]):
             raise AssertionFailure(f"column {j} does not lie in the Gale space")
-        columns.append(col)
+    if len(columns) != fw.rbar:
+        raise AssertionFailure(f"{len(columns)} Gale columns, not rbar = {fw.rbar}")
     violation = _triangular_violation(columns, fw.graph, peo)
     if violation is not None:
-        raise AssertionFailure(f"unit-triangular shape violated at {violation}")
-    return columns
+        raise AssertionFailure(f"Gale columns leave the triangular shape at {violation}")
 
 
 def _kernel_vector(lifted: Sequence[Sequence[int]], v: int, support: Sequence[int]
@@ -335,90 +350,6 @@ def _independent_support(lifted: Sequence[Sequence[int]], candidates: Sequence[i
             if len(support) == k:
                 return support
     return None
-
-
-def _gram_rows(columns: Sequence[dict[int, int]], n: int,
-               divisors: Sequence[int] | None = None) -> tuple[SparseRows, list[int]]:
-    """The Gram product S = Z Z^T of integer columns, as the integer
-    sparse rows of the congruent matrix M = C S C and the diagonal c of C.
-
-    Column j of Z is w_j / d_j, with d_j = ``divisors[j]``, the lcm of the
-    denominators of that column of Z; when ``divisors`` is None the
-    columns are ``GaleColumns`` and d_j is the pivot entry of w_j. c_u is
-    the lcm of the d_j of the columns that hold u, so W = C Z,
-    W_uj = w_u c_u / d_j, is integral and
-    M = W W^T is summed in integers, one column's outer product at a time;
-    no Fraction is made. An entry whose terms cancel is kept, as zero.
-
-    When the columns are unit-triangular along an ordering, as the Gale
-    columns along the PEO that built them are, elimination of M along that
-    ordering (``exactmat._sparse_factor``) stays in integers: column j is
-    zero at the vertices v_1, ..., v_{j-1} of the earlier positions, so at
-    step k the entries left are those of the sum of w_j w_j^T over j >= k,
-    row v_k holds W_{v_k k} w_k, and every quotient M_ik M_kj / M_kk is
-    the integer W_ik W_jk.
-    """
-    if divisors is None:
-        divisors = [next(iter(col.values())) for col in columns]
-    scale = [1] * n
-    for col, d in zip(columns, divisors):
-        for u in col:
-            scale[u] = math.lcm(scale[u], d)
-    rows: SparseRows = {v: {} for v in range(n)}
-    for col, d in zip(columns, divisors):
-        ints = [(u, a * (scale[u] // d)) for u, a in col.items()]
-        for k, (u, a) in enumerate(ints):
-            urow = rows[u]
-            for w, b in ints[k:]:
-                x = urow.get(w, 0) + a * b
-                urow[w] = rows[w][u] = x
-    return rows, scale
-
-
-def _gram_stress(fw: Framework, columns: Sequence[dict[int, int]], order: Ordering,
-                 divisors: Sequence[int] | None = None) -> StressMatrix:
-    """The Gram stress Z Z^T of integer Gale columns, with ``divisors`` as
-    in ``_gram_rows``, held as the integer rows of a congruent matrix, with
-    every stress clause re-checked on them.
-
-    Symmetry, the non-edge zeros and the kernel are checked over the
-    stored entries (``_stress_clauses``); PSD and rank rbar, which the
-    congruence keeps, by ``_sparse_factor`` along ``order``, which along
-    a PEO touches one clique per step and, along the PEO the columns were
-    built in, divides only exactly. A nonzero non-edge entry raises
-    PatternViolation; any other failed clause is a bug and raises
-    AssertionFailure. The dense stress is built only when it is read.
-    """
-    rows, scale = _gram_rows(columns, fw.n, divisors)
-    symmetric, non_edge, kernel_ok = _stress_clauses(fw, rows, scale)
-    if non_edge is not None:
-        raise PatternViolation(*non_edge)
-    if not (symmetric and kernel_ok):
-        raise AssertionFailure(
-            f"Gram stress failed validation: {_clause_failures(symmetric, True, kernel_ok)}")
-    result = _sparse_factor(rows, [v - 1 for v in order], scale)
-    if (result.rank, result.psd) != (fw.rbar, True):
-        raise AssertionFailure(f"Gram stress is not PSD of rank {fw.rbar}: "
-                               f"elimination gave {(result.rank, result.psd)}")
-    return StressMatrix.from_congruent(rows, scale)
-
-
-def psd_stress_from_gale(fw: Framework, z: GaleMatrix) -> StressMatrix:
-    """The Gram stress Z Z^T of a unit-triangular Gale matrix.
-
-    The product is PSD of rank rbar by construction; its non-edge entries
-    must vanish, otherwise PatternViolation identifies a labeling bug. All
-    stress clauses are re-verified exactly before returning, PSD and rank
-    by sparse elimination along a maximum cardinality search order (a PEO
-    when the graph is chordal). The sum runs in integers, on each column
-    times the lcm of its denominators (``_integer_row``).
-    """
-    columns, divisors = [], []
-    for col in _sparse_rows(z.matrix.transpose()).values():
-        ints, d = _integer_row(col.values())
-        columns.append(dict(zip(col, ints)))
-        divisors.append(d)
-    return _gram_stress(fw, columns, mcs_order(fw.graph), divisors)
 
 
 def _no_conic_at_infinity(fw: Framework) -> bool:
@@ -453,11 +384,14 @@ def certify_chordal(fw: Framework) -> Certificate:
     PSD stress, lower connectivity NotGloballyRigid with a reflected
     counterexample; non-chordal inputs and simplices come back Inconclusive
     with the reason and, for the former, a chordless cycle. Neither verdict
-    needs general position: the stress is re-checked (``_gram_stress``)
-    and, with edge directions on no conic at infinity, proves universal
-    rigidity by Connelly's super stability (R. Connelly, "Rigidity and
-    energy", Invent. Math. 66, 1982); the reflection's equal edge lengths
-    and non-congruence are re-checked exactly.
+    needs general position: the stress is the Gram product of Gale columns
+    whose checks give every stress clause, PSD and rank rbar
+    (``_check_gale_columns``); it is summed when first read
+    (``StressMatrix.from_gale_columns``) and, with edge directions on no
+    conic at infinity, proves universal rigidity by Connelly's super
+    stability (R. Connelly, "Rigidity and energy", Invent. Math. 66, 1982);
+    the reflection's equal edge lengths and non-congruence are re-checked
+    exactly.
 
     Where the evidence fails, the failure itself names dim+1 affinely
     dependent points, returned as the ``detail`` of Inconclusive
@@ -493,7 +427,7 @@ def certify_chordal(fw: Framework) -> Certificate:
                            reason=Reason.SIMPLEX_CASE)
     try:
         if kappa >= fw.dim + 1:
-            stress = _gram_stress(fw, _gale_columns(fw, peo, later), peo)
+            stress = StressMatrix.from_gale_columns(_gale_columns(fw, peo, later), fw.n)
             if not _no_conic_at_infinity(fw):
                 raise AssertionFailure("edge directions lie on a conic at infinity")
             return Certificate(Verdict.UNIVERSALLY_RIGID, connectivity=kappa, peo=peo,
@@ -680,14 +614,16 @@ def psdize_stress(fw: Framework, s: StressMatrix) -> PsdizeResult:
     columns of L, cleared once to their integer form (``_integer_row``),
     are a Gale matrix in unit-triangular shape; chordality keeps their
     non-edge zeros, so their Gram product is again a stress:
-    PSD, of the same maximal rank. None of this uses general position, and
-    the Gram stress is re-checked in full (``_gram_stress``), so the points
-    are not swept. The input is read through its congruent integer rows
-    (``StressMatrix.congruent``) alone; no dense matrix is built. A stress
-    whose size is not the framework's raises DimensionMismatch before any
-    hypothesis is checked. The result holds the Gram stress, the ordering
-    and the sparse unit columns; its dense ``gale`` and ``eliminated`` are
-    built on first read.
+    PSD, of the same maximal rank. None of this uses general position, so
+    the points are not swept: the cleared columns get the checks of the
+    certificate's Gale columns (``_check_gale_columns``), which give every
+    clause of their Gram stress. The input is read through its congruent
+    integer rows (``StressMatrix.congruent``) alone; no dense matrix is
+    built. A stress whose size is not the framework's raises
+    DimensionMismatch before any hypothesis is checked. The result holds
+    the Gram stress, summed when first read
+    (``StressMatrix.from_gale_columns``), the ordering and the sparse unit
+    columns; its dense ``gale`` and ``eliminated`` are built on first read.
     """
     rows, scale = _sized_congruent(fw, s)
     peo = _elimination_order(fw.graph)
@@ -709,7 +645,6 @@ def psdize_stress(fw: Framework, s: StressMatrix) -> PsdizeResult:
     # is 1, since each prime power dividing d exactly divides some entry's
     # denominator exactly, and that entry times d is prime to it.
     columns = [dict(zip(col, _integer_row(col.values())[0])) for col in result.columns]
-    violation = _triangular_violation(columns, fw.graph, peo)
-    if violation is not None:
-        raise AssertionFailure(f"eliminated factor lost the triangular shape at {violation}")
-    return PsdizeResult(stress=_gram_stress(fw, columns, peo), peo=peo, columns=columns)
+    _check_gale_columns(fw, columns, peo)
+    return PsdizeResult(stress=StressMatrix.from_gale_columns(columns, fw.n), peo=peo,
+                        columns=columns)

@@ -9,9 +9,11 @@ they can.
   (``SparseRows``, {row: {column: entry}}) without exchanges, in a given
   order, touching only the entries that elimination changes, with a 2x2
   block step at a zero pivot over a nonzero row, so it always completes.
-  The library hands it a stress S as the integer rows of a congruent
-  matrix M = C S C, C a positive integer diagonal (``_congruent_rows``, or
-  ``certify._gram_rows`` for a Gram stress); every division goes through
+  ``certify.psdize_stress`` hands it its input stress S as the integer
+  rows of a congruent matrix M = C S C, C a positive integer diagonal
+  (``_congruent_rows``, or ``framework._gram_rows`` for a Gram stress),
+  and ``validate_stress_matrix`` hands it S's own rows; no stress that
+  ``certify`` builds is eliminated again. Every division goes through
   ``_quotient``, which keeps an exact quotient an int. One pass decides
   rank, PSD and the generic rank profile in its order, which the
   congruence keeps, and the unit columns it divides out, read in S's
@@ -430,7 +432,7 @@ def _sparse_factor(rows: SparseRows, order: Sequence[int],
     the gcd of p and the row, f_u a_vw = (a_uv / g)(a_vw / g) t for
     t = g / (p / g), one quotient per step. When t is an int no update
     divides at all: on a Gram stress W W^T along the ordering its factor
-    W was built in (``certify._gram_rows``), row v holds W_vk w_k at step
+    W was built in (``framework._gram_rows``), row v holds W_vk w_k at step
     k, so g = |W_vk| h and t = h^2, h the gcd of the column w_k.
     Otherwise each update is the quotient of (a_uv / g)(a_vw / g) t_num by
     t_den, an int whenever it is exact. On a row that holds a Fraction,

@@ -73,14 +73,6 @@ class InvalidStressMatrix(FrameworkError):
     pass
 
 
-class PatternViolation(FrameworkError):
-    """A candidate stress is nonzero at the 1-based non-edge (i, j)."""
-
-    def __init__(self, i: int, j: int):
-        super().__init__(f"nonzero entry at non-edge ({i},{j})")
-        self.pair = (i, j)
-
-
 class GraphMismatch(FrameworkError):
     pass
 
@@ -345,6 +337,48 @@ def verify_equilibrium_stress(fw: Framework, omega: StressWeights
     return True, None
 
 
+# Integer Gale columns {0-based vertex: int}: nonzero entries only, the
+# pivot vertex first with a positive entry, and gcd 1. The column of Z is
+# the column divided by its pivot entry, which is therefore the lcm of the
+# denominators of that column of Z.
+GaleColumns = list[dict[int, int]]
+
+
+def _gram_rows(columns: GaleColumns, n: int) -> tuple[SparseRows, list[int]]:
+    """The Gram product S = Z Z^T of integer Gale columns, as the integer
+    sparse rows of the congruent matrix M = C S C and the diagonal c of C.
+
+    Column j of Z is w_j / d_j, with d_j the pivot entry of w_j, the lcm
+    of the denominators of that column of Z. c_u is the lcm of the d_j of
+    the columns that hold u, so W = C Z, W_uj = w_u c_u / d_j, is integral
+    and M = W W^T is summed in integers, one column's outer product at a
+    time; no Fraction is made. An entry whose terms cancel is kept, as
+    zero.
+
+    When the columns are unit-triangular along an ordering, as the Gale
+    columns along the PEO that built them are, elimination of M along that
+    ordering (``exactmat._sparse_factor``) stays in integers: column j is
+    zero at the vertices v_1, ..., v_{j-1} of the earlier positions, so at
+    step k the entries left are those of the sum of w_j w_j^T over j >= k,
+    row v_k holds W_{v_k k} w_k, and every quotient M_ik M_kj / M_kk is
+    the integer W_ik W_jk.
+    """
+    divisors = [next(iter(col.values())) for col in columns]
+    scale = [1] * n
+    for col, d in zip(columns, divisors):
+        for u in col:
+            scale[u] = math.lcm(scale[u], d)
+    rows: SparseRows = {v: {} for v in range(n)}
+    for col, d in zip(columns, divisors):
+        ints = [(u, a * (scale[u] // d)) for u, a in col.items()]
+        for k, (u, a) in enumerate(ints):
+            urow = rows[u]
+            for w, b in ints[k:]:
+                x = urow.get(w, 0) + a * b
+                urow[w] = rows[w][u] = x
+    return rows, scale
+
+
 class StressMatrix:
     """Symmetric n x n matrix that kills the extended configuration and
     vanishes on non-edges; diagonal entries are the incident weight sums.
@@ -354,16 +388,17 @@ class StressMatrix:
     diagonal c of C, positive integers. Two read-only views come from it:
     ``nonzero_rows()``, the nonzero entries S_uw = M_uw / (c_u c_w), and
     the dense ``matrix``. Each of the three is built on first read and
-    then kept, and a constructor seeds those it already holds:
-    ``from_congruent(rows, scale)`` starts from M; ``StressMatrix(matrix)``
+    then kept, from what a constructor holds: ``StressMatrix(matrix)``
     keeps ``matrix`` and its nonzero entries, and ``from_rows`` its sparse
     rows, and for both ``congruent`` takes c_u as the lcm of the
-    denominators of row u (``exactmat._congruent_rows``) when first read.
-    Stresses compare and hash by value: stored zeros and the choice of C
-    do not count.
+    denominators of row u (``exactmat._congruent_rows``) when first read;
+    ``from_gale_columns`` keeps integer Gale columns, and ``congruent``
+    sums their Gram product (``_gram_rows``) when first read. Stresses
+    compare and hash by value: stored zeros and the choice of C do not
+    count.
     """
 
-    __slots__ = ("n", "_congruent", "_rows", "_matrix")
+    __slots__ = ("n", "_columns", "_congruent", "_rows", "_matrix")
 
     def __init__(self, matrix: Matrix):
         if matrix.rows != matrix.cols:
@@ -379,23 +414,25 @@ class StressMatrix:
         return s
 
     @classmethod
-    def from_congruent(cls, rows: SparseRows, scale: Sequence[int]) -> "StressMatrix":
-        """The stress S with C S C = M held by the integer sparse rows
-        ``rows`` (0-based, every index from 0 to n-1 present), C =
-        diag(``scale``)."""
+    def from_gale_columns(cls, columns: GaleColumns, n: int) -> "StressMatrix":
+        """The Gram stress Z Z^T of the integer Gale columns ``columns``
+        (``GaleColumns``) of n vertices, taken as they are: the caller has
+        checked that their Gram product is a stress
+        (``certify._check_gale_columns``)."""
         s = cls.__new__(cls)
-        s._hold(len(scale), (rows, scale), None, None)
+        s._hold(n, columns, None, None)
         return s
 
-    def _hold(self, n: int, congruent: tuple[SparseRows, Sequence[int]] | None,
-              rows: SparseRows | None, matrix: Matrix | None) -> None:
+    def _hold(self, n: int, columns: GaleColumns | None, rows: SparseRows | None,
+              matrix: Matrix | None) -> None:
         self.n = n
-        self._congruent, self._rows, self._matrix = congruent, rows, matrix
+        self._columns, self._congruent, self._rows, self._matrix = columns, None, rows, matrix
 
     @property
     def congruent(self) -> tuple[SparseRows, Sequence[int]]:
         if self._congruent is None:
-            self._congruent = _congruent_rows(self._rows)
+            self._congruent = (_congruent_rows(self._rows) if self._columns is None
+                               else _gram_rows(self._columns, self.n))
         return self._congruent
 
     @property
@@ -530,10 +567,16 @@ def _stress_clauses(fw: Framework, rows: SparseRows, scale: Sequence[int]
     exactly when sum_u (M_uw c_w / (c_u l_u)) L_u = 0 (``_in_gale_space``),
     the sum of S_uw (p_u, 1) times c_w^2. Each coefficient is one
     ``_quotient``, an int whenever c_u l_u divides M_uw c_w. At integer
-    points (l_u = 1) it does on a Gram stress (``certify._gram_rows``: c_u
-    and c_w carry every d_j of a column holding both u and w) and on the
-    congruent rows of a symmetric matrix (``exactmat._congruent_rows``:
-    c_w S_wu is an integer). A symmetric M's columns are its rows."""
+    points (l_u = 1) it does on a Gram stress (``_gram_rows``: c_u and c_w
+    carry every d_j of a column holding both u and w) and on the congruent
+    rows of a symmetric matrix (``exactmat._congruent_rows``: c_w S_wu is
+    an integer). A symmetric M's columns are its rows.
+
+    These clauses check a stress that comes in from outside: the input of
+    ``validate_stress_matrix``, ``omega_from_stress`` and
+    ``certify.psdize_stress``. A stress that ``certify`` builds is the Gram
+    product of Gale columns whose own checks give every clause
+    (``certify._check_gale_columns``), and is not checked again."""
     symmetric = all(rows[w].get(u, 0) == x for u, row in rows.items() for w, x in row.items())
     if symmetric:
         columns = rows

@@ -181,18 +181,19 @@ def ngr_moved_suite(count):
 
 
 def spy_order_calls(monkeypatch) -> "collections.Counter[str]":
-    """Count the calls of ``is_peo`` and ``mcs_order`` from ``certify`` and
-    from ``graphs`` itself (``is_chordal`` runs both), by name."""
+    """Count the calls of ``is_peo`` from ``certify`` and of ``is_peo`` and
+    ``mcs_order`` from ``graphs`` itself (``is_chordal`` runs both), by
+    name; ``certify`` runs ``mcs_order`` only through ``is_chordal``."""
     from chordalrig import certify, graphs
     calls: collections.Counter[str] = collections.Counter()
-    for name in ("is_peo", "mcs_order"):
+    for name, modules in (("is_peo", (certify, graphs)), ("mcs_order", (graphs,))):
         real = getattr(graphs, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        for module in (certify, graphs):
+        for module in modules:
             monkeypatch.setattr(module, name, counted)
     return calls
 

@@ -22,7 +22,6 @@ from chordalrig.certify import (
     Verdict,
     certify_chordal,
     hyperplane_through,
-    psd_stress_from_gale,
     psdize_stress,
     reflection_counterexample,
     unit_triangular_gale,
@@ -117,18 +116,26 @@ class TestUnitTriangularGale:
                 assert support <= allowed
 
 
-class TestPsdStressFromGale:
+def gram_stress(fw, peo):
+    """The Gram stress of the integer Gale columns along ``peo``, as
+    ``certify_chordal`` builds it, and the dense Z Z^T of the same Z."""
+    s = StressMatrix.from_gale_columns(certify._gale_columns(fw, peo), fw.n)
+    z = unit_triangular_gale(fw, peo)
+    return s, helpers.gale_stress(fw, z, Matrix.identity(z.rbar))
+
+
+class TestGramStressOfGaleColumns:
     def test_k3_line(self, k3_line):
-        z = unit_triangular_gale(k3_line, Ordering.identity(3))
-        s = psd_stress_from_gale(k3_line, z)
+        s, dense = gram_stress(k3_line, Ordering.identity(3))
         assert s.matrix == Matrix([[1, -2, 1], [-2, 4, -2], [1, -2, 1]])
+        assert s == dense
 
     def test_hexagon_gram(self, hexagon):
-        s = psd_stress_from_gale(hexagon.fw, GaleMatrix(hexagon.gale))
-        assert s.matrix == hexagon.psd
+        s, dense = gram_stress(hexagon.fw, Ordering.identity(6))
+        assert s.matrix == hexagon.psd == dense.matrix
 
     def test_kernel_contains_configuration(self, hexagon):
-        s = psd_stress_from_gale(hexagon.fw, GaleMatrix(hexagon.gale))
+        s, _ = gram_stress(hexagon.fw, Ordering.identity(6))
         assert extended_config_matrix(hexagon.fw) * s.matrix == Matrix.zeros(3, 6)
 
 

@@ -8,26 +8,33 @@ the Fraction kernel it replaced, run on S: rank, PSD, the first zero pivot,
 the pivots and the unit columns must agree, on random row scales, in label,
 perfect elimination and shuffled orders, with inexact quotients, zero pivots
 over zero rows and 2x2 blocks all present. The Gram stress of a certificate
-is eliminated along its own PEO without an inexact quotient; along another
-order it still agrees with the dense Z Z^T. ``StressMatrix`` builds its
-dense matrix on first read only, and ``jsonio.render_json`` writes the bytes
-of ``json.dumps(obj, indent=2)``.
+is eliminated along its own PEO without an inexact quotient, and along other
+orders it is still PSD of rank rbar; it agrees with the dense Z Z^T.
+``StressMatrix`` builds its congruent rows and its dense matrix on first
+read only, and ``jsonio.render_json`` writes the bytes of
+``json.dumps(obj, indent=2)``.
 """
 
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from helpers import gale_fractions, reference_sparse_factor, scaled_matrix, spy_matrix_shapes
-from chordalrig import certify, exactmat, jsonio
+from helpers import (
+    gale_fractions,
+    gale_stress,
+    reference_sparse_factor,
+    scaled_matrix,
+    spy_matrix_shapes,
+)
+from chordalrig import certify, exactmat, framework, jsonio
 from chordalrig.certify import (
     Certificate,
     Verdict,
     certify_chordal,
-    psd_stress_from_gale,
     psdize_stress,
     unit_triangular_gale,
 )
@@ -206,28 +213,33 @@ class TestGramStress:
     @pytest.mark.parametrize("fw", list(certificate_inputs()),
                              ids=lambda fw: f"n{fw.n}-r{fw.dim}")
     def test_exact_along_the_peo_and_equal_to_the_dense_product(self, fw, monkeypatch):
-        """Integer and rational points, r = 1..4: every Schur update of the
-        check along the PEO is an int and takes no division, the kernel
-        dividing once per pivot, and the stress is Z Z^T."""
+        """Integer and rational points, r = 1..4: eliminating the
+        certificate's Gram stress along its PEO, every Schur update is an
+        int and takes no division, the kernel dividing once per pivot, and
+        finds PSD of rank rbar; the stress is Z Z^T."""
+        cert = certify_chordal(fw)
+        assert cert.verdict is Verdict.UNIVERSALLY_RIGID
+        rows, scale = cert.stress.congruent
+        assert all(type(x) is int for row in rows.values() for x in row.values())
+        assert all(type(c) is int and c > 0 for c in scale)
         entries = record_schur_entries(monkeypatch)
         divisions = []
         real = exactmat._quotient
         monkeypatch.setattr(exactmat, "_quotient",
                             lambda a, b: divisions.append((a, b)) or real(a, b))
-        cert = certify_chordal(fw)
-        assert cert.verdict is Verdict.UNIVERSALLY_RIGID
+        result = _sparse_factor(rows, [v - 1 for v in cert.peo], scale)
+        assert (result.rank, result.psd) == (fw.rbar, True)
         assert entries and all(type(x) is int for x in entries)
         assert len(divisions) == fw.rbar
+        monkeypatch.undo()
         columns = gale_fractions(certify._gale_columns(fw, cert.peo))
         assert cert.stress.matrix == dense_gram(columns, fw.n)
-        rows, scale = cert.stress.congruent
-        assert all(type(x) is int for row in rows.values() for x in row.values())
-        assert all(type(c) is int and c > 0 for c in scale)
 
     def test_gale_matrix_not_triangular_in_mcs_order(self, monkeypatch):
-        """``psd_stress_from_gale`` eliminates along the MCS order, which is
-        not the order the Gale matrix is triangular in: quotients may be
-        inexact, and the stress is still the dense Z Z^T."""
+        """The Gram stress of the Gale columns along one PEO, eliminated
+        along orders they are not triangular in: the MCS order, another PEO,
+        and the label order, which fills in and divides inexactly. Each
+        finds PSD of rank rbar, and the stress is the dense Z Z^T."""
         entries = record_schur_entries(monkeypatch)
         rng = random.Random(11)
         for i in range(16):
@@ -237,10 +249,13 @@ class TestGramStress:
                 random_general_position_framework(n, r, rng.randrange(10_000))
             other = Ordering(range(n, 0, -1))
             assert is_peo(fw.graph, other)[0] and other != mcs_order(fw.graph)
+            stress = StressMatrix.from_gale_columns(certify._gale_columns(fw, other), n)
+            rows, scale = stress.congruent
+            for order in ([v - 1 for v in mcs_order(fw.graph)], range(n)):
+                result = _sparse_factor(rows, order, scale)
+                assert (result.rank, result.psd) == (fw.rbar, True)
             z = unit_triangular_gale(fw, other)
-            stress = psd_stress_from_gale(fw, z)
-            assert stress.matrix == z.matrix * z.matrix.transpose()
-            assert validate_stress_matrix(fw, stress).psd
+            assert stress == gale_stress(fw, z, Matrix.identity(fw.rbar))
         assert any(type(x) is Fraction for x in entries)
 
 
@@ -282,13 +297,17 @@ class TestLazyStress:
             assert omega_from_stress(fw, cert.stress) == omega_from_stress(fw, dense)
 
     def test_equality_ignores_stored_zeros_and_the_scale(self):
-        a = StressMatrix.from_congruent({0: {0: 4, 1: 0}, 1: {0: 0, 1: 8}}, [2, 2])
-        b = StressMatrix.from_congruent({0: {0: 1}, 1: {1: 2}}, [1, 1])
-        c = StressMatrix.from_congruent({0: {0: 1}, 1: {1: 3}}, [1, 1])
-        d = StressMatrix(Matrix([[1, 0], [0, 2]]))
+        # Z = [[1, 1], [1/2, -1/2]]: the Gram sum stores the cancelled
+        # entry (0, 1) as zero, under C = diag(2, 2) where b takes (1, 2)
+        a = StressMatrix.from_gale_columns([{0: 2, 1: 1}, {0: 2, 1: -1}], 2)
+        assert a.congruent == ({0: {0: 8, 1: 0}, 1: {0: 0, 1: 2}}, [2, 2])
+        b = StressMatrix.from_rows({0: {0: F(2)}, 1: {1: F(1, 2)}})
+        c = StressMatrix.from_rows({0: {0: F(2)}, 1: {1: F(1, 3)}})
+        d = StressMatrix(Matrix([[2, 0], [0, F(1, 2)]]))
+        assert b.congruent[1] == [1, 2]
         assert a == b == d and a.matrix == d.matrix
         assert a != c and c != d
-        assert StressMatrix.from_congruent({0: {}}, [1]) != b
+        assert StressMatrix.from_rows({0: {}}) != b
         assert hash(a) == hash(b) == hash(d)
 
     def test_a_non_square_matrix_is_rejected_when_built(self):
@@ -297,39 +316,64 @@ class TestLazyStress:
 
     def test_equal_stresses_hash_alike(self, hexagon, tmp_path):
         """a == b implies hash(a) == hash(b) across every route a stress is
-        built by: from a dense matrix, from congruent rows under two
-        different C, with stored zeros, and loaded from a file."""
+        built by: from a dense matrix, from sparse rows, from integer Gale
+        columns, whose C differs and whose cancelled entries are stored as
+        zeros, and loaded from a file."""
         rng = random.Random(8)
-        stresses = [scaled_matrix(hexagon.stress, F(1, 6)), hexagon.psd]
+        hexagon_columns = certify._gale_columns(hexagon.fw, Ordering.identity(6))
+        # z_0 + z_2, z_1 and z_0 - z_2 of the hexagon's Z: their Gram sum
+        # cancels at (1, 5), (1, 6) and (2, 6)
+        cancelling = [{0: 2, 1: -2, 2: 1, 3: -1, 4: -4, 5: 4}, {1: 1, 2: -1, 3: -1, 4: 1},
+                      {0: 2, 1: -2, 2: -3, 3: 3, 4: 4, 5: -4}]
+        assert StressMatrix.from_gale_columns(cancelling, 6).congruent[0][0][4] == 0
+        stresses = [(scaled_matrix(hexagon.stress, F(1, 6)), None),
+                    (hexagon.psd, hexagon_columns),
+                    (dense_gram(gale_fractions(cancelling), 6), cancelling)]
         for r in (1, 2, 3):
             fw = rational_framework(rng, rng.randint(r + 3, r + 8), r)
-            stresses.append(certify_chordal(fw).stress.matrix)
+            cert = certify_chordal(fw)
+            stresses.append((cert.stress.matrix, certify._gale_columns(fw, cert.peo)))
         path = tmp_path / "s.json"
-        for dense in stresses:
-            rows = dense.to_lists()
-            first, second = scaled(rows, rng), scaled(rows, rng)
-            padded = {u: {**{w: 0 for w in range(len(rows))}, **row}
-                      for u, row in first[0].items()}
+        for dense, columns in stresses:
             jsonio.write_json(path, jsonio.stress_to_obj(StressMatrix(dense)))
-            routes = [StressMatrix(dense), StressMatrix.from_congruent(*first),
-                      StressMatrix.from_congruent(*second),
-                      StressMatrix.from_congruent(padded, first[1]), jsonio.load_stress(path)]
+            routes = [StressMatrix(dense), StressMatrix.from_rows(_sparse_rows(dense)),
+                      jsonio.load_stress(path)]
+            if columns is not None:
+                routes.append(StressMatrix.from_gale_columns(columns, dense.rows))
             for a in routes:
                 for b in routes:
                     assert a == b and hash(a) == hash(b)
-            assert StressMatrix(scaled_matrix(dense, 2)) != routes[1]
+            assert StressMatrix(scaled_matrix(dense, 2)) != routes[-1]
 
     def test_hash_builds_no_dense_matrix(self, monkeypatch):
         rng = random.Random(300)
         g = gen_ktree(300, 3, 1)
         fw = Framework(g, 2, [(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
                               for _ in range(g.n)])
-        cert = certify_chordal(fw)
+        cert, other = certify_chordal(fw), certify_chordal(fw)
         assert cert.verdict is Verdict.UNIVERSALLY_RIGID
         shapes = spy_matrix_shapes(monkeypatch)
         assert hash(cert.stress) == hash(cert.stress)
-        assert cert.stress == StressMatrix.from_congruent(*cert.stress.congruent)
+        assert cert.stress == other.stress
         assert shapes == []
+
+    def test_n3000_r4_within_seconds_without_summing_the_stress(self, monkeypatch):
+        """The Gram product is summed only when the stress is read, so a
+        certificate at n=3000, r=4 costs its Gale columns and the conic
+        check alone."""
+        rng = random.Random(0)
+        g = gen_ktree(3000, 5, 0)
+        fw = Framework(g, 4, [[rng.randint(-10**6, 10**6) for _ in range(4)]
+                              for _ in range(g.n)])
+
+        def forbidden(*args):
+            raise AssertionError("the stress was summed")
+        monkeypatch.setattr(framework, "_gram_rows", forbidden)
+        start = time.perf_counter()
+        cert = certify_chordal(fw)
+        elapsed = time.perf_counter() - start
+        assert cert.verdict is Verdict.UNIVERSALLY_RIGID and cert.stress.n == 3000
+        assert elapsed < 5.0, f"certify_chordal took {elapsed:.1f}s"
 
     def test_psdize_reads_the_unit_columns_in_the_input_scale(self, hexagon):
         res = psdize_stress(hexagon.fw, StressMatrix(scaled_matrix(hexagon.stress, F(1, 6))))

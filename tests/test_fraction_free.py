@@ -151,16 +151,6 @@ class TestIntegerColumns:
                                {2: 1, 3: -1, 4: -2, 5: 2}]
         assert res.gale.matrix == hexagon.gale
 
-    @pytest.mark.parametrize("weights", [(3, 3, 3), (F(2, 7), 1, -5), (F(-1, 2), F(5, 6), 4)])
-    def test_gram_of_scaled_columns_is_their_dense_product(self, hexagon, weights):
-        """``psd_stress_from_gale`` takes any Gale matrix: columns scaled so
-        that no entry is 1, with or without denominators, are cleared by
-        the lcm of their own denominators, and the stress is Z D Z^T."""
-        d = Matrix([[w if i == j else 0 for j in range(3)] for i, w in enumerate(weights)])
-        z = hexagon.gale * d
-        s = certify.psd_stress_from_gale(hexagon.fw, framework.GaleMatrix(z))
-        assert s.matrix == z * z.transpose()
-
 
 class TestNoFractionOnThePositiveBranch:
     def test_integer_points_make_no_fraction_until_the_stress_is_read(self, monkeypatch):
@@ -242,5 +232,6 @@ class TestLazyCongruent:
         assert calls == [] and dense.n == sparse.n == 6
         assert dense.congruent is dense.congruent and calls == [1]
         assert sparse == dense and calls == [1, 1]
-        seeded = StressMatrix.from_congruent(*dense.congruent)
-        assert seeded.congruent[0] is dense.congruent[0] and calls == [1, 1]
+        gram = certify.psdize_stress(hexagon.fw, dense).stress
+        assert gram.congruent is gram.congruent and calls == [1, 1]
+        assert gram.matrix == hexagon.psd

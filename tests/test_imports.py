@@ -1,6 +1,6 @@
 """No dead code in ``chordalrig``: unused imports, unreferenced private
-definitions, and ``exactmat`` kernels and ``Matrix`` members that only
-tests run.
+definitions, and ``exactmat`` kernels and ``Matrix`` and ``StressMatrix``
+members that only tests run.
 
 Four small ``ast`` scans stand in for a linter. A module fails when it
 binds a name by ``import`` or ``from ... import`` and never reads it; names
@@ -12,7 +12,7 @@ top-level public function of ``exactmat`` is read by no other module but
 ``__init__``, whose re-exports are not uses; and when a public method or
 property of ``exactmat.Matrix`` is read, as an attribute, nowhere in the
 package outside its own definition and nowhere in the bench harness
-(``bench/``).
+(``bench/``), and likewise for ``framework.StressMatrix``.
 """
 
 import ast
@@ -218,6 +218,12 @@ def unread_public_members(cls: str, sources: list[str], outside: list[str]) -> l
 
 def test_matrix_keeps_only_what_the_package_or_bench_reads():
     assert unread_public_members("Matrix", [p.read_text() for p in sorted(SOURCE.glob("*.py"))],
+                                 [p.read_text() for p in sorted(BENCH.glob("*.py"))]) == []
+
+
+def test_stress_matrix_keeps_only_what_the_package_or_bench_reads():
+    assert unread_public_members("StressMatrix",
+                                 [p.read_text() for p in sorted(SOURCE.glob("*.py"))],
                                  [p.read_text() for p in sorted(BENCH.glob("*.py"))]) == []
 
 

@@ -35,7 +35,6 @@ from chordalrig.certify import (
     PreconditionViolated,
     Verdict,
     certify_chordal,
-    psd_stress_from_gale,
     psdize_stress,
     unit_triangular_gale,
 )
@@ -52,7 +51,6 @@ from chordalrig.framework import (
     DegenerateSpan,
     Framework,
     GaleMatrix,
-    PatternViolation,
     StressMatrix,
     _first_non_edge,
     gale_matrix,
@@ -362,7 +360,8 @@ class TestSparseGale:
         expected = {0: F(1)} | {u - 1: F(int(c.p), int(c.q))
                                 for u, c in zip((2, 3, 5), x) if c}
         assert helpers.gale_fractions(columns)[0] == expected
-        assert certify._gram_stress(fw, columns, Ordering.identity(5)).n == 5
+        rep = validate_stress_matrix(fw, StressMatrix.from_gale_columns(columns, 5))
+        assert rep.is_stress_matrix and rep.psd and rep.rank == fw.rbar
 
     def test_general_position_pays_for_no_greedy_pass(self, monkeypatch):
         calls = []
@@ -383,23 +382,66 @@ class TestSparseGale:
             certify._gale_columns(k5_minus_edge, is_chordal(k5_minus_edge.graph).peo)
 
 
-class TestGramSelfCheck:
-    def test_non_edge_entry_raises_first_pattern_violation(self, hexagon):
-        with pytest.raises(PatternViolation) as err:
-            psd_stress_from_gale(hexagon.fw, gale_matrix(hexagon.fw))
-        assert err.value.pair == (1, 5)
+# The hexagon's integer Gale columns along the identity, and mutations of
+# them; each mutation but the first keeps every column in the Gale space.
+HEXAGON_COLUMNS = [{0: 2, 1: -2, 2: -1, 3: 1}, {1: 1, 2: -1, 3: -1, 4: 1},
+                   {2: 1, 3: -1, 4: -2, 5: 2}]
+W0, W1, W2 = HEXAGON_COLUMNS
 
-    def test_rank_deficient_gram_is_an_assertion_failure(self, hexagon):
-        cols = [[row[j] for row in hexagon.gale.data] for j in (0, 1, 1)]
-        z = GaleMatrix(Matrix.from_columns(cols))
-        with pytest.raises(AssertionFailure, match="rank 3"):
-            psd_stress_from_gale(hexagon.fw, z)
 
-    def test_column_outside_the_gale_space_is_an_assertion_failure(self, hexagon):
-        rows = hexagon.gale.to_lists()
-        rows[2][1] += 1  # vertex 3 lies in the support clique of column 2
-        with pytest.raises(AssertionFailure, match="kill the extended configuration"):
-            psd_stress_from_gale(hexagon.fw, GaleMatrix(Matrix(rows)))
+class TestColumnCheck:
+    """``certify._check_gale_columns`` checks each column, not their Gram
+    product: a broken column raises AssertionFailure before any stress is
+    built."""
+
+    def test_the_hexagon_columns_pass(self, hexagon):
+        res = psdize_stress(hexagon.fw, StressMatrix(hexagon.stress))
+        assert res.columns == HEXAGON_COLUMNS
+        assert certify._check_gale_columns(hexagon.fw, HEXAGON_COLUMNS,
+                                           Ordering.identity(6)) is None
+        dense = helpers.gale_stress(hexagon.fw, GaleMatrix(hexagon.gale), Matrix.identity(3))
+        assert StressMatrix.from_gale_columns(HEXAGON_COLUMNS, 6) == dense
+
+    @pytest.mark.parametrize("columns, message", [
+        # vertex 3 lies in the support clique of column 2
+        ([W0, {**W1, 2: -2}, W2], "column 2 does not lie in the Gale space"),
+        # 3 w_1 + w_0 is nonzero at vertex 1, in the earlier position 1
+        ([W0, {1: 1, 0: 2, 2: -4, 3: -2, 4: 3}, W2], r"triangular shape at \(1, 2\)"),
+        # w_0 + w_2 is nonzero at 5 and 6, which vertex 1 is not adjacent to
+        ([{0: 2, 1: -2, 4: -2, 5: 2}, W1, W2], r"triangular shape at \(5, 1\)"),
+        # -w_1 has a negative pivot
+        ([W0, {u: -x for u, x in W1.items()}, W2], r"triangular shape at \(2, 2\)"),
+        # a repeated column: Z Z^T would have rank 2
+        ([W0, W1, W1], r"triangular shape at \(2, 3\)"),
+        ([W0, W1], "2 Gale columns, not rbar = 3"),
+    ], ids=["off-the-gale-space", "earlier-position", "non-neighbour", "negative-pivot",
+            "repeated", "missing"])
+    def test_a_broken_column_is_an_assertion_failure(self, hexagon, columns, message):
+        with pytest.raises(AssertionFailure, match=message):
+            certify._check_gale_columns(hexagon.fw, columns, Ordering.identity(6))
+
+    def test_psdize_checks_its_factor_columns_in_the_gale_space(self, hexagon, monkeypatch):
+        """``psdize_stress`` checks each cleared factor column, not only
+        their shape: a column the Gale-space check rejects raises."""
+        monkeypatch.setattr(certify, "_in_gale_space", lambda lifted, vecs: False)
+        with pytest.raises(AssertionFailure, match="column 1 does not lie in the Gale space"):
+            psdize_stress(hexagon.fw, StressMatrix(hexagon.stress))
+
+    def test_no_stress_clause_or_elimination_on_the_output(self, hexagon, monkeypatch):
+        """``certify_chordal`` runs neither the stress clauses nor the
+        elimination; ``psdize_stress`` runs each once, on its input."""
+        calls = []
+        for name in ("_stress_clauses", "_sparse_factor"):
+            real = getattr(certify, name)
+            monkeypatch.setattr(certify, name, lambda *args, _name=name, _real=real:
+                                calls.append(_name) or _real(*args))
+        cert = certify_chordal(hexagon.fw)
+        assert cert.verdict is Verdict.UNIVERSALLY_RIGID and calls == []
+        res = psdize_stress(hexagon.fw, StressMatrix(hexagon.stress))
+        assert calls == ["_stress_clauses", "_sparse_factor"]
+        assert res.stress.matrix == hexagon.psd
+        psdize_stress(hexagon.fw, res.stress)
+        assert calls == ["_stress_clauses", "_sparse_factor"] * 2
 
     def test_psdize_rank_precedes_the_minor_check(self):
         # On K6 the first diagonal entry is zero over a nonzero row, so the
@@ -450,7 +492,7 @@ def mixes_scales(columns):
 
 
 def integer_columns(columns):
-    """The integer form the Gram sum reads (``certify.GaleColumns``) of
+    """The integer form the Gram sum reads (``framework.GaleColumns``) of
     sparse Fraction columns, each with entry 1 at its least vertex."""
     columns = [dict(sorted(col.items())) for col in columns]
     return [dict(zip(col, _integer_row(col.values())[0])) for col in columns]
@@ -468,8 +510,8 @@ def combine(a, b, t):
 
 
 class TestGramSum:
-    """``certify._gram_rows`` sums in integers; its entries must be those of
-    the dense product Z Z^T."""
+    """``framework._gram_rows`` sums in integers; its entries must be those
+    of the dense product Z Z^T."""
 
     def test_gale_columns_match_the_dense_product(self):
         rng = random.Random(21)
@@ -484,7 +526,7 @@ class TestGramSum:
             peo = is_chordal(fw.graph).peo
             columns = certify._gale_columns(fw, peo)
             fractions = helpers.gale_fractions(columns)
-            assert certify._gram_stress(fw, columns, peo).matrix == dense_gram(fractions, n)
+            assert StressMatrix.from_gale_columns(columns, n).matrix == dense_gram(fractions, n)
             seen.add((r, mixes_scales(fractions)))
         assert {(r, True) for r in (1, 2, 3, 4)} <= seen
 
@@ -499,7 +541,6 @@ class TestGramSum:
             fractions = helpers.gale_fractions(res.columns)
             expected = dense_gram(fractions, fw.n)
             assert res.stress.matrix == expected
-            assert certify._gram_stress(fw, res.columns, peo).matrix == expected
             seen.add(("non-unit", any(x.denominator > 1
                                       for col in fractions for x in col.values())))
             seen.add(("mixed", mixes_scales(fractions)))
@@ -512,29 +553,59 @@ class TestGramSum:
         # zero on the non-edges {1,5}, {1,6}, {2,6}
         columns = [combine(z[0], z[2], 1), z[1], combine(z[0], z[2], -1)]
         expected = dense_gram(columns, 6)
-        rows, _ = certify._gram_rows(integer_columns(columns), 6)
+        rows, _ = framework._gram_rows(integer_columns(columns), 6)
         for u, w in ((0, 4), (0, 5), (1, 5)):
             assert columns[0][u] * columns[0][w] != 0
             assert expected[u, w] == 0
             assert rows[u].get(w, 0) == 0 == rows[w].get(u, 0)
-        stress = certify._gram_stress(hexagon.fw, integer_columns(columns), Ordering.identity(6))
+        stress = StressMatrix.from_gale_columns(integer_columns(columns), 6)
         assert stress.matrix == expected
 
-    @pytest.mark.parametrize("t, extra, pair", [
-        (-1, {1: F(1), 5: F(1)}, (2, 6)),  # {1,5} and {1,6} cancel, {2,6} does not
-        (-2, None, (1, 5)),  # nothing cancels
-    ])
-    def test_first_nonzero_non_edge_still_raises(self, hexagon, t, extra, pair):
-        z = hexagon_columns(hexagon)
-        columns = [combine(z[0], z[2], 1), z[1], combine(z[0], z[2], t)]
-        if extra is not None:
-            columns.append(extra)
-        dense = dense_gram(columns, 6)
-        bad = sorted(p for p in hexagon.non_edges if dense[p[0] - 1, p[1] - 1])
-        assert bad[0] == pair
-        with pytest.raises(PatternViolation) as err:
-            certify._gram_stress(hexagon.fw, integer_columns(columns), Ordering.identity(6))
-        assert err.value.pair == pair
+
+def _relabelled(rng, fw):
+    """The framework with its vertices relabelled at random, so that its
+    perfect elimination orderings are seldom the identity."""
+    label = rng.sample(range(1, fw.n + 1), fw.n)
+    points = [None] * fw.n
+    for v, p in enumerate(fw.points):
+        points[label[v] - 1] = p
+    graph = Graph(fw.n, [(label[u - 1], label[v - 1]) for u, v in fw.graph.edges])
+    return Framework(graph, fw.dim, points)
+
+
+class TestColumnChecksGiveEveryClause:
+    def test_certificate_and_psdize_stresses_validate_and_equal_the_gram_oracle(self):
+        """The stresses ``certify_chordal`` and ``psdize_stress`` return are
+        checked only through their Gale columns. From outside, on seeded
+        inputs (r = 1..4, integer and rational points, labels shuffled so
+        that the orderings are not the identity), each passes every clause
+        of ``validate_stress_matrix``, PSD of rank rbar, and equals the
+        dense Z Z^T of the unit-triangular Gale matrix along its ordering."""
+        rng = random.Random("column-checks")
+        seen = set()
+        for i in range(32):
+            r = i % 4 + 1
+            n = rng.randint(r + 2, r + 9)
+            if i % 8 < 4:
+                fw = random_general_position_framework(n, r, rng.randrange(10_000))
+            else:
+                fw = _rational_points_framework(rng, n, r)
+            fw = _relabelled(rng, fw)
+            cert = certify_chordal(fw)
+            assert cert.verdict is Verdict.UNIVERSALLY_RIGID
+            z = unit_triangular_gale(fw, cert.peo)
+            outputs = [(cert.stress, cert.peo)]
+            s = helpers.gale_stress(fw, z, _diagonal(_weights(rng, fw.rbar)))
+            res = psdize_stress(fw, s)
+            outputs.append((res.stress, res.peo))
+            for stress, peo in outputs:
+                rep = validate_stress_matrix(fw, stress)
+                assert rep.is_stress_matrix and rep.failures() == []
+                assert rep.psd and rep.rank == fw.rbar
+                oracle = unit_triangular_gale(fw, peo)
+                assert stress == helpers.gale_stress(fw, oracle, Matrix.identity(fw.rbar))
+                seen.add((r, i % 8 < 4, peo != Ordering.identity(n)))
+        assert {(r, integer, True) for r in (1, 2, 3, 4) for integer in (True, False)} <= seen
 
 
 class TestNonEdgeClause:
@@ -741,10 +812,10 @@ class TestPsdizeFactor:
             passes.clear()
             try:
                 psdize_stress(fw, StressMatrix(s))
-                expected = 2  # the input's pass, then the output's self-check
             except NotGenericRankProfile:
-                expected = 1
-            assert len(passes) == expected and ranks == []
+                pass
+            # the input's pass; the output's clauses follow from its columns
+            assert len(passes) == 1 and ranks == []
             assert passes[0] == _congruent_rows(_sparse_rows(s))
         passes.clear()
         with pytest.raises(PreconditionViolated, match="stress rank 2 differs"):

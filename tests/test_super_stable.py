@@ -32,7 +32,6 @@ from chordalrig.certify import (
     Reason,
     Verdict,
     certify_chordal,
-    psd_stress_from_gale,
     unit_triangular_gale,
 )
 from chordalrig.cli import main
@@ -246,7 +245,7 @@ class TestNotInGeneralPosition:
             z = unit_triangular_gale(fw, cert.peo)
             assert is_unit_triangular_gale(z.matrix, fw.graph, cert.peo) == (True, None)
             assert extended_config_matrix(fw) * z.matrix == Matrix.zeros(fw.dim + 1, fw.rbar)
-            assert psd_stress_from_gale(fw, z) == cert.stress
+            assert helpers.gale_stress(fw, z, Matrix.identity(fw.rbar)) == cert.stress
         assert seen == {Verdict.UNIVERSALLY_RIGID: 51, Verdict.INCONCLUSIVE: 9}
 
     def test_counterexamples_of_moved_r_trees(self):
