@@ -10,14 +10,15 @@ maximal rank, which certifies universal (hence global) rigidity. Every
 stress clause follows from checks made on each column
 (``_check_gale_columns``), so the product is not checked again: it is
 summed in integers as the congruent matrix C Z Z^T C for a positive
-integer diagonal C when the stress is first read, and no Fraction is made
-until the stress or the Gale matrix is read. One sparse elimination
-(``exactmat._sparse_factor``) gives ``psdize_stress`` its input's rank,
-first vanishing leading minor and Gale factor. The negative branch
-reflects one side of a small separating set across a hyperplane through
-it, on the framework's lifted integer points, giving a framework with the
-same edge lengths that is provably not congruent; both facts are
-re-checked in integers.
+integer diagonal C when the stress is first read. The Gale matrix holds
+the same integer columns (``framework.GaleMatrix``), so no Fraction is
+made until the stress or the dense Gale matrix is read. One sparse
+elimination (``exactmat._sparse_factor``) gives ``psdize_stress`` its
+input's rank, first vanishing leading minor and Gale factor. The
+negative branch reflects one side of a small separating set across a
+hyperplane through it, on the framework's lifted integer points, giving a
+framework with the same edge lengths that is provably not congruent; both
+facts are re-checked in integers.
 
 The paper proves the dichotomy for points in general position, but each
 piece of evidence is checked on its own: a PSD stress of maximal rank with
@@ -197,19 +198,6 @@ class Hyperplane:
         return tuple(Fraction(x * nn - t * a, den) for x, a in zip(coords, normal))
 
 
-def _unit_entries(col: dict[int, int], vertices: Iterable[int]) -> tuple[Fraction, ...]:
-    """The entries of the column of Z held by the integer column ``col``
-    at ``vertices``: one Fraction per nonzero entry, the shared zero
-    elsewhere."""
-    d = next(iter(col.values()))
-    return tuple(Fraction(col[v], d) if v in col else _ZERO for v in vertices)
-
-
-def _gale_matrix(columns: GaleColumns, n: int) -> GaleMatrix:
-    return GaleMatrix(Matrix._of(tuple(_unit_entries(col, range(n)) for col in columns),
-                                 len(columns), n).transpose())
-
-
 def unit_triangular_gale(fw: Framework, peo: Ordering) -> GaleMatrix:
     """Gale matrix in unit-triangular shape, built column by column along a
     perfect elimination ordering; rows are in the original vertex labels.
@@ -230,7 +218,7 @@ def unit_triangular_gale(fw: Framework, peo: Ordering) -> GaleMatrix:
     except DegenerateEvidence as exc:
         raise PreconditionViolated(
             f"points not in general position, witness {exc.witness}") from exc
-    return _gale_matrix(columns, fw.n)
+    return GaleMatrix(columns, fw.n)
 
 
 def _gale_columns(fw: Framework, peo: Ordering,
@@ -561,31 +549,25 @@ def reflection_counterexample(fw: Framework, cut: Iterable[int]) -> Framework:
 class PsdizeResult:
     """Outcome of converting an indefinite stress into a PSD one.
 
-    ``stress`` is in the original labels; ``columns`` holds the rbar unit
-    columns of the input's L D L^T factor in the integer form of
-    ``GaleColumns``, and ``peo`` the ordering they were eliminated along.
-    The dense views are built on first read and then kept: ``gale`` is the
-    Gale matrix with these columns, in the original labels, and ``eliminated``
-    the staircase matrix after rbar elimination steps, expressed in
-    ``peo``: row j is the unit column of the j-th pivot in position order,
-    and the rows below rbar are zero. The stress and the ordering determine
-    the factor, so results compare by those two alone.
+    ``stress`` is in the original labels; ``gale`` holds the rbar unit
+    columns of the input's L D L^T factor, in the original labels, as a
+    Gale matrix, and ``peo`` the ordering they were eliminated along.
+    ``eliminated`` is the staircase matrix after rbar elimination steps,
+    expressed in ``peo``, built from the rows of ``gale.matrix`` on first
+    read and then kept: row j is the unit column of the j-th pivot in
+    position order, and the rows below rbar are zero. The stress and the
+    ordering determine the factor, so results compare by those two alone.
     """
 
     stress: StressMatrix
     peo: Ordering
-    columns: GaleColumns = field(compare=False, repr=False)
-
-    @cached_property
-    def gale(self) -> GaleMatrix:
-        return _gale_matrix(self.columns, len(self.peo))
+    gale: GaleMatrix = field(compare=False)
 
     @cached_property
     def eliminated(self) -> Matrix:
-        n = len(self.peo)
-        order = [v - 1 for v in self.peo]
-        return Matrix._of(tuple(_unit_entries(col, order) for col in self.columns)
-                          + ((_ZERO,) * n,) * (n - len(self.columns)), n, n)
+        n, rows = len(self.peo), self.gale.matrix.data
+        return Matrix._of(tuple(zip(*(rows[v - 1] for v in self.peo)))
+                          + ((_ZERO,) * n,) * (n - self.gale.rbar), n, n)
 
 
 def _elimination_order(graph: Graph) -> Ordering:
@@ -622,8 +604,9 @@ def psdize_stress(fw: Framework, s: StressMatrix) -> PsdizeResult:
     built. A stress whose size is not the framework's raises
     DimensionMismatch before any hypothesis is checked. The result holds
     the Gram stress, summed when first read
-    (``StressMatrix.from_gale_columns``), the ordering and the sparse unit
-    columns; its dense ``gale`` and ``eliminated`` are built on first read.
+    (``StressMatrix.from_gale_columns``), the ordering and the integer unit
+    columns as a ``GaleMatrix``, whose dense ``matrix``, like
+    ``eliminated``, is built on first read.
     """
     rows, scale = _sized_congruent(fw, s)
     peo = _elimination_order(fw.graph)
@@ -647,4 +630,4 @@ def psdize_stress(fw: Framework, s: StressMatrix) -> PsdizeResult:
     columns = [dict(zip(col, _integer_row(col.values())[0])) for col in result.columns]
     _check_gale_columns(fw, columns, peo)
     return PsdizeResult(stress=StressMatrix.from_gale_columns(columns, fw.n), peo=peo,
-                        columns=columns)
+                        gale=GaleMatrix(columns, fw.n))

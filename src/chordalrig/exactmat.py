@@ -30,8 +30,8 @@ they can.
   of its subsets instead. ``_integer_kernel`` pushes columns through it
   for the pivot columns of the reduced row echelon form, and one
   ``_cofactor_basis`` per free column for its kernel column, all in
-  integers: the reflecting-hyperplane search reads it as it is, and
-  ``null_space_basis`` (the Gale matrix) as Fractions.
+  integers: the reflecting-hyperplane search and the canonical Gale
+  matrix (``framework.gale_matrix``) read it as it is.
 
 ``Matrix.__mul__``, the dense product, is kept for callers that build
 stresses such as Z D Z^T; no command runs it. It is summed fraction-free
@@ -84,8 +84,8 @@ class Matrix:
     The constructors coerce every entry to a Fraction (ints, Fractions and
     strings; floats and bools raise TypeError). Results the library builds
     from Fractions it already holds, the product, the transpose and the
-    Gale matrices of ``certify``, go through ``_of``, which takes its rows
-    as they are.
+    dense view of a Gale matrix (``framework.GaleMatrix``), go through
+    ``_of``, which takes its rows as they are.
     """
 
     __slots__ = ("rows", "cols", "_data")
@@ -117,22 +117,8 @@ class Matrix:
         return m
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[0] * cols for _ in range(rows)], shape=(rows, cols))
-
-    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "Matrix":
-        cols = [tuple(c) for c in columns]
-        if not cols:
-            if rows is None:
-                raise DimensionMismatch("need explicit row count for a matrix with no columns")
-            return cls.zeros(rows, 0)
-        nrows = len(cols[0])
-        return cls([[c[i] for c in cols] for i in range(nrows)], shape=(nrows, len(cols)))
 
     @property
     def data(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -502,17 +488,3 @@ def rank(a: Matrix) -> int:
     if a.cols > a.rows:
         rows = list(zip(*rows))
     return _cofactor_basis(rows, min(a.rows, a.cols))[2]
-
-
-def null_space_basis(a: Matrix) -> Matrix:
-    """Kernel basis as the reduced row echelon form gives it, from
-    ``_integer_kernel`` on the rows cleared of denominators
-    (``_integer_row``), which keeps the row space.
-
-    One basis column per free column of the echelon form, in increasing
-    free-column order: 1 at the free column, the negated echelon entry at
-    each pivot column and 0 elsewhere. Deterministic for a given input.
-    """
-    kernel = _integer_kernel([_integer_row(row)[0] for row in a.data], a.cols)
-    columns = tuple(tuple(Fraction(x, y[f]) if x else _ZERO for x in y) for f, y in kernel)
-    return Matrix._of(columns, len(columns), a.cols).transpose()

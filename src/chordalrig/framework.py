@@ -5,7 +5,10 @@ A framework pairs a connected graph with one point per vertex; the points
 must affinely span the ambient space. The extended configuration matrix
 stacks each point over a row of ones; its kernel (the Gale space) carries
 all stress matrices: S is a stress exactly when it is symmetric, kills the
-extended configuration, and vanishes on non-edges.
+extended configuration, and vanishes on non-edges. A Gale matrix Z, whose
+columns span the Gale space, is held as integer columns (``GaleColumns``,
+each column of Z over its pivot entry), and so is the Gram stress Z Z^T;
+their Fraction matrices are views, built when first read.
 
 Affine independence is decided on the points lifted to integer rows
 l (p, 1), which a ``Framework`` computes once and keeps for every integer
@@ -31,7 +34,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .exactmat import (
     DimensionMismatch,
@@ -40,12 +43,12 @@ from .exactmat import (
     _cofactor_basis,
     _cofactor_step,
     _congruent_rows,
+    _integer_kernel,
     _integer_row,
     _quotient,
     _sparse_factor,
     _sparse_rows,
     _unit_rows,
-    null_space_basis,
     rank,
 )
 from .graphs import Graph, Ordering, gen_ktree
@@ -141,12 +144,6 @@ class Framework:
 
     def __repr__(self):
         return f"Framework(n={self.n}, dim={self.dim})"
-
-
-def extended_config_matrix(fw: Framework) -> Matrix:
-    """(dim+1) x n matrix whose column v is the point of v over a 1."""
-    cols = [list(p) + [Fraction(1)] for p in fw.points]
-    return Matrix.from_columns(cols)
 
 
 def affinely_independent(points: Sequence[Sequence]) -> bool:
@@ -256,30 +253,75 @@ def is_general_position(fw: Framework, cap: int | None = None
     return False, tuple(v + 1 for v in witness)
 
 
-@dataclass(frozen=True)
+# Integer Gale columns {0-based vertex: int}: nonzero entries only, the
+# pivot vertex first with a positive entry, and gcd 1. The column of Z is
+# the column divided by its pivot entry, which is therefore the lcm of the
+# denominators of that column of Z.
+GaleColumns = list[dict[int, int]]
+
+
 class GaleMatrix:
-    """n x rbar matrix whose columns span the kernel of the extended
-    configuration matrix. Row v corresponds to vertex v."""
+    """n x rbar matrix Z whose columns span the kernel of the extended
+    configuration matrix; row v corresponds to vertex v.
 
-    matrix: Matrix
+    Z is held by its integer columns (``GaleColumns``): column j of Z is
+    ``columns[j]`` divided by its pivot entry. The dense ``matrix`` of
+    Fractions is built on first read and then kept; it is the one place
+    where a Gale matrix makes Fractions. Gale matrices compare by n and
+    their columns.
+    """
 
-    @property
-    def n(self) -> int:
-        return self.matrix.rows
+    __slots__ = ("columns", "n", "_matrix")
+
+    def __init__(self, columns: GaleColumns, n: int):
+        self.columns, self.n, self._matrix = columns, n, None
 
     @property
     def rbar(self) -> int:
-        return self.matrix.cols
+        return len(self.columns)
+
+    @property
+    def matrix(self) -> Matrix:
+        if self._matrix is None:
+            zero = Fraction(0)
+            dense = [[zero] * self.rbar for _ in range(self.n)]
+            for j, col in enumerate(self.columns):
+                d = next(iter(col.values()))
+                for u, x in col.items():
+                    dense[u][j] = Fraction(x, d)
+            self._matrix = Matrix._of(tuple(map(tuple, dense)), self.n, self.rbar)
+        return self._matrix
+
+    def __eq__(self, other):
+        if not isinstance(other, GaleMatrix):
+            return NotImplemented
+        return self.n == other.n and self.columns == other.columns
+
+    def __repr__(self):
+        return f"GaleMatrix(n={self.n}, rbar={self.rbar})"
 
 
 def gale_matrix(fw: Framework) -> GaleMatrix:
-    """Canonical Gale matrix: the RREF kernel basis of the extended
-    configuration matrix. Raises NoGaleMatrix for simplex frameworks."""
+    """Canonical Gale matrix: the kernel basis that the reduced row echelon
+    form of the extended configuration matrix gives, whose column v is the
+    point of v over a 1. Raises NoGaleMatrix for simplex frameworks.
+
+    Each row of that matrix, cleared of denominators (``_integer_row``),
+    keeps the row space, and ``_integer_kernel`` gives one integer vector y
+    per free column f of the echelon form, with y_f > 0. The basis column
+    of f is y / y_f: 1 at f, the negated echelon entry at each pivot column
+    and 0 elsewhere. It is held as y divided by its gcd, f first
+    (``GaleColumns``).
+    """
     if fw.rbar == 0:
         raise NoGaleMatrix("simplex framework has no Gale matrix")
-    basis = null_space_basis(extended_config_matrix(fw))
-    assert basis.cols == fw.rbar
-    return GaleMatrix(basis)
+    rows = [_integer_row(coords)[0] for coords in zip(*fw.points)] + [[1] * fw.n]
+    columns = []
+    for f, y in _integer_kernel(rows, fw.n):
+        g = math.gcd(*y)
+        columns.append({f: y[f] // g, **{u: x // g for u, x in enumerate(y) if x and u != f}})
+    assert len(columns) == fw.rbar
+    return GaleMatrix(columns, fw.n)
 
 
 class StressWeights:
@@ -335,13 +377,6 @@ def verify_equilibrium_stress(fw: Framework, omega: StressWeights
         if any(x != 0 for x in total):
             return False, i
     return True, None
-
-
-# Integer Gale columns {0-based vertex: int}: nonzero entries only, the
-# pivot vertex first with a positive entry, and gcd 1. The column of Z is
-# the column divided by its pivot entry, which is therefore the lcm of the
-# denominators of that column of Z.
-GaleColumns = list[dict[int, int]]
 
 
 def _gram_rows(columns: GaleColumns, n: int) -> tuple[SparseRows, list[int]]:
@@ -474,7 +509,7 @@ class StressMatrix:
                                        for w, x in row.items())))
 
     def __repr__(self):
-        return f"StressMatrix({self.matrix!r})"
+        return f"StressMatrix(n={self.n})"
 
 
 def stress_from_omega(fw: Framework, omega: StressWeights) -> StressMatrix:
@@ -648,42 +683,20 @@ def validate_stress_matrix(fw: Framework, s: StressMatrix) -> StressReport:
     return StressReport(symmetric, non_edge is None, kernel_ok, rk, grp, psd)
 
 
-def is_unit_triangular_gale(z: Matrix, graph: Graph, peo: Ordering
-                            ) -> tuple[bool, tuple[int, int] | None]:
-    """Check the triangular Gale shape relative to an elimination ordering.
-
-    In position space the matrix must have unit diagonal, zeros above the
-    diagonal, and zeros at (i, j) with i > j whenever the vertices in
-    positions i and j are not adjacent. Returns the first violating
-    position pair on failure.
-    """
-    n = graph.n
-    if z.rows != n:
-        raise DimensionMismatch(f"Gale matrix has {z.rows} rows for {n} vertices")
-    if len(peo) != n:
-        raise DimensionMismatch("ordering length does not match the graph")
-    violation = _triangular_violation(list(_sparse_rows(z.transpose()).values()), graph, peo,
-                                      lambda x: x == 1)
-    return violation is None, violation
-
-
-def _triangular_violation(columns: Sequence[Mapping[int, int | Fraction]], graph: Graph,
-                          peo: Ordering,
-                          pivot_ok: Callable[[int | Fraction], bool] = lambda x: x > 0
+def _triangular_violation(columns: GaleColumns, graph: Graph, peo: Ordering
                           ) -> tuple[int, int] | None:
-    """The first (row-major) position pair (i, j) at which the sparse
-    columns ({0-based vertex: entry}, in original labels) leave the
-    triangular shape of ``is_unit_triangular_gale``: column j nonzero only
-    at the vertex v in position j and at later neighbours of v, with
-    ``pivot_ok`` of its entry at v. The default, a positive entry, is the
-    shape of ``certify._gale_columns``'s integer columns, whose column of
-    Z is the column divided by that entry; the unit shape itself asks for
-    an entry 1."""
+    """The first (row-major) position pair (i, j) at which the integer Gale
+    columns (``GaleColumns``, in original labels) leave the triangular
+    shape along the elimination ordering ``peo``: column j nonzero only at
+    the vertex v in position j, where it is positive, and at later
+    neighbours of v. A column of Z, the column divided by that entry, then
+    has unit diagonal, zeros above it and zeros at non-neighbours below.
+    A missing or non-positive entry at v is reported as (j, j)."""
     pos = peo.position_of
     bad = []
     for j, col in enumerate(columns, 1):
         v = peo.vertex_at(j) if j <= len(peo) else None
-        if v is not None and not pivot_ok(col.get(v - 1, 0)):
+        if v is not None and col.get(v - 1, 0) <= 0:
             bad.append((j, j))
         for u, x in col.items():
             i = pos(u + 1)

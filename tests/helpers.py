@@ -3,8 +3,10 @@ tests.
 
 The generators build inputs with the library's own constructors (that part
 is not under test here); the properties asserted about the outputs are
-always checked against oracles or frozen values. ``gale_stress`` builds
-the stress Z Psi Z^T of a chosen Psi. The small dense helpers
+always checked against oracles or frozen values. ``zeros`` and
+``extended_config_matrix`` build the zero matrix and the matrix whose
+kernel is the Gale space, and ``gale_stress`` builds the stress
+Z Psi Z^T of a chosen Psi. The small dense helpers
 ``submatrix`` and ``scaled_matrix`` serve the tests and the reference
 routines; the library needs neither. The brute-force checks (leading
 minors, all square submatrices, the zero pattern through dense
@@ -116,11 +118,50 @@ def sample_points(g, dim, rng, base_bound=40):
     raise RuntimeError("sampling failed to reach general position")
 
 
-def gale_stress(fw: Framework, z: GaleMatrix, psi: Matrix) -> StressMatrix:
-    """The stress Z Psi Z^T of a chosen Psi through the Gale matrix z, the
-    paper's factorization read forwards; asserts that it vanishes on the
-    non-edges, so every input built this way is a stress."""
-    s = z.matrix * psi * z.matrix.transpose()
+def rational_points_framework(rng, n, r):
+    """A (r+1)-tree with rational points whose denominators differ from
+    point to point, so the integer lifts scale each point differently."""
+    g = gen_ktree(n, r + 1, rng.randrange(10_000))
+    while True:
+        pts = [[Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(r)]
+               for _ in range(n)]
+        try:
+            fw = Framework(g, r, pts)
+        except DegenerateSpan:
+            continue
+        if is_general_position(fw)[0]:
+            return fw
+
+
+def relabelled(rng, fw):
+    """The framework with its vertices relabelled at random, so that its
+    perfect elimination orderings are seldom the identity."""
+    label = rng.sample(range(1, fw.n + 1), fw.n)
+    points = [None] * fw.n
+    for v, p in enumerate(fw.points):
+        points[label[v] - 1] = p
+    graph = Graph(fw.n, [(label[u - 1], label[v - 1]) for u, v in fw.graph.edges])
+    return Framework(graph, fw.dim, points)
+
+
+def zeros(rows: int, cols: int) -> Matrix:
+    return Matrix([[0] * cols for _ in range(rows)], shape=(rows, cols))
+
+
+def extended_config_matrix(fw: Framework) -> Matrix:
+    """The (dim+1) x n matrix whose column v is the point of v over a 1;
+    its kernel is the Gale space."""
+    return Matrix([[p[c] for p in fw.points] for c in range(fw.dim)] + [[1] * fw.n])
+
+
+def gale_stress(fw: Framework, z: GaleMatrix | Matrix, psi: Matrix) -> StressMatrix:
+    """The stress Z Psi Z^T of a chosen Psi through the Gale matrix z, held
+    as a ``GaleMatrix`` or as its dense matrix, the paper's factorization
+    read forwards; asserts that it vanishes on the non-edges, so every
+    input built this way is a stress."""
+    if isinstance(z, GaleMatrix):
+        z = z.matrix
+    s = z * psi * z.transpose()
     assert _first_non_edge(fw.graph, _sparse_rows(s)) is None
     return StressMatrix(s)
 
@@ -496,7 +537,7 @@ def _int_determinant(rows: Sequence[Sequence[int]]) -> int:
 
 def gale_fractions(columns: Sequence[dict[int, int]]) -> list[dict[int, Fraction]]:
     """The columns of Z held by integer Gale columns (``certify._gale_columns``,
-    ``PsdizeResult.columns``) as {0-based vertex: Fraction}, in the same
+    ``GaleMatrix.columns``) as {0-based vertex: Fraction}, in the same
     order: each entry divided by the column's pivot entry, its first."""
     return [{u: Fraction(x, next(iter(col.values()))) for u, x in col.items()}
             for col in columns]

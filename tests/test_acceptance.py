@@ -179,7 +179,7 @@ def test_7_psd_check_matches_principal_minor_oracle(capsys):
                 m = Matrix([[helpers.rand_fraction(rng) if a == b else F(0)
                              for b in range(n)] for a in range(n)])
             else:
-                m = Matrix.zeros(n, n)
+                m = helpers.zeros(n, n)
             expected = oracles.principal_minors_nonneg(m.data)
             result = _sparse_factor(_sparse_rows(m), range(n))
             assert (result.psd, result.rank) == (expected, oracles.sym_rank(m.data)), (i, m)

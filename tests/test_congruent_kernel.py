@@ -29,6 +29,7 @@ from helpers import (
     reference_sparse_factor,
     scaled_matrix,
     spy_matrix_shapes,
+    zeros,
 )
 from chordalrig import certify, exactmat, framework, jsonio
 from chordalrig.certify import (
@@ -194,7 +195,7 @@ class TestAgainstTheFractionKernel:
 
 
 def dense_gram(columns, n):
-    z = Matrix.from_columns([[col.get(v, F(0)) for v in range(n)] for col in columns], rows=n)
+    z = Matrix([[col.get(v, 0) for col in columns] for v in range(n)], shape=(n, len(columns)))
     return z * z.transpose()
 
 
@@ -375,6 +376,23 @@ class TestLazyStress:
         assert cert.verdict is Verdict.UNIVERSALLY_RIGID and cert.stress.n == 3000
         assert elapsed < 5.0, f"certify_chordal took {elapsed:.1f}s"
 
+    def test_repr_names_the_size_and_sums_no_stress(self, monkeypatch):
+        """The repr of a stress or a Gale matrix names its size, as that of
+        a framework does, so a certificate's repr at n=2000, r=2 sums no
+        stress; the dense text would pass Python's int-to-str digit limit."""
+        rng = random.Random(0)
+        g = gen_ktree(2000, 3, 0)
+        fw = Framework(g, 2, [[rng.randint(-10**6, 10**6) for _ in range(2)]
+                              for _ in range(g.n)])
+
+        def forbidden(*args):
+            raise AssertionError("the stress was summed")
+        monkeypatch.setattr(framework, "_gram_rows", forbidden)
+        cert = certify_chordal(fw)
+        text = repr(cert)
+        assert "stress=StressMatrix(n=2000)" in text and len(text) < 10 * fw.n
+        assert repr(unit_triangular_gale(fw, cert.peo)) == "GaleMatrix(n=2000, rbar=1997)"
+
     def test_psdize_reads_the_unit_columns_in_the_input_scale(self, hexagon):
         res = psdize_stress(hexagon.fw, StressMatrix(scaled_matrix(hexagon.stress, F(1, 6))))
         assert res.stress.matrix == hexagon.psd
@@ -402,7 +420,7 @@ class TestRenderJson:
         fw = random_general_position_framework(12, 2, 1)
         certs = [certify_chordal(fw),
                  Certificate(Verdict.INCONCLUSIVE, connectivity=2, detail=(1, 2)),
-                 Certificate(Verdict.UNIVERSALLY_RIGID, stress=StressMatrix(Matrix.zeros(3, 3))),
+                 Certificate(Verdict.UNIVERSALLY_RIGID, stress=StressMatrix(zeros(3, 3))),
                  Certificate(Verdict.UNIVERSALLY_RIGID, stress=StressMatrix(hexagon.psd))]
         for cert in certs:
             obj = jsonio.certificate_to_obj(cert)

@@ -16,10 +16,12 @@ from helpers import (
     ZeroPivot,
     all_square_submatrices_nonsingular,
     determinant,
+    extended_config_matrix,
     gauss_step_sequence,
     gauss_steps,
     leading_principal_minor,
     psd_check,
+    zeros,
 )
 from chordalrig.exactmat import (
     DimensionMismatch,
@@ -29,7 +31,7 @@ from chordalrig.exactmat import (
     _integer_row,
     _sparse_factor,
     _sparse_rows,
-    null_space_basis,
+    _unit_rows,
     rank,
 )
 
@@ -87,13 +89,6 @@ class TestMatrix:
         with pytest.raises(DimensionMismatch):
             Matrix([[1, 2], [3]])
 
-    def test_from_columns(self):
-        m = Matrix.from_columns([[1, 2], [3, 4], [5, 6]])
-        assert (m.rows, m.cols) == (2, 3)
-        assert [row[2] for row in m.data] == [5, 6]
-        empty = Matrix.from_columns([], rows=4)
-        assert (empty.rows, empty.cols) == (4, 0)
-
     def test_transpose_involution(self):
         m = Matrix([[1, 2, 3], [4, 5, 6]])
         assert m.transpose().transpose() == m
@@ -120,8 +115,8 @@ class TestMatrix:
         assert all(type(x) is Fraction for row in product.data for x in row)
 
     def test_product_with_empty_inner_dimension(self):
-        product = Matrix.zeros(2, 0) * Matrix.zeros(0, 3)
-        assert product == Matrix.zeros(2, 3)
+        product = Matrix([[], []], shape=(2, 0)) * Matrix([], shape=(0, 3))
+        assert product == zeros(2, 3)
         assert all(type(x) is Fraction for row in product.data for x in row)
 
     def test_shape_mismatch_in_product(self):
@@ -283,7 +278,7 @@ def _ranked_rows(rng, rows, cols):
 
 class TestRank:
     def test_zero_matrix(self):
-        assert rank(Matrix.zeros(4, 4)) == 0
+        assert rank(zeros(4, 4)) == 0
 
     def test_hexagon_psd_stress(self, hexagon):
         assert rank(hexagon.psd) == 3
@@ -305,8 +300,12 @@ class TestRank:
             data = _ranked_rows(rng, rows, cols)
             m = Matrix(data, shape=(rows, cols))
             expected = oracles.sym_rank(data) if rows and cols else 0
-            kernel = _integer_kernel([_integer_row(row)[0] for row in data], cols)
-            assert rank(m) == expected == cols - len(kernel)
+            assert rank(m) == expected == cols - len(_kernel(m))
+
+
+def _kernel(m: Matrix) -> list[tuple[int, list[int]]]:
+    """``_integer_kernel`` of the rows of m cleared of denominators."""
+    return _integer_kernel([_integer_row(row)[0] for row in m.data], m.cols)
 
 
 class TestIntegerKernel:
@@ -315,9 +314,9 @@ class TestIntegerKernel:
         """On rational matrices of every rank, zero rows, rank 0 and full
         rank among them, the integer kernel's free columns, and so its
         pivots, are those of sympy's reduced row echelon form, with a
-        positive entry at each free column, and ``null_space_basis`` is the
-        kernel read off that form: for each free column f, 1 at f, minus
-        entry (i, f) at the i-th pivot and 0 elsewhere."""
+        positive entry y_f at each free column f, and y / y_f is the kernel
+        column read off that form: 1 at f, minus entry (i, f) at the i-th
+        pivot and 0 elsewhere."""
         rng = random.Random(f"kernel/{rows}x{cols}")
         ranks = set()
         for _ in range(40):
@@ -328,12 +327,40 @@ class TestIntegerKernel:
             for column, f in zip(expected, free):
                 for row, p in zip(echelon, pivots):
                     column[p] = -row[f]
-            assert null_space_basis(Matrix(data, shape=(rows, cols))) == Matrix.from_columns(
-                expected, rows=cols)
-            kernel = _integer_kernel([_integer_row(row)[0] for row in data], cols)
+            kernel = _kernel(Matrix(data, shape=(rows, cols)))
             assert [f for f, _ in kernel] == free and all(y[f] > 0 for f, y in kernel)
+            assert [[F(x, y[f]) for x in y] for f, y in kernel] == expected
             ranks.add(len(pivots))
         assert {0, min(rows, cols)} <= ranks
+
+    def test_trivial_kernel(self):
+        assert _kernel(Matrix.identity(3)) == []
+
+    def test_one_free_variable(self):
+        assert _kernel(Matrix([[1, 1]])) == [(1, [-1, 1])]
+
+    @pytest.mark.parametrize("cols", [1, 2, 5])
+    def test_no_rows_gives_identity(self, cols):
+        assert _kernel(Matrix([], shape=(0, cols))) == list(enumerate(_unit_rows(cols)))
+
+    def test_hexagon_config_kernel(self, hexagon):
+        p = extended_config_matrix(hexagon.fw)
+        b = Matrix([y for _, y in _kernel(p)]).transpose()
+        assert (b.rows, b.cols) == (6, 3)
+        assert p * b == zeros(3, 3)
+        assert rank(b) == 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_kernel_dimension_matches_sympy(self, nrows, ncols, data):
+        xs = data.draw(st.lists(rational, min_size=nrows * ncols,
+                                max_size=nrows * ncols))
+        it = iter(xs)
+        m = Matrix([[next(it) for _ in range(ncols)] for _ in range(nrows)])
+        kernel = [y for _, y in _kernel(m)]
+        assert all(sum(a * x for a, x in zip(row, y)) == 0 for row in m.data for y in kernel)
+        assert len(kernel) == oracles.sym_nullity(m.to_lists())
+        assert not kernel or oracles.sym_rank(kernel) == len(kernel)
 
 
 class TestCofactorBasis:
@@ -368,39 +395,6 @@ class TestCofactorBasis:
         assert (True, True) in seen and (False, False) in seen
 
 
-class TestNullSpaceBasis:
-    def test_trivial_kernel(self):
-        b = null_space_basis(Matrix.identity(3))
-        assert (b.rows, b.cols) == (3, 0)
-
-    def test_one_free_variable(self):
-        assert null_space_basis(Matrix([[1, 1]])) == Matrix([[-1], [1]])
-
-    @pytest.mark.parametrize("cols", [1, 2, 5])
-    def test_no_rows_gives_identity(self, cols):
-        assert null_space_basis(Matrix([], shape=(0, cols))) == Matrix.identity(cols)
-
-    def test_hexagon_config_kernel(self, hexagon):
-        from chordalrig.framework import extended_config_matrix
-        p = extended_config_matrix(hexagon.fw)
-        b = null_space_basis(p)
-        assert (b.rows, b.cols) == (6, 3)
-        assert p * b == Matrix.zeros(3, 3)
-        assert rank(b) == 3
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 4), st.integers(1, 4), st.data())
-    def test_kernel_dimension_matches_sympy(self, nrows, ncols, data):
-        xs = data.draw(st.lists(rational, min_size=nrows * ncols,
-                                max_size=nrows * ncols))
-        it = iter(xs)
-        m = Matrix([[next(it) for _ in range(ncols)] for _ in range(nrows)])
-        b = null_space_basis(m)
-        assert m * b == Matrix.zeros(nrows, b.cols)
-        assert b.cols == oracles.sym_nullity(m.to_lists())
-        assert rank(b) == b.cols
-
-
 class TestGenericRankProfile:
     """The generic rank profile as the library decides it: one
     ``_sparse_factor`` pass in label order."""
@@ -418,12 +412,12 @@ class TestGenericRankProfile:
         assert (ok, k) == (False, 2)
 
     def test_zero_matrix_vacuous(self):
-        assert self.profile(Matrix.zeros(3, 3)) == (True, 0)
+        assert self.profile(zeros(3, 3)) == (True, 0)
 
 
 class TestPsdCheck:
     def test_zero_matrix(self):
-        res = psd_check(Matrix.zeros(3, 3))
+        res = psd_check(zeros(3, 3))
         assert res.is_psd and res.rank == 0 and res.witness is None
 
     def test_indefinite_diagonal_witness(self):

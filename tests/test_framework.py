@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from helpers import determinant, gale_stress
+from helpers import (
+    determinant,
+    extended_config_matrix,
+    gale_stress,
+    rational_points_framework,
+    relabelled,
+    zeros,
+)
 from chordalrig.exactmat import (
     DimensionMismatch,
     Matrix,
@@ -26,13 +33,12 @@ from chordalrig.framework import (
     SizeMismatch,
     StressMatrix,
     StressWeights,
+    _triangular_violation,
     affinely_independent,
-    extended_config_matrix,
     frameworks_congruent,
     frameworks_equivalent,
     gale_matrix,
     is_general_position,
-    is_unit_triangular_gale,
     omega_from_stress,
     random_general_position_framework,
     stress_from_omega,
@@ -219,7 +225,7 @@ class TestGaleMatrix:
     def test_hexagon_kernel_and_change_of_basis(self, hexagon):
         z = gale_matrix(hexagon.fw)
         p = extended_config_matrix(hexagon.fw)
-        assert p * z.matrix == Matrix.zeros(3, 3)
+        assert p * z.matrix == zeros(3, 3)
         assert rank(z.matrix) == 3
         # the frozen unit-triangular Gale matrix is a right-multiple of it
         b = z.matrix
@@ -231,6 +237,39 @@ class TestGaleMatrix:
         fw = Framework(Graph.complete(3), 2, [(0, 0), (1, 0), (0, 1)])
         with pytest.raises(NoGaleMatrix):
             gale_matrix(fw)
+
+    def test_seeded_frameworks_give_the_sympy_echelon_kernel(self):
+        """On seeded frameworks (r = 1..4, integer and rational points,
+        labels shuffled), the dense Gale matrix is the kernel basis that
+        sympy's reduced row echelon form of the extended configuration
+        matrix gives, and the columns it is held by keep the
+        ``GaleColumns`` invariant: the free column first with a positive
+        entry, nonzero ints of gcd 1."""
+        rng = random.Random("gale-oracle")
+        seen = set()
+        for i in range(32):
+            r = i % 4 + 1
+            n = rng.randint(r + 2, r + 9)
+            if i % 8 < 4:
+                fw = random_general_position_framework(n, r, rng.randrange(10_000))
+            else:
+                fw = rational_points_framework(rng, n, r)
+            fw = relabelled(rng, fw)
+            z = gale_matrix(fw)
+            echelon, pivots = oracles.sym_rref(extended_config_matrix(fw).to_lists())
+            free = [f for f in range(n) if f not in pivots]
+            expected = [[F(int(v == f)) for f in free] for v in range(n)]
+            for row, p in zip(echelon, pivots):
+                for j, f in enumerate(free):
+                    expected[p][j] = -row[f]
+            assert z.matrix.to_lists() == expected
+            assert (z.n, z.rbar) == (n, fw.rbar)
+            for col, f in zip(z.columns, free):
+                pivot, d = next(iter(col.items()))
+                assert pivot == f and d > 0 and math.gcd(*col.values()) == 1
+                assert all(type(x) is int and x for x in col.values())
+            seen.add((r, i % 8 < 4))
+        assert len(seen) == 8
 
 
 class TestStressWeights:
@@ -275,7 +314,7 @@ class TestStressConversions:
 
     def test_zero_omega(self, hexagon):
         zero = StressWeights({e: 0 for e in hexagon.fw.graph.edges})
-        assert stress_from_omega(hexagon.fw, zero).matrix == Matrix.zeros(6, 6)
+        assert stress_from_omega(hexagon.fw, zero).matrix == zeros(6, 6)
 
     def test_k3_line_psd_stress(self, k3_line):
         w = StressWeights({(1, 2): 2, (2, 3): 2, (1, 3): -1})
@@ -361,7 +400,7 @@ class TestOmegaFromStressClauses:
 
     def test_wrong_size_rejected(self, hexagon):
         with pytest.raises(DimensionMismatch, match="stress must be 6x6, got 5x5"):
-            omega_from_stress(hexagon.fw, StressMatrix(Matrix.zeros(5, 5)))
+            omega_from_stress(hexagon.fw, StressMatrix(zeros(5, 5)))
 
 
 class TestValidateStress:
@@ -378,7 +417,7 @@ class TestValidateStress:
         assert rep.is_stress_matrix and rep.psd and rep.rank == 3
 
     def test_zero_matrix(self, hexagon):
-        rep = validate_stress_matrix(hexagon.fw, StressMatrix(Matrix.zeros(6, 6)))
+        rep = validate_stress_matrix(hexagon.fw, StressMatrix(zeros(6, 6)))
         assert rep.is_stress_matrix and rep.psd and rep.rank == 0
 
     def test_no_short_circuit(self, hexagon):
@@ -390,11 +429,11 @@ class TestValidateStress:
 
     def test_size_checked(self, hexagon):
         with pytest.raises(DimensionMismatch):
-            validate_stress_matrix(hexagon.fw, StressMatrix(Matrix.zeros(5, 5)))
+            validate_stress_matrix(hexagon.fw, StressMatrix(zeros(5, 5)))
 
     def test_kernel_holds_for_random_equilibrium_stresses(self, hexagon):
         rng = random.Random(2)
-        z = GaleMatrix(hexagon.gale)
+        z = hexagon.gale
         for _ in range(10):
             psi = Matrix([[rng.randint(-5, 5) if i == j else 0 for j in range(3)]
                           for i in range(3)])
@@ -523,44 +562,33 @@ class TestPsiFactorization:
 
 
 class TestUnitTriangularShape:
+    """``_triangular_violation`` on integer Gale columns along the identity
+    ordering of the hexagon, whose frozen Z has these columns."""
+
+    COLUMNS = [{0: 2, 1: -2, 2: -1, 3: 1}, {1: 1, 2: -1, 3: -1, 4: 1},
+               {2: 1, 3: -1, 4: -2, 5: 2}]
+
     def test_frozen_gale(self, hexagon):
-        ok, spot = is_unit_triangular_gale(
-            hexagon.gale, hexagon.fw.graph, Ordering.identity(6))
-        assert ok and spot is None
-
-    def test_k3_vector(self, k3_line):
-        assert is_unit_triangular_gale(
-            Matrix([[1], [-2], [1]]), k3_line.graph, Ordering.identity(3)) == (True, None)
-
-    def test_above_diagonal_violation(self, hexagon):
-        bad = Matrix([[1 if (i, j) in ((0, 1),) else hexagon.gale[i, j]
-                       for j in range(3)] for i in range(6)])
-        ok, spot = is_unit_triangular_gale(bad, hexagon.fw.graph, Ordering.identity(6))
-        assert not ok and spot == (1, 2)
+        assert GaleMatrix(self.COLUMNS, 6).matrix == hexagon.gale
+        assert _triangular_violation(self.COLUMNS, hexagon.fw.graph, Ordering.identity(6)) is None
 
     @pytest.mark.parametrize("changes, spot", [
-        ([(5, 0)], (6, 1)),  # vertex 6 is not adjacent to vertex 1
-        ([(5, 0), (4, 0)], (5, 1)),
-        ([(5, 0), (4, 0), (1, 2)], (2, 3)),  # above the diagonal
-        ([(5, 0), (2, 2)], (3, 3)),  # the unit diagonal
+        ([(0, 1, 1)], (1, 2)),  # above the diagonal
+        ([(5, 0, 3)], (6, 1)),  # vertex 6 is not adjacent to vertex 1
+        ([(5, 0, 3), (4, 0, 3)], (5, 1)),
+        ([(5, 0, 3), (4, 0, 3), (1, 2, 3)], (2, 3)),  # above the diagonal
+        ([(5, 0, 3), (2, 2, -1)], (3, 3)),  # a negative pivot
+        ([(2, 2, 0)], (3, 3)),  # no pivot
     ])
     def test_first_violation_in_row_major_order(self, hexagon, changes, spot):
-        rows = hexagon.gale.to_lists()
-        for i, j in changes:
-            rows[i][j] += 3
-        ok, found = is_unit_triangular_gale(Matrix(rows), hexagon.fw.graph,
-                                            Ordering.identity(6))
-        assert not ok and found == spot
+        columns = [dict(col) for col in self.COLUMNS]
+        for u, j, x in changes:
+            columns[j][u] = x
+        assert _triangular_violation(columns, hexagon.fw.graph, Ordering.identity(6)) == spot
 
     def test_rref_basis_fails(self, hexagon):
         z = gale_matrix(hexagon.fw)
-        ok, _ = is_unit_triangular_gale(z.matrix, hexagon.fw.graph, Ordering.identity(6))
-        assert not ok
-
-    def test_row_count_checked(self, hexagon):
-        with pytest.raises(DimensionMismatch):
-            is_unit_triangular_gale(Matrix.identity(3), hexagon.fw.graph,
-                                    Ordering.identity(6))
+        assert _triangular_violation(z.columns, hexagon.fw.graph, Ordering.identity(6)) is not None
 
 
 class TestEquivalenceCongruence:

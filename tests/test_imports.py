@@ -12,7 +12,8 @@ top-level public function of ``exactmat`` is read by no other module but
 ``__init__``, whose re-exports are not uses; and when a public method or
 property of ``exactmat.Matrix`` is read, as an attribute, nowhere in the
 package outside its own definition and nowhere in the bench harness
-(``bench/``), and likewise for ``framework.StressMatrix``.
+(``bench/``), and likewise for ``framework.StressMatrix`` and
+``framework.GaleMatrix``.
 """
 
 import ast
@@ -223,6 +224,12 @@ def test_matrix_keeps_only_what_the_package_or_bench_reads():
 
 def test_stress_matrix_keeps_only_what_the_package_or_bench_reads():
     assert unread_public_members("StressMatrix",
+                                 [p.read_text() for p in sorted(SOURCE.glob("*.py"))],
+                                 [p.read_text() for p in sorted(BENCH.glob("*.py"))]) == []
+
+
+def test_gale_matrix_keeps_only_what_the_package_or_bench_reads():
+    assert unread_public_members("GaleMatrix",
                                  [p.read_text() for p in sorted(SOURCE.glob("*.py"))],
                                  [p.read_text() for p in sorted(BENCH.glob("*.py"))]) == []
 

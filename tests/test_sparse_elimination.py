@@ -48,13 +48,10 @@ from chordalrig.exactmat import (
     rank,
 )
 from chordalrig.framework import (
-    DegenerateSpan,
     Framework,
-    GaleMatrix,
     StressMatrix,
     _first_non_edge,
     gale_matrix,
-    is_general_position,
     random_general_position_framework,
     validate_stress_matrix,
 )
@@ -271,21 +268,6 @@ class TestAgainstDensePaths:
                 assert psd_check(cert.stress.matrix).rank == fw.rbar
 
 
-def _rational_points_framework(rng, n, r):
-    """A (r+1)-tree with rational points whose denominators differ from
-    point to point, so the integer lifts scale each point differently."""
-    g = gen_ktree(n, r + 1, rng.randrange(10_000))
-    while True:
-        pts = [[F(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(r)]
-               for _ in range(n)]
-        try:
-            fw = Framework(g, r, pts)
-        except DegenerateSpan:
-            continue
-        if is_general_position(fw)[0]:
-            return fw
-
-
 class TestSparseGale:
     def test_matches_solving_each_column(self):
         rng = random.Random(17)
@@ -293,7 +275,7 @@ class TestSparseGale:
             r = i % 3 + 1
             n = rng.randint(r + 2, r + 9)
             if i % 2:
-                fw = _rational_points_framework(rng, n, r)
+                fw = helpers.rational_points_framework(rng, n, r)
             else:
                 fw = random_general_position_framework(n, r, rng.randrange(10_000))
             g = fw.graph
@@ -320,7 +302,7 @@ class TestSparseGale:
         for i in range(8):
             n = rng.randint(r + 2, r + 7)
             if i % 2:
-                fw = _rational_points_framework(rng, n, r)
+                fw = helpers.rational_points_framework(rng, n, r)
             else:
                 fw = random_general_position_framework(n, r, rng.randrange(10_000))
             peo = is_chordal(fw.graph).peo
@@ -396,10 +378,10 @@ class TestColumnCheck:
 
     def test_the_hexagon_columns_pass(self, hexagon):
         res = psdize_stress(hexagon.fw, StressMatrix(hexagon.stress))
-        assert res.columns == HEXAGON_COLUMNS
+        assert res.gale.columns == HEXAGON_COLUMNS
         assert certify._check_gale_columns(hexagon.fw, HEXAGON_COLUMNS,
                                            Ordering.identity(6)) is None
-        dense = helpers.gale_stress(hexagon.fw, GaleMatrix(hexagon.gale), Matrix.identity(3))
+        dense = helpers.gale_stress(hexagon.fw, hexagon.gale, Matrix.identity(3))
         assert StressMatrix.from_gale_columns(HEXAGON_COLUMNS, 6) == dense
 
     @pytest.mark.parametrize("columns, message", [
@@ -474,8 +456,7 @@ class TestColumnCheck:
 
 def dense_gram(columns, n):
     """Z Z^T by the dense matrix product, Z holding the sparse columns."""
-    z = Matrix.from_columns([[col.get(v, F(0)) for v in range(n)] for col in columns],
-                            rows=n)
+    z = Matrix([[col.get(v, 0) for col in columns] for v in range(n)], shape=(n, len(columns)))
     return z * z.transpose()
 
 
@@ -522,7 +503,7 @@ class TestGramSum:
             if i % 8 < 4:
                 fw = random_general_position_framework(n, r, rng.randrange(10_000))
             else:
-                fw = _rational_points_framework(rng, n, r)
+                fw = helpers.rational_points_framework(rng, n, r)
             peo = is_chordal(fw.graph).peo
             columns = certify._gale_columns(fw, peo)
             fractions = helpers.gale_fractions(columns)
@@ -538,7 +519,7 @@ class TestGramSum:
                 res = psdize_stress(fw, StressMatrix(s))
             except NotGenericRankProfile:
                 continue
-            fractions = helpers.gale_fractions(res.columns)
+            fractions = helpers.gale_fractions(res.gale.columns)
             expected = dense_gram(fractions, fw.n)
             assert res.stress.matrix == expected
             seen.add(("non-unit", any(x.denominator > 1
@@ -562,17 +543,6 @@ class TestGramSum:
         assert stress.matrix == expected
 
 
-def _relabelled(rng, fw):
-    """The framework with its vertices relabelled at random, so that its
-    perfect elimination orderings are seldom the identity."""
-    label = rng.sample(range(1, fw.n + 1), fw.n)
-    points = [None] * fw.n
-    for v, p in enumerate(fw.points):
-        points[label[v] - 1] = p
-    graph = Graph(fw.n, [(label[u - 1], label[v - 1]) for u, v in fw.graph.edges])
-    return Framework(graph, fw.dim, points)
-
-
 class TestColumnChecksGiveEveryClause:
     def test_certificate_and_psdize_stresses_validate_and_equal_the_gram_oracle(self):
         """The stresses ``certify_chordal`` and ``psdize_stress`` return are
@@ -589,8 +559,8 @@ class TestColumnChecksGiveEveryClause:
             if i % 8 < 4:
                 fw = random_general_position_framework(n, r, rng.randrange(10_000))
             else:
-                fw = _rational_points_framework(rng, n, r)
-            fw = _relabelled(rng, fw)
+                fw = helpers.rational_points_framework(rng, n, r)
+            fw = helpers.relabelled(rng, fw)
             cert = certify_chordal(fw)
             assert cert.verdict is Verdict.UNIVERSALLY_RIGID
             z = unit_triangular_gale(fw, cert.peo)
@@ -650,7 +620,7 @@ def _psdize_inputs(seed, count):
         r = i % 3 + 1
         n = rng.randint(r + 2, r + 6)
         if i % 2:
-            fw = _rational_points_framework(rng, n, r)
+            fw = helpers.rational_points_framework(rng, n, r)
         else:
             fw = random_general_position_framework(n, r, rng.randrange(10_000))
         peo = certify._elimination_order(fw.graph)
@@ -768,7 +738,7 @@ class TestPsdizeFactor:
         psi[0][0] = 0
         psi[0][m] = psi[m][0] = 3
         assert determinant(Matrix(psi)) != 0  # so the stress has rank rbar
-        s = helpers.gale_stress(fw, GaleMatrix(z), Matrix(psi)).matrix
+        s = helpers.gale_stress(fw, z, Matrix(psi)).matrix
 
         def forbidden(*args, **kwargs):
             raise AssertionError("dense rank or PSD pass")

@@ -39,10 +39,10 @@ from chordalrig.exactmat import Matrix
 from chordalrig.framework import (
     DegenerateSpan,
     Framework,
+    GaleMatrix,
+    _triangular_violation,
     affinely_independent,
-    extended_config_matrix,
     is_general_position,
-    is_unit_triangular_gale,
     random_general_position_framework,
     validate_stress_matrix,
 )
@@ -243,8 +243,9 @@ class TestNotInGeneralPosition:
                 assert not affinely_independent([fw.point(v) for v in witness])
                 continue
             z = unit_triangular_gale(fw, cert.peo)
-            assert is_unit_triangular_gale(z.matrix, fw.graph, cert.peo) == (True, None)
-            assert extended_config_matrix(fw) * z.matrix == Matrix.zeros(fw.dim + 1, fw.rbar)
+            assert _triangular_violation(z.columns, fw.graph, cert.peo) is None
+            p = helpers.extended_config_matrix(fw)
+            assert p * z.matrix == helpers.zeros(fw.dim + 1, fw.rbar)
             assert helpers.gale_stress(fw, z, Matrix.identity(fw.rbar)) == cert.stress
         assert seen == {Verdict.UNIVERSALLY_RIGID: 51, Verdict.INCONCLUSIVE: 9}
 
@@ -317,7 +318,7 @@ class TestPsdizeWithoutGeneralPosition:
                 continue
             peo = certify._elimination_order(fw.graph)
             try:
-                z = certify._gale_matrix(certify._gale_columns(fw, peo), fw.n)
+                z = GaleMatrix(certify._gale_columns(fw, peo), fw.n)
             except certify.DegenerateEvidence:
                 continue
             d = [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(fw.rbar)]
