@@ -8,11 +8,12 @@ integers: each is held as the primitive integer vector whose pivot entry
 divides it to the column. The Gram product Z Z^T is a PSD stress of
 maximal rank, which certifies universal (hence global) rigidity. Every
 stress clause follows from checks made on each column
-(``_check_gale_columns``), so the product is not checked again: it is
-summed in integers as the congruent matrix C Z Z^T C for a positive
-integer diagonal C when the stress is first read. The Gale matrix holds
-the same integer columns (``framework.GaleMatrix``), so no Fraction is
-made until the stress or the dense Gale matrix is read. One sparse
+(``_check_gale_columns``), so the product is not checked again: when the
+stress is first read, each of its nonzero entries is summed in integers
+over the columns that meet it, on the scale of those columns alone. The
+Gale matrix holds the same integer columns (``framework.GaleMatrix``), so
+no Fraction is made until the stress or the Gale matrix is read. The
+conic check scales each edge direction to integers on its own. One sparse
 elimination (``exactmat._sparse_factor``) gives ``psdize_stress`` its
 input's rank, first vanishing leading minor and Gale factor. The
 negative branch reflects one side of a small separating set across a
@@ -63,7 +64,6 @@ from .framework import (
     _lift,
     _same_sq_dists,
     _scaled_pair,
-    _scaled_points,
     _sized_congruent,
     _stress_clauses,
     _triangular_violation,
@@ -346,10 +346,11 @@ def _no_conic_at_infinity(fw: Framework) -> bool:
 
     d^T Q d is linear in the entries Q_ab, a <= b, with coefficients the
     products d_a d_b, so such a Q exists exactly when the |E| x r(r+1)/2
-    matrix of these products has a kernel. The lifted points are scaled to
-    integers by one common denominator, the lcm of their factors l, which
-    scales every row alike, and the rank of the integer rows is read off
-    one ``_cofactor_basis`` pass.
+    matrix of these products has a kernel. Each edge's direction is scaled
+    to integers on its own: over the lifted points L = l (p, 1),
+    l_j L_i - l_i L_j = l_i l_j (p_i - p_j), so its row is scaled by the
+    positive (l_i l_j)^2, which leaves the rank unchanged, and the rank of
+    the integer rows is read off one ``_cofactor_basis`` pass.
 
     The edges of an r-simplex alone have full rank: Q vanishing on e_i and
     on e_i - e_j for a basis e vanishes on every product. So once a Gale
@@ -357,11 +358,10 @@ def _no_conic_at_infinity(fw: Framework) -> bool:
     the theorem's own hypothesis, checked on the framework.
     """
     r, lifted = fw.dim, fw._lifted
-    ints = _scaled_points(lifted, math.lcm(*[p[-1] for p in lifted]))
     pairs = [(a, b) for a in range(r) for b in range(a, r)]
     rows = ([d[a] * d[b] for a, b in pairs]
-            for d in ([x - y for x, y in zip(ints[u - 1], ints[w - 1])]
-                      for u, w in fw.graph.edges))
+            for d in ([q[-1] * x - p[-1] * y for x, y in zip(p[:-1], q[:-1])]
+                      for p, q in ((lifted[u - 1], lifted[w - 1]) for u, w in fw.graph.edges)))
     return _cofactor_basis(rows, len(pairs))[2] == len(pairs)
 
 

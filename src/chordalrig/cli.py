@@ -49,10 +49,10 @@ from .jsonio import (
     certificate_to_obj,
     framework_from_obj,
     framework_to_obj,
+    gale_to_lists,
     graph_from_obj,
     load_framework,
     load_stress,
-    matrix_to_lists,
     rational_str,
     read_json,
     render_json,
@@ -255,7 +255,7 @@ def gale(framework_file, triangular, output):
             z = gale_matrix(fw)
     except (CertifyError, FrameworkError, GraphError, ExactMatError) as exc:
         _fail(exc, EXIT_HYPOTHESIS)
-    _emit(matrix_to_lists, z.matrix, output)
+    _emit(gale_to_lists, z, output)
 
 
 @main.command()

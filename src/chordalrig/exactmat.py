@@ -11,7 +11,7 @@ they can.
   block step at a zero pivot over a nonzero row, so it always completes.
   ``certify.psdize_stress`` hands it its input stress S as the integer
   rows of a congruent matrix M = C S C, C a positive integer diagonal
-  (``_congruent_rows``, or ``framework._gram_rows`` for a Gram stress),
+  (``_congruent_rows`` over S's nonzero entries, however S was built),
   and ``validate_stress_matrix`` hands it S's own rows; no stress that
   ``certify`` builds is eliminated again. Every division goes through
   ``_quotient``, which keeps an exact quotient an int. One pass decides
@@ -24,9 +24,10 @@ they can.
   Bareiss step that extends a run of integer rows (cleared of
   denominators by ``_integer_row``) and keeps the basis of the vectors
   orthogonal to it. ``_cofactor_basis`` pushes whole rows through it, for
-  the rank of a matrix that is not symmetric (``rank``), the framework's
-  span check and affine independence, and the one dependency that gives
-  a Gale column. The general-position sweep shares one basis per prefix
+  the rank of a stress that is not symmetric (on its rows cleared of
+  denominators, read off its congruent rows), the framework's span check
+  and affine independence, and the one dependency that gives a Gale
+  column. The general-position sweep shares one basis per prefix
   of its subsets instead. ``_integer_kernel`` pushes columns through it
   for the pivot columns of the reduced row echelon form, and one
   ``_cofactor_basis`` per free column for its kernel column, all in
@@ -417,9 +418,9 @@ def _sparse_factor(rows: SparseRows, order: Sequence[int],
     Fraction, so the pass is exact either way. On a row of ints, with g
     the gcd of p and the row, f_u a_vw = (a_uv / g)(a_vw / g) t for
     t = g / (p / g), one quotient per step. When t is an int no update
-    divides at all: on a Gram stress W W^T along the ordering its factor
-    W was built in (``framework._gram_rows``), row v holds W_vk w_k at step
-    k, so g = |W_vk| h and t = h^2, h the gcd of the column w_k.
+    divides at all: on the congruent rows of a Gram stress Z Z^T along an
+    ordering Z is unit-triangular in, pivot k is c_v^2 and row v holds the
+    c_v c_w z_wk, so t is an int whenever every c_w z_wk is one.
     Otherwise each update is the quotient of (a_uv / g)(a_vw / g) t_num by
     t_den, an int whenever it is exact. On a row that holds a Fraction,
     each f_u is one quotient and each update the product f_u a_vw.
@@ -483,7 +484,8 @@ def _sparse_factor(rows: SparseRows, order: Sequence[int],
 def rank(a: Matrix) -> int:
     """Rank, by ``_cofactor_basis`` over the rows cleared of denominators
     (``_integer_row``), or over their columns when there are more columns
-    than rows: the basis then starts with min(rows, cols) vectors."""
+    than rows: the basis then starts with min(rows, cols) vectors. No
+    library path runs it; the bench harness does."""
     rows = [_integer_row(row)[0] for row in a.data]
     if a.cols > a.rows:
         rows = list(zip(*rows))

@@ -7,8 +7,9 @@ stacks each point over a row of ones; its kernel (the Gale space) carries
 all stress matrices: S is a stress exactly when it is symmetric, kills the
 extended configuration, and vanishes on non-edges. A Gale matrix Z, whose
 columns span the Gale space, is held as integer columns (``GaleColumns``,
-each column of Z over its pivot entry), and so is the Gram stress Z Z^T;
-their Fraction matrices are views, built when first read.
+each column of Z over its pivot entry), and so is the Gram stress Z Z^T
+until its entries are read; each entry is then summed over the columns
+that meet it alone. Fraction matrices are views, built when first read.
 
 Affine independence is decided on the points lifted to integer rows
 l (p, 1), which a ``Framework`` computes once and keeps for every integer
@@ -49,7 +50,6 @@ from .exactmat import (
     _sparse_factor,
     _sparse_rows,
     _unit_rows,
-    rank,
 )
 from .graphs import Graph, Ordering, gen_ktree
 
@@ -379,58 +379,58 @@ def verify_equilibrium_stress(fw: Framework, omega: StressWeights
     return True, None
 
 
-def _gram_rows(columns: GaleColumns, n: int) -> tuple[SparseRows, list[int]]:
-    """The Gram product S = Z Z^T of integer Gale columns, as the integer
-    sparse rows of the congruent matrix M = C S C and the diagonal c of C.
-
-    Column j of Z is w_j / d_j, with d_j the pivot entry of w_j, the lcm
-    of the denominators of that column of Z. c_u is the lcm of the d_j of
-    the columns that hold u, so W = C Z, W_uj = w_u c_u / d_j, is integral
-    and M = W W^T is summed in integers, one column's outer product at a
-    time; no Fraction is made. An entry whose terms cancel is kept, as
-    zero.
-
-    When the columns are unit-triangular along an ordering, as the Gale
-    columns along the PEO that built them are, elimination of M along that
-    ordering (``exactmat._sparse_factor``) stays in integers: column j is
-    zero at the vertices v_1, ..., v_{j-1} of the earlier positions, so at
-    step k the entries left are those of the sum of w_j w_j^T over j >= k,
-    row v_k holds W_{v_k k} w_k, and every quotient M_ik M_kj / M_kk is
-    the integer W_ik W_jk.
+def _gram_entries(columns: GaleColumns, n: int) -> SparseRows:
+    """The nonzero entries of the Gram product S = Z Z^T of integer Gale
+    columns (``GaleColumns``) of n vertices, {row: {column: Fraction}},
+    every row from 0 to n-1 present in order. Column j of Z is w_j / d_j,
+    d_j the pivot entry of w_j, so S_uw sums w_uj w_wj / d_j^2 over the
+    columns j that hold both u and w: in integers over the lcm of those
+    d_j^2 alone (``_integer_sum``). An entry whose terms cancel is left out.
     """
-    divisors = [next(iter(col.values())) for col in columns]
-    scale = [1] * n
-    for col, d in zip(columns, divisors):
-        for u in col:
-            scale[u] = math.lcm(scale[u], d)
+    terms: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for col in columns:
+        items = list(col.items())
+        d2 = items[0][1] ** 2
+        for k, (u, a) in enumerate(items):
+            for w, b in items[k:]:
+                terms.setdefault((u, w) if u <= w else (w, u), []).append((a * b, d2))
     rows: SparseRows = {v: {} for v in range(n)}
-    for col, d in zip(columns, divisors):
-        ints = [(u, a * (scale[u] // d)) for u, a in col.items()]
-        for k, (u, a) in enumerate(ints):
-            urow = rows[u]
-            for w, b in ints[k:]:
-                x = urow.get(w, 0) + a * b
-                urow[w] = rows[w][u] = x
-    return rows, scale
+    for (u, w), pairs in terms.items():
+        num, den = _integer_sum(pairs)
+        if num:
+            rows[u][w] = rows[w][u] = Fraction(num, den)
+    return rows
+
+
+def _integer_sum(pairs: list[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of the x / d of the pairs (x, d), d > 0, as one pair over
+    the lcm of the d, added pairwise in rounds: a balanced tree, so the
+    long entries of a vertex that many columns meet are not summed term
+    after term."""
+    while len(pairs) > 1:
+        sums = []
+        for (x, d), (y, e) in zip(pairs[::2], pairs[1::2]):
+            g = math.gcd(d, e)
+            sums.append((x * (e // g) + y * (d // g), d // g * e))
+        pairs = sums + pairs[2 * len(sums):]
+    return pairs[0]
 
 
 class StressMatrix:
     """Symmetric n x n matrix that kills the extended configuration and
     vanishes on non-edges; diagonal entries are the incident weight sums.
 
-    A stress S is held by its ``congruent`` form: the integer sparse rows
-    of M = C S C (0-based, every index from 0 to n-1 present) and the
-    diagonal c of C, positive integers. Two read-only views come from it:
-    ``nonzero_rows()``, the nonzero entries S_uw = M_uw / (c_u c_w), and
-    the dense ``matrix``. Each of the three is built on first read and
-    then kept, from what a constructor holds: ``StressMatrix(matrix)``
-    keeps ``matrix`` and its nonzero entries, and ``from_rows`` its sparse
-    rows, and for both ``congruent`` takes c_u as the lcm of the
-    denominators of row u (``exactmat._congruent_rows``) when first read;
-    ``from_gale_columns`` keeps integer Gale columns, and ``congruent``
-    sums their Gram product (``_gram_rows``) when first read. Stresses
-    compare and hash by value: stored zeros and the choice of C do not
-    count.
+    A stress S is its nonzero entries, ``nonzero_rows()``: {row: {column:
+    value}}, 0-based, every index from 0 to n-1 present, no zero stored.
+    Two read-only views come from them: ``congruent``, the integer sparse
+    rows of M = C S C and the diagonal c of C, c_u the lcm of the
+    denominators of row u (``exactmat._congruent_rows``), and the dense
+    ``matrix``. Each is built on first read and then kept, from what a
+    constructor holds: ``StressMatrix(matrix)`` keeps ``matrix`` and its
+    nonzero entries, ``from_rows`` its sparse rows, and
+    ``from_gale_columns`` integer Gale columns, whose Gram entries are
+    summed (``_gram_entries``) when first read. Stresses compare and hash
+    by n and their nonzero entries.
     """
 
     __slots__ = ("n", "_columns", "_congruent", "_rows", "_matrix")
@@ -466,8 +466,7 @@ class StressMatrix:
     @property
     def congruent(self) -> tuple[SparseRows, Sequence[int]]:
         if self._congruent is None:
-            self._congruent = (_congruent_rows(self._rows) if self._columns is None
-                               else _gram_rows(self._columns, self.n))
+            self._congruent = _congruent_rows(self.nonzero_rows())
         return self._congruent
 
     @property
@@ -485,24 +484,13 @@ class StressMatrix:
     def nonzero_rows(self) -> SparseRows:
         """The nonzero entries of S as {row: {column: value}}, 0-based."""
         if self._rows is None:
-            rows, scale = self.congruent
-            self._rows = {u: {w: Fraction(x, scale[u] * scale[w]) for w, x in row.items() if x}
-                          for u, row in rows.items()}
+            self._rows = _gram_entries(self._columns, self.n)
         return self._rows
 
     def __eq__(self, other):
         if not isinstance(other, StressMatrix):
             return NotImplemented
-        (a, c), (b, d) = self.congruent, other.congruent
-        if len(c) != len(d):
-            return False
-        for u in range(len(c)):
-            ra = {w: x for w, x in a[u].items() if x}
-            rb = {w: x for w, x in b[u].items() if x}
-            if ra.keys() != rb.keys() or any(x * d[u] * d[w] != rb[w] * c[u] * c[w]
-                                             for w, x in ra.items()):
-                return False
-        return True
+        return self.n == other.n and self.nonzero_rows() == other.nonzero_rows()
 
     def __hash__(self):
         return hash((self.n, frozenset((u, w, x) for u, row in self.nonzero_rows().items()
@@ -602,10 +590,9 @@ def _stress_clauses(fw: Framework, rows: SparseRows, scale: Sequence[int]
     exactly when sum_u (M_uw c_w / (c_u l_u)) L_u = 0 (``_in_gale_space``),
     the sum of S_uw (p_u, 1) times c_w^2. Each coefficient is one
     ``_quotient``, an int whenever c_u l_u divides M_uw c_w. At integer
-    points (l_u = 1) it does on a Gram stress (``_gram_rows``: c_u and c_w
-    carry every d_j of a column holding both u and w) and on the congruent
-    rows of a symmetric matrix (``exactmat._congruent_rows``: c_w S_wu is
-    an integer). A symmetric M's columns are its rows.
+    points (l_u = 1) it does whenever S is symmetric, since c_w S_wu is an
+    integer (``exactmat._congruent_rows``). A symmetric M's columns are its
+    rows.
 
     These clauses check a stress that comes in from outside: the input of
     ``validate_stress_matrix``, ``omega_from_stress`` and
@@ -671,7 +658,8 @@ def validate_stress_matrix(fw: Framework, s: StressMatrix) -> StressReport:
     runs on the matrix's own nonzero entries (``s.nonzero_rows()``): in
     label order it fills in, and each filled entry of C S C would also
     carry the factor c_u c_w. A matrix that is not symmetric gets its rank
-    alone, by ``rank`` on the dense view, and fails both other clauses.
+    alone, by ``_cofactor_basis`` over the congruent rows divided by C's
+    column factors, C S, which has S's rank; it fails both other clauses.
     """
     rows, scale = _sized_congruent(fw, s)
     symmetric, non_edge, kernel_ok = _stress_clauses(fw, rows, scale)
@@ -679,7 +667,9 @@ def validate_stress_matrix(fw: Framework, s: StressMatrix) -> StressReport:
         result = _sparse_factor(s.nonzero_rows(), range(fw.n))
         rk, grp, psd = result.rank, result.generic, result.psd
     else:
-        rk, grp, psd = rank(s.matrix), False, False
+        # M_uw / c_w = c_u S_uw: the rows of S, each cleared on its own scale
+        ints = ([row.get(w, 0) // c for w, c in enumerate(scale)] for row in rows.values())
+        rk, grp, psd = _cofactor_basis(ints, fw.n)[2], False, False
     return StressReport(symmetric, non_edge is None, kernel_ok, rk, grp, psd)
 
 

@@ -15,8 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .certify import Certificate
-from .exactmat import Matrix
-from .framework import Framework, StressMatrix
+from .framework import Framework, GaleMatrix, StressMatrix
 from .graphs import Graph
 
 # Matched against the whole string: a signed numerator, then an optional
@@ -154,8 +153,16 @@ def framework_from_obj(obj, where: str = "framework") -> Framework:
         raise ParseError(str(exc), where) from exc
 
 
-def matrix_to_lists(m: Matrix) -> list[list[str]]:
-    return [[rational_str(x) for x in row] for row in m.data]
+def gale_to_lists(z: GaleMatrix) -> list[list[str]]:
+    """The rows of rational strings of a Gale matrix, written from its
+    integer columns (``GaleMatrix.columns``): x / d at each entry x of a
+    column with pivot entry d, "0" elsewhere; no dense matrix is built."""
+    out = [["0"] * z.rbar for _ in range(z.n)]
+    for j, col in enumerate(z.columns):
+        d = next(iter(col.values()))
+        for u, x in col.items():
+            out[u][j] = rational_str(Fraction(x, d))
+    return out
 
 
 def stress_to_obj(s: StressMatrix) -> dict:

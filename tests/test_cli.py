@@ -29,7 +29,6 @@ from chordalrig.jsonio import (
     framework_to_obj,
     graph_to_obj,
     load_framework,
-    matrix_to_lists,
     stress_to_obj,
     write_json,
 )
@@ -363,12 +362,12 @@ class TestGale:
     def test_triangular_frozen(self, runner, files, hexagon):
         result = runner.invoke(main, ["gale", files["hexagon"], "--triangular"])
         assert result.exit_code == 0
-        assert json.loads(result.output) == matrix_to_lists(hexagon.gale)
+        assert json.loads(result.output) == helpers.rational_lists(hexagon.gale)
 
     def test_default_kernel_basis(self, runner, files, hexagon):
         result = runner.invoke(main, ["gale", files["hexagon"]])
         assert result.exit_code == 0
-        expected = matrix_to_lists(gale_matrix(hexagon.fw).matrix)
+        expected = helpers.rational_lists(gale_matrix(hexagon.fw).matrix)
         assert json.loads(result.output) == expected
 
     def test_triangular_needs_chordal(self, runner, files):
@@ -387,7 +386,7 @@ class TestGale:
         relabelled = Framework(graph, 2, points)
         path = tmp_path / "relabelled.json"
         write_json(path, framework_to_obj(relabelled))
-        expected = matrix_to_lists(
+        expected = helpers.rational_lists(
             unit_triangular_gale(relabelled, is_chordal(graph).peo).matrix)
         calls = helpers.spy_order_calls(monkeypatch)
         results = {}

@@ -26,6 +26,7 @@ import pytest
 from helpers import (
     gale_fractions,
     gale_stress,
+    identity,
     reference_sparse_factor,
     scaled_matrix,
     spy_matrix_shapes,
@@ -256,7 +257,7 @@ class TestGramStress:
                 result = _sparse_factor(rows, order, scale)
                 assert (result.rank, result.psd) == (fw.rbar, True)
             z = unit_triangular_gale(fw, other)
-            assert stress == gale_stress(fw, z, Matrix.identity(fw.rbar))
+            assert stress == gale_stress(fw, z, identity(fw.rbar))
         assert any(type(x) is Fraction for x in entries)
 
 
@@ -298,10 +299,11 @@ class TestLazyStress:
             assert omega_from_stress(fw, cert.stress) == omega_from_stress(fw, dense)
 
     def test_equality_ignores_stored_zeros_and_the_scale(self):
-        # Z = [[1, 1], [1/2, -1/2]]: the Gram sum stores the cancelled
-        # entry (0, 1) as zero, under C = diag(2, 2) where b takes (1, 2)
+        # Z = [[1, 1], [1/2, -1/2]]: the Gram sum leaves out the cancelled
+        # entry (0, 1), so C = diag(1, 2), as for b
         a = StressMatrix.from_gale_columns([{0: 2, 1: 1}, {0: 2, 1: -1}], 2)
-        assert a.congruent == ({0: {0: 8, 1: 0}, 1: {0: 0, 1: 2}}, [2, 2])
+        assert a.nonzero_rows() == {0: {0: 2}, 1: {1: F(1, 2)}}
+        assert a.congruent == ({0: {0: 2}, 1: {1: 2}}, [1, 2])
         b = StressMatrix.from_rows({0: {0: F(2)}, 1: {1: F(1, 2)}})
         c = StressMatrix.from_rows({0: {0: F(2)}, 1: {1: F(1, 3)}})
         d = StressMatrix(Matrix([[2, 0], [0, F(1, 2)]]))
@@ -318,15 +320,15 @@ class TestLazyStress:
     def test_equal_stresses_hash_alike(self, hexagon, tmp_path):
         """a == b implies hash(a) == hash(b) across every route a stress is
         built by: from a dense matrix, from sparse rows, from integer Gale
-        columns, whose C differs and whose cancelled entries are stored as
-        zeros, and loaded from a file."""
+        columns, whose cancelled entries are left out, and loaded from a
+        file."""
         rng = random.Random(8)
         hexagon_columns = certify._gale_columns(hexagon.fw, Ordering.identity(6))
         # z_0 + z_2, z_1 and z_0 - z_2 of the hexagon's Z: their Gram sum
         # cancels at (1, 5), (1, 6) and (2, 6)
         cancelling = [{0: 2, 1: -2, 2: 1, 3: -1, 4: -4, 5: 4}, {1: 1, 2: -1, 3: -1, 4: 1},
                       {0: 2, 1: -2, 2: -3, 3: 3, 4: 4, 5: -4}]
-        assert StressMatrix.from_gale_columns(cancelling, 6).congruent[0][0][4] == 0
+        assert 4 not in StressMatrix.from_gale_columns(cancelling, 6).nonzero_rows()[0]
         stresses = [(scaled_matrix(hexagon.stress, F(1, 6)), None),
                     (hexagon.psd, hexagon_columns),
                     (dense_gram(gale_fractions(cancelling), 6), cancelling)]
@@ -361,7 +363,10 @@ class TestLazyStress:
     def test_n3000_r4_within_seconds_without_summing_the_stress(self, monkeypatch):
         """The Gram product is summed only when the stress is read, so a
         certificate at n=3000, r=4 costs its Gale columns and the conic
-        check alone."""
+        check alone. The first read then sums each entry on its own scale
+        (``framework._gram_entries``), within seconds too; the rows of the
+        first and last vertices of the PEO are checked against the sum of
+        the columns as Fractions."""
         rng = random.Random(0)
         g = gen_ktree(3000, 5, 0)
         fw = Framework(g, 4, [[rng.randint(-10**6, 10**6) for _ in range(4)]
@@ -369,12 +374,25 @@ class TestLazyStress:
 
         def forbidden(*args):
             raise AssertionError("the stress was summed")
-        monkeypatch.setattr(framework, "_gram_rows", forbidden)
+        monkeypatch.setattr(framework, "_gram_entries", forbidden)
         start = time.perf_counter()
         cert = certify_chordal(fw)
         elapsed = time.perf_counter() - start
         assert cert.verdict is Verdict.UNIVERSALLY_RIGID and cert.stress.n == 3000
         assert elapsed < 5.0, f"certify_chordal took {elapsed:.1f}s"
+        monkeypatch.undo()
+        start = time.perf_counter()
+        rows = cert.stress.nonzero_rows()
+        elapsed = time.perf_counter() - start
+        assert elapsed < 5.0, f"the first read of the stress took {elapsed:.1f}s"
+        columns = gale_fractions(certify._gale_columns(fw, cert.peo))
+        for u in (cert.peo.vertex_at(1) - 1, cert.peo.vertex_at(3000) - 1):
+            expected = {}
+            for col in columns:
+                if u in col:
+                    for w, x in col.items():
+                        expected[w] = expected.get(w, 0) + col[u] * x
+            assert rows[u] == {w: x for w, x in expected.items() if x}
 
     def test_repr_names_the_size_and_sums_no_stress(self, monkeypatch):
         """The repr of a stress or a Gale matrix names its size, as that of
@@ -387,7 +405,7 @@ class TestLazyStress:
 
         def forbidden(*args):
             raise AssertionError("the stress was summed")
-        monkeypatch.setattr(framework, "_gram_rows", forbidden)
+        monkeypatch.setattr(framework, "_gram_entries", forbidden)
         cert = certify_chordal(fw)
         text = repr(cert)
         assert "stress=StressMatrix(n=2000)" in text and len(text) < 10 * fw.n

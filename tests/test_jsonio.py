@@ -6,11 +6,17 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from helpers import rational_lists, rational_points_framework, spy_matrix_shapes
 from chordalrig import jsonio
-from chordalrig.certify import certify_chordal
+from chordalrig.certify import certify_chordal, unit_triangular_gale
 from chordalrig.exactmat import Matrix
-from chordalrig.framework import Framework, StressMatrix
-from chordalrig.graphs import Graph
+from chordalrig.framework import (
+    Framework,
+    StressMatrix,
+    gale_matrix,
+    random_general_position_framework,
+)
+from chordalrig.graphs import Graph, is_chordal
 from chordalrig.jsonio import (
     MAX_VERTICES,
     InputTooLarge,
@@ -18,11 +24,11 @@ from chordalrig.jsonio import (
     certificate_to_obj,
     framework_from_obj,
     framework_to_obj,
+    gale_to_lists,
     graph_from_obj,
     graph_to_obj,
     load_framework,
     load_stress,
-    matrix_to_lists,
     parse_rational,
     rational_str,
     read_json,
@@ -209,9 +215,28 @@ class TestFrameworkObj:
             framework_from_obj(obj)
 
 
+class TestGaleLists:
+    def test_the_dense_view_written_from_the_columns(self, monkeypatch):
+        """The rows ``gale_to_lists`` writes from the integer columns are the
+        dense view's entries as rational strings, for the canonical and the
+        unit-triangular Gale matrices of seeded frameworks with integer and
+        rational points, r = 1..3; no ``Matrix`` is built on the way."""
+        rng = random.Random("gale-lists")
+        for r in (1, 2, 3):
+            for fw in (random_general_position_framework(rng.randint(r + 2, r + 9), r,
+                                                         rng.randrange(10_000)),
+                       rational_points_framework(rng, rng.randint(r + 2, r + 9), r)):
+                for z in (gale_matrix(fw), unit_triangular_gale(fw, is_chordal(fw.graph).peo)):
+                    shapes = spy_matrix_shapes(monkeypatch)
+                    rows = gale_to_lists(z)
+                    assert shapes == []
+                    monkeypatch.undo()
+                    assert rows == rational_lists(z.matrix)
+
+
 class TestMatrixObj:
     def test_round_trip(self, hexagon):
-        lists = matrix_to_lists(hexagon.stress)
+        lists = rational_lists(hexagon.stress)
         assert stress_matrix_from_obj({"n": 6, "matrix": lists}) == StressMatrix(hexagon.stress)
         assert all(isinstance(x, str) for row in lists for x in row)
 

@@ -26,7 +26,7 @@ import pytest
 
 import helpers
 import oracles
-from helpers import determinant, gauss_step_sequence, psd_check
+from helpers import determinant, gauss_step_sequence, identity, psd_check, rank
 from chordalrig import certify, exactmat, framework
 from chordalrig.certify import (
     AssertionFailure,
@@ -45,7 +45,6 @@ from chordalrig.exactmat import (
     _integer_row,
     _sparse_factor,
     _sparse_rows,
-    rank,
 )
 from chordalrig.framework import (
     Framework,
@@ -381,7 +380,7 @@ class TestColumnCheck:
         assert res.gale.columns == HEXAGON_COLUMNS
         assert certify._check_gale_columns(hexagon.fw, HEXAGON_COLUMNS,
                                            Ordering.identity(6)) is None
-        dense = helpers.gale_stress(hexagon.fw, hexagon.gale, Matrix.identity(3))
+        dense = helpers.gale_stress(hexagon.fw, hexagon.gale, identity(3))
         assert StressMatrix.from_gale_columns(HEXAGON_COLUMNS, 6) == dense
 
     @pytest.mark.parametrize("columns, message", [
@@ -491,8 +490,8 @@ def combine(a, b, t):
 
 
 class TestGramSum:
-    """``framework._gram_rows`` sums in integers; its entries must be those
-    of the dense product Z Z^T."""
+    """``framework._gram_entries`` sums each entry in integers on its own
+    scale; its entries must be those of the dense product Z Z^T."""
 
     def test_gale_columns_match_the_dense_product(self):
         rng = random.Random(21)
@@ -527,6 +526,14 @@ class TestGramSum:
             seen.add(("mixed", mixes_scales(fractions)))
         assert {("non-unit", True), ("mixed", True)} <= seen
 
+    def test_each_sum_is_over_the_lcm_of_its_own_denominators(self):
+        rng = random.Random(4)
+        for k in range(1, 40):
+            pairs = [(rng.randint(-50, 50), rng.randint(1, 30) ** 2) for _ in range(k)]
+            num, den = framework._integer_sum(pairs)
+            assert den == math.lcm(*[d for _, d in pairs])
+            assert F(num, den) == sum(F(x, d) for x, d in pairs)
+
     def test_cancelled_entries_are_zero(self, hexagon):
         z = hexagon_columns(hexagon)
         # (z0 + z2)(z0 + z2)^T + (z0 - z2)(z0 - z2)^T = 2 z0 z0^T + 2 z2 z2^T:
@@ -534,11 +541,11 @@ class TestGramSum:
         # zero on the non-edges {1,5}, {1,6}, {2,6}
         columns = [combine(z[0], z[2], 1), z[1], combine(z[0], z[2], -1)]
         expected = dense_gram(columns, 6)
-        rows, _ = framework._gram_rows(integer_columns(columns), 6)
+        rows = framework._gram_entries(integer_columns(columns), 6)
         for u, w in ((0, 4), (0, 5), (1, 5)):
             assert columns[0][u] * columns[0][w] != 0
             assert expected[u, w] == 0
-            assert rows[u].get(w, 0) == 0 == rows[w].get(u, 0)
+            assert w not in rows[u] and u not in rows[w]
         stress = StressMatrix.from_gale_columns(integer_columns(columns), 6)
         assert stress.matrix == expected
 
@@ -573,7 +580,7 @@ class TestColumnChecksGiveEveryClause:
                 assert rep.is_stress_matrix and rep.failures() == []
                 assert rep.psd and rep.rank == fw.rbar
                 oracle = unit_triangular_gale(fw, peo)
-                assert stress == helpers.gale_stress(fw, oracle, Matrix.identity(fw.rbar))
+                assert stress == helpers.gale_stress(fw, oracle, identity(fw.rbar))
                 seen.add((r, i % 8 < 4, peo != Ordering.identity(n)))
         assert {(r, integer, True) for r in (1, 2, 3, 4) for integer in (True, False)} <= seen
 

@@ -17,6 +17,7 @@ into PSD ones.
 import json
 import random
 import re
+import time
 from collections import Counter
 from fractions import Fraction as F
 
@@ -198,6 +199,22 @@ class TestConicAtInfinity:
         assert seen["later column fails"]
 
 
+    def test_rational_points_certified_within_a_second(self):
+        """Each edge direction is scaled to integers on its own, not by one
+        denominator common to every point, so rational points with
+        denominators up to 10^6 keep the check cheap: n=300 in R^4 is
+        certified within a second."""
+        rng = random.Random(0)
+        g = gen_ktree(300, 5, 0)
+        fw = Framework(g, 4, [[F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+                               for _ in range(4)] for _ in range(g.n)])
+        start = time.perf_counter()
+        cert = certify_chordal(fw)
+        elapsed = time.perf_counter() - start
+        assert cert.verdict is Verdict.UNIVERSALLY_RIGID
+        assert elapsed < 1.0, f"certify_chordal took {elapsed:.1f}s"
+
+
 def _check_witness(fw, cert):
     """An Inconclusive verdict names r+1 points that sympy finds affinely
     dependent."""
@@ -246,7 +263,7 @@ class TestNotInGeneralPosition:
             assert _triangular_violation(z.columns, fw.graph, cert.peo) is None
             p = helpers.extended_config_matrix(fw)
             assert p * z.matrix == helpers.zeros(fw.dim + 1, fw.rbar)
-            assert helpers.gale_stress(fw, z, Matrix.identity(fw.rbar)) == cert.stress
+            assert helpers.gale_stress(fw, z, helpers.identity(fw.rbar)) == cert.stress
         assert seen == {Verdict.UNIVERSALLY_RIGID: 51, Verdict.INCONCLUSIVE: 9}
 
     def test_counterexamples_of_moved_r_trees(self):
