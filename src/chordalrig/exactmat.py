@@ -24,10 +24,9 @@ they can.
   Bareiss step that extends a run of integer rows (cleared of
   denominators by ``_integer_row``) and keeps the basis of the vectors
   orthogonal to it. ``_cofactor_basis`` pushes whole rows through it, for
-  the rank of a stress that is not symmetric (on its rows cleared of
-  denominators, read off its congruent rows), the framework's span check
-  and affine independence, and the one dependency that gives a Gale
-  column. The general-position sweep shares one basis per prefix
+  the rank of a matrix that is not symmetric (``rank``), the framework's
+  span check and affine independence, and the one dependency that gives
+  a Gale column. The general-position sweep shares one basis per prefix
   of its subsets instead. ``_integer_kernel`` pushes columns through it
   for the pivot columns of the reduced row echelon form, and one
   ``_cofactor_basis`` per free column for its kernel column, all in
@@ -484,8 +483,7 @@ def _sparse_factor(rows: SparseRows, order: Sequence[int],
 def rank(a: Matrix) -> int:
     """Rank, by ``_cofactor_basis`` over the rows cleared of denominators
     (``_integer_row``), or over their columns when there are more columns
-    than rows: the basis then starts with min(rows, cols) vectors. No
-    library path runs it; the bench harness does."""
+    than rows: the basis then starts with min(rows, cols) vectors."""
     rows = [_integer_row(row)[0] for row in a.data]
     if a.cols > a.rows:
         rows = list(zip(*rows))

@@ -50,6 +50,7 @@ from .exactmat import (
     _sparse_factor,
     _sparse_rows,
     _unit_rows,
+    rank,
 )
 from .graphs import Graph, Ordering, gen_ktree
 
@@ -658,8 +659,7 @@ def validate_stress_matrix(fw: Framework, s: StressMatrix) -> StressReport:
     runs on the matrix's own nonzero entries (``s.nonzero_rows()``): in
     label order it fills in, and each filled entry of C S C would also
     carry the factor c_u c_w. A matrix that is not symmetric gets its rank
-    alone, by ``_cofactor_basis`` over the congruent rows divided by C's
-    column factors, C S, which has S's rank; it fails both other clauses.
+    alone, by ``rank`` on the dense view, and fails both other clauses.
     """
     rows, scale = _sized_congruent(fw, s)
     symmetric, non_edge, kernel_ok = _stress_clauses(fw, rows, scale)
@@ -667,9 +667,7 @@ def validate_stress_matrix(fw: Framework, s: StressMatrix) -> StressReport:
         result = _sparse_factor(s.nonzero_rows(), range(fw.n))
         rk, grp, psd = result.rank, result.generic, result.psd
     else:
-        # M_uw / c_w = c_u S_uw: the rows of S, each cleared on its own scale
-        ints = ([row.get(w, 0) // c for w, c in enumerate(scale)] for row in rows.values())
-        rk, grp, psd = _cofactor_basis(ints, fw.n)[2], False, False
+        rk, grp, psd = rank(s.matrix), False, False
     return StressReport(symmetric, non_edge is None, kernel_ok, rk, grp, psd)
 
 

@@ -3,12 +3,11 @@ tests.
 
 The generators build inputs with the library's own constructors (that part
 is not under test here); the properties asserted about the outputs are
-always checked against oracles or frozen values. ``zeros``, ``identity``
-and ``extended_config_matrix`` build the zero matrix, the identity and the
-matrix whose kernel is the Gale space, and ``gale_stress`` builds the
-stress Z Psi Z^T of a chosen Psi. The small dense helpers
-``submatrix``, ``scaled_matrix``, ``rank`` (the dense rank that tests
-take as an oracle) and ``rational_lists`` (a matrix written entry by
+always checked against oracles or frozen values. ``zeros`` and
+``extended_config_matrix`` build the zero matrix and the matrix whose
+kernel is the Gale space, and ``gale_stress`` builds the stress
+Z Psi Z^T of a chosen Psi. The small dense helpers ``submatrix``,
+``scaled_matrix`` and ``rational_lists`` (a matrix written entry by
 entry as rational strings) serve the tests and the reference routines;
 the library needs none of them. The brute-force checks (leading
 minors, all square submatrices, the zero pattern through dense
@@ -54,7 +53,6 @@ from chordalrig.exactmat import (
     DimensionMismatch,
     ExactMatError,
     SparseRows,
-    _cofactor_basis,
     _cofactor_step,
     _integer_row,
     _schur_update,
@@ -149,20 +147,6 @@ def relabelled(rng, fw):
 
 def zeros(rows: int, cols: int) -> Matrix:
     return Matrix([[0] * cols for _ in range(rows)], shape=(rows, cols))
-
-
-def identity(n: int) -> Matrix:
-    return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-
-def rank(a: Matrix) -> int:
-    """Rank, by ``_cofactor_basis`` over the rows cleared of denominators
-    (``_integer_row``), or over their columns when there are more columns
-    than rows: the basis then starts with min(rows, cols) vectors."""
-    rows = [_integer_row(row)[0] for row in a.data]
-    if a.cols > a.rows:
-        rows = list(zip(*rows))
-    return _cofactor_basis(rows, min(a.rows, a.cols))[2]
 
 
 def rational_lists(m: Matrix) -> list[list[str]]:

@@ -17,11 +17,10 @@ from helpers import (
     elimination_preserves_zero_pattern,
     leading_principal_minor,
     psd_check,
-    rank,
     relabel_to_positions,
 )
 from chordalrig.certify import certify_chordal, psdize_stress
-from chordalrig.exactmat import Matrix, _sparse_factor, _sparse_rows
+from chordalrig.exactmat import Matrix, _sparse_factor, _sparse_rows, rank
 from chordalrig.framework import (
     StressMatrix,
     is_general_position,

@@ -7,13 +7,7 @@ import pytest
 
 import helpers
 import oracles
-from helpers import (
-    elimination_preserves_zero_pattern,
-    identity,
-    psd_check,
-    rank,
-    relabel_to_positions,
-)
+from helpers import elimination_preserves_zero_pattern, psd_check, relabel_to_positions
 from chordalrig import certify
 from chordalrig.certify import (
     AssertionFailure,
@@ -32,7 +26,7 @@ from chordalrig.certify import (
     reflection_counterexample,
     unit_triangular_gale,
 )
-from chordalrig.exactmat import DimensionMismatch, Matrix
+from chordalrig.exactmat import DimensionMismatch, Matrix, rank
 from chordalrig.framework import (
     DegenerateSpan,
     Framework,
@@ -125,7 +119,7 @@ def gram_stress(fw, peo):
     ``certify_chordal`` builds it, and the dense Z Z^T of the same Z."""
     s = StressMatrix.from_gale_columns(certify._gale_columns(fw, peo), fw.n)
     z = unit_triangular_gale(fw, peo)
-    return s, helpers.gale_stress(fw, z, identity(z.rbar))
+    return s, helpers.gale_stress(fw, z, Matrix.identity(z.rbar))
 
 
 class TestGramStressOfGaleColumns:

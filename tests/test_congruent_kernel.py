@@ -26,7 +26,6 @@ import pytest
 from helpers import (
     gale_fractions,
     gale_stress,
-    identity,
     reference_sparse_factor,
     scaled_matrix,
     spy_matrix_shapes,
@@ -257,7 +256,7 @@ class TestGramStress:
                 result = _sparse_factor(rows, order, scale)
                 assert (result.rank, result.psd) == (fw.rbar, True)
             z = unit_triangular_gale(fw, other)
-            assert stress == gale_stress(fw, z, identity(fw.rbar))
+            assert stress == gale_stress(fw, z, Matrix.identity(fw.rbar))
         assert any(type(x) is Fraction for x in entries)
 
 

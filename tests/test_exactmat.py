@@ -19,10 +19,8 @@ from helpers import (
     extended_config_matrix,
     gauss_step_sequence,
     gauss_steps,
-    identity,
     leading_principal_minor,
     psd_check,
-    rank,
     zeros,
 )
 from chordalrig.exactmat import (
@@ -34,6 +32,7 @@ from chordalrig.exactmat import (
     _sparse_factor,
     _sparse_rows,
     _unit_rows,
+    rank,
 )
 
 F = Fraction
@@ -132,7 +131,7 @@ class TestMatrix:
 
 class TestGaussSteps:
     def test_identity_fixed_point(self):
-        assert gauss_step_sequence(identity(3), 2) == identity(3)
+        assert gauss_step_sequence(Matrix.identity(3), 2) == Matrix.identity(3)
 
     def test_hexagon_stress_three_steps(self, hexagon):
         assert gauss_step_sequence(hexagon.stress, 3) == hexagon.eliminated
@@ -243,13 +242,13 @@ class TestLeadingPrincipalMinor:
 
     def test_identity(self):
         for k in range(1, 5):
-            assert leading_principal_minor(identity(4), k) == 1
+            assert leading_principal_minor(Matrix.identity(4), k) == 1
 
     def test_range_enforced(self):
         with pytest.raises(ValueError):
-            leading_principal_minor(identity(2), 3)
+            leading_principal_minor(Matrix.identity(2), 3)
         with pytest.raises(ValueError):
-            leading_principal_minor(identity(2), 0)
+            leading_principal_minor(Matrix.identity(2), 0)
 
     def test_full_size_equals_determinant(self):
         rng = random.Random(5)
@@ -335,7 +334,7 @@ class TestIntegerKernel:
         assert {0, min(rows, cols)} <= ranks
 
     def test_trivial_kernel(self):
-        assert _kernel(identity(3)) == []
+        assert _kernel(Matrix.identity(3)) == []
 
     def test_one_free_variable(self):
         assert _kernel(Matrix([[1, 1]])) == [(1, [-1, 1])]
@@ -470,14 +469,14 @@ class TestAllSquareSubmatrices:
         assert all_square_submatrices_nonsingular(hexagon.psd, 3) == (True, None)
 
     def test_identity_has_zero_entries(self):
-        ok, pair = all_square_submatrices_nonsingular(identity(2), 1)
+        ok, pair = all_square_submatrices_nonsingular(Matrix.identity(2), 1)
         assert not ok
         assert pair == ((1,), (2,))
 
     def test_cap(self):
         with pytest.raises(SizeCapExceeded):
-            all_square_submatrices_nonsingular(identity(6), 3, cap=10)
+            all_square_submatrices_nonsingular(Matrix.identity(6), 3, cap=10)
 
     def test_size_range(self):
         with pytest.raises(DimensionMismatch):
-            all_square_submatrices_nonsingular(identity(2), 3)
+            all_square_submatrices_nonsingular(Matrix.identity(2), 3)

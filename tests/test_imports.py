@@ -9,8 +9,7 @@ listed in the module's ``__all__`` count as used, so re-exports in
 function or class, or a private method or cached property of a top-level
 class, is referenced nowhere in it outside its own definition; when a
 top-level public function of ``exactmat`` is read by no other module but
-``__init__``, whose re-exports are not uses, and by no module of the bench
-harness (``bench/``); and when a public method or
+``__init__``, whose re-exports are not uses; and when a public method or
 property of ``exactmat.Matrix`` is read, as an attribute, nowhere in the
 package outside its own definition and nowhere in the bench harness
 (``bench/``), and likewise for ``framework.StressMatrix`` and
@@ -176,8 +175,6 @@ def unread_public_functions(module: str, sources: dict[str, str]) -> list[str]:
 
 def test_exactmat_keeps_only_what_the_library_runs():
     sources = {p.stem: p.read_text() for p in sorted(SOURCE.glob("*.py"))}
-    # the bench harness reads the package as the member scans below count it
-    sources.update({f"bench/{p.stem}": p.read_text() for p in sorted(BENCH.glob("*.py"))})
     assert unread_public_functions("exactmat", sources) == []
 
 

@@ -26,7 +26,7 @@ import pytest
 
 import helpers
 import oracles
-from helpers import determinant, gauss_step_sequence, identity, psd_check, rank
+from helpers import determinant, gauss_step_sequence, psd_check
 from chordalrig import certify, exactmat, framework
 from chordalrig.certify import (
     AssertionFailure,
@@ -45,6 +45,7 @@ from chordalrig.exactmat import (
     _integer_row,
     _sparse_factor,
     _sparse_rows,
+    rank,
 )
 from chordalrig.framework import (
     Framework,
@@ -380,7 +381,7 @@ class TestColumnCheck:
         assert res.gale.columns == HEXAGON_COLUMNS
         assert certify._check_gale_columns(hexagon.fw, HEXAGON_COLUMNS,
                                            Ordering.identity(6)) is None
-        dense = helpers.gale_stress(hexagon.fw, hexagon.gale, identity(3))
+        dense = helpers.gale_stress(hexagon.fw, hexagon.gale, Matrix.identity(3))
         assert StressMatrix.from_gale_columns(HEXAGON_COLUMNS, 6) == dense
 
     @pytest.mark.parametrize("columns, message", [
@@ -580,7 +581,7 @@ class TestColumnChecksGiveEveryClause:
                 assert rep.is_stress_matrix and rep.failures() == []
                 assert rep.psd and rep.rank == fw.rbar
                 oracle = unit_triangular_gale(fw, peo)
-                assert stress == helpers.gale_stress(fw, oracle, identity(fw.rbar))
+                assert stress == helpers.gale_stress(fw, oracle, Matrix.identity(fw.rbar))
                 seen.add((r, i % 8 < 4, peo != Ordering.identity(n)))
         assert {(r, integer, True) for r in (1, 2, 3, 4) for integer in (True, False)} <= seen
 

@@ -263,7 +263,7 @@ class TestNotInGeneralPosition:
             assert _triangular_violation(z.columns, fw.graph, cert.peo) is None
             p = helpers.extended_config_matrix(fw)
             assert p * z.matrix == helpers.zeros(fw.dim + 1, fw.rbar)
-            assert helpers.gale_stress(fw, z, helpers.identity(fw.rbar)) == cert.stress
+            assert helpers.gale_stress(fw, z, Matrix.identity(fw.rbar)) == cert.stress
         assert seen == {Verdict.UNIVERSALLY_RIGID: 51, Verdict.INCONCLUSIVE: 9}
 
     def test_counterexamples_of_moved_r_trees(self):
