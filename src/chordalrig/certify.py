@@ -48,7 +48,6 @@ from .exactmat import (
     _cofactor_step,
     _integer_kernel,
     _integer_row,
-    _quotient,
     _sparse_factor,
     _unit_rows,
 )
@@ -73,10 +72,12 @@ from .graphs import (
     Ordering,
     _connectivity,
     _later_neighbors,
+    _peo_violation,
     _small_cut,
     components_after_removal,
     is_chordal,
     is_peo,
+    mcs_order,
 )
 
 # Bound on the coefficient search for hyperplanes; unreachable in practice.
@@ -231,15 +232,14 @@ def _gale_columns(fw: Framework, peo: Ordering,
     Column j of Z is 1 at the vertex v in position j and x_k at dim+1 of
     its later neighbours u_k, where sum_k x_k (u_k, 1) = -(v, 1). The
     framework keeps each point lifted to the integer vector L = l (p, 1), l
-    the lcm of its denominators. The dim+1 coordinate rows of the matrix
-    [L_v | L_{u_0} ... L_{u_dim}] go through ``_cofactor_basis``; when they
-    are independent, the one vector y left spans its kernel, so
-    y_v L_v + sum_k y_k L_{u_k} = 0 and x_k = l_{u_k} y_k / (l_v y_v). The
-    entries of y are the maximal minors of that matrix up to sign, so this
-    is Cramer's rule. A dependent row or y_v = 0 means the L_{u_k} are
-    dependent. The column is returned in integers (``GaleColumns``): w_u =
-    l_u y_u over v and the support, divided by its gcd and signed so that
-    w_v > 0, so x_k = w_{u_k} / w_v.
+    the lcm of its denominators, and ``_kernel_vector`` solves for the
+    integer y with y_v L_v + sum_k y_k L_{u_k} = 0 by Cramer's rule on the
+    support's differences from v, one fraction-free elimination over dim
+    rows; then x_k = l_{u_k} y_k / (l_v y_v). The column is returned in
+    integers (``GaleColumns``): w_u = l_u y_u over v and the support,
+    divided by its gcd and signed so that w_v > 0, so x_k = w_{u_k} / w_v;
+    the kernel is one-dimensional, so w is the one primitive affine
+    dependency of v on the support with w_v > 0.
 
     A position with fewer than dim+1 later neighbours raises
     PreconditionViolated. The support is first the dim+1 earliest later
@@ -285,8 +285,11 @@ def _check_gale_columns(fw: Framework, columns: GaleColumns, peo: Ordering) -> N
     on the columns alone; a failure is a bug and raises AssertionFailure.
 
     Each column w is checked to lie in the Gale space, sum_u w_u (p_u, 1) =
-    0, summed as sum_u (w_u / l_u) L_u in integers over the lifted points
-    L_u = l_u (p_u, 1); and the rbar columns to keep the triangular shape
+    0, in integers over the lifted points L_u = l_u (p_u, 1)
+    (``_in_gale_space``): w itself is the coefficient vector of the L_u
+    when every l_u of its support is 1, and m w_u / l_u otherwise, m the
+    lcm of those l_u, since m sum_u w_u (p_u, 1) = sum_u (m w_u / l_u) L_u.
+    The rbar columns are checked to keep the triangular shape
     (``framework._triangular_violation``): column j nonzero only at the
     vertex v_j in position j, where it is positive, and at later
     neighbours of v_j. These give every clause of S = Z Z^T:
@@ -301,8 +304,11 @@ def _check_gale_columns(fw: Framework, columns: GaleColumns, peo: Ordering) -> N
     """
     lifted = fw._lifted
     for j, col in enumerate(columns, 1):
-        # the coefficient of L_u is w_u / l_u, and l_u = 1 at integer points
-        if not _in_gale_space(lifted, [{u: _quotient(x, lifted[u][-1]) for u, x in col.items()}]):
+        scales = [lifted[u][-1] for u in col]
+        m = math.lcm(*scales)
+        if m > 1:
+            col = {u: x * (m // l) for (u, x), l in zip(col.items(), scales)}
+        if not _in_gale_space(lifted, [col]):
             raise AssertionFailure(f"column {j} does not lie in the Gale space")
     if len(columns) != fw.rbar:
         raise AssertionFailure(f"{len(columns)} Gale columns, not rbar = {fw.rbar}")
@@ -313,15 +319,33 @@ def _check_gale_columns(fw: Framework, columns: GaleColumns, peo: Ordering) -> N
 
 def _kernel_vector(lifted: Sequence[Sequence[int]], v: int, support: Sequence[int]
                    ) -> list[int] | None:
-    """The integer y with y_v L_v + sum_k y_k L_{u_k} = 0 over the lifted
-    points of v and the support (0-based), by one ``_cofactor_basis`` pass
-    over their coordinate rows; None when the support's points are
-    affinely dependent (a dependent row, or y_v = 0)."""
-    points = [lifted[v]] + [lifted[u] for u in support]
-    basis, _, rank = _cofactor_basis(zip(*points), len(points))
-    if rank < len(points) - 1 or basis[0][0] == 0:
+    """The integer y, v's entry first, with y_v L_v + sum_k y_k L_{u_k} = 0
+    over the lifted points L = l (p, 1) of v and the support u_0..u_dim
+    (0-based); None when the support's points are affinely dependent.
+
+    It is solved on the differences D_k = l_v L_{u_k} - l_{u_k} L_v, whose
+    last coordinate is 0: their dim coordinate rows go through one
+    ``_cofactor_basis`` pass, which leaves the cofactor vector z with
+    sum_k z_k D_k = 0 when the rows are independent. Expanding D_k,
+
+        (-sum_k z_k l_{u_k}) L_v + sum_k (l_v z_k) L_{u_k} = 0,
+
+    so y_v = -sum_k z_k l_{u_k} and y_k = l_v z_k. The rows are dependent
+    exactly when v and the support do not span, and then, or when y_v = 0,
+    the L_{u_k} are dependent.
+    """
+    base = lifted[v]
+    l_v = base[-1]
+    points = [lifted[u] for u in support]
+    rows = ([l_v * q[i] - q[-1] * x for q in points] for i, x in enumerate(base[:-1]))
+    basis, _, rank = _cofactor_basis(rows, len(points))
+    if rank < len(points) - 1:
         return None
-    return basis[0]
+    z = basis[0]
+    y_v = -sum(map(mul, z, (q[-1] for q in points)))
+    if y_v == 0:
+        return None
+    return [y_v, *(l_v * x for x in z)]
 
 
 def _independent_support(lifted: Sequence[Sequence[int]], candidates: Sequence[int],
@@ -368,6 +392,12 @@ def _no_conic_at_infinity(fw: Framework) -> bool:
 def certify_chordal(fw: Framework) -> Certificate:
     """Full pipeline: chordality, then the connectivity dichotomy.
 
+    The graph is walked once: the maximum cardinality search ordering's
+    later-neighbour lists are built once (``graphs._later_neighbors``) and
+    checked once (``graphs._peo_violation``); chordality, connectivity, the
+    cut and the Gale columns all read them. Only a failed check runs
+    ``is_chordal``, for the chordless cycle.
+
     Connectivity at least dim+1 yields UniversallyRigid with a maximal-rank
     PSD stress, lower connectivity NotGloballyRigid with a reflected
     counterexample; non-chordal inputs and simplices come back Inconclusive
@@ -403,12 +433,11 @@ def certify_chordal(fw: Framework) -> Certificate:
     infinity); its failure and a failure naming no witness raise
     AssertionFailure.
     """
-    chord = is_chordal(fw.graph)
-    if not chord.chordal:
-        return Certificate(Verdict.INCONCLUSIVE, reason=Reason.NOT_CHORDAL,
-                           detail=chord.chordless_cycle)
-    peo = chord.peo
+    peo = mcs_order(fw.graph)
     later = _later_neighbors(fw.graph, peo)
+    if _peo_violation(fw.graph, peo, later) is not None:
+        return Certificate(Verdict.INCONCLUSIVE, reason=Reason.NOT_CHORDAL,
+                           detail=is_chordal(fw.graph).chordless_cycle)
     kappa = _connectivity(later)
     if fw.rbar == 0:  # n = dim+1 points that span are in general position
         return Certificate(Verdict.INCONCLUSIVE, connectivity=kappa, peo=peo,

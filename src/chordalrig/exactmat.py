@@ -322,9 +322,8 @@ def _quotient(a, b):
     """a / b for rationals a and b != 0, ints or Fractions: an int when the
     quotient is one, else a Fraction. Two ints cost one ``divmod`` and, when
     it leaves a remainder, one Fraction; any other pair is divided as
-    Fractions. Every division of ``_sparse_factor`` and of the Gale-space
-    checks (``framework._in_gale_space``) goes through here, and no ``/``
-    is applied to two ints."""
+    Fractions. Every division of ``_sparse_factor`` goes through here, and
+    no ``/`` is applied to two ints."""
     if type(a) is int and type(b) is int:
         q, rem = divmod(a, b)
         return Fraction(a, b) if rem else q

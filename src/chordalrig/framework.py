@@ -46,7 +46,6 @@ from .exactmat import (
     _congruent_rows,
     _integer_kernel,
     _integer_row,
-    _quotient,
     _sparse_factor,
     _sparse_rows,
     _unit_rows,
@@ -588,12 +587,12 @@ def _stress_clauses(fw: Framework, rows: SparseRows, scale: Sequence[int]
 
     M_uw = c_u S_uw c_w, so S is symmetric and zero where M is. With the
     lifted points L_u = l_u (p_u, 1), column w of S lies in the Gale space
-    exactly when sum_u (M_uw c_w / (c_u l_u)) L_u = 0 (``_in_gale_space``),
-    the sum of S_uw (p_u, 1) times c_w^2. Each coefficient is one
-    ``_quotient``, an int whenever c_u l_u divides M_uw c_w. At integer
-    points (l_u = 1) it does whenever S is symmetric, since c_w S_wu is an
-    integer (``exactmat._congruent_rows``). A symmetric M's columns are its
-    rows.
+    exactly when sum_u (M_uw / (c_u l_u)) L_u = 0, the sum of
+    S_uw (p_u, 1) times c_w. These quotients are rationals; each column's
+    are cleared to integers here (``_cleared``), since ``_in_gale_space``
+    takes integers only. At integer points (l_u = 1) a symmetric S needs
+    no clearing: M_uw / c_u = c_w S_wu is an integer
+    (``exactmat._congruent_rows``). A symmetric M's columns are its rows.
 
     These clauses check a stress that comes in from outside: the input of
     ``validate_stress_matrix``, ``omega_from_stress`` and
@@ -610,10 +609,17 @@ def _stress_clauses(fw: Framework, rows: SparseRows, scale: Sequence[int]
                 columns.setdefault(w, {})[u] = x
     lifted = fw._lifted
     weights = [c * point[-1] for c, point in zip(scale, lifted)]
-    kernel_ok = _in_gale_space(lifted, ({u: _quotient(x * scale[w], weights[u])
-                                         for u, x in col.items()}
-                                        for w, col in columns.items()))
+    kernel_ok = _in_gale_space(lifted, (_cleared(col, weights) for col in columns.values()))
     return symmetric, _first_non_edge(fw.graph, rows), kernel_ok
+
+
+def _cleared(col: Mapping[int, int], weights: Sequence[int]) -> dict[int, int]:
+    """The quotients M_uw / weights[u] of the column {u: M_uw}, scaled to
+    integers by the lcm of their denominators (``_integer_row``), which is
+    1 when every quotient is exact; only an inexact one is a Fraction."""
+    quotients = [x // d if x % d == 0 else Fraction(x, d)
+                 for x, d in zip(col.values(), [weights[u] for u in col])]
+    return dict(zip(col, _integer_row(quotients)[0]))
 
 
 def _lift(p: Sequence[Fraction]) -> tuple[int, ...]:
@@ -624,17 +630,15 @@ def _lift(p: Sequence[Fraction]) -> tuple[int, ...]:
 
 
 def _in_gale_space(lifted: Sequence[Sequence[int]],
-                   vectors: Iterable[Mapping[int, int | Fraction]]) -> bool:
-    """Whether each vector {0-based vertex: y}, y an int or a Fraction, has
+                   vectors: Iterable[Mapping[int, int]]) -> bool:
+    """Whether each vector {0-based vertex: y} of integers has
     sum y_v L_v = 0 over the points as ``Framework`` lifts them, L_v =
-    l_v (p_v, 1); for the coefficients x of the points (p_v, 1) themselves,
-    y_v = x_v / l_v. The sum is taken in integers, after scaling by the
-    lcm of the denominators of the y, one per vector.
+    l_v (p_v, 1): one integer dot product per coordinate. A dependency
+    with coefficients x_v of the points (p_v, 1) themselves is passed as
+    y_v = x_v / l_v, cleared of denominators by the caller.
     """
     for vec in vectors:
-        ys = list(vec.values())
-        common = math.lcm(*[y.denominator for y in ys])
-        coeffs = [y.numerator * (common // y.denominator) for y in ys]
+        coeffs = vec.values()
         if any(sum(map(mul, coeffs, coord)) for coord in zip(*[lifted[v] for v in vec])):
             return False
     return True

@@ -173,27 +173,35 @@ def mcs_order(g: Graph, start: int | None = None) -> Ordering:
 
 
 def is_peo(g: Graph, order: Ordering) -> tuple[bool, tuple[int, int, int] | None]:
-    """Test whether every vertex's later neighbors form a clique.
+    """Test whether every vertex's later neighbors form a clique, on the
+    later-neighbour lists of the ordering (``_peo_violation``). On failure
+    returns (v, a, b) with a, b later neighbors of v and (a, b) not an edge.
+    """
+    bad = _peo_violation(g, order, _later_neighbors(g, order))
+    return bad is None, bad
+
+
+def _peo_violation(g: Graph, order: Ordering, later: Sequence[Sequence[int]]
+                   ) -> tuple[int, int, int] | None:
+    """``is_peo``'s witness from the later-neighbour lists of ``order``
+    (``_later_neighbors``), or None when it is a PEO.
 
     Uses the standard reduction: it suffices that the later neighbors of v,
-    other than the earliest one u, are all adjacent to u. On failure returns
-    (v, a, b) with a, b later neighbors of v and (a, b) not an edge.
+    other than the earliest one u, which heads its position-sorted list,
+    are all adjacent to u. The witness is (v, min(u, w), max(u, w)) for the
+    first position whose list fails, w its smallest later neighbour not
+    adjacent to u.
     """
-    if len(order) != g.n:
-        raise GraphError("ordering length does not match the graph")
-    pos = order.position_of
-    for idx in range(1, g.n + 1):
-        v = order.vertex_at(idx)
-        later = [u for u in g.neighbors(v) if pos(u) > idx]
-        if len(later) < 2:
+    for v, nbrs in zip(order, later):
+        if len(nbrs) < 2:
             continue
-        u = min(later, key=pos)
+        u = nbrs[0]
         u_adj = g.neighbors(u)
-        missing = [w for w in later if w != u and w not in u_adj]
+        missing = [w for w in nbrs if w != u and w not in u_adj]
         if missing:
             w = min(missing)
-            return False, (v, min(u, w), max(u, w))
-    return True, None
+            return v, min(u, w), max(u, w)
+    return None
 
 
 @dataclass(frozen=True)
@@ -275,18 +283,25 @@ def higher_neighbors(g: Graph, order: Ordering, j: int) -> frozenset[int]:
 def _later_neighbors(g: Graph, order: Ordering) -> list[list[int]]:
     """For each position j, the later neighbours of the vertex there, in
     position order: entry j-1 holds ``higher_neighbors(g, order, j)``
-    sorted by position. Connectivity, the cut and the Gale columns all read
-    these lists, so a caller that has checked the ordering builds them once.
+    sorted by position; GraphError when the ordering's length is not n.
+    These lists are the facts of an ordering that everything downstream
+    reads: the PEO check (``_peo_violation``), connectivity, the cut and
+    the Gale columns, so a caller builds them once and hands them on.
     """
-    pos = order.position_of
+    if len(order) != g.n:
+        raise GraphError("ordering length does not match the graph")
+    pos = order._pos.__getitem__
     return [sorted((u for u in g.neighbors(v) if pos(u) > j), key=pos)
             for j, v in enumerate(order, 1)]
 
 
-def _check_peo(g: Graph, peo: Ordering) -> None:
-    ok, _ = is_peo(g, peo)
-    if not ok:
+def _checked_later(g: Graph, peo: Ordering) -> list[list[int]]:
+    """The later-neighbour lists of ``peo`` (``_later_neighbors``); raises
+    NotAPeo when the ordering fails the elimination-order check."""
+    later = _later_neighbors(g, peo)
+    if _peo_violation(g, peo, later) is not None:
         raise NotAPeo("ordering is not a perfect elimination ordering")
+    return later
 
 
 def chordal_connectivity(g: Graph, peo: Ordering) -> int:
@@ -296,8 +311,7 @@ def chordal_connectivity(g: Graph, peo: Ordering) -> int:
     least k later neighbors; the largest such k (capped at n-1) is returned.
     Raises NotAPeo when the ordering fails the elimination-order check.
     """
-    _check_peo(g, peo)
-    return _connectivity(_later_neighbors(g, peo))
+    return _connectivity(_checked_later(g, peo))
 
 
 def _connectivity(later: Sequence[Sequence[int]]) -> int:
@@ -349,10 +363,10 @@ def vertex_cut_of_size_at_most(g: Graph, peo: Ordering, r: int) -> frozenset[int
     returned. Returns None when no position qualifies (connectivity >= r+1,
     or the graph is too small or complete to have such a cut).
     """
-    _check_peo(g, peo)
+    later = _checked_later(g, peo)
     if r < 0:
         raise InvalidParameters("cut size bound must be nonnegative")
-    return _small_cut(g, _later_neighbors(g, peo), r)
+    return _small_cut(g, later, r)
 
 
 def _small_cut(g: Graph, later: Sequence[Sequence[int]], r: int) -> frozenset[int] | None:

@@ -169,12 +169,16 @@ def stress_to_obj(s: StressMatrix) -> dict:
     """The stress as {"n": n, "matrix": rows of rational strings}, written
     from its nonzero entries (``StressMatrix.nonzero_rows``) with "0"
     elsewhere, so a stress held sparse is written without its dense
-    matrix."""
+    matrix. The nonzero entries are turned into strings before the n x n
+    rows are allocated, so an entry ``rational_str`` cannot write raises
+    before the dense rows cost any memory."""
+    written = [(u, [(w, rational_str(x)) for w, x in row.items()])
+               for u, row in s.nonzero_rows().items()]
     out = [["0"] * s.n for _ in range(s.n)]
-    for u, row in s.nonzero_rows().items():
+    for u, row in written:
         line = out[u]
-        for w, x in row.items():
-            line[w] = rational_str(x)
+        for w, text in row:
+            line[w] = text
     return {"n": s.n, "matrix": out}
 
 

@@ -228,12 +228,11 @@ def ngr_moved_suite(count):
 
 
 def spy_order_calls(monkeypatch) -> "collections.Counter[str]":
-    """Count the calls of ``is_peo`` from ``certify`` and of ``is_peo`` and
-    ``mcs_order`` from ``graphs`` itself (``is_chordal`` runs both), by
-    name; ``certify`` runs ``mcs_order`` only through ``is_chordal``."""
+    """Count the calls of ``is_peo`` and ``mcs_order`` from ``certify``
+    and from ``graphs`` itself (``is_chordal`` runs both), by name."""
     from chordalrig import certify, graphs
     calls: collections.Counter[str] = collections.Counter()
-    for name, modules in (("is_peo", (certify, graphs)), ("mcs_order", (graphs,))):
+    for name, modules in (("is_peo", (certify, graphs)), ("mcs_order", (certify, graphs))):
         real = getattr(graphs, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):

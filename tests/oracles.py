@@ -8,6 +8,7 @@ comes from sympy.
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 import sympy
 
@@ -195,6 +196,35 @@ def is_chordal_simplicial(n, edges):
     return True
 
 
+def peo_witness(n, edges, order):
+    """The elimination-order check on plain data, by the standard
+    reduction: for each position in turn, the later neighbours of its
+    vertex v other than the earliest-positioned one u must all be adjacent
+    to u. Returns (v, min(u, w), max(u, w)) for the first position that
+    fails, w its smallest later neighbour not adjacent to u, else None."""
+    adj = _adjacency(n, edges)
+    pos = {v: i for i, v in enumerate(order)}
+    for v in order:
+        later = [u for u in adj[v] if pos[u] > pos[v]]
+        if len(later) < 2:
+            continue
+        u = min(later, key=pos.get)
+        missing = [w for w in later if w != u and w not in adj[u]]
+        if missing:
+            w = min(missing)
+            return v, min(u, w), max(u, w)
+    return None
+
+
+def later_neighbours_are_cliques(n, edges, order):
+    """Whether every vertex's later neighbours in ``order`` are pairwise
+    adjacent, by checking every pair."""
+    adj = _adjacency(n, edges)
+    pos = {v: i for i, v in enumerate(order)}
+    return all(b in adj[a] for v in order
+               for a, b in combinations([u for u in adj[v] if pos[u] > pos[v]], 2))
+
+
 def unit_triangular_gale_by_solving(points, edges, order):
     """The unit-triangular Gale matrix of a chordal framework, as n rows of
     n-r-1 Fractions, each column solved by sympy: column j is 1 at the
@@ -214,6 +244,36 @@ def unit_triangular_gale_by_solving(points, edges, order):
         for u, x in zip(support, a.LUsolve(b)):
             z[u - 1][j - 1] = Fraction(int(x.p), int(x.q))
     return z
+
+
+def primitive_dependency(points, v, support):
+    """The affine dependency of the point v on the support (0-based
+    indices), from sympy's null space of the matrix whose columns are
+    (p_v, 1) and the (p_u, 1) of the support: the primitive integer vector
+    w with w_v > 0, as {index: w} without its zero entries. None when the
+    null space is not one-dimensional or w_v = 0."""
+    keys = [v, *support]
+    null = sym_matrix([[*points[u], 1] for u in keys]).T.nullspace()
+    if len(null) != 1 or null[0][0] == 0:
+        return None
+    x = [Fraction(int(e.p), int(e.q)) for e in null[0]]
+    scale = lcm(*[q.denominator for q in x])
+    ints = [int(q * scale) for q in x]
+    g = gcd(*ints) if ints[0] > 0 else -gcd(*ints)
+    return {u: c // g for u, c in zip(keys, ints) if c}
+
+
+def first_independent(points, candidates, k):
+    """The first k candidates (0-based, in order) whose points are
+    affinely independent, each kept when the sympy rank of the rows (p, 1)
+    kept so far grows; None when fewer than k are."""
+    kept = []
+    for u in candidates:
+        if sym_rank([[*points[w], 1] for w in kept + [u]]) == len(kept) + 1:
+            kept.append(u)
+            if len(kept) == k:
+                return kept
+    return None
 
 
 def conic_at_infinity(fw):

@@ -90,6 +90,88 @@ class TestGaleFrozen:
 GALE_DIGEST = "397a8d177c3348847ea3d92561152b05cda3c865062aef86c8772e77b47a429a"
 
 
+def _forced_frameworks():
+    """Seeded (r+2)-trees in R^r, r = 1..4, with integer points and with
+    points of denominators 2, 3 and 7, each with its MCS ordering. At one
+    random position the later neighbours are pushed into the hyperplane
+    x_1 = c: the first r+1 of them, so that the greedy support pass must
+    look further, or all of them, so that the column has no independent
+    support, or none."""
+    rng = random.Random("gale-oracle")
+    for r in (1, 2, 3, 4):
+        for i in range(24):
+            n = rng.randint(r + 4, r + 8)
+            g = gen_ktree(n, r + 2, rng.randrange(10_000))
+            peo = is_chordal(g).peo
+            j = rng.randint(1, n - r - 1)
+            nbrs = sorted((u for u in g.neighbors(peo.vertex_at(j)) if peo.position_of(u) > j),
+                          key=peo.position_of)
+            forced = (nbrs[:r + 1], nbrs, [])[i % 3]
+            dens = (1,) if i % 2 == 0 else (1, 2, 3, 7)
+            c = F(rng.randint(-5, 5), rng.choice(dens))
+            while True:
+                pts = [[F(rng.randint(-30, 30), rng.choice(dens)) for _ in range(r)]
+                       for _ in range(n)]
+                for u in forced:
+                    pts[u - 1][0] = c
+                try:
+                    yield Framework(g, r, pts), peo
+                    break
+                except DegenerateSpan:
+                    continue
+
+
+def _oracle_columns(fw, peo):
+    """The Gale columns along ``peo`` by sympy's null space
+    (``oracles.primitive_dependency``), with the support each column
+    takes: the r+1 earliest later neighbours when they are independent,
+    else the first r+1 independent ones (``oracles.first_independent``).
+    Returns the columns up to the first position with no independent
+    support, that position's expected witness (its first r+1 later
+    neighbours, sorted and 1-based) or None, and the kinds of support
+    met."""
+    r, columns, kinds = fw.dim, [], set()
+    for j in range(1, fw.n - r):
+        v = peo.vertex_at(j)
+        nbrs = sorted((u - 1 for u in fw.graph.neighbors(v) if peo.position_of(u) > j),
+                      key=lambda u: peo.position_of(u + 1))
+        col = oracles.primitive_dependency(fw.points, v - 1, nbrs[:r + 1])
+        kind = "first"
+        if col is None:
+            support = oracles.first_independent(fw.points, nbrs, r + 1)
+            if support is None:
+                return columns, tuple(sorted(u + 1 for u in nbrs[:r + 1])), kinds | {"none"}
+            col = oracles.primitive_dependency(fw.points, v - 1, support)
+            kind = "greedy"
+        columns.append(col)
+        kinds.add(kind)
+    return columns, None, kinds
+
+
+class TestGaleColumnsOracle:
+    def test_columns_match_the_null_space_oracle(self):
+        """Each column ``_gale_columns`` builds by Cramer's rule on its
+        support's differences is the primitive null vector sympy finds for
+        the columns (p, 1) of v and that support, for r = 1..4, integer and
+        rational points, earliest supports that are independent, earliest
+        supports that are not (the greedy fallback) and positions with no
+        independent support, where DegenerateEvidence names the first r+1
+        later neighbours."""
+        seen = set()
+        for fw, peo in _forced_frameworks():
+            expected, witness, kinds = _oracle_columns(fw, peo)
+            if witness is None:
+                assert certify._gale_columns(fw, peo) == expected
+            else:
+                with pytest.raises(certify.DegenerateEvidence) as info:
+                    certify._gale_columns(fw, peo)
+                assert info.value.witness == witness
+            rational = any(p[-1] > 1 for p in fw._lifted)
+            seen |= {(fw.dim, rational, kind) for kind in kinds}
+        assert seen == {(r, rational, kind) for r in (1, 2, 3, 4) for rational in (False, True)
+                        for kind in ("first", "greedy", "none")}
+
+
 class TestIntegerColumns:
     def test_columns_are_primitive_dependencies_and_give_the_dense_gale(self):
         """Each column is gcd 1 with its pivot first and positive, the pivot
@@ -124,26 +206,44 @@ class TestIntegerColumns:
         assert seen == {True, False, "solved"}
 
     def test_gale_space_check_reads_the_stored_column(self, monkeypatch):
-        """The Gale-space check of ``_gale_columns`` runs on each column as
-        it is returned, sum_u (w_u / l_u) L_u = 0, so a slip between the
-        Cramer vector and the stored integers is caught; a column that
-        fails raises AssertionFailure."""
+        """The Gale-space check of ``_gale_columns`` runs in integers on
+        each column as it is returned: the column itself when every l_u of
+        its support is 1, else m w_u / l_u, m the lcm of those l_u, the
+        coefficients of the lifted points L_u in m sum_u w_u (p_u, 1). A
+        slip between the Cramer vector and the stored integers, one entry
+        doubled, raises AssertionFailure."""
         checked = []
         real = certify._in_gale_space
         monkeypatch.setattr(certify, "_in_gale_space",
                             lambda lifted, vecs: checked.extend(vecs) or real(lifted, vecs))
         rational = [fw for fw in _gale_inputs() if any(p[-1] > 1 for p in fw._lifted)][:6]
+        seen = set()
         for fw in rational:
             checked.clear()
             try:
                 columns = certify._gale_columns(fw, is_chordal(fw.graph).peo)
             except certify.DegenerateEvidence:
                 continue
-            assert checked == [{u: F(x, fw._lifted[u][-1]) for u, x in col.items()}
-                               for col in columns]
-        monkeypatch.setattr(certify, "_in_gale_space", lambda lifted, vecs: False)
+            assert len(checked) == len(columns)
+            for col, vec in zip(columns, checked):
+                scales = [fw._lifted[u][-1] for u in col]
+                m = math.lcm(*scales)
+                assert all(type(y) is int for y in vec.values())
+                assert vec == {u: F(x * m, l) for (u, x), l in zip(col.items(), scales)}
+                if m == 1:
+                    assert vec is col
+                seen.add(m > 1)
+        assert seen == {True, False}
+        monkeypatch.undo()
+        fw = rational[0]
+        real_kernel = certify._kernel_vector
+
+        def slipped(*args):
+            y = real_kernel(*args)
+            return y and [y[0], 2 * y[1], *y[2:]]
+        monkeypatch.setattr(certify, "_kernel_vector", slipped)
         with pytest.raises(certify.AssertionFailure, match="column 1 does not lie"):
-            certify._gale_columns(rational[0], is_chordal(rational[0].graph).peo)
+            certify._gale_columns(fw, is_chordal(fw.graph).peo)
 
     def test_psdize_columns_are_the_integer_form_of_its_factor(self, hexagon):
         res = certify.psdize_stress(hexagon.fw, StressMatrix(hexagon.stress))

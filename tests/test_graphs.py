@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import random
@@ -159,6 +160,27 @@ class TestIsPeo:
     def test_length_mismatch(self):
         with pytest.raises(GraphError):
             is_peo(Graph.path(3), Ordering.identity(2))
+
+    def test_answer_and_witness_match_the_plain_reduction(self):
+        """On seeded random graphs and k-trees, with random and MCS
+        orderings, is_peo accepts exactly when every later neighbourhood is
+        a clique, and names the witness of the reduction on plain data."""
+        rng = random.Random("peo-witness")
+        seen = set()
+        for i in range(300):
+            n = rng.randint(1, 10)
+            if i % 2:
+                g = gen_ktree(n, rng.randint(1, n), rng.randrange(10_000))
+            else:
+                g = Graph(n, [e for e in itertools.combinations(range(1, n + 1), 2)
+                              if rng.random() < 0.5])
+            order = mcs_order(g) if i % 3 == 0 else Ordering(rng.sample(range(1, n + 1), n))
+            ok, witness = is_peo(g, order)
+            assert witness == oracles.peo_witness(n, g.edges, list(order))
+            assert ok == (witness is None) == oracles.later_neighbours_are_cliques(
+                n, g.edges, list(order))
+            seen.add(ok)
+        assert seen == {True, False}
 
 
 class TestIsChordal:
@@ -387,20 +409,25 @@ class TestPeoFactsOnce:
             for r in range(4):
                 assert graphs._small_cut(g, later, r) == vertex_cut_of_size_at_most(g, peo, r)
 
-    def test_certify_checks_the_peo_once_and_lists_it_once(self, monkeypatch):
-        """is_chordal's check is the one is_peo call of certify_chordal, and
-        its later-neighbour lists are built once, on UR and NGR inputs."""
-        checks, lists = [], []
-        real_peo, real_lists = graphs.is_peo, certify._later_neighbors
-        monkeypatch.setattr(graphs, "is_peo", lambda *a: checks.append(1) or real_peo(*a))
-        monkeypatch.setattr(certify, "is_peo", graphs.is_peo)
-        monkeypatch.setattr(certify, "_later_neighbors",
-                            lambda *a: lists.append(1) or real_lists(*a))
+    def test_certify_checks_the_peo_once_and_lists_it_once(self, monkeypatch, prism):
+        """certify_chordal runs MCS once, builds the later-neighbour lists
+        once and checks them once, on UR and NGR inputs. ``is_chordal``
+        runs only when the check fails, for the chordless cycle: on the
+        prism, whose MCS ordering is not a PEO."""
+        calls = collections.Counter()
+        for name in ("mcs_order", "_later_neighbors", "_peo_violation", "is_chordal", "is_peo"):
+            monkeypatch.setattr(certify, name, lambda *a, _name=name, _real=getattr(certify, name):
+                                calls.update([_name]) or _real(*a))
+        once = {"mcs_order": 1, "_later_neighbors": 1, "_peo_violation": 1}
         ur = random_general_position_framework(12, 2, 5)
         ngr = Framework(gen_ktree(12, 2, 5), 2, ur.points)
         for fw, verdict in ((ur, certify.Verdict.UNIVERSALLY_RIGID),
                             (ngr, certify.Verdict.NOT_GLOBALLY_RIGID)):
-            checks.clear()
-            lists.clear()
+            calls.clear()
             assert certify.certify_chordal(fw).verdict is verdict
-            assert checks == lists == [1]
+            assert calls == once
+        calls.clear()
+        cert = certify.certify_chordal(prism)
+        assert cert.reason is certify.Reason.NOT_CHORDAL
+        assert cert.detail == find_chordless_cycle(prism.graph)
+        assert calls == {**once, "is_chordal": 1}

@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -270,6 +271,23 @@ class TestStressObj:
     def test_missing_matrix(self):
         with pytest.raises(ParseError, match="matrix"):
             stress_matrix_from_obj({"n": 2})
+
+    def test_an_entry_past_the_digit_limit_raises_before_the_dense_rows(self):
+        """The nonzero entries are written first: an entry that
+        ``rational_str`` cannot write raises before the n x n rows of "0",
+        72 MB of list slots at n = 3000, are allocated."""
+        n = 3000
+        rows = {u: {} for u in range(n)}
+        rows[n - 1][n - 1] = F(10 ** _LIMIT)  # one digit past the limit
+        s = StressMatrix.from_rows(rows)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="limit"):
+                stress_to_obj(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n // 20
 
 
 def seeded_stress_objects():

@@ -403,11 +403,30 @@ class TestColumnCheck:
             certify._check_gale_columns(hexagon.fw, columns, Ordering.identity(6))
 
     def test_psdize_checks_its_factor_columns_in_the_gale_space(self, hexagon, monkeypatch):
-        """``psdize_stress`` checks each cleared factor column, not only
-        their shape: a column the Gale-space check rejects raises."""
-        monkeypatch.setattr(certify, "_in_gale_space", lambda lifted, vecs: False)
+        """``psdize_stress`` checks each cleared factor column in the Gale
+        space, in integers, not only their shape: at the hexagon's integer
+        points the check reads the columns as they are, and with one entry
+        of the first cleared column doubled it raises."""
+        checked = []
+        real_check = certify._in_gale_space
+        monkeypatch.setattr(certify, "_in_gale_space",
+                            lambda lifted, vecs: checked.extend(vecs) or real_check(lifted, vecs))
+        psdize_stress(hexagon.fw, StressMatrix(hexagon.stress))
+        assert checked == HEXAGON_COLUMNS
+        monkeypatch.undo()
+        cleared = []
+        real_row = certify._integer_row
+
+        def slipped(values):
+            ints, scale = real_row(values)
+            cleared.append(ints)
+            if len(cleared) == 1:
+                ints[-1] *= 2
+            return ints, scale
+        monkeypatch.setattr(certify, "_integer_row", slipped)
         with pytest.raises(AssertionFailure, match="column 1 does not lie in the Gale space"):
             psdize_stress(hexagon.fw, StressMatrix(hexagon.stress))
+        assert cleared[0] == [2, -2, -1, 2]
 
     def test_no_stress_clause_or_elimination_on_the_output(self, hexagon, monkeypatch):
         """``certify_chordal`` runs neither the stress clauses nor the
