@@ -18,8 +18,9 @@ elimination (``exactmat._sparse_factor``) gives ``psdize_stress`` its
 input's rank, first vanishing leading minor and Gale factor. The
 negative branch reflects one side of a small separating set across a
 hyperplane through it, on the framework's lifted integer points, giving a
-framework with the same edge lengths that is provably not congruent; both
-facts are re-checked in integers.
+framework with the same edge lengths that is provably not congruent; it is
+built from the images' lifts, and both facts are re-checked in integers,
+each distance on its own two lifts.
 
 The paper proves the dichotomy for points in general position, but each
 piece of evidence is checked on its own: a PSD stress of maximal rank with
@@ -185,18 +186,24 @@ class Hyperplane:
     def reflect(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """The mirror image of ``point``; floats raise TypeError and a point
         without one coordinate per normal entry DimensionMismatch."""
-        return self._reflect_lifted(_lift(_coerce_point(point, len(self.normal))))
+        *coords, den = self._reflect_lifted(_lift(_coerce_point(point, len(self.normal))))
+        return tuple(Fraction(x, den) for x in coords)
 
-    def _reflect_lifted(self, lifted: Sequence[int]) -> tuple[Fraction, ...]:
+    def _reflect_lifted(self, lifted: Sequence[int]) -> tuple[int, ...]:
         """The mirror image of the point p lifted to L = l (p, 1)
-        (``framework._lift``). With N and O from ``_integer_form``, p' =
-        p - 2 (N.p - O) / (N.N) N, so coordinate k is
-        (L_k N.N - 2 (N.L - O l) N_k) / (l N.N): one Fraction each."""
+        (``framework._lift``), itself lifted. With N and O from
+        ``_integer_form``, p' = p - 2 (N.p - O) / (N.N) N, so coordinate k
+        is X_k / D with X_k = L_k N.N - t N_k, t = 2 (N.L - O l), and
+        D = l N.N > 0. The image's lift is (X / g, D / g), g = gcd(D, X_1,
+        ..., X_dim): the lcm of the reduced denominators D / gcd(D, X_k) is
+        D / g. No Fraction is made."""
         normal, offset, nn = self._integer_form
         *coords, l = lifted
         t = 2 * (sum(map(mul, normal, coords)) - offset * l)
+        xs = [x * nn - t * a for x, a in zip(coords, normal)]
         den = l * nn
-        return tuple(Fraction(x * nn - t * a, den) for x, a in zip(coords, normal))
+        g = math.gcd(den, *xs)
+        return (*(x // g for x in xs), den // g)
 
 
 def unit_triangular_gale(fw: Framework, peo: Ordering) -> GaleMatrix:
@@ -396,7 +403,9 @@ def certify_chordal(fw: Framework) -> Certificate:
     later-neighbour lists are built once (``graphs._later_neighbors``) and
     checked once (``graphs._peo_violation``); chordality, connectivity, the
     cut and the Gale columns all read them. Only a failed check runs
-    ``is_chordal``, for the chordless cycle.
+    ``is_chordal``, for the chordless cycle. The components that the cut's
+    check finds (``graphs._small_cut``) go to the reflection
+    (``_reflection``), so a NotGloballyRigid op searches them once.
 
     Connectivity at least dim+1 yields UniversallyRigid with a maximal-rank
     PSD stress, lower connectivity NotGloballyRigid with a reflected
@@ -409,7 +418,7 @@ def certify_chordal(fw: Framework) -> Certificate:
     conic at infinity, proves universal rigidity by Connelly's super
     stability (R. Connelly, "Rigidity and energy", Invent. Math. 66, 1982);
     the reflection's equal edge lengths and non-congruence are re-checked
-    exactly.
+    exactly, each pair in integers on its own lifts.
 
     Where the evidence fails, the failure itself names dim+1 affinely
     dependent points, returned as the ``detail`` of Inconclusive
@@ -449,11 +458,11 @@ def certify_chordal(fw: Framework) -> Certificate:
                 raise AssertionFailure("edge directions lie on a conic at infinity")
             return Certificate(Verdict.UNIVERSALLY_RIGID, connectivity=kappa, peo=peo,
                                stress=stress)
-        cut = _small_cut(fw.graph, later, fw.dim)
-        if cut is None:
+        found = _small_cut(fw.graph, later, fw.dim)
+        if found is None:
             raise AssertionFailure("low connectivity but no separating neighborhood found")
         return Certificate(Verdict.NOT_GLOBALLY_RIGID, connectivity=kappa, peo=peo,
-                           counterexample=reflection_counterexample(fw, cut))
+                           counterexample=_reflection(fw, *found))
     except (DegenerateEvidence, Infeasible) as exc:
         if exc.witness is None:
             raise AssertionFailure(f"failed evidence names no witness: {exc}") from exc
@@ -524,12 +533,13 @@ def reflection_counterexample(fw: Framework, cut: Iterable[int]) -> Framework:
     avoiding it; the reflected component is the one holding the smallest
     non-cut label. Cross edges end on the (fixed) cut, so all edge lengths
     are preserved, while any reflected-to-unreflected pair across the
-    hyperplane changes distance; both facts are re-checked exactly, on one
-    common-denominator scaling of the two frameworks (``_scaled_pair``).
-    The hyperplane search and the reflection run on the framework's lifted
-    integer points. Infeasible and DegenerateEvidence carry the witnesses
-    that ``certify_chordal`` describes; when a reflection does not span and
-    no side has more than dim points, the search's next hyperplane is tried.
+    hyperplane changes distance; both facts are re-checked exactly, each
+    pair in integers on its own lifts (``framework._same_sq_dists``). The
+    cut is checked here (NotACut, PreconditionViolated), and the
+    reflection itself is ``_reflection``'s. Infeasible and
+    DegenerateEvidence carry the witnesses that ``certify_chordal``
+    describes; when a reflection does not span and no side has more than
+    dim points, the search's next hyperplane is tried.
     """
     cut_set = frozenset(cut)
     for v in cut_set:
@@ -541,35 +551,53 @@ def reflection_counterexample(fw: Framework, cut: Iterable[int]) -> Framework:
     if len(cut_set) > fw.dim:
         raise PreconditionViolated(
             f"cut of size {len(cut_set)} cannot lie in a hyperplane of dimension {fw.dim}")
+    return _reflection(fw, cut_set, comps)
+
+
+def _reflection(fw: Framework, cut: frozenset[int],
+                comps: Sequence[Sequence[int]]) -> Framework:
+    """``reflection_counterexample`` on a cut of at most dim vertices that
+    leaves the components ``comps`` (``graphs.components_after_removal``).
+
+    It runs in integers from the hyperplane to the re-check: the search
+    and the reflection read the framework's lifted points, each image is
+    made as its own lift (``Hyperplane._reflect_lifted``), and the
+    reflected framework is built from those lifts, keeping the input's
+    graph, other points and lifts, with only its span checked
+    (``Framework._moved``). Non-congruence is checked first on the pair of
+    the first vertex of ``comps[0]`` and of ``comps[1]``: both lie off the
+    hyperplane, on either side, so their distance changes; every pair is
+    scanned only when that one keeps its distance, which would be a bug.
+    """
     lifted, r = fw._lifted, fw.dim
-    others = [v for v in range(1, fw.n + 1) if v not in cut_set]
-    planes = _hyperplanes_through(r, [lifted[v - 1] for v in sorted(cut_set)],
+    others = [v for v in range(1, fw.n + 1) if v not in cut]
+    planes = _hyperplanes_through(r, [lifted[v - 1] for v in sorted(cut)],
                                   [lifted[v - 1] for v in others])
-    flipped = set(comps[0])
+    flipped = comps[0]
     try:
         for plane in planes:
-            new_points = [plane._reflect_lifted(lifted[v - 1]) if v in flipped else fw.point(v)
-                          for v in range(1, fw.n + 1)]
             try:
-                result = Framework(fw.graph, r, new_points)
+                result = Framework._moved(
+                    fw, {v - 1: plane._reflect_lifted(lifted[v - 1]) for v in flipped})
                 break
             except DegenerateSpan as exc:
-                side = sorted(cut_set | flipped)
+                side = sorted(cut.union(flipped))
                 if len(side) <= r:
-                    side = [v for v in range(1, fw.n + 1) if v not in flipped]
+                    side = sorted(set(range(1, fw.n + 1)).difference(flipped))
                 if len(side) > r:
                     raise DegenerateEvidence(f"reflected configuration is degenerate: {exc}",
                                              tuple(side[:r + 1])) from exc
     except Infeasible as exc:
         if exc.avoid_index is not None:
-            dependent = cut_set | {others[exc.avoid_index]}
+            dependent = cut | {others[exc.avoid_index]}
             padding = [v for v in others if v not in dependent][:r + 1 - len(dependent)]
             exc.witness = tuple(sorted([*dependent, *padding]))
         raise
-    scaled = _scaled_pair(fw, result)
-    if not _same_sq_dists(scaled, fw.graph.edges):
+    pair = _scaled_pair(fw, result)
+    if not _same_sq_dists(pair, fw.graph.edges):
         raise AssertionFailure("reflection changed an edge length")
-    if _same_sq_dists(scaled, itertools.combinations(range(1, fw.n + 1), 2)):
+    if (_same_sq_dists(pair, [(flipped[0], comps[1][0])])
+            and _same_sq_dists(pair, itertools.combinations(range(1, fw.n + 1), 2))):
         raise AssertionFailure("reflection produced a congruent configuration")
     return result
 

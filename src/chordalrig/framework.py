@@ -123,6 +123,25 @@ class Framework:
         if _cofactor_basis(self._lifted, dim + 1)[2] != dim + 1:
             raise DegenerateSpan("points do not affinely span the ambient space")
 
+    @classmethod
+    def _moved(cls, fw: "Framework", moved: Mapping[int, tuple[int, ...]]) -> "Framework":
+        """``fw`` with the point of each 0-based vertex v in ``moved`` set to
+        the point whose lift (``_lift``) is ``moved[v]``: X / D for the lift
+        (X, D). The graph object and every other point and lift are
+        ``fw``'s own, so nothing is coerced, lifted or searched again; only
+        the span check is made, raising DegenerateSpan as ``__init__``."""
+        out = cls.__new__(cls)
+        out.graph, out.dim = fw.graph, fw.dim
+        points, lifted = list(fw.points), list(fw._lifted)
+        for v, q in moved.items():
+            den = q[-1]
+            points[v] = tuple(Fraction(x, den) for x in q[:-1])
+            lifted[v] = q
+        out.points, out._lifted = tuple(points), tuple(lifted)
+        if _cofactor_basis(out._lifted, fw.dim + 1)[2] != fw.dim + 1:
+            raise DegenerateSpan("points do not affinely span the ambient space")
+        return out
+
     @property
     def n(self) -> int:
         return self.graph.n
@@ -684,66 +703,78 @@ def _triangular_violation(columns: GaleColumns, graph: Graph, peo: Ordering
     neighbours of v. A column of Z, the column divided by that entry, then
     has unit diagonal, zeros above it and zeros at non-neighbours below.
     A missing or non-positive entry at v is reported as (j, j)."""
-    pos = peo.position_of
+    pos = peo._pos
     bad = []
     for j, col in enumerate(columns, 1):
         v = peo.vertex_at(j) if j <= len(peo) else None
         if v is not None and col.get(v - 1, 0) <= 0:
             bad.append((j, j))
+        nbrs = graph.neighbors(v) if v is not None else ()
         for u, x in col.items():
-            i = pos(u + 1)
-            if x and i != j and (i < j or not graph.has_edge(v, u + 1)):
+            i = pos[u + 1]
+            if x and i != j and (i < j or u + 1 not in nbrs):
                 bad.append((i, j))
     return min(bad, default=None)
 
 
-def _sq_dist(p: Sequence[int], q: Sequence[int]) -> int:
-    d = list(map(sub, p, q))
-    return sum(map(mul, d, d))
+LiftedPair = tuple[list[bool], Sequence[Sequence[int]], Sequence[Sequence[int]]]
 
 
-ScaledPair = tuple[list[bool], list[list[int]], list[list[int]]]
-
-
-def _scaled_pair(a: Framework, b: Framework) -> ScaledPair:
+def _scaled_pair(a: Framework, b: Framework) -> LiftedPair:
     """Which points keep their coordinates from a to b, and the points of
-    both scaled to integers by one common denominator L of all their
-    coordinates, the lcm of the factors l of their lifted points; this
-    scales every squared distance by the same L^2. Lifting is canonical, so
-    a point keeps its coordinates exactly when it keeps its lift."""
+    both as their frameworks hold them lifted, each scaled to integers by
+    its own factor l (``_lift``); no common denominator is taken. Lifting
+    is canonical, so a point keeps its coordinates exactly when it keeps
+    its lift."""
     la, lb = a._lifted, b._lifted
-    scale = math.lcm(*[p[-1] for p in la + lb])
-    fixed = [p == q for p, q in zip(la, lb)]
-    return fixed, _scaled_points(la, scale), _scaled_points(lb, scale)
+    return [p == q for p, q in zip(la, lb)], la, lb
 
 
-def _scaled_points(lifted: Sequence[Sequence[int]], scale: int) -> list[list[int]]:
-    """The points p of the lifted L = l (p, 1) as the integers scale * p,
-    for a common multiple ``scale`` of their factors l."""
-    return [[x * (scale // p[-1]) for x in p[:-1]] for p in lifted]
+def _lifted_sq_dist(p: Sequence[int], q: Sequence[int]) -> tuple[int, int]:
+    """The squared distance of the points lifted to P = l (x, 1) and
+    Q = m (y, 1), as integers (s, d) with |x - y|^2 = s / d: s = |P - Q|^2
+    and d = l^2 when l = m, else s = |m P - l Q|^2 and d = (l m)^2. The
+    last coordinate of either difference is 0, so both sums run over the
+    whole lifts."""
+    l, m = p[-1], q[-1]
+    if l == m:
+        diff = list(map(sub, p, q))
+        return sum(map(mul, diff, diff)), l * l
+    diff = [m * x - l * y for x, y in zip(p, q)]
+    return sum(map(mul, diff, diff)), (l * m) ** 2
 
 
-def _same_sq_dists(scaled: ScaledPair, pairs: Iterable[tuple[int, int]]) -> bool:
+def _same_sq_dists(pair: LiftedPair, pairs: Iterable[tuple[int, int]]) -> bool:
     """Whether every 1-based pair is at the same squared distance in the two
-    frameworks of ``scaled`` (``_scaled_pair``), compared in integers. A
+    frameworks of ``pair`` (``_scaled_pair``): each distance is taken on
+    its own two lifts (``_lifted_sq_dist``) and the two are compared by
+    cross-multiplying, so no integer grows with the number of points. A
     pair whose two ends keep their coordinates is skipped: its distances
     agree."""
-    fixed, ia, ib = scaled
-    return all(fixed[u - 1] and fixed[v - 1]
-               or _sq_dist(ia[u - 1], ia[v - 1]) == _sq_dist(ib[u - 1], ib[v - 1])
-               for u, v in pairs)
+    fixed, la, lb = pair
+    for u, v in pairs:
+        u, v = u - 1, v - 1
+        if fixed[u] and fixed[v]:
+            continue
+        s, d = _lifted_sq_dist(la[u], la[v])
+        t, e = _lifted_sq_dist(lb[u], lb[v])
+        if s * e != t * d:
+            return False
+    return True
 
 
 def frameworks_equivalent(a: Framework, b: Framework) -> bool:
-    """Same squared length on every edge. The graphs must agree; ambient
-    dimensions may differ."""
+    """Same squared length on every edge, each compared in integers on its
+    own two lifts per framework (``_same_sq_dists``). The graphs must agree;
+    ambient dimensions may differ."""
     if a.graph != b.graph:
         raise GraphMismatch("equivalence requires identical graphs")
     return _same_sq_dists(_scaled_pair(a, b), a.graph.edges)
 
 
 def frameworks_congruent(a: Framework, b: Framework) -> bool:
-    """Same squared distance on every vertex pair, adjacent or not."""
+    """Same squared distance on every vertex pair, adjacent or not, each
+    compared as in ``frameworks_equivalent``."""
     if a.n != b.n:
         raise SizeMismatch("congruence requires the same vertex count")
     return _same_sq_dists(_scaled_pair(a, b), itertools.combinations(range(1, a.n + 1), 2))

@@ -366,19 +366,23 @@ def vertex_cut_of_size_at_most(g: Graph, peo: Ordering, r: int) -> frozenset[int
     later = _checked_later(g, peo)
     if r < 0:
         raise InvalidParameters("cut size bound must be nonnegative")
-    return _small_cut(g, later, r)
+    found = _small_cut(g, later, r)
+    return None if found is None else found[0]
 
 
-def _small_cut(g: Graph, later: Sequence[Sequence[int]], r: int) -> frozenset[int] | None:
+def _small_cut(g: Graph, later: Sequence[Sequence[int]], r: int
+               ) -> tuple[frozenset[int], tuple[tuple[int, ...], ...]] | None:
     """``vertex_cut_of_size_at_most`` from the later-neighbour lists of a
-    PEO."""
+    PEO, with the components that the check found it to leave
+    (``components_after_removal``), so a caller need not search again."""
     for j in range(1, g.n - r):
         cut = frozenset(later[j - 1])
         if len(cut) <= r:
-            if len(components_after_removal(g, cut)) < 2:
+            comps = components_after_removal(g, cut)
+            if len(comps) < 2:
                 raise InternalSeparationFailure(
                     f"neighborhood {sorted(cut)} of position {j} does not separate")
-            return cut
+            return cut, comps
     return None
 
 

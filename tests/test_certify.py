@@ -1,6 +1,8 @@
 import collections
 import hashlib
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ import pytest
 import helpers
 import oracles
 from helpers import elimination_preserves_zero_pattern, psd_check, relabel_to_positions
-from chordalrig import certify
+from chordalrig import certify, graphs
 from chordalrig.certify import (
     AssertionFailure,
     CertifyError,
@@ -539,6 +541,54 @@ class TestReflectionCounterexample:
         assert oracles.equal_sq_distances(fw.points, other, g.edges)
         assert not oracles.equal_sq_distances(
             fw.points, other, [(u, v) for u in range(1, 6) for v in range(u + 1, 6)])
+
+    def test_one_component_search_per_certificate(self, monkeypatch):
+        """certify_chordal hands the components its cut check found to the
+        reflection: one component search per NotGloballyRigid op, and the
+        reflected framework runs no connectivity search."""
+        calls = collections.Counter()
+        search = graphs.components_after_removal
+
+        def counted(*args):
+            calls["components_after_removal"] += 1
+            return search(*args)
+
+        def no_search(self):
+            raise AssertionError("Graph.is_connected ran")
+
+        rng = random.Random("one-search")
+        frameworks = []
+        for i in range(10):
+            dim = rng.randint(1, 3)
+            n = rng.randint(dim + 2, 12)
+            frameworks.append(Framework(gen_ktree(n, dim, i), dim,
+                                        random_general_position_framework(n, dim, i).points))
+        for module in (graphs, certify):
+            monkeypatch.setattr(module, "components_after_removal", counted)
+        monkeypatch.setattr(Graph, "is_connected", no_search)
+        for fw in frameworks:
+            calls.clear()
+            assert certify_chordal(fw).verdict is Verdict.NOT_GLOBALLY_RIGID
+            assert calls == {"components_after_removal": 1}
+
+    def test_rational_points_reflected_within_a_second(self):
+        """Each distance is compared on its own two lifts, not on points
+        scaled by one denominator common to all of them, so rational points
+        with denominators up to 10^6 keep the re-check cheap: n=1000 in R^4
+        gets its counterexample within a second."""
+        rng = random.Random(0)
+        g = gen_ktree(1000, 4, 0)
+        fw = Framework(g, 4, [[F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+                               for _ in range(4)] for _ in range(g.n)])
+        start = time.perf_counter()
+        cert = certify_chordal(fw)
+        elapsed = time.perf_counter() - start
+        assert cert.verdict is Verdict.NOT_GLOBALLY_RIGID
+        assert elapsed < 1.0, f"certify_chordal took {elapsed:.1f}s"
+        other = cert.counterexample.points
+        assert oracles.equal_sq_distances(fw.points, other, g.edges)
+        assert not oracles.equal_sq_distances(
+            fw.points, other, itertools.combinations(range(1, g.n + 1), 2))
 
 
 def k_complete_framework(n):

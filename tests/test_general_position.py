@@ -2,8 +2,9 @@
 cofactors, cross-checked against the per-subset determinant sweep
 (``helpers.general_position_by_determinants``), the unbucketed prefix
 sweep (``helpers.general_position_by_prefixes``) and the
-cofactor-expansion oracle; and the fixed-pair skip and the integer
-distances of the exact distance re-checks."""
+cofactor-expansion oracle; the fixed-pair skip and the integer
+distances of the exact distance re-checks; and the reflected framework
+built from the images' lifts."""
 
 import hashlib
 import itertools
@@ -430,13 +431,13 @@ class TestFixedPairSkip:
 
     def test_fixed_pairs_cost_nothing(self, monkeypatch):
         calls = []
-        sq_dist = framework._sq_dist
+        sq_dist = framework._lifted_sq_dist
 
         def counted(p, q):
             calls.append(1)
             return sq_dist(p, q)
 
-        monkeypatch.setattr(framework, "_sq_dist", counted)
+        monkeypatch.setattr(framework, "_lifted_sq_dist", counted)
         fw = random_general_position_framework(9, 2, 4)
         copy = Framework(fw.graph, 2, fw.points)
         assert frameworks_congruent(fw, copy) and frameworks_equivalent(fw, copy)
@@ -621,3 +622,55 @@ class TestIntegerDistances:
         assert framework._same_sq_dists(framework._scaled_pair(a, c), pairs)
         assert oracles.equal_sq_distances(a.points, c.points, pairs)
         assert not frameworks_equivalent(a, b) and not frameworks_congruent(a, b)
+
+
+class TestFrameworkFromLifts:
+    """``Framework._moved`` against ``Framework`` on the same points: the
+    reflected framework is built from the images' lifts, keeping the input's
+    graph object and every other point and lift."""
+
+    def test_matches_the_framework_of_the_points(self):
+        rng = random.Random("moved-lifts")
+        seen = Counter()
+        for i in range(40):
+            dim = rng.randint(1, 3)
+            n = rng.randint(dim + 2, 9)
+            g = gen_ktree(n, dim, i)
+            pts = (random_general_position_framework(n, dim, i).points if i % 2
+                   else _rational_points(rng, dim, n))
+            try:
+                fw = Framework(g, dim, pts)
+                moved_pts = _reflect_subset(rng, fw)
+                expected = Framework(g, dim, moved_pts)
+            except DegenerateSpan:
+                continue
+            moved = {v: framework._lift(p) for v, p in enumerate(moved_pts)
+                     if p != fw.points[v]}
+            got = Framework._moved(fw, moved)
+            assert got == expected and got._lifted == expected._lifted
+            assert got.graph is fw.graph
+            assert all(got._lifted[v] is fw._lifted[v] for v in range(n) if v not in moved)
+            seen["rational" if any(p[-1] > 1 for p in fw._lifted) else "integer"] += 1
+        assert seen["rational"] and seen["integer"]
+
+    def test_reflected_lifts_are_the_lifts_of_the_images(self):
+        rng = random.Random("reflected-lifts")
+        for _ in range(200):
+            dim = rng.randint(1, 4)
+            normal = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(dim)]
+            if not any(normal):
+                normal[0] = F(1)
+            offset = F(rng.randint(-9, 9), rng.randint(1, 4))
+            plane = certify.Hyperplane(tuple(normal), offset)
+            p = _rational_points(rng, dim, 1)[0]
+            image = oracles.reflect_point(normal, offset, p)
+            assert plane._reflect_lifted(framework._lift(p)) == framework._lift(image)
+            assert plane.reflect(p) == image
+
+    def test_a_move_that_does_not_span_fails_on_both_paths(self):
+        # vertex 1 moved onto the line of 2, 3 and 4
+        fw = Framework(Graph.path(4), 2, [(0, 1), (0, 0), (1, 0), (2, 0)])
+        with pytest.raises(DegenerateSpan):
+            Framework(fw.graph, 2, [(3, 0), *fw.points[1:]])
+        with pytest.raises(DegenerateSpan):
+            Framework._moved(fw, {0: framework._lift((F(3), F(0)))})

@@ -407,7 +407,10 @@ class TestPeoFactsOnce:
                     peo.position_of(u) for u in nbrs)
             assert graphs._connectivity(later) == chordal_connectivity(g, peo)
             for r in range(4):
-                assert graphs._small_cut(g, later, r) == vertex_cut_of_size_at_most(g, peo, r)
+                cut = vertex_cut_of_size_at_most(g, peo, r)
+                found = graphs._small_cut(g, later, r)
+                assert found == (None if cut is None
+                                 else (cut, components_after_removal(g, cut)))
 
     def test_certify_checks_the_peo_once_and_lists_it_once(self, monkeypatch, prism):
         """certify_chordal runs MCS once, builds the later-neighbour lists
