@@ -15,7 +15,8 @@ Gale matrix holds the same integer columns (``framework.GaleMatrix``), so
 no Fraction is made until the stress or the Gale matrix is read. The
 conic check scales each edge direction to integers on its own. One sparse
 elimination (``exactmat._sparse_factor``) gives ``psdize_stress`` its
-input's rank, first vanishing leading minor and Gale factor. The
+input's rank, first vanishing leading minor and steps, and each step gives
+one Gale column of its factor in integers (``_step_column``). The
 negative branch reflects one side of a small separating set across a
 hyperplane through it, on the framework's lifted integer points, giving a
 framework with the same edge lengths that is provably not congruent; it is
@@ -43,8 +44,6 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .exactmat import (
-    _ZERO,
-    Matrix,
     _cofactor_basis,
     _cofactor_step,
     _integer_kernel,
@@ -70,14 +69,15 @@ from .framework import (
 )
 from .graphs import (
     Graph,
+    NotAPeo,
     Ordering,
+    _checked_later,
     _connectivity,
     _later_neighbors,
     _peo_violation,
     _small_cut,
     components_after_removal,
-    is_chordal,
-    is_peo,
+    find_chordless_cycle,
     mcs_order,
 )
 
@@ -210,19 +210,22 @@ def unit_triangular_gale(fw: Framework, peo: Ordering) -> GaleMatrix:
     """Gale matrix in unit-triangular shape, built column by column along a
     perfect elimination ordering; rows are in the original vertex labels.
 
+    An ordering that is not a PEO raises PreconditionViolated; the lists
+    that check builds (``graphs._checked_later``) go to ``_gale_columns``.
     The framework must not be a simplex. General position is never swept:
-    each column checks its own later neighbours (``_gale_columns``). Fewer
-    than dim+1 of them, which along a PEO means connectivity below dim+1,
-    raises PreconditionViolated, and so do later neighbours no dim+1 of
-    which are affinely independent, with the first dim+1 as the witness.
+    each column checks its own later neighbours. Fewer than dim+1 of them,
+    which along a PEO means connectivity below dim+1, raises
+    PreconditionViolated, and so do later neighbours no dim+1 of which are
+    affinely independent, with the first dim+1 as the witness.
     """
-    ok, _ = is_peo(fw.graph, peo)
-    if not ok:
-        raise PreconditionViolated("ordering is not a perfect elimination ordering")
+    try:
+        later = _checked_later(fw.graph, peo)
+    except NotAPeo:
+        raise PreconditionViolated("ordering is not a perfect elimination ordering") from None
     if fw.rbar < 1:
         raise PreconditionViolated("simplex framework: the Gale space is trivial")
     try:
-        columns = _gale_columns(fw, peo)
+        columns = _gale_columns(fw, peo, later)
     except DegenerateEvidence as exc:
         raise PreconditionViolated(
             f"points not in general position, witness {exc.witness}") from exc
@@ -230,11 +233,11 @@ def unit_triangular_gale(fw: Framework, peo: Ordering) -> GaleMatrix:
 
 
 def _gale_columns(fw: Framework, peo: Ordering,
-                  later: Sequence[Sequence[int]] | None = None) -> GaleColumns:
+                  later: Sequence[Sequence[int]]) -> GaleColumns:
     """The columns of ``unit_triangular_gale`` as {0-based vertex: entry},
-    for a PEO of a framework that is not a simplex. ``later`` holds the
-    later-neighbour lists of ``peo`` (``graphs._later_neighbors``); they are
-    built when it is None.
+    for a PEO of a framework that is not a simplex, read off ``later``, the
+    later-neighbour lists of ``peo`` (``graphs._later_neighbors``) that the
+    caller has checked.
 
     Column j of Z is 1 at the vertex v in position j and x_k at dim+1 of
     its later neighbours u_k, where sum_k x_k (u_k, 1) = -(v, 1). The
@@ -259,8 +262,6 @@ def _gale_columns(fw: Framework, peo: Ordering,
     """
     r = fw.dim
     lifted = fw._lifted
-    if later is None:
-        later = _later_neighbors(fw.graph, peo)
     columns = []
     for j in range(1, fw.rbar + 1):
         v = peo.vertex_at(j)
@@ -402,8 +403,9 @@ def certify_chordal(fw: Framework) -> Certificate:
     The graph is walked once: the maximum cardinality search ordering's
     later-neighbour lists are built once (``graphs._later_neighbors``) and
     checked once (``graphs._peo_violation``); chordality, connectivity, the
-    cut and the Gale columns all read them. Only a failed check runs
-    ``is_chordal``, for the chordless cycle. The components that the cut's
+    cut and the Gale columns all read them. Only a failed check searches
+    for the chordless cycle (``graphs.find_chordless_cycle``), which must
+    then exist. The components that the cut's
     check finds (``graphs._small_cut``) go to the reflection
     (``_reflection``), so a NotGloballyRigid op searches them once.
 
@@ -445,8 +447,10 @@ def certify_chordal(fw: Framework) -> Certificate:
     peo = mcs_order(fw.graph)
     later = _later_neighbors(fw.graph, peo)
     if _peo_violation(fw.graph, peo, later) is not None:
-        return Certificate(Verdict.INCONCLUSIVE, reason=Reason.NOT_CHORDAL,
-                           detail=is_chordal(fw.graph).chordless_cycle)
+        cycle = find_chordless_cycle(fw.graph)
+        if cycle is None:
+            raise AssertionFailure("ordering check failed but no chordless cycle found")
+        return Certificate(Verdict.INCONCLUSIVE, reason=Reason.NOT_CHORDAL, detail=cycle)
     kappa = _connectivity(later)
     if fw.rbar == 0:  # n = dim+1 points that span are in general position
         return Certificate(Verdict.INCONCLUSIVE, connectivity=kappa, peo=peo,
@@ -608,62 +612,77 @@ class PsdizeResult:
 
     ``stress`` is in the original labels; ``gale`` holds the rbar unit
     columns of the input's L D L^T factor, in the original labels, as a
-    Gale matrix, and ``peo`` the ordering they were eliminated along.
-    ``eliminated`` is the staircase matrix after rbar elimination steps,
-    expressed in ``peo``, built from the rows of ``gale.matrix`` on first
-    read and then kept: row j is the unit column of the j-th pivot in
-    position order, and the rows below rbar are zero. The stress and the
-    ordering determine the factor, so results compare by those two alone.
+    Gale matrix, and ``peo`` the ordering they were eliminated along. The
+    stress and the ordering determine the factor, so results compare by
+    those two alone.
     """
 
     stress: StressMatrix
     peo: Ordering
     gale: GaleMatrix = field(compare=False)
 
-    @cached_property
-    def eliminated(self) -> Matrix:
-        n, rows = len(self.peo), self.gale.matrix.data
-        return Matrix._of(tuple(zip(*(rows[v - 1] for v in self.peo)))
-                          + ((_ZERO,) * n,) * (n - self.gale.rbar), n, n)
-
 
 def _elimination_order(graph: Graph) -> Ordering:
     """The identity when it is a perfect elimination ordering of the graph,
     which proves the graph chordal, else the maximum cardinality search
-    one; PreconditionViolated when the graph is not chordal."""
-    ident = Ordering.identity(graph.n)
-    if is_peo(graph, ident)[0]:
-        return ident
-    chord = is_chordal(graph)
-    if not chord.chordal:
-        raise PreconditionViolated("graph is not chordal")
-    return chord.peo
+    one; PreconditionViolated when the graph is not chordal. Each ordering
+    is walked once (``graphs._later_neighbors``, ``graphs._peo_violation``)."""
+    order = Ordering.identity(graph.n)
+    if _peo_violation(graph, order, _later_neighbors(graph, order)) is not None:
+        order = mcs_order(graph)
+        if _peo_violation(graph, order, _later_neighbors(graph, order)) is not None:
+            raise PreconditionViolated("graph is not chordal")
+    return order
+
+
+def _step_column(step: tuple[int, int | Fraction, dict[int, int | Fraction]],
+                 scale: Sequence[int]) -> dict[int, int]:
+    """The integer Gale column (``GaleColumns``) of the step (v, p, row) of
+    ``_sparse_factor`` on the congruent rows M = C S C, c = ``scale``.
+
+    Its unit column of S is 1 at v and a_w c_v / (p c_w) at each entry a_w
+    of the row. Times |p| L, L the lcm of the row's c_w, that is |p| L at v
+    and sign(p) a_w c_v (L / c_w) at each w, integers when p and the a_w
+    are; divided by their gcd, it is the one primitive integer vector along
+    the unit column with a positive entry at v, v first. A step that holds
+    a Fraction, left by an inexact quotient earlier in the pass, is cleared
+    of denominators first (``_integer_row``), which keeps its unit column.
+    """
+    v, p, row = step
+    if type(p) is not int or any(type(a) is not int for a in row.values()):
+        p, *ints = _integer_row([p, *row.values()])[0]
+        row = dict(zip(row, ints))
+    c_v, l = scale[v], math.lcm(*[scale[w] for w in row])
+    sign = 1 if p > 0 else -1
+    column = [abs(p) * l, *(sign * a * c_v * (l // scale[w]) for w, a in row.items())]
+    g = math.gcd(*column)
+    return {u: x // g for u, x in zip((v, *row), column)}
 
 
 def psdize_stress(fw: Framework, s: StressMatrix) -> PsdizeResult:
     """Turn a maximal-rank stress with generic rank profile into a PSD one.
 
-    One sparse symmetric elimination (``_sparse_factor``) along an
-    elimination ordering (the identity is kept when it already qualifies)
-    gives the input's rank; a rank other than rbar is reported first. Up to
-    the first zero, its pivots are the ratios of successive leading
-    principal minors, so a zero among the first rbar pivots is the first
-    vanishing minor and raises NotGenericRankProfile with its index.
-    Otherwise the pass factors the input as L D L^T, and the rbar unit
-    columns of L, cleared once to their integer form (``_integer_row``),
-    are a Gale matrix in unit-triangular shape; chordality keeps their
-    non-edge zeros, so their Gram product is again a stress:
-    PSD, of the same maximal rank. None of this uses general position, so
-    the points are not swept: the cleared columns get the checks of the
-    certificate's Gale columns (``_check_gale_columns``), which give every
-    clause of their Gram stress. The input is read through its congruent
-    integer rows (``StressMatrix.congruent``) alone; no dense matrix is
-    built. A stress whose size is not the framework's raises
+    The input is read through its congruent integer rows M = C S C
+    (``StressMatrix.congruent``) alone; no dense matrix is built. One
+    sparse symmetric elimination (``_sparse_factor``) of M along
+    ``_elimination_order`` gives the input's rank; a rank other than rbar
+    is reported first. Up to the first zero, its pivots are the
+    ratios of successive leading principal minors, so a zero among the
+    first rbar pivots is the first vanishing minor and raises
+    NotGenericRankProfile with its index. Otherwise the pass factors the
+    input as L D L^T, and the rbar unit columns of L, each built in
+    integers from its step and C (``_step_column``), are a Gale matrix in
+    unit-triangular shape; chordality keeps their non-edge zeros, so their
+    Gram product is again a stress: PSD, of the same maximal rank. None of
+    this uses general position, so the points are not swept: the columns
+    get the checks of the certificate's Gale columns
+    (``_check_gale_columns``), which give every clause of their Gram
+    stress. A stress whose size is not the framework's raises
     DimensionMismatch before any hypothesis is checked. The result holds
     the Gram stress, summed when first read
     (``StressMatrix.from_gale_columns``), the ordering and the integer unit
-    columns as a ``GaleMatrix``, whose dense ``matrix``, like
-    ``eliminated``, is built on first read.
+    columns as a ``GaleMatrix``, whose dense ``matrix`` is built on first
+    read.
     """
     rows, scale = _sized_congruent(fw, s)
     peo = _elimination_order(fw.graph)
@@ -673,18 +692,13 @@ def psdize_stress(fw: Framework, s: StressMatrix) -> PsdizeResult:
     if not (symmetric and non_edge is None and kernel_ok):
         raise PreconditionViolated("input is not a stress matrix: "
                                    f"{_clause_failures(symmetric, non_edge is None, kernel_ok)}")
-    order = [v - 1 for v in peo]
-    result = _sparse_factor(rows, order, scale)
+    result = _sparse_factor(rows, [v - 1 for v in peo])
     if result.rank != fw.rbar:
         raise PreconditionViolated(
             f"stress rank {result.rank} differs from the maximal {fw.rbar}")
     if not result.generic:
         raise NotGenericRankProfile(result.first_zero)
-    # Each unit column times the lcm d of its denominators is its integer
-    # form (``GaleColumns``): the pivot entry 1 becomes d > 0, and the gcd
-    # is 1, since each prime power dividing d exactly divides some entry's
-    # denominator exactly, and that entry times d is prime to it.
-    columns = [dict(zip(col, _integer_row(col.values())[0])) for col in result.columns]
+    columns = [_step_column(step, scale) for step in result.steps]
     _check_gale_columns(fw, columns, peo)
     return PsdizeResult(stress=StressMatrix.from_gale_columns(columns, fw.n), peo=peo,
                         gale=GaleMatrix(columns, fw.n))

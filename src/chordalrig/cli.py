@@ -21,6 +21,7 @@ from .certify import (
     CertifyError,
     NotGenericRankProfile,
     _elimination_order,
+    _reflection,
     certify_chordal,
     psdize_stress,
     reflection_counterexample,
@@ -40,8 +41,11 @@ from .framework import (
 from .graphs import (
     GraphError,
     InvalidParameters,
+    _later_neighbors,
+    _peo_violation,
+    _small_cut,
     is_chordal,
-    vertex_cut_of_size_at_most,
+    mcs_order,
 )
 from .jsonio import (
     InputTooLarge,
@@ -274,14 +278,16 @@ def reflect(framework_file, cut_spec, output):
                 raise click.UsageError(f"malformed --cut {cut_spec!r}")
             if not all(1 <= v <= fw.n for v in cut):
                 raise click.UsageError(f"--cut {cut_spec!r} names a vertex outside 1..{fw.n}")
-        else:
-            chord = is_chordal(fw.graph)
-            if not chord.chordal:
+            result = reflection_counterexample(fw, cut)
+        else:  # as certify_chordal: one walk, and the cut's components go on
+            peo = mcs_order(fw.graph)
+            later = _later_neighbors(fw.graph, peo)
+            if _peo_violation(fw.graph, peo, later) is not None:
                 raise CertifyError("graph is not chordal; supply --cut explicitly")
-            cut = vertex_cut_of_size_at_most(fw.graph, chord.peo, fw.dim)
-            if cut is None:
+            found = _small_cut(fw.graph, later, fw.dim)
+            if found is None:
                 raise CertifyError(f"no separating set of size at most {fw.dim} exists")
-        result = reflection_counterexample(fw, cut)
+            result = _reflection(fw, *found)
     except (CertifyError, FrameworkError, GraphError, ExactMatError) as exc:
         _fail(exc, EXIT_HYPOTHESIS)
     _emit(framework_to_obj, result, output)

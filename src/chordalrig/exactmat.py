@@ -16,10 +16,10 @@ they can.
   ``certify`` builds is eliminated again. Every division goes through
   ``_quotient``, which keeps an exact quotient an int. One pass decides
   rank, PSD and the generic rank profile in its order, which the
-  congruence keeps, and the unit columns it divides out, read in S's
+  congruence keeps, and keeps its steps, whose unit columns, read in S's
   scale, are the factor L of S = L D L^T; for a maximal-rank stress with
   generic rank profile, eliminated along a perfect elimination ordering,
-  L is a unit-triangular Gale matrix.
+  L is a unit-triangular Gale matrix, built in integers from the steps.
 - ``_cofactor_step`` is the one integer elimination: a fraction-free
   Bareiss step that extends a run of integer rows (cleared of
   denominators by ``_integer_row``) and keeps the basis of the vectors
@@ -337,37 +337,20 @@ class Elimination(NamedTuple):
     ``first_zero`` is the 1-based step of the first zero pivot, None when
     there is none. ``steps`` holds each nonzero 1x1 step as (v, p, row), p
     the pivot and row v's other entries when it was eliminated, in the
-    scale of the matrix eliminated, M = C S C; ``scale`` holds C's
-    diagonal c, None for C = I. ``pivots`` and ``columns`` give them in the
-    scale of S, built on each read.
+    scale of the matrix eliminated: the unit column of the step is 1 at v
+    and a / p at each entry a of the row.
     """
 
     rank: int
     psd: bool
     first_zero: int | None
     steps: list[tuple[int, int | Fraction, dict[int, int | Fraction]]]
-    scale: Sequence[int] | None
 
     @property
     def generic(self) -> bool:
         """Whether the first ``rank`` leading principal minors in the order
         are nonzero."""
         return self.first_zero is None or self.first_zero > self.rank
-
-    @property
-    def pivots(self) -> list[int | Fraction]:
-        """The nonzero 1x1 pivots of S in step order: p / c_v^2."""
-        c = self.scale
-        return [p if c is None else _quotient(p, c[v] * c[v]) for v, p, _ in self.steps]
-
-    @property
-    def columns(self) -> list[dict[int, int | Fraction]]:
-        """The unit columns of S's pivots, {0-based index: entry}: 1 at v
-        and S_wv / S_vv = a_w c_v / (p c_w) at each other w of the row."""
-        c = self.scale
-        return [{v: 1, **{w: _quotient(a, p) if c is None else _quotient(a * c[v], p * c[w])
-                          for w, a in row.items()}}
-                for v, p, row in self.steps]
 
 
 def _schur_update(work: SparseRows, gone: Sequence[int], keys: Sequence[int],
@@ -390,16 +373,15 @@ def _schur_update(work: SparseRows, gone: Sequence[int], keys: Sequence[int],
                 work[x].pop(w, None)
 
 
-def _sparse_factor(rows: SparseRows, order: Sequence[int],
-                   scale: Sequence[int] | None = None) -> Elimination:
+def _sparse_factor(rows: SparseRows, order: Sequence[int]) -> Elimination:
     """Symmetric exchange-free elimination over sparse rows, in ``order``.
 
     ``rows`` holds the entries of a symmetric matrix M by row, zeros
-    omitted or not, as ints where it can: the library passes M = C S C for
-    a stress S and C = diag(``scale``) of positive integers (None for
-    C = I), which has S's rank and inertia by Sylvester's law, and whose
-    leading principal minors in any order are S's times a product of c_v^2
-    > 0. ``order`` lists every row index once.
+    omitted or not, as ints where it can: ``psdize_stress`` passes
+    M = C S C for a stress S and C a diagonal of positive integers, which
+    has S's rank and inertia by Sylvester's law, and whose leading
+    principal minors in any order are S's times a product of c_v^2 > 0.
+    ``order`` lists every row index once.
 
     A nonzero pivot p at v is eliminated: each entry (u, w) of v's
     remaining neighbours loses f_u a_vw, f_u = a_uv / p, so only the clique
@@ -428,8 +410,8 @@ def _sparse_factor(rows: SparseRows, order: Sequence[int],
     block and every pivot is positive. Up to the first zero pivot, the
     pivots are the ratios of successive leading principal minors in the
     order, so the profile is generic exactly when that zero comes after
-    step ``rank``. With no block, S is L D L^T with L the unit columns and
-    D their pivots, which the result gives in S's scale when read.
+    step ``rank``. With no block, M is L D L^T with L the unit columns of
+    the steps and D their pivots.
     """
     work = {v: {w: x for w, x in row.items() if x} for v, row in rows.items()}
     if sorted(order) != sorted(work):
@@ -476,7 +458,7 @@ def _sparse_factor(rows: SparseRows, order: Sequence[int],
         blocks += 1
     return Elimination(len(steps) + 2 * blocks,
                        not blocks and all(p > 0 for _, p, _ in steps),
-                       first_zero, steps, scale)
+                       first_zero, steps)
 
 
 def rank(a: Matrix) -> int:

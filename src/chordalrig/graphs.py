@@ -135,27 +135,23 @@ class Ordering:
         return f"Ordering{self.order}"
 
 
-def mcs_order(g: Graph, start: int | None = None) -> Ordering:
+def mcs_order(g: Graph) -> Ordering:
     """Maximum cardinality search ordering.
 
-    The start vertex (default: vertex n) takes the last position; positions
-    are then filled downward, each time choosing the unlabeled vertex with
-    the most labeled neighbors, ties going to the lowest label. Runs in
-    near-linear time via a lazy heap.
+    Vertex n takes the last position; positions are then filled downward,
+    each time choosing the unlabeled vertex with the most labeled
+    neighbors, ties going to the lowest label. Runs in near-linear time
+    via a lazy heap.
     """
     n = g.n
-    if start is None:
-        start = n
-    if not 1 <= start <= n:
-        raise GraphError(f"start vertex {start} out of range 1..{n}")
     order = [0] * n
-    order[n - 1] = start
+    order[n - 1] = n
     labeled = [False] * (n + 1)
-    labeled[start] = True
+    labeled[n] = True
     weight = [0] * (n + 1)
-    heap: list[tuple[int, int]] = [(0, v) for v in range(1, n + 1) if v != start]
+    heap: list[tuple[int, int]] = [(0, v) for v in range(1, n)]
     heapq.heapify(heap)
-    for u in g.neighbors(start):
+    for u in g.neighbors(n):
         weight[u] = 1
         heapq.heappush(heap, (-1, u))
     for pos in range(n - 1, 0, -1):
@@ -220,7 +216,7 @@ def is_chordal(g: Graph) -> ChordalityResult:
     Returns the ordering as a certificate when chordal, and a concrete
     chordless cycle of length >= 4 when not.
     """
-    order = mcs_order(g, g.n)
+    order = mcs_order(g)
     ok, _ = is_peo(g, order)
     if ok:
         return ChordalityResult(True, order, None)

@@ -20,10 +20,13 @@ library path runs them: exchange-free Gaussian steps (``gauss_steps``,
 (``_int_determinant``), which gives ``determinant`` after clearing
 denominators, the per-subset sweep and the Cramer Gale columns
 (``gale_columns_by_cramer``), and ``psd_check`` (greatest-diagonal
-pivoting, with a witness x^T A x < 0 when not PSD). Last comes
-``reference_sparse_factor``, the symmetric sparse elimination over
+pivoting, with a witness x^T A x < 0 when not PSD). ``eliminated`` rebuilds
+``psdize_stress``'s staircase from its Gale matrix and ordering. Last
+comes ``reference_sparse_factor``, the symmetric sparse elimination over
 Fractions that ``exactmat._sparse_factor`` was before it ran on the
-integer rows of a congruent matrix; the kernel is compared with it. Unlike
+integer rows of a congruent matrix; the kernel is compared with it,
+through ``factor_in_scale``, which reads the pivots and unit columns of
+the input off the kernel's steps and the congruence scale. Unlike
 ``oracles``, all of this runs on the package's ``Matrix`` and integer
 kernels.
 """
@@ -48,13 +51,16 @@ from chordalrig import (
     is_general_position,
     random_general_position_framework,
 )
+from chordalrig import certify
 from chordalrig.certify import PreconditionViolated
 from chordalrig.exactmat import (
     DimensionMismatch,
     ExactMatError,
     SparseRows,
     _cofactor_step,
+    Elimination,
     _integer_row,
+    _quotient,
     _schur_update,
     _sparse_factor,
     _sparse_rows,
@@ -66,7 +72,7 @@ from chordalrig.framework import (
     SizeCapExceededError,
     _first_non_edge,
 )
-from chordalrig.graphs import GraphError, Ordering, gen_ktree
+from chordalrig.graphs import GraphError, Ordering, _later_neighbors, gen_ktree
 
 # Guard for the combinatorial sweep below; overridable per call.
 DEFAULT_SUBSET_CAP = 250_000
@@ -228,19 +234,24 @@ def ngr_moved_suite(count):
 
 
 def spy_order_calls(monkeypatch) -> "collections.Counter[str]":
-    """Count the calls of ``is_peo`` and ``mcs_order`` from ``certify``
-    and from ``graphs`` itself (``is_chordal`` runs both), by name."""
-    from chordalrig import certify, graphs
+    """Count, by name, the walks of an ordering, each of which builds its
+    later-neighbour lists (``_later_neighbors``) and checks them
+    (``_peo_violation``), and the maximum cardinality searches
+    (``mcs_order``), in every module that binds the name: ``certify``,
+    ``cli`` and ``graphs`` itself, so the walks inside ``is_peo``,
+    ``is_chordal`` and ``_checked_later`` count too."""
+    from chordalrig import cli, graphs
     calls: collections.Counter[str] = collections.Counter()
-    for name, modules in (("is_peo", (certify, graphs)), ("mcs_order", (certify, graphs))):
+    for name in ("_later_neighbors", "_peo_violation", "mcs_order"):
         real = getattr(graphs, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        for module in modules:
-            monkeypatch.setattr(module, name, counted)
+        for module in (certify, cli, graphs):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -505,6 +516,16 @@ def gauss_step_sequence(a: Matrix, t: int) -> Matrix:
     return a if g is None else Matrix(g, shape=(a.rows, a.cols))
 
 
+def eliminated(res) -> Matrix:
+    """The staircase matrix of a ``psdize_stress`` result after rbar
+    elimination steps, expressed in ``res.peo``: row j is the unit column
+    of the j-th pivot in position order, read from ``res.gale.matrix``, and
+    the rows below rbar are zero."""
+    n, rows = len(res.peo), res.gale.matrix.data
+    return Matrix([*zip(*(rows[v - 1] for v in res.peo)), *[[0] * n] * (n - res.gale.rbar)],
+                  shape=(n, n))
+
+
 def _int_determinant(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix by Bareiss elimination.
 
@@ -546,6 +567,12 @@ def gale_fractions(columns: Sequence[dict[int, int]]) -> list[dict[int, Fraction
     order: each entry divided by the column's pivot entry, its first."""
     return [{u: Fraction(x, next(iter(col.values()))) for u, x in col.items()}
             for col in columns]
+
+
+def gale_columns(fw: Framework, peo: Ordering) -> list[dict[int, int]]:
+    """``certify._gale_columns`` along ``peo``, handed the ordering's
+    later-neighbour lists (``graphs._later_neighbors``) unchecked."""
+    return certify._gale_columns(fw, peo, _later_neighbors(fw.graph, peo))
 
 
 def gale_columns_by_cramer(fw: Framework, peo: Ordering) -> list[dict[int, Fraction]]:
@@ -741,3 +768,19 @@ def reference_sparse_factor(rows: SparseRows, order: Sequence[int]
     return ReferenceElimination(len(columns) + 2 * blocks,
                                 not blocks and all(d > 0 for d in pivots),
                                 first_zero, pivots, columns)
+
+
+def factor_in_scale(result: Elimination, scale: Sequence[int] | None = None
+                    ) -> tuple[list[int | Fraction], list[dict[int, int | Fraction]]]:
+    """The nonzero 1x1 pivots of S and their unit columns, in step order,
+    from the steps (v, p, row) of ``_sparse_factor`` on M = C S C,
+    C = diag(``scale``) (None for C = I): the pivot p / c_v^2, and the
+    column 1 at v and S_wv / S_vv = a_w c_v / (p c_w) at each entry a_w of
+    the row, each an int when it is one. These are what
+    ``reference_sparse_factor`` gives on S."""
+    c = scale
+    pivots = [p if c is None else _quotient(p, c[v] * c[v]) for v, p, _ in result.steps]
+    columns = [{v: 1, **{w: _quotient(a, p) if c is None else _quotient(a * c[v], p * c[w])
+                         for w, a in row.items()}}
+               for v, p, row in result.steps]
+    return pivots, columns

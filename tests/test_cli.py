@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import helpers
-from chordalrig import certify, cli
+from chordalrig import certify, cli, graphs
 from chordalrig.certify import certify_chordal, unit_triangular_gale
 from chordalrig.cli import EXIT_LIMIT, main
 from chordalrig.exactmat import Matrix
@@ -23,7 +23,7 @@ from chordalrig.framework import (
     is_general_position,
     random_general_position_framework,
 )
-from chordalrig.graphs import Graph, Ordering, gen_ktree, is_chordal
+from chordalrig.graphs import Graph, Ordering, gen_ktree, is_chordal, mcs_order
 from chordalrig.jsonio import (
     MAX_VERTICES,
     framework_to_obj,
@@ -280,9 +280,9 @@ class TestPsdize:
                                       "--output", str(tmp_path / "psd.json")])
         assert result.exit_code == 0
         res, = results
-        assert res.gale._matrix is None and "eliminated" not in vars(res)
+        assert res.gale._matrix is None
         assert res.gale.matrix == hexagon.gale
-        assert res.eliminated == hexagon.eliminated
+        assert helpers.eliminated(res) == hexagon.eliminated
 
     def test_vanishing_minor_is_hypothesis_failure(self, runner, tmp_path):
         pts = [(i, i * i) for i in range(1, 6)]
@@ -377,8 +377,10 @@ class TestGale:
     def test_triangular_checks_the_ordering_once(self, runner, files, hexagon, tmp_path,
                                                  monkeypatch):
         """An identity that is a PEO proves the graph chordal: no search
-        runs, and the Gale construction re-checks it once. Otherwise the
-        search's PEO is used, as before."""
+        runs, and the Gale construction walks it once more, to build and
+        check its later-neighbour lists: 2 walks. Otherwise the search's
+        PEO is walked and used: 3 walks. On a graph that is not chordal
+        both orderings are walked and no chordless cycle is searched for."""
         # swapping labels 1 and 3 makes vertex 1 adjacent to the non-edge {3, 5}
         swap = {1: 3, 3: 1}
         graph = Graph(6, [(swap.get(u, u), swap.get(v, v)) for u, v in hexagon.fw.graph.edges])
@@ -390,12 +392,18 @@ class TestGale:
             unit_triangular_gale(relabelled, is_chordal(graph).peo).matrix)
         calls = helpers.spy_order_calls(monkeypatch)
         results = {}
-        for name, exit_code, is_peo_calls, mcs_calls in (
+
+        def no_cycle_search(g):
+            raise AssertionError("a chordless cycle was searched for")
+        for module in (certify, graphs):
+            monkeypatch.setattr(module, "find_chordless_cycle", no_cycle_search)
+        for name, exit_code, walks, mcs_calls in (
                 (files["hexagon"], 0, 2, 0), (str(path), 0, 3, 1), (files["prism"], 1, 2, 1)):
             calls.clear()
             results[name] = runner.invoke(main, ["gale", name, "--triangular"])
             assert results[name].exit_code == exit_code
-            assert calls["is_peo"] == is_peo_calls and calls["mcs_order"] == mcs_calls
+            assert calls["_later_neighbors"] == calls["_peo_violation"] == walks
+            assert calls["mcs_order"] == mcs_calls
         assert json.loads(results[str(path)].output) == expected
         assert results[files["prism"]].stderr == "error: graph is not chordal\n"
 
@@ -436,6 +444,33 @@ class TestReflect:
         result = runner.invoke(main, ["reflect", files["prism"]])
         assert result.exit_code == 1
         assert "error: graph is not chordal; supply --cut explicitly" in result.stderr
+
+    def test_default_cut_walks_the_ordering_once(self, runner, tmp_path, monkeypatch):
+        """Without --cut, a 40-vertex 2-tree in R^2 is walked once along its
+        MCS ordering, and the components that the cut's check finds go to
+        the reflection: two component searches, one of them the load's
+        connectivity check. The output is the one ``reflect --cut`` gives
+        on the same cut."""
+        ur = random_general_position_framework(40, 2, 3)
+        fw = Framework(gen_ktree(40, 2, 3), 2, ur.points)
+        path = tmp_path / "ngr.json"
+        write_json(path, framework_to_obj(fw))
+        calls = helpers.spy_order_calls(monkeypatch)
+        real = graphs.components_after_removal
+
+        def counted(*args):
+            calls["components_after_removal"] += 1
+            return real(*args)
+        for module in (certify, graphs):
+            monkeypatch.setattr(module, "components_after_removal", counted)
+        result = runner.invoke(main, ["reflect", str(path)])
+        assert result.exit_code == 0
+        assert calls == {"mcs_order": 1, "_later_neighbors": 1, "_peo_violation": 1,
+                         "components_after_removal": 2}
+        cut = graphs.vertex_cut_of_size_at_most(fw.graph, mcs_order(fw.graph), 2)
+        explicit = runner.invoke(main, ["reflect", str(path), "--cut",
+                                        ",".join(map(str, sorted(cut)))])
+        assert explicit.exit_code == 0 and explicit.output == result.output
 
 
 class TestChordal:
@@ -830,7 +865,7 @@ class TestIntStringLimit:
                               for _ in range(g.n)])
         rows = {v: {} for v in range(g.n)}
         for col in helpers.gale_fractions(
-                certify._gale_columns(fw, certify._elimination_order(g))):
+                helpers.gale_columns(fw, certify._elimination_order(g))):
             d = math.lcm(*[x.denominator for x in col.values()])
             for u, a in col.items():
                 for w, b in col.items():

@@ -24,6 +24,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    eliminated,
+    factor_in_scale,
+    gale_columns,
     gale_fractions,
     gale_stress,
     reference_sparse_factor,
@@ -156,21 +159,22 @@ class TestAgainstTheFractionKernel:
                 orders.append([v - 1 for v in chord.peo])
             for order in orders:
                 del entries[:]
-                got = _sparse_factor(ints, order, scale)
+                got = _sparse_factor(ints, order)
+                pivots, columns = factor_in_scale(got, scale)
                 want = reference_sparse_factor(_sparse_rows(Matrix(rows)), order)
                 assert (got.rank, got.psd, got.first_zero) == want[:3]
                 assert got.generic == want.generic
-                assert got.pivots == want.pivots
-                assert got.columns == want.columns
-                assert all(map(is_rational, got.pivots))
-                assert all(is_rational(x) for col in got.columns for x in col.values())
+                assert pivots == want.pivots
+                assert columns == want.columns
+                assert all(map(is_rational, pivots))
+                assert all(is_rational(x) for col in columns for x in col.values())
                 peo = chord.chordal and is_peo(g, Ordering([v + 1 for v in order]))[0]
                 seen.add(("peo", peo))
                 if any(type(x) is Fraction for x in entries):
                     seen.add("inexact quotient")
-                if got.rank > len(got.pivots):
+                if got.rank > len(got.steps):
                     seen.add("2x2 step")
-                if got.first_zero is not None and got.rank == len(got.pivots):
+                if got.first_zero is not None and got.rank == len(got.steps):
                     seen.add("zero pivot without a block")
                 seen.add(("psd", got.psd))
         assert seen >= {("peo", True), ("peo", False), "inexact quotient", "2x2 step",
@@ -185,7 +189,7 @@ class TestAgainstTheFractionKernel:
             order = rng.sample(range(n), n)
             got = _sparse_factor(_sparse_rows(Matrix(rows)), order)
             want = reference_sparse_factor(_sparse_rows(Matrix(rows)), order)
-            assert (got.rank, got.psd, got.first_zero, got.pivots, got.columns) == tuple(want)
+            assert (got.rank, got.psd, got.first_zero, *factor_in_scale(got)) == tuple(want)
 
     def test_congruent_rows_of_a_matrix(self):
         m = Matrix([[F(1, 2), F(-1, 3), 0], [F(-1, 3), 2, 0], [0, 0, 0]])
@@ -228,12 +232,12 @@ class TestGramStress:
         real = exactmat._quotient
         monkeypatch.setattr(exactmat, "_quotient",
                             lambda a, b: divisions.append((a, b)) or real(a, b))
-        result = _sparse_factor(rows, [v - 1 for v in cert.peo], scale)
+        result = _sparse_factor(rows, [v - 1 for v in cert.peo])
         assert (result.rank, result.psd) == (fw.rbar, True)
         assert entries and all(type(x) is int for x in entries)
         assert len(divisions) == fw.rbar
         monkeypatch.undo()
-        columns = gale_fractions(certify._gale_columns(fw, cert.peo))
+        columns = gale_fractions(gale_columns(fw, cert.peo))
         assert cert.stress.matrix == dense_gram(columns, fw.n)
 
     def test_gale_matrix_not_triangular_in_mcs_order(self, monkeypatch):
@@ -250,10 +254,10 @@ class TestGramStress:
                 random_general_position_framework(n, r, rng.randrange(10_000))
             other = Ordering(range(n, 0, -1))
             assert is_peo(fw.graph, other)[0] and other != mcs_order(fw.graph)
-            stress = StressMatrix.from_gale_columns(certify._gale_columns(fw, other), n)
-            rows, scale = stress.congruent
+            stress = StressMatrix.from_gale_columns(gale_columns(fw, other), n)
+            rows, _ = stress.congruent
             for order in ([v - 1 for v in mcs_order(fw.graph)], range(n)):
-                result = _sparse_factor(rows, order, scale)
+                result = _sparse_factor(rows, order)
                 assert (result.rank, result.psd) == (fw.rbar, True)
             z = unit_triangular_gale(fw, other)
             assert stress == gale_stress(fw, z, Matrix.identity(fw.rbar))
@@ -279,7 +283,7 @@ class TestLazyStress:
         assert cert.stress.matrix is first
         assert built == [(16, 16)]
         monkeypatch.undo()
-        assert first == dense_gram(gale_fractions(certify._gale_columns(fw, cert.peo)), fw.n)
+        assert first == dense_gram(gale_fractions(gale_columns(fw, cert.peo)), fw.n)
 
     def test_sparse_built_equals_dense_built(self):
         rng = random.Random(5)
@@ -322,7 +326,7 @@ class TestLazyStress:
         columns, whose cancelled entries are left out, and loaded from a
         file."""
         rng = random.Random(8)
-        hexagon_columns = certify._gale_columns(hexagon.fw, Ordering.identity(6))
+        hexagon_columns = gale_columns(hexagon.fw, Ordering.identity(6))
         # z_0 + z_2, z_1 and z_0 - z_2 of the hexagon's Z: their Gram sum
         # cancels at (1, 5), (1, 6) and (2, 6)
         cancelling = [{0: 2, 1: -2, 2: 1, 3: -1, 4: -4, 5: 4}, {1: 1, 2: -1, 3: -1, 4: 1},
@@ -334,7 +338,7 @@ class TestLazyStress:
         for r in (1, 2, 3):
             fw = rational_framework(rng, rng.randint(r + 3, r + 8), r)
             cert = certify_chordal(fw)
-            stresses.append((cert.stress.matrix, certify._gale_columns(fw, cert.peo)))
+            stresses.append((cert.stress.matrix, gale_columns(fw, cert.peo)))
         path = tmp_path / "s.json"
         for dense, columns in stresses:
             jsonio.write_json(path, jsonio.stress_to_obj(StressMatrix(dense)))
@@ -384,7 +388,7 @@ class TestLazyStress:
         rows = cert.stress.nonzero_rows()
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"the first read of the stress took {elapsed:.1f}s"
-        columns = gale_fractions(certify._gale_columns(fw, cert.peo))
+        columns = gale_fractions(gale_columns(fw, cert.peo))
         for u in (cert.peo.vertex_at(1) - 1, cert.peo.vertex_at(3000) - 1):
             expected = {}
             for col in columns:
@@ -413,7 +417,7 @@ class TestLazyStress:
     def test_psdize_reads_the_unit_columns_in_the_input_scale(self, hexagon):
         res = psdize_stress(hexagon.fw, StressMatrix(scaled_matrix(hexagon.stress, F(1, 6))))
         assert res.stress.matrix == hexagon.psd
-        assert res.eliminated == hexagon.eliminated
+        assert eliminated(res) == hexagon.eliminated
         assert res.gale.matrix == hexagon.gale
 
 

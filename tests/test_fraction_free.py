@@ -12,6 +12,7 @@ and a brute-force product.
 """
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -19,6 +20,7 @@ from fractions import Fraction
 
 import pytest
 
+import helpers
 import oracles
 from chordalrig import certify, exactmat, framework, jsonio
 from chordalrig.certify import (
@@ -148,6 +150,33 @@ def _oracle_columns(fw, peo):
     return columns, None, kinds
 
 
+def _psdize_stresses(couple):
+    """Seeded stresses Z Psi Z^T of maximal rank at integer points: Z the
+    unit-triangular Gale matrix of an (r+2)-tree in R^r, r = 1..3, along
+    the ordering ``psdize_stress`` picks, and Psi a diagonal of nonzero
+    integers of both signs. With ``couple``, Psi also couples up to three
+    pairs of columns whose supports together lie in a clique, so the
+    product is still a stress, and its elimination at times divides
+    inexactly."""
+    for seed in range(16):
+        rng = random.Random(f"psdize-columns/{seed}")
+        r = seed % 3 + 1
+        n = rng.randint(r + 5, r + 10)
+        fw = Framework(gen_ktree(n, r + 2, seed), r,
+                       framework.random_general_position_framework(n, r, seed).points)
+        z = unit_triangular_gale(fw, certify._elimination_order(fw.graph))
+        k = fw.rbar
+        psi = [[rng.choice((-1, 1)) * rng.randint(1, 9) if i == j else 0 for j in range(k)]
+               for i in range(k)]
+        if couple:
+            pairs = [(i, j) for i, j in itertools.combinations(range(k), 2)
+                     if all(u == w or fw.graph.has_edge(u + 1, w + 1)
+                            for u in z.columns[i] for w in z.columns[j])]
+            for i, j in pairs[:seed % 4]:
+                psi[i][j] = psi[j][i] = rng.randint(-9, 9)
+        yield fw, helpers.gale_stress(fw, z, Matrix(psi))
+
+
 class TestGaleColumnsOracle:
     def test_columns_match_the_null_space_oracle(self):
         """Each column ``_gale_columns`` builds by Cramer's rule on its
@@ -161,10 +190,10 @@ class TestGaleColumnsOracle:
         for fw, peo in _forced_frameworks():
             expected, witness, kinds = _oracle_columns(fw, peo)
             if witness is None:
-                assert certify._gale_columns(fw, peo) == expected
+                assert helpers.gale_columns(fw, peo) == expected
             else:
                 with pytest.raises(certify.DegenerateEvidence) as info:
-                    certify._gale_columns(fw, peo)
+                    helpers.gale_columns(fw, peo)
                 assert info.value.witness == witness
             rational = any(p[-1] > 1 for p in fw._lifted)
             seen |= {(fw.dim, rational, kind) for kind in kinds}
@@ -183,7 +212,7 @@ class TestIntegerColumns:
         for fw in _gale_inputs():
             peo = is_chordal(fw.graph).peo
             try:
-                columns = certify._gale_columns(fw, peo)
+                columns = helpers.gale_columns(fw, peo)
             except certify.DegenerateEvidence:
                 continue
             for j, col in enumerate(columns, 1):
@@ -221,7 +250,7 @@ class TestIntegerColumns:
         for fw in rational:
             checked.clear()
             try:
-                columns = certify._gale_columns(fw, is_chordal(fw.graph).peo)
+                columns = helpers.gale_columns(fw, is_chordal(fw.graph).peo)
             except certify.DegenerateEvidence:
                 continue
             assert len(checked) == len(columns)
@@ -243,13 +272,32 @@ class TestIntegerColumns:
             return y and [y[0], 2 * y[1], *y[2:]]
         monkeypatch.setattr(certify, "_kernel_vector", slipped)
         with pytest.raises(certify.AssertionFailure, match="column 1 does not lie"):
-            certify._gale_columns(fw, is_chordal(fw.graph).peo)
+            helpers.gale_columns(fw, is_chordal(fw.graph).peo)
 
     def test_psdize_columns_are_the_integer_form_of_its_factor(self, hexagon):
+        """The columns ``psdize_stress`` builds from its elimination steps
+        are the unit columns of the Fraction kernel
+        ``helpers.reference_sparse_factor`` on the input, along the same
+        ordering, each cleared of denominators (``_integer_row``), key
+        order included: on the hexagon, on seeded stresses whose
+        elimination divides exactly throughout, and on seeded stresses
+        where an inexact quotient leaves a Fraction in a later step."""
         res = certify.psdize_stress(hexagon.fw, StressMatrix(hexagon.stress))
         assert res.gale.columns == [{0: 2, 1: -2, 2: -1, 3: 1}, {1: 1, 2: -1, 3: -1, 4: 1},
                                {2: 1, 3: -1, 4: -2, 5: 2}]
         assert res.gale.matrix == hexagon.gale
+        seen = set()
+        for fw, s in [(hexagon.fw, StressMatrix(hexagon.stress)), *_psdize_stresses(couple=True)]:
+            res = certify.psdize_stress(fw, s)
+            order = [v - 1 for v in res.peo]
+            reference = helpers.reference_sparse_factor(exactmat._sparse_rows(s.matrix), order)
+            cleared = [dict(zip(col, exactmat._integer_row(col.values())[0]))
+                       for col in reference.columns]
+            assert [list(col.items()) for col in res.gale.columns] == \
+                [list(col.items()) for col in cleared]
+            steps = exactmat._sparse_factor(s.congruent[0], order).steps
+            seen.add(any(type(x) is Fraction for _, p, row in steps for x in (p, *row.values())))
+        assert seen == {True, False}
 
 
 class TestNoFractionOnThePositiveBranch:
@@ -272,6 +320,30 @@ class TestNoFractionOnThePositiveBranch:
             assert made == []
         cert.stress.nonzero_rows()
         assert made
+
+    def test_psdize_makes_no_fraction_beyond_its_elimination(self, hexagon, monkeypatch):
+        """``psdize_stress`` builds its integer Gale factor from the steps of
+        its one ``_sparse_factor`` pass: around the whole call no more
+        Fractions are made than around that pass alone, on the hexagon and
+        on seeded Z D Z^T stresses at integer points, whose congruent rows
+        are read first."""
+        made = []
+        real = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(1)
+            return real(cls, *args, **kwargs)
+        for fw, s in [(hexagon.fw, StressMatrix(hexagon.stress)), *_psdize_stresses(couple=False)]:
+            rows, _ = s.congruent
+            order = [v - 1 for v in certify._elimination_order(fw.graph)]
+            monkeypatch.setattr(Fraction, "__new__", counted)
+            exactmat._sparse_factor(rows, order)
+            alone = len(made)
+            made.clear()
+            certify.psdize_stress(fw, s)
+            assert len(made) <= alone
+            made.clear()
+            monkeypatch.undo()
 
     def test_gale_matrices_make_no_fraction_until_the_matrix_is_read(self, monkeypatch):
         """At integer points ``gale_matrix`` and ``unit_triangular_gale``

@@ -1,4 +1,3 @@
-import collections
 import hashlib
 import itertools
 import random
@@ -6,6 +5,7 @@ import time
 
 import pytest
 
+import helpers
 import oracles
 from helpers import relabel_to_positions
 from chordalrig import certify, graphs
@@ -99,27 +99,19 @@ class TestOrdering:
 
 class TestMcsOrder:
     def test_triangle_tie_breaking(self):
-        # Start vertex 3 takes the last slot; the lowest-label tie rule then
+        # Vertex 3 takes the last slot; the lowest-label tie rule then
         # places vertex 1 before the remaining vertex 2.
-        assert mcs_order(Graph.complete(3), 3) == Ordering([2, 1, 3])
-
-    def test_default_start_is_last_vertex(self):
-        g = Graph.complete(3)
-        assert mcs_order(g) == mcs_order(g, 3)
+        assert mcs_order(Graph.complete(3)) == Ordering([2, 1, 3])
 
     def test_hexagon_gives_peo(self, hexagon):
-        order = mcs_order(hexagon.fw.graph, 6)
+        order = mcs_order(hexagon.fw.graph)
         assert order == Ordering([1, 2, 5, 4, 3, 6])
         assert is_peo(hexagon.fw.graph, order) == (True, None)
 
     def test_cycle_orders_are_rejected_later(self):
-        order = mcs_order(Graph.cycle(4), 4)
+        order = mcs_order(Graph.cycle(4))
         ok, triple = is_peo(Graph.cycle(4), order)
         assert not ok and triple is not None
-
-    def test_start_range(self):
-        with pytest.raises(GraphError):
-            mcs_order(Graph.path(3), 4)
 
     def test_visits_every_vertex_once(self):
         g = gen_ktree(40, 3, 9)
@@ -232,7 +224,7 @@ class TestIsChordal:
             g = Graph(n, [e for e in itertools.combinations(range(1, n + 1), 2)
                           if rng.random() < p])
             cycle = find_chordless_cycle(g)
-            assert (cycle is None) == is_peo(g, mcs_order(g, n))[0]
+            assert (cycle is None) == is_peo(g, mcs_order(g))[0]
             if cycle is not None:
                 assert_valid_chordless_cycle(g, cycle)
                 assert cycle[0] == min(cycle) and cycle[1] < cycle[-1]
@@ -413,14 +405,14 @@ class TestPeoFactsOnce:
                                  else (cut, components_after_removal(g, cut)))
 
     def test_certify_checks_the_peo_once_and_lists_it_once(self, monkeypatch, prism):
-        """certify_chordal runs MCS once, builds the later-neighbour lists
-        once and checks them once, on UR and NGR inputs. ``is_chordal``
-        runs only when the check fails, for the chordless cycle: on the
-        prism, whose MCS ordering is not a PEO."""
-        calls = collections.Counter()
-        for name in ("mcs_order", "_later_neighbors", "_peo_violation", "is_chordal", "is_peo"):
-            monkeypatch.setattr(certify, name, lambda *a, _name=name, _real=getattr(certify, name):
-                                calls.update([_name]) or _real(*a))
+        """certify_chordal runs MCS once and walks its ordering once: builds
+        the later-neighbour lists once and checks them once, on UR and NGR
+        inputs. Only a failed check searches for the chordless cycle, which
+        walks no ordering: on the prism, whose MCS ordering is not a PEO."""
+        calls = helpers.spy_order_calls(monkeypatch)
+        real = certify.find_chordless_cycle
+        monkeypatch.setattr(certify, "find_chordless_cycle",
+                            lambda g: calls.update(["find_chordless_cycle"]) or real(g))
         once = {"mcs_order": 1, "_later_neighbors": 1, "_peo_violation": 1}
         ur = random_general_position_framework(12, 2, 5)
         ngr = Framework(gen_ktree(12, 2, 5), 2, ur.points)
@@ -433,4 +425,4 @@ class TestPeoFactsOnce:
         cert = certify.certify_chordal(prism)
         assert cert.reason is certify.Reason.NOT_CHORDAL
         assert cert.detail == find_chordless_cycle(prism.graph)
-        assert calls == {**once, "is_chordal": 1}
+        assert calls == {**once, "find_chordless_cycle": 1}

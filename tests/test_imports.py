@@ -12,8 +12,9 @@ top-level public function of ``exactmat`` is read by no other module but
 ``__init__``, whose re-exports are not uses; and when a public method or
 property of ``exactmat.Matrix`` is read, as an attribute, nowhere in the
 package outside its own definition and nowhere in the bench harness
-(``bench/``), and likewise for ``framework.StressMatrix`` and
-``framework.GaleMatrix``.
+(``bench/``), and likewise for ``framework.StressMatrix``,
+``framework.GaleMatrix``, ``certify.PsdizeResult`` and
+``exactmat.Elimination``.
 """
 
 import ast
@@ -217,20 +218,10 @@ def unread_public_members(cls: str, sources: list[str], outside: list[str]) -> l
     return sorted(name for name in defined if name.split(".")[1] not in read)
 
 
-def test_matrix_keeps_only_what_the_package_or_bench_reads():
-    assert unread_public_members("Matrix", [p.read_text() for p in sorted(SOURCE.glob("*.py"))],
-                                 [p.read_text() for p in sorted(BENCH.glob("*.py"))]) == []
-
-
-def test_stress_matrix_keeps_only_what_the_package_or_bench_reads():
-    assert unread_public_members("StressMatrix",
-                                 [p.read_text() for p in sorted(SOURCE.glob("*.py"))],
-                                 [p.read_text() for p in sorted(BENCH.glob("*.py"))]) == []
-
-
-def test_gale_matrix_keeps_only_what_the_package_or_bench_reads():
-    assert unread_public_members("GaleMatrix",
-                                 [p.read_text() for p in sorted(SOURCE.glob("*.py"))],
+@pytest.mark.parametrize("cls", ["Matrix", "StressMatrix", "GaleMatrix", "PsdizeResult",
+                                 "Elimination"])
+def test_class_keeps_only_what_the_package_or_bench_reads(cls):
+    assert unread_public_members(cls, [p.read_text() for p in sorted(SOURCE.glob("*.py"))],
                                  [p.read_text() for p in sorted(BENCH.glob("*.py"))]) == []
 
 

@@ -104,7 +104,7 @@ class TestNamedCases:
     ])
     def test_named(self, rows, order, expected):
         result, _ = TestAgainstDensePaths.check(fractions(rows), order)
-        block = result.rank > len(result.columns)
+        block = result.rank > len(result.steps)
         assert (None if block else (result.rank, result.psd)) == expected
 
     @pytest.mark.parametrize("rows, order, expected", [
@@ -121,7 +121,7 @@ class TestNamedCases:
         """Rank, PSD and the first zero step where the pass takes a block."""
         result, _ = TestAgainstDensePaths.check(fractions(rows), order)
         assert (result.rank, result.psd, result.first_zero) == expected
-        assert result.rank > len(result.columns)
+        assert result.rank > len(result.steps)
 
     @pytest.mark.parametrize("order", [[0], [0, 1, 1], [1, 2], [0, 1, 2]])
     def test_order_must_list_every_row_once(self, order):
@@ -208,12 +208,13 @@ class TestAgainstDensePaths:
         if leading is not None:
             assert result.generic and result[:2] == leading
         position = {v: i for i, v in enumerate(order)}
-        heads = [min(col, key=position.get) for col in result.columns]
-        assert all(col[v] == 1 for v, col in zip(heads, result.columns))
+        pivots, columns = helpers.factor_in_scale(result)
+        heads = [min(col, key=position.get) for col in columns]
+        assert all(col[v] == 1 for v, col in zip(heads, columns))
         assert heads == sorted(set(heads), key=position.get)
-        assert len(result.pivots) == len(result.columns) and all(result.pivots)
-        if result.rank == len(result.columns):  # no 2x2 step
-            assert ldlt(result.pivots, result.columns, n) == rows
+        assert len(pivots) == len(columns) and all(pivots)
+        if result.rank == len(columns):  # no 2x2 step
+            assert ldlt(pivots, columns, n) == rows
         return result, leading is None
 
     def test_seeded_patterns_and_orders(self):
@@ -230,7 +231,7 @@ class TestAgainstDensePaths:
             for order in (list(range(n)), mcs, shuffled):
                 result, dense_gave_up = self.check(rows, order)
                 results.append(result[:2])
-                block = result.rank > len(result.columns)
+                block = result.rank > len(result.steps)
                 peo = is_peo(g, Ordering([v + 1 for v in order]))[0]
                 outcome = ("2x2 step" if block else "psd" if result.psd else "indefinite")
                 seen.add((chordal, peo, outcome))
@@ -306,7 +307,7 @@ class TestSparseGale:
             else:
                 fw = random_general_position_framework(n, r, rng.randrange(10_000))
             peo = is_chordal(fw.graph).peo
-            columns = helpers.gale_fractions(certify._gale_columns(fw, peo))
+            columns = helpers.gale_fractions(helpers.gale_columns(fw, peo))
             cramer = helpers.gale_columns_by_cramer(fw, peo)
             assert [list(col.items()) for col in columns] == [list(col.items()) for col in cramer]
             expected = oracles.unit_triangular_gale_by_solving(fw.points, fw.graph.edges,
@@ -326,7 +327,7 @@ class TestSparseGale:
         with pytest.raises(DegenerateEvidence,
                            match="^support of column 1 is degenerate: no 3 of its later "
                                  "neighbours are affinely independent$"):
-            certify._gale_columns(fw, Ordering.identity(5))
+            helpers.gale_columns(fw, Ordering.identity(5))
 
     @pytest.mark.parametrize("first", [(0, 0), (0, 1)], ids=["on-the-line", "off-the-line"])
     def test_greedy_support_skips_a_dependent_neighbour(self, first):
@@ -335,7 +336,7 @@ class TestSparseGale:
         the column is the sympy solve on that support."""
         pts = [first, (1, 0), (2, 0), (3, 0), (0, 2)]
         fw = Framework(Graph.complete(5), 2, pts)
-        columns = certify._gale_columns(fw, Ordering.identity(5))
+        columns = helpers.gale_columns(fw, Ordering.identity(5))
         a = oracles.sym_matrix([[*pts[u - 1], 1] for u in (2, 3, 5)]).T
         b = oracles.sym_matrix([[-x] for x in (*pts[0], 1)])
         x = a.LUsolve(b)
@@ -361,7 +362,7 @@ class TestSparseGale:
         # without the general-position precondition, column 1's support is
         # the collinear triple {1, 2, 3}
         with pytest.raises(AssertionFailure, match="degenerate"):
-            certify._gale_columns(k5_minus_edge, is_chordal(k5_minus_edge.graph).peo)
+            helpers.gale_columns(k5_minus_edge, is_chordal(k5_minus_edge.graph).peo)
 
 
 # The hexagon's integer Gale columns along the identity, and mutations of
@@ -403,10 +404,10 @@ class TestColumnCheck:
             certify._check_gale_columns(hexagon.fw, columns, Ordering.identity(6))
 
     def test_psdize_checks_its_factor_columns_in_the_gale_space(self, hexagon, monkeypatch):
-        """``psdize_stress`` checks each cleared factor column in the Gale
+        """``psdize_stress`` checks each integer factor column in the Gale
         space, in integers, not only their shape: at the hexagon's integer
-        points the check reads the columns as they are, and with one entry
-        of the first cleared column doubled it raises."""
+        points the check reads the columns as they are, and with the last
+        entry of the first column built from its step doubled it raises."""
         checked = []
         real_check = certify._in_gale_space
         monkeypatch.setattr(certify, "_in_gale_space",
@@ -414,19 +415,19 @@ class TestColumnCheck:
         psdize_stress(hexagon.fw, StressMatrix(hexagon.stress))
         assert checked == HEXAGON_COLUMNS
         monkeypatch.undo()
-        cleared = []
-        real_row = certify._integer_row
+        built = []
+        real_column = certify._step_column
 
-        def slipped(values):
-            ints, scale = real_row(values)
-            cleared.append(ints)
-            if len(cleared) == 1:
-                ints[-1] *= 2
-            return ints, scale
-        monkeypatch.setattr(certify, "_integer_row", slipped)
+        def slipped(step, scale):
+            column = real_column(step, scale)
+            built.append(column)
+            if len(built) == 1:
+                column[next(reversed(column))] *= 2
+            return column
+        monkeypatch.setattr(certify, "_step_column", slipped)
         with pytest.raises(AssertionFailure, match="column 1 does not lie in the Gale space"):
             psdize_stress(hexagon.fw, StressMatrix(hexagon.stress))
-        assert cleared[0] == [2, -2, -1, 2]
+        assert list(built[0].values()) == [2, -2, -1, 2]
 
     def test_no_stress_clause_or_elimination_on_the_output(self, hexagon, monkeypatch):
         """``certify_chordal`` runs neither the stress clauses nor the
@@ -454,7 +455,7 @@ class TestColumnCheck:
         assert s[0, 0] == 0 and any(s.data[0])
         result = factor(s.to_lists(), range(6))
         assert (result.rank, result.psd, result.first_zero) == (2, False, 1)
-        assert result.columns == []
+        assert result.steps == []
         with pytest.raises(PreconditionViolated, match="stress rank 2 differs"):
             psdize_stress(fw, StressMatrix(s))
 
@@ -524,7 +525,7 @@ class TestGramSum:
             else:
                 fw = helpers.rational_points_framework(rng, n, r)
             peo = is_chordal(fw.graph).peo
-            columns = certify._gale_columns(fw, peo)
+            columns = helpers.gale_columns(fw, peo)
             fractions = helpers.gale_fractions(columns)
             assert StressMatrix.from_gale_columns(columns, n).matrix == dense_gram(fractions, n)
             seen.add((r, mixes_scales(fractions)))
@@ -701,7 +702,7 @@ class TestPsdizeFactor:
             order = [v - 1 for v in peo]
             dense = gauss_step_sequence(helpers.submatrix(s, order, order), fw.rbar)
             assert res.peo == peo
-            assert res.eliminated == dense
+            assert helpers.eliminated(res) == dense
             gale = [[F(0)] * fw.rbar for _ in range(fw.n)]
             for j in range(fw.rbar):
                 for i, v in enumerate(order):
@@ -719,9 +720,9 @@ class TestPsdizeFactor:
             for order in ([v - 1 for v in peo], rng.sample(range(fw.n), fw.n)):
                 result = _sparse_factor(rows, order)
                 assert result.rank == fw.rbar
-                no_block = len(result.columns) == fw.rbar
+                no_block = len(result.steps) == fw.rbar
                 if no_block:
-                    assert ldlt(result.pivots, result.columns, fw.n) == s.to_lists()
+                    assert ldlt(*helpers.factor_in_scale(result), fw.n) == s.to_lists()
                 seen.add((order[0] == peo.vertex_at(1) - 1, no_block))
         assert {(True, True), (False, True)} <= seen
 
@@ -782,9 +783,9 @@ class TestPsdizeFactor:
         passes, ranks = [], []
         factor = certify._sparse_factor
 
-        def counted_factor(rows, order, scale):
-            passes.append((rows, scale))
-            return factor(rows, order, scale)
+        def counted_factor(rows, order):
+            passes.append(rows)
+            return factor(rows, order)
 
         def counted_rank(a):
             ranks.append(a)
@@ -813,8 +814,8 @@ class TestPsdizeFactor:
                 pass
             # the input's pass; the output's clauses follow from its columns
             assert len(passes) == 1 and ranks == []
-            assert passes[0] == _congruent_rows(_sparse_rows(s))
+            assert passes[0] == _congruent_rows(_sparse_rows(s))[0]
         passes.clear()
         with pytest.raises(PreconditionViolated, match="stress rank 2 differs"):
             psdize_stress(k6, StressMatrix(low))
-        assert passes == [_congruent_rows(_sparse_rows(low))] and ranks == []
+        assert passes == [_congruent_rows(_sparse_rows(low))[0]] and ranks == []

@@ -188,7 +188,7 @@ class TestConicAtInfinity:
                 except DegenerateSpan:
                     continue
                 try:
-                    certify._gale_columns(fw, certify._elimination_order(fw.graph))
+                    helpers.gale_columns(fw, certify._elimination_order(fw.graph))
                 except DegenerateEvidence as exc:
                     if re.search(r"column (\d+)", str(exc)).group(1) == "1":
                         continue
@@ -335,7 +335,7 @@ class TestPsdizeWithoutGeneralPosition:
                 continue
             peo = certify._elimination_order(fw.graph)
             try:
-                z = GaleMatrix(certify._gale_columns(fw, peo), fw.n)
+                z = GaleMatrix(helpers.gale_columns(fw, peo), fw.n)
             except certify.DegenerateEvidence:
                 continue
             d = [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(fw.rbar)]
