@@ -245,11 +245,12 @@ def _gale_columns(fw: Framework, peo: Ordering,
     the lcm of its denominators, and ``_kernel_vector`` solves for the
     integer y with y_v L_v + sum_k y_k L_{u_k} = 0 by Cramer's rule on the
     support's differences from v, one fraction-free elimination over dim
-    rows; then x_k = l_{u_k} y_k / (l_v y_v). The column is returned in
-    integers (``GaleColumns``): w_u = l_u y_u over v and the support,
-    divided by its gcd and signed so that w_v > 0, so x_k = w_{u_k} / w_v;
-    the kernel is one-dimensional, so w is the one primitive affine
-    dependency of v on the support with w_v > 0.
+    rows, or in the plane the cross product of the two rows; then x_k =
+    l_{u_k} y_k / (l_v y_v). The column is returned in integers
+    (``GaleColumns``): w_u = l_u y_u over v and the support, divided by its
+    gcd and signed so that w_v > 0, so x_k = w_{u_k} / w_v; the kernel is
+    one-dimensional, so w is the one primitive affine dependency of v on
+    the support with w_v > 0, whichever multiple of y was solved for.
 
     A position with fewer than dim+1 later neighbours raises
     PreconditionViolated. The support is first the dim+1 earliest later
@@ -334,7 +335,12 @@ def _kernel_vector(lifted: Sequence[Sequence[int]], v: int, support: Sequence[in
     It is solved on the differences D_k = l_v L_{u_k} - l_{u_k} L_v, whose
     last coordinate is 0: their dim coordinate rows go through one
     ``_cofactor_basis`` pass, which leaves the cofactor vector z with
-    sum_k z_k D_k = 0 when the rows are independent. Expanding D_k,
+    sum_k z_k D_k = 0 when the rows are independent. In the plane z is
+    Cramer's rule written out: the cross product of the rows x and y of the
+    D_k, six products, zero exactly when the two rows are dependent (and
+    then y_v below is 0). The pass would leave +-z there, and
+    ``_gale_columns`` divides each column by its gcd and makes its pivot
+    positive, so the columns are the same. Expanding D_k,
 
         (-sum_k z_k l_{u_k}) L_v + sum_k (l_v z_k) L_{u_k} = 0,
 
@@ -345,6 +351,14 @@ def _kernel_vector(lifted: Sequence[Sequence[int]], v: int, support: Sequence[in
     base = lifted[v]
     l_v = base[-1]
     points = [lifted[u] for u in support]
+    if len(base) == 3:
+        x, y, _ = base
+        (x0, y0, l0), (x1, y1, l1), (x2, y2, l2) = points
+        a0, a1, a2 = l_v * x0 - l0 * x, l_v * x1 - l1 * x, l_v * x2 - l2 * x
+        b0, b1, b2 = l_v * y0 - l0 * y, l_v * y1 - l1 * y, l_v * y2 - l2 * y
+        z0, z1, z2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+        y_v = -(z0 * l0 + z1 * l1 + z2 * l2)
+        return [y_v, l_v * z0, l_v * z1, l_v * z2] if y_v else None
     rows = ([l_v * q[i] - q[-1] * x for q in points] for i, x in enumerate(base[:-1]))
     basis, _, rank = _cofactor_basis(rows, len(points))
     if rank < len(points) - 1:

@@ -311,16 +311,15 @@ def chordal_connectivity(g: Graph, peo: Ordering) -> int:
 
 
 def _connectivity(later: Sequence[Sequence[int]]) -> int:
-    """``chordal_connectivity`` from the later-neighbour lists of a PEO."""
+    """``chordal_connectivity`` from the later-neighbour lists of a PEO, in
+    one pass. Position j has h_j <= n-j later neighbours. When h_j = n-j,
+    h_j >= k holds at every j <= n-k, so j bounds no k; when h_j < n-j,
+    k = h_j + 1 <= n-j fails at j. So the answer is the least h_j over the
+    positions whose list is shorter than n-j, each below n-1, or n-1 when
+    there are none."""
     n = len(later)
-    h = [len(nbrs) for nbrs in later]
-    best = 0
-    for k in range(1, n):
-        if all(h[j - 1] >= k for j in range(1, n - k + 1)):
-            best = k
-        else:
-            break
-    return best
+    return min((len(nbrs) for j, nbrs in enumerate(later, 1) if len(nbrs) < n - j),
+               default=n - 1)
 
 
 def components_after_removal(g: Graph, removed: Iterable[int]) -> tuple[tuple[int, ...], ...]:

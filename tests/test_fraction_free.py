@@ -201,6 +201,91 @@ class TestGaleColumnsOracle:
                         for kind in ("first", "greedy", "none")}
 
 
+def _planar_supports():
+    """Seeded points v, u_0, u_1, u_2 in R^2, with the kind of support they
+    make: at random ("general"), the support on a line with v off it or
+    on it, a support point repeated, and v repeating a support point.
+    Coordinates are in [-9, 9] or near +-10^6, integers or with
+    denominators up to 10^6."""
+    rng = random.Random("planar-kernel-vector")
+    kinds = ("general", "collinear support", "all collinear", "repeated support point",
+             "v repeats a support point")
+    for i in range(500):
+        kind = kinds[i % 5]
+        big = i // 5 % 2 == 1
+        dens = (1,) if i // 10 % 2 == 0 else (1, 2, 3, 7, 10 ** 6 - 1)
+
+        def coord():
+            c = rng.choice((-10 ** 6, 10 ** 6)) + rng.randint(-50, 50) if big else 0
+            return c + F(rng.randint(-9, 9), rng.choice(dens))
+
+        def on_line(a, d):
+            t = F(rng.randint(-5, 5), rng.choice(dens))
+            return [a[0] + t * d[0], a[1] + t * d[1]]
+
+        pts = [[coord(), coord()] for _ in range(4)]
+        if kind in ("collinear support", "all collinear"):
+            a, d = pts[1], [rng.randint(-9, 9), rng.randint(1, 9)]
+            pts[2:] = [on_line(a, d), on_line(a, d)]
+            if kind == "all collinear":
+                pts[0] = on_line(a, d)
+        elif kind == "repeated support point":
+            pts[2] = list(pts[1])
+        elif kind == "v repeats a support point":
+            pts[0] = list(pts[3])
+        yield kind, big, [framework._lift(p) for p in pts]
+
+
+def _primitive(lifted, keys, y):
+    """The column ``_gale_columns`` stores for the vector y of
+    ``_kernel_vector`` over the 0-based vertices ``keys``."""
+    if y is None:
+        return None
+    w = [lifted[u][-1] * x for u, x in zip(keys, y)]
+    g = math.gcd(*w) if w[0] > 0 else -math.gcd(*w)
+    return [x // g for x in w]
+
+
+def _vector_from(lifted, z):
+    """y from a vector z with sum_k z_k D_k = 0 over the support's
+    differences, as ``_kernel_vector`` expands it; None when z or y_v is
+    zero."""
+    l_v = lifted[0][-1]
+    y_v = -sum(x * q[-1] for x, q in zip(z, lifted[1:]))
+    return [y_v, *(l_v * x for x in z)] if any(z) and y_v else None
+
+
+class TestPlanarKernelVector:
+    def test_cross_product_is_the_cofactor_column(self):
+        """In the plane ``_kernel_vector`` writes z out as a cross product.
+        The column it gives, divided by its gcd with its pivot positive,
+        equals the one from the general route, one ``_cofactor_basis`` pass
+        over the two difference rows, and the one from their signed 2 x 2
+        minors (``oracles.cofactor_vector``), bit for bit: on independent
+        supports, which give a dependency of v on the support, and on
+        dependent ones, which give None, with repeated points, lifts with
+        l > 1 and coordinates near 10^6."""
+        dependent = {"collinear support", "all collinear", "repeated support point"}
+        keys, seen = [0, 1, 2, 3], set()
+        for kind, big, lifted in _planar_supports():
+            got = certify._kernel_vector(lifted, 0, keys[1:])
+            base = lifted[0]
+            rows = [[base[-1] * q[i] - q[-1] * base[i] for q in lifted[1:]] for i in range(2)]
+            basis, _, rank = exactmat._cofactor_basis(rows, 3)
+            by_pass = _vector_from(lifted, basis[0]) if rank == 2 else None
+            by_minors = _vector_from(lifted, [int(x) for x in oracles.cofactor_vector(rows)])
+            column = _primitive(lifted, keys, got)
+            assert column == _primitive(lifted, keys, by_pass)
+            assert column == _primitive(lifted, keys, by_minors)
+            assert (got is None) == (kind in dependent)
+            if got is not None:
+                assert all(sum(y * q[i] for y, q in zip(got, lifted)) == 0 for i in range(3))
+            seen.add((kind, big, any(q[-1] > 1 for q in lifted)))
+        assert seen == {(kind, big, scaled) for kind in dependent | {
+            "general", "v repeats a support point"} for big in (False, True)
+            for scaled in (False, True)}
+
+
 class TestIntegerColumns:
     def test_columns_are_primitive_dependencies_and_give_the_dense_gale(self):
         """Each column is gcd 1 with its pivot first and positive, the pivot
@@ -240,12 +325,14 @@ class TestIntegerColumns:
         its support is 1, else m w_u / l_u, m the lcm of those l_u, the
         coefficients of the lifted points L_u in m sum_u w_u (p_u, 1). A
         slip between the Cramer vector and the stored integers, one entry
-        doubled, raises AssertionFailure."""
+        doubled, raises AssertionFailure, on the line and in the plane,
+        where the vector is the cross product."""
         checked = []
         real = certify._in_gale_space
         monkeypatch.setattr(certify, "_in_gale_space",
                             lambda lifted, vecs: checked.extend(vecs) or real(lifted, vecs))
-        rational = [fw for fw in _gale_inputs() if any(p[-1] > 1 for p in fw._lifted)][:6]
+        rational = [fw for fw in _gale_inputs() if any(p[-1] > 1 for p in fw._lifted)]
+        rational = [fw for r in (1, 2) for fw in rational if fw.dim == r][:12]
         seen = set()
         for fw in rational:
             checked.clear()
@@ -261,18 +348,19 @@ class TestIntegerColumns:
                 assert vec == {u: F(x * m, l) for (u, x), l in zip(col.items(), scales)}
                 if m == 1:
                     assert vec is col
-                seen.add(m > 1)
-        assert seen == {True, False}
+                seen.add((fw.dim, m > 1))
+        assert {(1, True), (1, False), (2, True)} <= seen
         monkeypatch.undo()
-        fw = rational[0]
         real_kernel = certify._kernel_vector
 
         def slipped(*args):
             y = real_kernel(*args)
             return y and [y[0], 2 * y[1], *y[2:]]
         monkeypatch.setattr(certify, "_kernel_vector", slipped)
-        with pytest.raises(certify.AssertionFailure, match="column 1 does not lie"):
-            helpers.gale_columns(fw, is_chordal(fw.graph).peo)
+        for r in (1, 2):
+            fw = next(fw for fw in rational if fw.dim == r)
+            with pytest.raises(certify.AssertionFailure, match="column 1 does not lie"):
+                helpers.gale_columns(fw, is_chordal(fw.graph).peo)
 
     def test_psdize_columns_are_the_integer_form_of_its_factor(self, hexagon):
         """The columns ``psdize_stress`` builds from its elimination steps

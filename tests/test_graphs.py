@@ -284,6 +284,24 @@ class TestChordalConnectivity:
             peo = is_chordal(g).peo
             assert chordal_connectivity(g, peo) == oracles.brute_connectivity(g.n, g.edges)
 
+    def test_one_pass_matches_brute_force_on_every_shape(self):
+        """The least short list length against the exhaustive cut search:
+        one vertex, complete graphs and paths in either direction, and
+        seeded k-trees for every k from 1 to n, along the MCS ordering and
+        the reversed construction order."""
+        graphs_ = [Graph(1)]
+        for n in range(2, 8):
+            graphs_ += [Graph.complete(n), Graph.path(n)]
+        rng = random.Random("connectivity-one-pass")
+        for n in range(1, 9):
+            graphs_ += [gen_ktree(n, k, rng.randrange(10_000)) for k in range(1, n + 1)]
+        for g in graphs_:
+            expected = oracles.brute_connectivity(g.n, g.edges)
+            for peo in (is_chordal(g).peo, Ordering(range(g.n, 0, -1))):
+                assert chordal_connectivity(g, peo) == expected
+        assert chordal_connectivity(Graph(1), Ordering.identity(1)) == 0
+        assert chordal_connectivity(Graph.complete(6), Ordering.identity(6)) == 5
+
 
 class TestComponentsAfterRemoval:
     def test_path_split(self):
