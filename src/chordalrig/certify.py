@@ -74,11 +74,11 @@ from .graphs import (
     _checked_later,
     _connectivity,
     _later_neighbors,
+    _mcs_later,
     _peo_violation,
     _small_cut,
     components_after_removal,
     find_chordless_cycle,
-    mcs_order,
 )
 
 # Bound on the coefficient search for hyperplanes; unreachable in practice.
@@ -236,8 +236,9 @@ def _gale_columns(fw: Framework, peo: Ordering,
                   later: Sequence[Sequence[int]]) -> GaleColumns:
     """The columns of ``unit_triangular_gale`` as {0-based vertex: entry},
     for a PEO of a framework that is not a simplex, read off ``later``, the
-    later-neighbour lists of ``peo`` (``graphs._later_neighbors``) that the
-    caller has checked.
+    later-neighbour lists of ``peo`` (``graphs._later_neighbors``, or
+    ``graphs._mcs_later`` for the search's ordering) that the caller has
+    checked.
 
     Column j of Z is 1 at the vertex v in position j and x_k at dim+1 of
     its later neighbours u_k, where sum_k x_k (u_k, 1) = -(v, 1). The
@@ -245,12 +246,14 @@ def _gale_columns(fw: Framework, peo: Ordering,
     the lcm of its denominators, and ``_kernel_vector`` solves for the
     integer y with y_v L_v + sum_k y_k L_{u_k} = 0 by Cramer's rule on the
     support's differences from v, one fraction-free elimination over dim
-    rows, or in the plane the cross product of the two rows; then x_k =
-    l_{u_k} y_k / (l_v y_v). The column is returned in integers
-    (``GaleColumns``): w_u = l_u y_u over v and the support, divided by its
-    gcd and signed so that w_v > 0, so x_k = w_{u_k} / w_v; the kernel is
-    one-dimensional, so w is the one primitive affine dependency of v on
-    the support with w_v > 0, whichever multiple of y was solved for.
+    rows; then x_k = l_{u_k} y_k / (l_v y_v). The column is returned in
+    integers (``GaleColumns``, ``_cofactor_column``): w_u = l_u y_u over v
+    and the support, divided by its gcd and signed so that w_v > 0, so
+    x_k = w_{u_k} / w_v; the kernel is one-dimensional, so w is the one
+    primitive affine dependency of v on the support with w_v > 0,
+    whichever multiple of y was solved for. In the plane one straight-line
+    function builds the same column from the cross product of the two
+    rows (``_plane_column``).
 
     A position with fewer than dim+1 later neighbours raises
     PreconditionViolated. The support is first the dim+1 earliest later
@@ -263,27 +266,24 @@ def _gale_columns(fw: Framework, peo: Ordering,
     """
     r = fw.dim
     lifted = fw._lifted
+    column = _plane_column if r == 2 else _cofactor_column
     columns = []
     for j in range(1, fw.rbar + 1):
-        v = peo.vertex_at(j)
+        v = peo.vertex_at(j) - 1
         nbrs = [u - 1 for u in later[j - 1]]
         if len(nbrs) < r + 1:
             raise PreconditionViolated(
                 f"position {j} has only {len(nbrs)} later neighbors, need {r + 1}")
-        support = nbrs[:r + 1]
-        y = _kernel_vector(lifted, v - 1, support)
-        if y is None:
+        col = column(lifted, v, nbrs[:r + 1])
+        if col is None:
             support = _independent_support(lifted, nbrs, r + 1)
-            y = None if support is None else _kernel_vector(lifted, v - 1, support)
-            if y is None:
+            col = None if support is None else column(lifted, v, support)
+            if col is None:
                 witness = tuple(sorted(u + 1 for u in nbrs[:r + 1]))
                 raise DegenerateEvidence(
                     f"support of column {j} is degenerate: no {r + 1} of its "
                     f"later neighbours are affinely independent", witness)
-        keys = [v - 1, *support]
-        w = [lifted[u][-1] * x for u, x in zip(keys, y)]
-        g = math.gcd(*w) if w[0] > 0 else -math.gcd(*w)
-        columns.append({u: x // g for u, x in zip(keys, w) if x})
+        columns.append(col)
     _check_gale_columns(fw, columns, peo)
     return columns
 
@@ -298,6 +298,9 @@ def _check_gale_columns(fw: Framework, columns: GaleColumns, peo: Ordering) -> N
     (``_in_gale_space``): w itself is the coefficient vector of the L_u
     when every l_u of its support is 1, and m w_u / l_u otherwise, m the
     lcm of those l_u, since m sum_u w_u (p_u, 1) = sum_u (m w_u / l_u) L_u.
+    At integer points, where every l_u is 1, all the columns go to one
+    call as they are, and only a failure checks them one by one, to name
+    the first column that fails.
     The rbar columns are checked to keep the triangular shape
     (``framework._triangular_violation``): column j nonzero only at the
     vertex v_j in position j, where it is positive, and at later
@@ -312,18 +315,77 @@ def _check_gale_columns(fw: Framework, columns: GaleColumns, peo: Ordering) -> N
       rank rbar is PSD of rank rbar.
     """
     lifted = fw._lifted
-    for j, col in enumerate(columns, 1):
-        scales = [lifted[u][-1] for u in col]
-        m = math.lcm(*scales)
-        if m > 1:
-            col = {u: x * (m // l) for (u, x), l in zip(col.items(), scales)}
-        if not _in_gale_space(lifted, [col]):
-            raise AssertionFailure(f"column {j} does not lie in the Gale space")
+    if not all(p[-1] == 1 for p in lifted) or not _in_gale_space(lifted, columns):
+        for j, col in enumerate(columns, 1):
+            scales = [lifted[u][-1] for u in col]
+            m = math.lcm(*scales)
+            if m > 1:
+                col = {u: x * (m // l) for (u, x), l in zip(col.items(), scales)}
+            if not _in_gale_space(lifted, [col]):
+                raise AssertionFailure(f"column {j} does not lie in the Gale space")
     if len(columns) != fw.rbar:
         raise AssertionFailure(f"{len(columns)} Gale columns, not rbar = {fw.rbar}")
     violation = _triangular_violation(columns, fw.graph, peo)
     if violation is not None:
         raise AssertionFailure(f"Gale columns leave the triangular shape at {violation}")
+
+
+def _plane_column(lifted: Sequence[Sequence[int]], v: int, support: Sequence[int]
+                  ) -> dict[int, int] | None:
+    """The integer Gale column (``GaleColumns``) of v (0-based) on a
+    support of three points in the plane, written out in integers: the
+    column that ``_cofactor_column`` gives, or None when the support's
+    points are affinely dependent.
+
+    The cofactor vector z of the support's differences D_k = l_v L_{u_k} -
+    l_{u_k} L_v (``_kernel_vector``) is the cross product of their rows x
+    and y, six products, zero exactly when the two rows are dependent.
+    Then y_v = -sum_k z_k l_{u_k} and y_k = l_v z_k, so the entries
+    l_v y_v and l_{u_k} y_k of the column share the factor l_v, which the
+    gcd divides out: the column is (y_v, l_{u_0} z_0, l_{u_1} z_1,
+    l_{u_2} z_2), its first entry minus the sum of the other three,
+    divided by its gcd and signed so that its pivot is positive, zero
+    entries dropped. A zero pivot, which dependent rows give, returns
+    None.
+    """
+    x, y, l = lifted[v]
+    u0, u1, u2 = support
+    x0, y0, l0 = lifted[u0]
+    x1, y1, l1 = lifted[u1]
+    x2, y2, l2 = lifted[u2]
+    a0, a1, a2 = l * x0 - l0 * x, l * x1 - l1 * x, l * x2 - l2 * x
+    b0, b1, b2 = l * y0 - l0 * y, l * y1 - l1 * y, l * y2 - l2 * y
+    w0, w1, w2 = l0 * (a1 * b2 - a2 * b1), l1 * (a2 * b0 - a0 * b2), l2 * (a0 * b1 - a1 * b0)
+    w_v = -(w0 + w1 + w2)
+    if not w_v:
+        return None
+    g = math.gcd(w_v, w0, w1, w2)
+    if w_v < 0:
+        g = -g
+    col = {v: w_v // g}
+    if w0:
+        col[u0] = w0 // g
+    if w1:
+        col[u1] = w1 // g
+    if w2:
+        col[u2] = w2 // g
+    return col
+
+
+def _cofactor_column(lifted: Sequence[Sequence[int]], v: int, support: Sequence[int]
+                     ) -> dict[int, int] | None:
+    """The integer Gale column (``GaleColumns``) of v (0-based) on the
+    support u_0..u_dim, from ``_kernel_vector``'s y: w_u = l_u y_u over v
+    and the support, divided by its gcd and signed so that w_v > 0, zero
+    entries dropped; None when the support's points are affinely
+    dependent."""
+    y = _kernel_vector(lifted, v, support)
+    if y is None:
+        return None
+    keys = [v, *support]
+    w = [lifted[u][-1] * x for u, x in zip(keys, y)]
+    g = math.gcd(*w) if w[0] > 0 else -math.gcd(*w)
+    return {u: x // g for u, x in zip(keys, w) if x}
 
 
 def _kernel_vector(lifted: Sequence[Sequence[int]], v: int, support: Sequence[int]
@@ -335,30 +397,20 @@ def _kernel_vector(lifted: Sequence[Sequence[int]], v: int, support: Sequence[in
     It is solved on the differences D_k = l_v L_{u_k} - l_{u_k} L_v, whose
     last coordinate is 0: their dim coordinate rows go through one
     ``_cofactor_basis`` pass, which leaves the cofactor vector z with
-    sum_k z_k D_k = 0 when the rows are independent. In the plane z is
-    Cramer's rule written out: the cross product of the rows x and y of the
-    D_k, six products, zero exactly when the two rows are dependent (and
-    then y_v below is 0). The pass would leave +-z there, and
-    ``_gale_columns`` divides each column by its gcd and makes its pivot
-    positive, so the columns are the same. Expanding D_k,
+    sum_k z_k D_k = 0 when the rows are independent. Expanding D_k,
 
         (-sum_k z_k l_{u_k}) L_v + sum_k (l_v z_k) L_{u_k} = 0,
 
     so y_v = -sum_k z_k l_{u_k} and y_k = l_v z_k. The rows are dependent
     exactly when v and the support do not span, and then, or when y_v = 0,
-    the L_{u_k} are dependent.
+    the L_{u_k} are dependent. In the plane ``_gale_columns`` does not come
+    here: ``_plane_column`` writes the same z out as a cross product. The
+    pass would leave +-z there, and each column is divided by its gcd with
+    its pivot positive, so the columns are the same.
     """
     base = lifted[v]
     l_v = base[-1]
     points = [lifted[u] for u in support]
-    if len(base) == 3:
-        x, y, _ = base
-        (x0, y0, l0), (x1, y1, l1), (x2, y2, l2) = points
-        a0, a1, a2 = l_v * x0 - l0 * x, l_v * x1 - l1 * x, l_v * x2 - l2 * x
-        b0, b1, b2 = l_v * y0 - l0 * y, l_v * y1 - l1 * y, l_v * y2 - l2 * y
-        z0, z1, z2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
-        y_v = -(z0 * l0 + z1 * l1 + z2 * l2)
-        return [y_v, l_v * z0, l_v * z1, l_v * z2] if y_v else None
     rows = ([l_v * q[i] - q[-1] * x for q in points] for i, x in enumerate(base[:-1]))
     basis, _, rank = _cofactor_basis(rows, len(points))
     if rank < len(points) - 1:
@@ -414,14 +466,16 @@ def _no_conic_at_infinity(fw: Framework) -> bool:
 def certify_chordal(fw: Framework) -> Certificate:
     """Full pipeline: chordality, then the connectivity dichotomy.
 
-    The graph is walked once: the maximum cardinality search ordering's
-    later-neighbour lists are built once (``graphs._later_neighbors``) and
-    checked once (``graphs._peo_violation``); chordality, connectivity, the
-    cut and the Gale columns all read them. Only a failed check searches
-    for the chordless cycle (``graphs.find_chordless_cycle``), which must
-    then exist. The components that the cut's
-    check finds (``graphs._small_cut``) go to the reflection
-    (``_reflection``), so a NotGloballyRigid op searches them once.
+    The graph is walked once: one maximum cardinality search pass gives
+    the ordering and its later-neighbour lists (``graphs._mcs_later``),
+    which are checked once (``graphs._peo_violation``); chordality,
+    connectivity, the cut and the Gale columns all read them. In the plane
+    each Gale column is built and checked in straight-line integers
+    (``_plane_column``, ``framework._in_gale_space``). Only a failed check
+    searches for the chordless cycle (``graphs.find_chordless_cycle``),
+    which must then exist. The components that the cut's check finds
+    (``graphs._small_cut``) go to the reflection (``_reflection``), so a
+    NotGloballyRigid op searches them once.
 
     Connectivity at least dim+1 yields UniversallyRigid with a maximal-rank
     PSD stress, lower connectivity NotGloballyRigid with a reflected
@@ -458,8 +512,7 @@ def certify_chordal(fw: Framework) -> Certificate:
     infinity); its failure and a failure naming no witness raise
     AssertionFailure.
     """
-    peo = mcs_order(fw.graph)
-    later = _later_neighbors(fw.graph, peo)
+    peo, later = _mcs_later(fw.graph)
     if _peo_violation(fw.graph, peo, later) is not None:
         cycle = find_chordless_cycle(fw.graph)
         if cycle is None:
@@ -640,11 +693,12 @@ def _elimination_order(graph: Graph) -> Ordering:
     """The identity when it is a perfect elimination ordering of the graph,
     which proves the graph chordal, else the maximum cardinality search
     one; PreconditionViolated when the graph is not chordal. Each ordering
-    is walked once (``graphs._later_neighbors``, ``graphs._peo_violation``)."""
+    is walked once (``graphs._later_neighbors``, ``graphs._peo_violation``);
+    the search builds its lists in its own pass (``graphs._mcs_later``)."""
     order = Ordering.identity(graph.n)
     if _peo_violation(graph, order, _later_neighbors(graph, order)) is not None:
-        order = mcs_order(graph)
-        if _peo_violation(graph, order, _later_neighbors(graph, order)) is not None:
+        order, later = _mcs_later(graph)
+        if _peo_violation(graph, order, later) is not None:
             raise PreconditionViolated("graph is not chordal")
     return order
 

@@ -41,11 +41,10 @@ from .framework import (
 from .graphs import (
     GraphError,
     InvalidParameters,
-    _later_neighbors,
+    _mcs_later,
     _peo_violation,
     _small_cut,
     is_chordal,
-    mcs_order,
 )
 from .jsonio import (
     InputTooLarge,
@@ -280,8 +279,7 @@ def reflect(framework_file, cut_spec, output):
                 raise click.UsageError(f"--cut {cut_spec!r} names a vertex outside 1..{fw.n}")
             result = reflection_counterexample(fw, cut)
         else:  # as certify_chordal: one walk, and the cut's components go on
-            peo = mcs_order(fw.graph)
-            later = _later_neighbors(fw.graph, peo)
+            peo, later = _mcs_later(fw.graph)
             if _peo_violation(fw.graph, peo, later) is not None:
                 raise CertifyError("graph is not chordal; supply --cut explicitly")
             found = _small_cut(fw.graph, later, fw.dim)

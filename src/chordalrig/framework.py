@@ -635,10 +635,17 @@ def _stress_clauses(fw: Framework, rows: SparseRows, scale: Sequence[int]
 def _cleared(col: Mapping[int, int], weights: Sequence[int]) -> dict[int, int]:
     """The quotients M_uw / weights[u] of the column {u: M_uw}, scaled to
     integers by the lcm of their denominators (``_integer_row``), which is
-    1 when every quotient is exact; only an inexact one is a Fraction."""
-    quotients = [x // d if x % d == 0 else Fraction(x, d)
-                 for x, d in zip(col.values(), [weights[u] for u in col])]
-    return dict(zip(col, _integer_row(quotients)[0]))
+    1 when every quotient is exact. One ``divmod`` per entry gives the
+    exact quotients as they are; only from the first inexact one on are
+    the quotients taken as Fractions and all of them cleared."""
+    out = {}
+    for u, x in col.items():
+        q, rem = divmod(x, weights[u])
+        if rem:
+            rest = [Fraction(y, weights[w]) for w, y in col.items() if w not in out]
+            return dict(zip(col, _integer_row([*out.values(), *rest])[0]))
+        out[u] = q
+    return out
 
 
 def _lift(p: Sequence[Fraction]) -> tuple[int, ...]:
@@ -654,8 +661,20 @@ def _in_gale_space(lifted: Sequence[Sequence[int]],
     sum y_v L_v = 0 over the points as ``Framework`` lifts them, L_v =
     l_v (p_v, 1): one integer dot product per coordinate. A dependency
     with coefficients x_v of the points (p_v, 1) themselves is passed as
-    y_v = x_v / l_v, cleared of denominators by the caller.
+    y_v = x_v / l_v, cleared of denominators by the caller. In the plane
+    the three sums are accumulated in straight-line integers.
     """
+    if len(lifted[0]) == 3:
+        for vec in vectors:
+            sx = sy = sl = 0
+            for v, y in vec.items():
+                px, py, pl = lifted[v]
+                sx += y * px
+                sy += y * py
+                sl += y * pl
+            if sx or sy or sl:
+                return False
+        return True
     for vec in vectors:
         coeffs = vec.values()
         if any(sum(map(mul, coeffs, coord)) for coord in zip(*[lifted[v] for v in vec])):

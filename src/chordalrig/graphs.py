@@ -141,7 +141,21 @@ def mcs_order(g: Graph) -> Ordering:
     Vertex n takes the last position; positions are then filled downward,
     each time choosing the unlabeled vertex with the most labeled
     neighbors, ties going to the lowest label. Runs in near-linear time
-    via a lazy heap.
+    via a lazy heap (``_mcs_later``, which also gives the ordering's
+    later-neighbour lists).
+    """
+    return _mcs_later(g)[0]
+
+
+def _mcs_later(g: Graph) -> tuple[Ordering, list[list[int]]]:
+    """``mcs_order`` and, from the same pass, its later-neighbour lists,
+    equal to ``_later_neighbors(g, mcs_order(g))``.
+
+    When the search labels v, v's labeled neighbours are exactly its later
+    neighbours, and they were labeled in decreasing position. So each
+    vertex is appended to the list of each of its unlabeled neighbours as
+    it is labeled, and each list, reversed, is in position order: no sort
+    and no position lookup.
     """
     n = g.n
     order = [0] * n
@@ -149,10 +163,12 @@ def mcs_order(g: Graph) -> Ordering:
     labeled = [False] * (n + 1)
     labeled[n] = True
     weight = [0] * (n + 1)
+    later: list[list[int]] = [[] for _ in range(n + 1)]
     heap: list[tuple[int, int]] = [(0, v) for v in range(1, n)]
     heapq.heapify(heap)
     for u in g.neighbors(n):
         weight[u] = 1
+        later[u].append(n)
         heapq.heappush(heap, (-1, u))
     for pos in range(n - 1, 0, -1):
         while True:
@@ -164,8 +180,11 @@ def mcs_order(g: Graph) -> Ordering:
         for u in g.neighbors(v):
             if not labeled[u]:
                 weight[u] += 1
+                later[u].append(v)
                 heapq.heappush(heap, (-weight[u], u))
-    return Ordering(order)
+    for nbrs in later:
+        nbrs.reverse()
+    return Ordering(order), [later[v] for v in order]
 
 
 def is_peo(g: Graph, order: Ordering) -> tuple[bool, tuple[int, int, int] | None]:
@@ -180,22 +199,21 @@ def is_peo(g: Graph, order: Ordering) -> tuple[bool, tuple[int, int, int] | None
 def _peo_violation(g: Graph, order: Ordering, later: Sequence[Sequence[int]]
                    ) -> tuple[int, int, int] | None:
     """``is_peo``'s witness from the later-neighbour lists of ``order``
-    (``_later_neighbors``), or None when it is a PEO.
+    (``_later_neighbors``, or ``_mcs_later`` for the search's ordering),
+    or None when it is a PEO.
 
     Uses the standard reduction: it suffices that the later neighbors of v,
     other than the earliest one u, which heads its position-sorted list,
-    are all adjacent to u. The witness is (v, min(u, w), max(u, w)) for the
-    first position whose list fails, w its smallest later neighbour not
-    adjacent to u.
+    are all adjacent to u, one superset test per list. Only a list that
+    fails it gives the witness: (v, min(u, w), max(u, w)) for the first
+    position whose list fails, w its smallest later neighbour not adjacent
+    to u.
     """
+    adj = g._adj
     for v, nbrs in zip(order, later):
-        if len(nbrs) < 2:
-            continue
-        u = nbrs[0]
-        u_adj = g.neighbors(u)
-        missing = [w for w in nbrs if w != u and w not in u_adj]
-        if missing:
-            w = min(missing)
+        if len(nbrs) > 1 and not adj[nbrs[0]].issuperset(nbrs[1:]):
+            u = nbrs[0]
+            w = min(w for w in nbrs[1:] if w not in adj[u])
             return v, min(u, w), max(u, w)
     return None
 
@@ -211,14 +229,14 @@ class ChordalityResult:
 
 
 def is_chordal(g: Graph) -> ChordalityResult:
-    """Chordality test: MCS from vertex n, then the elimination-order check.
+    """Chordality test: MCS from vertex n, then the elimination-order check
+    on the later-neighbour lists that the search builds (``_mcs_later``).
 
     Returns the ordering as a certificate when chordal, and a concrete
     chordless cycle of length >= 4 when not.
     """
-    order = mcs_order(g)
-    ok, _ = is_peo(g, order)
-    if ok:
+    order, later = _mcs_later(g)
+    if _peo_violation(g, order, later) is None:
         return ChordalityResult(True, order, None)
     cycle = find_chordless_cycle(g)
     if cycle is None:
@@ -282,7 +300,9 @@ def _later_neighbors(g: Graph, order: Ordering) -> list[list[int]]:
     sorted by position; GraphError when the ordering's length is not n.
     These lists are the facts of an ordering that everything downstream
     reads: the PEO check (``_peo_violation``), connectivity, the cut and
-    the Gale columns, so a caller builds them once and hands them on.
+    the Gale columns, so a caller builds them once and hands them on. The
+    maximum cardinality search builds them for its own ordering in its one
+    pass (``_mcs_later``).
     """
     if len(order) != g.n:
         raise GraphError("ordering length does not match the graph")

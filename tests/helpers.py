@@ -235,14 +235,17 @@ def ngr_moved_suite(count):
 
 def spy_order_calls(monkeypatch) -> "collections.Counter[str]":
     """Count, by name, the walks of an ordering, each of which builds its
-    later-neighbour lists (``_later_neighbors``) and checks them
-    (``_peo_violation``), and the maximum cardinality searches
-    (``mcs_order``), in every module that binds the name: ``certify``,
-    ``cli`` and ``graphs`` itself, so the walks inside ``is_peo``,
-    ``is_chordal`` and ``_checked_later`` count too."""
+    later-neighbour lists and checks them (``_peo_violation``), in every
+    module that binds the name: ``certify``, ``cli`` and ``graphs``
+    itself, so the walks inside ``is_peo``, ``is_chordal``, ``mcs_order``
+    and ``_checked_later`` count too. A given ordering's lists are built
+    by ``_later_neighbors``; a maximum cardinality search builds its
+    ordering and their lists in one pass, ``_mcs_later``, counted as one
+    walk under that name. Calls of the public ``mcs_order``, which runs
+    that pass, are counted as well."""
     from chordalrig import cli, graphs
     calls: collections.Counter[str] = collections.Counter()
-    for name in ("_later_neighbors", "_peo_violation", "mcs_order"):
+    for name in ("_later_neighbors", "_mcs_later", "_peo_violation", "mcs_order"):
         real = getattr(graphs, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):

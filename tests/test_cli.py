@@ -379,8 +379,9 @@ class TestGale:
         """An identity that is a PEO proves the graph chordal: no search
         runs, and the Gale construction walks it once more, to build and
         check its later-neighbour lists: 2 walks. Otherwise the search's
-        PEO is walked and used: 3 walks. On a graph that is not chordal
-        both orderings are walked and no chordless cycle is searched for."""
+        PEO is walked and used: 3 walks, the search's own one pass
+        (``_mcs_later``) among them. On a graph that is not chordal both
+        orderings are walked and no chordless cycle is searched for."""
         # swapping labels 1 and 3 makes vertex 1 adjacent to the non-edge {3, 5}
         swap = {1: 3, 3: 1}
         graph = Graph(6, [(swap.get(u, u), swap.get(v, v)) for u, v in hexagon.fw.graph.edges])
@@ -402,8 +403,9 @@ class TestGale:
             calls.clear()
             results[name] = runner.invoke(main, ["gale", name, "--triangular"])
             assert results[name].exit_code == exit_code
-            assert calls["_later_neighbors"] == calls["_peo_violation"] == walks
-            assert calls["mcs_order"] == mcs_calls
+            assert calls["_later_neighbors"] + calls["_mcs_later"] == walks
+            assert calls["_peo_violation"] == walks
+            assert calls["_mcs_later"] == mcs_calls and calls["mcs_order"] == 0
         assert json.loads(results[str(path)].output) == expected
         assert results[files["prism"]].stderr == "error: graph is not chordal\n"
 
@@ -446,11 +448,11 @@ class TestReflect:
         assert "error: graph is not chordal; supply --cut explicitly" in result.stderr
 
     def test_default_cut_walks_the_ordering_once(self, runner, tmp_path, monkeypatch):
-        """Without --cut, a 40-vertex 2-tree in R^2 is walked once along its
-        MCS ordering, and the components that the cut's check finds go to
-        the reflection: two component searches, one of them the load's
-        connectivity check. The output is the one ``reflect --cut`` gives
-        on the same cut."""
+        """Without --cut, a 40-vertex 2-tree in R^2 is walked once, by the
+        MCS pass that builds its ordering's lists, and the components that
+        the cut's check finds go to the reflection: two component searches,
+        one of them the load's connectivity check. The output is the one
+        ``reflect --cut`` gives on the same cut."""
         ur = random_general_position_framework(40, 2, 3)
         fw = Framework(gen_ktree(40, 2, 3), 2, ur.points)
         path = tmp_path / "ngr.json"
@@ -465,8 +467,7 @@ class TestReflect:
             monkeypatch.setattr(module, "components_after_removal", counted)
         result = runner.invoke(main, ["reflect", str(path)])
         assert result.exit_code == 0
-        assert calls == {"mcs_order": 1, "_later_neighbors": 1, "_peo_violation": 1,
-                         "components_after_removal": 2}
+        assert calls == {"_mcs_later": 1, "_peo_violation": 1, "components_after_removal": 2}
         cut = graphs.vertex_cut_of_size_at_most(fw.graph, mcs_order(fw.graph), 2)
         explicit = runner.invoke(main, ["reflect", str(path), "--cut",
                                         ",".join(map(str, sorted(cut)))])

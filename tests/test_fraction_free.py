@@ -255,35 +255,73 @@ def _vector_from(lifted, z):
     return [y_v, *(l_v * x for x in z)] if any(z) and y_v else None
 
 
-class TestPlanarKernelVector:
-    def test_cross_product_is_the_cofactor_column(self):
-        """In the plane ``_kernel_vector`` writes z out as a cross product.
-        The column it gives, divided by its gcd with its pivot positive,
-        equals the one from the general route, one ``_cofactor_basis`` pass
-        over the two difference rows, and the one from their signed 2 x 2
-        minors (``oracles.cofactor_vector``), bit for bit: on independent
-        supports, which give a dependency of v on the support, and on
-        dependent ones, which give None, with repeated points, lifts with
-        l > 1 and coordinates near 10^6."""
+def _stored(keys, column):
+    """A column of ``_primitive`` as ``_gale_columns`` stores it: {key:
+    entry} over its nonzero entries, in key order."""
+    return None if column is None else {u: x for u, x in zip(keys, column) if x}
+
+
+class TestPlanarColumn:
+    def test_plane_column_is_the_cofactor_column(self):
+        """In the plane ``_plane_column`` builds the column in straight-line
+        integers from the cross product. It equals, bit for bit and key
+        order included, the column of the general route
+        (``_cofactor_column``: y from one ``_cofactor_basis`` pass over the
+        two difference rows, which ``_kernel_vector`` runs at every dim)
+        and the one from their signed 2 x 2 minors
+        (``oracles.cofactor_vector``): on independent supports, which give
+        a dependency of v on the support, and on dependent ones, which give
+        None, with repeated points, lifts with l > 1 and coordinates near
+        10^6."""
         dependent = {"collinear support", "all collinear", "repeated support point"}
         keys, seen = [0, 1, 2, 3], set()
         for kind, big, lifted in _planar_supports():
-            got = certify._kernel_vector(lifted, 0, keys[1:])
+            got = certify._plane_column(lifted, 0, keys[1:])
+            y = certify._kernel_vector(lifted, 0, keys[1:])
             base = lifted[0]
             rows = [[base[-1] * q[i] - q[-1] * base[i] for q in lifted[1:]] for i in range(2)]
             basis, _, rank = exactmat._cofactor_basis(rows, 3)
             by_pass = _vector_from(lifted, basis[0]) if rank == 2 else None
             by_minors = _vector_from(lifted, [int(x) for x in oracles.cofactor_vector(rows)])
-            column = _primitive(lifted, keys, got)
-            assert column == _primitive(lifted, keys, by_pass)
-            assert column == _primitive(lifted, keys, by_minors)
-            assert (got is None) == (kind in dependent)
+            general = certify._cofactor_column(lifted, 0, keys[1:])
+            assert got == general == _stored(keys, _primitive(lifted, keys, y))
+            assert got == _stored(keys, _primitive(lifted, keys, by_pass))
+            assert got == _stored(keys, _primitive(lifted, keys, by_minors))
+            assert got is None or list(got.items()) == list(general.items())
+            assert (got is None) == (y is None) == (kind in dependent)
             if got is not None:
-                assert all(sum(y * q[i] for y, q in zip(got, lifted)) == 0 for i in range(3))
+                assert all(sum(c * q[i] for c, q in zip(y, lifted)) == 0 for i in range(3))
+                assert all(sum(F(x * lifted[u][i], lifted[u][-1]) for u, x in got.items()) == 0
+                           for i in range(3))
             seen.add((kind, big, any(q[-1] > 1 for q in lifted)))
         assert seen == {(kind, big, scaled) for kind in dependent | {
             "general", "v repeats a support point"} for big in (False, True)
             for scaled in (False, True)}
+
+    def test_the_plane_check_is_the_generic_check(self):
+        """``framework._in_gale_space`` sums the plane's three coordinates
+        in straight-line integers; it answers as the generic form, one dot
+        product per coordinate, on each vector alone and on lists of them:
+        on the columns ``_plane_column`` builds, which pass, and on those
+        columns with one entry changed, which fail."""
+        rng = random.Random("plane-gale-check")
+        seen = set()
+        for kind, big, lifted in _planar_supports():
+            col = certify._plane_column(lifted, 0, [1, 2, 3])
+            if col is None:
+                continue
+            scales = [lifted[u][-1] for u in col]
+            m = math.lcm(*scales)
+            good = {u: x * (m // l) for (u, x), l in zip(col.items(), scales)}
+            bad = dict(good)
+            u = rng.choice(list(bad))
+            bad[u] += rng.choice((-1, 1)) * rng.randint(1, 3)
+            for vecs in ([good], [bad], [good, bad], [bad, good], [good, good], []):
+                expected = not any(sum(y * lifted[v][i] for v, y in vec.items())
+                                   for vec in vecs for i in range(3))
+                assert framework._in_gale_space(lifted, vecs) == expected
+                seen.add(expected)
+        assert seen == {True, False}
 
 
 class TestIntegerColumns:
@@ -326,7 +364,8 @@ class TestIntegerColumns:
         coefficients of the lifted points L_u in m sum_u w_u (p_u, 1). A
         slip between the Cramer vector and the stored integers, one entry
         doubled, raises AssertionFailure, on the line and in the plane,
-        where the vector is the cross product."""
+        where one straight-line function (``_plane_column``) builds the
+        column from the cross product, and the slip is made there."""
         checked = []
         real = certify._in_gale_space
         monkeypatch.setattr(certify, "_in_gale_space",
@@ -351,12 +390,19 @@ class TestIntegerColumns:
                 seen.add((fw.dim, m > 1))
         assert {(1, True), (1, False), (2, True)} <= seen
         monkeypatch.undo()
-        real_kernel = certify._kernel_vector
+        real_kernel, real_plane = certify._kernel_vector, certify._plane_column
 
         def slipped(*args):
             y = real_kernel(*args)
             return y and [y[0], 2 * y[1], *y[2:]]
+
+        def plane_slipped(*args):
+            col = real_plane(*args)
+            if col:
+                col[list(col)[1]] *= 2
+            return col
         monkeypatch.setattr(certify, "_kernel_vector", slipped)
+        monkeypatch.setattr(certify, "_plane_column", plane_slipped)
         for r in (1, 2):
             fw = next(fw for fw in rational if fw.dim == r)
             with pytest.raises(certify.AssertionFailure, match="column 1 does not lie"):

@@ -13,9 +13,11 @@ from helpers import (
     relabelled,
     zeros,
 )
+from chordalrig.certify import certify_chordal
 from chordalrig.exactmat import (
     DimensionMismatch,
     Matrix,
+    _integer_row,
     _sparse_factor,
     _sparse_rows,
     rank,
@@ -33,6 +35,7 @@ from chordalrig.framework import (
     SizeMismatch,
     StressMatrix,
     StressWeights,
+    _cleared,
     _triangular_violation,
     affinely_independent,
     frameworks_congruent,
@@ -401,6 +404,48 @@ class TestOmegaFromStressClauses:
     def test_wrong_size_rejected(self, hexagon):
         with pytest.raises(DimensionMismatch, match="stress must be 6x6, got 5x5"):
             omega_from_stress(hexagon.fw, StressMatrix(zeros(5, 5)))
+
+
+def old_cleared(col, weights):
+    """``_cleared`` as it was written first: each quotient tested by
+    ``%`` and taken by ``//`` or as a Fraction, then all of them cleared
+    (``_integer_row``)."""
+    quotients = [x // d if x % d == 0 else Fraction(x, d)
+                 for x, d in zip(col.values(), [weights[u] for u in col])]
+    return dict(zip(col, _integer_row(quotients)[0]))
+
+
+class TestCleared:
+    def test_the_divmod_pass_is_the_old_formula(self):
+        """``_cleared`` gives the old formula's dict, key order and int
+        types included: on seeded columns with exact and inexact quotients,
+        negative entries among them, and on the columns that the stress
+        clauses clear, of the congruent rows of certified stresses at
+        integer and rational points."""
+        rng = random.Random("cleared")
+        cases = []
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            weights = [rng.randint(1, 12) for _ in range(n)]
+            keys = rng.sample(range(n), rng.randint(1, n))
+            exact = rng.random() < 0.5
+            cases.append(({u: weights[u] * rng.randint(-30, 30) if exact
+                           else rng.randint(-400, 400) for u in keys}, weights))
+        for i in range(16):
+            r = 2 if i % 2 else 1
+            fw = (rational_points_framework(random.Random(f"cleared/{i}"), 8, r) if i % 4 < 2
+                  else random_general_position_framework(8, r, i))
+            stress = certify_chordal(fw).stress
+            rows, scale = stress.congruent
+            weights = [c * p[-1] for c, p in zip(scale, fw._lifted)]
+            cases.extend((col, weights) for col in rows.values())
+        seen = set()
+        for col, weights in cases:
+            got, expected = _cleared(col, weights), old_cleared(col, weights)
+            assert list(got.items()) == list(expected.items())
+            assert all(type(x) is int for x in got.values())
+            seen.add(all(x % weights[u] == 0 for u, x in col.items()))
+        assert seen == {True, False}
 
 
 class TestValidateStress:

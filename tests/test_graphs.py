@@ -126,6 +126,60 @@ class TestMcsOrder:
         assert len(order) == 10_000
 
 
+class TestMcsLater:
+    """``graphs._mcs_later`` builds the search's ordering and its
+    later-neighbour lists in one pass."""
+
+    @staticmethod
+    def graphs_to_search(prism):
+        rng = random.Random("mcs-later")
+        yield Graph.complete(1)
+        for n in (2, 3, 7, 12):
+            yield Graph.path(n)
+            yield Graph.complete(n)
+        for n in (4, 5, 9):
+            yield Graph.cycle(n)
+        yield prism.graph
+        for i in range(60):
+            n = rng.randint(1, 14)
+            if i % 2:
+                yield gen_ktree(n, rng.randint(1, n), rng.randrange(10_000))
+            else:
+                yield Graph(n, [e for e in itertools.combinations(range(1, n + 1), 2)
+                                if rng.random() < 0.4])
+
+    def test_lists_are_those_of_the_search_ordering(self, prism):
+        """On seeded k-trees, random graphs, paths, complete graphs, n = 1
+        and graphs that are not chordal (cycles, the prism), the ordering
+        is ``mcs_order``'s and the lists are ``_later_neighbors`` of it,
+        order within each list included."""
+        seen = set()
+        for g in self.graphs_to_search(prism):
+            order, later = graphs._mcs_later(g)
+            assert order == mcs_order(g)
+            assert later == graphs._later_neighbors(g, order)
+            seen.add(graphs._peo_violation(g, order, later) is None)
+        assert seen == {True, False}
+
+    def test_the_witness_is_the_plain_reduction(self, prism):
+        """On the lists of one pass, ``_peo_violation`` names the witness of
+        the plain reduction (``oracles.peo_witness``), and ``is_chordal``
+        the chordless cycle ``find_chordless_cycle`` finds, on every graph
+        above that is not chordal."""
+        found = 0
+        for g in self.graphs_to_search(prism):
+            order, later = graphs._mcs_later(g)
+            witness = graphs._peo_violation(g, order, later)
+            assert witness == oracles.peo_witness(g.n, g.edges, list(order))
+            assert witness == is_peo(g, order)[1]
+            result = is_chordal(g)
+            assert result.chordal == (witness is None)
+            if witness is not None:
+                assert result.chordless_cycle == find_chordless_cycle(g)
+                found += 1
+        assert found >= 5
+
+
 class TestIsPeo:
     def test_path_identity(self):
         assert is_peo(Graph.path(3), Ordering.identity(3)) == (True, None)
@@ -423,15 +477,16 @@ class TestPeoFactsOnce:
                                  else (cut, components_after_removal(g, cut)))
 
     def test_certify_checks_the_peo_once_and_lists_it_once(self, monkeypatch, prism):
-        """certify_chordal runs MCS once and walks its ordering once: builds
-        the later-neighbour lists once and checks them once, on UR and NGR
-        inputs. Only a failed check searches for the chordless cycle, which
-        walks no ordering: on the prism, whose MCS ordering is not a PEO."""
+        """certify_chordal runs MCS once, and that one pass builds the
+        later-neighbour lists (``_mcs_later``), with no separate walk of
+        the ordering; the lists are checked once, on UR and NGR inputs.
+        Only a failed check searches for the chordless cycle, which walks
+        no ordering: on the prism, whose MCS ordering is not a PEO."""
         calls = helpers.spy_order_calls(monkeypatch)
         real = certify.find_chordless_cycle
         monkeypatch.setattr(certify, "find_chordless_cycle",
                             lambda g: calls.update(["find_chordless_cycle"]) or real(g))
-        once = {"mcs_order": 1, "_later_neighbors": 1, "_peo_violation": 1}
+        once = {"_mcs_later": 1, "_peo_violation": 1}
         ur = random_general_position_framework(12, 2, 5)
         ngr = Framework(gen_ktree(12, 2, 5), 2, ur.points)
         for fw, verdict in ((ur, certify.Verdict.UNIVERSALLY_RIGID),

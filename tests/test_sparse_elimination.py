@@ -403,6 +403,23 @@ class TestColumnCheck:
         with pytest.raises(AssertionFailure, match=message):
             certify._check_gale_columns(hexagon.fw, columns, Ordering.identity(6))
 
+    def test_integer_points_check_every_column_in_one_call(self, hexagon, monkeypatch):
+        """At integer points every l_u is 1, so each column is its own
+        coefficient vector and all of them go to one ``_in_gale_space``
+        call; only a failure checks them one by one, to name the first
+        column that fails."""
+        calls = []
+        real = certify._in_gale_space
+        monkeypatch.setattr(certify, "_in_gale_space", lambda lifted, vecs:
+                            calls.append(list(vecs)) or real(lifted, calls[-1]))
+        certify._check_gale_columns(hexagon.fw, HEXAGON_COLUMNS, Ordering.identity(6))
+        assert calls == [HEXAGON_COLUMNS]
+        calls.clear()
+        broken = [W0, W1, {**W2, 5: 3}]
+        with pytest.raises(AssertionFailure, match="column 3 does not lie in the Gale space"):
+            certify._check_gale_columns(hexagon.fw, broken, Ordering.identity(6))
+        assert calls == [broken, [W0], [W1], [broken[2]]]
+
     def test_psdize_checks_its_factor_columns_in_the_gale_space(self, hexagon, monkeypatch):
         """``psdize_stress`` checks each integer factor column in the Gale
         space, in integers, not only their shape: at the hexagon's integer
